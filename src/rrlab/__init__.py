@@ -6,7 +6,7 @@ numerically (high precision) and, where the coefficients are exact, as
 integer formal power series.
 """
 
-from .numerics import PrecisionContext, RootMode, agree_bits, golden_phi, root
+from .numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
 from .cf import (
     CFResult,
     CFSpec,
@@ -28,7 +28,6 @@ from .partitions import PartitionPredicate, count_partitions
 from .qseries import (
     G,
     H,
-    QPoint,
     R_product,
     S,
     chi,
@@ -45,14 +44,11 @@ from .special_values import (
     InvariantTable,
     QuinticState,
     SpecialValueEntry,
-    c_param,
     p_value,
-    quintic_corollary,
     quintic_uv,
     registry,
     resolve_quintic_assignment,
     theta_quotient,
-    value_from_c,
     verify_registry,
 )
 from .identities import asymptotic_check, identity_ids, jims_identity, verify
@@ -61,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PrecisionContext",
+    "Nome",
     "RootMode",
     "agree_bits",
     "golden_phi",
@@ -82,7 +79,6 @@ __all__ = [
     "FormalSeries",
     "PartitionPredicate",
     "count_partitions",
-    "QPoint",
     "pochhammer",
     "pochhammer_inf",
     "G",
@@ -100,12 +96,9 @@ __all__ = [
     "registry",
     "verify_registry",
     "InvariantTable",
-    "c_param",
-    "value_from_c",
     "theta_quotient",
     "p_value",
     "quintic_uv",
-    "quintic_corollary",
     "QuinticState",
     "resolve_quintic_assignment",
     "identity_ids",

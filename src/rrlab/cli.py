@@ -25,7 +25,7 @@ from . import cf as _cf
 from . import identities as _id
 from . import qseries as _qs
 from . import special_values as _sv
-from .numerics import PrecisionContext, RootMode, agree_bits
+from .numerics import Nome, PrecisionContext, RootMode, agree_bits
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -70,66 +70,30 @@ def _fmt(ctx: PrecisionContext, v) -> str:
     return ctx.mp.nstr(ctx.mp.mpf(v), digits)
 
 
-def _parse_q(args, ctx: PrecisionContext):
-    if args.q is not None:
-        q = Fraction(args.q)
-        return ctx.real(q)
-    if args.exp_arg is not None:
-        s = Fraction(args.exp_arg)
-        if s <= 0:
-            raise UsageError("--exp-arg must be positive")
-        return ctx.mp.exp(-ctx.mp.pi * ctx.real(s))
-    if args.exp_sqrt is not None:
-        n = Fraction(args.exp_sqrt)
-        if n <= 0:
-            raise UsageError("--exp-sqrt must be positive")
-        return ctx.mp.exp(-ctx.mp.pi * ctx.mp.sqrt(ctx.real(n)))
-    raise UsageError("one of --q, --exp-arg, --exp-sqrt is required")
-
-
-def _eval_target(target: str, q, mode: RootMode, ctx: PrecisionContext):
-    """Returns (value, iterations, status_str)."""
-    if target == "R":
-        res = _cf.rr_cf(q, mode, ctx)
-        return res.value, res.iterations, res.status.value
-    if target == "S":
-        return _qs.S(q, ctx), None, "converged"
-    if target == "G":
-        return _qs.G(q, ctx), None, "converged"
-    if target == "H":
-        return _qs.H(q, ctx), None, "converged"
-    if target == "phi":
-        return _qs.theta_phi(q, ctx), None, "converged"
-    if target == "chi":
-        return _qs.chi(q, ctx), None, "converged"
+def _eval_target(target: str, nome: Optional[Nome], mode: RootMode, ctx: PrecisionContext):
+    """Returns (value, iterations, status_str); cf2 takes no nome."""
     if target == "cf2":
         res = _cf.eval_infinite(_id.cf2_spec(), ctx)
         return res.value, res.iterations, res.status.value
-    raise UsageError(f"unknown eval target {target!r}")
+    q = nome.value(ctx)
+    if target == "R":
+        res = _cf.rr_cf(q, mode, ctx)
+        return res.value, res.iterations, res.status.value
+    fn = {"S": _qs.S, "G": _qs.G, "H": _qs.H, "phi": _qs.theta_phi, "chi": _qs.chi}[target]
+    return fn(q, ctx), None, "converged"
 
 
 def cmd_eval(args, config: RunConfig) -> int:
+    if args.target != "cf2" and args.nome is None:
+        raise UsageError("one of --q, --exp-arg, --exp-sqrt is required")
     ctx = config.context()
     mode = RootMode.REAL_ODD if args.mode == "real-odd" else RootMode.PRINCIPAL
-    if args.target == "cf2":
-        q = None
-    else:
-        q = _parse_q(args, ctx)
-    value, iterations, status = _eval_target(args.target, q, mode, ctx)
-    if status not in ("converged",):
+    value, iterations, status = _eval_target(args.target, args.nome, mode, ctx)
+    if status != "converged":
         print(f"status: {status}", file=sys.stderr)
         return EXIT_NO_CONVERGE
     # precision-doubling self-check
-    ctx2 = PrecisionContext(2 * ctx.bits, ctx.guard_bits, ctx.max_iter)
-    if args.target == "cf2":
-        q2 = None
-    elif args.q is not None:
-        q2 = ctx2.real(Fraction(args.q))
-    elif args.exp_arg is not None:
-        q2 = ctx2.mp.exp(-ctx2.mp.pi * ctx2.real(Fraction(args.exp_arg)))
-    else:
-        q2 = ctx2.mp.exp(-ctx2.mp.pi * ctx2.mp.sqrt(ctx2.real(Fraction(args.exp_sqrt))))
-    value2, _, status2 = _eval_target(args.target, q2, mode, ctx2)
+    value2, _, _ = _eval_target(args.target, args.nome, mode, ctx.doubled())
     bits_ok = agree_bits(value, value2, ctx)
     payload = {
         "target": args.target,
@@ -154,13 +118,6 @@ def cmd_eval(args, config: RunConfig) -> int:
         )
         return EXIT_NO_CONVERGE
     return EXIT_OK
-
-
-def _load_invariants(config: RunConfig, ctx: PrecisionContext):
-    table = _sv.InvariantTable()
-    if config.invariants_file:
-        table.load_config(config.invariants_file, ctx)
-    return table
 
 
 def cmd_values(args, config: RunConfig) -> int:
@@ -210,19 +167,6 @@ def cmd_values(args, config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _report_rows(rep_json: dict):
-    for r in rep_json["records"]:
-        yield {
-            "id": rep_json["id"],
-            "point": r["point"],
-            "lhs": r["lhs"],
-            "rhs": r["rhs"],
-            "abs_dev": r["abs_dev"],
-            "agree_bits": r["agree_bits"],
-            "status": rep_json["status"],
-        }
-
-
 def cmd_verify(args, config: RunConfig) -> int:
     ctx = config.context()
     ids = _id.identity_ids() if args.id == "all" else [args.id]
@@ -253,8 +197,8 @@ def cmd_verify(args, config: RunConfig) -> int:
         )
         writer.writeheader()
         for rep in payload:
-            for row in _report_rows(rep):
-                writer.writerow(row)
+            for r in rep["records"]:
+                writer.writerow({"id": rep["id"], **r, "status": rep["status"]})
     else:
         for rep in payload:
             mark = "pass" if rep["status"] == "pass" else "FAIL"
@@ -343,9 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a function at a nome")
     p_eval.add_argument("target", choices=("R", "S", "G", "H", "phi", "chi", "cf2"))
-    p_eval.add_argument("--q", default=None, help="nome as an exact rational, e.g. 1/10 or 1")
-    p_eval.add_argument("--exp-arg", default=None, help="rational s: q = exp(-pi*s)")
-    p_eval.add_argument("--exp-sqrt", default=None, help="rational n: q = exp(-pi*sqrt(n))")
+    nome = p_eval.add_mutually_exclusive_group()
+    nome.add_argument(
+        "--q", dest="nome", metavar="Q", type=Nome.rational,
+        help="nome as an exact rational, e.g. 1/10 or 1; write a negative one as "
+        "--q=-1/2 or --q -0.5, since a bare -1/2 reads as an option",
+    )
+    nome.add_argument(
+        "--exp-arg", dest="nome", metavar="EXP_ARG", type=Nome.exp,
+        help="rational s: q = exp(-pi*s)",
+    )
+    nome.add_argument(
+        "--exp-sqrt", dest="nome", metavar="EXP_SQRT", type=Nome.exp_sqrt,
+        help="rational n: q = exp(-pi*sqrt(n))",
+    )
     p_eval.add_argument("--mode", choices=("principal", "real-odd"), default="principal")
     p_eval.set_defaults(fn=cmd_eval)
 
@@ -393,7 +348,10 @@ def main(argv=None) -> int:
         )
         if config.invariants_file:
             # fail fast on a bad config, whatever the subcommand
-            _load_invariants(config, config.context())
+            try:
+                _sv.InvariantTable().load_config(config.invariants_file, config.context())
+            except OSError as exc:
+                raise UsageError(f"cannot read invariants file: {exc}") from exc
         return args.fn(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-__all__ = ["FormalSeries", "x_power", "constant", "product_one_minus", "product_one_minus_inv"]
+__all__ = ["FormalSeries", "constant", "product_one_minus", "product_one_minus_inv"]
 
 
 def _norm(c):
@@ -226,30 +226,10 @@ class FormalSeries:
             "order": self.order,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FormalSeries":
-        def dec(s: str):
-            if "/" in s:
-                num, den = s.split("/")
-                return Fraction(int(num), int(den))
-            return int(s)
-
-        return cls(
-            [dec(s) for s in data["coeffs"]],
-            data["lowest_exponent"],
-            data["order"],
-        )
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return f"FormalSeries(x^{self.offset}*[{head}{tail}], order={self.order})"
-
-
-def x_power(e: int, order: int) -> FormalSeries:
-    if e > order:
-        raise ValueError("x_power beyond requested order")
-    return FormalSeries([1], e, order)
 
 
 def constant(c, order: int) -> FormalSeries:

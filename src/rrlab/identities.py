@@ -17,7 +17,7 @@ from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
 from .formal import FormalSeries, product_one_minus, product_one_minus_inv
-from .numerics import PrecisionContext, RootMode, agree_bits, golden_phi, root
+from .numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
 
 __all__ = [
     "IdentityCase",
@@ -44,9 +44,8 @@ def default_tol_digits(ctx: PrecisionContext) -> int:
 class IdentityCase:
     id: str
     description: str
-    modes: tuple
-    numeric_fn: Optional[Callable] = None
-    formal_fn: Optional[Callable] = None
+    numeric: Optional[Callable] = None  # (ctx, samples) -> (records, excluded)
+    formal: Optional[Callable] = None  # order -> [(label, lhs, rhs, through)]
     tol_digits: Optional[int] = None  # None: default_tol_digits(ctx)
 
 
@@ -93,22 +92,18 @@ class VerificationReport:
         }
 
 
-# -- shared helpers --------------------------------------------------------------
+# -- the identity table ------------------------------------------------------------
 
 
 def _q_grid(samples: int) -> list:
     """Evenly spaced rational nomes in [1/20, 1/2]; 10 samples gives steps of 1/20."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if samples == 1:
-        return [Fraction(1, 20)]
-    lo, hi = Fraction(1, 20), Fraction(1, 2)
-    step = (hi - lo) / (samples - 1)
-    return [lo + i * step for i in range(samples)]
-
-
-def _R(q, ctx: PrecisionContext):
-    return _qs.R_product(q, RootMode.PRINCIPAL, ctx)
+        qs = [Fraction(1, 20)]
+    else:
+        lo, hi = Fraction(1, 20), Fraction(1, 2)
+        step = (hi - lo) / (samples - 1)
+        qs = [lo + i * step for i in range(samples)]
+    return [(f"q={qf}", Nome.rational(qf)) for qf in qs]
 
 
 def _record(ctx, point, lhs, rhs):
@@ -133,7 +128,37 @@ def _exact_record(point, lhs, rhs):
     }
 
 
-# -- numeric evaluators -----------------------------------------------------------
+def _table(grid: Callable, sides: Callable) -> Callable:
+    """Numeric evaluator for one (lhs, rhs) identity over a grid of points.
+
+    grid(samples) lists (label, point) pairs.  At each point sides(point, ctx)
+    yields (suffix, lhs, rhs) triples, each becoming the record labelled
+    label + suffix, or a string, which becomes the exclusion note label + string.
+    """
+
+    def run(ctx: PrecisionContext, samples: int):
+        records, excluded = [], []
+        for label, point in grid(samples):
+            for item in sides(point, ctx):
+                if isinstance(item, str):
+                    excluded.append(label + item)
+                else:
+                    suffix, lhs, rhs = item
+                    records.append(_record(ctx, label + suffix, lhs, rhs))
+        return records, excluded
+
+    return run
+
+
+def _R(q, ctx: PrecisionContext):
+    return _qs.R_product(q, RootMode.PRINCIPAL, ctx)
+
+
+def _euler_prod(q, ctx):
+    return _qs.pochhammer_inf(q, q, ctx)
+
+
+# -- numeric sides ----------------------------------------------------------------
 
 
 def _entry15a_series_quotient(a, b, q, ctx: PrecisionContext):
@@ -162,80 +187,63 @@ def _entry15a_series_quotient(a, b, q, ctx: PrecisionContext):
     return num / den
 
 
-def _numeric_entry15a(ctx: PrecisionContext, samples: int, corollary: bool):
-    values = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)]
-    qs = [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)]
-    records = []
-    pairs = (
-        [(Fraction(0), b) for b in values]
-        if corollary
-        else [(a, b) for a in values for b in values]
-    )
-    for a, b in pairs:
-        for qf in qs:
-            q = ctx.real(qf)
-            av, bv = ctx.real(a), ctx.real(b)
-            lhs = _entry15a_series_quotient(av, bv, q, ctx)
-
-            def terms(k, _a=av, _b=bv, _q=q):
-                return (_b * _q**k, 1 - _a * _q**k)
-
-            res = _cf.eval_infinite(_cf.CFSpec(b0=1, terms=terms), ctx)
-            if not res.converged:
-                raise RuntimeError(f"entry15a fraction did not converge at {a},{b},{qf}")
-            records.append(_record(ctx, f"a={a}, b={b}, q={qf}", lhs, res.value))
-    return records, []
+_ENTRY15A_VALUES = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1))
+_ENTRY15A_Q = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
 
 
-def _numeric_cf_vs_product(ctx: PrecisionContext, samples: int):
-    records = []
-    for qf in _q_grid(samples):
-        q = ctx.real(qf)
-        lhs = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).value
-        rhs = _qs.R_product(q, RootMode.PRINCIPAL, ctx)
-        records.append(_record(ctx, f"q={qf}", lhs, rhs))
-    return records, []
+def _entry15a_grid(a_values):
+    def grid(samples):
+        return [
+            (f"a={a}, b={b}, q={qf}", (a, b, qf))
+            for a in a_values
+            for b in _ENTRY15A_VALUES
+            for qf in _ENTRY15A_Q
+        ]
+
+    return grid
 
 
-def _numeric_modular_relation(ctx: PrecisionContext, samples: int):
+def _entry15a(point, ctx: PrecisionContext):
+    a, b, qf = point
+    q = ctx.real(qf)
+    av, bv = ctx.real(a), ctx.real(b)
+    lhs = _entry15a_series_quotient(av, bv, q, ctx)
+    res = _cf.eval_infinite(_cf.CFSpec(b0=1, terms=lambda k: (bv * q**k, 1 - av * q**k)), ctx)
+    if not res.converged:
+        raise RuntimeError(f"entry15a fraction did not converge at {a},{b},{qf}")
+    yield "", lhs, res.value
+
+
+def _cf_vs_product(nome, ctx: PrecisionContext):
+    q = nome.value(ctx)
+    yield "", _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).value, _R(q, ctx)
+
+
+def _modular_grid(samples):
+    return [(f"alpha={j}*pi/2", j) for j in range(1, samples + 1)]
+
+
+def _modular_relation(j, ctx: PrecisionContext):
     mp = ctx.mp
     phi = golden_phi(ctx)
-    rhs = (5 + mp.sqrt(5)) / 2
-    records = []
-    for j in range(1, samples + 1):
-        alpha = j * mp.pi / 2
-        beta = mp.pi**2 / alpha
-        r1 = _R(mp.exp(-2 * alpha), ctx)
-        r2 = _R(mp.exp(-2 * beta), ctx)
-        records.append(_record(ctx, f"alpha={j}*pi/2", (phi + r1) * (phi + r2), rhs))
-    return records, []
+    alpha = j * mp.pi / 2
+    beta = mp.pi**2 / alpha
+    r1 = _R(mp.exp(-2 * alpha), ctx)
+    r2 = _R(mp.exp(-2 * beta), ctx)
+    yield "", (phi + r1) * (phi + r2), (5 + mp.sqrt(5)) / 2
 
 
-def _euler_prod(q, ctx):
-    return _qs.pochhammer_inf(q, q, ctx)
+def _r_identity_1(nome, ctx: PrecisionContext):
+    q = nome.value(ctx)
+    r = _R(q, ctx)
+    t = root(q, 5, RootMode.PRINCIPAL, ctx)
+    yield "", 1 / r - 1 - r, _euler_prod(t, ctx) / (t * _euler_prod(q**5, ctx))
 
 
-def _numeric_r_identity_1(ctx: PrecisionContext, samples: int):
-    records = []
-    for qf in _q_grid(samples):
-        q = ctx.real(qf)
-        r = _R(q, ctx)
-        lhs = 1 / r - 1 - r
-        t = root(q, 5, RootMode.PRINCIPAL, ctx)
-        rhs = _euler_prod(t, ctx) / (t * _euler_prod(q**5, ctx))
-        records.append(_record(ctx, f"q={qf}", lhs, rhs))
-    return records, []
-
-
-def _numeric_r_identity_2(ctx: PrecisionContext, samples: int):
-    records = []
-    for qf in _q_grid(samples):
-        q = ctx.real(qf)
-        r5 = _R(q, ctx) ** 5
-        lhs = 1 / r5 - 11 - r5
-        rhs = _euler_prod(q, ctx) ** 6 / (q * _euler_prod(q**5, ctx) ** 6)
-        records.append(_record(ctx, f"q={qf}", lhs, rhs))
-    return records, []
+def _r_identity_2(nome, ctx: PrecisionContext):
+    q = nome.value(ctx)
+    r5 = _R(q, ctx) ** 5
+    yield "", 1 / r5 - 11 - r5, _euler_prod(q, ctx) ** 6 / (q * _euler_prod(q**5, ctx) ** 6)
 
 
 def factorization_sides(gamma, q, ctx: PrecisionContext):
@@ -266,88 +274,67 @@ def _gamma_minus(ctx):
     return (1 - ctx.mp.sqrt(5)) / 2
 
 
-def _gamma_plus(ctx):
-    return (1 + ctx.mp.sqrt(5)) / 2
+def _factorization_1(nome, ctx: PrecisionContext):
+    yield ("", *factorization_sides(_gamma_minus(ctx), nome.value(ctx), ctx))
 
 
-def _numeric_factorization(which: str):
-    def run(ctx: PrecisionContext, samples: int):
-        records = []
-        for qf in _q_grid(samples):
-            q = ctx.real(qf)
-            if which == "product":
-                l1, r1 = factorization_sides(_gamma_minus(ctx), q, ctx)
-                l2, r2 = factorization_sides(_gamma_plus(ctx), q, ctx)
-                r = _R(q, ctx)
-                records.append(_record(ctx, f"q={qf} (recovers 1/R-1-R)", l1 * l2, 1 / r - 1 - r))
-                records.append(_record(ctx, f"q={qf} (rhs product)", r1 * r2, 1 / r - 1 - r))
-            else:
-                gamma = _gamma_minus(ctx) if which == "1" else _gamma_plus(ctx)
-                lhs, rhs = factorization_sides(gamma, q, ctx)
-                records.append(_record(ctx, f"q={qf}", lhs, rhs))
-        return records, []
-
-    return run
+def _factorization_2(nome, ctx: PrecisionContext):
+    yield ("", *factorization_sides(golden_phi(ctx), nome.value(ctx), ctx))
 
 
-def _numeric_cubic(ctx: PrecisionContext, samples: int):
-    records = []
-    for qf in _q_grid(samples):
-        q = ctx.real(qf)
-        u = _R(q, ctx)
-        v = _R(q**3, ctx)
-        records.append(
-            _record(ctx, f"q={qf}", (v - u**3) * (1 + u * v**3), 3 * u**2 * v**2)
-        )
-    return records, []
+def _factorization_product(nome, ctx: PrecisionContext):
+    q = nome.value(ctx)
+    l1, r1 = factorization_sides(_gamma_minus(ctx), q, ctx)
+    l2, r2 = factorization_sides(golden_phi(ctx), q, ctx)
+    r = _R(q, ctx)
+    yield " (recovers 1/R-1-R)", l1 * l2, 1 / r - 1 - r
+    yield " (rhs product)", r1 * r2, 1 / r - 1 - r
+
+
+def _cubic(nome, ctx: PrecisionContext):
+    q = nome.value(ctx)
+    u = _R(q, ctx)
+    v = _R(q**3, ctx)
+    yield "", (v - u**3) * (1 + u * v**3), 3 * u**2 * v**2
 
 
 def k_param_bound(ctx: PrecisionContext):
     return ctx.mp.sqrt(5) - 2
 
 
-def _numeric_k_param(ctx: PrecisionContext, samples: int):
+def _k_param(nome, ctx: PrecisionContext):
     mp = ctx.mp
-    records = []
-    excluded = []
-    bound = k_param_bound(ctx)
-    for qf in _q_grid(samples):
-        q = ctx.real(qf)
-        rq = _R(q, ctx)
-        rq2 = _R(q**2, ctx)
-        k = rq * rq2**2
-        records.append(
-            _record(ctx, f"q={qf}: R^5(q)", rq**5, k * ((1 - k) / (1 + k)) ** 2)
+    q = nome.value(ctx)
+    rq = _R(q, ctx)
+    rq2 = _R(q**2, ctx)
+    k = rq * rq2**2
+    yield ": R^5(q)", rq**5, k * ((1 - k) / (1 + k)) ** 2
+    yield ": R^5(q^2)", rq2**5, k**2 * (1 + k) / (1 - k)
+    if k <= k_param_bound(ctx):
+        display = (
+            k ** (mp.mpf(1) / 10)
+            * (1 + k) ** (mp.mpf(4) / 5)
+            * (1 - k) ** (mp.mpf(1) / 5)
+            / (mp.sqrt(k) + mp.sqrt(1 + k - k * k))
         )
-        records.append(
-            _record(ctx, f"q={qf}: R^5(q^2)", rq2**5, k**2 * (1 + k) / (1 - k))
-        )
-        if k <= bound:
-            rhalf = _R(mp.sqrt(q), ctx)
-            display = (
-                k ** (mp.mpf(1) / 10)
-                * (1 + k) ** (mp.mpf(4) / 5)
-                * (1 - k) ** (mp.mpf(1) / 5)
-                / (mp.sqrt(k) + mp.sqrt(1 + k - k * k))
-            )
-            records.append(_record(ctx, f"q={qf}: R(q^(1/2))", rhalf, display))
-        else:
-            excluded.append(f"q={qf}: k={mp.nstr(k, 8)} > sqrt(5)-2, R(q^(1/2)) case excluded")
-    return records, excluded
+        yield ": R(q^(1/2))", _R(mp.sqrt(q), ctx), display
+    else:
+        yield f": k={mp.nstr(k, 8)} > sqrt(5)-2, R(q^(1/2)) case excluded"
 
 
-def _numeric_quintic_corollary(ctx: PrecisionContext, samples: int):
-    mp = ctx.mp
-    records = []
-    for label, q in (("q=exp(-pi)", mp.exp(-mp.pi)), ("q=1/5", ctx.real(Fraction(1, 5)))):
-        p = _sv.p_value(q, ctx)
-        u, v = _sv.quintic_uv(p, ctx)
-        rq = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).value
-        rq4 = _cf.rr_cf(q**4, RootMode.PRINCIPAL, ctx).value
-        records.append(_record(ctx, f"{label}: 1/R(q) - R(q^4)", 1 / rq - rq4, 2 / u))
-        records.append(_record(ctx, f"{label}: 1/R(q^4) - R(q)", 1 / rq4 - rq, 2 / v))
-        records.append(_record(ctx, f"{label}: u*v", u * v, p))
-    return records, []
+def _quintic_grid(samples):
+    return [("q=exp(-pi)", Nome.exp(1)), ("q=1/5", Nome.rational(Fraction(1, 5)))]
+
+
+def _quintic_corollary(nome, ctx: PrecisionContext):
+    q = nome.value(ctx)
+    p = _sv.p_value(q, ctx)
+    u, v = _sv.quintic_uv(p, ctx)
+    rq = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).value
+    rq4 = _cf.rr_cf(q**4, RootMode.PRINCIPAL, ctx).value
+    yield ": 1/R(q) - R(q^4)", 1 / rq - rq4, 2 / u
+    yield ": 1/R(q^4) - R(q)", 1 / rq4 - rq, 2 / v
+    yield ": u*v", u * v, p
 
 
 _FINITE_A = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2))
@@ -437,9 +424,13 @@ def jims_identity(ctx: PrecisionContext) -> dict:
     }
 
 
-def _numeric_jims(ctx: PrecisionContext, samples: int):
+def _jims_grid(samples):
+    return [("series + cf2 vs sqrt(pi*e/2)", None)]
+
+
+def _jims(point, ctx: PrecisionContext):
     data = jims_identity(ctx)
-    return [_record(ctx, "series + cf2 vs sqrt(pi*e/2)", data["sum"], data["target"])], []
+    yield "", data["sum"], data["target"]
 
 
 _POLY_DENOMS = (12, 360, 5040, 60480, 1710720)
@@ -531,92 +522,87 @@ def _formal_r_identity_2(order: int):
 # -- registry and driver -------------------------------------------------------------
 
 
-def _case(id, description, numeric=None, formal=None, tol_digits=None):
-    modes = tuple(m for m, fn in (("numeric", numeric), ("formal", formal)) if fn)
-    return IdentityCase(id, description, modes, numeric, formal, tol_digits)
-
-
 _CASES = {
     c.id: c
     for c in (
-        _case(
+        IdentityCase(
             "entry15a",
             "two-variable fraction equals the quotient of double series",
-            numeric=lambda ctx, s: _numeric_entry15a(ctx, s, corollary=False),
+            numeric=_table(_entry15a_grid(_ENTRY15A_VALUES), _entry15a),
         ),
-        _case(
+        IdentityCase(
             "entry15a-corollary",
             "a = 0 special case of the two-variable fraction",
-            numeric=lambda ctx, s: _numeric_entry15a(ctx, s, corollary=True),
+            numeric=_table(_entry15a_grid((Fraction(0),)), _entry15a),
         ),
-        _case(
+        IdentityCase(
             "cf-vs-product",
             "continued fraction equals q^(1/5) H(q)/G(q)",
-            numeric=_numeric_cf_vs_product,
+            numeric=_table(_q_grid, _cf_vs_product),
             formal=_formal_cf_vs_product,
         ),
-        _case(
+        IdentityCase(
             "modular-relation",
             "(phi + R(e^-2a))(phi + R(e^-2b)) = (5+sqrt5)/2 when ab = pi^2",
-            numeric=_numeric_modular_relation,
+            numeric=_table(_modular_grid, _modular_relation),
         ),
-        _case(
+        IdentityCase(
             "R-identity-1",
             "1/R - 1 - R equals the eta-type quotient",
-            numeric=_numeric_r_identity_1,
+            numeric=_table(_q_grid, _r_identity_1),
             formal=_formal_r_identity_1,
         ),
-        _case(
+        IdentityCase(
             "R-identity-2",
             "1/R^5 - 11 - R^5 equals the sixth-power quotient",
-            numeric=_numeric_r_identity_2,
+            numeric=_table(_q_grid, _r_identity_2),
             formal=_formal_r_identity_2,
         ),
-        _case(
+        IdentityCase(
             "factorization-1",
             "factorization with the negative root constant",
-            numeric=_numeric_factorization("1"),
+            numeric=_table(_q_grid, _factorization_1),
         ),
-        _case(
+        IdentityCase(
             "factorization-2",
             "factorization with the positive root constant",
-            numeric=_numeric_factorization("2"),
+            numeric=_table(_q_grid, _factorization_2),
         ),
-        _case(
+        IdentityCase(
             "factorization-product",
             "product of the two factorizations recovers 1/R - 1 - R",
-            numeric=_numeric_factorization("product"),
+            numeric=_table(_q_grid, _factorization_product),
         ),
-        _case(
+        IdentityCase(
             "cubic",
             "(v - u^3)(1 + u v^3) = 3 u^2 v^2 with u = R(q), v = R(q^3)",
-            numeric=_numeric_cubic,
+            numeric=_table(_q_grid, _cubic),
         ),
-        _case(
+        IdentityCase(
             "k-param",
             "k = R(q) R^2(q^2) parametrizes R^5(q), R^5(q^2), and R(q^(1/2))",
-            numeric=_numeric_k_param,
+            numeric=_table(_q_grid, _k_param),
         ),
-        _case(
+        IdentityCase(
             "quintic-corollary",
             "1/R(q) - R(q^4) = 2/u and 1/R(q^4) - R(q) = 2/v",
-            numeric=_numeric_quintic_corollary,
+            numeric=_table(_quintic_grid, _quintic_corollary),
         ),
-        _case(
+        IdentityCase(
             "finite-form",
             "mu_n / nu_n equals the depth-n fraction exactly",
             numeric=_numeric_finite_form,
         ),
-        _case(
+        IdentityCase(
             "schur-consistency",
             "root-of-unity classification against direct evaluation",
             numeric=_numeric_schur,
             tol_digits=3,
         ),
-        _case(
+        IdentityCase(
             "jims",
             "double-factorial series plus cf2 equals sqrt(pi*e/2)",
-            numeric=_numeric_jims,
+            numeric=_table(_jims_grid, _jims),
         ),
     )
 }
@@ -652,8 +638,8 @@ def verify(
     report = VerificationReport(id=id, bits=ctx.bits, tol_digits=tol_digits)
     max_dev = ctx.mp.mpf(0)
     ok = True
-    if case.numeric_fn is not None:
-        records, excluded = case.numeric_fn(ctx, samples)
+    if case.numeric is not None:
+        records, excluded = case.numeric(ctx, samples)
         report.records.extend(records)
         report.excluded.extend(excluded)
         for r in records:
@@ -662,8 +648,8 @@ def verify(
                 max_dev = dev
             if not dev < threshold:
                 ok = False
-    if case.formal_fn is not None:
-        for label, lhs, rhs, through in case.formal_fn(series_order):
+    if case.formal is not None:
+        for label, lhs, rhs, through in case.formal(series_order):
             mismatch = lhs.first_mismatch(rhs, through)
             if mismatch is None:
                 report.records.append(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
@@ -21,6 +22,7 @@ from mpmath.ctx_mp import MPContext
 __all__ = [
     "RootMode",
     "PrecisionContext",
+    "Nome",
     "root",
     "golden_phi",
     "agree_bits",
@@ -108,24 +110,58 @@ class PrecisionContext:
             return v.real
         return v
 
-    # -- identity ------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrecisionContext)
-            and self.bits == other.bits
-            and self.guard_bits == other.guard_bits
-            and self.max_iter == other.max_iter
-        )
-
-    def __hash__(self):
-        return hash((self.bits, self.guard_bits, self.max_iter))
-
     def __repr__(self):
         return (
             f"PrecisionContext(bits={self.bits}, guard_bits={self.guard_bits}, "
             f"max_iter={self.max_iter})"
         )
+
+
+_NOME_FORMS = ("rational", "exp", "exp-sqrt")
+
+
+@dataclass(frozen=True)
+class Nome:
+    """A nome q that regenerates at any context precision.
+
+    ``form`` is "rational" (q = arg exactly), "exp" (q = exp(-pi*arg)) or
+    "exp-sqrt" (q = exp(-pi*sqrt(arg))); the exponential forms need arg > 0.
+    The constructors accept anything ``Fraction`` does, such as "1/10".
+    """
+
+    form: str
+    arg: Fraction
+
+    def __post_init__(self):
+        if self.form not in _NOME_FORMS:
+            raise ValueError(f"unknown nome form {self.form!r}")
+        try:
+            arg = Fraction(self.arg)
+        except ZeroDivisionError:
+            raise ValueError(f"nome argument {self.arg!r} has a zero denominator") from None
+        if self.form != "rational" and arg <= 0:
+            raise ValueError(f"{self.form} nome needs a positive argument, got {arg}")
+        object.__setattr__(self, "arg", arg)
+
+    @classmethod
+    def rational(cls, x) -> "Nome":
+        return cls("rational", x)
+
+    @classmethod
+    def exp(cls, s) -> "Nome":
+        return cls("exp", s)
+
+    @classmethod
+    def exp_sqrt(cls, n) -> "Nome":
+        return cls("exp-sqrt", n)
+
+    def value(self, ctx: PrecisionContext):
+        x = ctx.real(self.arg)
+        if self.form == "rational":
+            return x
+        if self.form == "exp-sqrt":
+            x = ctx.mp.sqrt(x)
+        return ctx.mp.exp(-ctx.mp.pi * x)
 
 
 def root(z, k: int, mode: RootMode, ctx: PrecisionContext):

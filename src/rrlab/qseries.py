@@ -8,8 +8,6 @@ operate on whatever number type they are given and are exact on rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .formal import FormalSeries, product_one_minus_inv
@@ -17,7 +15,6 @@ from .numerics import PrecisionContext, RootMode, root
 from . import cf as _cf
 
 __all__ = [
-    "QPoint",
     "pochhammer",
     "pochhammer_inf",
     "G",
@@ -26,46 +23,12 @@ __all__ = [
     "S",
     "chi",
     "theta_phi",
-    "theta_phi_series",
     "finite_mu",
     "finite_nu",
     "series_G",
     "series_H",
     "series_R",
 ]
-
-
-@dataclass(frozen=True)
-class QPoint:
-    """A nome with |q| < 1, optionally reconstructible as exp(-pi*sqrt(s)).
-
-    When ``sqrt_arg`` is set, the numeric value regenerates at any context
-    precision; otherwise ``literal`` holds the value itself (a Fraction stays
-    exact until converted).
-    """
-
-    sqrt_arg: Optional[Fraction] = None
-    literal: object = None
-
-    def __post_init__(self):
-        if (self.sqrt_arg is None) == (self.literal is None):
-            raise ValueError("exactly one of sqrt_arg / literal must be given")
-        if self.sqrt_arg is not None and self.sqrt_arg <= 0:
-            raise ValueError("sqrt_arg must be positive")
-        if self.literal is not None and abs(self.literal) >= 1:
-            raise ValueError("QPoint literal requires |q| < 1")
-
-    def value(self, ctx: PrecisionContext):
-        if self.sqrt_arg is not None:
-            s = ctx.real(self.sqrt_arg)
-            return ctx.mp.exp(-ctx.mp.pi * ctx.mp.sqrt(s))
-        return ctx.number(self.literal)
-
-
-def _as_q(q, ctx: PrecisionContext):
-    if isinstance(q, QPoint):
-        return q.value(ctx)
-    return ctx.number(q)
 
 
 def pochhammer(a, q, n: int):
@@ -88,8 +51,8 @@ def pochhammer_inf(a, q, ctx: PrecisionContext):
     truncation error.
     """
     mp = ctx.mp
-    a = _as_q(a, ctx) if isinstance(a, QPoint) else ctx.number(a)
-    q = _as_q(q, ctx)
+    a = ctx.number(a)
+    q = ctx.number(q)
     aq = abs(q)
     if aq >= 1:
         raise ValueError("pochhammer_inf requires |q| < 1")
@@ -110,7 +73,7 @@ def pochhammer_inf(a, q, ctx: PrecisionContext):
 def _rr_sum(q, ctx: PrecisionContext, triangular: bool):
     """sum q^(n^2) / (q;q)_n (triangular=False) or q^(n(n+1)) / (q;q)_n."""
     mp = ctx.mp
-    q = _as_q(q, ctx)
+    q = ctx.number(q)
     if abs(q) >= 1:
         raise ValueError("Rogers-Ramanujan series require |q| < 1")
     total = mp.mpf(1)  # n = 0 term
@@ -134,33 +97,36 @@ def _rr_sum(q, ctx: PrecisionContext, triangular: bool):
     raise RuntimeError("series did not converge within max_iter")
 
 
+def _rr_function(q, ctx: PrecisionContext, backend: str, triangular: bool):
+    """G (triangular=False) or H (triangular=True) by the series or product backend.
+
+    The product is 1/((q^r; q^5)_inf (q^(5-r); q^5)_inf) with r = 1 for G, 2 for H.
+    """
+    if backend == "series":
+        return _rr_sum(q, ctx, triangular)
+    if backend == "product":
+        qv = ctx.number(q)
+        q5 = qv**5
+        r = 2 if triangular else 1
+        return 1 / (pochhammer_inf(qv**r, q5, ctx) * pochhammer_inf(qv ** (5 - r), q5, ctx))
+    raise ValueError(f"unknown backend {backend!r}")
+
+
 def G(q, ctx: PrecisionContext, backend: str = "series"):
     """Rogers-Ramanujan function G(q), by series or infinite-product backend."""
-    if backend == "series":
-        return _rr_sum(q, ctx, triangular=False)
-    if backend == "product":
-        qv = _as_q(q, ctx)
-        q5 = qv**5
-        return 1 / (pochhammer_inf(qv, q5, ctx) * pochhammer_inf(qv**4, q5, ctx))
-    raise ValueError(f"unknown backend {backend!r}")
+    return _rr_function(q, ctx, backend, triangular=False)
 
 
 def H(q, ctx: PrecisionContext, backend: str = "series"):
     """Rogers-Ramanujan function H(q), by series or infinite-product backend."""
-    if backend == "series":
-        return _rr_sum(q, ctx, triangular=True)
-    if backend == "product":
-        qv = _as_q(q, ctx)
-        q5 = qv**5
-        return 1 / (pochhammer_inf(qv**2, q5, ctx) * pochhammer_inf(qv**3, q5, ctx))
-    raise ValueError(f"unknown backend {backend!r}")
+    return _rr_function(q, ctx, backend, triangular=True)
 
 
 def R_product(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext] = None):
     """R(q) = q^(1/5) * H(q)/G(q), the product-side representation."""
     if ctx is None:
         ctx = PrecisionContext()
-    qv = _as_q(q, ctx)
+    qv = ctx.number(q)
     if qv == 0 or abs(qv) >= 1:
         raise ValueError("R_product requires 0 < |q| < 1")
     return root(qv, 5, mode, ctx) * H(qv, ctx, "product") / G(qv, ctx, "product")
@@ -174,7 +140,7 @@ def S(q, ctx: Optional[PrecisionContext] = None, method: str = "cf"):
     """
     if ctx is None:
         ctx = PrecisionContext()
-    qv = _as_q(q, ctx)
+    qv = ctx.number(q)
     if not (0 < qv <= 1):
         raise ValueError("S(q) requires real q in (0, 1]")
     if method == "cf":
@@ -189,14 +155,14 @@ def S(q, ctx: Optional[PrecisionContext] = None, method: str = "cf"):
 
 def chi(q, ctx: PrecisionContext):
     """chi(q) = (-q; q^2)_inf."""
-    qv = _as_q(q, ctx)
+    qv = ctx.number(q)
     return pochhammer_inf(-qv, qv**2, ctx)
 
 
 def theta_phi(q, ctx: PrecisionContext):
     """Theta function 1 + 2*sum_{n>=1} q^(n^2), truncated at the tolerance."""
     mp = ctx.mp
-    qv = _as_q(q, ctx)
+    qv = ctx.number(q)
     if abs(qv) >= 1:
         raise ValueError("theta_phi requires |q| < 1")
     total = mp.mpf(1)
@@ -214,58 +180,54 @@ def theta_phi(q, ctx: PrecisionContext):
     raise RuntimeError("theta series did not converge within max_iter")
 
 
-def theta_phi_series(order: int) -> FormalSeries:
-    """Exact series prefix 1 + 2q + 2q^4 + 2q^9 + ... through the order."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    n = 1
-    while n * n <= order:
-        coeffs[n * n] = 2
-        n += 1
-    return FormalSeries(coeffs, 0, order)
-
-
 def _qq(q, n: int):
     """(q; q)_n."""
     return pochhammer(q, q, n)
 
 
-def finite_mu(n: int, a, q):
-    """Finite-form numerator: sum over k <= floor((n+1)/2); exact on rationals."""
+def _finite_sum(n: int, a, q, extra: int):
+    """sum_{k <= m/2} a^k q^(k^2 + extra*k) (q;q)_(m-k) / ((q;q)_k (q;q)_(m-2k)), m = n+1-extra."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    m = n + 1 - extra
     total = 0
-    for k in range(0, (n + 1) // 2 + 1):
-        total += (
-            a**k * q ** (k * k) * _qq(q, n - k + 1) / (_qq(q, k) * _qq(q, n - 2 * k + 1))
-        )
+    for k in range(0, m // 2 + 1):
+        total += a**k * q ** (k * (k + extra)) * _qq(q, m - k) / (_qq(q, k) * _qq(q, m - 2 * k))
     return total
+
+
+def finite_mu(n: int, a, q):
+    """Finite-form numerator: sum over k <= floor((n+1)/2); exact on rationals."""
+    return _finite_sum(n, a, q, extra=0)
 
 
 def finite_nu(n: int, a, q):
     """Finite-form denominator: sum over k <= floor(n/2); exact on rationals."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = 0
-    for k in range(0, n // 2 + 1):
-        total += (
-            a**k * q ** (k * (k + 1)) * _qq(q, n - k) / (_qq(q, k) * _qq(q, n - 2 * k))
-        )
-    return total
+    return _finite_sum(n, a, q, extra=1)
 
 
 # -- exact series expansions ---------------------------------------------------
 
 
-def _rr_sum_series(order: int, triangular: bool) -> FormalSeries:
-    # sum_n q^(n^2 [+n]) * prod_{j<=n} 1/(1-q^j), exact integer coefficients
+def _rr_series(order: int, side: str, triangular: bool) -> FormalSeries:
+    """Exact expansion of G (triangular=False) or H (triangular=True).
+
+    'sum' is sum_n q^(n^2 [+n]) / (q;q)_n; 'product' is prod 1/(1 - q^k) over
+    k = 1, 4 (mod 5) for G and k = 2, 3 (mod 5) for H.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if side == "product":
+        residues = (2, 3) if triangular else (1, 4)
+        return product_one_minus_inv([k for k in range(1, order + 1) if k % 5 in residues], order)
+    if side != "sum":
+        raise ValueError(f"unknown side {side!r}")
     acc = [0] * (order + 1)
     acc[0] = 1
-    inv = [0] * (order + 1)
+    inv = [0] * (order + 1)  # prod_{j<=n} 1/(1-q^j)
     inv[0] = 1
     n = 1
     while (n * n + (n if triangular else 0)) <= order:
-        # inv *= 1/(1 - q^n)
         for j in range(n, order + 1):
             if inv[j - n] != 0:
                 inv[j] += inv[j - n]
@@ -279,26 +241,12 @@ def _rr_sum_series(order: int, triangular: bool) -> FormalSeries:
 
 def series_G(order: int, side: str = "sum") -> FormalSeries:
     """Exact expansion of G; 'sum' and 'product' sides must agree."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if side == "sum":
-        return _rr_sum_series(order, triangular=False)
-    if side == "product":
-        ks = [k for k in range(1, order + 1) if k % 5 in (1, 4)]
-        return product_one_minus_inv(ks, order)
-    raise ValueError(f"unknown side {side!r}")
+    return _rr_series(order, side, triangular=False)
 
 
 def series_H(order: int, side: str = "sum") -> FormalSeries:
     """Exact expansion of H; 'sum' and 'product' sides must agree."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if side == "sum":
-        return _rr_sum_series(order, triangular=True)
-    if side == "product":
-        ks = [k for k in range(1, order + 1) if k % 5 in (2, 3)]
-        return product_one_minus_inv(ks, order)
-    raise ValueError(f"unknown side {side!r}")
+    return _rr_series(order, side, triangular=True)
 
 
 def series_R(order: int) -> FormalSeries:

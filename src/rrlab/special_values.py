@@ -2,9 +2,9 @@
 
 Closed forms are exact expression trees over integers, the constants pi, e,
 and the golden ratio, and rational powers/roots, so they can be evaluated at
-any precision.  Every registry entry pairs a nome descriptor with its closed
-form; verification evaluates the continued fraction (and, where available,
-the infinite product) at the nome and compares.
+any precision.  Every registry entry pairs a Nome with its closed form;
+verification evaluates the continued fraction (and, where available, the
+infinite product) at the nome and compares.
 
 Class invariants are tabulated for n = 1 and n = 25 and may be extended from
 a JSON config file; every loaded entry is validated against the defining
@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import cf as _cf
 from . import qseries as _qs
-from .numerics import PrecisionContext, RootMode, agree_bits, golden_phi, root
+from .numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
 
 __all__ = [
     "Expr",
@@ -43,15 +43,10 @@ __all__ = [
     "InvariantTable",
     "InvariantLookupError",
     "InvariantConfigError",
-    "c_param",
-    "value_from_c",
     "theta_quotient",
     "p_value",
     "quintic_uv",
     "quintic_alpha_beta",
-    "R_from_p",
-    "R4_from_p",
-    "quintic_corollary",
     "QuinticState",
     "resolve_quintic_assignment",
 ]
@@ -234,26 +229,13 @@ def parse_prefix(obj) -> Expr:
 # -- parametrized value machinery -----------------------------------------------
 
 
-def c_param(a, b, ctx: PrecisionContext):
-    """c with 2c = 1 + ((a+b)/(a-b)) * sqrt(5); requires a != b."""
-    a = ctx.number(a)
-    b = ctx.number(b)
-    if a == b:
-        raise ValueError("c_param requires distinct a and b")
-    return (1 + (a + b) / (a - b) * ctx.mp.sqrt(5)) / 2
-
-
-def value_from_c(c, ctx: PrecisionContext):
-    """sqrt(c^2 + 1) - c; strictly decreasing, maps (0, inf) into (0, 1)."""
-    c = ctx.number(c)
-    return ctx.mp.sqrt(c * c + 1) - c
-
-
 def _c_expr(a: Expr, b: Expr) -> Expr:
+    """c with 2c = 1 + ((a+b)/(a-b)) * sqrt(5); needs a != b."""
     return _div(_add(_i(1), _mul(_div(_add(a, b), _sub(a, b)), SQRT5)), _i(2))
 
 
 def _value_from_c_expr(c: Expr) -> Expr:
+    """sqrt(c^2 + 1) - c; strictly decreasing, maps (0, inf) into (0, 1)."""
     return _sub(_sqrt(_add(_mul(c, c), _i(1))), c)
 
 
@@ -298,8 +280,7 @@ class InvariantTable:
     def direct_value(self, n, ctx: PrecisionContext):
         """2^(-1/4) * q^(-1/24) * chi(q) at q = exp(-pi*sqrt(n))."""
         mp = ctx.mp
-        n = Fraction(n)
-        q = mp.exp(-mp.pi * mp.sqrt(ctx.real(n)))
+        q = Nome.exp_sqrt(n).value(ctx)
         return mp.root(2, 4) ** -1 * q ** (-mp.mpf(1) / 24) * _qs.chi(q, ctx)
 
     def validate(self, n, expr: Expr, ctx: PrecisionContext):
@@ -336,15 +317,6 @@ class InvariantTable:
 
 
 _DEFAULT_TABLE = InvariantTable()
-
-
-def default_invariants() -> InvariantTable:
-    return _DEFAULT_TABLE
-
-
-def invariant_G(n, table: Optional[InvariantTable] = None) -> Expr:
-    """Stored closed form of the class invariant for rational n."""
-    return (table or _DEFAULT_TABLE).get(n)
 
 
 def theta_quotient(n, ctx: PrecisionContext, table: Optional[InvariantTable] = None):
@@ -384,11 +356,8 @@ def quintic_uv(p, ctx: PrecisionContext):
     p = ctx.number(p)
     if isinstance(p, ctx.mp.mpc) or not (0 < p < 4):
         raise ValueError("quintic_uv requires real p in (0, 4)")
-    x = (p - 1) ** 2 + 7
-    y = (4 - p) * ctx.mp.sqrt(4 + p * p)
-    u = root(p / 2 * (x + y), 5, RootMode.REAL_ODD, ctx)
-    v = root(p / 2 * (x - y), 5, RootMode.REAL_ODD, ctx)
-    return u, v
+    alpha, beta = quintic_alpha_beta(p, ctx)
+    return root(p * alpha, 5, RootMode.REAL_ODD, ctx), root(p * beta, 5, RootMode.REAL_ODD, ctx)
 
 
 def quintic_alpha_beta(p, ctx: PrecisionContext):
@@ -403,24 +372,6 @@ def quintic_alpha_beta(p, ctx: PrecisionContext):
     x = (p - 1) ** 2 + 7
     y = (4 - p) * ctx.mp.sqrt(4 + p * p)
     return (x + y) / 2, (x - y) / 2
-
-
-def R_from_p(p, ctx: PrecisionContext):
-    """R(q) = u / (sqrt(p+1) + 1) where p is the quintic parameter of q."""
-    u, _ = quintic_uv(p, ctx)
-    return u / (ctx.mp.sqrt(ctx.number(p) + 1) + 1)
-
-
-def R4_from_p(p, ctx: PrecisionContext):
-    """R(q^4) = v / (sqrt(p+1) + 1) where p is the quintic parameter of q."""
-    _, v = quintic_uv(p, ctx)
-    return v / (ctx.mp.sqrt(ctx.number(p) + 1) + 1)
-
-
-def quintic_corollary(p, ctx: PrecisionContext):
-    """(2/u, 2/v): the asserted values of 1/R(q) - R(q^4) and 1/R(q^4) - R(q)."""
-    u, v = quintic_uv(p, ctx)
-    return 2 / u, 2 / v
 
 
 @dataclass(frozen=True)
@@ -479,38 +430,28 @@ class SpecialValueEntry:
 
     name: str
     kind: str  # "R-value", "S-value", "theta-quotient"
-    q_descriptor: _qs.QPoint | int  # QPoint, or +-1 for the unit-circle endpoints
+    nome: Nome
     closed_form: Expr
     provenance: str
 
     def closed_value(self, ctx: PrecisionContext):
         return evaluate(self.closed_form, ctx)
 
-    def q_value(self, ctx: PrecisionContext):
-        if isinstance(self.q_descriptor, _qs.QPoint):
-            return self.q_descriptor.value(ctx)
-        return ctx.mp.mpf(self.q_descriptor)
-
-
-def _qp(n) -> _qs.QPoint:
-    return _qs.QPoint(sqrt_arg=Fraction(n))
-
 
 def _registry_entries() -> tuple:
-    half = _div(_i(1), _i(2))
     inv_phi = _div(_sub(SQRT5, _i(1)), _i(2))
 
     eq2 = SpecialValueEntry(
         name="eq2",
         kind="R-value",
-        q_descriptor=_qp(4),  # q = exp(-2 pi)
+        nome=Nome.exp_sqrt(4),  # q = exp(-2 pi)
         closed_form=_sub(_sqrt(_div(_add(_i(5), SQRT5), _i(2))), PHI),
         provenance="first letter to Hardy, 16 January 1913",
     )
     eq3 = SpecialValueEntry(
         name="eq3",
         kind="S-value",
-        q_descriptor=_qp(1),  # S at exp(-pi)
+        nome=Nome.exp_sqrt(1),  # S at exp(-pi)
         closed_form=_sub(_sqrt(_div(_sub(_i(5), SQRT5), _i(2))), inv_phi),
         provenance="first letter to Hardy, 16 January 1913",
     )
@@ -521,21 +462,21 @@ def _registry_entries() -> tuple:
     eq5 = SpecialValueEntry(
         name="eq5",
         kind="R-value",
-        q_descriptor=_qp(20),  # q = exp(-2 pi sqrt 5)
+        nome=Nome.exp_sqrt(20),  # q = exp(-2 pi sqrt 5)
         closed_form=_sub(_div(SQRT5, _add(_i(1), Root(5, eq5_inner))), PHI),
         provenance="second letter to Hardy, 27 February 1913 (case n = 20)",
     )
     golden_r = SpecialValueEntry(
         name="golden-r",
         kind="R-value",
-        q_descriptor=1,
+        nome=Nome.rational(1),
         closed_form=inv_phi,
         provenance="elementary evaluation at q = 1",
     )
     golden_s = SpecialValueEntry(
         name="golden-s",
         kind="S-value",
-        q_descriptor=1,
+        nome=Nome.rational(1),
         closed_form=PHI,
         provenance="elementary evaluation at q = 1",
     )
@@ -543,7 +484,7 @@ def _registry_entries() -> tuple:
     eq7 = SpecialValueEntry(
         name="eq7",
         kind="R-value",
-        q_descriptor=_qp(16),  # q = exp(-4 pi)
+        nome=Nome.exp_sqrt(16),  # q = exp(-4 pi)
         closed_form=_value_from_c_expr(_c_expr(a7, _i(1))),
         provenance="first notebook, page 311 (a = 5^(1/4), b = 1)",
     )
@@ -552,14 +493,14 @@ def _registry_entries() -> tuple:
     eq8 = SpecialValueEntry(
         name="eq8",
         kind="R-value",
-        q_descriptor=_qp(36),  # q = exp(-6 pi)
+        nome=Nome.exp_sqrt(36),  # q = exp(-6 pi)
         closed_form=_value_from_c_expr(_c_expr(a8, b8)),
         provenance="first notebook, page 311 (a = 60^(1/4), b = 2 - sqrt(3) + sqrt(5))",
     )
     eq7_explicit = SpecialValueEntry(
         name="eq7-explicit",
         kind="R-value",
-        q_descriptor=_qp(16),
+        nome=Nome.exp_sqrt(16),
         closed_form=_mul(
             PHI,
             _div(
@@ -572,7 +513,7 @@ def _registry_entries() -> tuple:
     chan_s3 = SpecialValueEntry(
         name="chan-s-3",
         kind="S-value",
-        q_descriptor=_qp(3),  # S at exp(-pi sqrt 3)
+        nome=Nome.exp_sqrt(3),  # S at exp(-pi sqrt 3)
         closed_form=_div(
             Add((Neg(_i(3)), Neg(SQRT5), _sqrt(_mul(_i(6), _add(_i(5), SQRT5))))),
             _i(4),
@@ -585,7 +526,7 @@ def _registry_entries() -> tuple:
     chan_berndt = SpecialValueEntry(
         name="chan-berndt-s-3-5",
         kind="S-value",
-        q_descriptor=_qp(Fraction(3, 5)),  # S at exp(-pi sqrt(3/5))
+        nome=Nome.exp_sqrt(Fraction(3, 5)),  # S at exp(-pi sqrt(3/5))
         closed_form=Power(
             _div(
                 Add((
@@ -602,7 +543,7 @@ def _registry_entries() -> tuple:
     theta1 = SpecialValueEntry(
         name="theta-ratio-1",
         kind="theta-quotient",
-        q_descriptor=_qp(1),
+        nome=Nome.exp_sqrt(1),
         closed_form=_div(_i(1), _sqrt(_sub(_mul(_i(5), SQRT5), _i(10)))),
         provenance="theta quotient at n = 1 after algebraic simplification",
     )
@@ -624,11 +565,11 @@ def _direct_values(entry: SpecialValueEntry, ctx: PrecisionContext) -> dict:
     """Direct evaluations for an entry: CF route and, when defined, product route."""
     out = {}
     if entry.kind == "theta-quotient":
-        n = entry.q_descriptor.sqrt_arg
+        n = entry.nome.arg
         out["theta-series-ratio"] = theta_quotient_direct(n, ctx)
         out["invariant-formula"] = theta_quotient(n, ctx)
         return out
-    q = entry.q_value(ctx)
+    q = entry.nome.value(ctx)
     if entry.kind == "R-value":
         res = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx)
         if not res.converged:

@@ -181,3 +181,31 @@ def test_schur_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"diverges": True, "exponent": None, "lambda": None, "n": 10, "rho": None}
+
+
+@pytest.mark.parametrize("path", ["missing.json", "."])
+def test_unreadable_invariants_is_usage_error(tmp_path, capsys, path):
+    code, _, err = run(capsys, "--invariants", str(tmp_path / path), "values", "check", "eq2")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "nome",
+    [
+        ("--q", "1/2", "--exp-arg", "2"),
+        ("--exp-sqrt", "3", "--q", "1/2"),
+        ("--q", "1/0"),
+        ("--exp-arg", "-1"),
+    ],
+)
+def test_bad_nome_arguments_are_usage_errors(capsys, nome):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "R", *nome])
+    assert exc.value.code == 2
+
+
+def test_eval_negative_rational_nome(capsys):
+    code, out, _ = run(capsys, "eval", "chi", "--q=-1/2")
+    assert code == 0
+    assert out.startswith("0.4")

@@ -9,7 +9,6 @@ from rrlab.formal import (
     constant,
     product_one_minus,
     product_one_minus_inv,
-    x_power,
 )
 
 
@@ -52,8 +51,8 @@ def test_mul_basic_and_range():
 
 
 def test_mul_laurent_offsets():
-    a = x_power(-2, 5)  # x^-2 known through x^5
-    b = x_power(3, 5)
+    a = FormalSeries([1], -2, 5)  # x^-2 known through x^5
+    b = FormalSeries([1], 3, 5)
     c = a * b
     assert c.offset == 1
     assert c.coeff(1) == 1
@@ -122,8 +121,7 @@ def test_json_roundtrip():
     s = FormalSeries([Fraction(1, 3), 2, -5], -1, 3)
     data = s.to_json()
     assert data["lowest_exponent"] == -1
-    assert data["coeffs"][0] == "1/3"
-    assert FormalSeries.from_json(data) == s
+    assert data == {"lowest_exponent": -1, "coeffs": ["1/3", "2", "-5", "0", "0"], "order": 3}
 
 
 def test_euler_product_pentagonal_numbers():

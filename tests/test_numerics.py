@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrlab.numerics import PrecisionContext, RootMode, agree_bits, golden_phi, root
+from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
 
 # sqrt(5)+1)/2 computed independently at 300 bits (mpmath sqrt)
 PHI_75 = "1.61803398874989484820458683436563811772030917980576286213544862270526046282"
@@ -144,3 +144,20 @@ def test_concurrent_evaluation_is_consistent():
         )
     assert parallel == serial
     assert fresh == serial
+
+
+def test_nome(ctx, ctx512):
+    mp = ctx.mp
+    assert abs(Nome.exp_sqrt(4).value(ctx) - mp.exp(-2 * mp.pi)) < ctx.tol
+    assert abs(Nome.exp(2).value(ctx) - mp.exp(-2 * mp.pi)) < ctx.tol
+    assert abs(Nome.rational("1/3").value(ctx) * 3 - 1) < ctx.tol
+    assert Nome.rational(Fraction(1, 3)) == Nome.rational("1/3")
+    # rational nomes on or outside the unit circle are left to the kernels to refuse
+    assert Nome.rational(-1).value(ctx) == -1
+    bad = (("exp", 0), ("exp-sqrt", -1), ("rational", "1/0"), ("rational", "x"), ("bogus", 1))
+    for form, arg in bad:
+        with pytest.raises(ValueError):
+            Nome(form, arg)
+    # the exponential forms regenerate at any precision
+    for nome in (Nome.exp(Fraction(1, 3)), Nome.exp_sqrt(3)):
+        assert agree_bits(nome.value(ctx), nome.value(ctx512), ctx) >= ctx.bits - ctx.guard_bits

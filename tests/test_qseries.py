@@ -9,7 +9,6 @@ from rrlab.numerics import PrecisionContext, RootMode, agree_bits, golden_phi, r
 from rrlab.qseries import (
     G,
     H,
-    QPoint,
     R_product,
     S,
     chi,
@@ -21,7 +20,6 @@ from rrlab.qseries import (
     series_H,
     series_R,
     theta_phi,
-    theta_phi_series,
 )
 
 # (q;q)_inf at q = 1/10, computed independently at 320 bits
@@ -142,27 +140,12 @@ def test_chi_gives_unit_class_invariant(ctx):
 
 def test_theta_phi_basics(ctx):
     assert theta_phi(0, ctx) == 1
-    prefix = theta_phi_series(9)
-    assert prefix.coeffs_through(9) == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
 
 
 def test_theta_ratio_closed_form(ctx):
     mp = ctx.mp
     ratio = theta_phi(mp.exp(-5 * mp.pi), ctx) / theta_phi(mp.exp(-mp.pi), ctx)
     assert abs(ratio - 1 / mp.sqrt(5 * mp.sqrt(5) - 10)) < mp.mpf(10) ** -60
-
-
-def test_qpoint(ctx):
-    p = QPoint(sqrt_arg=Fraction(4))
-    assert abs(p.value(ctx) - ctx.mp.exp(-2 * ctx.mp.pi)) < ctx.tol
-    lit = QPoint(literal=Fraction(1, 3))
-    assert abs(lit.value(ctx) * 3 - 1) < ctx.tol
-    with pytest.raises(ValueError):
-        QPoint()
-    with pytest.raises(ValueError):
-        QPoint(sqrt_arg=Fraction(-1))
-    with pytest.raises(ValueError):
-        QPoint(literal=Fraction(3, 2))
 
 
 def test_finite_mu_nu_base_cases():

@@ -17,24 +17,20 @@ from rrlab.special_values import (
     InvariantTable,
     Mul,
     Neg,
+    Power,
     Root,
-    SpecialValueEntry,
-    c_param,
+    _c_expr,
+    _value_from_c_expr,
     evaluate,
     expr_str,
-    invariant_G,
     p_value,
     parse_prefix,
     quintic_alpha_beta,
-    quintic_corollary,
     quintic_uv,
-    R4_from_p,
-    R_from_p,
     registry,
     resolve_quintic_assignment,
     theta_quotient,
     theta_quotient_direct,
-    value_from_c,
     verify_entry,
     verify_registry,
 )
@@ -72,34 +68,33 @@ def test_parse_prefix(ctx):
 
 
 def test_c_param_examples(ctx):
-    assert abs(c_param(1, -1, ctx) - Fraction(1, 2)) < ctx.tol
-    c = c_param(ctx.mp.root(5, 4), 1, ctx)
+    assert abs(evaluate(_c_expr(Integer(1), Integer(-1)), ctx) - Fraction(1, 2)) < ctx.tol
+    c = evaluate(_c_expr(Power(Integer(5), Fraction(1, 4)), Integer(1)), ctx)
     assert abs(c - ctx.mp.mpf(C_EQ7_70)) < ctx.mp.mpf(10) ** -65
-    with pytest.raises(ValueError):
-        c_param(2, 2, ctx)
 
 
 def test_value_from_c_examples(ctx):
-    assert value_from_c(0, ctx) == 1
+    assert evaluate(_value_from_c_expr(Integer(0)), ctx) == 1
 
 
 @given(c1=st.integers(1, 10**4), c2=st.integers(1, 10**4))
 @settings(max_examples=60, deadline=None)
 def test_value_from_c_decreasing_into_unit_interval(c1, c2):
     ctx = PrecisionContext(128, 32)
-    lo, hi = sorted((Fraction(c1, 100), Fraction(c2, 100)))
-    v_lo = value_from_c(ctx.real(lo), ctx)
-    v_hi = value_from_c(ctx.real(hi), ctx)
+    lo, hi = sorted((c1, c2))
+    v_lo = evaluate(_value_from_c_expr(Div(Integer(lo), Integer(100))), ctx)
+    v_hi = evaluate(_value_from_c_expr(Div(Integer(hi), Integer(100))), ctx)
     assert 0 < v_hi <= v_lo < 1
     if lo != hi:
         assert v_hi < v_lo
 
 
 def test_invariant_table_seeds(ctx):
-    assert evaluate(invariant_G(1), ctx) == 1
-    assert abs(evaluate(invariant_G(25), ctx) - golden_phi(ctx)) < ctx.tol
+    table = InvariantTable()
+    assert evaluate(table.get(1), ctx) == 1
+    assert abs(evaluate(table.get(25), ctx) - golden_phi(ctx)) < ctx.tol
     with pytest.raises(InvariantLookupError) as err:
-        invariant_G(2)
+        table.get(2)
     assert "config" in str(err.value)
 
 
@@ -208,16 +203,19 @@ def test_quintic_pipeline_at_exp_pi(ctx):
     r_direct = rr_cf(q, RootMode.PRINCIPAL, ctx).value
     r4_direct = rr_cf(q**4, RootMode.PRINCIPAL, ctx).value
     tol60 = mp.mpf(10) ** -60
-    assert abs(R_from_p(p, ctx) - r_direct) < tol60
-    assert abs(R4_from_p(p, ctx) - r4_direct) < tol60
-    # both quotient forms agree
+    # R(q) = u/(sqrt(p+1) + 1) and R(q^4) = v/(sqrt(p+1) + 1)
     u, v = quintic_uv(p, ctx)
     s = mp.sqrt(p + 1)
+    assert abs(u / (s + 1) - r_direct) < tol60
+    assert abs(v / (s + 1) - r4_direct) < tol60
+    state = resolve_quintic_assignment(q, ctx)
+    assert abs(state.r_q - r_direct) < tol60
+    assert abs(state.r_q4 - r4_direct) < tol60
+    # both quotient forms agree
     assert abs(u / (s + 1) - (s - 1) / v) < tol60
-    # corollary
-    two_u, two_v = quintic_corollary(p, ctx)
-    assert abs(1 / r_direct - r4_direct - two_u) < tol60
-    assert abs(1 / r4_direct - r_direct - two_v) < tol60
+    # corollary: 1/R(q) - R(q^4) = 2/u and 1/R(q^4) - R(q) = 2/v
+    assert abs(1 / r_direct - r4_direct - 2 / u) < tol60
+    assert abs(1 / r4_direct - r_direct - 2 / v) < tol60
 
 
 def test_resolve_quintic_assignment(ctx):
@@ -261,7 +259,7 @@ def test_eq5_display_with_exponential_factor(ctx):
     # exp(2 pi / sqrt 5) times the closed form of the R-value
     mp = ctx.mp
     entry = {e.name: e for e in registry()}["eq5"]
-    q = entry.q_value(ctx)
+    q = entry.nome.value(ctx)
     fraction_value = rr_cf(q, ctx=ctx).value / ctx.mp.root(q, 5)
     display = mp.exp(2 * mp.pi / mp.sqrt(5)) * entry.closed_value(ctx)
     assert abs(fraction_value - display) < mp.mpf(10) ** -60
