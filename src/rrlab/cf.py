@@ -5,7 +5,9 @@ the leading term b0, a generator k -> (a_k, b_k) for k >= 1, and an optional
 multiplicative prefactor base**exponent (exponent denominator 1 or 5).
 
 Finite evaluation uses the backward recurrence and is exact on rational
-input.  Infinite evaluation uses the forward convergent recurrence
+input.  Infinite evaluation of a periodic spec is decided from one period's
+Moebius product (the classical periodic-fraction theorem).  Any other spec
+goes through the forward convergent recurrence
 A_k = b_k*A_{k-1} + a_k*A_{k-2} (B_k likewise) with joint rescaling, a
 two-difference stopping rule, and limit-cycle detection for divergent
 fractions whose convergents approach a periodic cycle.
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
+
+from mpmath import libmp, mp as _mp
 
 from .numerics import PrecisionContext, RootMode, golden_phi, root
 
@@ -78,18 +82,24 @@ class Prefactor:
 
 @dataclass(frozen=True)
 class CFSpec:
-    """b0 plus an indexed generator k -> (a_k, b_k), with optional prefactor."""
+    """b0 plus an indexed generator k -> (a_k, b_k), with optional prefactor.
+
+    ``period`` states that the terms repeat, terms(k + period) == terms(k)
+    for every k >= 1; eval_infinite then decides the fraction from one period.
+    """
 
     b0: object
     terms: Callable[[int], tuple]
     prefactor: Optional[Prefactor] = None
     name: str = ""
+    period: Optional[int] = None
 
 
 class CFStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max-iterations"
     LIMIT_CYCLE = "limit-cycle"
+    DIVERGES = "diverges"
 
 
 @dataclass(frozen=True)
@@ -189,13 +199,22 @@ _CYCLE_STRIDE = 16
 def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
     """Evaluate an infinite continued fraction under the context.
 
-    Stops as CONVERGED when two consecutive convergent differences fall below
-    the internal threshold and the candidate limit is distinguishable from
-    accumulated rounding noise; reports LIMIT_CYCLE(p) when convergents repeat
-    at lag p in {2,3,4,5} while consecutive ones stay apart; otherwise runs to
-    ctx.max_iter and reports MAX_ITERATIONS.  Transient B_k = 0 is tolerated
-    by skipping the undefined convergent.
+    A spec with a ``period`` is decided from one period (see _eval_periodic):
+    CONVERGED, or DIVERGES with the period, reporting ``period`` iterations.
+    Only a parabolic period falls through to the forward recurrence, which
+    serves every other spec.  It stops as CONVERGED when two consecutive
+    convergent differences fall below the internal threshold and the
+    candidate limit is distinguishable from accumulated rounding noise, or
+    the convergents are exactly stationary; reports LIMIT_CYCLE(p) when
+    convergents repeat at lag p in {2,3,4,5} while consecutive ones stay
+    apart; otherwise runs to ctx.max_iter and reports MAX_ITERATIONS.
+    Transient B_k = 0 is tolerated by skipping the undefined convergent.
     """
+    if spec.period is not None:
+        decided = _eval_periodic(spec, ctx)
+        if decided is not None:
+            return decided
+
     mp = ctx.mp
     stop = ctx.stop_tol
     tol = ctx.tol
@@ -211,11 +230,6 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
 
     hist: list = []
     last_defined = None
-
-    def finish(value, k, status, period=None):
-        if value is not None and spec.prefactor is not None:
-            value = spec.prefactor.apply(value, ctx)
-        return CFResult(value, k, status, period)
 
     for k in range(1, ctx.max_iter + 1):
         a_k, b_k = spec.terms(k)
@@ -238,14 +252,118 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
                 if (
                     abs(f - hist[-2]) < stop
                     and abs(f - hist[-3]) < stop
-                    and abs(f) > floor
+                    and (abs(f) > floor or f == hist[-2] == hist[-3])
                 ):
-                    return finish(f, k, CFStatus.CONVERGED)
+                    return _finish(spec, ctx, f, k, CFStatus.CONVERGED)
         if k % _CYCLE_STRIDE == 0:
             for p in _CYCLE_PERIODS:
                 if k >= max(200, 50 * p) and _detect_cycle(hist, p, tol, gap_factor):
-                    return finish(last_defined, k, CFStatus.LIMIT_CYCLE, p)
-    return finish(last_defined, ctx.max_iter, CFStatus.MAX_ITERATIONS)
+                    return _finish(spec, ctx, last_defined, k, CFStatus.LIMIT_CYCLE, p)
+    return _finish(spec, ctx, last_defined, ctx.max_iter, CFStatus.MAX_ITERATIONS)
+
+
+def _finish(spec: CFSpec, ctx: PrecisionContext, value, k: int, status: CFStatus, period=None):
+    if value is not None and spec.prefactor is not None:
+        value = spec.prefactor.apply(value, ctx)
+    return CFResult(value, k, status, period)
+
+
+def _period_product(spec: CFSpec, ctx: PrecisionContext):
+    """One period's product M = T_1...T_n, T_k = [[0, a_k], [1, b_k]].
+
+    Returns (M, partial, growth): M as (a, b, c, d) for [[a, b], [c, d]],
+    partial[m] = (A_m, B_m) the second column of T_1...T_m for m < n, so that
+    the m-th partial map sends 0 to A_m/B_m, and growth the largest binary
+    magnitude of any entry on the way.
+    """
+    mp = ctx.mp
+    a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+    partial = []
+    growth = 0
+    for k in range(1, spec.period + 1):
+        partial.append((b, d))
+        a_k, b_k = spec.terms(k)
+        a_k = ctx.number(a_k)
+        b_k = ctx.number(b_k)
+        a, b, c, d = b, a * a_k + b * b_k, d, c * a_k + d * b_k
+        growth = max(growth, mp.mag(b), mp.mag(d))
+    return (a, b, c, d), partial, growth
+
+
+def _fixed_point(m, lam) -> tuple:
+    """Fixed point of w -> (a*w + b)/(c*w + d) with multiplier lam, as (u, v) ~ u/v.
+
+    Both (b, lam - a) and (lam - d, c) are eigenvectors of M for lam; the
+    larger one is the better conditioned.
+    """
+    a, b, c, d = m
+    p, q = (b, lam - a), (lam - d, c)
+    return p if abs(p[0]) + abs(p[1]) >= abs(q[0]) + abs(q[1]) else q
+
+
+def _near(points, q, tol_bits: int, mp) -> bool:
+    """Whether some point p = (u, v) ~ u/v lies within chordal distance
+    2^-tol_bits of the point q, infinity being (1, 0).
+
+    The chordal distance |u*v' - v*u'| / (|(u, v)| * |(u', v')|) is taken
+    from binary magnitudes (mp.mag), which fix its logarithm to a few bits.
+    """
+    u, v = q
+    q_mag = max(mp.mag(u), mp.mag(v))
+    return any(
+        mp.mag(a * v - b * u) - max(mp.mag(a), mp.mag(b)) - q_mag < -tol_bits
+        for a, b in points
+    )
+
+
+def _eval_periodic(spec: CFSpec, ctx: PrecisionContext) -> Optional[CFResult]:
+    """Decide a periodic fraction from the product M of one period.
+
+    The approximants of index kn + m are M^k applied to S_m(0), the m-th
+    partial map at 0 (m < n).  If M is loxodromic, M^k(w) tends to the
+    attracting fixed point for every w except the repelling one, so the
+    fraction converges to the attracting point unless some S_m(0) is the
+    repelling point (then that subsequence stays there) or the attracting
+    point is infinity.  An elliptic M rotates every other point about its
+    fixed points, so the fraction diverges.  Points are compared in chordal
+    distance at the context tolerance.  A zero a_k makes M singular: the
+    fraction terminates, the image of M is the attracting point and its
+    kernel plays the repelling one, so the same test applies.
+
+    The partial products grow and cancel, losing about twice the binary
+    magnitude g of their largest entry.  The product is formed with the
+    context's working precision raised by the guard bits; if that does not
+    cover the measured loss (2g > guard_bits) it is formed again at
+    bits + 2g + guard_bits.  The limit is rounded back to the context's
+    precision on return.  Returns None for a parabolic
+    M, whose double fixed point is too ill-conditioned to read off; the
+    forward recurrence handles it.
+    """
+    n = spec.period
+    mp = ctx.mp
+    with mp.workprec(ctx.bits + ctx.guard_bits):
+        m, partial, growth = _period_product(spec, ctx)
+        if 2 * growth > ctx.guard_bits:
+            mp.prec = ctx.bits + 2 * growth + ctx.guard_bits
+            m, partial, _ = _period_product(spec, ctx)
+        a, b, c, d = m
+        trace = a + d
+        s = mp.sqrt(trace * trace - 4 * (a * d - b * c))
+        big, small = (trace + s) / 2, (trace - s) / 2
+        if abs(big) < abs(small):
+            big, small = small, big
+        floor = ctx.noise_floor
+        if abs(s) <= floor * abs(big):
+            return None  # parabolic
+        if abs(small) >= abs(big) * (1 - floor):
+            return CFResult(None, n, CFStatus.DIVERGES, n)  # elliptic
+        attracting = _fixed_point(m, big)
+        repelling = _fixed_point(m, small)
+        tol_bits = ctx.bits - ctx.guard_bits
+        if _near([attracting], (1, 0), tol_bits, mp) or _near(partial, repelling, tol_bits, mp):
+            return CFResult(None, n, CFStatus.DIVERGES, n)
+        limit = attracting[0] / attracting[1]
+    return _finish(spec, ctx, ctx.number(limit) + ctx.number(spec.b0), n, CFStatus.CONVERGED)
 
 
 # -- the Rogers-Ramanujan continued fraction ---------------------------------
@@ -334,12 +452,21 @@ def schur_classify(n: int) -> SchurClassification:
     return SchurClassification(n=n, diverges=False, lam=lam, rho=rho, exponent=num // 5)
 
 
-def _unit_root(ctx: PrecisionContext, num: int, den: int):
-    """exp(2*pi*i*num/den) with the exponent reduced mod den exactly."""
-    num %= den
-    if num == 0:
-        return ctx.mp.mpf(1)
-    return ctx.mp.expjpi(ctx.mp.mpf(2 * num) / den)
+@dataclass(frozen=True)
+class _UnitRoot:
+    """exp(2*pi*i*num/den), exact: mpmath's ``_mpmath_`` conversion hook
+    evaluates it at the precision of whichever context reads it (the global
+    context's mpc only carries the rounded parts across)."""
+
+    num: int
+    den: int
+
+    def _mpmath_(self, prec: int, rounding: str):
+        turns = 2 * self.num % (2 * self.den)  # exp(i*pi*turns/den)
+        if turns % self.den == 0:
+            return 1 if turns == 0 else -1
+        x = libmp.from_rational(turns, self.den, prec, rounding)
+        return _mp.make_mpc(libmp.mpf_cos_sin_pi(x, prec, rounding))
 
 
 def rr_at_root_of_unity(n: int, j: int = 1, ctx: Optional[PrecisionContext] = None):
@@ -357,40 +484,42 @@ def rr_at_root_of_unity(n: int, j: int = 1, ctx: Optional[PrecisionContext] = No
         raise DivergenceError(f"R diverges at primitive {n}-th roots of unity (5 | n)")
     phi = golden_phi(ctx)
     r_lam = 1 / phi if cls.lam == 1 else -phi
-    return cls.lam * _unit_root(ctx, j * cls.exponent, n) * r_lam
+    return cls.lam * ctx.number(_UnitRoot(j * cls.exponent, n)) * r_lam
 
 
-def rr_root_of_unity_spec(n: int, j: int = 1, ctx: Optional[PrecisionContext] = None) -> CFSpec:
-    """CFSpec of the prefactor-free fraction at q = exp(2*pi*i*j/n).
+def rr_root_of_unity_spec(n: int, j: int = 1) -> CFSpec:
+    """CFSpec of the prefactor-free fraction at q = exp(2*pi*i*j/n), period n.
 
-    Powers q^(k-1) are produced by exact exponent reduction mod n and a
-    precomputed table of n-th roots, so no precision decays with depth.
+    Each power q^(k-1) is the exact root exp(2*pi*i*r/n) with r = (k-1)*j
+    reduced mod n, converted at the precision of the evaluating context, so
+    no precision decays with depth or is capped by the spec.
     """
-    if ctx is None:
-        ctx = PrecisionContext()
-    table = [_unit_root(ctx, r, n) for r in range(n)]
+    if n <= 0:
+        raise ValueError("n must be a positive integer")
 
     def terms(k: int):
-        return (table[((k - 1) * j) % n], 1)
+        return (_UnitRoot((k - 1) * j % n, n), 1)
 
-    return CFSpec(b0=0, terms=terms, name=f"rr-root-of-unity-{n}-{j}")
+    return CFSpec(b0=0, terms=terms, name=f"rr-root-of-unity-{n}-{j}", period=n)
 
 
 def rr_root_of_unity_direct(n: int, j: int = 1, ctx: Optional[PrecisionContext] = None) -> CFResult:
     """Evaluate R at a primitive n-th root of unity from the fraction itself.
 
-    The prefactor-free fraction is evaluated by the forward recurrence; its
-    limit F satisfies F = q^e * R(lam), so the Legendre sign lam plays the
-    role of the fifth-root prefactor here: the returned value is lam * F,
-    directly comparable with rr_at_root_of_unity.  For 5 | n the fraction has
-    no limit and the result reports LIMIT_CYCLE or MAX_ITERATIONS.
+    The prefactor-free fraction is periodic with period n, so eval_infinite
+    decides it from one period's product in n terms, independently of
+    Schur's formula.  Its limit F satisfies F = q^e * R(lam), so the
+    Legendre sign lam plays the role of the fifth-root prefactor here: the
+    returned value is lam * F, directly comparable with rr_at_root_of_unity.
+    Where the fraction has no limit (5 | n) the result is DIVERGES with
+    period n and no value.
     """
     if ctx is None:
         ctx = PrecisionContext()
+    spec = rr_root_of_unity_spec(n, j)  # first: it rejects n <= 0
     if math.gcd(j, n) != 1:
         raise ValueError(f"j={j} is not coprime to n={n}: q is not a primitive root")
-    res = eval_infinite(rr_root_of_unity_spec(n, j, ctx), ctx)
-    if res.status is not CFStatus.CONVERGED or n % 5 == 0:
+    res = eval_infinite(spec, ctx)
+    if not res.converged:
         return res
-    lam = legendre5(n)
-    return CFResult(lam * res.value, res.iterations, res.status, res.period)
+    return CFResult(legendre5(n) * res.value, res.iterations, res.status, res.period)

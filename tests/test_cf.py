@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,80 @@ def test_limit_cycle_detection(ctx):
 
 
 def test_quintic_root_never_converges_quickly(ctx):
-    small = PrecisionContext(256, 32, max_iter=3000)
-    res = eval_infinite(rr_root_of_unity_spec(5, 1, small), small)
-    assert res.status is not CFStatus.CONVERGED
+    res = eval_infinite(rr_root_of_unity_spec(5, 1), ctx)
+    assert res.status is CFStatus.DIVERGES
+    assert (res.iterations, res.period, res.value) == (5, 5, None)
+
+
+def test_root_of_unity_decision_matches_schur():
+    # the period-product decision never consults schur_classify
+    small = PrecisionContext(64, 16)
+    for n in range(1, 41):
+        for j in range(1, n + 1):
+            if math.gcd(j, n) != 1:
+                continue
+            res = rr_root_of_unity_direct(n, j, small)
+            assert (res.status is CFStatus.DIVERGES) == schur_classify(n).diverges, (n, j)
+            assert res.iterations == n
+            if res.status is CFStatus.DIVERGES:
+                assert res.period == n
+            else:
+                assert res.status is CFStatus.CONVERGED
+
+
+@pytest.mark.parametrize("n", [101, 199])
+def test_root_of_unity_long_period_keeps_contract(n, ctx):
+    # partial products grow to ~2^(n/4) here and cancel; the route restores the lost bits
+    res = rr_root_of_unity_direct(n, 1, ctx)
+    assert res.converged and res.iterations == n
+    floor_bits = ctx.bits - ctx.guard_bits
+    assert agree_bits(res.value, rr_at_root_of_unity(n, 1, ctx), ctx) >= floor_bits
+    assert agree_bits(res.value, rr_root_of_unity_direct(n, 1, ctx.doubled()).value, ctx) >= floor_bits
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_root_of_unity_rejects_nonpositive_n(n, ctx):
+    for call in (lambda: rr_root_of_unity_direct(n, 1, ctx), lambda: rr_root_of_unity_spec(n)):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "terms, period, status, value",
+    [
+        (lambda k: (1, 1), 1, CFStatus.CONVERGED, "1/phi"),
+        (lambda k: (1, 2), 1, CFStatus.CONVERGED, "sqrt2-1"),
+        (lambda k: (0 if k % 3 == 2 else 1, 1), 3, CFStatus.CONVERGED, "1"),  # terminates
+        (lambda k: (-1, 1), 1, CFStatus.DIVERGES, None),  # elliptic
+        (lambda k: (2, 0) if k % 2 else (1, 1), 2, CFStatus.DIVERGES, None),  # limit at infinity
+    ],
+)
+def test_periodic_spec_is_decided_from_one_period(terms, period, status, value, ctx):
+    res = eval_infinite(CFSpec(b0=0, terms=terms, period=period), ctx)
+    assert res.status is status and res.iterations == period
+    if value is None:
+        assert res.value is None and res.period == period
+    else:
+        mp = ctx.mp
+        expected = {"1/phi": 1 / golden_phi(ctx), "sqrt2-1": mp.sqrt(2) - 1, "1": mp.mpf(1)}[value]
+        assert agree_bits(res.value, expected, ctx) >= ctx.bits - ctx.guard_bits
+
+
+def test_parabolic_period_falls_back_to_forward_recurrence():
+    # K(-1/4 / 1) has the double fixed point -1/2; the forward loop runs as before
+    small = PrecisionContext(256, 32, max_iter=50)
+    res = eval_infinite(CFSpec(b0=0, terms=lambda k: (Fraction(-1, 4), 1), period=1), small)
+    assert res.status is CFStatus.MAX_ITERATIONS and res.iterations == 50
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CFSpec(b0=0, terms=lambda k: (0, 1)),
+        CFSpec(b0=1, terms=lambda k: (-1 if k == 1 else 0, 1)),
+    ],
+)
+def test_exactly_stationary_zero_limit_converges(spec, ctx):
+    res = eval_infinite(spec, ctx)
+    assert res.status is CFStatus.CONVERGED
+    assert res.value == 0 and res.iterations == 3

@@ -173,10 +173,10 @@ def test_report_json_schema_and_determinism(ctx):
 
 
 def test_schur_consistency_report(ctx):
-    # loose-tolerance case; heavy divergence runs are capped internally
-    run_ctx = PrecisionContext(128, 32, max_iter=20_000)
+    run_ctx = PrecisionContext(128, 32)
     rep = verify("schur-consistency", run_ctx, samples=1)
-    assert rep.tol_digits == 3
+    assert rep.tol_digits == default_tol_digits(run_ctx)
     assert rep.status == "pass"
     points = " ".join(r["point"] for r in rep.records)
-    assert "n=5" in points and "n=10" in points and "10^4" in points
+    assert "n=5: direct evaluation diverges, period 5" in points
+    assert "n=10: direct evaluation diverges, period 10" in points and "10^4" in points
