@@ -11,8 +11,8 @@ from .cf import (
     CFResult,
     CFSpec,
     CFStatus,
+    ConvergenceError,
     DivergenceError,
-    Prefactor,
     SchurClassification,
     ZeroDenominatorError,
     eval_finite,
@@ -65,7 +65,7 @@ __all__ = [
     "CFSpec",
     "CFResult",
     "CFStatus",
-    "Prefactor",
+    "ConvergenceError",
     "DivergenceError",
     "ZeroDenominatorError",
     "SchurClassification",

@@ -1,8 +1,7 @@
 """Generalized continued fraction evaluation and root-of-unity classification.
 
 A continued fraction b0 + a1/(b1 + a2/(b2 + ...)) is described by a CFSpec:
-the leading term b0, a generator k -> (a_k, b_k) for k >= 1, and an optional
-multiplicative prefactor base**exponent (exponent denominator 1 or 5).
+the leading term b0 and a generator k -> (a_k, b_k) for k >= 1.
 
 Finite evaluation uses the backward recurrence and is exact on rational
 input.  Infinite evaluation of a periodic spec is decided from one period's
@@ -11,14 +10,17 @@ goes through the forward convergent recurrence
 A_k = b_k*A_{k-1} + a_k*A_{k-2} (B_k likewise) with joint rescaling, a
 two-difference stopping rule, and limit-cycle detection for divergent
 fractions whose convergents approach a periodic cycle.
+
+Non-convergence has one exception type, ConvergenceError: a CFResult's value
+is read through CFResult.require, and every other loop bounded by max_iter
+in the package iterates over ``bounded``, which raises it at the cap.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from mpmath import libmp, mp as _mp
@@ -27,9 +29,10 @@ from .numerics import PrecisionContext, RootMode, golden_phi, root
 
 __all__ = [
     "CFSpec",
-    "Prefactor",
     "CFStatus",
     "CFResult",
+    "ConvergenceError",
+    "bounded",
     "ZeroDenominatorError",
     "DivergenceError",
     "eval_finite",
@@ -59,30 +62,8 @@ class DivergenceError(ValueError):
 
 
 @dataclass(frozen=True)
-class Prefactor:
-    """Multiplicative factor base**exponent applied to a converged value."""
-
-    base: object
-    exponent: Fraction
-    mode: RootMode = RootMode.PRINCIPAL
-
-    def __post_init__(self):
-        if self.exponent.denominator not in (1, 5):
-            raise ValueError("prefactor exponent denominator must be 1 or 5")
-
-    def apply(self, value, ctx: PrecisionContext):
-        num = self.exponent.numerator
-        den = self.exponent.denominator
-        if den == 1:
-            factor = ctx.number(self.base) ** num
-        else:
-            factor = root(self.base, den, self.mode, ctx) ** num
-        return factor * value
-
-
-@dataclass(frozen=True)
 class CFSpec:
-    """b0 plus an indexed generator k -> (a_k, b_k), with optional prefactor.
+    """b0 plus an indexed generator k -> (a_k, b_k).
 
     ``period`` states that the terms repeat, terms(k + period) == terms(k)
     for every k >= 1; eval_infinite then decides the fraction from one period.
@@ -90,8 +71,6 @@ class CFSpec:
 
     b0: object
     terms: Callable[[int], tuple]
-    prefactor: Optional[Prefactor] = None
-    name: str = ""
     period: Optional[int] = None
 
 
@@ -100,6 +79,23 @@ class CFStatus(enum.Enum):
     MAX_ITERATIONS = "max-iterations"
     LIMIT_CYCLE = "limit-cycle"
     DIVERGES = "diverges"
+
+
+class ConvergenceError(RuntimeError):
+    """A route stopped without a value: how it ended and after how many iterations."""
+
+    def __init__(self, route: str, status: CFStatus, iterations: int):
+        self.route = route
+        self.status = status
+        self.iterations = iterations
+        super().__init__(f"{route} did not converge: {status.value} after {iterations} iterations")
+
+
+def bounded(route: str, ctx: PrecisionContext):
+    """Iteration indices 1..ctx.max_iter for a loop that returns or breaks once
+    it has converged; running past the last one raises ConvergenceError."""
+    yield from range(1, ctx.max_iter + 1)
+    raise ConvergenceError(route, CFStatus.MAX_ITERATIONS, ctx.max_iter)
 
 
 @dataclass(frozen=True)
@@ -113,35 +109,33 @@ class CFResult:
     def converged(self) -> bool:
         return self.status is CFStatus.CONVERGED
 
+    def require(self, route: str):
+        """The value if converged; otherwise raise ConvergenceError naming the route."""
+        if not self.converged:
+            raise ConvergenceError(route, self.status, self.iterations)
+        return self.value
 
-def eval_finite(spec: CFSpec, n: int, ctx: Optional[PrecisionContext] = None):
+
+def eval_finite(spec: CFSpec, n: int):
     """Value of the depth-n truncation, by backward recurrence.
 
-    Exact when b0 and all generated terms are rational and there is no
-    fractional prefactor.  Raises ZeroDenominatorError identifying the depth
-    where the backward pass divides by zero.
+    Works in the arithmetic of b0 and the generated terms, so it is exact
+    when they are rational (or exact series).  Raises ZeroDenominatorError
+    identifying the depth where the backward pass divides by zero.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if n == 0:
-        value = spec.b0
-    else:
-        _, b_n = spec.terms(n)
-        v = b_n
-        for k in range(n - 1, -1, -1):
-            a_next, _ = spec.terms(k + 1)
-            if v == 0:
-                raise ZeroDenominatorError(k + 1)
-            b_k = spec.b0 if k == 0 else spec.terms(k)[1]
-            v = b_k + a_next / v
-        value = v
-    if spec.prefactor is not None:
-        if spec.prefactor.exponent.denominator == 1 and ctx is None:
-            return spec.prefactor.base ** spec.prefactor.exponent.numerator * value
-        if ctx is None:
-            raise ValueError("fractional prefactor requires a PrecisionContext")
-        return spec.prefactor.apply(value, ctx)
-    return value
+        return spec.b0
+    _, b_n = spec.terms(n)
+    v = b_n
+    for k in range(n - 1, -1, -1):
+        a_next, _ = spec.terms(k + 1)
+        if v == 0:
+            raise ZeroDenominatorError(k + 1)
+        b_k = spec.b0 if k == 0 else spec.terms(k)[1]
+        v = b_k + a_next / v
+    return v
 
 
 def convergents(spec: CFSpec, n: int):
@@ -254,18 +248,12 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
                     and abs(f - hist[-3]) < stop
                     and (abs(f) > floor or f == hist[-2] == hist[-3])
                 ):
-                    return _finish(spec, ctx, f, k, CFStatus.CONVERGED)
+                    return CFResult(f, k, CFStatus.CONVERGED)
         if k % _CYCLE_STRIDE == 0:
             for p in _CYCLE_PERIODS:
                 if k >= max(200, 50 * p) and _detect_cycle(hist, p, tol, gap_factor):
-                    return _finish(spec, ctx, last_defined, k, CFStatus.LIMIT_CYCLE, p)
-    return _finish(spec, ctx, last_defined, ctx.max_iter, CFStatus.MAX_ITERATIONS)
-
-
-def _finish(spec: CFSpec, ctx: PrecisionContext, value, k: int, status: CFStatus, period=None):
-    if value is not None and spec.prefactor is not None:
-        value = spec.prefactor.apply(value, ctx)
-    return CFResult(value, k, status, period)
+                    return CFResult(last_defined, k, CFStatus.LIMIT_CYCLE, p)
+    return CFResult(last_defined, ctx.max_iter, CFStatus.MAX_ITERATIONS)
 
 
 def _period_product(spec: CFSpec, ctx: PrecisionContext):
@@ -363,32 +351,28 @@ def _eval_periodic(spec: CFSpec, ctx: PrecisionContext) -> Optional[CFResult]:
         if _near([attracting], (1, 0), tol_bits, mp) or _near(partial, repelling, tol_bits, mp):
             return CFResult(None, n, CFStatus.DIVERGES, n)
         limit = attracting[0] / attracting[1]
-    return _finish(spec, ctx, ctx.number(limit) + ctx.number(spec.b0), n, CFStatus.CONVERGED)
+    return CFResult(ctx.number(limit) + ctx.number(spec.b0), n, CFStatus.CONVERGED)
 
 
 # -- the Rogers-Ramanujan continued fraction ---------------------------------
 
 
-def rr_cfspec(q, mode: RootMode = RootMode.PRINCIPAL) -> CFSpec:
-    """CFSpec for R(q): prefactor q^(1/5), partial numerators 1, q, q^2, ..."""
+def rr_cfspec(q) -> CFSpec:
+    """CFSpec for R(q) without its q^(1/5) factor: partial numerators 1, q, q^2, ..."""
 
     def terms(k: int):
         return (q ** (k - 1), 1)
 
-    return CFSpec(
-        b0=0,
-        terms=terms,
-        prefactor=Prefactor(q, Fraction(1, 5), mode),
-        name="rogers-ramanujan",
-    )
+    return CFSpec(b0=0, terms=terms)
 
 
 def rr_cf(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext] = None) -> CFResult:
     """Evaluate R(q) for 0 < |q| < 1 or q = +-1.
 
-    For |q| > 1 the fraction diverges (DivergenceError).  Unimodular q other
-    than +-1 must go through the root-of-unity interface, which handles the
-    primitive-root classification.
+    A converged fraction is multiplied by root(q, 5, mode); any other result
+    is returned as eval_infinite gave it.  For |q| > 1 the fraction diverges
+    (DivergenceError).  Unimodular q other than +-1 must go through the
+    root-of-unity interface, which handles the primitive-root classification.
     """
     if ctx is None:
         ctx = PrecisionContext()
@@ -403,7 +387,10 @@ def rr_cf(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext
             "unimodular q other than +-1: use rr_at_root_of_unity / "
             "rr_root_of_unity_direct for primitive roots of unity"
         )
-    return eval_infinite(rr_cfspec(qv, mode), ctx)
+    res = eval_infinite(rr_cfspec(qv), ctx)
+    if res.converged:
+        res = replace(res, value=root(qv, 5, mode, ctx) * res.value)
+    return res
 
 
 # -- Schur classification at roots of unity ----------------------------------
@@ -500,7 +487,7 @@ def rr_root_of_unity_spec(n: int, j: int = 1) -> CFSpec:
     def terms(k: int):
         return (_UnitRoot((k - 1) * j % n, n), 1)
 
-    return CFSpec(b0=0, terms=terms, name=f"rr-root-of-unity-{n}-{j}", period=n)
+    return CFSpec(b0=0, terms=terms, period=n)
 
 
 def rr_root_of_unity_direct(n: int, j: int = 1, ctx: Optional[PrecisionContext] = None) -> CFResult:
@@ -522,4 +509,4 @@ def rr_root_of_unity_direct(n: int, j: int = 1, ctx: Optional[PrecisionContext] 
     res = eval_infinite(spec, ctx)
     if not res.converged:
         return res
-    return CFResult(legendre5(n) * res.value, res.iterations, res.status, res.period)
+    return replace(res, value=legendre5(n) * res.value)

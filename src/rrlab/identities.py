@@ -26,6 +26,7 @@ __all__ = [
     "identity_ids",
     "verify",
     "cf2_spec",
+    "cf2_value",
     "jims_identity",
     "asymptotic_check",
 ]
@@ -153,6 +154,10 @@ def _R(q, ctx: PrecisionContext):
     return _qs.R_product(q, RootMode.PRINCIPAL, ctx)
 
 
+def _R_cf(q, ctx: PrecisionContext):
+    return _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).require("R continued fraction")
+
+
 def _euler_prod(q, ctx):
     return _qs.pochhammer_inf(q, q, ctx)
 
@@ -171,7 +176,7 @@ def _entry15a_series_quotient(a, b, q, ctx: PrecisionContext):
     pair = mp.mpf(1)  # (aq;q)_n (q;q)_n
     qn = mp.mpf(1)
     threshold = ctx.stop_tol
-    for n in range(1, ctx.max_iter):
+    for n in _cf.bounded("entry15a double series", ctx):
         qn *= q
         bn *= b
         qn2 *= qn * qn / q
@@ -208,14 +213,12 @@ def _entry15a(point, ctx: PrecisionContext):
     av, bv = ctx.real(a), ctx.real(b)
     lhs = _entry15a_series_quotient(av, bv, q, ctx)
     res = _cf.eval_infinite(_cf.CFSpec(b0=1, terms=lambda k: (bv * q**k, 1 - av * q**k)), ctx)
-    if not res.converged:
-        raise RuntimeError(f"entry15a fraction did not converge at {a},{b},{qf}")
-    yield "", lhs, res.value
+    yield "", lhs, res.require(f"entry15a fraction at a={a}, b={b}, q={qf}")
 
 
 def _cf_vs_product(nome, ctx: PrecisionContext):
     q = nome.value(ctx)
-    yield "", _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).value, _R(q, ctx)
+    yield "", _R_cf(q, ctx), _R(q, ctx)
 
 
 def _modular_grid(samples):
@@ -260,7 +263,7 @@ def factorization_sides(gamma, q, ctx: PrecisionContext):
     prod = mp.mpf(1)
     xn = mp.mpf(1)
     bound = (abs(gamma) + 1) / (1 - abs(x))
-    for _ in range(ctx.max_iter):
+    for _ in _cf.bounded("factorization product", ctx):
         xn *= x
         prod /= 1 + gamma * xn + xn * xn
         if abs(xn) * bound < ctx.stop_tol:
@@ -329,8 +332,8 @@ def _quintic_corollary(nome, ctx: PrecisionContext):
     q = nome.value(ctx)
     p = _sv.p_value(q, ctx)
     u, v = _sv.quintic_uv(p, ctx)
-    rq = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).value
-    rq4 = _cf.rr_cf(q**4, RootMode.PRINCIPAL, ctx).value
+    rq = _R_cf(q, ctx)
+    rq4 = _R_cf(q**4, ctx)
     yield ": 1/R(q) - R(q^4)", 1 / rq - rq4, 2 / u
     yield ": 1/R(q^4) - R(q)", 1 / rq4 - rq, 2 / v
     yield ": u*v", u * v, p
@@ -395,7 +398,13 @@ def cf2_spec() -> _cf.CFSpec:
     def terms(k: int):
         return (1 if k == 1 else k - 1, 1)
 
-    return _cf.CFSpec(b0=0, terms=terms, name="cf2")
+    return _cf.CFSpec(b0=0, terms=terms)
+
+
+def cf2_value(ctx: PrecisionContext) -> tuple:
+    """(value, iterations) of the cf2 fraction; raises ConvergenceError if it stops short."""
+    res = _cf.eval_infinite(cf2_spec(), ctx)
+    return res.require("cf2 continued fraction"), res.iterations
 
 
 def jims_identity(ctx: PrecisionContext) -> dict:
@@ -408,16 +417,14 @@ def jims_identity(ctx: PrecisionContext) -> dict:
         series += term
         n += 1
         term /= 2 * n + 1
-    res = _cf.eval_infinite(cf2_spec(), ctx)
-    if not res.converged:
-        raise RuntimeError(f"cf2 did not converge: {res.status}")
+    cf, iterations = cf2_value(ctx)
     target = mp.sqrt(mp.pi * mp.e / 2)
     return {
         "series": series,
-        "cf": res.value,
-        "sum": series + res.value,
+        "cf": cf,
+        "sum": series + cf,
         "target": target,
-        "iterations": res.iterations,
+        "iterations": iterations,
     }
 
 
@@ -446,26 +453,19 @@ def asymptotic_check(x, ctx: PrecisionContext, include_polynomial: bool = True, 
     if not (0 < x <= ctx.real(Fraction(1, 2))):
         raise ValueError("asymptotic_check requires 0 < x <= 1/2")
     total = mp.mpf(0)
-    n = 1
     threshold = ctx.tol * x
-    while True:
+    for n in _cf.bounded("Gaussian tail sum", ctx):
         term = mp.exp(-((1 + n * x) ** 2) / 2)
         total += term
         if term < threshold:
             break
-        n += 1
-        if n > ctx.max_iter:
-            raise RuntimeError("gaussian tail did not reach the threshold")
     approx = x * mp.sqrt(mp.e) * total
     if include_polynomial:
         approx += x / 2
         for i, d in enumerate(_POLY_DENOMS):
             approx -= x ** (2 * i + 2) / d
     if reference is None:
-        res = _cf.eval_infinite(cf2_spec(), ctx)
-        if not res.converged:
-            raise RuntimeError(f"cf2 did not converge: {res.status}")
-        reference = res.value
+        reference = cf2_value(ctx)[0]
     return {"approx": approx, "reference": reference, "error": abs(approx - reference)}
 
 

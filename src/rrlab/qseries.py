@@ -62,12 +62,11 @@ def pochhammer_inf(a, q, ctx: PrecisionContext):
     aqk = a
     bound_scale = 1 / (1 - aq)
     threshold = ctx.stop_tol
-    for _ in range(ctx.max_iter):
+    for _ in _cf.bounded("q-Pochhammer product", ctx):
         out *= 1 - aqk
         aqk *= q
         if abs(aqk) * bound_scale < threshold:
             return out
-    raise RuntimeError("pochhammer_inf did not reach its tail bound within max_iter")
 
 
 def _rr_sum(q, ctx: PrecisionContext, triangular: bool):
@@ -84,7 +83,7 @@ def _rr_sum(q, ctx: PrecisionContext, triangular: bool):
     qn = mp.mpf(1)  # q^n
     threshold = ctx.stop_tol
     prev = prev2 = None
-    for n in range(1, ctx.max_iter):
+    for _ in _cf.bounded("H series" if triangular else "G series", ctx):
         qn *= q
         num *= qn * qn if triangular else qn * qn / q  # q^(2n) or q^(2n-1)
         den *= 1 - qn
@@ -94,7 +93,6 @@ def _rr_sum(q, ctx: PrecisionContext, triangular: bool):
         if prev is not None and prev2 is not None and t < threshold and t < prev < prev2:
             return total
         prev2, prev = prev, t
-    raise RuntimeError("series did not converge within max_iter")
 
 
 def _rr_function(q, ctx: PrecisionContext, backend: str, triangular: bool):
@@ -144,10 +142,7 @@ def S(q, ctx: Optional[PrecisionContext] = None, method: str = "cf"):
     if not (0 < qv <= 1):
         raise ValueError("S(q) requires real q in (0, 1]")
     if method == "cf":
-        res = _cf.rr_cf(-qv, RootMode.REAL_ODD, ctx)
-        if not res.converged:
-            raise RuntimeError(f"S({qv}) continued fraction did not converge: {res.status}")
-        return -res.value
+        return -_cf.rr_cf(-qv, RootMode.REAL_ODD, ctx).require("S continued fraction")
     if method == "product":
         return -R_product(-qv, RootMode.REAL_ODD, ctx)
     raise ValueError(f"unknown method {method!r}")
@@ -171,13 +166,12 @@ def theta_phi(q, ctx: PrecisionContext):
     threshold = ctx.stop_tol
     power = mp.mpf(1)  # q^(n^2)
     qn = mp.mpf(1)  # q^n
-    for n in range(1, ctx.max_iter):
+    for _ in _cf.bounded("theta series", ctx):
         qn *= qv
         power *= qn * qn / qv  # multiply by q^(2n-1)
         total += 2 * power
         if abs(power) < threshold:
             return total
-    raise RuntimeError("theta series did not converge within max_iter")
 
 
 def _qq(q, n: int):

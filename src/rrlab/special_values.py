@@ -402,8 +402,8 @@ def resolve_quintic_assignment(q, ctx: PrecisionContext) -> QuinticState:
     alpha, beta = quintic_alpha_beta(p, ctx)
     s = mp.sqrt(p + 1) + 1
     cand_u, cand_v = u / s, v / s
-    direct_q = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).value
-    direct_q4 = _cf.rr_cf(q**4, RootMode.PRINCIPAL, ctx).value
+    direct_q = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).require("R continued fraction")
+    direct_q4 = _cf.rr_cf(q**4, RootMode.PRINCIPAL, ctx).require("R continued fraction")
     straight = max(abs(cand_u - direct_q), abs(cand_v - direct_q4))
     swapped = max(abs(cand_v - direct_q), abs(cand_u - direct_q4))
     if straight <= swapped:
@@ -571,10 +571,7 @@ def _direct_values(entry: SpecialValueEntry, ctx: PrecisionContext) -> dict:
         return out
     q = entry.nome.value(ctx)
     if entry.kind == "R-value":
-        res = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx)
-        if not res.converged:
-            raise RuntimeError(f"{entry.name}: continued fraction did not converge")
-        out["cf"] = res.value
+        out["cf"] = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).require("R continued fraction")
         if abs(q) < 1:
             out["product"] = _qs.R_product(q, RootMode.PRINCIPAL, ctx)
     else:  # S-value

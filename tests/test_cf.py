@@ -1,16 +1,19 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rrlab
 from rrlab.cf import (
     CFSpec,
     CFStatus,
+    ConvergenceError,
     DivergenceError,
-    Prefactor,
     ZeroDenominatorError,
+    bounded,
     convergents,
     eval_finite,
     eval_infinite,
@@ -52,20 +55,6 @@ def test_finite_zero_denominator_reports_depth():
     with pytest.raises(ZeroDenominatorError) as err:
         eval_finite(spec, 2)
     assert err.value.depth == 1
-
-
-def test_prefactor_denominator_validation():
-    with pytest.raises(ValueError):
-        Prefactor(2, Fraction(1, 3))
-
-
-def test_finite_fractional_prefactor_needs_context(ctx):
-    spec = CFSpec(b0=Fraction(1), terms=lambda k: (Fraction(1), Fraction(1)),
-                  prefactor=Prefactor(2, Fraction(1, 5)))
-    with pytest.raises(ValueError):
-        eval_finite(spec, 2)
-    val = eval_finite(spec, 2, ctx)
-    assert abs(val - ctx.mp.root(2, 5) * Fraction(3, 2)) < ctx.tol
 
 
 @given(
@@ -160,6 +149,35 @@ def test_max_iterations_status(ctx):
     res = rr_cf(small.real(Fraction(9, 10)), ctx=small)
     assert res.status is CFStatus.MAX_ITERATIONS
     assert res.iterations == 50
+    with pytest.raises(ConvergenceError) as err:
+        res.require("R continued fraction")
+    assert (err.value.route, err.value.status, err.value.iterations) == (
+        "R continued fraction", CFStatus.MAX_ITERATIONS, 50,
+    )
+    assert str(err.value) == "R continued fraction did not converge: max-iterations after 50 iterations"
+
+
+def test_require_returns_converged_value(ctx):
+    res = rr_cf(1, ctx=ctx)
+    assert res.require("R continued fraction") is res.value
+
+
+def test_bounded_loop_raises_at_the_cap():
+    small = PrecisionContext(256, 32, max_iter=5)
+    seen = []
+    with pytest.raises(ConvergenceError) as err:
+        for k in bounded("demo loop", small):
+            seen.append(k)
+    assert seen == [1, 2, 3, 4, 5]
+    assert isinstance(err.value, RuntimeError)
+    assert str(err.value) == "demo loop did not converge: max-iterations after 5 iterations"
+
+
+def test_src_raises_no_bare_runtime_error():
+    # non-convergence has one exception type, ConvergenceError
+    src = Path(rrlab.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py")) if "raise RuntimeError(" in p.read_text()]
+    assert offenders == []
 
 
 def test_legendre5_examples():

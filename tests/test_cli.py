@@ -42,9 +42,30 @@ def test_eval_requires_argument(capsys):
     assert "required" in err
 
 
-def test_eval_nonconvergence_exit_code(capsys):
-    code, _, _ = run(capsys, "eval", "R", "--q", "9/10", "--max-iter", "50")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("eval", t, "--q", "99/100", "--max-iter", "50"), id=t)
+        for t in ("R", "S", "G", "chi")
+    ]
+    + [
+        pytest.param(("eval", "phi", "--q", "999/1000", "--max-iter", "50"), id="phi"),
+        pytest.param(("eval", "cf2", "--max-iter", "100"), id="cf2"),
+        pytest.param(("verify", "jims", "--max-iter", "100"), id="verify-jims"),
+        pytest.param(("asymptotic", "1/20", "--max-iter", "100"), id="asymptotic"),
+        pytest.param(("values", "check", "eq3", "--max-iter", "5"), id="values-eq3"),
+    ]
+    + [
+        pytest.param(("verify", i, "--max-iter", "500", "--samples", "2"), id=i)
+        for i in ("factorization-1", "factorization-product")
+    ],
+)
+def test_eval_nonconvergence_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
     assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: ") and "did not converge" in lines[0], err
 
 
 def test_bits_floor_is_usage_error(capsys):
