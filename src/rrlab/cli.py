@@ -90,7 +90,12 @@ def cmd_eval(args, config: RunConfig) -> int:
     mode = RootMode.REAL_ODD if args.mode == "real-odd" else RootMode.PRINCIPAL
     value, iterations = _eval_target(args.target, args.nome, mode, ctx)
     # precision-doubling self-check
-    value2, _ = _eval_target(args.target, args.nome, mode, ctx.doubled())
+    doubled = ctx.doubled()
+    try:
+        value2, _ = _eval_target(args.target, args.nome, mode, doubled)
+    except _cf.ConvergenceError as exc:
+        route = f"{exc.route} (precision self-check at {doubled.bits} bits)"
+        raise _cf.ConvergenceError(route, exc.status, exc.iterations) from exc
     bits_ok = agree_bits(value, value2, ctx)
     payload = {
         "target": args.target,

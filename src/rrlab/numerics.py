@@ -76,9 +76,14 @@ class PrecisionContext:
         return self.mp.ldexp(1, -(self.bits - self.guard_bits))
 
     @property
+    def stop_bits(self) -> int:
+        """-log2 of stop_tol."""
+        return self.bits - self.guard_bits + SAFETY_BITS
+
+    @property
     def stop_tol(self):
         """Internal stopping threshold, SAFETY_BITS below tol."""
-        return self.mp.ldexp(1, -(self.bits - self.guard_bits + SAFETY_BITS))
+        return self.mp.ldexp(1, -self.stop_bits)
 
     @property
     def noise_floor(self):

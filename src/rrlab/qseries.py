@@ -2,8 +2,10 @@
 functions, finite-form mu/nu polynomials, and exact series expansions.
 
 Numeric routines take a PrecisionContext and truncate with tail bounds tied
-to the context tolerance.  The finite q-Pochhammer product and the mu/nu sums
-operate on whatever number type they are given and are exact on rationals.
+to the context tolerance; the infinite products and series take real
+arguments and run on fixed-point integers (``_fixed``).  The finite
+q-Pochhammer product and the mu/nu sums operate on whatever number type they
+are given and are exact on rationals.
 """
 
 from __future__ import annotations
@@ -43,56 +45,84 @@ def pochhammer(a, q, n: int):
     return out
 
 
-def pochhammer_inf(a, q, ctx: PrecisionContext):
-    """Infinite q-Pochhammer (a; q)_inf for |q| < 1.
+def _fixed(ctx: PrecisionContext, route: str, q, *xs):
+    """The fixed-point width W of the context, and q and each x as int(v * 2^W).
 
-    Truncates once the remaining factors are within tolerance of 1:
-    |a|*|q|^N / (1 - |q|) below the internal threshold bounds the relative
-    truncation error.
+    W = bits + guard_bits + bit_length(max_iter), so a loop of at most max_iter
+    steps that loses one unit of 2^-W per step stays guard_bits clear of the
+    context's precision.  An int mantissa m with exponent e converts back as
+    ``ctx.mp.mpf((m, e))``.  Raises ValueError unless all are real and |q| < 1.
     """
-    mp = ctx.mp
-    a = ctx.number(a)
-    q = ctx.number(q)
-    aq = abs(q)
-    if aq >= 1:
-        raise ValueError("pochhammer_inf requires |q| < 1")
-    if a == 0:
-        return mp.mpf(1)
-    out = mp.mpf(1)
-    aqk = a
-    bound_scale = 1 / (1 - aq)
-    threshold = ctx.stop_tol
-    for _ in _cf.bounded("q-Pochhammer product", ctx):
-        out *= 1 - aqk
-        aqk *= q
-        if abs(aqk) * bound_scale < threshold:
-            return out
+    width = ctx.bits + ctx.guard_bits + ctx.max_iter.bit_length()
+    out = []
+    for x in (q, *xs):
+        v = ctx.number(x)
+        if isinstance(v, ctx.mp.mpc):
+            raise ValueError(f"{route} takes real arguments, got {v}")
+        out.append(int(ctx.mp.ldexp(v, width)))
+    if abs(out[0]) >= 1 << width:
+        raise ValueError(f"{route} requires |q| < 1")
+    return width, out
+
+
+def pochhammer_inf(a, q, ctx: PrecisionContext):
+    """Infinite q-Pochhammer (a; q)_inf for real a and real |q| < 1.
+
+    Runs on integers: a*q^k at scale 2^W (see ``_fixed``) and the product as a
+    W-bit mantissa with a binary exponent, renormalised after every factor.
+    Truncates once the remaining factors are within tolerance of 1:
+    |a*q^N| / (1 - |q|) below ctx.stop_tol bounds the relative truncation error.
+    """
+    route = "q-Pochhammer product"
+    w, (step, aqk) = _fixed(ctx, route, q, a)
+    if aqk == 0:
+        return ctx.mp.mpf(1)
+    one = 1 << w
+    limit = -(-(one - abs(step)) >> ctx.stop_bits)  # |aqk| < limit: tail below stop_tol
+    man, exp = one, -w
+    for _ in _cf.bounded(route, ctx):
+        man *= one - aqk
+        if not man:
+            return ctx.mp.mpf(0)
+        shift = man.bit_length() - w
+        man >>= shift
+        exp += shift - w
+        aqk = aqk * step >> w
+        if abs(aqk) < limit:
+            return ctx.mp.mpf((man, exp))
 
 
 def _rr_sum(q, ctx: PrecisionContext, triangular: bool):
-    """sum q^(n^2) / (q;q)_n (triangular=False) or q^(n(n+1)) / (q;q)_n."""
-    mp = ctx.mp
-    q = ctx.number(q)
-    if abs(q) >= 1:
-        raise ValueError("Rogers-Ramanujan series require |q| < 1")
-    total = mp.mpf(1)  # n = 0 term
-    if q == 0:
-        return total
-    num = mp.mpf(1)  # q^(n^2) or q^(n(n+1))
-    den = mp.mpf(1)  # (q;q)_n
-    qn = mp.mpf(1)  # q^n
-    threshold = ctx.stop_tol
-    prev = prev2 = None
-    for _ in _cf.bounded("H series" if triangular else "G series", ctx):
-        qn *= q
-        num *= qn * qn if triangular else qn * qn / q  # q^(2n) or q^(2n-1)
-        den *= 1 - qn
-        term = num / den
+    """sum q^(n^2) / (q;q)_n (triangular=False) or q^(n(n+1)) / (q;q)_n, real |q| < 1.
+
+    The term t_n = t_(n-1) * q^(2n-1 or 2n) / (1 - q^n) and the total share one
+    binary exponent, renormalised by bit_length to keep them at W bits (see
+    ``_fixed``).  rho_n = |q|^(2n+1 or 2n+2) / (1 - |q|^(n+1)) decreases in n and
+    bounds |t_(k+1)/t_k| for every k >= n, so the tail after t_n is at most
+    |t_n| rho_n / (1 - rho_n); the sum stops once that is within
+    ctx.stop_tol * max(1, |total|).
+    """
+    route = "H series" if triangular else "G series"
+    w, (x,) = _fixed(ctx, route, q)
+    one = 1 << w
+    x2 = x * x >> w
+    qn, lead = x, (x2 if triangular else x)  # q^n and q^(2n) or q^(2n-1), n = 1
+    term = total = unit = one  # unit: 1 at the shared exponent
+    exp = -w
+    for _ in _cf.bounded(route, ctx):
+        term = term * lead // (one - qn)
         total += term
-        t = abs(term)
-        if prev is not None and prev2 is not None and t < threshold and t < prev < prev2:
-            return total
-        prev2, prev = prev, t
+        qn = qn * x >> w
+        lead = lead * x2 >> w
+        gap = one - abs(qn) - abs(lead)  # (1 - rho_n) * (1 - |q|^(n+1)) * 2^W
+        if gap > 0 and abs(term) * abs(lead) << ctx.stop_bits <= max(abs(total), unit) * gap:
+            return ctx.mp.mpf((total, exp))
+        shift = max(term.bit_length(), total.bit_length()) - w
+        if shift > 0:
+            term >>= shift
+            total >>= shift
+            unit = max(unit >> shift, 1)
+            exp += shift
 
 
 def _rr_function(q, ctx: PrecisionContext, backend: str, triangular: bool):
@@ -155,23 +185,23 @@ def chi(q, ctx: PrecisionContext):
 
 
 def theta_phi(q, ctx: PrecisionContext):
-    """Theta function 1 + 2*sum_{n>=1} q^(n^2), truncated at the tolerance."""
-    mp = ctx.mp
-    qv = ctx.number(q)
-    if abs(qv) >= 1:
-        raise ValueError("theta_phi requires |q| < 1")
-    total = mp.mpf(1)
-    if qv == 0:
-        return total
-    threshold = ctx.stop_tol
-    power = mp.mpf(1)  # q^(n^2)
-    qn = mp.mpf(1)  # q^n
-    for _ in _cf.bounded("theta series", ctx):
-        qn *= qv
-        power *= qn * qn / qv  # multiply by q^(2n-1)
+    """Theta function 1 + 2*sum_{n>=1} q^(n^2) for real |q| < 1.
+
+    Sums at scale 2^W (see ``_fixed``) until a term q^(n^2) is below ctx.stop_tol.
+    """
+    route = "theta series"
+    w, (x,) = _fixed(ctx, route, q)
+    one = 1 << w
+    limit = -(-one >> ctx.stop_bits)  # stop_tol at scale 2^W, rounded up
+    x2 = x * x >> w
+    total = power = one  # power: q^(n^2)
+    odd = x  # q^(2n-1)
+    for _ in _cf.bounded(route, ctx):
+        power = power * odd >> w
         total += 2 * power
-        if abs(power) < threshold:
-            return total
+        if abs(power) < limit:
+            return ctx.mp.mpf((total, -w))
+        odd = odd * x2 >> w
 
 
 def _qq(q, n: int):

@@ -43,29 +43,32 @@ def test_eval_requires_argument(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, says",
     [
-        pytest.param(("eval", t, "--q", "99/100", "--max-iter", "50"), id=t)
+        pytest.param(("eval", t, "--q", "99/100", "--max-iter", "50"), "", id=t)
         for t in ("R", "S", "G", "chi")
     ]
     + [
-        pytest.param(("eval", "phi", "--q", "999/1000", "--max-iter", "50"), id="phi"),
-        pytest.param(("eval", "cf2", "--max-iter", "100"), id="cf2"),
-        pytest.param(("verify", "jims", "--max-iter", "100"), id="verify-jims"),
-        pytest.param(("asymptotic", "1/20", "--max-iter", "100"), id="asymptotic"),
-        pytest.param(("values", "check", "eq3", "--max-iter", "5"), id="values-eq3"),
+        pytest.param(("eval", "phi", "--q", "999/1000", "--max-iter", "50"), "", id="phi"),
+        pytest.param(("eval", "cf2", "--max-iter", "100"), "", id="cf2"),
+        # 256 bits converge in 6,864 iterations; the 512-bit self-check runs out
+        pytest.param(("eval", "cf2", "--max-iter", "10000"), "512", id="cf2-self-check"),
+        pytest.param(("verify", "jims", "--max-iter", "100"), "", id="verify-jims"),
+        pytest.param(("asymptotic", "1/20", "--max-iter", "100"), "", id="asymptotic"),
+        pytest.param(("values", "check", "eq3", "--max-iter", "5"), "", id="values-eq3"),
     ]
     + [
-        pytest.param(("verify", i, "--max-iter", "500", "--samples", "2"), id=i)
+        pytest.param(("verify", i, "--max-iter", "500", "--samples", "2"), "", id=i)
         for i in ("factorization-1", "factorization-product")
     ],
 )
-def test_eval_nonconvergence_exit_code(capsys, argv):
+def test_eval_nonconvergence_exit_code(capsys, argv, says):
     code, _, err = run(capsys, *argv)
     assert code == 3
     lines = err.splitlines()
     assert len(lines) == 1, err
     assert lines[0].startswith("error: ") and "did not converge" in lines[0], err
+    assert says in lines[0], err
 
 
 def test_bits_floor_is_usage_error(capsys):

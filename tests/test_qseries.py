@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrlab import cf
 from rrlab.cf import eval_finite, rr_cf, CFSpec
 from rrlab.numerics import PrecisionContext, RootMode, agree_bits, golden_phi, root
 from rrlab.qseries import (
@@ -196,3 +197,99 @@ def test_series_R_matches_numeric(ctx):
     val = sum(ctx.real(c) * t**e for e, c in zip(range(r.offset, r.order + 1), r.coeffs))
     direct = R_product(q, ctx=ctx)
     assert abs(val - direct) < ctx.mp.mpf(10) ** -28  # truncation at t^150 = q^30
+
+
+# -- fixed-point kernels --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kernel, q, terms",
+    [
+        pytest.param(kernel, Fraction(q), terms, id=f"{kernel.__name__}-{q}")
+        for kernel, q, terms in (
+            (G, "9999/10000", 5768),
+            (H, "9999/10000", 5768),
+            (G, "99999/100000", 51110),
+            (H, "99999/100000", 51109),
+            (chi, "99/100", 8333),
+            (theta_phi, "999/1000", 405),
+        )
+    ],
+)
+def test_kernel_term_counts(monkeypatch, ctx, kernel, q, terms):
+    # the number of indices cf.bounded yields pins each stop rule exactly
+    counted = []
+    bounded = cf.bounded
+
+    def counting(route, ctx):
+        for k in bounded(route, ctx):
+            counted.append(k)
+            yield k
+
+    monkeypatch.setattr(cf, "bounded", counting)
+    kernel(ctx.real(q), ctx)
+    assert len(counted) == terms
+
+
+def _triple_product_sum(mp, q, c):
+    """sum over all integers n of (-1)^n q^(n(5n-c)/2), summed by mpmath with
+    the precision its cancellation needs."""
+
+    def terms():
+        yield mp.one
+        up, down = mp.one, mp.one  # q^(n(5n-c)/2) and q^(n(5n+c)/2)
+        up_step, down_step = q ** ((5 - c) // 2), q ** ((5 + c) // 2)
+        q5 = q**5
+        sign = 1
+        while True:
+            up, down, sign = up * up_step, down * down_step, -sign
+            up_step, down_step = up_step * q5, down_step * q5
+            yield sign * up
+            yield sign * down
+
+    return mp.sum_accurately(terms)
+
+
+_REF_NOMES = [Fraction(n, d) for n, d in ((-99, 100), (-1, 2), (1, 10), (1, 2), (99, 100), (999, 1000))]
+
+
+@pytest.mark.parametrize(
+    "q, bits",
+    [
+        pytest.param(q, bits, id=f"{q}-{bits}")
+        for bits in (256, 512, 1024)
+        for q in _REF_NOMES
+        if bits < 1024 or abs(q) <= Fraction(99, 100)
+    ],
+)
+def test_kernels_match_mpmath(q, bits):
+    # references from mpmath alone, 64 bits above the kernel, on the same rounded q:
+    # qp and jtheta, and G, H as (q^5; q^5)_inf over their Jacobi triple product sums
+    ctx = PrecisionContext(bits, 32)
+    mp = PrecisionContext(bits + 64, 32).mp
+    want = ctx.bits - ctx.guard_bits
+    qv = ctx.real(q)
+    q5 = qv**5
+    euler5 = mp.qp(q5)
+    assert agree_bits(pochhammer_inf(q5, q5, ctx) / euler5, 1, ctx) >= want
+    if abs(q) <= Fraction(1, 2):
+        assert agree_bits(chi(qv, ctx) / mp.qp(-qv, qv**2), 1, ctx) >= want
+    assert agree_bits(G(qv, ctx), euler5 / _triple_product_sum(mp, mp.mpf(qv), 3), ctx) >= want
+    assert agree_bits(H(qv, ctx), euler5 / _triple_product_sum(mp, mp.mpf(qv), 1), ctx) >= want
+    assert agree_bits(theta_phi(qv, ctx), mp.jtheta(3, 0, mp.mpf(qv)), ctx) >= want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda c: pochhammer_inf(0.5j, 0.5, c), id="pochhammer_inf-a"),
+        pytest.param(lambda c: pochhammer_inf(0.5, 0.5j, c), id="pochhammer_inf-q"),
+        pytest.param(lambda c: G(0.5j, c), id="G"),
+        pytest.param(lambda c: H(0.25 + 0.25j, c), id="H"),
+        pytest.param(lambda c: chi(0.5j, c), id="chi"),
+        pytest.param(lambda c: theta_phi(-0.5j, c), id="theta_phi"),
+    ],
+)
+def test_kernels_refuse_complex(ctx, call):
+    with pytest.raises(ValueError, match="real"):
+        call(ctx)
