@@ -41,7 +41,6 @@ class UsageError(Exception):
 class RunConfig:
     precision_bits: int = 256
     guard_bits: int = 32
-    tol_digits: Optional[int] = None
     max_iter: int = 10**6
     format: str = "text"
     invariants_file: Optional[str] = None
@@ -181,7 +180,6 @@ def cmd_verify(args, config: RunConfig) -> int:
                     ctx,
                     samples=config.samples,
                     series_order=config.series_order,
-                    tol_digits=config.tol_digits,
                 )
             )
         except _id.UnknownIdentityError as exc:
@@ -270,7 +268,6 @@ def _add_common(parser: argparse.ArgumentParser, trailing: bool):
     parser.add_argument("--bits", type=int, default=d(256), help="working precision in bits (>= 64)")
     parser.add_argument("--guard-bits", type=int, default=d(32))
     parser.add_argument("--max-iter", type=int, default=d(10**6))
-    parser.add_argument("--tol-digits", type=int, default=d(None))
     parser.add_argument("--format", choices=("text", "json", "csv"), default=d("text"))
     parser.add_argument(
         "--invariants", default=d(None), metavar="FILE",
@@ -345,7 +342,6 @@ def main(argv=None) -> int:
         config = RunConfig(
             precision_bits=args.bits,
             guard_bits=args.guard_bits,
-            tol_digits=args.tol_digits,
             max_iter=args.max_iter,
             format=args.format,
             invariants_file=args.invariants,

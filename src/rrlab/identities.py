@@ -1,8 +1,8 @@
 """Identity verification registry: numeric sweeps and exact series checks.
 
 Each registered identity pairs left/right evaluators over a sample domain.
-Numeric verification records per-sample deviations against a digit threshold
-(60 digits at 256 bits, scaled linearly with precision).  Identities with
+Numeric verification records per-sample deviations and passes each one below
+the context tolerance tol = 2^-(bits - guard_bits).  Identities with
 exact integer series on both sides are additionally checked coefficient by
 coefficient, with zero tolerance.
 """
@@ -36,11 +36,6 @@ class UnknownIdentityError(KeyError):
     pass
 
 
-def default_tol_digits(ctx: PrecisionContext) -> int:
-    """Digit threshold for numeric identities: 60 at 256 bits, linear in bits."""
-    return max(1, (60 * ctx.bits) // 256)
-
-
 @dataclass(frozen=True)
 class IdentityCase:
     id: str
@@ -53,7 +48,6 @@ class IdentityCase:
 class VerificationReport:
     id: str
     bits: int
-    tol_digits: int
     records: list = field(default_factory=list)
     excluded: list = field(default_factory=list)
     max_deviation: object = 0
@@ -613,12 +607,10 @@ def verify(
     ctx: PrecisionContext,
     samples: int = 10,
     series_order: int = 150,
-    tol_digits: Optional[int] = None,
 ) -> VerificationReport:
     """Run one identity's verification; returns a per-sample report.
 
-    tol_digits overrides the digit threshold (default: 60 digits at 256 bits,
-    scaled linearly with precision).
+    A numeric record passes when its deviation is below ctx.tol.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -628,10 +620,7 @@ def verify(
         raise UnknownIdentityError(
             f"unknown identity {id!r}; known: {', '.join(identity_ids())}"
         ) from None
-    if tol_digits is None:
-        tol_digits = default_tol_digits(ctx)
-    threshold = ctx.mp.mpf(10) ** (-tol_digits)
-    report = VerificationReport(id=id, bits=ctx.bits, tol_digits=tol_digits)
+    report = VerificationReport(id=id, bits=ctx.bits)
     max_dev = ctx.mp.mpf(0)
     ok = True
     if case.numeric is not None:
@@ -642,7 +631,7 @@ def verify(
             dev = ctx.mp.mpf(r["abs_dev"])
             if dev > max_dev:
                 max_dev = dev
-            if not dev < threshold:
+            if not dev < ctx.tol:
                 ok = False
     if case.formal is not None:
         for label, lhs, rhs, through in case.formal(series_order):

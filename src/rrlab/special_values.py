@@ -1,10 +1,11 @@
 """Closed-form special values, class invariants, and the quintic machinery.
 
-Closed forms are exact expression trees over integers, the constants pi, e,
-and the golden ratio, and rational powers/roots, so they can be evaluated at
-any precision.  Every registry entry pairs a Nome with its closed form;
-verification evaluates the continued fraction (and, where available, the
-infinite product) at the nome and compares.
+Closed forms are plain data in one prefix format: nested tuples over
+integers, the constants pi, e and the golden ratio, and roots and rational
+powers, so they can be evaluated at any precision.  The invariants config
+writes the same format as JSON lists.  Every registry entry pairs a Nome with
+its closed form; verification evaluates the continued fraction (and, where
+available, the infinite product) at the nome and compares.
 
 Class invariants are tabulated for n = 1 and n = 25 and may be extended from
 a JSON config file; every loaded entry is validated against the defining
@@ -24,15 +25,6 @@ from . import qseries as _qs
 from .numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
 
 __all__ = [
-    "Expr",
-    "Integer",
-    "Const",
-    "Add",
-    "Mul",
-    "Neg",
-    "Div",
-    "Root",
-    "Power",
     "evaluate",
     "expr_str",
     "parse_prefix",
@@ -54,189 +46,115 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-# -- closed-form expression trees ----------------------------------------------
+# -- closed forms ----------------------------------------------------------------
+#
+# A closed form is plain data: an int, one of the names in _CONSTANTS, or a
+# tuple (op, *args) with op one of
+#     ("+", x, y, ...)   ("-", x)   ("*", x, y, ...)   ("/", x, y)
+#     ("root", k, x)     ("^", x, Fraction)
+# This is the prefix grammar of the invariants config, read by parse_prefix,
+# plus "^", which only the registry uses.
+
+_CONSTANTS = ("pi", "e", "phi")
 
 
-class Expr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Integer(Expr):
-    n: int
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    name: str  # "pi", "e", "phi"
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    num: Expr
-    den: Expr
-
-
-@dataclass(frozen=True)
-class Root(Expr):
-    degree: int
-    arg: Expr
-    mode: RootMode = RootMode.PRINCIPAL
-
-
-@dataclass(frozen=True)
-class Power(Expr):
-    base: Expr
-    exponent: Fraction
-    mode: RootMode = RootMode.PRINCIPAL
-
-
-def evaluate(expr: Expr, ctx: PrecisionContext):
+def evaluate(expr, ctx: PrecisionContext):
     """Numeric value of a closed form at context precision (deterministic)."""
     mp = ctx.mp
-    if isinstance(expr, Integer):
-        return mp.mpf(expr.n)
-    if isinstance(expr, Const):
-        if expr.name == "pi":
-            return +mp.pi
-        if expr.name == "e":
-            return +mp.e
-        if expr.name == "phi":
-            return golden_phi(ctx)
-        raise ValueError(f"unknown constant {expr.name!r}")
-    if isinstance(expr, Add):
+    if isinstance(expr, int):
+        return mp.mpf(expr)
+    if isinstance(expr, str) and expr in _CONSTANTS:
+        return golden_phi(ctx) if expr == "phi" else +getattr(mp, expr)
+    op, *args = expr if isinstance(expr, tuple) and expr else (None,)
+    if op == "+":
         total = mp.mpf(0)
-        for t in expr.terms:
+        for t in args:
             total += evaluate(t, ctx)
         return total
-    if isinstance(expr, Mul):
+    if op == "*":
         total = mp.mpf(1)
-        for f in expr.factors:
+        for f in args:
             total *= evaluate(f, ctx)
         return total
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, ctx)
-    if isinstance(expr, Div):
-        return evaluate(expr.num, ctx) / evaluate(expr.den, ctx)
-    if isinstance(expr, Root):
-        return root(evaluate(expr.arg, ctx), expr.degree, expr.mode, ctx)
-    if isinstance(expr, Power):
-        base = evaluate(expr.base, ctx)
-        e = expr.exponent
+    if op == "-":
+        return -evaluate(args[0], ctx)
+    if op == "/":
+        return evaluate(args[0], ctx) / evaluate(args[1], ctx)
+    if op == "root":
+        return root(evaluate(args[1], ctx), args[0], RootMode.PRINCIPAL, ctx)
+    if op == "^":
+        base, e = evaluate(args[0], ctx), args[1]
         if e.denominator == 1:
             return base**e.numerator
-        return root(base, e.denominator, expr.mode, ctx) ** e.numerator
-    raise TypeError(f"not a closed-form node: {expr!r}")
+        return root(base, e.denominator, RootMode.PRINCIPAL, ctx) ** e.numerator
+    raise TypeError(f"not a closed form: {expr!r}")
 
 
-def expr_str(expr: Expr) -> str:
-    if isinstance(expr, Integer):
-        return str(expr.n)
-    if isinstance(expr, Const):
-        return expr.name
-    if isinstance(expr, Add):
-        return "(" + " + ".join(expr_str(t) for t in expr.terms) + ")"
-    if isinstance(expr, Mul):
-        return "*".join(expr_str(f) for f in expr.factors)
-    if isinstance(expr, Neg):
-        return f"-{expr_str(expr.arg)}"
-    if isinstance(expr, Div):
-        return f"({expr_str(expr.num)}/{expr_str(expr.den)})"
-    if isinstance(expr, Root):
-        if expr.degree == 2:
-            return f"sqrt({expr_str(expr.arg)})"
-        return f"root({expr.degree}, {expr_str(expr.arg)})"
-    if isinstance(expr, Power):
-        return f"{expr_str(expr.base)}^({expr.exponent})"
-    raise TypeError(f"not a closed-form node: {expr!r}")
+def expr_str(expr) -> str:
+    """Infix text of a closed form, as `values list` prints it."""
+    if isinstance(expr, int) or (isinstance(expr, str) and expr in _CONSTANTS):
+        return str(expr)
+    op, *args = expr if isinstance(expr, tuple) and expr else (None,)
+    if op == "+":
+        return "(" + " + ".join(map(expr_str, args)) + ")"
+    if op == "*":
+        return "*".join(map(expr_str, args))
+    if op == "-":
+        return f"-{expr_str(args[0])}"
+    if op == "/":
+        return f"({expr_str(args[0])}/{expr_str(args[1])})"
+    if op == "root":
+        k, x = args
+        return f"sqrt({expr_str(x)})" if k == 2 else f"root({k}, {expr_str(x)})"
+    if op == "^":
+        return f"{expr_str(args[0])}^({args[1]})"
+    raise TypeError(f"not a closed form: {expr!r}")
 
 
-# builders used throughout the registry
-def _i(n: int) -> Expr:
-    return Integer(n)
+def _sub(a, b):
+    return ("+", a, ("-", b))
 
 
-def _add(*terms) -> Expr:
-    return Add(tuple(terms))
+SQRT5 = ("root", 2, 5)
 
 
-def _mul(*factors) -> Expr:
-    return Mul(tuple(factors))
+def parse_prefix(obj):
+    """Check a closed form read from JSON and return it as a closed form.
 
-
-def _sub(a, b) -> Expr:
-    return Add((a, Neg(b)))
-
-
-def _div(a, b) -> Expr:
-    return Div(a, b)
-
-
-def _sqrt(x) -> Expr:
-    return Root(2, x)
-
-
-PHI = Const("phi")
-SQRT5 = _sqrt(_i(5))
-
-
-def parse_prefix(obj) -> Expr:
-    """Parse the small prefix grammar used by invariant config files.
-
-    Grammar: integers; the strings "phi", "pi", "e"; and JSON lists
-    ["+", x, y, ...], ["-", x, y] or ["-", x], ["*", x, y, ...],
-    ["/", x, y], ["root", k, x].
+    Grammar: integers (JSON booleans are refused); the strings "phi", "pi",
+    "e"; and JSON lists ["+", x, y, ...], ["-", x, y] or ["-", x],
+    ["*", x, y, ...], ["/", x, y], ["root", k, x].  A binary ["-", x, y]
+    becomes ("+", x, ("-", y)).
     """
-    if isinstance(obj, int):
-        return Integer(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
     if isinstance(obj, str):
-        if obj in ("phi", "pi", "e"):
-            return Const(obj)
+        if obj in _CONSTANTS:
+            return obj
         raise ValueError(f"unknown symbol {obj!r} in closed-form expression")
     if isinstance(obj, list) and obj:
         op, *args = obj
-        if op == "+" and len(args) >= 2:
-            return Add(tuple(parse_prefix(a) for a in args))
-        if op == "-" and len(args) == 1:
-            return Neg(parse_prefix(args[0]))
-        if op == "-" and len(args) == 2:
+        n = len(args)
+        if op == "-" and n == 2:
             return _sub(parse_prefix(args[0]), parse_prefix(args[1]))
-        if op == "*" and len(args) >= 2:
-            return Mul(tuple(parse_prefix(a) for a in args))
-        if op == "/" and len(args) == 2:
-            return Div(parse_prefix(args[0]), parse_prefix(args[1]))
-        if op == "root" and len(args) == 2 and isinstance(args[0], int):
-            return Root(args[0], parse_prefix(args[1]))
-        raise ValueError(f"malformed closed-form expression: {obj!r}")
+        if (op in ("+", "*") and n >= 2) or (op == "-" and n == 1) or (op == "/" and n == 2):
+            return (op, *map(parse_prefix, args))
+        if op == "root" and n == 2 and type(args[0]) is int:
+            return ("root", args[0], parse_prefix(args[1]))
     raise ValueError(f"malformed closed-form expression: {obj!r}")
 
 
 # -- parametrized value machinery -----------------------------------------------
 
 
-def _c_expr(a: Expr, b: Expr) -> Expr:
+def _c_expr(a, b):
     """c with 2c = 1 + ((a+b)/(a-b)) * sqrt(5); needs a != b."""
-    return _div(_add(_i(1), _mul(_div(_add(a, b), _sub(a, b)), SQRT5)), _i(2))
+    return ("/", ("+", 1, ("*", ("/", ("+", a, b), _sub(a, b)), SQRT5)), 2)
 
 
-def _value_from_c_expr(c: Expr) -> Expr:
+def _value_from_c_expr(c):
     """sqrt(c^2 + 1) - c; strictly decreasing, maps (0, inf) into (0, 1)."""
-    return _sub(_sqrt(_add(_mul(c, c), _i(1))), c)
+    return _sub(("root", 2, ("+", ("*", c, c), 1)), c)
 
 
 # -- class invariants -----------------------------------------------------------
@@ -260,14 +178,14 @@ class InvariantTable:
 
     def __init__(self):
         self._entries: dict = {
-            Fraction(1): Integer(1),
-            Fraction(25): PHI,
+            Fraction(1): 1,
+            Fraction(25): "phi",
         }
 
     def known(self) -> list:
         return sorted(self._entries)
 
-    def get(self, n) -> Expr:
+    def get(self, n):
         n = Fraction(n)
         try:
             return self._entries[n]
@@ -283,9 +201,12 @@ class InvariantTable:
         q = Nome.exp_sqrt(n).value(ctx)
         return mp.root(2, 4) ** -1 * q ** (-mp.mpf(1) / 24) * _qs.chi(q, ctx)
 
-    def validate(self, n, expr: Expr, ctx: PrecisionContext):
+    def validate(self, n, expr, ctx: PrecisionContext):
         n = Fraction(n)
-        claimed = evaluate(expr, ctx)
+        try:
+            claimed = evaluate(expr, ctx)
+        except ZeroDivisionError:
+            raise InvariantConfigError(f"invariant entry n = {n} divides by zero") from None
         direct = self.direct_value(n, ctx)
         dev = abs(claimed - direct)
         if not dev < ctx.tol:
@@ -297,7 +218,7 @@ class InvariantTable:
         if n != 1 and not claimed > 1:
             raise InvariantConfigError(f"invariant entry n = {n} must exceed 1")
 
-    def add(self, n, expr: Expr, ctx: PrecisionContext):
+    def add(self, n, expr, ctx: PrecisionContext):
         self.validate(n, expr, ctx)
         self._entries[Fraction(n)] = expr
 
@@ -309,6 +230,8 @@ class InvariantTable:
             raise InvariantConfigError("invariants config must be a JSON list")
         for item in data:
             try:
+                if isinstance(item["n"], bool):
+                    raise ValueError("n must be a rational, not a boolean")
                 n = Fraction(item["n"])
                 expr = parse_prefix(item["closed_form"])
             except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
@@ -431,7 +354,7 @@ class SpecialValueEntry:
     name: str
     kind: str  # "R-value", "S-value", "theta-quotient"
     nome: Nome
-    closed_form: Expr
+    closed_form: object  # a closed form, see evaluate
     provenance: str
 
     def closed_value(self, ctx: PrecisionContext):
@@ -439,31 +362,28 @@ class SpecialValueEntry:
 
 
 def _registry_entries() -> tuple:
-    inv_phi = _div(_sub(SQRT5, _i(1)), _i(2))
+    inv_phi = ("/", _sub(SQRT5, 1), 2)
 
     eq2 = SpecialValueEntry(
         name="eq2",
         kind="R-value",
         nome=Nome.exp_sqrt(4),  # q = exp(-2 pi)
-        closed_form=_sub(_sqrt(_div(_add(_i(5), SQRT5), _i(2))), PHI),
+        closed_form=_sub(("root", 2, ("/", ("+", 5, SQRT5), 2)), "phi"),
         provenance="first letter to Hardy, 16 January 1913",
     )
     eq3 = SpecialValueEntry(
         name="eq3",
         kind="S-value",
         nome=Nome.exp_sqrt(1),  # S at exp(-pi)
-        closed_form=_sub(_sqrt(_div(_sub(_i(5), SQRT5), _i(2))), inv_phi),
+        closed_form=_sub(("root", 2, ("/", _sub(5, SQRT5), 2)), inv_phi),
         provenance="first letter to Hardy, 16 January 1913",
     )
-    eq5_inner = _sub(
-        _mul(Power(_i(5), Fraction(3, 4)), Power(inv_phi, Fraction(5, 2))),
-        _i(1),
-    )
+    eq5_inner = _sub(("*", ("^", 5, Fraction(3, 4)), ("^", inv_phi, Fraction(5, 2))), 1)
     eq5 = SpecialValueEntry(
         name="eq5",
         kind="R-value",
         nome=Nome.exp_sqrt(20),  # q = exp(-2 pi sqrt 5)
-        closed_form=_sub(_div(SQRT5, _add(_i(1), Root(5, eq5_inner))), PHI),
+        closed_form=_sub(("/", SQRT5, ("+", 1, ("root", 5, eq5_inner))), "phi"),
         provenance="second letter to Hardy, 27 February 1913 (case n = 20)",
     )
     golden_r = SpecialValueEntry(
@@ -477,19 +397,19 @@ def _registry_entries() -> tuple:
         name="golden-s",
         kind="S-value",
         nome=Nome.rational(1),
-        closed_form=PHI,
+        closed_form="phi",
         provenance="elementary evaluation at q = 1",
     )
-    a7 = Power(_i(5), Fraction(1, 4))
+    a7 = ("^", 5, Fraction(1, 4))
     eq7 = SpecialValueEntry(
         name="eq7",
         kind="R-value",
         nome=Nome.exp_sqrt(16),  # q = exp(-4 pi)
-        closed_form=_value_from_c_expr(_c_expr(a7, _i(1))),
+        closed_form=_value_from_c_expr(_c_expr(a7, 1)),
         provenance="first notebook, page 311 (a = 5^(1/4), b = 1)",
     )
-    a8 = Power(_i(60), Fraction(1, 4))
-    b8 = Add((_i(2), Neg(_sqrt(_i(3))), SQRT5))
+    a8 = ("^", 60, Fraction(1, 4))
+    b8 = ("+", 2, ("-", ("root", 2, 3)), SQRT5)
     eq8 = SpecialValueEntry(
         name="eq8",
         kind="R-value",
@@ -497,54 +417,42 @@ def _registry_entries() -> tuple:
         closed_form=_value_from_c_expr(_c_expr(a8, b8)),
         provenance="first notebook, page 311 (a = 60^(1/4), b = 2 - sqrt(3) + sqrt(5))",
     )
+    eq7_num = _sub(("root", 2, _sub(("*", 5, SQRT5), 10)), 1)
+    eq7_den = ("+", 1, ("root", 2, _sub(5, ("*", 2, SQRT5))))
     eq7_explicit = SpecialValueEntry(
         name="eq7-explicit",
         kind="R-value",
         nome=Nome.exp_sqrt(16),
-        closed_form=_mul(
-            PHI,
-            _div(
-                _sub(_sqrt(_sub(_mul(_i(5), SQRT5), _i(10))), _i(1)),
-                _add(_i(1), _sqrt(_sub(_i(5), _mul(_i(2), SQRT5)))),
-            ),
-        ),
+        closed_form=("*", "phi", ("/", eq7_num, eq7_den)),
         provenance="explicit radical form of the value at exp(-4 pi)",
     )
     chan_s3 = SpecialValueEntry(
         name="chan-s-3",
         kind="S-value",
         nome=Nome.exp_sqrt(3),  # S at exp(-pi sqrt 3)
-        closed_form=_div(
-            Add((Neg(_i(3)), Neg(SQRT5), _sqrt(_mul(_i(6), _add(_i(5), SQRT5))))),
-            _i(4),
+        closed_form=(
+            "/",
+            ("+", ("-", 3), ("-", SQRT5), ("root", 2, ("*", 6, ("+", 5, SQRT5)))),
+            4,
         ),
         provenance="Chan (1995), via modular equations",
     )
     # This value is sometimes printed with the radical in the nome inverted
     # (exp(-pi*sqrt(5/3))); that form misses by ~0.22, while at
     # exp(-pi*sqrt(3/5)) the identity holds to full precision.
+    cb_sum = ("+", ("-", ("*", 5, SQRT5)), ("-", 3), ("root", 2, ("*", 30, ("+", 5, SQRT5))))
     chan_berndt = SpecialValueEntry(
         name="chan-berndt-s-3-5",
         kind="S-value",
         nome=Nome.exp_sqrt(Fraction(3, 5)),  # S at exp(-pi sqrt(3/5))
-        closed_form=Power(
-            _div(
-                Add((
-                    Neg(_mul(_i(5), SQRT5)),
-                    Neg(_i(3)),
-                    _sqrt(_mul(_i(30), _add(_i(5), SQRT5))),
-                )),
-                _i(4),
-            ),
-            Fraction(1, 5),
-        ),
+        closed_form=("^", ("/", cb_sum, 4), Fraction(1, 5)),
         provenance="Berndt-Chan (1995), p. 899",
     )
     theta1 = SpecialValueEntry(
         name="theta-ratio-1",
         kind="theta-quotient",
         nome=Nome.exp_sqrt(1),
-        closed_form=_div(_i(1), _sqrt(_sub(_mul(_i(5), SQRT5), _i(10)))),
+        closed_form=("/", 1, ("root", 2, _sub(("*", 5, SQRT5), 10))),
         provenance="theta quotient at n = 1 after algebraic simplification",
     )
     return (

@@ -174,6 +174,33 @@ def test_invariants_config_rejected(tmp_path, capsys):
     assert "chi-product" in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # JSON true is a Python int; the config must not read it as 1
+        {"n": "1", "closed_form": True},
+        {"n": "25", "closed_form": ["*", True, "phi"]},
+        {"n": True, "closed_form": 1},
+        {"n": "25", "closed_form": ["/", 1, 0]},
+    ],
+    ids=["bool-closed-form", "bool-factor", "bool-n", "divides-by-zero"],
+)
+def test_invariants_config_rejects_bad_entry(tmp_path, capsys, entry):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps([entry]))
+    code, _, err = run(capsys, "--invariants", str(cfg), "values", "check", "eq2")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.strip() != "error:"  # the line names what is wrong
+
+
+def test_verify_all_at_minimum_bits(capsys):
+    # every identity holds to the contract tol = 2^-(bits - guard_bits)
+    code, out, _ = run(capsys, "--bits", "64", "verify", "all")
+    assert code == 0
+    assert "FAIL" not in out and out.count("[pass]") == 15
+
+
 def test_eval_json_format(capsys):
     code, out, _ = run(capsys, "eval", "R", "--q", "1/10", "--format", "json")
     assert code == 0

@@ -8,17 +8,9 @@ from hypothesis import strategies as st
 from rrlab.cf import rr_cf
 from rrlab.numerics import PrecisionContext, RootMode, agree_bits, golden_phi
 from rrlab.special_values import (
-    Add,
-    Const,
-    Div,
-    Integer,
     InvariantConfigError,
     InvariantLookupError,
     InvariantTable,
-    Mul,
-    Neg,
-    Power,
-    Root,
     _c_expr,
     _value_from_c_expr,
     evaluate,
@@ -40,41 +32,50 @@ C_EQ7_70 = "6.132162340871895479700795335797908841269832456292624181061394125553
 
 
 def test_expr_evaluation_and_equality(ctx):
-    five = Integer(5)
-    e1 = Div(Add((Root(2, five), Integer(1))), Integer(2))
-    e2 = Div(Add((Root(2, five), Integer(1))), Integer(2))
+    e1 = ("/", ("+", ("root", 2, 5), 1), 2)
+    e2 = ("/", ("+", ("root", 2, 5), 1), 2)
     assert e1 == e2  # structural equality
     assert evaluate(e1, ctx) == evaluate(e2, ctx)  # implies numeric equality
     assert abs(evaluate(e1, ctx) - golden_phi(ctx)) < ctx.tol
-    assert evaluate(Const("phi"), ctx) == golden_phi(ctx)
-    assert abs(evaluate(Mul((Const("pi"), Const("e"))), ctx) - ctx.mp.pi * ctx.mp.e) < ctx.tol
-    assert abs(evaluate(Neg(Integer(3)), ctx) + 3) < ctx.tol
+    assert evaluate("phi", ctx) == golden_phi(ctx)
+    assert abs(evaluate(("*", "pi", "e"), ctx) - ctx.mp.pi * ctx.mp.e) < ctx.tol
+    assert abs(evaluate(("-", 3), ctx) + 3) < ctx.tol
+    assert evaluate(("^", 8, Fraction(2, 3)), ctx) == 4
+    for bad in ("tau", ("%", 1, 2), (), [1], 1.5):
+        with pytest.raises(TypeError):
+            evaluate(bad, ctx)
+        with pytest.raises(TypeError):
+            expr_str(bad)
 
 
 def test_expr_str_is_readable():
-    s = expr_str(Div(Add((Integer(1), Root(2, Integer(5)))), Integer(2)))
-    assert "sqrt(5)" in s and "/" in s
+    assert expr_str(("/", ("+", 1, ("root", 2, 5)), 2)) == "((1 + sqrt(5))/2)"
+    assert expr_str(("*", ("root", 3, "phi"), ("^", 5, Fraction(1, 4)))) == "root(3, phi)*5^(1/4)"
+    assert expr_str(("+", 4, ("-", "pi"))) == "(4 + -pi)"
 
 
 def test_parse_prefix(ctx):
     e = parse_prefix(["/", ["+", 1, ["root", 2, 5]], 2])
+    assert e == ("/", ("+", 1, ("root", 2, 5)), 2)
     assert abs(evaluate(e, ctx) - golden_phi(ctx)) < ctx.tol
+    assert parse_prefix(["-", 4, 1]) == ("+", 4, ("-", 1))
     assert evaluate(parse_prefix(["-", 4, 1]), ctx) == 3
     assert evaluate(parse_prefix(["-", 7]), ctx) == -7
     assert evaluate(parse_prefix(["*", 2, 3, 4]), ctx) == 24
-    for bad in ("bogus", ["^", 2, 3], ["root", "x", 2], [], ["/"], 1.5):
+    bad_inputs = ("bogus", ["^", 2, 3], ["root", "x", 2], [], ["/"], 1.5, True, ["*", True, "phi"])
+    for bad in bad_inputs:
         with pytest.raises(ValueError):
             parse_prefix(bad)
 
 
 def test_c_param_examples(ctx):
-    assert abs(evaluate(_c_expr(Integer(1), Integer(-1)), ctx) - Fraction(1, 2)) < ctx.tol
-    c = evaluate(_c_expr(Power(Integer(5), Fraction(1, 4)), Integer(1)), ctx)
+    assert abs(evaluate(_c_expr(1, -1), ctx) - Fraction(1, 2)) < ctx.tol
+    c = evaluate(_c_expr(("^", 5, Fraction(1, 4)), 1), ctx)
     assert abs(c - ctx.mp.mpf(C_EQ7_70)) < ctx.mp.mpf(10) ** -65
 
 
 def test_value_from_c_examples(ctx):
-    assert evaluate(_value_from_c_expr(Integer(0)), ctx) == 1
+    assert evaluate(_value_from_c_expr(0), ctx) == 1
 
 
 @given(c1=st.integers(1, 10**4), c2=st.integers(1, 10**4))
@@ -82,8 +83,8 @@ def test_value_from_c_examples(ctx):
 def test_value_from_c_decreasing_into_unit_interval(c1, c2):
     ctx = PrecisionContext(128, 32)
     lo, hi = sorted((c1, c2))
-    v_lo = evaluate(_value_from_c_expr(Div(Integer(lo), Integer(100))), ctx)
-    v_hi = evaluate(_value_from_c_expr(Div(Integer(hi), Integer(100))), ctx)
+    v_lo = evaluate(_value_from_c_expr(("/", lo, 100)), ctx)
+    v_hi = evaluate(_value_from_c_expr(("/", hi, 100)), ctx)
     assert 0 < v_hi <= v_lo < 1
     if lo != hi:
         assert v_hi < v_lo
