@@ -5,11 +5,11 @@ the leading term b0 and a generator k -> (a_k, b_k) for k >= 1.
 
 Finite evaluation uses the backward recurrence and is exact on rational
 input.  Infinite evaluation of a periodic spec is decided from one period's
-Moebius product (the classical periodic-fraction theorem).  Any other spec
-goes through the forward convergent recurrence
-A_k = b_k*A_{k-1} + a_k*A_{k-2} (B_k likewise) with joint rescaling, a
-two-difference stopping rule, and limit-cycle detection for divergent
-fractions whose convergents approach a periodic cycle.
+Moebius product (the classical periodic-fraction theorem): divergence is
+decided there and nowhere else.  Any other spec goes through the forward
+convergent recurrence A_k = b_k*A_{k-1} + a_k*A_{k-2} (B_k likewise) with
+joint rescaling and a two-difference stopping rule; one that has not
+converged by max_iter ends MAX_ITERATIONS, without a value.
 
 Non-convergence has one exception type, ConvergenceError: a CFResult's value
 is read through CFResult.require, and every other loop bounded by max_iter
@@ -77,7 +77,6 @@ class CFSpec:
 class CFStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max-iterations"
-    LIMIT_CYCLE = "limit-cycle"
     DIVERGES = "diverges"
 
 
@@ -103,7 +102,6 @@ class CFResult:
     value: object
     iterations: int
     status: CFStatus
-    period: Optional[int] = None
 
     @property
     def converged(self) -> bool:
@@ -153,56 +151,18 @@ def convergents(spec: CFSpec, n: int):
         yield k, a_cur, b_cur
 
 
-def _detect_cycle(hist: list, period: int, tol, gap_factor) -> bool:
-    """Full window: 2*period consecutive convergents repeat at the given lag
-    while consecutive ones stay apart.
-
-    The consecutive gap must exceed both tol and gap_factor times the lag
-    residual: a genuine attracting cycle separates the two scales without
-    bound, whereas even/odd convergents straddling a slowly-approached limit
-    keep them within a bounded ratio (so no false cycle is reported there).
-    Undefined convergents (a cycle through infinity) match only each other.
-    """
-    window = 2 * period
-    if len(hist) < window + period:
-        return False
-    for i in range(-window, 0):
-        cur, lag, prev = hist[i], hist[i - period], hist[i - 1]
-        if cur is None or lag is None:
-            if (cur is None) != (lag is None):
-                return False
-            pdiff = 0
-        else:
-            pdiff = abs(cur - lag)
-            if not pdiff < tol:
-                return False
-        if cur is None or prev is None:
-            continue  # a jump through an undefined convergent is never "converging"
-        gap = abs(cur - prev)
-        if gap < tol or gap < gap_factor * pdiff:
-            return False
-    return True
-
-
-_CYCLE_PERIODS = (2, 3, 4, 5)
-_CYCLE_GAP_BITS = 64  # robust margin between cycle gap and lag residual
-_HIST_LEN = 16  # covers lag 5 over a 10-wide window
-_CYCLE_STRIDE = 16
-
-
 def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
     """Evaluate an infinite continued fraction under the context.
 
     A spec with a ``period`` is decided from one period (see _eval_periodic):
-    CONVERGED, or DIVERGES with the period, reporting ``period`` iterations.
+    CONVERGED, or DIVERGES without a value, reporting ``period`` iterations.
     Only a parabolic period falls through to the forward recurrence, which
     serves every other spec.  It stops as CONVERGED when two consecutive
     convergent differences fall below the internal threshold and the
     candidate limit is distinguishable from accumulated rounding noise, or
-    the convergents are exactly stationary; reports LIMIT_CYCLE(p) when
-    convergents repeat at lag p in {2,3,4,5} while consecutive ones stay
-    apart; otherwise runs to ctx.max_iter and reports MAX_ITERATIONS.
-    Transient B_k = 0 is tolerated by skipping the undefined convergent.
+    the convergents are exactly stationary; otherwise it runs to
+    ctx.max_iter and reports MAX_ITERATIONS without a value.  Transient
+    B_k = 0 is tolerated by skipping the undefined convergent.
     """
     if spec.period is not None:
         decided = _eval_periodic(spec, ctx)
@@ -211,19 +171,15 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
 
     mp = ctx.mp
     stop = ctx.stop_tol
-    tol = ctx.tol
     floor = ctx.noise_floor
     bits = ctx.bits
     rescale = mp.ldexp(1, -bits)
-    gap_factor = mp.ldexp(1, _CYCLE_GAP_BITS)
 
     a_prev = mp.mpf(1)
     a_cur = ctx.number(spec.b0)
     b_prev = mp.mpf(0)
     b_cur = mp.mpf(1)
-
-    hist: list = []
-    last_defined = None
+    f1 = f2 = None  # the two previous convergents, None where B_k = 0
 
     for k in range(1, ctx.max_iter + 1):
         a_k, b_k = spec.terms(k)
@@ -237,23 +193,15 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
             b_cur *= rescale
             b_prev *= rescale
         f = a_cur / b_cur if b_cur != 0 else None
-        hist.append(f)
-        if len(hist) > _HIST_LEN:
-            del hist[0]
-        if f is not None:
-            last_defined = f
-            if len(hist) >= 3 and hist[-2] is not None and hist[-3] is not None:
-                if (
-                    abs(f - hist[-2]) < stop
-                    and abs(f - hist[-3]) < stop
-                    and (abs(f) > floor or f == hist[-2] == hist[-3])
-                ):
-                    return CFResult(f, k, CFStatus.CONVERGED)
-        if k % _CYCLE_STRIDE == 0:
-            for p in _CYCLE_PERIODS:
-                if k >= max(200, 50 * p) and _detect_cycle(hist, p, tol, gap_factor):
-                    return CFResult(last_defined, k, CFStatus.LIMIT_CYCLE, p)
-    return CFResult(last_defined, ctx.max_iter, CFStatus.MAX_ITERATIONS)
+        if f is not None and f1 is not None and f2 is not None:
+            if (
+                abs(f - f1) < stop
+                and abs(f - f2) < stop
+                and (abs(f) > floor or f == f1 == f2)
+            ):
+                return CFResult(f, k, CFStatus.CONVERGED)
+        f1, f2 = f, f1
+    return CFResult(None, ctx.max_iter, CFStatus.MAX_ITERATIONS)
 
 
 def _period_product(spec: CFSpec, ctx: PrecisionContext):
@@ -344,12 +292,12 @@ def _eval_periodic(spec: CFSpec, ctx: PrecisionContext) -> Optional[CFResult]:
         if abs(s) <= floor * abs(big):
             return None  # parabolic
         if abs(small) >= abs(big) * (1 - floor):
-            return CFResult(None, n, CFStatus.DIVERGES, n)  # elliptic
+            return CFResult(None, n, CFStatus.DIVERGES)  # elliptic
         attracting = _fixed_point(m, big)
         repelling = _fixed_point(m, small)
         tol_bits = ctx.bits - ctx.guard_bits
         if _near([attracting], (1, 0), tol_bits, mp) or _near(partial, repelling, tol_bits, mp):
-            return CFResult(None, n, CFStatus.DIVERGES, n)
+            return CFResult(None, n, CFStatus.DIVERGES)
         limit = attracting[0] / attracting[1]
     return CFResult(ctx.number(limit) + ctx.number(spec.b0), n, CFStatus.CONVERGED)
 
@@ -498,8 +446,8 @@ def rr_root_of_unity_direct(n: int, j: int = 1, ctx: Optional[PrecisionContext] 
     Schur's formula.  Its limit F satisfies F = q^e * R(lam), so the
     Legendre sign lam plays the role of the fifth-root prefactor here: the
     returned value is lam * F, directly comparable with rr_at_root_of_unity.
-    Where the fraction has no limit (5 | n) the result is DIVERGES with
-    period n and no value.
+    Where the fraction has no limit (5 | n) the result is DIVERGES after n
+    iterations, with no value.
     """
     if ctx is None:
         ctx = PrecisionContext()

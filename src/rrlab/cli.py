@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,26 +36,8 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    precision_bits: int = 256
-    guard_bits: int = 32
-    max_iter: int = 10**6
-    format: str = "text"
-    invariants_file: Optional[str] = None
-    samples: int = 10
-    series_order: int = 150
-
-    def __post_init__(self):
-        if self.precision_bits < 64:
-            raise UsageError("precision_bits must be >= 64")
-        if self.series_order < 10:
-            raise UsageError("series_order must be >= 10")
-        if self.samples < 1:
-            raise UsageError("samples must be >= 1")
-
-    def context(self) -> PrecisionContext:
-        return PrecisionContext(self.precision_bits, self.guard_bits, self.max_iter)
+def _context(args) -> PrecisionContext:
+    return PrecisionContext(args.bits, args.guard_bits, args.max_iter)
 
 
 def _fmt(ctx: PrecisionContext, v) -> str:
@@ -82,10 +63,10 @@ def _eval_target(target: str, nome: Optional[Nome], mode: RootMode, ctx: Precisi
     return fn(q, ctx), None
 
 
-def cmd_eval(args, config: RunConfig) -> int:
+def cmd_eval(args) -> int:
     if args.target != "cf2" and args.nome is None:
         raise UsageError("one of --q, --exp-arg, --exp-sqrt is required")
-    ctx = config.context()
+    ctx = _context(args)
     mode = RootMode.REAL_ODD if args.mode == "real-odd" else RootMode.PRINCIPAL
     value, iterations = _eval_target(args.target, args.nome, mode, ctx)
     # precision-doubling self-check
@@ -103,7 +84,7 @@ def cmd_eval(args, config: RunConfig) -> int:
         "status": "converged",
         "agree_bits": bits_ok,
     }
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(payload["value"])
@@ -121,8 +102,8 @@ def cmd_eval(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_values(args, config: RunConfig) -> int:
-    ctx = config.context()
+def cmd_values(args) -> int:
+    ctx = _context(args)
     if args.action == "list":
         rows = [
             {
@@ -133,7 +114,7 @@ def cmd_values(args, config: RunConfig) -> int:
             }
             for e in _sv.registry()
         ]
-        if config.format == "json":
+        if args.format == "json":
             print(json.dumps(rows, sort_keys=True, indent=2))
         else:
             for r in rows:
@@ -146,7 +127,7 @@ def cmd_values(args, config: RunConfig) -> int:
     except KeyError as exc:
         raise UsageError(str(exc)) from exc
     ok = all(r["passed"] for r in records)
-    if config.format == "json":
+    if args.format == "json":
         out = [
             {
                 "name": r["name"],
@@ -168,8 +149,8 @@ def cmd_values(args, config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    ctx = config.context()
+def cmd_verify(args) -> int:
+    ctx = _context(args)
     ids = _id.identity_ids() if args.id == "all" else [args.id]
     reports = []
     for ident in ids:
@@ -178,17 +159,17 @@ def cmd_verify(args, config: RunConfig) -> int:
                 _id.verify(
                     ident,
                     ctx,
-                    samples=config.samples,
-                    series_order=config.series_order,
+                    samples=args.samples,
+                    series_order=args.series_order,
                 )
             )
         except _id.UnknownIdentityError as exc:
             raise UsageError(str(exc)) from exc
     ok = all(rep.status == "pass" for rep in reports)
     payload = [rep.to_json(ctx) for rep in reports]
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
-    elif config.format == "csv":
+    elif args.format == "csv":
         import csv as _csv
 
         writer = _csv.DictWriter(
@@ -211,9 +192,9 @@ def cmd_verify(args, config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def cmd_schur(args, config: RunConfig) -> int:
+def cmd_schur(args) -> int:
     cls = _cf.schur_classify(args.n)
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "n": cls.n,
             "diverges": cls.diverges,
@@ -232,13 +213,13 @@ def cmd_schur(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_series(args, config: RunConfig) -> int:
-    order = args.order if args.order is not None else config.series_order
+def cmd_series(args) -> int:
+    order = args.order if args.order is not None else args.series_order
     if order < 1:
         raise UsageError("--order must be >= 1")
     fn = {"G": _qs.series_G, "H": _qs.series_H, "R": _qs.series_R}[args.which]
     series = fn(order)
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(series.to_json(), sort_keys=True))
     else:
         coeffs = ",".join(str(c) for c in series.coeffs)
@@ -247,13 +228,13 @@ def cmd_series(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_asymptotic(args, config: RunConfig) -> int:
-    ctx = config.context()
+def cmd_asymptotic(args) -> int:
+    ctx = _context(args)
     x = Fraction(args.x)
     record = _id.asymptotic_check(x, ctx)
     payload = {k: _fmt(ctx, v) for k, v in record.items()}
     payload["x"] = str(x)
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"x={x}  approx={payload['approx']}")
@@ -339,22 +320,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            precision_bits=args.bits,
-            guard_bits=args.guard_bits,
-            max_iter=args.max_iter,
-            format=args.format,
-            invariants_file=args.invariants,
-            samples=args.samples,
-            series_order=args.series_order,
-        )
-        if config.invariants_file:
+        if args.bits < 64:
+            raise UsageError("precision_bits must be >= 64")
+        if args.series_order < 10:
+            raise UsageError("series_order must be >= 10")
+        if args.samples < 1:
+            raise UsageError("samples must be >= 1")
+        if args.invariants:
             # validate only: the table is discarded, no command reads extra invariants
             try:
-                _sv.InvariantTable().load_config(config.invariants_file, config.context())
+                _sv.InvariantTable().load_config(args.invariants, _context(args))
             except OSError as exc:
                 raise UsageError(f"cannot read invariants file: {exc}") from exc
-        return args.fn(args, config)
+        return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -378,7 +378,7 @@ def _numeric_schur(ctx: PrecisionContext, samples: int):
         res = _cf.rr_root_of_unity_direct(n, 1, ctx)
         records.append(
             _exact_record(
-                f"n={n}: direct evaluation {res.status.value}, period {res.period}",
+                f"n={n}: direct evaluation {res.status.value}, period {res.iterations}",
                 res.status.value,
                 _cf.CFStatus.DIVERGES.value,
             )
@@ -406,11 +406,11 @@ def jims_identity(ctx: PrecisionContext) -> dict:
     mp = ctx.mp
     series = mp.mpf(0)
     term = mp.mpf(1)
-    n = 0
-    while abs(term) >= ctx.stop_tol:
+    for n in _cf.bounded("double-factorial series", ctx):
         series += term
-        n += 1
         term /= 2 * n + 1
+        if abs(term) < ctx.stop_tol:
+            break
     cf, iterations = cf2_value(ctx)
     target = mp.sqrt(mp.pi * mp.e / 2)
     return {

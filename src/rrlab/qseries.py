@@ -187,10 +187,17 @@ def chi(q, ctx: PrecisionContext):
 def theta_phi(q, ctx: PrecisionContext):
     """Theta function 1 + 2*sum_{n>=1} q^(n^2) for real |q| < 1.
 
-    Sums at scale 2^W (see ``_fixed``) until a term q^(n^2) is below ctx.stop_tol.
+    For q >= 0, sums at scale 2^W (see ``_fixed``) until a term q^(n^2) is
+    below ctx.stop_tol.  For q < 0 that sum cancels terms of size about 1 down
+    to a value as small as 1e-106 (q = -0.99), so it returns the Jacobi
+    triple product (q^2; q^2)_inf chi(q)^2 instead, whose factors are all
+    positive there.
     """
     route = "theta series"
     w, (x,) = _fixed(ctx, route, q)
+    if x < 0:
+        q2 = ctx.number(q) ** 2
+        return pochhammer_inf(q2, q2, ctx) * chi(q, ctx) ** 2
     one = 1 << w
     limit = -(-one >> ctx.stop_bits)  # stop_tol at scale 2^W, rounded up
     x2 = x * x >> w

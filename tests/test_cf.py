@@ -20,10 +20,12 @@ from rrlab.cf import (
     legendre5,
     rr_at_root_of_unity,
     rr_cf,
+    rr_cfspec,
     rr_root_of_unity_direct,
     rr_root_of_unity_spec,
     schur_classify,
 )
+from rrlab.identities import cf2_spec
 from rrlab.numerics import PrecisionContext, RootMode, agree_bits, golden_phi
 from rrlab.qseries import R_product
 
@@ -229,17 +231,40 @@ def test_direct_root_of_unity_agrees_with_formula(ctx):
         assert abs(direct.value - formula) < ctx.mp.mpf(10) ** -60
 
 
-def test_limit_cycle_detection(ctx):
-    # K(-1/1): convergents cycle exactly through (-1, undefined, 0)
-    res = eval_infinite(CFSpec(b0=0, terms=lambda k: (-1, 1)), ctx)
-    assert res.status is CFStatus.LIMIT_CYCLE
-    assert res.period == 3
+def test_divergence_is_decided_only_from_a_declared_period():
+    # K(-1/1): convergents cycle through (-1, undefined, 0); the forward loop
+    # never guesses divergence, the one-period product decides it
+    small = PrecisionContext(256, 32, max_iter=200)
+    res = eval_infinite(CFSpec(b0=0, terms=lambda k: (-1, 1)), small)
+    assert (res.status, res.iterations, res.value) == (CFStatus.MAX_ITERATIONS, 200, None)
+    res = eval_infinite(CFSpec(b0=0, terms=lambda k: (-1, 1), period=1), small)
+    assert (res.status, res.iterations, res.value) == (CFStatus.DIVERGES, 1, None)
+
+
+def test_cfstatus_members():
+    assert [s.value for s in CFStatus] == ["converged", "max-iterations", "diverges"]
+
+
+@pytest.mark.parametrize(
+    "make_spec, q, bits, iterations",
+    [
+        pytest.param(cf2_spec, None, 256, 6864, id="cf2-256"),
+        pytest.param(cf2_spec, None, 512, 29437, id="cf2-512"),
+        pytest.param(rr_cfspec, Fraction(88, 100), 256, 51, id="R-88/100-256"),
+    ],
+)
+def test_eval_infinite_iteration_counts(make_spec, q, bits, iterations):
+    # the forward loop's stop rule, pinned exactly
+    ctx = PrecisionContext(bits, 32)
+    spec = make_spec() if q is None else make_spec(ctx.real(q))
+    res = eval_infinite(spec, ctx)
+    assert (res.status, res.iterations) == (CFStatus.CONVERGED, iterations)
 
 
 def test_quintic_root_never_converges_quickly(ctx):
     res = eval_infinite(rr_root_of_unity_spec(5, 1), ctx)
     assert res.status is CFStatus.DIVERGES
-    assert (res.iterations, res.period, res.value) == (5, 5, None)
+    assert (res.iterations, res.value) == (5, None)
 
 
 def test_root_of_unity_decision_matches_schur():
@@ -252,10 +277,7 @@ def test_root_of_unity_decision_matches_schur():
             res = rr_root_of_unity_direct(n, j, small)
             assert (res.status is CFStatus.DIVERGES) == schur_classify(n).diverges, (n, j)
             assert res.iterations == n
-            if res.status is CFStatus.DIVERGES:
-                assert res.period == n
-            else:
-                assert res.status is CFStatus.CONVERGED
+            assert res.status in (CFStatus.DIVERGES, CFStatus.CONVERGED)
 
 
 @pytest.mark.parametrize("n", [101, 199])
@@ -289,7 +311,7 @@ def test_periodic_spec_is_decided_from_one_period(terms, period, status, value, 
     res = eval_infinite(CFSpec(b0=0, terms=terms, period=period), ctx)
     assert res.status is status and res.iterations == period
     if value is None:
-        assert res.value is None and res.period == period
+        assert res.value is None
     else:
         mp = ctx.mp
         expected = {"1/phi": 1 / golden_phi(ctx), "sqrt2-1": mp.sqrt(2) - 1, "1": mp.mpf(1)}[value]

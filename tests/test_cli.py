@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from rrlab.cli import main
+from rrlab.numerics import PrecisionContext
 
 
 def run(capsys, *argv):
@@ -75,6 +78,19 @@ def test_bits_floor_is_usage_error(capsys):
     code, _, err = run(capsys, "--bits", "32", "eval", "R", "--q", "1")
     assert code == 2
     assert "precision_bits" in err
+
+
+@pytest.mark.parametrize(
+    "flags, says",
+    [
+        (("--bits", "63"), "precision_bits must be >= 64"),
+        (("--series-order", "9"), "series_order must be >= 10"),
+        (("--samples", "0"), "samples must be >= 1"),
+    ],
+)
+def test_range_checks_are_usage_errors(capsys, flags, says):
+    code, out, err = run(capsys, *flags, "verify", "jims")
+    assert (code, out, err) == (2, "", f"error: {says}\n")
 
 
 def test_values_list_includes_eq5(capsys):
@@ -260,3 +276,52 @@ def test_eval_negative_rational_nome(capsys):
     code, out, _ = run(capsys, "eval", "chi", "--q=-1/2")
     assert code == 0
     assert out.startswith("0.4")
+
+
+def _product_reference(target: str, q: Fraction, mp):
+    """target at the exact rational q from mpmath's q-Pochhammer products alone."""
+    x = mp.mpf(q.numerator) / q.denominator
+    x2, x5 = x**2, x**5
+    if target == "chi":
+        return mp.qp(-x, x2)
+    if target == "phi":  # Jacobi triple product
+        return mp.qp(x2, x2) * mp.qp(-x, x2) ** 2
+    g = 1 / (mp.qp(x, x5) * mp.qp(x**4, x5))
+    h = 1 / (mp.qp(x2, x5) * mp.qp(x**3, x5))
+    if target == "G":
+        return g
+    if target == "H":
+        return h
+    return -mp.root(-x, 5) * h / g  # R with the real fifth root of q < 0
+
+
+def _printed_relative_error(out: str, want, mp):
+    return abs(mp.mpf(out.splitlines()[0]) - want) / abs(want)
+
+
+@pytest.mark.parametrize("q", ["-1/2", "-9/10", "-99/100"])
+@pytest.mark.parametrize("target", ["R", "G", "H", "chi", "phi"])
+def test_negative_nome_sweep(capsys, target, q):
+    # every printed digit holds at q < 0, where theta's sum cancels and G, H alternate
+    ctx = PrecisionContext()
+    mp = MPContext()
+    mp.prec = 2 * ctx.bits + 64
+    mode = ("--mode", "real-odd") if target == "R" else ()
+    code, out, _ = run(capsys, "eval", target, f"--q={q}", *mode)
+    assert code == 0
+    want = _product_reference(target, Fraction(q), mp)
+    assert _printed_relative_error(out, want, mp) <= mp.mpf(10) ** -(ctx.digits - 1)
+
+
+def test_phi_next_to_minus_one(capsys):
+    # phi(-e^(-pi t)) = t^(-1/2) theta_2(e^(-pi/t)); mpmath's qp does not converge here
+    # and its jtheta(3, 0, q) is wrong, so the reference is the transformed theta
+    ctx = PrecisionContext()
+    mp = MPContext()
+    mp.prec = 2 * ctx.bits + 64
+    t = -mp.log(mp.mpf(999) / 1000) / mp.pi
+    want = mp.jtheta(2, 0, mp.exp(-mp.pi / t)) / mp.sqrt(t)
+    code, out, _ = run(capsys, "eval", "phi", "--q=-999/1000")
+    assert code == 0
+    assert out.startswith("1.01552941415138858085077598340")
+    assert _printed_relative_error(out, want, mp) <= mp.mpf(10) ** -(ctx.digits - 1)

@@ -14,7 +14,7 @@ from rrlab.identities import (
     k_param_bound,
     verify,
 )
-from rrlab.cf import eval_infinite
+from rrlab.cf import ConvergenceError, eval_infinite
 from rrlab.numerics import PrecisionContext, golden_phi
 from rrlab.qseries import R_product
 
@@ -126,6 +126,13 @@ def test_jims_identity_values(ctx):
     # the fraction contributes a strictly positive amount
     assert data["cf"] > 0.5
     assert abs(data["series"] - data["target"]) > 0.5
+
+
+def test_jims_series_is_bounded_by_max_iter():
+    # the double-factorial series needs about 46 terms at 256 bits
+    with pytest.raises(ConvergenceError, match="^double-factorial series did not converge: "
+                       "max-iterations after 20 iterations$"):
+        jims_identity(PrecisionContext(256, 32, max_iter=20))
 
 
 def test_cf2_spec_terms():
