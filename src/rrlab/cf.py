@@ -6,9 +6,10 @@ the leading term b0 and a generator k -> (a_k, b_k) for k >= 1.
 Finite evaluation uses the backward recurrence and is exact on rational
 input.  Infinite evaluation of a periodic spec is decided from one period's
 Moebius product (the classical periodic-fraction theorem): divergence is
-decided there and nowhere else.  Any other spec goes through the forward
-convergent recurrence A_k = b_k*A_{k-1} + a_k*A_{k-2} (B_k likewise) with
-joint rescaling and a two-difference stopping rule; one that has not
+decided there and nowhere else.  Any other spec must have real terms and
+goes through the forward convergent recurrence A_k = b_k*A_{k-1} +
+a_k*A_{k-2} (B_k likewise), run on W-bit Python integers with joint
+renormalisation and a two-difference stopping rule; one that has not
 converged by max_iter ends MAX_ITERATIONS, without a value.
 
 Non-convergence has one exception type, ConvergenceError: a CFResult's value
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 
 from mpmath import libmp, mp as _mp
 
-from .numerics import PrecisionContext, RootMode, golden_phi, root
+from .numerics import PrecisionContext, RootMode, _fixed, golden_phi, root
 
 __all__ = [
     "CFSpec",
@@ -157,51 +158,77 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
     A spec with a ``period`` is decided from one period (see _eval_periodic):
     CONVERGED, or DIVERGES without a value, reporting ``period`` iterations.
     Only a parabolic period falls through to the forward recurrence, which
-    serves every other spec.  It stops as CONVERGED when two consecutive
-    convergent differences fall below the internal threshold and the
-    candidate limit is distinguishable from accumulated rounding noise, or
-    the convergents are exactly stationary; otherwise it runs to
-    ctx.max_iter and reports MAX_ITERATIONS without a value.  Transient
-    B_k = 0 is tolerated by skipping the undefined convergent.
+    serves every other spec and takes real terms only (ValueError otherwise).
+
+    The recurrence runs on integers: A_k and B_k are ints at the width W of
+    ``numerics._fixed``, renormalised together by bit_length after every
+    term, and each term enters as an exact (mantissa, shift) pair (see
+    ``_pair``), so an integer term costs a small-int multiply.  The
+    convergent f_k = A_k/B_k is taken at scale 2^W.  The loop stops as
+    CONVERGED when two consecutive convergent differences fall below
+    ctx.stop_tol and the candidate limit lies above ctx.noise_floor, or the
+    convergents are exactly stationary; otherwise it runs to ctx.max_iter and
+    reports MAX_ITERATIONS without a value.  Transient B_k = 0 is tolerated
+    by skipping the undefined convergent.
     """
     if spec.period is not None:
         decided = _eval_periodic(spec, ctx)
         if decided is not None:
             return decided
 
-    mp = ctx.mp
-    stop = ctx.stop_tol
-    floor = ctx.noise_floor
-    bits = ctx.bits
-    rescale = mp.ldexp(1, -bits)
-
-    a_prev = mp.mpf(1)
-    a_cur = ctx.number(spec.b0)
-    b_prev = mp.mpf(0)
-    b_cur = mp.mpf(1)
+    w, (a_cur,) = _fixed(ctx, "continued fraction", None, spec.b0)
+    stop = 1 << (w - ctx.stop_bits)
+    floor = 1 << (w - ctx.bits // 2)
+    a_prev = b_cur = 1 << w
+    b_prev = 0
     f1 = f2 = None  # the two previous convergents, None where B_k = 0
 
     for k in range(1, ctx.max_iter + 1):
         a_k, b_k = spec.terms(k)
-        a_k = ctx.number(a_k)
-        b_k = ctx.number(b_k)
-        a_cur, a_prev = b_k * a_cur + a_k * a_prev, a_cur
-        b_cur, b_prev = b_k * b_cur + a_k * b_prev, b_cur
-        if mp.mag(b_cur) > bits or mp.mag(a_cur) > bits:
-            a_cur *= rescale
-            a_prev *= rescale
-            b_cur *= rescale
-            b_prev *= rescale
-        f = a_cur / b_cur if b_cur != 0 else None
+        ma, sa = _pair(a_k, ctx)
+        mb, sb = _pair(b_k, ctx)
+        a_cur, a_prev = (mb * a_cur >> sb) + (ma * a_prev >> sa), a_cur
+        b_cur, b_prev = (mb * b_cur >> sb) + (ma * b_prev >> sa), b_cur
+        shift = max(a_cur.bit_length(), b_cur.bit_length()) - w
+        if shift > 0:
+            a_cur >>= shift
+            a_prev >>= shift
+            b_cur >>= shift
+            b_prev >>= shift
+        elif shift < 0 and (a_cur or b_cur):
+            a_cur <<= -shift
+            a_prev <<= -shift
+            b_cur <<= -shift
+            b_prev <<= -shift
+        f = (a_cur << w) // b_cur if b_cur else None
         if f is not None and f1 is not None and f2 is not None:
             if (
                 abs(f - f1) < stop
                 and abs(f - f2) < stop
                 and (abs(f) > floor or f == f1 == f2)
             ):
-                return CFResult(f, k, CFStatus.CONVERGED)
+                return CFResult(ctx.mp.mpf((f, -w)), k, CFStatus.CONVERGED)
         f1, f2 = f, f1
     return CFResult(None, ctx.max_iter, CFStatus.MAX_ITERATIONS)
+
+
+def _pair(x, ctx: PrecisionContext) -> tuple:
+    """A real term x as an exact pair (m, s), x = m * 2^-s with s >= 0.
+
+    An int passes as (x, 0); any other value is rounded to the context by
+    ctx.number, and its binary mantissa and exponent are read off exactly.
+    """
+    if type(x) is int:
+        return x, 0
+    v = ctx.number(x)
+    if isinstance(v, ctx.mp.mpc):
+        raise ValueError(f"continued fraction takes real terms, got {v}")
+    sign, man, exp, _ = v._mpf_
+    if not man and exp:
+        raise ValueError(f"continued fraction takes finite terms, got {v}")
+    if sign:
+        man = -man
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
 
 
 def _period_product(spec: CFSpec, ctx: PrecisionContext):
@@ -306,10 +333,17 @@ def _eval_periodic(spec: CFSpec, ctx: PrecisionContext) -> Optional[CFResult]:
 
 
 def rr_cfspec(q) -> CFSpec:
-    """CFSpec for R(q) without its q^(1/5) factor: partial numerators 1, q, q^2, ..."""
+    """CFSpec for R(q) without its q^(1/5) factor: partial numerators 1, q, q^2, ...
+
+    Each power is formed by one multiply from the one before and cached,
+    since eval_finite reads the terms in reverse order.
+    """
+    powers = [q**0]
 
     def terms(k: int):
-        return (q ** (k - 1), 1)
+        while len(powers) < k:
+            powers.append(powers[-1] * q)
+        return (powers[k - 1], 1)
 
     return CFSpec(b0=0, terms=terms)
 

@@ -17,7 +17,7 @@ from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
 from .formal import FormalSeries, product_one_minus, product_one_minus_inv
-from .numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
+from .numerics import Nome, PrecisionContext, RootMode, _fixed, agree_bits, golden_phi, root
 
 __all__ = [
     "IdentityCase",
@@ -160,29 +160,29 @@ def _euler_prod(q, ctx):
 
 
 def _entry15a_series_quotient(a, b, q, ctx: PrecisionContext):
-    """Quotient of the two double series sum b^n q^(n^2 [+n]) / ((aq;q)_n (q;q)_n)."""
-    mp = ctx.mp
-    num = mp.mpf(1)
-    den = mp.mpf(1)
-    bn = mp.mpf(1)
-    qn2 = mp.mpf(1)  # q^(n^2)
-    qnn = mp.mpf(1)  # q^(n(n+1))
-    pair = mp.mpf(1)  # (aq;q)_n (q;q)_n
-    qn = mp.mpf(1)
-    threshold = ctx.stop_tol
-    for n in _cf.bounded("entry15a double series", ctx):
-        qn *= q
-        bn *= b
-        qn2 *= qn * qn / q
-        qnn *= qn * qn
-        pair *= (1 - a * qn) * (1 - qn)
-        tn = bn * qn2 / pair
-        td = bn * qnn / pair
+    """Quotient of the two double series sum b^n q^(n^2 [+n]) / ((aq;q)_n (q;q)_n).
+
+    Runs on integers at scale 2^W (see ``numerics._fixed``): the n-th terms
+    are the (n-1)-th times b q^(2n-1) resp. b q^(2n), over (1 - a q^n)(1 - q^n).
+    Stops once both terms are below ctx.stop_tol, after at least three.
+    """
+    route = "entry15a double series"
+    w, (x, av, bv) = _fixed(ctx, route, q, a, b)
+    one = 1 << w
+    limit = 1 << (w - ctx.stop_bits)
+    num = den = tn = td = qn = one  # qn: q^(n-1), then q^n
+    for n in _cf.bounded(route, ctx):
+        lead = bv * qn >> w
+        qn = qn * x >> w
+        lead = lead * qn >> w  # b q^(2n-1)
+        pair = (one - (av * qn >> w)) * (one - qn) >> w
+        tn = tn * lead // pair
+        td = td * (lead * x >> w) // pair
         num += tn
         den += td
-        if abs(tn) < threshold and abs(td) < threshold and n >= 3:
+        if abs(tn) < limit and abs(td) < limit and n >= 3:
             break
-    return num / den
+    return ctx.mp.mpf((num, -w)) / ctx.mp.mpf((den, -w))
 
 
 _ENTRY15A_VALUES = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1))
@@ -254,16 +254,33 @@ def factorization_sides(gamma, q, ctx: PrecisionContext):
     st = mp.sqrt(t)
     lhs = 1 / st - gamma * st
     x = root(q, 5, RootMode.PRINCIPAL, ctx)
-    prod = mp.mpf(1)
-    xn = mp.mpf(1)
-    bound = (abs(gamma) + 1) / (1 - abs(x))
-    for _ in _cf.bounded("factorization product", ctx):
-        xn *= x
-        prod /= 1 + gamma * xn + xn * xn
-        if abs(xn) * bound < ctx.stop_tol:
-            break
-    rhs = q ** (-mp.mpf(1) / 10) * mp.sqrt(_euler_prod(q, ctx) / _euler_prod(q**5, ctx)) * prod
-    return lhs, rhs
+    rhs = q ** (-mp.mpf(1) / 10) * mp.sqrt(_euler_prod(q, ctx) / _euler_prod(q**5, ctx))
+    return lhs, rhs / _factorization_denominator(gamma, x, ctx)
+
+
+def _factorization_denominator(gamma, x, ctx: PrecisionContext):
+    """prod_{n>=1} (1 + gamma*x^n + x^(2n)) for real |x| < 1.
+
+    Runs on integers like qseries.pochhammer_inf: x^n at scale 2^W (see
+    ``numerics._fixed``) and the product as a W-bit mantissa with a binary
+    exponent.  Stops once |x^n| (|gamma| + 1) / (1 - |x|), which bounds the
+    log of the remaining factors, is below ctx.stop_tol.
+    """
+    route = "factorization product"
+    w, (x, g) = _fixed(ctx, route, x, gamma)
+    one = 1 << w
+    scale = (abs(g) + one) << ctx.stop_bits
+    limit = (one - abs(x)) << w  # |x^n| * scale < limit: the bound below stop_tol
+    man, exp = one, -w
+    xn = one
+    for _ in _cf.bounded(route, ctx):
+        xn = xn * x >> w
+        man *= one + (g * xn >> w) + (xn * xn >> w)
+        shift = man.bit_length() - w
+        man >>= shift
+        exp += shift - w
+        if abs(xn) * scale < limit:
+            return ctx.mp.mpf((man, exp))
 
 
 def _gamma_minus(ctx):
@@ -446,14 +463,23 @@ def asymptotic_check(x, ctx: PrecisionContext, include_polynomial: bool = True, 
     x = ctx.real(x)
     if not (0 < x <= ctx.real(Fraction(1, 2))):
         raise ValueError("asymptotic_check requires 0 < x <= 1/2")
-    total = mp.mpf(0)
-    threshold = ctx.tol * x
-    for n in _cf.bounded("Gaussian tail sum", ctx):
-        term = mp.exp(-((1 + n * x) ** 2) / 2)
-        total += term
-        if term < threshold:
+    route = "Gaussian tail sum"
+    w, (xf,) = _fixed(ctx, route, x)
+    with mp.workprec(w):
+        # term t_n = e^(-(1+nx)^2/2) and ratio r_n = t_(n+1)/t_n = e^(-x - x^2/2 - nx^2)
+        x2 = x * x
+        _, (step, r, t) = _fixed(
+            ctx, route, mp.exp(-x2), mp.exp(-x - 3 * x2 / 2), mp.exp(-((1 + x) ** 2) / 2)
+        )
+    limit = xf >> (ctx.bits - ctx.guard_bits)  # ctx.tol * x at scale 2^W
+    total = 0
+    for _ in _cf.bounded(route, ctx):
+        total += t
+        if t < limit:
             break
-    approx = x * mp.sqrt(mp.e) * total
+        t = t * r >> w
+        r = r * step >> w
+    approx = x * mp.sqrt(mp.e) * mp.mpf((total, -w))
     if include_polynomial:
         approx += x / 2
         for i, d in enumerate(_POLY_DENOMS):

@@ -8,6 +8,9 @@ plain mpmath ``mpf``/``mpc`` instances created through the context.
 Error control is by precision doubling rather than interval arithmetic:
 recompute under a context with twice the mantissa bits and compare with
 ``agree_bits``.  A result is trusted to ``bits - guard_bits`` significant bits.
+
+The long loops of the package run on fixed-point Python integers at the
+width W of ``_fixed``, and convert back to the context once at the end.
 """
 
 from __future__ import annotations
@@ -167,6 +170,27 @@ class Nome:
         if self.form == "exp-sqrt":
             x = ctx.mp.sqrt(x)
         return ctx.mp.exp(-ctx.mp.pi * x)
+
+
+def _fixed(ctx: PrecisionContext, route: str, q, *xs):
+    """The fixed-point width W of the context, and q and each x as int(v * 2^W).
+
+    W = bits + guard_bits + bit_length(max_iter), so a loop of at most max_iter
+    steps that loses one unit of 2^-W per step stays guard_bits clear of the
+    context's precision.  An int mantissa m with exponent e converts back as
+    ``ctx.mp.mpf((m, e))``.  Raises ValueError unless all are real and, when q
+    is not None, |q| < 1; q = None converts only the xs.
+    """
+    width = ctx.bits + ctx.guard_bits + ctx.max_iter.bit_length()
+    out = []
+    for x in xs if q is None else (q, *xs):
+        v = ctx.number(x)
+        if isinstance(v, ctx.mp.mpc):
+            raise ValueError(f"{route} takes real arguments, got {v}")
+        out.append(int(ctx.mp.ldexp(v, width)))
+    if q is not None and abs(out[0]) >= 1 << width:
+        raise ValueError(f"{route} requires |q| < 1")
+    return width, out
 
 
 def root(z, k: int, mode: RootMode, ctx: PrecisionContext):

@@ -3,7 +3,7 @@ functions, finite-form mu/nu polynomials, and exact series expansions.
 
 Numeric routines take a PrecisionContext and truncate with tail bounds tied
 to the context tolerance; the infinite products and series take real
-arguments and run on fixed-point integers (``_fixed``).  The finite
+arguments and run on fixed-point integers (``numerics._fixed``).  The finite
 q-Pochhammer product and the mu/nu sums operate on whatever number type they
 are given and are exact on rationals.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .formal import FormalSeries, product_one_minus_inv
-from .numerics import PrecisionContext, RootMode, root
+from .numerics import PrecisionContext, RootMode, _fixed, root
 from . import cf as _cf
 
 __all__ = [
@@ -43,26 +43,6 @@ def pochhammer(a, q, n: int):
         out *= 1 - a * qk
         qk *= q
     return out
-
-
-def _fixed(ctx: PrecisionContext, route: str, q, *xs):
-    """The fixed-point width W of the context, and q and each x as int(v * 2^W).
-
-    W = bits + guard_bits + bit_length(max_iter), so a loop of at most max_iter
-    steps that loses one unit of 2^-W per step stays guard_bits clear of the
-    context's precision.  An int mantissa m with exponent e converts back as
-    ``ctx.mp.mpf((m, e))``.  Raises ValueError unless all are real and |q| < 1.
-    """
-    width = ctx.bits + ctx.guard_bits + ctx.max_iter.bit_length()
-    out = []
-    for x in (q, *xs):
-        v = ctx.number(x)
-        if isinstance(v, ctx.mp.mpc):
-            raise ValueError(f"{route} takes real arguments, got {v}")
-        out.append(int(ctx.mp.ldexp(v, width)))
-    if abs(out[0]) >= 1 << width:
-        raise ValueError(f"{route} requires |q| < 1")
-    return width, out
 
 
 def pochhammer_inf(a, q, ctx: PrecisionContext):

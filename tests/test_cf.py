@@ -251,6 +251,7 @@ def test_cfstatus_members():
         pytest.param(cf2_spec, None, 256, 6864, id="cf2-256"),
         pytest.param(cf2_spec, None, 512, 29437, id="cf2-512"),
         pytest.param(rr_cfspec, Fraction(88, 100), 256, 51, id="R-88/100-256"),
+        pytest.param(rr_cfspec, Fraction(99999, 100000), 256, 172, id="R-99999/100000-256"),
     ],
 )
 def test_eval_infinite_iteration_counts(make_spec, q, bits, iterations):
@@ -259,6 +260,28 @@ def test_eval_infinite_iteration_counts(make_spec, q, bits, iterations):
     spec = make_spec() if q is None else make_spec(ctx.real(q))
     res = eval_infinite(spec, ctx)
     assert (res.status, res.iterations) == (CFStatus.CONVERGED, iterations)
+
+
+def _exact(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(cf2_spec(), id="cf2"),
+        pytest.param(rr_cfspec(Fraction(88, 100)), id="R-88/100"),
+    ],
+)
+def test_eval_infinite_matches_exact_truncation(spec, ctx):
+    # the integer recurrence against the backward recurrence in Fractions at the
+    # depth it reports: only the rounding of the forward loop separates them
+    res = eval_infinite(spec, ctx)
+    assert res.converged
+    exact = CFSpec(b0=Fraction(spec.b0), terms=lambda k: tuple(map(Fraction, spec.terms(k))))
+    tol = Fraction(1, 2 ** (ctx.bits - ctx.guard_bits))
+    assert abs(_exact(res.value) - eval_finite(exact, res.iterations)) < tol
 
 
 def test_quintic_root_never_converges_quickly(ctx):

@@ -1,10 +1,13 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from rrlab import cf
 from rrlab.identities import (
     UnknownIdentityError,
+    _entry15a_series_quotient,
     VerificationReport,
     asymptotic_check,
     cf2_spec,
@@ -180,3 +183,36 @@ def test_schur_consistency_report(ctx):
     points = " ".join(r["point"] for r in rep.records)
     assert "n=5: direct evaluation diverges, period 5" in points
     assert "n=10: direct evaluation diverges, period 10" in points and "10^4" in points
+
+
+@pytest.mark.parametrize(
+    "route, call, terms",
+    [
+        (
+            "factorization product",
+            lambda c: factorization_sides(golden_phi(c), c.real(Fraction(1, 2)), c),
+            1202,
+        ),
+        ("Gaussian tail sum", lambda c: asymptotic_check(Fraction(1, 20), c, reference=0), 336),
+        (
+            "entry15a double series",
+            lambda c: _entry15a_series_quotient(
+                c.real(Fraction(1, 2)), c.real(Fraction(1, 2)), c.real(Fraction(3, 10)), c
+            ),
+            12,
+        ),
+    ],
+)
+def test_identity_loop_term_counts(monkeypatch, ctx, route, call, terms):
+    # the identity loops' stop rules, pinned like the q-series kernels' in test_qseries
+    counted = Counter()
+    bounded = cf.bounded
+
+    def counting(name, ctx):
+        for k in bounded(name, ctx):
+            counted[name] += 1
+            yield k
+
+    monkeypatch.setattr(cf, "bounded", counting)
+    call(ctx)
+    assert counted[route] == terms

@@ -288,6 +288,11 @@ def test_kernels_match_mpmath(q, bits):
         pytest.param(lambda c: H(0.25 + 0.25j, c), id="H"),
         pytest.param(lambda c: chi(0.5j, c), id="chi"),
         pytest.param(lambda c: theta_phi(-0.5j, c), id="theta_phi"),
+        pytest.param(lambda c: rr_cf(c.mp.mpc(0.3, 0.4), ctx=c), id="rr_cf"),
+        pytest.param(
+            lambda c: cf.eval_infinite(CFSpec(b0=0, terms=lambda k: (c.mp.mpc(0, 1) / k, 1)), c),
+            id="eval_infinite",
+        ),
     ],
 )
 def test_kernels_refuse_complex(ctx, call):
