@@ -14,6 +14,7 @@ fractional powers of q live at integer exponents of t (see ``stretch``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = ["FormalSeries", "constant", "product_one_minus", "product_one_minus_inv"]
@@ -23,6 +24,47 @@ def _norm(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _integral(coeffs: list) -> tuple:
+    """(integer coefficients, d) with coeffs = integer coefficients / d."""
+    d = lcm(*{c.denominator for c in coeffs})
+    if d == 1:
+        return coeffs, 1
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _product(a: Sequence, b: Sequence, n: int) -> list:
+    """First n coefficients of the product of two coefficient lists.
+
+    Kronecker substitution: each operand becomes one integer, its
+    coefficients laid side by side in byte-aligned slots, and a single
+    big-int multiply forms every coefficient of the product at once.  A slot
+    holds n*max|a|*max|b| plus a sign bit, so no coefficient overflows into
+    its neighbour.  Signs ride on a bias of half a slot per digit, which is
+    subtracted again on each side of the multiply.  Rational coefficients
+    are scaled to integers by their common denominator and divided once at
+    the end.
+    """
+    a, da = _integral(a[:n])
+    b, db = _integral(b[:n])
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 1
+    width = -(-bits // 8)  # bytes per slot
+    half = 1 << (8 * width - 1)
+
+    def biased(count: int) -> int:  # half in each of the lowest count slots
+        return int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
+
+    def pack(digits: list) -> int:
+        raw = b"".join([(d + half).to_bytes(width, "little") for d in digits])
+        return int.from_bytes(raw, "little") - biased(len(digits))
+
+    low = (pack(a) * pack(b) + biased(n)) & ((1 << (8 * width * n)) - 1)
+    raw = low.to_bytes(width * n, "little")
+    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
+    if da * db != 1:
+        return [_norm(Fraction(c, da * db)) for c in out]
+    return out
 
 
 class FormalSeries:
@@ -105,45 +147,36 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return FormalSeries([c * other for c in self.coeffs], self.offset, self.order)
         if self.is_zero() or other.is_zero():
-            return FormalSeries([0], 0, self.order + other.order)
+            order = self.order + other.order
+            return FormalSeries([0], order, order)
         offset = self.offset + other.offset
         n = min(self.nterms, other.nterms)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= n:
-                continue
-            lim = n - i
-            for jj, b in enumerate(other.coeffs[:lim]):
-                if b != 0:
-                    out[i + jj] += a * b
-        return FormalSeries(out, offset, offset + n - 1)
+        return FormalSeries(_product(self.coeffs, other.coeffs, n), offset, offset + n - 1)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "FormalSeries":
-        """Multiplicative inverse; requires a nonzero lowest coefficient."""
+        """Multiplicative inverse; requires a nonzero lowest coefficient.
+
+        Newton iteration y <- y + y*(1 - c*y) doubles the number of correct
+        terms per step, seeded with 1/lead.
+        """
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of the zero series")
         c = self.coeffs
-        if c[0] == 0:
+        lead = c[0]
+        if lead == 0:
             raise ZeroDivisionError("reciprocal requires a nonzero lowest coefficient")
         n = self.nterms
-        lead = c[0]
-        inv_lead = 1 / Fraction(lead) if lead not in (1, -1) else lead
-        out = [0] * n
-        out[0] = inv_lead
-        for j in range(1, n):
-            acc = 0
-            for i in range(1, j + 1):
-                if c[i] != 0:
-                    acc += c[i] * out[j - i]
-            if lead == 1:
-                out[j] = -acc
-            elif lead == -1:
-                out[j] = acc
-            else:
-                out[j] = -acc * inv_lead
-        return FormalSeries(out, -self.offset, -self.offset + n - 1)
+        steps = [n]  # n, ceil(n/2), ..., 1: the lengths y takes, climbed from 1
+        while steps[-1] > 1:
+            steps.append((steps[-1] + 1) // 2)
+        y = [_norm(1 / Fraction(lead))]
+        for k, m in zip(steps[-1:0:-1], steps[-2::-1]):
+            # c*y = 1 + O(x^k), so 1 - c*y mod x^m is -x^k times terms k..m-1
+            e = _product(c, y, m)[k:]
+            y += [-v for v in _product(y, e, m - k)]
+        return FormalSeries(y, -self.offset, -self.offset + n - 1)
 
     def __truediv__(self, other):
         if isinstance(other, FormalSeries):

@@ -10,6 +10,8 @@ are given and are exact on rationals.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add
 from typing import Optional
 
 from .formal import FormalSeries, product_one_minus_inv
@@ -233,19 +235,16 @@ def _rr_series(order: int, side: str, triangular: bool) -> FormalSeries:
         return product_one_minus_inv([k for k in range(1, order + 1) if k % 5 in residues], order)
     if side != "sum":
         raise ValueError(f"unknown side {side!r}")
-    acc = [0] * (order + 1)
-    acc[0] = 1
-    inv = [0] * (order + 1)  # prod_{j<=n} 1/(1-q^j)
-    inv[0] = 1
+    acc = [1] + [0] * order
+    # 1/(q;q)_n, kept only through order - shift: step n reads no further,
+    # and every later step reads less
+    inv = [1] + [0] * order
     n = 1
-    while (n * n + (n if triangular else 0)) <= order:
-        for j in range(n, order + 1):
-            if inv[j - n] != 0:
-                inv[j] += inv[j - n]
-        shift = n * n + (n if triangular else 0)
-        for j in range(shift, order + 1):
-            if inv[j - shift] != 0:
-                acc[j] += inv[j - shift]
+    while (shift := n * n + (n if triangular else 0)) <= order:
+        top = order - shift + 1
+        for r in range(n):  # times 1/(1 - q^n): a prefix sum in each residue class mod n
+            inv[r:top:n] = accumulate(inv[r:top:n])
+        acc[shift:] = map(add, acc[shift:], inv[:top])
         n += 1
     return FormalSeries(acc, 0, order)
 

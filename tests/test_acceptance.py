@@ -167,16 +167,16 @@ def test_criterion_04_modular_relation(acc):
 
 def test_criterion_05_exact_formal_suites(acc):
     ctx = acc.ctx
-    ok = series_G(200).same_through(series_G(200, side="product"), 200)
-    ok = ok and series_H(200).same_through(series_H(200, side="product"), 200)
-    details = ["G,H sum=product to order 200"]
+    ok = series_G(2000).same_through(series_G(2000, side="product"), 2000)
+    ok = ok and series_H(2000).same_through(series_H(2000, side="product"), 2000)
+    details = ["G,H sum=product to order 2000"]
     for ident in ("R-identity-1", "R-identity-2", "cf-vs-product"):
-        rep = verify(ident, ctx, samples=1, series_order=150)
+        rep = verify(ident, ctx, samples=1, series_order=1000)
         formal_ok = all(
             r["abs_dev"] == 0 for r in rep.records if "order" in str(r["point"])
         ) and rep.status == "pass"
         ok = ok and formal_ok
-        details.append(f"{ident} exact to order 150")
+        details.append(f"{ident} exact to order 1000")
     _report(5, ok, "; ".join(details))
 
 

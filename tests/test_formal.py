@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrlab.formal import (
@@ -10,6 +10,7 @@ from rrlab.formal import (
     product_one_minus,
     product_one_minus_inv,
 )
+from rrlab.qseries import series_G
 
 
 def geometric(order):
@@ -186,5 +187,113 @@ def test_zero_series_behaviour():
     assert z.is_zero()
     s = FormalSeries([1, 2], 0, 5)
     assert (z * s).is_zero()
+    # known orders that sum below zero
+    neg = z * FormalSeries([0], -7, -7)
+    assert neg.is_zero() and neg.order == -2
     with pytest.raises(ZeroDivisionError):
         z.reciprocal()
+
+
+# -- the packed product and the Newton reciprocal against schoolbook references --
+
+
+def schoolbook_product(a: FormalSeries, b: FormalSeries) -> FormalSeries:
+    n = min(a.nterms, b.nterms)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    offset = a.offset + b.offset
+    return FormalSeries(out, offset, offset + n - 1)
+
+
+def recurrence_reciprocal(c: FormalSeries) -> FormalSeries:
+    lead = Fraction(c.coeffs[0])
+    out = [1 / lead]
+    for j in range(1, c.nterms):
+        out.append(-sum(c.coeffs[i] * out[j - i] for i in range(1, j + 1)) / lead)
+    return FormalSeries(out, -c.offset, -c.offset + c.nterms - 1)
+
+
+def assert_same(got: FormalSeries, want: FormalSeries):
+    # to_json also tells an int from a Fraction with denominator 1
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+def coefficients(bits: int):
+    whole = st.integers(-(2**bits), 2**bits)
+    rational = st.builds(Fraction, whole, st.integers(1, 2 ** min(bits, 64)))
+    return st.one_of(
+        st.lists(st.one_of(st.just(0), whole), min_size=1, max_size=200),
+        st.lists(st.one_of(st.just(0), whole, rational), min_size=1, max_size=200),
+    )
+
+
+def series(coefficient_lists):
+    return st.builds(
+        lambda coeffs, off, nterms: FormalSeries(coeffs, off, off + nterms - 1),
+        coefficient_lists,
+        st.integers(-3, 3),
+        st.integers(1, 200),
+    )
+
+
+# An inverse's coefficients grow about as fast as max|c|^k, so the reciprocal
+# tests shrink the coefficients as the length grows to keep the references quick.
+big_series = series(coefficients(300))
+invertible = st.sampled_from([300, 40, 8, 2]).flatmap(
+    lambda bits: series(coefficients(bits)).filter(lambda s: not s.is_zero()).map(
+        lambda s: s.truncate(s.offset + 1200 // bits - 1)
+    )
+)
+# one full-length case of each kind besides what hypothesis draws
+long_whole = FormalSeries([(-3) ** k % 11 - 5 for k in range(200)], -3, 196)
+long_rational = FormalSeries([Fraction((-1) ** k * (k + 2), k % 7 + 1) for k in range(200)], 2, 201)
+
+
+@given(a=big_series, b=big_series)
+@example(a=long_whole, b=long_rational)
+@example(a=long_whole, b=long_whole.shift(5))
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_schoolbook(a, b):
+    if a.is_zero() or b.is_zero():
+        assert (a * b).is_zero()
+    else:
+        assert_same(a * b, schoolbook_product(a, b))
+
+
+@given(c=invertible)
+@example(c=long_whole)
+@example(c=long_rational)
+@settings(max_examples=40, deadline=None)
+def test_reciprocal_matches_recurrence(c):
+    assert_same(c.reciprocal(), recurrence_reciprocal(c))
+
+
+@given(c=invertible)
+@settings(max_examples=30, deadline=None)
+def test_reciprocal_with_unit_lead_matches_recurrence(c):
+    # a lead of +-1, as in every series rrlab inverts: integer input stays integral
+    c = FormalSeries([1 if c.coeffs[0] > 0 else -1] + c.coeffs[1:], c.offset, c.order)
+    assert_same(c.reciprocal(), recurrence_reciprocal(c))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 127, 128, 255, 256, 257])
+def test_mul_at_slot_width_edges(n):
+    # coefficient k of each product is (k + 1) * max|a| * max|b|, the largest
+    # the slot width has to hold at that position
+    low = FormalSeries([-(2**64)] * n, 0, n - 1)
+    high = FormalSeries([2**64 - 1] * n, 0, n - 1)
+    for a, b in ((low, low), (high, high), (low, high)):
+        want = [(k + 1) * a.coeffs[0] * b.coeffs[0] for k in range(n)]
+        assert (a * b).coeffs == want
+        assert_same(a * b, schoolbook_product(a, b))
+    # 1/(c(1 + x + x^2 + ...)) = (1 - x)/c
+    assert_same(low.reciprocal(), FormalSeries([Fraction(-1, 2**64), Fraction(1, 2**64)], 0, n - 1))
+    assert_same(high.reciprocal(), recurrence_reciprocal(high))
+
+
+def test_reciprocal_of_G_through_order_3000():
+    g = series_G(3000)
+    assert (g * g.reciprocal()).coeffs_through(3000) == [1] + [0] * 3000

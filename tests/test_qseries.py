@@ -173,6 +173,15 @@ def test_series_G_sum_vs_product_order_60():
     assert series_H(60).same_through(series_H(60, side="product"), 60)
 
 
+def test_series_sum_vs_product_every_low_order():
+    # the sum side keeps 1/(q;q)_n only through order - n^2 (- n for H);
+    # orders 1..40 put that cut on each side of n^2 and n^2 + n for n <= 6
+    for order in range(1, 41):
+        for series in (series_G, series_H):
+            assert series(order).coeffs == series(order, side="product").coeffs
+            assert series(order).order == order
+
+
 def test_series_coefficients():
     g = series_G(10)
     h = series_H(10)
