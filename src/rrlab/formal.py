@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
 __all__ = ["FormalSeries", "constant", "product_one_minus", "product_one_minus_inv"]
@@ -278,9 +279,7 @@ def product_one_minus(exponents: Iterable[int], order: int) -> FormalSeries:
             raise ValueError("exponents must be positive")
         if k > order:
             continue
-        for j in range(order, k - 1, -1):
-            if out[j - k] != 0:
-                out[j] -= out[j - k]
+        out[k:] = map(sub, out[k:], out[:-k])  # both slices are copies of the old list
     return FormalSeries(out, 0, order)
 
 
@@ -293,7 +292,6 @@ def product_one_minus_inv(exponents: Iterable[int], order: int) -> FormalSeries:
             raise ValueError("exponents must be positive")
         if k > order:
             continue
-        for j in range(k, order + 1):
-            if out[j - k] != 0:
-                out[j] += out[j - k]
+        for s in range(k, order + 1, k):  # each block adds the updated block before it
+            out[s : s + k] = map(add, out[s : s + k], out[s - k : s])
     return FormalSeries(out, 0, order)

@@ -1,17 +1,17 @@
-"""Identity verification registry: numeric sweeps and exact series checks.
+"""Identity verification registry: numeric sweeps and exact checks.
 
-Each registered identity pairs left/right evaluators over a sample domain.
-Numeric verification records per-sample deviations and passes each one below
-the context tolerance tol = 2^-(bits - guard_bits).  Identities with
-exact integer series on both sides are additionally checked coefficient by
-coefficient, with zero tolerance.
+Each registered identity is a tuple of (grid, sides) tables: the grid lists
+labelled points and the sides give the left and right value at each point.
+One rule judges every record by the type of its values.  Numbers pass below
+the context tolerance tol = 2^-(bits - guard_bits); exact values (integers,
+fractions, status strings) pass when equal; exact series pass when they agree
+coefficient by coefficient through the lower of their orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import cf as _cf
 from . import qseries as _qs
@@ -38,10 +38,17 @@ class UnknownIdentityError(KeyError):
 
 @dataclass(frozen=True)
 class IdentityCase:
+    """An identity checked over tables of (grid, sides) pairs.
+
+    grid(samples, series_order) lists (label, point) pairs.  At each point
+    sides(point, ctx) yields (suffix, lhs, rhs) triples, each becoming the
+    record labelled label + suffix, or a string, which becomes the exclusion
+    note label + string.
+    """
+
     id: str
     description: str
-    numeric: Optional[Callable] = None  # (ctx, samples) -> (records, excluded)
-    formal: Optional[Callable] = None  # order -> [(label, lhs, rhs, through)]
+    tables: tuple
 
 
 @dataclass
@@ -89,7 +96,7 @@ class VerificationReport:
 # -- the identity table ------------------------------------------------------------
 
 
-def _q_grid(samples: int) -> list:
+def _q_grid(samples: int, series_order: int) -> list:
     """Evenly spaced rational nomes in [1/20, 1/2]; 10 samples gives steps of 1/20."""
     if samples == 1:
         qs = [Fraction(1, 20)]
@@ -100,48 +107,38 @@ def _q_grid(samples: int) -> list:
     return [(f"q={qf}", Nome.rational(qf)) for qf in qs]
 
 
-def _record(ctx, point, lhs, rhs):
-    dev = abs(lhs - rhs)
-    return {
-        "point": point,
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_dev": dev,
-        "agree_bits": agree_bits(lhs, rhs, ctx),
-    }
+def _point(label: str):
+    """A one-point grid; the point is the series order."""
+    return lambda samples, series_order: [(label, series_order)]
 
 
-def _exact_record(point, lhs, rhs):
-    same = lhs == rhs
-    return {
-        "point": point,
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_dev": 0 if same else 1,
-        "agree_bits": None,
-    }
+def _record(ctx: PrecisionContext, point: str, lhs, rhs) -> dict:
+    """The record of lhs against rhs at a point, judged by the type of the values.
 
-
-def _table(grid: Callable, sides: Callable) -> Callable:
-    """Numeric evaluator for one (lhs, rhs) identity over a grid of points.
-
-    grid(samples) lists (label, point) pairs.  At each point sides(point, ctx)
-    yields (suffix, lhs, rhs) triples, each becoming the record labelled
-    label + suffix, or a string, which becomes the exclusion note label + string.
+    Exact series pass when they agree through the lower of their orders; a
+    mismatch reports its lowest exponent and the two coefficients.  Exact
+    values (int, Fraction, str) pass when equal, with abs_dev 0 or 1.
+    Numbers pass when |lhs - rhs| < ctx.tol.
     """
-
-    def run(ctx: PrecisionContext, samples: int):
-        records, excluded = [], []
-        for label, point in grid(samples):
-            for item in sides(point, ctx):
-                if isinstance(item, str):
-                    excluded.append(label + item)
-                else:
-                    suffix, lhs, rhs = item
-                    records.append(_record(ctx, label + suffix, lhs, rhs))
-        return records, excluded
-
-    return run
+    bits = None
+    if isinstance(lhs, FormalSeries):
+        through = min(lhs.order, rhs.order)
+        e = lhs.first_mismatch(rhs, through)
+        passed = e is None
+        if passed:
+            point, lhs, rhs, dev = f"{point}, exact through order {through}", "equal", "equal", 0
+        else:
+            lc, rc = lhs.coeff(e), rhs.coeff(e)
+            point, dev = f"{point}: first mismatch at exponent {e}", abs(lc - rc)
+            lhs, rhs = str(lc), str(rc)
+    elif isinstance(lhs, (int, Fraction, str)):
+        passed = lhs == rhs
+        dev = 0 if passed else 1
+    else:
+        dev = abs(lhs - rhs)
+        passed = dev < ctx.tol
+        bits = agree_bits(lhs, rhs, ctx)
+    return dict(point=point, lhs=lhs, rhs=rhs, abs_dev=dev, agree_bits=bits, passed=passed)
 
 
 def _R(q, ctx: PrecisionContext):
@@ -190,15 +187,12 @@ _ENTRY15A_Q = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
 
 
 def _entry15a_grid(a_values):
-    def grid(samples):
-        return [
-            (f"a={a}, b={b}, q={qf}", (a, b, qf))
-            for a in a_values
-            for b in _ENTRY15A_VALUES
-            for qf in _ENTRY15A_Q
-        ]
-
-    return grid
+    return lambda samples, series_order: [
+        (f"a={a}, b={b}, q={qf}", (a, b, qf))
+        for a in a_values
+        for b in _ENTRY15A_VALUES
+        for qf in _ENTRY15A_Q
+    ]
 
 
 def _entry15a(point, ctx: PrecisionContext):
@@ -215,7 +209,7 @@ def _cf_vs_product(nome, ctx: PrecisionContext):
     yield "", _R_cf(q, ctx), _R(q, ctx)
 
 
-def _modular_grid(samples):
+def _modular_grid(samples, series_order):
     return [(f"alpha={j}*pi/2", j) for j in range(1, samples + 1)]
 
 
@@ -335,7 +329,7 @@ def _k_param(nome, ctx: PrecisionContext):
         yield f": k={mp.nstr(k, 8)} > sqrt(5)-2, R(q^(1/2)) case excluded"
 
 
-def _quintic_grid(samples):
+def _quintic_grid(samples, series_order):
     return [("q=exp(-pi)", Nome.exp(1)), ("q=1/5", Nome.rational(Fraction(1, 5)))]
 
 
@@ -354,53 +348,38 @@ _FINITE_A = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fractio
 _FINITE_Q = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
 
 
-def _numeric_finite_form(ctx: PrecisionContext, samples: int):
-    records = []
-    for n in range(0, 13):
-        for a in _FINITE_A:
-            for q in _FINITE_Q:
-                mu = _qs.finite_mu(n, a, q)
-                nu = _qs.finite_nu(n, a, q)
-
-                def terms(k, _a=a, _q=q):
-                    return (_a * _q**k, Fraction(1))
-
-                cf_val = _cf.eval_finite(_cf.CFSpec(b0=Fraction(1), terms=terms), n)
-                records.append(_exact_record(f"n={n}, a={a}, q={q}", mu / nu, cf_val))
-    return records, []
+def _finite_grid(samples, series_order):
+    points = [(n, a, q) for n in range(13) for a in _FINITE_A for q in _FINITE_Q]
+    return [(f"n={n}, a={a}, q={q}", (n, a, q)) for n, a, q in points]
 
 
-_SCHUR_CONVERGENT_N = (2, 3, 4, 6, 7, 8, 9, 11)
-_SCHUR_DIVERGENT_N = (5, 10)
+def _finite_form(point, ctx: PrecisionContext):
+    n, a, q = point
+    spec = _cf.CFSpec(b0=Fraction(1), terms=lambda k: (a * q**k, Fraction(1)))
+    yield "", _qs.finite_mu(n, a, q) / _qs.finite_nu(n, a, q), _cf.eval_finite(spec, n)
 
 
-def _numeric_schur(ctx: PrecisionContext, samples: int):
-    records = []
-    # integrality witness, exact, for all n up to 10^4
-    bad = sum(
-        1
-        for n in range(1, 10_001)
-        if n % 5 != 0
-        and (_cf.legendre5(n) * (n % 5) * n) % 5 != 1
-    )
-    records.append(_exact_record("lam*rho*n = 1 (mod 5) for n <= 10^4", bad, 0))
-    for n in _SCHUR_CONVERGENT_N:
-        direct = _cf.rr_root_of_unity_direct(n, 1, ctx)
-        formula = _cf.rr_at_root_of_unity(n, 1, ctx)
-        if not direct.converged:
-            records.append(_exact_record(f"n={n}: direct evaluation converged", 0, 1))
-        else:
-            records.append(_record(ctx, f"n={n}: direct vs formula", direct.value, formula))
-    for n in _SCHUR_DIVERGENT_N:
-        res = _cf.rr_root_of_unity_direct(n, 1, ctx)
-        records.append(
-            _exact_record(
-                f"n={n}: direct evaluation {res.status.value}, period {res.iterations}",
-                res.status.value,
-                _cf.CFStatus.DIVERGES.value,
-            )
-        )
-    return records, []
+def _schur_witness(point, ctx: PrecisionContext):
+    """Integrality witness, exact: the n <= 10^4 prime to 5 with lam*rho*n != 1 (mod 5)."""
+    bad = sum(1 for n in range(1, 10_001) if n % 5 != 0 and _cf.legendre5(n) * (n % 5) * n % 5 != 1)
+    yield "", bad, 0
+
+
+def _schur_grid(samples, series_order):
+    return [(f"n={n}: ", n) for n in (2, 3, 4, 6, 7, 8, 9, 11, 5, 10)]  # convergent, then divergent
+
+
+def _schur(n, ctx: PrecisionContext):
+    """Schur's classification of R at exp(2 pi i/n) against the fraction evaluated directly."""
+    direct = _cf.rr_root_of_unity_direct(n, 1, ctx)
+    status = direct.status.value
+    if _cf.schur_classify(n).diverges:
+        label = f"direct evaluation {status}, period {direct.iterations}"
+        yield label, status, _cf.CFStatus.DIVERGES.value
+    elif direct.converged:
+        yield "direct vs formula", direct.value, _cf.rr_at_root_of_unity(n, 1, ctx)
+    else:
+        yield "direct evaluation converged", status, _cf.CFStatus.CONVERGED.value
 
 
 def cf2_spec() -> _cf.CFSpec:
@@ -437,10 +416,6 @@ def jims_identity(ctx: PrecisionContext) -> dict:
         "target": target,
         "iterations": iterations,
     }
-
-
-def _jims_grid(samples):
-    return [("series + cf2 vs sqrt(pi*e/2)", None)]
 
 
 def _jims(point, ctx: PrecisionContext):
@@ -489,10 +464,10 @@ def asymptotic_check(x, ctx: PrecisionContext, include_polynomial: bool = True, 
     return {"approx": approx, "reference": reference, "error": abs(approx - reference)}
 
 
-# -- formal (exact series) evaluators ----------------------------------------------
+# -- exact series sides: the point is the series order -----------------------------
 
 
-def _formal_cf_vs_product(order: int):
+def _formal_cf_vs_product(order: int, ctx: PrecisionContext):
     """Finite truncations of the fraction, in series arithmetic, against t*H/G."""
     q_order = order // 5 + 1
     depth = 2
@@ -509,21 +484,19 @@ def _formal_cf_vs_product(order: int):
     spec = _cf.CFSpec(b0=FormalSeries([0], 0, q_order), terms=terms)
     cf_series = _cf.eval_finite(spec, depth)
     lhs = cf_series.stretch(5).shift(1).truncate(order)
-    rhs = _qs.series_R(order)
-    return [("fraction truncations vs t*H/G in t", lhs, rhs, order)]
+    yield "", lhs, _qs.series_R(order)
 
 
-def _formal_r_identity_1(order: int):
+def _formal_r_identity_1(order: int, ctx: PrecisionContext):
     r = _qs.series_R(order + 2)
     t = FormalSeries([1], 1, order + 2)
     lhs = (t * r.reciprocal() - t - t * r).truncate(order)
     euler_t = product_one_minus(range(1, order + 1), order)
     inv_t25 = product_one_minus_inv(range(25, order + 1, 25), order)
-    rhs = (euler_t * inv_t25).truncate(order)
-    return [("t*(1/R - 1 - R) vs (t;t)/(t^25;t^25) in t", lhs, rhs, order)]
+    yield "", lhs, (euler_t * inv_t25).truncate(order)
 
 
-def _formal_r_identity_2(order: int):
+def _formal_r_identity_2(order: int, ctx: PrecisionContext):
     m = order + 2
     g = _qs.series_G(m)
     h = _qs.series_H(m)
@@ -532,8 +505,7 @@ def _formal_r_identity_2(order: int):
     lhs = (w.reciprocal() - 11 * q1 - q1 * q1 * w).truncate(order)
     euler = product_one_minus(range(1, m + 1), m)
     inv5 = product_one_minus_inv(range(5, m + 1, 5), m)
-    rhs = ((euler**6) * (inv5**6)).truncate(order)
-    return [("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q", lhs, rhs, order)]
+    yield "", lhs, ((euler**6) * (inv5**6)).truncate(order)
 
 
 # -- registry and driver -------------------------------------------------------------
@@ -545,80 +517,89 @@ _CASES = {
         IdentityCase(
             "entry15a",
             "two-variable fraction equals the quotient of double series",
-            numeric=_table(_entry15a_grid(_ENTRY15A_VALUES), _entry15a),
+            ((_entry15a_grid(_ENTRY15A_VALUES), _entry15a),),
         ),
         IdentityCase(
             "entry15a-corollary",
             "a = 0 special case of the two-variable fraction",
-            numeric=_table(_entry15a_grid((Fraction(0),)), _entry15a),
+            ((_entry15a_grid((Fraction(0),)), _entry15a),),
         ),
         IdentityCase(
             "cf-vs-product",
             "continued fraction equals q^(1/5) H(q)/G(q)",
-            numeric=_table(_q_grid, _cf_vs_product),
-            formal=_formal_cf_vs_product,
+            (
+                (_q_grid, _cf_vs_product),
+                (_point("fraction truncations vs t*H/G in t"), _formal_cf_vs_product),
+            ),
         ),
         IdentityCase(
             "modular-relation",
             "(phi + R(e^-2a))(phi + R(e^-2b)) = (5+sqrt5)/2 when ab = pi^2",
-            numeric=_table(_modular_grid, _modular_relation),
+            ((_modular_grid, _modular_relation),),
         ),
         IdentityCase(
             "R-identity-1",
             "1/R - 1 - R equals the eta-type quotient",
-            numeric=_table(_q_grid, _r_identity_1),
-            formal=_formal_r_identity_1,
+            (
+                (_q_grid, _r_identity_1),
+                (_point("t*(1/R - 1 - R) vs (t;t)/(t^25;t^25) in t"), _formal_r_identity_1),
+            ),
         ),
         IdentityCase(
             "R-identity-2",
             "1/R^5 - 11 - R^5 equals the sixth-power quotient",
-            numeric=_table(_q_grid, _r_identity_2),
-            formal=_formal_r_identity_2,
+            (
+                (_q_grid, _r_identity_2),
+                (_point("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q"), _formal_r_identity_2),
+            ),
         ),
         IdentityCase(
             "factorization-1",
             "factorization with the negative root constant",
-            numeric=_table(_q_grid, _factorization_1),
+            ((_q_grid, _factorization_1),),
         ),
         IdentityCase(
             "factorization-2",
             "factorization with the positive root constant",
-            numeric=_table(_q_grid, _factorization_2),
+            ((_q_grid, _factorization_2),),
         ),
         IdentityCase(
             "factorization-product",
             "product of the two factorizations recovers 1/R - 1 - R",
-            numeric=_table(_q_grid, _factorization_product),
+            ((_q_grid, _factorization_product),),
         ),
         IdentityCase(
             "cubic",
             "(v - u^3)(1 + u v^3) = 3 u^2 v^2 with u = R(q), v = R(q^3)",
-            numeric=_table(_q_grid, _cubic),
+            ((_q_grid, _cubic),),
         ),
         IdentityCase(
             "k-param",
             "k = R(q) R^2(q^2) parametrizes R^5(q), R^5(q^2), and R(q^(1/2))",
-            numeric=_table(_q_grid, _k_param),
+            ((_q_grid, _k_param),),
         ),
         IdentityCase(
             "quintic-corollary",
             "1/R(q) - R(q^4) = 2/u and 1/R(q^4) - R(q) = 2/v",
-            numeric=_table(_quintic_grid, _quintic_corollary),
+            ((_quintic_grid, _quintic_corollary),),
         ),
         IdentityCase(
             "finite-form",
             "mu_n / nu_n equals the depth-n fraction exactly",
-            numeric=_numeric_finite_form,
+            ((_finite_grid, _finite_form),),
         ),
         IdentityCase(
             "schur-consistency",
             "root-of-unity classification against direct evaluation",
-            numeric=_numeric_schur,
+            (
+                (_point("lam*rho*n = 1 (mod 5) for n <= 10^4"), _schur_witness),
+                (_schur_grid, _schur),
+            ),
         ),
         IdentityCase(
             "jims",
             "double-factorial series plus cf2 equals sqrt(pi*e/2)",
-            numeric=_table(_jims_grid, _jims),
+            ((_point("series + cf2 vs sqrt(pi*e/2)"), _jims),),
         ),
     )
 }
@@ -634,10 +615,7 @@ def verify(
     samples: int = 10,
     series_order: int = 150,
 ) -> VerificationReport:
-    """Run one identity's verification; returns a per-sample report.
-
-    A numeric record passes when its deviation is below ctx.tol.
-    """
+    """Run every table of one identity; the report passes when every record does."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     try:
@@ -647,42 +625,15 @@ def verify(
             f"unknown identity {id!r}; known: {', '.join(identity_ids())}"
         ) from None
     report = VerificationReport(id=id, bits=ctx.bits)
-    max_dev = ctx.mp.mpf(0)
-    ok = True
-    if case.numeric is not None:
-        records, excluded = case.numeric(ctx, samples)
-        report.records.extend(records)
-        report.excluded.extend(excluded)
-        for r in records:
-            dev = ctx.mp.mpf(r["abs_dev"])
-            if dev > max_dev:
-                max_dev = dev
-            if not dev < ctx.tol:
-                ok = False
-    if case.formal is not None:
-        for label, lhs, rhs, through in case.formal(series_order):
-            mismatch = lhs.first_mismatch(rhs, through)
-            if mismatch is None:
-                report.records.append(
-                    {
-                        "point": f"{label}, exact through order {through}",
-                        "lhs": "equal",
-                        "rhs": "equal",
-                        "abs_dev": 0,
-                        "agree_bits": None,
-                    }
-                )
-            else:
-                ok = False
-                report.records.append(
-                    {
-                        "point": f"{label}: first mismatch at exponent {mismatch}",
-                        "lhs": str(lhs.coeff(mismatch)),
-                        "rhs": str(rhs.coeff(mismatch)),
-                        "abs_dev": abs(lhs.coeff(mismatch) - rhs.coeff(mismatch)),
-                        "agree_bits": None,
-                    }
-                )
-    report.max_deviation = max_dev
-    report.status = "pass" if ok else "fail"
+    for grid, sides in case.tables:
+        for label, point in grid(samples, series_order):
+            for item in sides(point, ctx):
+                if isinstance(item, str):
+                    report.excluded.append(label + item)
+                else:
+                    suffix, lhs, rhs = item
+                    report.records.append(_record(ctx, label + suffix, lhs, rhs))
+    deviations = [ctx.real(r["abs_dev"]) for r in report.records]
+    report.max_deviation = max(deviations, default=ctx.real(0))
+    report.status = "pass" if all(r["passed"] for r in report.records) else "fail"
     return report

@@ -193,19 +193,19 @@ def theta_phi(q, ctx: PrecisionContext):
         odd = odd * x2 >> w
 
 
-def _qq(q, n: int):
-    """(q; q)_n."""
-    return pochhammer(q, q, n)
-
-
 def _finite_sum(n: int, a, q, extra: int):
     """sum_{k <= m/2} a^k q^(k^2 + extra*k) (q;q)_(m-k) / ((q;q)_k (q;q)_(m-2k)), m = n+1-extra."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = n + 1 - extra
+    qq = [1]  # (q;q)_j for j = 0..m, the factors as pochhammer forms them
+    qk = 1
+    for _ in range(m):
+        qk *= q
+        qq.append(qq[-1] * (1 - qk))
     total = 0
     for k in range(0, m // 2 + 1):
-        total += a**k * q ** (k * (k + extra)) * _qq(q, m - k) / (_qq(q, k) * _qq(q, m - 2 * k))
+        total += a**k * q ** (k * (k + extra)) * qq[m - k] / (qq[k] * qq[m - 2 * k])
     return total
 
 

@@ -37,10 +37,9 @@ def _cases() -> dict:
             for fmt in ("text", "json"):
                 cases[f"eval-{target}-{nome}-{fmt}"] = ["eval", target, *flag, "--format", fmt]
     for ident in identity_ids():
-        if ident != "schur-consistency":
-            cases[f"verify-{ident}"] = [
-                "verify", ident, "--samples", "2", "--series-order", "40", "--format", "json",
-            ]
+        cases[f"verify-{ident}"] = [
+            "verify", ident, "--samples", "2", "--series-order", "40", "--format", "json",
+        ]
     return cases
 
 

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from rrlab import cf
+from rrlab import cf, identities
+from rrlab.cli import main
+from rrlab.formal import FormalSeries
 from rrlab.identities import (
+    IdentityCase,
     UnknownIdentityError,
     _entry15a_series_quotient,
     VerificationReport,
@@ -174,6 +177,54 @@ def test_report_json_schema_and_determinism(ctx):
     for rec in data["records"]:
         assert set(rec) == {"point", "lhs", "rhs", "abs_dev", "agree_bits"}
     assert data["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "sides, status, expected",
+    [
+        pytest.param(
+            lambda ctx: (FormalSeries([1, 2, 3, 4]), FormalSeries([1, 2, 3, 4, 9])),
+            "pass",
+            {"point": "p, exact through order 3", "lhs": "equal", "rhs": "equal", "abs_dev": 0},
+            id="series-through-lower-order",
+        ),
+        pytest.param(
+            lambda ctx: (FormalSeries([1, 2, 3, 4]), FormalSeries([1, 2, 5, 4, 9])),
+            "fail",
+            {"point": "p: first mismatch at exponent 2", "lhs": "3", "rhs": "5", "abs_dev": 2},
+            id="series-mismatch",
+        ),
+        pytest.param(
+            lambda ctx: (Fraction(1, 3), Fraction(1, 2)),
+            "fail",
+            {"point": "p", "lhs": Fraction(1, 3), "rhs": Fraction(1, 2), "abs_dev": 1},
+            id="fraction-mismatch",
+        ),
+        pytest.param(
+            lambda ctx: (ctx.mp.mpf(1), 1 + ctx.tol),
+            "fail",
+            {"point": "p", "abs_dev": 2.0**-224},  # tol at 256 bits with 32 guard bits
+            id="number-at-tol",
+        ),
+        pytest.param(
+            lambda ctx: (ctx.mp.mpf(1), 1 + ctx.tol / 2),
+            "pass",
+            {"point": "p", "abs_dev": 2.0**-225},
+            id="number-below-tol",
+        ),
+    ],
+)
+def test_record_rule(monkeypatch, capsys, ctx, sides, status, expected):
+    # one point of a registered identity: the record, the report and the exit code
+    table = (identities._point("p"), lambda point, ctx: [("", *sides(ctx))])
+    monkeypatch.setitem(identities._CASES, "probe", IdentityCase("probe", "a probe", (table,)))
+    rep = verify("probe", ctx)
+    assert rep.status == status
+    (record,) = rep.records
+    assert {k: record[k] for k in expected} == expected
+    assert rep.max_deviation == expected["abs_dev"]
+    assert main(["verify", "probe"]) == (0 if status == "pass" else 1)
+    assert capsys.readouterr().out.startswith("[pass]" if status == "pass" else "[FAIL]")
 
 
 def test_schur_consistency_report(ctx):
