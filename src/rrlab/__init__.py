@@ -6,7 +6,7 @@ numerically (high precision) and, where the coefficients are exact, as
 integer formal power series.
 """
 
-from .numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
+from .numerics import Nome, PrecisionContext, RootMode, agree_bits, certify, golden_phi, root
 from .cf import (
     CFResult,
     CFSpec,
@@ -60,6 +60,7 @@ __all__ = [
     "Nome",
     "RootMode",
     "agree_bits",
+    "certify",
     "golden_phi",
     "root",
     "CFSpec",

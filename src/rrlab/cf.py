@@ -12,21 +12,20 @@ a_k*A_{k-2} (B_k likewise), run on W-bit Python integers with joint
 renormalisation and a two-difference stopping rule; one that has not
 converged by max_iter ends MAX_ITERATIONS, without a value.
 
-Non-convergence has one exception type, ConvergenceError: a CFResult's value
+Non-convergence has one exception type, ConvergenceError (defined with
+CFStatus in ``numerics``, whose ``certify`` raises it too): a CFResult's value
 is read through CFResult.require, and every other loop bounded by max_iter
 in the package iterates over ``bounded``, which raises it at the cap.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from mpmath import libmp, mp as _mp
-
-from .numerics import PrecisionContext, RootMode, _fixed, golden_phi, root
+from .numerics import CFStatus, ConvergenceError, Nome, PrecisionContext, RootMode
+from .numerics import _fixed, golden_phi, root
 
 __all__ = [
     "CFSpec",
@@ -73,22 +72,6 @@ class CFSpec:
     b0: object
     terms: Callable[[int], tuple]
     period: Optional[int] = None
-
-
-class CFStatus(enum.Enum):
-    CONVERGED = "converged"
-    MAX_ITERATIONS = "max-iterations"
-    DIVERGES = "diverges"
-
-
-class ConvergenceError(RuntimeError):
-    """A route stopped without a value: how it ended and after how many iterations."""
-
-    def __init__(self, route: str, status: CFStatus, iterations: int):
-        self.route = route
-        self.status = status
-        self.iterations = iterations
-        super().__init__(f"{route} did not converge: {status.value} after {iterations} iterations")
 
 
 def bounded(route: str, ctx: PrecisionContext):
@@ -421,23 +404,6 @@ def schur_classify(n: int) -> SchurClassification:
     return SchurClassification(n=n, diverges=False, lam=lam, rho=rho, exponent=num // 5)
 
 
-@dataclass(frozen=True)
-class _UnitRoot:
-    """exp(2*pi*i*num/den), exact: mpmath's ``_mpmath_`` conversion hook
-    evaluates it at the precision of whichever context reads it (the global
-    context's mpc only carries the rounded parts across)."""
-
-    num: int
-    den: int
-
-    def _mpmath_(self, prec: int, rounding: str):
-        turns = 2 * self.num % (2 * self.den)  # exp(i*pi*turns/den)
-        if turns % self.den == 0:
-            return 1 if turns == 0 else -1
-        x = libmp.from_rational(turns, self.den, prec, rounding)
-        return _mp.make_mpc(libmp.mpf_cos_sin_pi(x, prec, rounding))
-
-
 def rr_at_root_of_unity(n: int, j: int = 1, ctx: Optional[PrecisionContext] = None):
     """Value of R at q = exp(2*pi*i*j/n) by the classification formula.
 
@@ -453,21 +419,21 @@ def rr_at_root_of_unity(n: int, j: int = 1, ctx: Optional[PrecisionContext] = No
         raise DivergenceError(f"R diverges at primitive {n}-th roots of unity (5 | n)")
     phi = golden_phi(ctx)
     r_lam = 1 / phi if cls.lam == 1 else -phi
-    return cls.lam * ctx.number(_UnitRoot(j * cls.exponent, n)) * r_lam
+    return cls.lam * ctx.number(Nome.unit_root(j * cls.exponent, n)) * r_lam
 
 
 def rr_root_of_unity_spec(n: int, j: int = 1) -> CFSpec:
     """CFSpec of the prefactor-free fraction at q = exp(2*pi*i*j/n), period n.
 
-    Each power q^(k-1) is the exact root exp(2*pi*i*r/n) with r = (k-1)*j
-    reduced mod n, converted at the precision of the evaluating context, so
-    no precision decays with depth or is capped by the spec.
+    Each power q^(k-1) is the exact root Nome.unit_root(r, n) with r = (k-1)*j
+    reduced mod n, converted at the working precision of the evaluating
+    context, so no precision decays with depth or is capped by the spec.
     """
     if n <= 0:
         raise ValueError("n must be a positive integer")
 
     def terms(k: int):
-        return (_UnitRoot((k - 1) * j % n, n), 1)
+        return (Nome.unit_root((k - 1) * j % n, n), 1)
 
     return CFSpec(b0=0, terms=terms, period=n)
 

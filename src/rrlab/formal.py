@@ -225,8 +225,7 @@ class FormalSeries:
         """Exact coefficient equality for every exponent <= e."""
         if e > self.order or e > other.order:
             raise IndexError("comparison beyond known order")
-        lo = min(self.offset, other.offset)
-        return all(self.coeff(i) == other.coeff(i) for i in range(lo, e + 1))
+        return self.first_mismatch(other, e) is None
 
     def first_mismatch(self, other: "FormalSeries", e: int):
         """Lowest exponent <= e where coefficients differ, or None."""

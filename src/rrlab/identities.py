@@ -2,10 +2,11 @@
 
 Each registered identity is a tuple of (grid, sides) tables: the grid lists
 labelled points and the sides give the left and right value at each point.
-One rule judges every record by the type of its values.  Numbers pass below
-the context tolerance tol = 2^-(bits - guard_bits); exact values (integers,
-fractions, status strings) pass when equal; exact series pass when they agree
-coefficient by coefficient through the lower of their orders.
+The package's one pass rule, ``numerics.record``, judges every record by the
+type of its values.  Numbers pass below the context tolerance
+tol = 2^-(bits - guard_bits); exact values (integers, fractions, status
+strings) pass when equal; exact series pass when they agree coefficient by
+coefficient through the lower of their orders.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
 from .formal import FormalSeries, product_one_minus, product_one_minus_inv
-from .numerics import Nome, PrecisionContext, RootMode, _fixed, agree_bits, golden_phi, root
+from .numerics import Nome, PrecisionContext, RootMode, _fixed, golden_phi, record, root
 
 __all__ = [
     "IdentityCase",
@@ -112,35 +113,6 @@ def _point(label: str):
     return lambda samples, series_order: [(label, series_order)]
 
 
-def _record(ctx: PrecisionContext, point: str, lhs, rhs) -> dict:
-    """The record of lhs against rhs at a point, judged by the type of the values.
-
-    Exact series pass when they agree through the lower of their orders; a
-    mismatch reports its lowest exponent and the two coefficients.  Exact
-    values (int, Fraction, str) pass when equal, with abs_dev 0 or 1.
-    Numbers pass when |lhs - rhs| < ctx.tol.
-    """
-    bits = None
-    if isinstance(lhs, FormalSeries):
-        through = min(lhs.order, rhs.order)
-        e = lhs.first_mismatch(rhs, through)
-        passed = e is None
-        if passed:
-            point, lhs, rhs, dev = f"{point}, exact through order {through}", "equal", "equal", 0
-        else:
-            lc, rc = lhs.coeff(e), rhs.coeff(e)
-            point, dev = f"{point}: first mismatch at exponent {e}", abs(lc - rc)
-            lhs, rhs = str(lc), str(rc)
-    elif isinstance(lhs, (int, Fraction, str)):
-        passed = lhs == rhs
-        dev = 0 if passed else 1
-    else:
-        dev = abs(lhs - rhs)
-        passed = dev < ctx.tol
-        bits = agree_bits(lhs, rhs, ctx)
-    return dict(point=point, lhs=lhs, rhs=rhs, abs_dev=dev, agree_bits=bits, passed=passed)
-
-
 def _R(q, ctx: PrecisionContext):
     return _qs.R_product(q, RootMode.PRINCIPAL, ctx)
 
@@ -205,7 +177,7 @@ def _entry15a(point, ctx: PrecisionContext):
 
 
 def _cf_vs_product(nome, ctx: PrecisionContext):
-    q = nome.value(ctx)
+    q = ctx.number(nome)
     yield "", _R_cf(q, ctx), _R(q, ctx)
 
 
@@ -224,14 +196,14 @@ def _modular_relation(j, ctx: PrecisionContext):
 
 
 def _r_identity_1(nome, ctx: PrecisionContext):
-    q = nome.value(ctx)
+    q = ctx.number(nome)
     r = _R(q, ctx)
     t = root(q, 5, RootMode.PRINCIPAL, ctx)
     yield "", 1 / r - 1 - r, _euler_prod(t, ctx) / (t * _euler_prod(q**5, ctx))
 
 
 def _r_identity_2(nome, ctx: PrecisionContext):
-    q = nome.value(ctx)
+    q = ctx.number(nome)
     r5 = _R(q, ctx) ** 5
     yield "", 1 / r5 - 11 - r5, _euler_prod(q, ctx) ** 6 / (q * _euler_prod(q**5, ctx) ** 6)
 
@@ -281,16 +253,13 @@ def _gamma_minus(ctx):
     return (1 - ctx.mp.sqrt(5)) / 2
 
 
-def _factorization_1(nome, ctx: PrecisionContext):
-    yield ("", *factorization_sides(_gamma_minus(ctx), nome.value(ctx), ctx))
-
-
-def _factorization_2(nome, ctx: PrecisionContext):
-    yield ("", *factorization_sides(golden_phi(ctx), nome.value(ctx), ctx))
+def _factorization(gamma):
+    """Sides of one factorization; gamma(ctx) gives its root constant."""
+    return lambda nome, ctx: [("", *factorization_sides(gamma(ctx), ctx.number(nome), ctx))]
 
 
 def _factorization_product(nome, ctx: PrecisionContext):
-    q = nome.value(ctx)
+    q = ctx.number(nome)
     l1, r1 = factorization_sides(_gamma_minus(ctx), q, ctx)
     l2, r2 = factorization_sides(golden_phi(ctx), q, ctx)
     r = _R(q, ctx)
@@ -299,7 +268,7 @@ def _factorization_product(nome, ctx: PrecisionContext):
 
 
 def _cubic(nome, ctx: PrecisionContext):
-    q = nome.value(ctx)
+    q = ctx.number(nome)
     u = _R(q, ctx)
     v = _R(q**3, ctx)
     yield "", (v - u**3) * (1 + u * v**3), 3 * u**2 * v**2
@@ -311,7 +280,7 @@ def k_param_bound(ctx: PrecisionContext):
 
 def _k_param(nome, ctx: PrecisionContext):
     mp = ctx.mp
-    q = nome.value(ctx)
+    q = ctx.number(nome)
     rq = _R(q, ctx)
     rq2 = _R(q**2, ctx)
     k = rq * rq2**2
@@ -334,7 +303,7 @@ def _quintic_grid(samples, series_order):
 
 
 def _quintic_corollary(nome, ctx: PrecisionContext):
-    q = nome.value(ctx)
+    q = ctx.number(nome)
     p = _sv.p_value(q, ctx)
     u, v = _sv.quintic_uv(p, ctx)
     rq = _R_cf(q, ctx)
@@ -556,12 +525,12 @@ _CASES = {
         IdentityCase(
             "factorization-1",
             "factorization with the negative root constant",
-            ((_q_grid, _factorization_1),),
+            ((_q_grid, _factorization(_gamma_minus)),),
         ),
         IdentityCase(
             "factorization-2",
             "factorization with the positive root constant",
-            ((_q_grid, _factorization_2),),
+            ((_q_grid, _factorization(golden_phi)),),
         ),
         IdentityCase(
             "factorization-product",
@@ -632,7 +601,7 @@ def verify(
                     report.excluded.append(label + item)
                 else:
                     suffix, lhs, rhs = item
-                    report.records.append(_record(ctx, label + suffix, lhs, rhs))
+                    report.records.append(record(ctx, label + suffix, lhs, rhs))
     deviations = [ctx.real(r["abs_dev"]) for r in report.records]
     report.max_deviation = max(deviations, default=ctx.real(0))
     report.status = "pass" if all(r["passed"] for r in report.records) else "fail"

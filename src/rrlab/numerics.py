@@ -6,8 +6,11 @@ contexts are safe to use from separate threads).  Real and complex values are
 plain mpmath ``mpf``/``mpc`` instances created through the context.
 
 Error control is by precision doubling rather than interval arithmetic:
-recompute under a context with twice the mantissa bits and compare with
-``agree_bits``.  A result is trusted to ``bits - guard_bits`` significant bits.
+``certify`` recomputes under a context with twice the mantissa bits and
+compares with ``agree_bits``, which scales the difference by
+max(|x|, |y|, 1): agreement is relative for values above 1 and absolute below
+it.  A result is trusted to ``bits - guard_bits`` such bits.  Every check
+passes or fails by one rule, ``record``.
 
 The long loops of the package run on fixed-point Python integers at the
 width W of ``_fixed``, and convert back to the context once at the end.
@@ -20,15 +23,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath import libmp, mp as _mp
 from mpmath.ctx_mp import MPContext
+
+from .formal import FormalSeries
 
 __all__ = [
     "RootMode",
     "PrecisionContext",
     "Nome",
+    "CFStatus",
+    "ConvergenceError",
     "root",
     "golden_phi",
     "agree_bits",
+    "certify",
+    "record",
 ]
 
 # Internal stopping thresholds sit this many bits below the reported
@@ -60,8 +70,8 @@ class PrecisionContext:
     def __init__(self, bits: int = 256, guard_bits: int = 32, max_iter: int = 10**6):
         if bits <= 0 or guard_bits <= 0:
             raise ValueError("bits and guard_bits must be positive")
-        if bits <= guard_bits:
-            raise ValueError(f"bits ({bits}) must exceed guard_bits ({guard_bits})")
+        if bits - guard_bits < 4:
+            raise ValueError(f"bits ({bits}) must exceed guard_bits ({guard_bits}) by at least 4")
         if max_iter <= 0:
             raise ValueError("max_iter must be positive")
         self.bits = bits
@@ -125,16 +135,19 @@ class PrecisionContext:
         )
 
 
-_NOME_FORMS = ("rational", "exp", "exp-sqrt")
+_NOME_FORMS = ("rational", "exp", "exp-sqrt", "unit-root")
 
 
 @dataclass(frozen=True)
 class Nome:
-    """A nome q that regenerates at any context precision.
+    """A nome q, converted afresh at the precision of whichever context reads it.
 
-    ``form`` is "rational" (q = arg exactly), "exp" (q = exp(-pi*arg)) or
-    "exp-sqrt" (q = exp(-pi*sqrt(arg))); the exponential forms need arg > 0.
-    The constructors accept anything ``Fraction`` does, such as "1/10".
+    ``form`` is "rational" (q = arg exactly), "exp" (q = exp(-pi*arg)),
+    "exp-sqrt" (q = exp(-pi*sqrt(arg))) or "unit-root" (q = exp(2*pi*i*arg));
+    the exponential forms need arg > 0.  The constructors accept anything
+    ``Fraction`` does, such as "1/10".  ``ctx.number(nome)`` converts it
+    through mpmath's ``_mpmath_`` hook at the context's current working
+    precision, so a raised ``workprec`` gives a more precise q.
     """
 
     form: str
@@ -147,7 +160,7 @@ class Nome:
             arg = Fraction(self.arg)
         except ZeroDivisionError:
             raise ValueError(f"nome argument {self.arg!r} has a zero denominator") from None
-        if self.form != "rational" and arg <= 0:
+        if self.form.startswith("exp") and arg <= 0:
             raise ValueError(f"{self.form} nome needs a positive argument, got {arg}")
         object.__setattr__(self, "arg", arg)
 
@@ -163,13 +176,42 @@ class Nome:
     def exp_sqrt(cls, n) -> "Nome":
         return cls("exp-sqrt", n)
 
-    def value(self, ctx: PrecisionContext):
-        x = ctx.real(self.arg)
-        if self.form == "rational":
-            return x
+    @classmethod
+    def unit_root(cls, j: int, n: int) -> "Nome":
+        """q = exp(2*pi*i*j/n)."""
+        return cls("unit-root", Fraction(j, n))
+
+    def _mpmath_(self, prec: int, rounding: str):
+        num, den = self.arg.numerator, self.arg.denominator
+        if self.form == "unit-root":
+            turns = 2 * num % (2 * den)  # q = exp(i*pi*turns/den)
+            if turns % den == 0:
+                return 1 if turns == 0 else -1
+            x = libmp.from_rational(turns, den, prec, rounding)
+            return _mp.make_mpc(libmp.mpf_cos_sin_pi(x, prec, rounding))
+        x = libmp.from_rational(num, den, prec, rounding)
         if self.form == "exp-sqrt":
-            x = ctx.mp.sqrt(x)
-        return ctx.mp.exp(-ctx.mp.pi * x)
+            x = libmp.mpf_sqrt(x, prec, rounding)
+        if self.form != "rational":
+            x = libmp.mpf_mul(libmp.mpf_pi(prec, rounding), x, prec, rounding)
+            x = libmp.mpf_exp(libmp.mpf_neg(x), prec, rounding)
+        return _mp.make_mpf(x)
+
+
+class CFStatus(enum.Enum):
+    CONVERGED = "converged"
+    MAX_ITERATIONS = "max-iterations"
+    DIVERGES = "diverges"
+
+
+class ConvergenceError(RuntimeError):
+    """A route stopped without a value: how it ended and after how many iterations."""
+
+    def __init__(self, route: str, status: CFStatus, iterations: int):
+        self.route = route
+        self.status = status
+        self.iterations = iterations
+        super().__init__(f"{route} did not converge: {status.value} after {iterations} iterations")
 
 
 def _fixed(ctx: PrecisionContext, route: str, q, *xs):
@@ -229,9 +271,10 @@ def golden_phi(ctx: PrecisionContext):
 
 
 def agree_bits(x, y, ctx: PrecisionContext) -> int:
-    """Number of significant bits on which x and y agree.
+    """Number of bits on which x and y agree, relative to max(|x|, |y|, 1).
 
-    Returns floor(-log2(|x - y| / max(|x|, |y|, 1))) clamped to [0, ctx.bits].
+    Returns floor(-log2(|x - y| / max(|x|, |y|, 1))) clamped to [0, ctx.bits],
+    so agreement is relative for values above 1 and absolute below it.
     Identical values clamp to ctx.bits.
     """
     mp = ctx.mp
@@ -243,3 +286,49 @@ def agree_bits(x, y, ctx: PrecisionContext) -> int:
     scale = max(abs(x), abs(y), mp.mpf(1))
     b = int(mp.floor(-mp.log(d / scale, 2)))
     return max(0, min(ctx.bits, b))
+
+
+def certify(fn, ctx: PrecisionContext):
+    """(fn(ctx), agree_bits of it against fn(ctx.doubled())) for a number-valued fn.
+
+    A ConvergenceError in the doubled run is raised again with the self-check
+    named in its route.
+    """
+    first = fn(ctx)
+    doubled = ctx.doubled()
+    try:
+        second = fn(doubled)
+    except ConvergenceError as exc:
+        route = f"{exc.route} (precision self-check at {doubled.bits} bits)"
+        raise ConvergenceError(route, exc.status, exc.iterations) from exc
+    return first, agree_bits(first, second, ctx)
+
+
+def record(ctx: PrecisionContext, point: str, lhs, rhs) -> dict:
+    """The record of lhs against rhs at a point, judged by the type of the values.
+
+    This is the one pass rule of the package.  Exact series pass when they
+    agree through the lower of their orders; a mismatch reports its lowest
+    exponent and the two coefficients.  Exact values (int, Fraction, str)
+    pass when equal, with abs_dev 0 or 1.  Numbers pass when
+    |lhs - rhs| < ctx.tol, and carry their agree_bits.
+    """
+    bits = None
+    if isinstance(lhs, FormalSeries):
+        through = min(lhs.order, rhs.order)
+        e = lhs.first_mismatch(rhs, through)
+        passed = e is None
+        if passed:
+            point, lhs, rhs, dev = f"{point}, exact through order {through}", "equal", "equal", 0
+        else:
+            lc, rc = lhs.coeff(e), rhs.coeff(e)
+            point, dev = f"{point}: first mismatch at exponent {e}", abs(lc - rc)
+            lhs, rhs = str(lc), str(rc)
+    elif isinstance(lhs, (int, Fraction, str)):
+        passed = lhs == rhs
+        dev = 0 if passed else 1
+    else:
+        dev = abs(lhs - rhs)
+        passed = dev < ctx.tol
+        bits = agree_bits(lhs, rhs, ctx)
+    return dict(point=point, lhs=lhs, rhs=rhs, abs_dev=dev, agree_bits=bits, passed=passed)

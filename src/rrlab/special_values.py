@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import cf as _cf
 from . import qseries as _qs
-from .numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
+from .numerics import Nome, PrecisionContext, RootMode, golden_phi, record, root
 
 __all__ = [
     "evaluate",
@@ -198,7 +198,7 @@ class InvariantTable:
     def direct_value(self, n, ctx: PrecisionContext):
         """2^(-1/4) * q^(-1/24) * chi(q) at q = exp(-pi*sqrt(n))."""
         mp = ctx.mp
-        q = Nome.exp_sqrt(n).value(ctx)
+        q = ctx.number(Nome.exp_sqrt(n))
         return mp.root(2, 4) ** -1 * q ** (-mp.mpf(1) / 24) * _qs.chi(q, ctx)
 
     def validate(self, n, expr, ctx: PrecisionContext):
@@ -207,13 +207,12 @@ class InvariantTable:
             claimed = evaluate(expr, ctx)
         except ZeroDivisionError:
             raise InvariantConfigError(f"invariant entry n = {n} divides by zero") from None
-        direct = self.direct_value(n, ctx)
-        dev = abs(claimed - direct)
-        if not dev < ctx.tol:
+        rec = record(ctx, f"n = {n}", claimed, self.direct_value(n, ctx))
+        if not rec["passed"]:
             raise InvariantConfigError(
                 f"invariant entry n = {n} fails the chi-product cross-check "
                 f"2^(-1/4) q^(-1/24) chi(q) at q = exp(-pi*sqrt(n)): "
-                f"|claimed - direct| = {ctx.mp.nstr(dev, 8)}"
+                f"|claimed - direct| = {ctx.mp.nstr(rec['abs_dev'], 8)}"
             )
         if n != 1 and not claimed > 1:
             raise InvariantConfigError(f"invariant entry n = {n} must exceed 1")
@@ -357,9 +356,6 @@ class SpecialValueEntry:
     closed_form: object  # a closed form, see evaluate
     provenance: str
 
-    def closed_value(self, ctx: PrecisionContext):
-        return evaluate(self.closed_form, ctx)
-
 
 def _registry_entries() -> tuple:
     inv_phi = ("/", _sub(SQRT5, 1), 2)
@@ -477,7 +473,7 @@ def _direct_values(entry: SpecialValueEntry, ctx: PrecisionContext) -> dict:
         out["theta-series-ratio"] = theta_quotient_direct(n, ctx)
         out["invariant-formula"] = theta_quotient(n, ctx)
         return out
-    q = entry.nome.value(ctx)
+    q = ctx.number(entry.nome)
     if entry.kind == "R-value":
         out["cf"] = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).require("R continued fraction")
         if abs(q) < 1:
@@ -490,39 +486,27 @@ def _direct_values(entry: SpecialValueEntry, ctx: PrecisionContext) -> dict:
 
 
 def verify_entry(entry: SpecialValueEntry, ctx: PrecisionContext) -> dict:
-    """Compare the closed form with every direct route; report the worst case."""
-    closed = entry.closed_value(ctx)
+    """Judge the direct route farthest from the closed form (the last on a tie)."""
+    closed = evaluate(entry.closed_form, ctx)
     routes = _direct_values(entry, ctx)
-    max_dev = ctx.mp.mpf(0)
-    worst_direct = None
-    for name, val in routes.items():
-        dev = abs(val - closed)
-        if dev >= max_dev:
-            max_dev = dev
-            worst_direct = val
+    worst = max(reversed(routes.values()), key=lambda v: abs(v - closed))
+    rec = record(ctx, entry.name, worst, closed)
     return {
         "name": entry.name,
         "kind": entry.kind,
         "provenance": entry.provenance,
         "closed": closed,
-        "direct": worst_direct,
+        "direct": worst,
         "routes": routes,
-        "abs_dev": max_dev,
-        "agree_bits": agree_bits(worst_direct, closed, ctx),
-        "passed": bool(max_dev < ctx.tol),
+        "abs_dev": rec["abs_dev"],
+        "agree_bits": rec["agree_bits"],
+        "passed": rec["passed"],
     }
 
 
 def verify_registry(ctx: PrecisionContext, names: Optional[list] = None) -> list:
     """Verify selected entries (all by default); returns one record per entry."""
-    wanted = {n for n in names} if names else None
-    records = []
-    for entry in _REGISTRY:
-        if wanted is not None and entry.name not in wanted:
-            continue
-        records.append(verify_entry(entry, ctx))
-    if wanted:
-        missing = wanted - {r["name"] for r in records}
-        if missing:
-            raise KeyError(f"unknown special-value entries: {sorted(missing)}")
-    return records
+    missing = set(names or ()) - {e.name for e in _REGISTRY}
+    if missing:
+        raise KeyError(f"unknown special-value entries: {sorted(missing)}")
+    return [verify_entry(e, ctx) for e in _REGISTRY if not names or e.name in names]

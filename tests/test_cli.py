@@ -86,10 +86,30 @@ def test_bits_floor_is_usage_error(capsys):
         (("--bits", "63"), "precision_bits must be >= 64"),
         (("--series-order", "9"), "series_order must be >= 10"),
         (("--samples", "0"), "samples must be >= 1"),
+        # 64 - 61 = 3 bits earn no decimal digit
+        (("--bits", "64", "--guard-bits", "61"), "bits (64) must exceed guard_bits (61) by at least 4"),
     ],
 )
 def test_range_checks_are_usage_errors(capsys, flags, says):
     code, out, err = run(capsys, *flags, "verify", "jims")
+    assert (code, out, err) == (2, "", f"error: {says}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (("eval", "cf2", "--q", "1/2"), "cf2 takes no nome: drop --q, --exp-arg, --exp-sqrt"),
+        (("eval", "cf2", "--exp-arg", "1"), "cf2 takes no nome: drop --q, --exp-arg, --exp-sqrt"),
+        (("eval", "R", "--q", "1/2", "--format", "csv"), "--format csv is only for verify"),
+        (("values", "check", "eq2", "--format", "csv"), "--format csv is only for verify"),
+        (("--format", "csv", "values", "list"), "--format csv is only for verify"),
+        (("schur", "7", "--format", "csv"), "--format csv is only for verify"),
+        (("series", "G", "--format", "csv"), "--format csv is only for verify"),
+        (("asymptotic", "1/20", "--format", "csv"), "--format csv is only for verify"),
+    ],
+)
+def test_ignored_inputs_are_usage_errors(capsys, argv, says):
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {says}\n")
 
 

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
+from rrlab.numerics import (
+    ConvergenceError,
+    CFStatus,
+    Nome,
+    PrecisionContext,
+    RootMode,
+    agree_bits,
+    certify,
+    golden_phi,
+    root,
+)
 
 # sqrt(5)+1)/2 computed independently at 300 bits (mpmath sqrt)
 PHI_75 = "1.61803398874989484820458683436563811772030917980576286213544862270526046282"
@@ -15,6 +25,10 @@ def test_context_validation():
         PrecisionContext(0)
     with pytest.raises(ValueError):
         PrecisionContext(32, 32)
+    # bits - guard_bits must earn at least one decimal digit
+    with pytest.raises(ValueError, match="by at least 4"):
+        PrecisionContext(67, 64)
+    assert PrecisionContext(68, 64).digits == 1
     with pytest.raises(ValueError):
         PrecisionContext(256, 32, 0)
 
@@ -106,16 +120,46 @@ def test_agree_bits_clamps(ctx):
     assert 0 <= agree_bits(1, -1, ctx) <= ctx.bits
 
 
-def test_precision_doubling_constants(ctx, ctx512):
+def test_precision_doubling_constants(ctx):
     for f in (golden_phi, lambda c: c.mp.pi + 0, lambda c: c.mp.e + 0):
-        assert agree_bits(f(ctx), f(ctx512), ctx) >= ctx.bits - ctx.guard_bits
+        assert certify(f, ctx)[1] >= ctx.bits - ctx.guard_bits
 
 
-def test_precision_doubling_root(ctx, ctx512):
+def test_precision_doubling_root(ctx):
     z = Fraction(-7, 3)
-    a = root(z, 5, RootMode.REAL_ODD, ctx)
-    b = root(z, 5, RootMode.REAL_ODD, ctx512)
-    assert agree_bits(a, b, ctx) >= ctx.bits - ctx.guard_bits
+    _, bits = certify(lambda c: root(z, 5, RootMode.REAL_ODD, c), ctx)
+    assert bits >= ctx.bits - ctx.guard_bits
+
+
+def test_certify_reports_the_doubled_recomputation(ctx):
+    # 1 + 2^-(bits/2) at 256 and at 512 bits differ by just under 2^-128
+    seen = []
+
+    def fn(c):
+        seen.append(c.bits)
+        return c.mp.mpf(1) + c.mp.ldexp(1, -(c.bits // 2))
+
+    value, bits = certify(fn, ctx)
+    assert seen == [256, 512]
+    assert value == 1 + ctx.mp.ldexp(1, -128) and bits == 128
+
+
+def test_certify_names_the_self_check_in_a_convergence_error(ctx):
+    def fails_at(bits):
+        def fn(c):
+            if c.bits == bits:
+                raise ConvergenceError("probe route", CFStatus.MAX_ITERATIONS, 7)
+            return c.mp.mpf(1)
+
+        return fn
+
+    with pytest.raises(ConvergenceError) as exc:
+        certify(fails_at(512), ctx)
+    assert exc.value.route == "probe route (precision self-check at 512 bits)"
+    assert (exc.value.status, exc.value.iterations) == (CFStatus.MAX_ITERATIONS, 7)
+    with pytest.raises(ConvergenceError) as exc:
+        certify(fails_at(256), ctx)
+    assert exc.value.route == "probe route"
 
 
 def test_fraction_conversion_exact(ctx):
@@ -146,18 +190,69 @@ def test_concurrent_evaluation_is_consistent():
     assert fresh == serial
 
 
-def test_nome(ctx, ctx512):
+def test_nome(ctx):
     mp = ctx.mp
-    assert abs(Nome.exp_sqrt(4).value(ctx) - mp.exp(-2 * mp.pi)) < ctx.tol
-    assert abs(Nome.exp(2).value(ctx) - mp.exp(-2 * mp.pi)) < ctx.tol
-    assert abs(Nome.rational("1/3").value(ctx) * 3 - 1) < ctx.tol
+    assert abs(ctx.number(Nome.exp_sqrt(4)) - mp.exp(-2 * mp.pi)) < ctx.tol
+    assert abs(ctx.number(Nome.exp(2)) - mp.exp(-2 * mp.pi)) < ctx.tol
+    assert abs(ctx.number(Nome.rational("1/3")) * 3 - 1) < ctx.tol
+    assert abs(ctx.number(Nome.unit_root(1, 3)) - mp.expjpi(mp.mpf(2) / 3)) < ctx.tol
     assert Nome.rational(Fraction(1, 3)) == Nome.rational("1/3")
+    assert Nome.unit_root(2, 6) == Nome("unit-root", "1/3")
     # rational nomes on or outside the unit circle are left to the kernels to refuse
-    assert Nome.rational(-1).value(ctx) == -1
+    assert ctx.number(Nome.rational(-1)) == -1
+    assert ctx.number(Nome.unit_root(3, 6)) == -1 and ctx.number(Nome.unit_root(-4, 4)) == 1
     bad = (("exp", 0), ("exp-sqrt", -1), ("rational", "1/0"), ("rational", "x"), ("bogus", 1))
     for form, arg in bad:
         with pytest.raises(ValueError):
             Nome(form, arg)
     # the exponential forms regenerate at any precision
-    for nome in (Nome.exp(Fraction(1, 3)), Nome.exp_sqrt(3)):
-        assert agree_bits(nome.value(ctx), nome.value(ctx512), ctx) >= ctx.bits - ctx.guard_bits
+    for nome in (Nome.exp(Fraction(1, 3)), Nome.exp_sqrt(3), Nome.unit_root(2, 7)):
+        assert certify(lambda c: c.number(nome), ctx)[1] >= ctx.bits - ctx.guard_bits
+
+
+def _nome_before_hook(nome, ctx):
+    """A nome as converted before the _mpmath_ hook: Nome.value for the real
+    forms and, for roots of unity, the cos/sin pair of the deleted _UnitRoot.
+    Nome.value rounded a numerator longer than the precision twice, so the
+    two agree on arguments that fit in the precision, as these do."""
+    mp = ctx.mp
+    if nome.form == "unit-root":
+        turns = 2 * nome.arg % 2
+        if turns.denominator == 1:
+            return mp.mpf(1 - 2 * int(turns))
+        x = ctx.real(turns)
+        return mp.mpc(mp.cospi(x), mp.sinpi(x))
+    x = ctx.real(nome.arg)
+    if nome.form == "rational":
+        return x
+    if nome.form == "exp-sqrt":
+        x = mp.sqrt(x)
+    return mp.exp(-mp.pi * x)
+
+
+_NOMES = (
+    [Nome.rational(x) for x in ("0", "1", "-1/2", "1/3", "-999/1000", "99999/100000", "2/7")]
+    + [Nome.exp(s) for s in ("1/3", "1", "2", "5", "22/7")]
+    + [Nome.exp_sqrt(n) for n in ("1", "3", "3/5", "4", "16", "20", "36", "7/11")]
+    + [Nome.unit_root(j, n) for j, n in ((0, 1), (1, 2), (1, 3), (1, 4), (3, 8), (-2, 9), (5, 12), (1, 199))]
+)
+
+
+@pytest.mark.parametrize("bits", [64, 96, 128, 192, 256, 333, 512, 1024, 2048])
+def test_nome_conversion_is_unchanged(bits):
+    ctx = PrecisionContext(bits, 32)
+    for nome in _NOMES:
+        got, want = ctx.number(nome), _nome_before_hook(nome, ctx)
+        assert type(got) is type(want), nome
+        assert getattr(got, "_mpf_", None) == getattr(want, "_mpf_", None), nome
+        assert getattr(got, "_mpc_", None) == getattr(want, "_mpc_", None), nome
+
+
+def test_unit_root_nome_carries_raised_working_precision():
+    # the periodic route reads the terms of a root-of-unity fraction under workprec
+    nome = Nome.unit_root(1, 7)
+    ctx = PrecisionContext(64, 16)
+    with ctx.mp.workprec(256):
+        raised = ctx.number(nome)
+    assert raised._mpc_ == PrecisionContext(256, 16).number(nome)._mpc_
+    assert raised != ctx.number(nome)

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrlab import special_values
 from rrlab.cf import rr_cf
-from rrlab.numerics import PrecisionContext, RootMode, agree_bits, golden_phi
+from rrlab.cli import main
+from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, certify, golden_phi
 from rrlab.special_values import (
     InvariantConfigError,
     InvariantLookupError,
     InvariantTable,
+    SpecialValueEntry,
     _c_expr,
     _value_from_c_expr,
     evaluate,
@@ -158,10 +161,9 @@ def test_p_value_small_q_limit(ctx):
     assert abs(p_value(q, ctx) / (4 * q) - 1) < ctx.mp.mpf(10) ** -8
 
 
-def test_p_value_precision_doubling(ctx, ctx512):
-    v1 = p_value(ctx.real(Fraction(1, 4)), ctx)
-    v2 = p_value(ctx512.real(Fraction(1, 4)), ctx512)
-    assert agree_bits(v1, v2, ctx) >= ctx.bits - ctx.guard_bits
+def test_p_value_precision_doubling(ctx):
+    _, bits = certify(lambda c: p_value(c.real(Fraction(1, 4)), c), ctx)
+    assert bits >= ctx.bits - ctx.guard_bits
 
 
 def test_quintic_uv_product_is_p(ctx):
@@ -260,9 +262,9 @@ def test_eq5_display_with_exponential_factor(ctx):
     # exp(2 pi / sqrt 5) times the closed form of the R-value
     mp = ctx.mp
     entry = {e.name: e for e in registry()}["eq5"]
-    q = entry.nome.value(ctx)
+    q = ctx.number(entry.nome)
     fraction_value = rr_cf(q, ctx=ctx).value / ctx.mp.root(q, 5)
-    display = mp.exp(2 * mp.pi / mp.sqrt(5)) * entry.closed_value(ctx)
+    display = mp.exp(2 * mp.pi / mp.sqrt(5)) * evaluate(entry.closed_form, ctx)
     assert abs(fraction_value - display) < mp.mpf(10) ** -60
 
 
@@ -270,3 +272,46 @@ def test_verify_entry_uses_both_routes(ctx):
     entry = {e.name: e for e in registry()}["eq2"]
     rec = verify_entry(entry, ctx)
     assert set(rec["routes"]) == {"cf", "product"}
+
+
+# -- the record rule shared with verify ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "routes, passed, worst",
+    [
+        # the worst route misses the closed form 1 by exactly tol
+        pytest.param(lambda tol: {"cf": 1 + tol / 2, "product": 1 - tol}, False, "product", id="at-tol"),
+        pytest.param(lambda tol: {"cf": 1 - tol / 2, "product": 1 + tol / 4}, True, "cf", id="below-tol"),
+        # on a tie the last route is the one judged
+        pytest.param(lambda tol: {"cf": 1 - tol / 2, "product": 1 + tol / 2}, True, "product", id="tie"),
+    ],
+)
+def test_values_check_uses_the_record_rule(monkeypatch, capsys, ctx, routes, passed, worst):
+    probe = SpecialValueEntry("probe", "R-value", Nome.rational(1), 1, "a probe")
+    monkeypatch.setattr(special_values, "_REGISTRY", (probe,))
+    monkeypatch.setattr(special_values, "_direct_values", lambda entry, c: routes(c.tol))
+    (rec,) = verify_registry(ctx)
+    assert rec["passed"] is passed
+    assert rec["direct"] == rec["routes"][worst]
+    assert rec["abs_dev"] == abs(rec["direct"] - 1)
+    assert rec["agree_bits"] == agree_bits(rec["direct"], 1, ctx)
+    assert main(["values", "check", "probe"]) == (0 if passed else 1)
+    assert capsys.readouterr().out.startswith("[pass] probe" if passed else "[FAIL] probe")
+
+
+@pytest.mark.parametrize("divisor, passed", [(1, False), (2, True)])
+def test_invariant_validate_uses_the_record_rule(monkeypatch, tmp_path, capsys, ctx, divisor, passed):
+    # a direct value that misses the claimed G_5 = phi by tol fails, by tol/2 passes
+    monkeypatch.setattr(InvariantTable, "direct_value", lambda self, n, c: golden_phi(c) + c.tol / divisor)
+    table = InvariantTable()
+    if passed:
+        table.add(5, "phi", ctx)
+        assert table.get(5) == "phi"
+    else:
+        with pytest.raises(InvariantConfigError, match="chi-product"):
+            table.add(5, "phi", ctx)
+    path = tmp_path / "invariants.json"
+    path.write_text(json.dumps([{"n": "5", "closed_form": "phi"}]))
+    assert main(["--invariants", str(path), "values", "list"]) == (0 if passed else 2)
+    capsys.readouterr()
