@@ -15,7 +15,10 @@ converged by max_iter ends MAX_ITERATIONS, without a value.
 Non-convergence has one exception type, ConvergenceError (defined with
 CFStatus in ``numerics``, whose ``certify`` raises it too): a CFResult's value
 is read through CFResult.require, and every other loop bounded by max_iter
-in the package iterates over ``bounded``, which raises it at the cap.
+in the package iterates over ``bounded``, which raises it at the cap.  A loop
+whose count has a closed-form lower bound checks it first with
+``refuse_early``, which raises before the first iteration when the bound
+exceeds the cap.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "CFResult",
     "ConvergenceError",
     "bounded",
+    "refuse_early",
     "ZeroDenominatorError",
     "DivergenceError",
     "eval_finite",
@@ -79,6 +83,23 @@ def bounded(route: str, ctx: PrecisionContext):
     it has converged; running past the last one raises ConvergenceError."""
     yield from range(1, ctx.max_iter + 1)
     raise ConvergenceError(route, CFStatus.MAX_ITERATIONS, ctx.max_iter)
+
+
+def refuse_early(route: str, ctx: PrecisionContext, needed: float) -> int:
+    """The least iteration count a loop can stop after, checked against max_iter
+    before the loop starts.
+
+    ``needed`` is a lower bound on the count that the caller computes in
+    floating point, with its loop's own fixed-point rounding allowed for; it
+    is rounded down past the float error (relative 2^-40 and one count).
+    When the result exceeds max_iter this raises ConvergenceError
+    (max-iterations, 0 iterations, and the count) instead of running into the
+    cap; otherwise it returns the count.
+    """
+    least = max(1, math.floor(needed * (1 - 2.0**-40)) - 1)
+    if least > ctx.max_iter:
+        raise ConvergenceError(route, CFStatus.MAX_ITERATIONS, 0, least, ctx.max_iter)
+    return least
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,8 @@ def main(argv=None) -> int:
     try:
         if args.bits < 64:
             raise UsageError("precision_bits must be >= 64")
+        # every command, including those that build no context, takes the same settings
+        PrecisionContext.check(args.bits, args.guard_bits, args.max_iter)
         if args.series_order < 10:
             raise UsageError("series_order must be >= 10")
         if args.samples < 1:

@@ -18,7 +18,7 @@ from math import lcm
 from operator import add, sub
 from typing import Iterable, Sequence
 
-__all__ = ["FormalSeries", "constant", "product_one_minus", "product_one_minus_inv"]
+__all__ = ["FormalSeries", "constant", "euler_product", "product_one_minus", "product_one_minus_inv"]
 
 
 def _norm(c):
@@ -279,6 +279,20 @@ def product_one_minus(exponents: Iterable[int], order: int) -> FormalSeries:
         if k > order:
             continue
         out[k:] = map(sub, out[k:], out[:-k])  # both slices are copies of the old list
+    return FormalSeries(out, 0, order)
+
+
+def euler_product(order: int) -> FormalSeries:
+    """(x; x)_inf = prod_{k>=1} (1 - x^k), truncated to the order, by Euler's
+    pentagonal number theorem: (-1)^n at x^(n(3n-1)/2) and x^(n(3n+1)/2), n >= 0."""
+    out = [0] * (order + 1)
+    n = 0
+    while (k := n * (3 * n - 1) // 2) <= order:
+        sign = -1 if n % 2 else 1
+        out[k] = sign
+        if k + n <= order:  # n(3n+1)/2
+            out[k + n] = sign
+        n += 1
     return FormalSeries(out, 0, order)
 
 

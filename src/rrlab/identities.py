@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
-from .formal import FormalSeries, product_one_minus, product_one_minus_inv
+from .formal import FormalSeries, euler_product, product_one_minus_inv
 from .numerics import Nome, PrecisionContext, RootMode, _fixed, golden_phi, record, root
 
 __all__ = [
@@ -460,7 +460,7 @@ def _formal_r_identity_1(order: int, ctx: PrecisionContext):
     r = _qs.series_R(order + 2)
     t = FormalSeries([1], 1, order + 2)
     lhs = (t * r.reciprocal() - t - t * r).truncate(order)
-    euler_t = product_one_minus(range(1, order + 1), order)
+    euler_t = euler_product(order)
     inv_t25 = product_one_minus_inv(range(25, order + 1, 25), order)
     yield "", lhs, (euler_t * inv_t25).truncate(order)
 
@@ -472,7 +472,7 @@ def _formal_r_identity_2(order: int, ctx: PrecisionContext):
     w = (h * g.reciprocal()) ** 5  # (H/G)^5, unit q-series
     q1 = FormalSeries([1], 1, m)
     lhs = (w.reciprocal() - 11 * q1 - q1 * q1 * w).truncate(order)
-    euler = product_one_minus(range(1, m + 1), m)
+    euler = euler_product(m)
     inv5 = product_one_minus_inv(range(5, m + 1, 5), m)
     yield "", lhs, ((euler**6) * (inv5**6)).truncate(order)
 

@@ -22,6 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from mpmath import libmp, mp as _mp
 from mpmath.ctx_mp import MPContext
@@ -68,18 +69,23 @@ class PrecisionContext:
     __slots__ = ("bits", "guard_bits", "max_iter", "mp", "_phi")
 
     def __init__(self, bits: int = 256, guard_bits: int = 32, max_iter: int = 10**6):
-        if bits <= 0 or guard_bits <= 0:
-            raise ValueError("bits and guard_bits must be positive")
-        if bits - guard_bits < 4:
-            raise ValueError(f"bits ({bits}) must exceed guard_bits ({guard_bits}) by at least 4")
-        if max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        self.check(bits, guard_bits, max_iter)
         self.bits = bits
         self.guard_bits = guard_bits
         self.max_iter = max_iter
         self.mp = MPContext()
         self.mp.prec = bits
         self._phi = None
+
+    @staticmethod
+    def check(bits: int, guard_bits: int, max_iter: int) -> None:
+        """Raise ValueError unless the three settings make a usable context."""
+        if bits <= 0 or guard_bits <= 0:
+            raise ValueError("bits and guard_bits must be positive")
+        if bits - guard_bits < 4:
+            raise ValueError(f"bits ({bits}) must exceed guard_bits ({guard_bits}) by at least 4")
+        if max_iter <= 0:
+            raise ValueError("max_iter must be positive")
 
     # -- derived quantities -------------------------------------------------
 
@@ -205,13 +211,25 @@ class CFStatus(enum.Enum):
 
 
 class ConvergenceError(RuntimeError):
-    """A route stopped without a value: how it ended and after how many iterations."""
+    """A route stopped without a value: how it ended and after how many iterations.
 
-    def __init__(self, route: str, status: CFStatus, iterations: int):
+    A loop refused before its first iteration (``cf.refuse_early``) ran 0
+    iterations and carries ``needed``, the least count it could stop after,
+    which exceeds ``max_iter``.
+    """
+
+    def __init__(self, route: str, status: CFStatus, iterations: int,
+                 needed: Optional[int] = None, max_iter: Optional[int] = None):
         self.route = route
         self.status = status
         self.iterations = iterations
-        super().__init__(f"{route} did not converge: {status.value} after {iterations} iterations")
+        self.needed = needed
+        self.max_iter = max_iter
+        if needed is None:
+            detail = f"after {iterations} iterations"
+        else:
+            detail = f"predicted, needs at least {needed} iterations (max_iter {max_iter}), none run"
+        super().__init__(f"{route} did not converge: {status.value} {detail}")
 
 
 def _fixed(ctx: PrecisionContext, route: str, q, *xs):
@@ -300,7 +318,7 @@ def certify(fn, ctx: PrecisionContext):
         second = fn(doubled)
     except ConvergenceError as exc:
         route = f"{exc.route} (precision self-check at {doubled.bits} bits)"
-        raise ConvergenceError(route, exc.status, exc.iterations) from exc
+        raise ConvergenceError(route, exc.status, exc.iterations, exc.needed, exc.max_iter) from exc
     return first, agree_bits(first, second, ctx)
 
 

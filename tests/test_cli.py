@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath.ctx_mp import MPContext
 
+from rrlab import cf
 from rrlab.cli import main
 from rrlab.numerics import PrecisionContext
 
@@ -74,6 +75,26 @@ def test_eval_nonconvergence_exit_code(capsys, argv, says):
     assert says in lines[0], err
 
 
+def test_capped_series_job_refuses_before_its_first_term(capsys, monkeypatch):
+    # G at 1 - 10^-6 cannot stop before term 481,208; with a cap of 200,000 the
+    # job exits 3 without running the loop
+    counted = []
+    bounded = cf.bounded
+
+    def counting(route, ctx):
+        for k in bounded(route, ctx):
+            counted.append(k)
+            yield k
+
+    monkeypatch.setattr(cf, "bounded", counting)
+    code, out, err = run(capsys, "eval", "G", "--q", "999999/1000000", "--max-iter", "200000")
+    assert (code, out, counted) == (3, "", [])
+    lines = err.splitlines()
+    assert len(lines) == 1 and "did not converge" in lines[0], err
+    assert lines[0].startswith("error: G series did not converge: max-iterations predicted, needs at least 4812")
+    assert lines[0].endswith(" iterations (max_iter 200000), none run")
+
+
 def test_bits_floor_is_usage_error(capsys):
     code, _, err = run(capsys, "--bits", "32", "eval", "R", "--q", "1")
     assert code == 2
@@ -106,6 +127,12 @@ def test_range_checks_are_usage_errors(capsys, flags, says):
         (("schur", "7", "--format", "csv"), "--format csv is only for verify"),
         (("series", "G", "--format", "csv"), "--format csv is only for verify"),
         (("asymptotic", "1/20", "--format", "csv"), "--format csv is only for verify"),
+        # every command checks the context settings, also those that build no context
+        (("schur", "7", "--bits", "64", "--guard-bits", "63"),
+         "bits (64) must exceed guard_bits (63) by at least 4"),
+        (("series", "G", "--order", "20", "--guard-bits", "0"), "bits and guard_bits must be positive"),
+        (("schur", "7", "--max-iter", "0"), "max_iter must be positive"),
+        (("values", "list", "--max-iter", "-1"), "max_iter must be positive"),
     ],
 )
 def test_ignored_inputs_are_usage_errors(capsys, argv, says):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rrlab.formal import (
     FormalSeries,
     constant,
+    euler_product,
     product_one_minus,
     product_one_minus_inv,
 )
@@ -130,6 +131,14 @@ def test_euler_product_pentagonal_numbers():
     e = product_one_minus(range(1, 16), 15)
     expected = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1]
     assert e.coeffs_through(15) == expected
+
+
+@pytest.mark.parametrize("order", [*range(1, 30), 500])
+def test_pentagonal_euler_product_equals_the_product(order):
+    # the pentagonal number theorem against the factor-by-factor product
+    pentagonal = euler_product(order)
+    assert pentagonal.coeffs == product_one_minus(range(1, order + 1), order).coeffs
+    assert (pentagonal.offset, pentagonal.order) == (0, order)
 
 
 def test_euler_inverse_is_partition_count():

@@ -162,6 +162,21 @@ def test_certify_names_the_self_check_in_a_convergence_error(ctx):
     assert exc.value.route == "probe route"
 
 
+def test_certify_keeps_a_refusal_in_the_self_check(ctx):
+    def fn(c):
+        if c.bits == 512:
+            raise ConvergenceError("probe route", CFStatus.MAX_ITERATIONS, 0, 1200, c.max_iter)
+        return c.mp.mpf(1)
+
+    with pytest.raises(ConvergenceError) as exc:
+        certify(fn, ctx)
+    assert (exc.value.iterations, exc.value.needed, exc.value.max_iter) == (0, 1200, ctx.max_iter)
+    assert str(exc.value) == (
+        "probe route (precision self-check at 512 bits) did not converge: max-iterations "
+        f"predicted, needs at least 1200 iterations (max_iter {ctx.max_iter}), none run"
+    )
+
+
 def test_fraction_conversion_exact(ctx):
     x = ctx.real(Fraction(1, 3))
     assert abs(x * 3 - 1) < ctx.mp.ldexp(1, -(ctx.bits - 2))

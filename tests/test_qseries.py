@@ -217,7 +217,8 @@ def test_series_R_matches_numeric(ctx):
             (H, "9999/10000", 5768),
             (G, "99999/100000", 51110),
             (H, "99999/100000", 51109),
-            (chi, "99/100", 8333),
+            (chi, "99/100", 140),
+            (chi, "-99/100", 213),
             (theta_phi, "999/1000", 405),
         )
     ],
@@ -235,6 +236,99 @@ def test_kernel_term_counts(monkeypatch, ctx, kernel, q, terms):
     monkeypatch.setattr(cf, "bounded", counting)
     kernel(ctx.real(q), ctx)
     assert len(counted) == terms
+
+
+def _chi_cross_route_points():
+    for bits in (256, 512):
+        for q in ("1/10", "1/2", "97/98", "999/1000"):
+            for sign in (1, -1):
+                yield pytest.param(sign * Fraction(q), bits, id=f"{sign * Fraction(q)}-{bits}")
+
+
+@pytest.mark.parametrize("q, bits", _chi_cross_route_points())
+def test_chi_euler_sums_match_the_product(q, bits):
+    # the Euler sum (q >= 0) or the inverse of (-p; p)_inf (q < 0) against the product
+    ctx = PrecisionContext(bits, 32)
+    qv = ctx.real(q)
+    ratio = chi(qv, ctx) / pochhammer_inf(-qv, qv**2, ctx)
+    assert agree_bits(ratio, 1, ctx) >= bits - ctx.guard_bits
+
+
+def _count_and_predict(monkeypatch):
+    """Lists that collect the indices cf.bounded yields and the counts cf.refuse_early returns."""
+    counted, predicted = [], []
+    bounded, refuse_early = cf.bounded, cf.refuse_early
+
+    def counting(route, ctx):
+        for k in bounded(route, ctx):
+            counted.append(k)
+            yield k
+
+    def predicting(route, ctx, needed):
+        try:
+            predicted.append(refuse_early(route, ctx, needed))
+        except cf.ConvergenceError as exc:
+            predicted.append(exc.needed)
+            raise
+        return predicted[-1]
+
+    monkeypatch.setattr(cf, "bounded", counting)
+    monkeypatch.setattr(cf, "refuse_early", predicting)
+    return counted, predicted
+
+
+_PREDICTED_KERNELS = {
+    "G": G,
+    "H": H,
+    "chi": chi,
+    "theta_phi": theta_phi,
+    "pochhammer_inf": lambda q, c: pochhammer_inf(q * q, q, c),
+    "pochhammer_inf-negative-a": lambda q, c: pochhammer_inf(-q / 2, q, c),
+}
+
+
+@pytest.mark.parametrize("name", _PREDICTED_KERNELS)
+@pytest.mark.parametrize(
+    "bits, guard_bits, max_iter",
+    [(256, 32, 10**6), (512, 32, 10**6), (64, 1, 10**5), (128, 60, 3)],
+)
+def test_predicted_minimum_never_exceeds_the_count(monkeypatch, name, bits, guard_bits, max_iter):
+    # every prediction is a lower bound on the count the loop then runs, also at a
+    # 1-guard-bit width where fixed-point rounding is largest, and a refusal runs
+    # no iteration
+    kernel = _PREDICTED_KERNELS[name]
+    counted, predicted = _count_and_predict(monkeypatch)
+    for q in ("1/10", "1/2", "-1/2", "9/10", "-97/98", "999/1000", "99999/100000"):
+        if name == "theta_phi" and q.startswith("-"):
+            continue  # the triple product for q < 0 runs the other kernels
+        ctx = PrecisionContext(bits, guard_bits, max_iter)
+        counted.clear()
+        predicted.clear()
+        try:
+            kernel(ctx.real(Fraction(q)), ctx)
+        except cf.ConvergenceError as exc:
+            if exc.needed is None:  # ran into the cap
+                assert predicted[0] <= max_iter == exc.iterations == len(counted), q
+            else:
+                assert (exc.iterations, counted) == (0, []) and exc.needed == predicted[0] > max_iter
+            continue
+        assert len(predicted) == 1 and 1 <= predicted[0] <= len(counted), q
+
+
+def test_capped_series_refuses_before_its_first_term(monkeypatch):
+    counted, predicted = _count_and_predict(monkeypatch)
+    ctx = PrecisionContext(256, 32, 200_000)
+    with pytest.raises(cf.ConvergenceError) as err:
+        G(ctx.real(Fraction(999_999, 1_000_000)), ctx)
+    exc = err.value
+    assert (exc.status, exc.iterations, exc.max_iter, counted) == (
+        cf.CFStatus.MAX_ITERATIONS, 0, 200_000, []
+    )
+    assert 481_000 < exc.needed == predicted[0] <= 481_211  # rho_n < 1 first at n = 481,211
+    assert str(exc) == (
+        f"G series did not converge: max-iterations predicted, needs at least {exc.needed} "
+        "iterations (max_iter 200000), none run"
+    )
 
 
 def _triple_product_sum(mp, q, c):
