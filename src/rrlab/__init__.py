@@ -41,7 +41,6 @@ from .qseries import (
     theta_phi,
 )
 from .special_values import (
-    InvariantTable,
     QuinticState,
     SpecialValueEntry,
     p_value,
@@ -96,7 +95,6 @@ __all__ = [
     "SpecialValueEntry",
     "registry",
     "verify_registry",
-    "InvariantTable",
     "theta_quotient",
     "p_value",
     "quintic_uv",

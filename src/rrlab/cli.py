@@ -64,6 +64,8 @@ def _eval_target(target: str, nome: Optional[Nome], mode: RootMode, ctx: Precisi
 
 
 def cmd_eval(args) -> int:
+    if args.mode is not None and args.target != "R":
+        raise UsageError("--mode is only for eval R")
     if args.target == "cf2" and args.nome is not None:
         raise UsageError("cf2 takes no nome: drop --q, --exp-arg, --exp-sqrt")
     if args.target != "cf2" and args.nome is None:
@@ -102,8 +104,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_values(args) -> int:
-    ctx = _context(args)
     if args.action == "list":
+        if args.name not in (None, "all"):
+            raise UsageError(f"values list takes no entry name: drop {args.name!r}")
         rows = [
             {
                 "name": e.name,
@@ -120,6 +123,7 @@ def cmd_values(args) -> int:
                 print(f"{r['name']:<20} {r['kind']:<14} {r['provenance']}")
                 print(f"{'':<20} = {r['closed_form']}")
         return EXIT_OK
+    ctx = _context(args)
     names = None if args.name in (None, "all") else [args.name]
     records = _sv.verify_registry(ctx, names)  # an unknown name: KeyError, exit 2
     ok = all(r["passed"] for r in records)
@@ -235,11 +239,6 @@ def _add_common(parser: argparse.ArgumentParser, trailing: bool):
     parser.add_argument("--guard-bits", type=int, default=d(32))
     parser.add_argument("--max-iter", type=int, default=d(10**6))
     parser.add_argument("--format", choices=("text", "json", "csv"), default=d("text"))
-    parser.add_argument(
-        "--invariants", default=d(None), metavar="FILE",
-        help="validate a JSON file of extra class invariants, exit 2 if it is bad; "
-        "no command reads them (library: InvariantTable.load_config)",
-    )
     parser.add_argument("--samples", type=int, default=d(10))
     parser.add_argument("--series-order", type=int, default=d(150))
 
@@ -270,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--exp-sqrt", dest="nome", metavar="EXP_SQRT", type=Nome.exp_sqrt,
         help="rational n: q = exp(-pi*sqrt(n))",
     )
-    p_eval.add_argument("--mode", choices=("principal", "real-odd"), default="principal")
+    p_eval.add_argument(
+        "--mode", choices=("principal", "real-odd"), default=None,
+        help="fifth root of q for R (default principal); no other target takes it",
+    )
     p_eval.set_defaults(fn=cmd_eval)
 
     p_values = sub.add_parser("values", help="list or check special values")
@@ -315,12 +317,6 @@ def main(argv=None) -> int:
             raise UsageError("samples must be >= 1")
         if args.format == "csv" and args.command != "verify":
             raise UsageError("--format csv is only for verify")
-        if args.invariants:
-            # validate only: the table is discarded, no command reads extra invariants
-            try:
-                _sv.InvariantTable().load_config(args.invariants, _context(args))
-            except OSError as exc:
-                raise UsageError(f"cannot read invariants file: {exc}") from exc
         return args.fn(args)
     except (UsageError, ValueError, ZeroDivisionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,19 +2,19 @@
 
 Closed forms are plain data in one prefix format: nested tuples over
 integers, the constants pi, e and the golden ratio, and roots and rational
-powers, so they can be evaluated at any precision.  The invariants config
-writes the same format as JSON lists.  Every registry entry pairs a Nome with
-its closed form; verification evaluates the continued fraction (and, where
-available, the infinite product) at the nome and compares.
+powers, so they can be evaluated at any precision.  Every registry entry
+pairs a Nome with its closed form; verification evaluates the continued
+fraction (and, where available, the infinite product) at the nome and
+compares.
 
-Class invariants are tabulated for n = 1 and n = 25 and may be extended from
-a JSON config file; every loaded entry is validated against the defining
-product 2^(-1/4) * q^(-1/24) * chi(q) at q = exp(-pi*sqrt(n)).
+The theta quotient reads the class invariants G_1 = 1 and G_25 = phi from a
+fixed table; class_invariant evaluates the defining product
+2^(-1/4) * q^(-1/24) * chi(q) at q = exp(-pi*sqrt(n)) that the tests check
+them against.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,14 +27,11 @@ from .numerics import Nome, PrecisionContext, RootMode, golden_phi, record, root
 __all__ = [
     "evaluate",
     "expr_str",
-    "parse_prefix",
     "SpecialValueEntry",
     "registry",
     "verify_entry",
     "verify_registry",
-    "InvariantTable",
-    "InvariantLookupError",
-    "InvariantConfigError",
+    "class_invariant",
     "theta_quotient",
     "p_value",
     "quintic_uv",
@@ -52,8 +49,6 @@ log = logging.getLogger(__name__)
 # tuple (op, *args) with op one of
 #     ("+", x, y, ...)   ("-", x)   ("*", x, y, ...)   ("/", x, y)
 #     ("root", k, x)     ("^", x, Fraction)
-# This is the prefix grammar of the invariants config, read by parse_prefix,
-# plus "^", which only the registry uses.
 
 _CONSTANTS = ("pi", "e", "phi")
 
@@ -118,32 +113,6 @@ def _sub(a, b):
 SQRT5 = ("root", 2, 5)
 
 
-def parse_prefix(obj):
-    """Check a closed form read from JSON and return it as a closed form.
-
-    Grammar: integers (JSON booleans are refused); the strings "phi", "pi",
-    "e"; and JSON lists ["+", x, y, ...], ["-", x, y] or ["-", x],
-    ["*", x, y, ...], ["/", x, y], ["root", k, x].  A binary ["-", x, y]
-    becomes ("+", x, ("-", y)).
-    """
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return obj
-    if isinstance(obj, str):
-        if obj in _CONSTANTS:
-            return obj
-        raise ValueError(f"unknown symbol {obj!r} in closed-form expression")
-    if isinstance(obj, list) and obj:
-        op, *args = obj
-        n = len(args)
-        if op == "-" and n == 2:
-            return _sub(parse_prefix(args[0]), parse_prefix(args[1]))
-        if (op in ("+", "*") and n >= 2) or (op == "-" and n == 1) or (op == "/" and n == 2):
-            return (op, *map(parse_prefix, args))
-        if op == "root" and n == 2 and type(args[0]) is int:
-            return ("root", args[0], parse_prefix(args[1]))
-    raise ValueError(f"malformed closed-form expression: {obj!r}")
-
-
 # -- parametrized value machinery -----------------------------------------------
 
 
@@ -160,93 +129,22 @@ def _value_from_c_expr(c):
 # -- class invariants -----------------------------------------------------------
 
 
-class InvariantLookupError(KeyError):
-    pass
+# G_n for the n that theta_quotient reads; an untabulated n raises KeyError.
+_INVARIANTS = {Fraction(1): 1, Fraction(25): "phi"}
 
 
-class InvariantConfigError(ValueError):
-    pass
+def class_invariant(n, ctx: PrecisionContext):
+    """G_n = 2^(-1/4) * q^(-1/24) * chi(q) at q = exp(-pi*sqrt(n))."""
+    mp = ctx.mp
+    q = ctx.number(Nome.exp_sqrt(n))
+    return mp.root(2, 4) ** -1 * q ** (-mp.mpf(1) / 24) * _qs.chi(q, ctx)
 
 
-class InvariantTable:
-    """Closed forms for class invariants, keyed by positive rational n.
-
-    Seeded with n = 1 -> 1 and n = 25 -> phi.  Additional entries load from a
-    JSON file: a list of {"n": "p/q", "closed_form": <prefix expression>},
-    each validated against the defining product before acceptance.
-    """
-
-    def __init__(self):
-        self._entries: dict = {
-            Fraction(1): 1,
-            Fraction(25): "phi",
-        }
-
-    def known(self) -> list:
-        return sorted(self._entries)
-
-    def get(self, n):
-        n = Fraction(n)
-        try:
-            return self._entries[n]
-        except KeyError:
-            raise InvariantLookupError(
-                f"class invariant for n = {n} is not tabulated; supply it via an "
-                f"invariants config file (JSON list of {{n, closed_form}})"
-            ) from None
-
-    def direct_value(self, n, ctx: PrecisionContext):
-        """2^(-1/4) * q^(-1/24) * chi(q) at q = exp(-pi*sqrt(n))."""
-        mp = ctx.mp
-        q = ctx.number(Nome.exp_sqrt(n))
-        return mp.root(2, 4) ** -1 * q ** (-mp.mpf(1) / 24) * _qs.chi(q, ctx)
-
-    def validate(self, n, expr, ctx: PrecisionContext):
-        n = Fraction(n)
-        try:
-            claimed = evaluate(expr, ctx)
-        except ZeroDivisionError:
-            raise InvariantConfigError(f"invariant entry n = {n} divides by zero") from None
-        rec = record(ctx, f"n = {n}", claimed, self.direct_value(n, ctx))
-        if not rec["passed"]:
-            raise InvariantConfigError(
-                f"invariant entry n = {n} fails the chi-product cross-check "
-                f"2^(-1/4) q^(-1/24) chi(q) at q = exp(-pi*sqrt(n)): "
-                f"|claimed - direct| = {ctx.mp.nstr(rec['abs_dev'], 8)}"
-            )
-        if n != 1 and not claimed > 1:
-            raise InvariantConfigError(f"invariant entry n = {n} must exceed 1")
-
-    def add(self, n, expr, ctx: PrecisionContext):
-        self.validate(n, expr, ctx)
-        self._entries[Fraction(n)] = expr
-
-    def load_config(self, path, ctx: PrecisionContext):
-        """Load and validate entries from a JSON config file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise InvariantConfigError("invariants config must be a JSON list")
-        for item in data:
-            try:
-                if isinstance(item["n"], bool):
-                    raise ValueError("n must be a rational, not a boolean")
-                n = Fraction(item["n"])
-                expr = parse_prefix(item["closed_form"])
-            except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-                raise InvariantConfigError(f"malformed invariants entry {item!r}: {exc}") from exc
-            self.add(n, expr, ctx)
-
-
-_DEFAULT_TABLE = InvariantTable()
-
-
-def theta_quotient(n, ctx: PrecisionContext, table: Optional[InvariantTable] = None):
+def theta_quotient(n, ctx: PrecisionContext):
     """(1/sqrt(5)) * (1 + 2*G_{25n}/G_n^5)^(1/2) from tabulated invariants."""
-    table = table or _DEFAULT_TABLE
     n = Fraction(n)
-    g_n = evaluate(table.get(n), ctx)
-    g_25n = evaluate(table.get(25 * n), ctx)
+    g_n = evaluate(_INVARIANTS[n], ctx)
+    g_25n = evaluate(_INVARIANTS[25 * n], ctx)
     mp = ctx.mp
     return mp.sqrt(1 + 2 * g_25n / g_n**5) / mp.sqrt(5)
 

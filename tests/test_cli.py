@@ -133,6 +133,11 @@ def test_range_checks_are_usage_errors(capsys, flags, says):
         (("series", "G", "--order", "20", "--guard-bits", "0"), "bits and guard_bits must be positive"),
         (("schur", "7", "--max-iter", "0"), "max_iter must be positive"),
         (("values", "list", "--max-iter", "-1"), "max_iter must be positive"),
+        (("values", "list", "nope"), "values list takes no entry name: drop 'nope'"),
+        # only R reads the fifth-root mode; S always takes the real fifth root
+        (("eval", "G", "--q", "1/2", "--mode", "real-odd"), "--mode is only for eval R"),
+        (("eval", "S", "--q", "1/2", "--mode", "principal"), "--mode is only for eval R"),
+        (("eval", "cf2", "--mode", "real-odd"), "--mode is only for eval R"),
     ],
 )
 def test_ignored_inputs_are_usage_errors(capsys, argv, says):
@@ -222,41 +227,6 @@ def test_csv_output(capsys):
     assert len(lines) == 3
 
 
-def test_invariants_config_flag(tmp_path, capsys):
-    cfg = tmp_path / "inv.json"
-    cfg.write_text(json.dumps([{"n": "5", "closed_form": ["root", 4, "phi"]}]))
-    code, out, _ = run(capsys, "--invariants", str(cfg), "values", "check", "eq2")
-    assert code == 0
-
-
-def test_invariants_config_rejected(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps([{"n": "2", "closed_form": 2}]))
-    code, _, err = run(capsys, "--invariants", str(cfg), "values", "check", "eq2")
-    assert code == 2
-    assert "chi-product" in err
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [
-        # JSON true is a Python int; the config must not read it as 1
-        {"n": "1", "closed_form": True},
-        {"n": "25", "closed_form": ["*", True, "phi"]},
-        {"n": True, "closed_form": 1},
-        {"n": "25", "closed_form": ["/", 1, 0]},
-    ],
-    ids=["bool-closed-form", "bool-factor", "bool-n", "divides-by-zero"],
-)
-def test_invariants_config_rejects_bad_entry(tmp_path, capsys, entry):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps([entry]))
-    code, _, err = run(capsys, "--invariants", str(cfg), "values", "check", "eq2")
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.strip() != "error:"  # the line names what is wrong
-
-
 def test_verify_all_at_minimum_bits(capsys):
     # every identity holds to the contract tol = 2^-(bits - guard_bits)
     code, out, _ = run(capsys, "--bits", "64", "verify", "all")
@@ -295,13 +265,6 @@ def test_schur_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"diverges": True, "exponent": None, "lambda": None, "n": 10, "rho": None}
-
-
-@pytest.mark.parametrize("path", ["missing.json", "."])
-def test_unreadable_invariants_is_usage_error(tmp_path, capsys, path):
-    code, _, err = run(capsys, "--invariants", str(tmp_path / path), "values", "check", "eq2")
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -8,18 +7,15 @@ from hypothesis import strategies as st
 from rrlab import special_values
 from rrlab.cf import rr_cf
 from rrlab.cli import main
-from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, certify, golden_phi
+from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, certify, golden_phi, record
 from rrlab.special_values import (
-    InvariantConfigError,
-    InvariantLookupError,
-    InvariantTable,
     SpecialValueEntry,
     _c_expr,
     _value_from_c_expr,
+    class_invariant,
     evaluate,
     expr_str,
     p_value,
-    parse_prefix,
     quintic_alpha_beta,
     quintic_uv,
     registry,
@@ -57,20 +53,6 @@ def test_expr_str_is_readable():
     assert expr_str(("+", 4, ("-", "pi"))) == "(4 + -pi)"
 
 
-def test_parse_prefix(ctx):
-    e = parse_prefix(["/", ["+", 1, ["root", 2, 5]], 2])
-    assert e == ("/", ("+", 1, ("root", 2, 5)), 2)
-    assert abs(evaluate(e, ctx) - golden_phi(ctx)) < ctx.tol
-    assert parse_prefix(["-", 4, 1]) == ("+", 4, ("-", 1))
-    assert evaluate(parse_prefix(["-", 4, 1]), ctx) == 3
-    assert evaluate(parse_prefix(["-", 7]), ctx) == -7
-    assert evaluate(parse_prefix(["*", 2, 3, 4]), ctx) == 24
-    bad_inputs = ("bogus", ["^", 2, 3], ["root", "x", 2], [], ["/"], 1.5, True, ["*", True, "phi"])
-    for bad in bad_inputs:
-        with pytest.raises(ValueError):
-            parse_prefix(bad)
-
-
 def test_c_param_examples(ctx):
     assert abs(evaluate(_c_expr(1, -1), ctx) - Fraction(1, 2)) < ctx.tol
     c = evaluate(_c_expr(("^", 5, Fraction(1, 4)), 1), ctx)
@@ -94,49 +76,26 @@ def test_value_from_c_decreasing_into_unit_interval(c1, c2):
 
 
 def test_invariant_table_seeds(ctx):
-    table = InvariantTable()
-    assert evaluate(table.get(1), ctx) == 1
-    assert abs(evaluate(table.get(25), ctx) - golden_phi(ctx)) < ctx.tol
-    with pytest.raises(InvariantLookupError) as err:
-        table.get(2)
-    assert "config" in str(err.value)
+    # the two invariants theta_quotient reads
+    table = special_values._INVARIANTS
+    assert set(table) == {1, 25}
+    assert evaluate(table[Fraction(1)], ctx) == 1
+    assert evaluate(table[Fraction(25)], ctx) == golden_phi(ctx)
 
 
-def test_invariant_table_matches_direct(ctx):
-    table = InvariantTable()
-    for n in (1, 25):
-        direct = table.direct_value(n, ctx)
-        claimed = evaluate(table.get(n), ctx)
-        assert abs(direct - claimed) < ctx.tol
-
-
-def test_invariant_config_round_trip(tmp_path, ctx):
-    # G_5 = phi^(1/4) and G_9 = ((1+sqrt3)/sqrt2)^(1/3), both verified against
-    # the chi product before acceptance
-    cfg = [
-        {"n": "5", "closed_form": ["root", 4, "phi"]},
-        {"n": "9", "closed_form": ["root", 3, ["/", ["+", 1, ["root", 2, 3]], ["root", 2, 2]]]},
-    ]
-    path = tmp_path / "invariants.json"
-    path.write_text(json.dumps(cfg))
-    table = InvariantTable()
-    table.load_config(path, ctx)
-    assert Fraction(5) in table.known() and Fraction(9) in table.known()
-
-
-def test_invariant_config_rejects_wrong_value(tmp_path, ctx):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([{"n": "2", "closed_form": 2}]))
-    with pytest.raises(InvariantConfigError) as err:
-        InvariantTable().load_config(path, ctx)
-    assert "chi-product" in str(err.value)
-
-
-def test_invariant_config_rejects_malformed(tmp_path, ctx):
-    path = tmp_path / "malformed.json"
-    path.write_text(json.dumps([{"n": "5"}]))
-    with pytest.raises(InvariantConfigError):
-        InvariantTable().load_config(path, ctx)
+def test_invariant_table_matches_direct():
+    # the tabulated G_1 and G_25, and G_5 = phi^(1/4) and G_9 = ((1+sqrt3)/sqrt2)^(1/3),
+    # pass the record rule against the defining product 2^(-1/4) q^(-1/24) chi(q)
+    closed_forms = {
+        **special_values._INVARIANTS,
+        Fraction(5): ("root", 4, "phi"),
+        Fraction(9): ("root", 3, ("/", ("+", 1, ("root", 2, 3)), ("root", 2, 2))),
+    }
+    for bits in (256, 512):
+        ctx = PrecisionContext(bits, 32)
+        for n, closed in closed_forms.items():
+            rec = record(ctx, f"G_{n}", evaluate(closed, ctx), class_invariant(n, ctx))
+            assert rec["passed"], (bits, n, rec["agree_bits"])
 
 
 def test_theta_quotient_closed_forms(ctx):
@@ -146,7 +105,7 @@ def test_theta_quotient_closed_forms(ctx):
     assert abs(tq - 1 / mp.sqrt(5 * mp.sqrt(5) - 10)) < ctx.tol
     direct = theta_quotient_direct(1, ctx)
     assert abs(tq - direct) < mp.mpf(10) ** -60
-    with pytest.raises(InvariantLookupError):
+    with pytest.raises(KeyError):
         theta_quotient(2, ctx)
 
 
@@ -298,20 +257,3 @@ def test_values_check_uses_the_record_rule(monkeypatch, capsys, ctx, routes, pas
     assert rec["agree_bits"] == agree_bits(rec["direct"], 1, ctx)
     assert main(["values", "check", "probe"]) == (0 if passed else 1)
     assert capsys.readouterr().out.startswith("[pass] probe" if passed else "[FAIL] probe")
-
-
-@pytest.mark.parametrize("divisor, passed", [(1, False), (2, True)])
-def test_invariant_validate_uses_the_record_rule(monkeypatch, tmp_path, capsys, ctx, divisor, passed):
-    # a direct value that misses the claimed G_5 = phi by tol fails, by tol/2 passes
-    monkeypatch.setattr(InvariantTable, "direct_value", lambda self, n, c: golden_phi(c) + c.tol / divisor)
-    table = InvariantTable()
-    if passed:
-        table.add(5, "phi", ctx)
-        assert table.get(5) == "phi"
-    else:
-        with pytest.raises(InvariantConfigError, match="chi-product"):
-            table.add(5, "phi", ctx)
-    path = tmp_path / "invariants.json"
-    path.write_text(json.dumps([{"n": "5", "closed_form": "phi"}]))
-    assert main(["--invariants", str(path), "values", "list"]) == (0 if passed else 2)
-    capsys.readouterr()
