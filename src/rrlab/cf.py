@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from math import log2
 from typing import Callable, Optional
 
 from .numerics import CFStatus, ConvergenceError, Nome, PrecisionContext, RootMode
@@ -174,6 +175,41 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
     convergents are exactly stationary; otherwise it runs to ctx.max_iter and
     reports MAX_ITERATIONS without a value.  Transient B_k = 0 is tolerated
     by skipping the undefined convergent.
+
+    The division that forms f_k is most of a step's cost at high precision,
+    and only the stop test reads it, so a determinant gate skips the test at
+    steps where it cannot pass; values and iteration counts are those of the
+    loop that tests every step.  The test at step k compares the integers
+    F_j = floor(A_j 2^W / B_j) of steps k, k-1 and k-2, each formed from
+    (A_j, B_j) as they stood at the end of step j (ints are immutable, so
+    keeping them costs nothing), and it needs |F_k - F_(k-1)| < stop, where
+    stop = 2^max(W - stop_bits, 0).
+
+    The gate.  Let P, Q be (A, B) at the start of a step, P', Q' the pair
+    before, and D = P Q' - P' Q.  Exactly, a step maps D to -a_k D and a
+    renormalising shift s scales it by 2^-2s; the mixed determinant
+    A_k B_(k-1) - A_(k-1) B_k that the test reads is 2^-s (-a_k D).  The
+    integer step truncates: each new entry loses two floors of < 1 and each
+    shifted entry one of < 2^s.  That moves a_k D by less than
+    E = 2^(lam + 2 + 2 max(s, 0)) before the scaling, where |P|, |Q| < 2^lam
+    (lam = W + 1, or the width of b0 * 2^W if larger).  A float t starts at
+    log2 |D_0| = 2W; a step adds log2 |a_k| to it, giving u, and then -2s.
+    While each step has u >= lam + 42 + 2 max(s, 0), truncation changes
+    log2 |D| by less than log2(1 - 2^-40) per step, so t stays within slack
+    bits of log2 |D|; the first step that breaks this, or has a_k = 0, shuts
+    the gate for good.
+    slack = max_iter * 2^-30 bounds those losses plus the float rounding of t
+    (under 2^-31 a step while W, the shifts and the terms' binary exponents
+    stay below 2^18).  With L_j the bit length of B_j, the estimate
+    u - s - (L_k - 1) - (L_(k-1) - 1) of log2 |f_k - f_(k-1)| is high by at
+    most 2 + slack bits (the bit lengths) and low by at most slack.  Step k
+    skips its test while the estimate is at least log2(stop) - W + margin,
+    margin = 3 + slack: then |F_k - F_(k-1)| > 2 stop - 1 >= stop, the floors
+    of the two F's costing less than one unit.  The argument holds for every
+    context PrecisionContext accepts (bits - guard_bits >= 4, SAFETY_BITS =
+    12): with one guard bit W may fall below stop_bits, stop is then 1 and the
+    test asks for exactly stationary F's, and the gate still skips only tests
+    that fail.
     """
     if spec.period is not None:
         decided = _eval_periodic(spec, ctx)
@@ -181,11 +217,23 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
             return decided
 
     w, (a_cur,) = _fixed(ctx, "continued fraction", None, spec.b0)
-    stop = 1 << (w - ctx.stop_bits)
+    stop_exp = max(w - ctx.stop_bits, 0)
+    stop = 1 << stop_exp
     floor = 1 << (w - ctx.bits // 2)
     a_prev = b_cur = 1 << w
     b_prev = 0
-    f1 = f2 = None  # the two previous convergents, None where B_k = 0
+    # (A, B) at the end of the two previous steps, and their convergents where
+    # formed (None where not, or where B = 0)
+    a1 = b1 = a2 = b2 = 0
+    f1 = f2 = None
+    # the determinant gate: t tracks log2 |D|, lq1 is L_(k-1)
+    slack = ctx.max_iter * 2.0**-30
+    valid = max(w + 1, a_cur.bit_length()) + 42 + slack
+    margin = 3 + slack
+    shut = stop_exp - w - 2 + margin
+    gate = True
+    t = 2.0 * w
+    lq1 = w + 1
 
     for k in range(1, ctx.max_iter + 1):
         a_k, b_k = spec.terms(k)
@@ -193,26 +241,45 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
         mb, sb = _pair(b_k, ctx)
         a_cur, a_prev = (mb * a_cur >> sb) + (ma * a_prev >> sa), a_cur
         b_cur, b_prev = (mb * b_cur >> sb) + (ma * b_prev >> sa), b_cur
-        shift = max(a_cur.bit_length(), b_cur.bit_length()) - w
+        lq = b_cur.bit_length()
+        shift = max(a_cur.bit_length(), lq) - w
         if shift > 0:
             a_cur >>= shift
             a_prev >>= shift
             b_cur >>= shift
             b_prev >>= shift
+            lq = b_cur.bit_length()
         elif shift < 0 and (a_cur or b_cur):
             a_cur <<= -shift
             a_prev <<= -shift
             b_cur <<= -shift
             b_prev <<= -shift
-        f = (a_cur << w) // b_cur if b_cur else None
-        if f is not None and f1 is not None and f2 is not None:
+            lq -= shift
+        skip = False
+        if gate:
+            if ma:
+                u = t + log2(abs(ma)) - sa
+                t = u - 2 * shift
+                gate = u >= valid and t >= valid
+                skip = gate and u - shift - lq - lq1 >= shut
+            else:
+                gate = False
+        f = None
+        if not skip and b_cur and b1 and b2:
+            f = (a_cur << w) // b_cur
+            if f1 is None:
+                f1 = (a1 << w) // b1
+            if f2 is None:
+                f2 = (a2 << w) // b2
             if (
                 abs(f - f1) < stop
                 and abs(f - f2) < stop
                 and (abs(f) > floor or f == f1 == f2)
             ):
                 return CFResult(ctx.mp.mpf((f, -w)), k, CFStatus.CONVERGED)
-        f1, f2 = f, f1
+        a2, b2, f2 = a1, b1, f1
+        a1, b1, f1 = a_cur, b_cur, f
+        lq1 = lq
     return CFResult(None, ctx.max_iter, CFStatus.MAX_ITERATIONS)
 
 

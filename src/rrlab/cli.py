@@ -15,6 +15,7 @@ Exit codes: 0 all checks pass; 1 verification failure; 2 usage error;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -303,9 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first main() call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.bits < 64:
             raise UsageError("precision_bits must be >= 64")
@@ -319,7 +325,9 @@ def main(argv=None) -> int:
             raise UsageError("--format csv is only for verify")
         return args.fn(args)
     except (UsageError, ValueError, ZeroDivisionError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

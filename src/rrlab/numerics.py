@@ -1,9 +1,11 @@
 """Arbitrary-precision numeric substrate shared by all modules.
 
 Every numeric operation in this package runs under a PrecisionContext, which
-owns an independent mpmath context (so two precisions never interfere and
-contexts are safe to use from separate threads).  Real and complex values are
-plain mpmath ``mpf``/``mpc`` instances created through the context.
+holds an mpmath context at its precision.  Contexts of one precision built on
+one thread share that mpmath context, and contexts built on different threads
+never share one, so two precisions never interfere and a thread's contexts
+are its own.  Real and complex values are plain mpmath ``mpf``/``mpc``
+instances created through the context.
 
 Error control is by precision doubling rather than interval arithmetic:
 ``certify`` recomputes under a context with twice the mantissa bits and
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -46,6 +49,10 @@ __all__ = [
 # tolerance, so truncation error never dominates the guard-bit budget.
 SAFETY_BITS = 12
 
+# mpmath contexts kept per thread, one per precision, oldest dropped first
+MP_CONTEXTS_PER_THREAD = 8
+_thread_mps = threading.local()
+
 
 class RootMode(enum.Enum):
     """Branch choice for k-th roots.
@@ -64,6 +71,10 @@ class PrecisionContext:
     ``tol = 2**-(bits - guard_bits)`` is the reported tolerance: two
     evaluations of the same quantity under this context and its doubled
     context agree to at least ``bits - guard_bits`` bits.
+
+    ``mp`` is the mpmath context of this thread and precision (see _mp_at);
+    code that raises its precision does so in a ``workprec`` block, which
+    restores it on exit.
     """
 
     __slots__ = ("bits", "guard_bits", "max_iter", "mp", "_phi")
@@ -73,8 +84,7 @@ class PrecisionContext:
         self.bits = bits
         self.guard_bits = guard_bits
         self.max_iter = max_iter
-        self.mp = MPContext()
-        self.mp.prec = bits
+        self.mp = _mp_at(bits)
         self._phi = None
 
     @staticmethod
@@ -139,6 +149,28 @@ class PrecisionContext:
             f"PrecisionContext(bits={self.bits}, guard_bits={self.guard_bits}, "
             f"max_iter={self.max_iter})"
         )
+
+
+def _mp_at(bits: int) -> MPContext:
+    """The calling thread's mpmath context at ``bits``, built on first use.
+
+    Each thread keeps at most MP_CONTEXTS_PER_THREAD of them and drops the
+    oldest first.  One that is in use under a raised ``workprec`` is not
+    handed out: the caller gets a fresh context instead.
+    """
+    cache = getattr(_thread_mps, "by_bits", None)
+    if cache is None:
+        cache = _thread_mps.by_bits = {}
+    mp = cache.get(bits)
+    if mp is not None and mp.prec == bits:
+        return mp
+    fresh = MPContext()
+    fresh.prec = bits
+    if mp is None:
+        if len(cache) >= MP_CONTEXTS_PER_THREAD:
+            del cache[next(iter(cache))]
+        cache[bits] = fresh
+    return fresh
 
 
 _NOME_FORMS = ("rational", "exp", "exp-sqrt", "unit-root")

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rrlab
@@ -25,8 +26,9 @@ from rrlab.cf import (
     rr_root_of_unity_spec,
     schur_classify,
 )
+from rrlab.cf import CFResult, _pair
 from rrlab.identities import cf2_spec
-from rrlab.numerics import PrecisionContext, RootMode, agree_bits, certify, golden_phi
+from rrlab.numerics import PrecisionContext, RootMode, _fixed, agree_bits, certify, golden_phi
 from rrlab.qseries import R_product
 
 # sqrt(pi*e/2) - sum 1/(2n+1)!!, computed independently at 320 bits
@@ -360,3 +362,109 @@ def test_exactly_stationary_zero_limit_converges(spec, ctx):
     res = eval_infinite(spec, ctx)
     assert res.status is CFStatus.CONVERGED
     assert res.value == 0 and res.iterations == 3
+
+
+def _ungated_eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
+    """The forward loop of eval_infinite before its determinant gate: every step
+    divides and tests.  Its one change is that stop is at least 1 where the
+    context asks for more bits than the width W holds (a guard of 1 bit and a
+    small max_iter), where the loop raised on a negative shift count."""
+    w, (a_cur,) = _fixed(ctx, "continued fraction", None, spec.b0)
+    stop = 1 << max(w - ctx.stop_bits, 0)
+    floor = 1 << (w - ctx.bits // 2)
+    a_prev = b_cur = 1 << w
+    b_prev = 0
+    f1 = f2 = None
+    for k in range(1, ctx.max_iter + 1):
+        a_k, b_k = spec.terms(k)
+        ma, sa = _pair(a_k, ctx)
+        mb, sb = _pair(b_k, ctx)
+        a_cur, a_prev = (mb * a_cur >> sb) + (ma * a_prev >> sa), a_cur
+        b_cur, b_prev = (mb * b_cur >> sb) + (ma * b_prev >> sa), b_cur
+        shift = max(a_cur.bit_length(), b_cur.bit_length()) - w
+        if shift > 0:
+            a_cur >>= shift
+            a_prev >>= shift
+            b_cur >>= shift
+            b_prev >>= shift
+        elif shift < 0 and (a_cur or b_cur):
+            a_cur <<= -shift
+            a_prev <<= -shift
+            b_cur <<= -shift
+            b_prev <<= -shift
+        f = (a_cur << w) // b_cur if b_cur else None
+        if f is not None and f1 is not None and f2 is not None:
+            if (
+                abs(f - f1) < stop
+                and abs(f - f2) < stop
+                and (abs(f) > floor or f == f1 == f2)
+            ):
+                return CFResult(ctx.mp.mpf((f, -w)), k, CFStatus.CONVERGED)
+        f1, f2 = f, f1
+    return CFResult(None, ctx.max_iter, CFStatus.MAX_ITERATIONS)
+
+
+_terms = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(-3, 3, max_denominator=12),
+    st.floats(-3, 3, allow_nan=False).map(mpmath.mpf),
+)
+_tails = st.one_of(
+    # K(a/b) with constant terms of either sign and real, distinct fixed points
+    st.tuples(st.just("constant"), _terms, st.sampled_from([1, 2, 3, -2, -3, 5])).filter(
+        lambda t: t[2] ** 2 + 4 * t[1] > 0
+    ),
+    # K((-1/4 + 1/n)/1): fixed points close together, slow convergence
+    st.tuples(st.just("constant"), st.integers(5, 400).map(lambda n: Fraction(-1, 4) + Fraction(1, n)), st.just(1)),
+    # a_k = r^(k-1), b_k = 1: the Rogers-Ramanujan shape
+    st.tuples(st.just("geometric"), st.fractions(-1, 1, max_denominator=20), st.just(1)),
+    # a_k = k - 1, b_k = 1: the slowly converging cf2 shape
+    st.tuples(st.just("linear"), st.just(None), st.just(1)),
+)
+
+
+def _mixed_spec(b0, head, tail) -> CFSpec:
+    """Free head terms (zeros, sign changes, any number type), then a tail."""
+    kind, x, b = tail
+
+    def terms(k: int):
+        if k <= len(head):
+            return head[k - 1]
+        if kind == "constant":
+            return (x, b)
+        return (x ** (k - 1) if kind == "geometric" else k - 1, b)
+
+    return CFSpec(b0=b0, terms=terms)
+
+
+@given(
+    b0=_terms,
+    head=st.lists(st.tuples(_terms, _terms), max_size=6),
+    tail=_tails,
+    bits=st.sampled_from([64, 65, 96, 128, 200, 256, 512, 1024]),
+    guard_bits=st.integers(1, 32),
+    max_iter=st.one_of(st.integers(1, 40), st.integers(100, 3000)),
+)
+@example(b0=0, head=[(1, 1)], tail=("linear", None, 1), bits=256, guard_bits=32, max_iter=10**4)  # cf2
+@example(b0=0, head=[], tail=("constant", Fraction(-265, 1076), 1), bits=200, guard_bits=30, max_iter=5000)
+@example(b0=0, head=[], tail=("geometric", Fraction(1, 10), 1), bits=256, guard_bits=32, max_iter=100)
+@example(b0=0, head=[(1, 0)], tail=("constant", 1, 2), bits=64, guard_bits=1, max_iter=60)
+@example(b0=1, head=[(2, 1), (0, 1)], tail=("linear", None, 1), bits=128, guard_bits=5, max_iter=50)
+@example(b0=0, head=[(1, 1), (-1, 1)], tail=("constant", Fraction(-1, 3), 1), bits=96, guard_bits=3, max_iter=300)
+@settings(max_examples=300, deadline=None)
+def test_gated_loop_matches_ungated_loop(b0, head, tail, bits, guard_bits, max_iter):
+    # the determinant gate skips only tests that cannot pass: same status,
+    # iteration count and value as the loop that divides and tests every step
+    ctx = PrecisionContext(bits, guard_bits, max_iter)
+    spec = _mixed_spec(b0, head, tail)
+    got, want = eval_infinite(spec, ctx), _ungated_eval_infinite(spec, ctx)
+    assert (got.status, got.iterations, got.value) == (want.status, want.iterations, want.value)
+
+
+def test_one_guard_bit_and_few_iterations_converge():
+    # W = 64 + 1 + 7 bits hold fewer than stop_bits = 75: convergence means
+    # exactly stationary fixed-point convergents, no longer a negative shift
+    ctx = PrecisionContext(64, 1, max_iter=100)
+    res = rr_cf(ctx.real(Fraction(1, 2)), ctx=ctx)
+    assert (res.status, res.iterations) == (CFStatus.CONVERGED, 14)
+    assert abs(res.value - R_product(ctx.real(Fraction(1, 2)), ctx)) < ctx.tol

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from mpmath.ctx_mp import MPContext
 
-from rrlab import cf
+from rrlab import cf, cli
 from rrlab.cli import main
+from rrlab.identities import identity_ids
 from rrlab.numerics import PrecisionContext
 
 
@@ -161,6 +162,31 @@ def test_values_check_eq2(capsys):
 def test_values_check_unknown(capsys):
     code, _, err = run(capsys, "values", "check", "nothere")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("values", "check", "nope"), "error: unknown special-value entries: ['nope']"),
+        (("verify", "nope"), "error: unknown identity 'nope'; known: " + ", ".join(identity_ids())),
+    ],
+)
+def test_unknown_names_print_unquoted(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", line + "\n")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    assert run(capsys, "schur", "7")[0] == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
+    assert run(capsys, "schur", "7", "--format", "json")[0] == 0
+
+
+def test_one_guard_bit_with_few_iterations(capsys):
+    # fewer fixed-point bits than stop bits once raised a negative shift count
+    code, out, err = run(capsys, "eval", "R", "--q", "1/2", "--bits", "64", "--guard-bits", "1",
+                         "--max-iter", "100")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "status: converged  agree_bits: 64  iterations: 14"
 
 
 def test_verify_modular_relation(capsys):

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrlab import cf, identities, numerics, qseries, special_values
 from rrlab.numerics import (
     ConvergenceError,
     CFStatus,
@@ -189,20 +191,108 @@ def test_context_digits(ctx):
 
 def test_concurrent_evaluation_is_consistent():
     # pure functions of (input, context): concurrent evaluations under shared
-    # and distinct contexts must reproduce the serial results exactly
+    # and distinct contexts must reproduce the serial results exactly, also on
+    # the routes that raise their working precision in a workprec block
     from concurrent.futures import ThreadPoolExecutor
-    from rrlab.cf import rr_cf
 
     shared = PrecisionContext(192, 32)
     qs = [Fraction(k, 40) for k in range(1, 9)]
-    serial = [rr_cf(shared.real(q), ctx=shared).value for q in qs]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda q: rr_cf(shared.real(q), ctx=shared).value, qs))
-        fresh = list(
-            pool.map(lambda q: rr_cf(PrecisionContext(192, 32).real(q), ctx=PrecisionContext(192, 32)).value, qs)
-        )
+    serial = [cf.rr_cf(shared.real(q), ctx=shared).value for q in qs]
+
+    def raised(j):
+        ctx = PrecisionContext(192, 32)
+        direct = cf.rr_root_of_unity_direct(7, j, ctx).value
+        tail = identities.asymptotic_check(Fraction(1, 4 + j), PrecisionContext(192, 32))
+        return direct, tail["approx"], tail["reference"], ctx.mp.prec
+
+    js = range(1, 7)
+    raised_serial = [raised(j) for j in js]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-workprec included
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(lambda q: cf.rr_cf(shared.real(q), ctx=shared).value, qs, timeout=120))
+            fresh = list(
+                pool.map(
+                    lambda q: cf.rr_cf(PrecisionContext(192, 32).real(q), ctx=PrecisionContext(192, 32)).value,
+                    qs,
+                    timeout=120,
+                )
+            )
+            raised_parallel = list(pool.map(raised, [j for j in js for _ in range(3)], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert parallel == serial
     assert fresh == serial
+    assert raised_parallel == [r for r in raised_serial for _ in range(3)]
+    assert all(r[3] == 192 for r in raised_parallel)
+
+
+def test_contexts_share_mpmath_context_per_thread_and_precision():
+    from concurrent.futures import ThreadPoolExecutor
+
+    a, b = PrecisionContext(256), PrecisionContext(256, 16, 10)
+    assert a.mp is b.mp and a.mp.prec == 256
+    assert PrecisionContext(512).mp is not a.mp
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(PrecisionContext, 256).result()
+    assert other.mp is not a.mp and other.mp.prec == 256
+    # one built while this thread's 256-bit context is raised gets its own
+    with a.mp.workprec(1024):
+        inside = PrecisionContext(256)
+        assert inside.mp is not a.mp and inside.mp.prec == 256
+    assert a.mp.prec == 256 and PrecisionContext(256).mp is a.mp
+
+
+def test_thread_keeps_a_bounded_number_of_mpmath_contexts():
+    for bits in range(64, 4097, 64):
+        assert PrecisionContext(bits).mp.prec == bits
+        assert len(numerics._thread_mps.by_bits) <= numerics.MP_CONTEXTS_PER_THREAD
+    assert PrecisionContext(4096).mp is PrecisionContext(4096).mp
+
+
+_Q = Fraction(1, 3)
+_KERNELS = [
+    ("rr_cf", lambda c: cf.rr_cf(c.real(_Q), ctx=c)),
+    ("rr_root_of_unity_direct", lambda c: cf.rr_root_of_unity_direct(7, 1, c)),
+    ("rr_at_root_of_unity", lambda c: cf.rr_at_root_of_unity(7, 2, c)),
+    ("pochhammer_inf", lambda c: qseries.pochhammer_inf(c.real(_Q), c.real(_Q), c)),
+    ("G", lambda c: qseries.G(c.real(_Q), c)),
+    ("H", lambda c: qseries.H(c.real(_Q), c)),
+    ("R_product", lambda c: qseries.R_product(c.real(_Q), ctx=c)),
+    ("S", lambda c: qseries.S(c.real(_Q), c)),
+    ("chi", lambda c: qseries.chi(c.real(_Q), c)),
+    ("theta_phi", lambda c: qseries.theta_phi(c.real(-_Q), c)),
+    ("asymptotic_check", lambda c: identities.asymptotic_check(Fraction(1, 5), c)),
+    ("cf2_value", identities.cf2_value),
+    ("verify", lambda c: identities.verify("modular-relation", c, 2, 20)),
+    ("verify_registry", lambda c: special_values.verify_registry(c, ["eq2"])),
+    ("golden_phi", golden_phi),
+    ("agree_bits", lambda c: agree_bits(c.mp.pi, c.mp.e, c)),
+]
+
+
+@pytest.mark.parametrize("kernel", [pytest.param(k, id=name) for name, k in _KERNELS])
+def test_kernels_leave_the_shared_precision_as_they_found_it(kernel):
+    for ctx in (PrecisionContext(160, 32), PrecisionContext(320, 32)):
+        kernel(ctx)
+        assert ctx.mp.prec == ctx.bits
+        assert PrecisionContext(ctx.bits).mp is ctx.mp
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        pytest.param(lambda c: qseries.G(c.real(Fraction(999, 1000)), c), id="G-refused"),
+        pytest.param(lambda c: identities.asymptotic_check(Fraction(1, 1000), c), id="asymptotic"),
+        pytest.param(identities.cf2_value, id="cf2"),
+    ],
+)
+def test_precision_is_restored_after_a_convergence_error(kernel):
+    ctx = PrecisionContext(160, 32, max_iter=50)
+    with pytest.raises(ConvergenceError):
+        kernel(ctx)
+    assert ctx.mp.prec == ctx.bits
 
 
 def test_nome(ctx):
