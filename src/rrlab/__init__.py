@@ -41,12 +41,10 @@ from .qseries import (
     theta_phi,
 )
 from .special_values import (
-    QuinticState,
     SpecialValueEntry,
     p_value,
     quintic_uv,
     registry,
-    resolve_quintic_assignment,
     theta_quotient,
     verify_registry,
 )
@@ -98,8 +96,6 @@ __all__ = [
     "theta_quotient",
     "p_value",
     "quintic_uv",
-    "QuinticState",
-    "resolve_quintic_assignment",
     "identity_ids",
     "verify",
     "jims_identity",

@@ -1,11 +1,10 @@
-"""Exact truncated Laurent/power series with integer or rational coefficients.
+"""Exact truncated Laurent/power series with integer coefficients.
 
 A FormalSeries holds the coefficients of x^offset .. x^order exactly;
 exponents below offset are exactly zero, exponents above order are unknown
 (truncated).  Arithmetic tracks the known range: a product of series known
 through n1 and n2 terms is known through min(n1, n2) terms past its lowest
-exponent.  Coefficients stay Python ints whenever possible and fall back to
-Fraction otherwise.
+exponent.  Coefficients are Python ints, read through ``operator.index``.
 
 By convention elsewhere in this package the variable is t with t^5 = q, so
 fractional powers of q live at integer exponents of t (see ``stretch``).
@@ -13,26 +12,10 @@ fractional powers of q live at integer exponents of t (see ``stretch``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from operator import add, sub
+from operator import add, index, sub
 from typing import Iterable, Sequence
 
 __all__ = ["FormalSeries", "constant", "euler_product", "product_one_minus", "product_one_minus_inv"]
-
-
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _integral(coeffs: list) -> tuple:
-    """(integer coefficients, d) with coeffs = integer coefficients / d."""
-    d = lcm(*{c.denominator for c in coeffs})
-    if d == 1:
-        return coeffs, 1
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _product(a: Sequence, b: Sequence, n: int) -> list:
@@ -43,13 +26,11 @@ def _product(a: Sequence, b: Sequence, n: int) -> list:
     big-int multiply forms every coefficient of the product at once.  A slot
     holds n*max|a|*max|b| plus a sign bit, so no coefficient overflows into
     its neighbour.  Signs ride on a bias of half a slot per digit, which is
-    subtracted again on each side of the multiply.  Rational coefficients
-    are scaled to integers by their common denominator and divided once at
-    the end.
+    subtracted again on each side of the multiply.
     """
-    a, da = _integral(a[:n])
-    b, db = _integral(b[:n])
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 1
+    a, b = a[:n], b[:n]
+    # default=0: a series known through no term (n = 0) has an empty product
+    bits = sum(max(map(abs, d), default=0).bit_length() for d in (a, b)) + n.bit_length() + 1
     width = -(-bits // 8)  # bytes per slot
     half = 1 << (8 * width - 1)
 
@@ -62,10 +43,7 @@ def _product(a: Sequence, b: Sequence, n: int) -> list:
 
     low = (pack(a) * pack(b) + biased(n)) & ((1 << (8 * width * n)) - 1)
     raw = low.to_bytes(width * n, "little")
-    out = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
-    if da * db != 1:
-        return [_norm(Fraction(c, da * db)) for c in out]
-    return out
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
 class FormalSeries:
@@ -74,7 +52,7 @@ class FormalSeries:
     __slots__ = ("offset", "coeffs", "order")
 
     def __init__(self, coeffs: Sequence, offset: int = 0, order: int | None = None):
-        coeffs = [_norm(c) for c in coeffs]
+        coeffs = list(map(index, coeffs))  # TypeError on anything but an integer
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list requires an explicit order")
@@ -86,10 +64,11 @@ class FormalSeries:
             coeffs = coeffs + [0] * (n - len(coeffs))
         elif len(coeffs) > n:
             coeffs = coeffs[:n]
-        # strip exact leading zeros: they raise the valuation, not the order
-        while coeffs and len(coeffs) > 1 and coeffs[0] == 0:
-            coeffs.pop(0)
-            offset += 1
+        # strip exact leading zeros, keeping one: they raise the valuation, not the order
+        zeros = next((i for i, c in enumerate(coeffs) if c), len(coeffs) - 1)
+        if zeros > 0:
+            coeffs = coeffs[zeros:]
+            offset += zeros
         self.coeffs = coeffs
         self.offset = offset
         self.order = order
@@ -147,9 +126,6 @@ class FormalSeries:
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):
             return FormalSeries([c * other for c in self.coeffs], self.offset, self.order)
-        if self.is_zero() or other.is_zero():
-            order = self.order + other.order
-            return FormalSeries([0], order, order)
         offset = self.offset + other.offset
         n = min(self.nterms, other.nterms)
         return FormalSeries(_product(self.coeffs, other.coeffs, n), offset, offset + n - 1)
@@ -157,22 +133,23 @@ class FormalSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "FormalSeries":
-        """Multiplicative inverse; requires a nonzero lowest coefficient.
+        """Multiplicative inverse; requires a lowest coefficient of +-1, the units
+        of the integers.
 
         Newton iteration y <- y + y*(1 - c*y) doubles the number of correct
-        terms per step, seeded with 1/lead.
+        terms per step, seeded with 1/lead = lead.
         """
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of the zero series")
         c = self.coeffs
         lead = c[0]
-        if lead == 0:
-            raise ZeroDivisionError("reciprocal requires a nonzero lowest coefficient")
+        if lead not in (1, -1):
+            raise ValueError(f"reciprocal requires a lowest coefficient of +-1, not {lead}")
         n = self.nterms
         steps = [n]  # n, ceil(n/2), ..., 1: the lengths y takes, climbed from 1
         while steps[-1] > 1:
             steps.append((steps[-1] + 1) // 2)
-        y = [_norm(1 / Fraction(lead))]
+        y = [lead]
         for k, m in zip(steps[-1:0:-1], steps[-2::-1]):
             # c*y = 1 + O(x^k), so 1 - c*y mod x^m is -x^k times terms k..m-1
             e = _product(c, y, m)[k:]
@@ -182,7 +159,7 @@ class FormalSeries:
     def __truediv__(self, other):
         if isinstance(other, FormalSeries):
             return self * other.reciprocal()
-        return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __pow__(self, m: int):
         if m < 0:
@@ -248,14 +225,9 @@ class FormalSeries:
         return hash((self.offset, self.order, tuple(self.coeffs)))
 
     def to_json(self) -> dict:
-        def enc(c):
-            if isinstance(c, Fraction):
-                return f"{c.numerator}/{c.denominator}"
-            return str(c)
-
         return {
             "lowest_exponent": self.offset,
-            "coeffs": [enc(c) for c in self.coeffs],
+            "coeffs": list(map(str, self.coeffs)),
             "order": self.order,
         }
 

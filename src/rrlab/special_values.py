@@ -15,7 +15,6 @@ them against.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -36,11 +35,7 @@ __all__ = [
     "p_value",
     "quintic_uv",
     "quintic_alpha_beta",
-    "QuinticState",
-    "resolve_quintic_assignment",
 ]
-
-log = logging.getLogger(__name__)
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -192,53 +187,6 @@ def quintic_alpha_beta(p, ctx: PrecisionContext):
     x = (p - 1) ** 2 + 7
     y = (4 - p) * ctx.mp.sqrt(4 + p * p)
     return (x + y) / 2, (x - y) / 2
-
-
-@dataclass(frozen=True)
-class QuinticState:
-    """Resolved quintic data at a nome q, cross-checked against the fraction."""
-
-    p: object
-    u: object
-    v: object
-    alpha: object
-    beta: object
-    r_q: object
-    r_q4: object
-    assignment: str
-    note: str
-
-
-def resolve_quintic_assignment(q, ctx: PrecisionContext) -> QuinticState:
-    """Compute (p, u, v) at q and resolve the (u, v) pairing by the CF oracle.
-
-    Both candidate assignments of {u, v} to {R(q), R(q^4)} are compared with
-    direct continued-fraction evaluations; the matching one is recorded.
-    """
-    mp = ctx.mp
-    q = ctx.number(q)
-    p = p_value(q, ctx)
-    u, v = quintic_uv(p, ctx)
-    alpha, beta = quintic_alpha_beta(p, ctx)
-    s = mp.sqrt(p + 1) + 1
-    cand_u, cand_v = u / s, v / s
-    direct_q = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).require("R continued fraction")
-    direct_q4 = _cf.rr_cf(q**4, RootMode.PRINCIPAL, ctx).require("R continued fraction")
-    straight = max(abs(cand_u - direct_q), abs(cand_v - direct_q4))
-    swapped = max(abs(cand_v - direct_q), abs(cand_u - direct_q4))
-    if straight <= swapped:
-        r_q, r_q4, assignment = cand_u, cand_v, "u->R(q), v->R(q^4)"
-    else:
-        r_q, r_q4, assignment = cand_v, cand_u, "v->R(q), u->R(q^4)"
-    note = (
-        "quadratic constant term taken as p^3 (root product = p^3, so u*v = p); "
-        f"pair assignment resolved by CF oracle: {assignment}"
-    )
-    log.info("quintic resolution at q=%s: %s", mp.nstr(q, 8), note)
-    return QuinticState(
-        p=p, u=u, v=v, alpha=alpha, beta=beta, r_q=r_q, r_q4=r_q4,
-        assignment=assignment, note=note,
-    )
 
 
 # -- the special-value registry ---------------------------------------------------

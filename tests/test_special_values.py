@@ -19,7 +19,6 @@ from rrlab.special_values import (
     quintic_alpha_beta,
     quintic_uv,
     registry,
-    resolve_quintic_assignment,
     theta_quotient,
     theta_quotient_direct,
     verify_entry,
@@ -170,24 +169,11 @@ def test_quintic_pipeline_at_exp_pi(ctx):
     s = mp.sqrt(p + 1)
     assert abs(u / (s + 1) - r_direct) < tol60
     assert abs(v / (s + 1) - r4_direct) < tol60
-    state = resolve_quintic_assignment(q, ctx)
-    assert abs(state.r_q - r_direct) < tol60
-    assert abs(state.r_q4 - r4_direct) < tol60
     # both quotient forms agree
     assert abs(u / (s + 1) - (s - 1) / v) < tol60
     # corollary: 1/R(q) - R(q^4) = 2/u and 1/R(q^4) - R(q) = 2/v
     assert abs(1 / r_direct - r4_direct - 2 / u) < tol60
     assert abs(1 / r4_direct - r_direct - 2 / v) < tol60
-
-
-def test_resolve_quintic_assignment(ctx):
-    mp = ctx.mp
-    st_ = resolve_quintic_assignment(mp.exp(-mp.pi), ctx)
-    assert st_.assignment == "u->R(q), v->R(q^4)"
-    assert "p^3" in st_.note
-    assert abs(st_.u * st_.v - st_.p) < ctx.tol
-    assert abs(st_.alpha * st_.beta - st_.p**3) < ctx.tol
-    assert abs(st_.r_q - rr_cf(mp.exp(-mp.pi), ctx=ctx).value) < mp.mpf(10) ** -60
 
 
 def test_registry_names_and_provenance():
