@@ -33,7 +33,6 @@ from .qseries import (
     chi,
     finite_mu,
     finite_nu,
-    pochhammer,
     pochhammer_inf,
     series_G,
     series_H,
@@ -77,7 +76,6 @@ __all__ = [
     "FormalSeries",
     "PartitionPredicate",
     "count_partitions",
-    "pochhammer",
     "pochhammer_inf",
     "G",
     "H",

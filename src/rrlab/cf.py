@@ -10,7 +10,9 @@ decided there and nowhere else.  Any other spec must have real terms and
 goes through the forward convergent recurrence A_k = b_k*A_{k-1} +
 a_k*A_{k-2} (B_k likewise), run on W-bit Python integers with joint
 renormalisation and a two-difference stopping rule; one that has not
-converged by max_iter ends MAX_ITERATIONS, without a value.
+converged by max_iter ends MAX_ITERATIONS, without a value.  A spec whose
+terms are all positive ints runs the same recurrence in blocks of
+BLOCK_STEPS steps, composed exactly in small ints.
 
 Non-convergence has one exception type, ConvergenceError (defined with
 CFStatus in ``numerics``, whose ``certify`` raises it too): a CFResult's value
@@ -42,7 +44,6 @@ __all__ = [
     "DivergenceError",
     "eval_finite",
     "eval_infinite",
-    "convergents",
     "rr_cf",
     "rr_cfspec",
     "legendre5",
@@ -72,11 +73,22 @@ class CFSpec:
 
     ``period`` states that the terms repeat, terms(k + period) == terms(k)
     for every k >= 1; eval_infinite then decides the fraction from one period.
+    ``positive_ints`` states that every a_k and b_k is a positive int;
+    eval_infinite then runs the blocked forward recurrence (_eval_blocked),
+    which checks each term as it composes it and raises ValueError naming k
+    at the first that is not.  Both are facts about the fraction, stated by
+    the code that builds the spec, never user options.
     """
 
     b0: object
     terms: Callable[[int], tuple]
     period: Optional[int] = None
+    positive_ints: bool = False
+
+
+# Steps composed into one small-int matrix by the blocked forward recurrence
+# (_eval_blocked).  Its renormalising shift falls at the multiples of it.
+BLOCK_STEPS = 32
 
 
 def bounded(route: str, ctx: PrecisionContext):
@@ -142,21 +154,6 @@ def eval_finite(spec: CFSpec, n: int):
     return v
 
 
-def convergents(spec: CFSpec, n: int):
-    """Yield (k, A_k, B_k) for k = 1..n by the forward recurrence, no rescaling.
-
-    Exact on rational input; used for the determinant identity
-    A_k*B_{k-1} - A_{k-1}*B_k = (-1)^(k-1) * prod_{j<=k} a_j.
-    """
-    a_prev, a_cur = 1, spec.b0
-    b_prev, b_cur = 0, 1
-    for k in range(1, n + 1):
-        a_k, b_k = spec.terms(k)
-        a_cur, a_prev = b_k * a_cur + a_k * a_prev, a_cur
-        b_cur, b_prev = b_k * b_cur + a_k * b_prev, b_cur
-        yield k, a_cur, b_cur
-
-
 def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
     """Evaluate an infinite continued fraction under the context.
 
@@ -164,6 +161,9 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
     CONVERGED, or DIVERGES without a value, reporting ``period`` iterations.
     Only a parabolic period falls through to the forward recurrence, which
     serves every other spec and takes real terms only (ValueError otherwise).
+    A spec that declares ``positive_ints`` runs it in blocks of BLOCK_STEPS
+    steps (see _eval_blocked); the determinant gate below serves every
+    other spec.
 
     The recurrence runs on integers: A_k and B_k are ints at the width W of
     ``numerics._fixed``, renormalised together by bit_length after every
@@ -218,8 +218,10 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
 
     w, (a_cur,) = _fixed(ctx, "continued fraction", None, spec.b0)
     stop_exp = max(w - ctx.stop_bits, 0)
-    stop = 1 << stop_exp
     floor = 1 << (w - ctx.bits // 2)
+    if spec.positive_ints:
+        return _eval_blocked(spec, ctx, w, a_cur, stop_exp, floor)
+    stop = 1 << stop_exp
     a_prev = b_cur = 1 << w
     b_prev = 0
     # (A, B) at the end of the two previous steps, and their convergents where
@@ -271,15 +273,92 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
                 f1 = (a1 << w) // b1
             if f2 is None:
                 f2 = (a2 << w) // b2
-            if (
-                abs(f - f1) < stop
-                and abs(f - f2) < stop
-                and (abs(f) > floor or f == f1 == f2)
-            ):
+            if _settled(f, f1, f2, stop, floor):
                 return CFResult(ctx.mp.mpf((f, -w)), k, CFStatus.CONVERGED)
         a2, b2, f2 = a1, b1, f1
         a1, b1, f1 = a_cur, b_cur, f
         lq1 = lq
+    return CFResult(None, ctx.max_iter, CFStatus.MAX_ITERATIONS)
+
+
+def _settled(f, f1, f2, stop: int, floor: int) -> bool:
+    """The stop test on F_k, F_(k-1), F_(k-2): two differences below stop, and
+    the candidate above the noise floor or the three exactly equal."""
+    return abs(f - f1) < stop and abs(f - f2) < stop and (abs(f) > floor or f == f1 == f2)
+
+
+def _eval_blocked(spec: CFSpec, ctx: PrecisionContext, w: int, a_cur: int, stop_exp: int, floor: int):
+    """eval_infinite's forward recurrence for a spec that declares positive_ints.
+
+    Steps run in blocks of K = BLOCK_STEPS, the last one cut at max_iter.  A
+    block composes its terms' matrices T_k = [[b_k, 1], [a_k, 0]] exactly in
+    small ints, (A_e, A_(e-1)) = (A_(s-1), A_(s-2)) T_s ... T_e for steps s..e,
+    applies the product once to the W-bit state (A, A', B, B'), and shifts
+    the four together by bit_length at the block's end, the one rounding in
+    the block.  A term that is not a positive int raises ValueError naming k.
+
+    The stop test is eval_infinite's (_settled), on F_j = floor(A_j 2^W / B_j)
+    for the state as it stood after step j.  It runs before the shift, and
+    after the shift F_(e-1) and F_e are taken from the shifted state, so at
+    every step of a block F_k and F_(k-1) are exact convergents of the same
+    fraction: the terms of the block, started from the block's start state.
+
+    No test in the block can pass when B_(s-1) > 0 and
+    |D_e| 2^W >= (stop + 1) B_e B_(e-1), D_k = A_k B_(k-1) - A_(k-1) B_k.
+    Positive terms keep B_k >= B_(k-1) > 0, and a step maps D to -a_k D, so
+    |f_k - f_(k-1)| = |D_k| / (B_k B_(k-1)) shrinks by the factor
+    a_k B_(k-2) / (b_k B_(k-1) + a_k B_(k-2)) <= 1 at each step.  Every step
+    of the block then has 2^W |f_k - f_(k-1)| >= stop + 1, and the floors cost
+    less than one unit, so |F_k - F_(k-1)| > stop.  A block that fails the
+    test is replayed one step at a time from its start state, testing every
+    step, with the same single shift at its end: blocked and replayed runs
+    are bit for bit the same, and the count and value are those of the loop
+    that tests every step and shifts only at the multiples of K.
+    """
+    stop = 1 << stop_exp
+    a_prev = b_cur = 1 << w
+    b_prev = 0
+    # (A, B) as they stood after the two previous steps, and F where formed
+    a1 = b1 = a2 = b2 = 0
+    f1 = f2 = None
+    end = 0
+    while end < ctx.max_iter:
+        start, end = end + 1, min(end + BLOCK_STEPS, ctx.max_iter)
+        p, q, r, t = 1, 0, 0, 1
+        for k in range(start, end + 1):
+            a_k, b_k = spec.terms(k)
+            if type(a_k) is not int or type(b_k) is not int or a_k <= 0 or b_k <= 0:
+                raise ValueError(f"positive_ints spec: term k={k} is {(a_k, b_k)!r}, not two positive ints")
+            p, q = p * b_k + q * a_k, p
+            r, t = r * b_k + t * a_k, r
+        a_end, a_end1 = a_cur * p + a_prev * r, a_cur * q + a_prev * t
+        b_end, b_end1 = b_cur * p + b_prev * r, b_cur * q + b_prev * t
+        bb = b_end * b_end1
+        if b_cur and abs(a_end * b_end1 - a_end1 * b_end) << w >= (bb << stop_exp) + bb:
+            a_cur, a_prev, b_cur, b_prev = a_end, a_end1, b_end, b_end1
+        else:
+            for k in range(start, end + 1):
+                a_k, b_k = spec.terms(k)
+                a_cur, a_prev = b_k * a_cur + a_k * a_prev, a_cur
+                b_cur, b_prev = b_k * b_cur + a_k * b_prev, b_cur
+                f = None
+                if b_cur and b1 and b2:
+                    f = (a_cur << w) // b_cur
+                    if f1 is None:
+                        f1 = (a1 << w) // b1
+                    if f2 is None:
+                        f2 = (a2 << w) // b2
+                    if _settled(f, f1, f2, stop, floor):
+                        return CFResult(ctx.mp.mpf((f, -w)), k, CFStatus.CONVERGED)
+                a2, b2, f2 = a1, b1, f1
+                a1, b1, f1 = a_cur, b_cur, f
+        shift = max(a_cur.bit_length(), b_cur.bit_length()) - w
+        if shift > 0:
+            a_cur, a_prev, b_cur, b_prev = (x >> shift for x in (a_cur, a_prev, b_cur, b_prev))
+        elif shift < 0 and (a_cur or b_cur):
+            a_cur, a_prev, b_cur, b_prev = (x << -shift for x in (a_cur, a_prev, b_cur, b_prev))
+        a1, b1, a2, b2 = a_cur, b_cur, a_prev, b_prev
+        f1 = f2 = None
     return CFResult(None, ctx.max_iter, CFStatus.MAX_ITERATIONS)
 
 

@@ -352,12 +352,15 @@ def _schur(n, ctx: PrecisionContext):
 
 
 def cf2_spec() -> _cf.CFSpec:
-    """The fraction 1/1+ 1/1+ 2/1+ 3/1+ ...: a_1 = 1, a_k = k-1 for k >= 2."""
+    """The fraction 1/1+ 1/1+ 2/1+ 3/1+ ...: a_1 = 1, a_k = k-1 for k >= 2.
+
+    Its terms are positive ints, so eval_infinite runs it in blocks.
+    """
 
     def terms(k: int):
         return (1 if k == 1 else k - 1, 1)
 
-    return _cf.CFSpec(b0=0, terms=terms)
+    return _cf.CFSpec(b0=0, terms=terms, positive_ints=True)
 
 
 def cf2_value(ctx: PrecisionContext) -> tuple:

@@ -9,8 +9,8 @@ chi are Euler sums on one kernel, ``_rr_sum``; the product
 and the identity checks.  The kernel, the product and the theta sum predict
 a lower bound on their term count before they start and raise
 ConvergenceError at once when it exceeds max_iter (``cf.refuse_early``).
-The finite q-Pochhammer product and the mu/nu sums operate on whatever
-number type they are given and are exact on rationals.
+The mu/nu sums operate on whatever number type they are given and are
+exact on rationals.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .numerics import PrecisionContext, RootMode, _fixed, root
 from . import cf as _cf
 
 __all__ = [
-    "pochhammer",
     "pochhammer_inf",
     "G",
     "H",
@@ -39,18 +38,6 @@ __all__ = [
     "series_H",
     "series_R",
 ]
-
-
-def pochhammer(a, q, n: int):
-    """Finite q-Pochhammer (a; q)_n = prod_{k<n} (1 - a*q^k); exact on rationals."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = 1
-    qk = 1
-    for _ in range(n):
-        out *= 1 - a * qk
-        qk *= q
-    return out
 
 
 def _decay(x: int, one: int) -> float:
@@ -266,7 +253,7 @@ def _finite_sum(n: int, a, q, extra: int):
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = n + 1 - extra
-    qq = [1]  # (q;q)_j for j = 0..m, the factors as pochhammer forms them
+    qq = [1]  # (q;q)_j for j = 0..m
     qk = 1
     for _ in range(m):
         qk *= q

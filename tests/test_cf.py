@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from rrlab.cf import (
     DivergenceError,
     ZeroDenominatorError,
     bounded,
-    convergents,
     eval_finite,
     eval_infinite,
     legendre5,
@@ -26,7 +26,7 @@ from rrlab.cf import (
     rr_root_of_unity_spec,
     schur_classify,
 )
-from rrlab.cf import CFResult, _pair
+from rrlab.cf import BLOCK_STEPS, CFResult, _pair
 from rrlab.identities import cf2_spec
 from rrlab.numerics import PrecisionContext, RootMode, _fixed, agree_bits, certify, golden_phi
 from rrlab.qseries import R_product
@@ -38,6 +38,18 @@ CF2_70 = "0.6556795424187984715438712307308112833992823328704620280536861587342"
 def _example_spec():
     # 1 + 1/1 + 2/1 + 3/1
     return CFSpec(b0=Fraction(1), terms=lambda k: (Fraction(k), Fraction(1)))
+
+
+def convergents(spec: CFSpec, n: int):
+    """Yield (k, A_k, B_k) for k = 1..n by the forward recurrence, no rescaling;
+    exact on rational input."""
+    a_prev, a_cur = 1, spec.b0
+    b_prev, b_cur = 0, 1
+    for k in range(1, n + 1):
+        a_k, b_k = spec.terms(k)
+        a_cur, a_prev = b_k * a_cur + a_k * a_prev, a_cur
+        b_cur, b_prev = b_k * b_cur + a_k * b_prev, b_cur
+        yield k, a_cur, b_cur
 
 
 def test_finite_example_five_thirds():
@@ -252,6 +264,7 @@ def test_cfstatus_members():
     [
         pytest.param(cf2_spec, None, 256, 6864, id="cf2-256"),
         pytest.param(cf2_spec, None, 512, 29437, id="cf2-512"),
+        pytest.param(cf2_spec, None, 1024, 121813, id="cf2-1024"),
         pytest.param(rr_cfspec, Fraction(88, 100), 256, 51, id="R-88/100-256"),
         pytest.param(rr_cfspec, Fraction(99999, 100000), 256, 172, id="R-99999/100000-256"),
     ],
@@ -468,3 +481,105 @@ def test_one_guard_bit_and_few_iterations_converge():
     res = rr_cf(ctx.real(Fraction(1, 2)), ctx=ctx)
     assert (res.status, res.iterations) == (CFStatus.CONVERGED, 14)
     assert abs(res.value - R_product(ctx.real(Fraction(1, 2)), ctx)) < ctx.tol
+
+
+def _blocked_reference(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
+    """What eval_infinite must return for a spec declaring positive_ints: one
+    exact step at a time, the stop test at every step, and the renormalising
+    shift only after the steps that are multiples of BLOCK_STEPS, after which
+    F_(k-1) and F_(k-2) are read from the shifted state."""
+    w, (a_cur,) = _fixed(ctx, "continued fraction", None, spec.b0)
+    stop = 1 << max(w - ctx.stop_bits, 0)
+    floor = 1 << (w - ctx.bits // 2)
+    a_prev = b_cur = 1 << w
+    b_prev = a1 = b1 = a2 = b2 = 0
+    for k in range(1, ctx.max_iter + 1):
+        a_k, b_k = spec.terms(k)
+        a_cur, a_prev = b_k * a_cur + a_k * a_prev, a_cur
+        b_cur, b_prev = b_k * b_cur + a_k * b_prev, b_cur
+        if b_cur and b1 and b2:
+            f, f1, f2 = ((x << w) // y for x, y in ((a_cur, b_cur), (a1, b1), (a2, b2)))
+            if abs(f - f1) < stop and abs(f - f2) < stop and (abs(f) > floor or f == f1 == f2):
+                return CFResult(ctx.mp.mpf((f, -w)), k, CFStatus.CONVERGED)
+        a2, b2, a1, b1 = a1, b1, a_cur, b_cur
+        if k % BLOCK_STEPS == 0:
+            shift = max(a_cur.bit_length(), b_cur.bit_length()) - w
+            state = (a_cur, a_prev, b_cur, b_prev)
+            a_cur, a_prev, b_cur, b_prev = (x >> shift if shift >= 0 else x << -shift for x in state)
+            a1, b1, a2, b2 = a_cur, b_cur, a_prev, b_prev
+    return CFResult(None, ctx.max_iter, CFStatus.MAX_ITERATIONS)
+
+
+_positive = st.integers(1, 9)
+_positive_tails = st.tuples(st.sampled_from(["constant", "linear", "quadratic"]), _positive, _positive)
+
+
+def _positive_spec(b0, head, tail) -> CFSpec:
+    """Positive int head terms, then a_k = c, c k or c k^2 with b_k = b."""
+    kind, c, b = tail
+    power = {"constant": 0, "linear": 1, "quadratic": 2}[kind]
+
+    def terms(k: int):
+        return head[k - 1] if k <= len(head) else (c * k**power, b)
+
+    return CFSpec(b0=b0, terms=terms, positive_ints=True)
+
+
+@given(
+    b0=st.integers(0, 5),
+    head=st.lists(st.tuples(_positive, _positive), max_size=6),
+    tail=_positive_tails,
+    bits=st.sampled_from([64, 65, 96, 128, 200, 256, 512]),
+    guard_bits=st.integers(1, 32),
+    max_iter=st.one_of(st.integers(1, 100), st.integers(100, 3000)),
+)
+@example(b0=0, head=[(1, 1)], tail=("linear", 1, 1), bits=256, guard_bits=32, max_iter=10**4)  # cf2 shifted
+@example(b0=0, head=[(1, 1)], tail=("linear", 1, 1), bits=128, guard_bits=32, max_iter=2**11 + 5)
+@example(b0=3, head=[], tail=("constant", 1, 1), bits=64, guard_bits=1, max_iter=60)
+@example(b0=1, head=[(9, 1), (1, 9)], tail=("quadratic", 9, 1), bits=96, guard_bits=3, max_iter=33)
+@settings(max_examples=300, deadline=None)
+def test_blocked_loop_matches_reference_and_gated_loop(b0, head, tail, bits, guard_bits, max_iter):
+    # the block test skips only stop tests that fail: the blocked loop returns
+    # exactly what the step-by-step reference returns, and agrees to tol with
+    # the same fraction undeclared, which runs the determinant-gated loop.
+    # The second check needs guard_bits >= 6: the gated loop's own rounding
+    # grows with |f| and, for limits of a few units, reaches tol with fewer
+    # guard bits (seen up to 7 tol at guard_bits = 3, 0.5 tol at 5)
+    ctx = PrecisionContext(bits, guard_bits, max_iter)
+    spec = _positive_spec(b0, head, tail)
+    got, want = eval_infinite(spec, ctx), _blocked_reference(spec, ctx)
+    assert (got.status, got.iterations, got.value) == (want.status, want.iterations, want.value)
+    plain = eval_infinite(replace(spec, positive_ints=False), ctx)
+    if got.converged and plain.converged and guard_bits >= 6:
+        assert abs(got.value - plain.value) < ctx.tol
+
+
+def test_cf2_is_declared_and_matches_its_undeclared_twin():
+    # the same count and value through the blocked and the gated loop; 6,864
+    # is 16 steps into a block, so the last block is replayed
+    ctx = PrecisionContext(256, 32)
+    spec = cf2_spec()
+    assert spec.positive_ints and 6864 % BLOCK_STEPS
+    got, plain = eval_infinite(spec, ctx), eval_infinite(replace(spec, positive_ints=False), ctx)
+    assert (got.status, got.iterations, got.value) == (plain.status, plain.iterations, plain.value)
+
+
+@pytest.mark.parametrize("bad", [0, -2, Fraction(3), 2.0, True, mpmath.mpf(2)], ids=repr)
+@pytest.mark.parametrize("side", [0, 1], ids=["a_k", "b_k"])
+def test_declared_positive_ints_rejects_other_terms(bad, side, ctx):
+    def terms(k):
+        pair = [k, 1]
+        if k == 40:
+            pair[side] = bad
+        return tuple(pair)
+
+    with pytest.raises(ValueError, match=r"term k=40 is"):
+        eval_infinite(CFSpec(b0=0, terms=terms, positive_ints=True), ctx)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 31, 32, 33, 6850, 6863])
+def test_blocked_cap_inside_a_block_ends_max_iterations(max_iter):
+    # cf2 converges at step 6,864 at 256 bits; a cap before it, in or at the
+    # end of any block, ends max-iterations after exactly max_iter steps
+    res = eval_infinite(cf2_spec(), PrecisionContext(256, 32, max_iter))
+    assert (res.status, res.iterations, res.value) == (CFStatus.MAX_ITERATIONS, max_iter, None)

