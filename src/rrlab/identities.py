@@ -11,6 +11,7 @@ coefficient through the lower of their orders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -122,7 +123,7 @@ def _R_cf(q, ctx: PrecisionContext):
 
 
 def _euler_prod(q, ctx):
-    return _qs.pochhammer_inf(q, q, ctx)
+    return _qs._theta_quotient(q, ctx, "E")
 
 
 # -- numeric sides ----------------------------------------------------------------
@@ -213,40 +214,49 @@ def factorization_sides(gamma, q, ctx: PrecisionContext):
 
     Left: 1/sqrt(t) - gamma*sqrt(t) with t = R(q).  Right: q^(-1/10) *
     sqrt((q;q)_inf / (q^5;q^5)_inf) * prod_{n>=1} 1/(1 + gamma*x^n + x^(2n))
-    with x = q^(1/5); each factor tends to 1 geometrically.
+    with x = q^(1/5).  For gamma > 0 the left side cancels: its two terms
+    are up to max(|1/sqrt(t)|, |gamma sqrt(t)|)/|lhs| times larger than it, so
+    the left side, its R and gamma are evaluated again at bits + the ceiling of
+    log2 of that measured ratio, and rounded back to the context.  The raise
+    is rounded up to a multiple of 32 bits, so that few precisions (each with
+    its own cached mpmath context) occur.
     """
     mp = ctx.mp
     t = _R(q, ctx)
     st = mp.sqrt(t)
     lhs = 1 / st - gamma * st
+    extra = math.ceil(mp.log(max(abs(1 / st), abs(gamma * st)) / abs(lhs), 2))
+    if extra > 0:
+        raised = PrecisionContext(ctx.bits - (-extra // 32) * 32, ctx.guard_bits, ctx.max_iter)
+        st = raised.mp.sqrt(_R(q, raised))
+        lhs = mp.mpf(1 / st - (1 + raised.mp.sign(gamma) * raised.mp.sqrt(5)) / 2 * st)
     x = root(q, 5, RootMode.PRINCIPAL, ctx)
     rhs = q ** (-mp.mpf(1) / 10) * mp.sqrt(_euler_prod(q, ctx) / _euler_prod(q**5, ctx))
     return lhs, rhs / _factorization_denominator(gamma, x, ctx)
 
 
 def _factorization_denominator(gamma, x, ctx: PrecisionContext):
-    """prod_{n>=1} (1 + gamma*x^n + x^(2n)) for real |x| < 1.
+    """prod_{n>=1} (1 + gamma*x^n + x^(2n)) for real |x| < 1 and gamma = (1 -+ sqrt5)/2.
 
-    Runs on integers like qseries.pochhammer_inf: x^n at scale 2^W (see
-    ``numerics._fixed``) and the product as a W-bit mantissa with a binary
-    exponent.  Stops once |x^n| (|gamma| + 1) / (1 - |x|), which bounds the
-    log of the remaining factors, is below ctx.stop_tol.
+    The Jacobi triple product at z = e^(i theta), 2 cos(theta) = -gamma, makes
+    it F/(x;x)_inf with F = sum_{n>=1} (-1)^(n+1) c_n x^(n(n-1)/2), where
+    c_n = sin((2n-1) theta/2)/sin(theta/2) has period 5: 1, 1 - gamma, 0,
+    gamma - 1, -1 for n = 1, ..., 5 (mod 5).  Grouped by n mod 5, F is
+    S_(25,5)(x) + (gamma - 1) x S_(25,15)(x), two parts of one
+    ``qseries._jacobi_sum``, which forms gamma - 1 = (-1 -+ sqrt5)/2 at its own
+    width.  With 2 cos(a) = gamma, 2 cos(b) = -gamma and h = -ln|x|, F cancels
+    to about exp(-a^2/(2h)) for x > 0, and for x < 0, where the odd factors
+    take -gamma, to about exp(-((a^2 + b^2)/4 - pi^2/8)/h).
     """
-    route = "factorization product"
-    w, (x, g) = _fixed(ctx, route, x, gamma)
-    one = 1 << w
-    scale = (abs(g) + one) << ctx.stop_bits
-    limit = (one - abs(x)) << w  # |x^n| * scale < limit: the bound below stop_tol
-    man, exp = one, -w
-    xn = one
-    for _ in _cf.bounded(route, ctx):
-        xn = xn * x >> w
-        man *= one + (g * xn >> w) + (xn * xn >> w)
-        shift = man.bit_length() - w
-        man >>= shift
-        exp += shift - w
-        if abs(xn) * scale < limit:
-            return ctx.mp.mpf((man, exp))
+    sign = 1 if gamma > 0 else -1
+
+    def weight(w, xw):  # (gamma - 1) x at scale 2^w
+        return ((sign * math.isqrt(5 << 2 * w) - (1 << w)) >> 1) * xw >> w
+
+    a, b = math.acos(float(gamma) / 2), math.acos(-float(gamma) / 2)
+    loss = a * a / 2 if x.real >= 0 else (a * a + b * b) / 4 - math.pi**2 / 8
+    f = _qs._jacobi_sum(x, ctx, "factorization sum", ((25, 5, None), (25, 15, weight)), loss)
+    return f / _euler_prod(x, ctx)
 
 
 def _gamma_minus(ctx):

@@ -4,13 +4,18 @@ functions, finite-form mu/nu polynomials, and exact series expansions.
 Numeric routines take a PrecisionContext and truncate with tail bounds tied
 to the context tolerance; the infinite products and series take real
 arguments and run on fixed-point integers (``numerics._fixed``).  G, H and
-chi are Euler sums on one kernel, ``_rr_sum``; the product
-``pochhammer_inf`` serves the product backends, R_product, theta at q < 0
-and the identity checks.  The kernel, the product and the theta sum predict
-a lower bound on their term count before they start and raise
-ConvergenceError at once when it exceeds max_iter (``cf.refuse_early``).
-The mu/nu sums operate on whatever number type they are given and are
-exact on rationals.
+chi are Euler sums on one kernel, ``_rr_sum``.  The product sides (R_product,
+the product backends of G and H, Euler's E = (q;q)_inf of the identity
+checks and theta at q < 0) are quotients of sparse alternating sums
+S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2), the Jacobi triple
+product and pentagonal number theorem, on a second kernel, ``_jacobi_sum``:
+O(sqrt(bits/h)) terms at h = -ln|q|, with guard bits for the cancellation
+it predicts and then measures.  One predicted-cost rule
+(``_theta_quotient``) sends them to the product ``pochhammer_inf`` instead,
+which only happens near |q| = 1.  Every kernel predicts a lower bound on its
+term count before it starts and raises ConvergenceError at once when it
+exceeds max_iter (``cf.refuse_early``).  The mu/nu sums operate on whatever
+number type they are given and are exact on rationals.
 """
 
 from __future__ import annotations
@@ -147,20 +152,156 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
             exp += shift
 
 
+# -- sparse theta sums -----------------------------------------------------------
+
+
+def _step_cost(width: int) -> float:
+    """Predicted time of one product-loop step at `width` bits, in arbitrary units.
+
+    (width + 256)^1.6 fits CPython's int multiply (schoolbook below about
+    2,100 bits, Karatsuba above) plus the loop's own overhead to within 25 %
+    between 300 and 20,000 bits; a term of the sparse sums costs two such
+    steps (four multiplies against two).
+    """
+    return (width + 256) ** 1.6
+
+
+# The fixed cost of one call of either kernel (conversions, the prediction and
+# the result), in steps at the context's width W: about 25 us against 1 us
+# per step at 256 bits.
+CALL_STEPS = 25
+
+
+def _guard(decay: float, loss: float) -> int:
+    """Predicted cancellation in bits of a sum that cancels to exp(-loss/h), h = decay."""
+    return math.ceil(loss / (decay * math.log(2)))
+
+
+def _sparse_terms(decay: float, a: int, b: int, bits: float) -> float:
+    """The real m >= 0 at which q^((A m^2 - B m)/2) falls to 2^-bits, for |q| = e^-decay."""
+    return (b + math.sqrt(b * b + 8 * a * max(bits, 0) * math.log(2) / decay)) / (2 * a)
+
+
+def _jacobi_sum(q, ctx: PrecisionContext, route: str, parts, loss: float):
+    """sum over the parts (A, B, weight) of c S_(A,B)(q), for real |q| < 1, where
+
+        S_(A,B)(q) = 1 + sum_{m>=1} (-1)^m q^(m(Am-B)/2) (1 + q^(Bm))
+                   = sum over all integers m of (-1)^m q^((A m^2 - B m)/2),
+
+    which the Jacobi triple product makes (q^A; q^A)_inf (q^((A-B)/2); q^A)_inf
+    (q^((A+B)/2); q^A)_inf; it needs A > B >= 0 with A - B even.  c is 1 for
+    weight None; otherwise weight(w, q 2^w) returns c 2^w at width w.
+
+    The terms are at most 1 in size, but near q = 1 the total cancels to
+    about exp(-loss/h), h = -ln|q| (loss = pi^2/(2A) for one part).  So each
+    pass runs at width w = W + g (W from ``_fixed``), with g guard bits for
+    that cancellation, and stops a part once its tail is below
+    2^-(stop_bits + g): the ratio of consecutive terms, |q|^(Am + (A-B)/2)
+    = |slo|, falls with m, so the tail after term m is at most
+    2 |q^(m(Am-B)/2)| / (1 - |slo|).  The first pass predicts g from `loss`.
+    After the loop the total's bit length measures the cancellation: when
+    the total is below 2^-g the sum is redone once with g set to what was
+    measured (plus two bits), and a sum that comes out short again raises
+    ArithmeticError.  Each pass predicts its term count before it starts
+    (``cf.refuse_early``): the integer q^(m(Am-B)/2) is within (A + 2) m^2
+    units of its exact value.
+    """
+    base, (x,) = _fixed(ctx, route, q)
+    decay = _decay(x, 1 << base) if x else math.inf
+    guard = _guard(decay, loss) if x else 0
+    for _ in range(2):
+        w = base + guard
+        one = 1 << w
+        shift = ctx.stop_bits + guard + 1
+        xw = x << guard
+        weights = [one if weight is None else weight(w, xw) for _, _, weight in parts]
+        shifts = [shift + max(c.bit_length() - w, 0) for c in weights]
+        if xw:
+            # no part stops while |q|^(m(Am-B)/2) exceeds 2^-cshift plus its rounding
+            _cf.refuse_early(route, ctx, max(
+                _sparse_terms(decay, a, b, min(cshift, w - math.log2((a + 2) * (ctx.max_iter + 1) ** 2)) - 1)
+                for (a, b, _), cshift in zip(parts, shifts)
+            ))
+        total = 0
+        for (a, b, _), c, cshift in zip(parts, weights, shifts):
+            qa, slo, shi = (xw**k >> (k - 1) * w for k in (a, (a - b) // 2, (a + b) // 2))
+            lo = hi = part = one  # lo, hi: q^(m(Am -+ B)/2); slo, shi: their next ratios
+            for m in _cf.bounded(route, ctx):
+                lo = lo * slo >> w
+                hi = hi * shi >> w
+                part += lo + hi if m % 2 == 0 else -(lo + hi)
+                slo = slo * qa >> w
+                shi = shi * qa >> w
+                if abs(lo) << cshift <= one - abs(slo):
+                    break
+            total += part * c >> w
+        measured = w + 1 - total.bit_length()  # |total| < 2^-measured + ...
+        if measured <= guard:
+            return ctx.mp.mpf((total, -w))
+        guard = measured + 2
+    raise ArithmeticError(f"{route} cancelled past {guard - 2} bits on both passes")
+
+
+def _theta_quotient(q, ctx: PrecisionContext, name: str):
+    """One of the quotients of theta sums in ``_THETA_ROUTES``, by the cheaper route.
+
+    Each is a quotient of Jacobi triple product sums S_(A,B) (``_jacobi_sum``)
+    and equally a quotient of q-Pochhammer products (q^j; q^k)_inf
+    (``pochhammer_inf``).  The sums need O(sqrt(bits/h)) terms but
+    pi^2/(2A h ln 2) extra bits, h = -ln|q|; the products need
+    O(bits/h) factors at W bits.  The rule: predict each route's step count
+    times ``_step_cost`` of its width, plus CALL_STEPS per kernel call, and
+    take the sums unless the products cost less.  At 256 bits that happens
+    near |q| = 1 (from about 1 - 2e-4 on) and, where either route takes a
+    few steps, for G and H below about q = 1/20 and for E below e^-60.
+    """
+    route, sums, products = _THETA_ROUTES[name]
+    base, (x,) = _fixed(ctx, route, q)
+    sparse = product = 0.0
+    if x:
+        decay = _decay(x, 1 << base)
+        for a, b in sums[0] + sums[1]:
+            g = _guard(decay, math.pi**2 / (2 * a))
+            sparse += 2 * _sparse_terms(decay, a, b, ctx.stop_bits + g) * _step_cost(base + g)
+            sparse += CALL_STEPS * _step_cost(base)
+        for _, k in products[0] + products[1]:
+            product += (ctx.stop_bits * math.log(2) / (k * decay) + CALL_STEPS) * _step_cost(base)
+    if product < sparse:
+        qv = ctx.number(q)
+        num, den = ([pochhammer_inf(qv**j, qv**k, ctx) for j, k in side] for side in products)
+    else:
+        num, den = (
+            [_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
+            for side in sums
+        )
+    return math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
+
+
+# name: (route, (numerator, denominator) sums (A, B), (numerator, denominator) products (j, k))
+_THETA_ROUTES = {
+    # R(q)/q^(1/5) = theta_H/theta_G = (q; q^5)(q^4; q^5) / ((q^2; q^5)(q^3; q^5))
+    "R": ("R theta sum", (((5, 3),), ((5, 1),)), (((1, 5), (4, 5)), ((2, 5), (3, 5)))),
+    # G = theta_G/E = 1/((q; q^5)(q^4; q^5)) and H = theta_H/E = 1/((q^2; q^5)(q^3; q^5))
+    "G": ("G theta sum", (((5, 1),), ((3, 1),)), ((), ((1, 5), (4, 5)))),
+    "H": ("H theta sum", (((5, 3),), ((3, 1),)), ((), ((2, 5), (3, 5)))),
+    # Euler's E = (q; q)_inf, the pentagonal number theorem
+    "E": ("Euler pentagonal sum", (((3, 1),), ()), (((1, 1),), ())),
+    # phi(-q) = sum (-1)^m q^(m^2) = (q^2; q^2)(q; q^2)^2
+    "phi-": ("theta sum", (((2, 0),), ()), (((2, 2), (1, 2), (1, 2)), ())),
+}
+
+
 def _rr_function(q, ctx: PrecisionContext, backend: str, triangular: bool):
     """G (triangular=False) or H (triangular=True) by the series or product backend.
 
-    The product is 1/((q^r; q^5)_inf (q^(5-r); q^5)_inf) with r = 1 for G, 2 for H.
+    The product backend is theta_G/E or theta_H/E (see ``_theta_quotient``).
     """
     if backend == "series":
         if triangular:
             return _rr_sum(q, ctx, "H series", 2, 2, 1)
         return _rr_sum(q, ctx, "G series", 1, 2, 1)
     if backend == "product":
-        qv = ctx.number(q)
-        q5 = qv**5
-        r = 2 if triangular else 1
-        return 1 / (pochhammer_inf(qv**r, q5, ctx) * pochhammer_inf(qv ** (5 - r), q5, ctx))
+        return _theta_quotient(q, ctx, "H" if triangular else "G")
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -175,13 +316,13 @@ def H(q, ctx: PrecisionContext, backend: str = "series"):
 
 
 def R_product(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext] = None):
-    """R(q) = q^(1/5) * H(q)/G(q), the product-side representation."""
+    """R(q) = q^(1/5) * H(q)/G(q) = q^(1/5) * theta_H(q)/theta_G(q), the product side."""
     if ctx is None:
         ctx = PrecisionContext()
     qv = ctx.number(q)
     if qv == 0 or abs(qv) >= 1:
         raise ValueError("R_product requires 0 < |q| < 1")
-    return root(qv, 5, mode, ctx) * H(qv, ctx, "product") / G(qv, ctx, "product")
+    return root(qv, 5, mode, ctx) * _theta_quotient(qv, ctx, "R")
 
 
 def S(q, ctx: Optional[PrecisionContext] = None, method: str = "cf"):
@@ -223,15 +364,15 @@ def theta_phi(q, ctx: PrecisionContext):
     For q >= 0, sums at scale 2^W (see ``_fixed``) until a term q^(n^2) is
     below ctx.stop_tol; the integer q^(n^2) is within n^2 units of its exact
     value, which predicts the least n before the loop (``cf.refuse_early``).
-    For q < 0 that sum cancels terms of size about 1 down to a value as small
-    as 1e-106 (q = -0.99), so it returns the Jacobi triple product
-    (q^2; q^2)_inf chi(q)^2 instead, whose factors are all positive there.
+    For q < 0 it is the alternating sum 1 + 2 sum_{n>=1} (-1)^n |q|^(n^2),
+    which cancels down to about exp(-pi^2/(4h)), h = -ln|q| (8.5e-106 at
+    q = -0.99): ``_theta_quotient`` "phi-" sums it with guard bits for that,
+    or near q = -1 takes the product (q^2; q^2)_inf (-q; q^2)_inf^2.
     """
     route = "theta series"
     w, (x,) = _fixed(ctx, route, q)
     if x < 0:
-        q2 = ctx.number(q) ** 2
-        return pochhammer_inf(q2, q2, ctx) * chi(q, ctx) ** 2
+        return _theta_quotient(-ctx.number(q), ctx, "phi-")
     one = 1 << w
     limit = -(-one >> ctx.stop_bits)  # stop_tol at scale 2^W, rounded up
     level = limit + ctx.max_iter**2

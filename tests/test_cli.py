@@ -63,7 +63,8 @@ def test_eval_requires_argument(capsys):
         pytest.param(("values", "check", "eq3", "--max-iter", "5"), "", id="values-eq3"),
     ]
     + [
-        pytest.param(("verify", i, "--max-iter", "500", "--samples", "2"), "", id=i)
+        # (x; x)_inf at x = (1/2)^(1/5) cannot stop within 20 terms of the pentagonal sum
+        pytest.param(("verify", i, "--max-iter", "20", "--samples", "2"), "", id=i)
         for i in ("factorization-1", "factorization-product")
     ],
 )

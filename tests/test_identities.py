@@ -21,7 +21,7 @@ from rrlab.identities import (
     verify,
 )
 from rrlab.cf import ConvergenceError, eval_infinite
-from rrlab.numerics import PrecisionContext, golden_phi
+from rrlab.numerics import PrecisionContext, agree_bits, golden_phi
 from rrlab.qseries import R_product
 
 # sqrt(pi*e/2), computed independently at 320 bits
@@ -113,6 +113,16 @@ def test_factorization_swap_symmetry(ctx):
     # and the product of the factorizations recovers 1/R - 1 - R
     r = R_product(q, ctx=ctx)
     assert abs(l1 * l2 - (1 / r - 1 - r)) < ctx.mp.mpf(10) ** -60
+
+
+def test_factorization_2_left_side_earns_its_bits_relative():
+    # 1/sqrt(t) - phi sqrt(t) cancels at q = 1/2; evaluated at the raised width it
+    # measures, it agrees with its 512-bit recomputation in relative terms
+    ctx = PrecisionContext(256, 32)
+    doubled = ctx.doubled()
+    lhs, _ = factorization_sides(golden_phi(ctx), ctx.real(Fraction(1, 2)), ctx)
+    ref, _ = factorization_sides(golden_phi(doubled), doubled.real(Fraction(1, 2)), doubled)
+    assert agree_bits(lhs / ref, 1, ctx) >= ctx.bits - ctx.guard_bits
 
 
 def test_k_param_bound_and_grid(ctx):
@@ -240,9 +250,9 @@ def test_schur_consistency_report(ctx):
     "route, call, terms",
     [
         (
-            "factorization product",
+            "factorization sum",
             lambda c: factorization_sides(golden_phi(c), c.real(Fraction(1, 2)), c),
-            1202,
+            21,
         ),
         ("Gaussian tail sum", lambda c: asymptotic_check(Fraction(1, 20), c, reference=0), 336),
         (

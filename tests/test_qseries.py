@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrlab import cf
+from rrlab import cf, qseries
 from rrlab.cf import eval_finite, rr_cf, CFSpec
 from rrlab.numerics import PrecisionContext, RootMode, agree_bits, certify, golden_phi, root
 from rrlab.qseries import (
@@ -21,6 +22,8 @@ from rrlab.qseries import (
     series_R,
     theta_phi,
 )
+from rrlab.identities import _factorization_denominator
+from rrlab.qseries import _jacobi_sum, _theta_quotient
 
 # (q;q)_inf at q = 1/10, computed independently at 320 bits
 EULER_TENTH_70 = "0.8900100999989990000001000099999999899999000000000010000009999999999999"
@@ -308,7 +311,7 @@ def test_predicted_minimum_never_exceeds_the_count(monkeypatch, name, bits, guar
     counted, predicted = _count_and_predict(monkeypatch)
     for q in ("1/10", "1/2", "-1/2", "9/10", "-97/98", "999/1000", "99999/100000"):
         if name == "theta_phi" and q.startswith("-"):
-            continue  # the triple product for q < 0 runs the other kernels
+            continue  # for q < 0 it runs the sparse kernel (test_sparse_prediction_never_exceeds_the_count)
         ctx = PrecisionContext(bits, guard_bits, max_iter)
         counted.clear()
         predicted.clear()
@@ -406,3 +409,206 @@ def test_kernels_match_mpmath(q, bits):
 def test_kernels_refuse_complex(ctx, call):
     with pytest.raises(ValueError, match="real"):
         call(ctx)
+
+
+# -- sparse theta sums -------------------------------------------------------------
+
+
+def _factor_loop(gamma, x, ctx):
+    """prod_{n>=1} (1 + gamma x^n + x^(2n)) multiplied out one factor at a time on
+    W-bit integers: the loop the sparse sum replaced, kept as a reference."""
+    w = ctx.bits + ctx.guard_bits + ctx.max_iter.bit_length()
+    xi, g = int(ctx.mp.ldexp(x, w)), int(ctx.mp.ldexp(gamma, w))
+    one = 1 << w
+    scale = (abs(g) + one) << ctx.stop_bits
+    limit = (one - abs(xi)) << w  # |x^n| (|gamma| + 1)/(1 - |x|) below stop_tol
+    man, exp, xn = one, -w, one
+    while True:
+        xn = xn * xi >> w
+        man *= one + (g * xn >> w) + (xn * xn >> w)
+        shift = man.bit_length() - w
+        man >>= shift
+        exp += shift - w
+        if abs(xn) * scale < limit:
+            return ctx.mp.mpf((man, exp))
+
+
+def _cancelling(mp, q, terms):
+    """The sum of terms(q) at mp's precision plus the bits the sum cancels, about
+    pi^2/(2h ln 2) for h = -ln|q| (sum_accurately would find them by doubling)."""
+    h = -math.log(abs(float(q)))
+    with mp.extraprec(math.ceil(math.pi**2 / (2 * h * math.log(2))) + 16):
+        total, eps = mp.zero, mp.ldexp(1, -mp.prec)
+        for term in terms(mp.mpf(q)):
+            total += term
+            if abs(term) < eps:
+                return +total
+
+
+def _jacobi_cube(q):
+    """Terms of (q; q)_inf^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2) (Jacobi)."""
+    n, power, qn = 0, 1, 1
+    while True:
+        yield (-1) ** n * (2 * n + 1) * power
+        n, qn = n + 1, qn * q
+        power *= qn
+
+
+def _theta_4(mp, p):
+    """phi(-p) = sqrt(pi/h) sum over all n of exp(-pi^2 (n + 1/2)^2/h), h = -ln p:
+    the theta_2 transformation, a fast sum with positive terms."""
+    h = -mp.log(p)
+    return 2 * mp.sqrt(mp.pi / h) * mp.nsum(lambda n: mp.exp(-mp.pi**2 * (n + 0.5) ** 2 / h), [0, mp.inf])
+
+
+def _theta(q, ctx, a, b):
+    return _jacobi_sum(q, ctx, "theta sum", ((a, b, None),), math.pi**2 / (2 * a))
+
+
+_SPARSE_NOMES = [Fraction(n, d) for n, d in (
+    (1, 20), (-1, 20), (1, 2), (-1, 2), (19, 20), (-19, 20), (99, 100), (999, 1000), (-999, 1000),
+)]
+
+
+def _product_references_run(q, bits):
+    """The product references only where they take at most about 250,000 factors."""
+    return bits == 256 or abs(q) <= Fraction(19, 20) or (bits == 1024 and abs(q) <= Fraction(99, 100))
+
+
+@pytest.mark.parametrize(
+    "q, bits", [pytest.param(q, bits, id=f"{q}-{bits}") for bits in (256, 1024, 2048) for q in _SPARSE_NOMES]
+)
+def test_sparse_sums_match_references(q, bits):
+    # relative agreement >= bits - guard_bits on the same rounded q: E against
+    # mpmath.qp (Jacobi's E^3 series at |q| = 999/1000, where qp takes seconds),
+    # phi against jtheta (the theta_2 transformation at -999/1000, where jtheta
+    # returns a negative number), theta_G, theta_H and E against pochhammer_inf,
+    # and the factorization denominator against the old factor loop
+    ctx = PrecisionContext(bits, 32)
+    mp = PrecisionContext(bits + 64, 32).mp
+    want = ctx.bits - ctx.guard_bits
+    qv = ctx.real(q)
+
+    def rel(x, ref):
+        return agree_bits(x / ref, 1, ctx)
+
+    euler = _theta_quotient(qv, ctx, "E")
+    exact = mp.mpf(qv)
+    near = abs(q) == Fraction(999, 1000)
+    assert rel(euler, mp.cbrt(_cancelling(mp, exact, _jacobi_cube)) if near else mp.qp(exact)) >= want
+    assert rel(theta_phi(qv, ctx), _theta_4(mp, -exact) if near and q < 0 else mp.jtheta(3, 0, exact)) >= want
+    if not _product_references_run(q, bits):
+        return
+    q5 = qv**5
+    e5 = pochhammer_inf(q5, q5, ctx)
+    assert rel(euler, pochhammer_inf(qv, qv, ctx)) >= want
+    assert rel(_theta(qv, ctx, 5, 1), e5 * pochhammer_inf(qv**2, q5, ctx) * pochhammer_inf(qv**3, q5, ctx)) >= want
+    assert rel(_theta(qv, ctx, 5, 3), e5 * pochhammer_inf(qv, q5, ctx) * pochhammer_inf(qv**4, q5, ctx)) >= want
+    both = 1
+    for gamma in ((1 - ctx.mp.sqrt(5)) / 2, golden_phi(ctx)):
+        denominator = _factorization_denominator(gamma, qv, ctx)
+        assert rel(denominator, _factor_loop(gamma, qv, ctx)) >= want
+        both *= denominator
+    # (1 + g1 x + x^2)(1 + g2 x + x^2) = (1 - x^5)/(1 - x)
+    assert rel(both, e5 / pochhammer_inf(qv, qv, ctx)) >= want
+
+
+@pytest.mark.parametrize(
+    "name, q, terms",
+    [
+        ("R", "1/2", 21),
+        ("R", "999/1000", 1358),
+        ("R", "-999/1000", 1358),
+        ("G", "99/100", 251),
+        ("E", "1/2", 13),
+        ("E", "999/1000", 1099),
+        ("E", "9995/10000", 2147),
+        ("phi-", "999/1000", 1622),
+    ],
+)
+def test_sparse_term_counts(monkeypatch, ctx, name, q, terms):
+    # every term of both sums of a quotient, at 256 bits, pins the stop rule and the guard
+    counted, _ = _count_and_predict(monkeypatch)
+    _theta_quotient(ctx.real(Fraction(q)), ctx, name)
+    assert len(counted) == terms
+
+
+@pytest.mark.parametrize("q, route", [("9995/10000", ["sum", "sum"]), ("9999/10000", ["product"] * 4)])
+def test_cost_rule_picks_the_route(monkeypatch, ctx, q, route):
+    # at 256 bits R's sums cost less at 1 - 5e-4 and its four products at 1 - 1e-4
+    calls = []
+
+    def product(a, q, c):
+        calls.append("product")
+        return c.mp.one
+
+    def sums(q, c, route, parts, loss):
+        calls.append("sum")
+        return c.mp.one
+
+    monkeypatch.setattr(qseries, "pochhammer_inf", product)
+    monkeypatch.setattr(qseries, "_jacobi_sum", sums)
+    R_product(ctx.real(Fraction(q)), ctx=ctx)
+    assert calls == route
+
+
+def test_short_guard_is_redone_once_at_the_measured_width(monkeypatch, ctx):
+    # predicting no cancellation for E(99/100) ~ 2^-232: the first pass comes out
+    # short, the second runs at the width it measured and agrees with the predicted run
+    counted, predicted = _count_and_predict(monkeypatch)
+    q = ctx.real(Fraction(99, 100))
+    right = _jacobi_sum(q, ctx, "E", ((3, 1, None),), math.pi**2 / 6)
+    assert len(predicted) == 1
+    predicted.clear()
+    redone = _jacobi_sum(q, ctx, "E", ((3, 1, None),), 0.0)
+    assert len(predicted) == 2 and predicted[0] < predicted[1]
+    assert agree_bits(redone / right, 1, ctx) >= ctx.bits - ctx.guard_bits
+
+
+def test_sum_that_cancels_on_both_passes_raises(ctx):
+    parts = ((3, 1, None), (3, 1, lambda w, x: -(1 << w)))  # E - E = 0
+    with pytest.raises(ArithmeticError, match="cancelled"):
+        _jacobi_sum(ctx.real(Fraction(1, 2)), ctx, "E - E", parts, math.pi**2 / 6)
+
+
+def test_sparse_sum_refuses_a_count_above_max_iter(monkeypatch):
+    # R(99/100) needs about 250 terms of each sum; with max_iter 50 none runs
+    counted, predicted = _count_and_predict(monkeypatch)
+    ctx = PrecisionContext(256, 32, 50)
+    with pytest.raises(cf.ConvergenceError) as err:
+        R_product(ctx.real(Fraction(99, 100)), ctx=ctx)
+    exc = err.value
+    assert (exc.route, exc.iterations, counted) == ("R theta sum", 0, [])
+    assert exc.needed == predicted[0] > 50
+
+
+_SPARSE_PARTS = {
+    "theta_G": (((5, 1, None),), math.pi**2 / 10),
+    "E": (((3, 1, None),), math.pi**2 / 6),
+    "phi": (((2, 0, None),), math.pi**2 / 4),
+}
+
+
+@pytest.mark.parametrize("name", _SPARSE_PARTS)
+@pytest.mark.parametrize(
+    "bits, guard_bits, max_iter",
+    [(256, 32, 10**6), (512, 32, 10**6), (64, 1, 10**5), (128, 60, 3)],
+)
+def test_sparse_prediction_never_exceeds_the_count(monkeypatch, name, bits, guard_bits, max_iter):
+    # every pass's prediction is a lower bound on the terms that pass runs, and a
+    # refusal runs none
+    parts, loss = _SPARSE_PARTS[name]
+    counted, predicted = _count_and_predict(monkeypatch)
+    for q in ("1/10", "1/2", "-1/2", "9/10", "-97/98", "999/1000"):
+        ctx = PrecisionContext(bits, guard_bits, max_iter)
+        counted.clear()
+        predicted.clear()
+        try:
+            _jacobi_sum(ctx.real(Fraction(q)), ctx, name, parts, loss)
+        except cf.ConvergenceError as exc:
+            if exc.needed is None:  # ran into the cap
+                assert predicted[-1] <= max_iter == exc.iterations, q
+            else:
+                assert (exc.iterations, counted) == (0, []) and exc.needed == predicted[0] > max_iter
+            continue
+        assert len(predicted) == 1 and 1 <= predicted[0] <= len(counted), q
