@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 from math import log2
 from typing import Callable, Optional
 
-from .numerics import CFStatus, ConvergenceError, Nome, PrecisionContext, RootMode
-from .numerics import _fixed, golden_phi, root
+from .numerics import FIXED_UNITS, CFStatus, ConvergenceError, Nome, PrecisionContext, RootMode
+from .numerics import _ball, _fixed, _prove, golden_phi, root
 
 __all__ = [
     "CFSpec",
@@ -314,7 +314,22 @@ def _eval_blocked(spec: CFSpec, ctx: PrecisionContext, w: int, a_cur: int, stop_
     step, with the same single shift at its end: blocked and replayed runs
     are bit for bit the same, and the count and value are those of the loop
     that tests every step and shifts only at the multiples of K.
+
+    The value proves its radius to ``certify`` (``numerics._prove``).  With
+    positive terms the convergents of a fraction alternate about its limit,
+    so the limit f' of the fraction the state describes lies between f_k and
+    f_(k-1): within |F_k - F_(k-1)| + 2 units of F_k 2^-W, the floors of the
+    two F's included.  f' is the limit of the exact terms started from a state
+    that each block-end shift truncated.  A shift floors A, A', B, B', which
+    moves N = A w + A' and D = B w + B' by less than w + 1 units, where
+    w >= b_(e+1) >= 1 is the exact tail of the fraction; so it moves N/D by
+    less than 2(1 + |f|)/B, and B >= 2^(W-1)/max(1, |f|), since A/B is a
+    convergent f_e and max(|A|, B) >= 2^(W-1).  Every convergent from the
+    first on lies between f_1 and f_2, so |f| < F = floor(|b0|) + floor(a_1/b_1)
+    + 3, and each of at most k/K shifts costs at most 4F(F + 1) units.  b0's
+    conversion adds FIXED_UNITS.
     """
+    b0 = a_cur
     stop = 1 << stop_exp
     a_prev = b_cur = 1 << w
     b_prev = 0
@@ -349,7 +364,10 @@ def _eval_blocked(spec: CFSpec, ctx: PrecisionContext, w: int, a_cur: int, stop_
                     if f2 is None:
                         f2 = (a2 << w) // b2
                     if _settled(f, f1, f2, stop, floor):
-                        return CFResult(ctx.mp.mpf((f, -w)), k, CFStatus.CONVERGED)
+                        t1 = spec.terms(1)
+                        big = (abs(b0) >> w) + t1[0] // t1[1] + 3
+                        units = abs(f - f1) + 2 + FIXED_UNITS + k // BLOCK_STEPS * 4 * big * (big + 1)
+                        return CFResult(_prove(*_ball(ctx, f, -w, units)), k, CFStatus.CONVERGED)
                 a2, b2, f2 = a1, b1, f1
                 a1, b1, f1 = a_cur, b_cur, f
         shift = max(a_cur.bit_length(), b_cur.bit_length()) - w

@@ -53,15 +53,16 @@ def _fmt(ctx: PrecisionContext, v) -> str:
 
 def _eval_target(target: str, nome: Optional[Nome], mode: RootMode, ctx: PrecisionContext):
     """Returns (value, iterations), iterations None for the series and products;
-    cf2 takes no nome.  A route that stops short raises ConvergenceError."""
+    cf2 takes no nome, and every other target gets the Nome itself, which the
+    fixed-point kernels convert at their own width.  A route that stops short
+    raises ConvergenceError."""
     if target == "cf2":
         return _id.cf2_value(ctx)
-    q = ctx.number(nome)
     if target == "R":
-        res = _cf.rr_cf(q, mode, ctx)
+        res = _cf.rr_cf(nome, mode, ctx)
         return res.require("R continued fraction"), res.iterations
     fn = {"S": _qs.S, "G": _qs.G, "H": _qs.H, "phi": _qs.theta_phi, "chi": _qs.chi}[target]
-    return fn(q, ctx), None
+    return fn(nome, ctx), None
 
 
 def cmd_eval(args) -> int:
@@ -81,6 +82,8 @@ def cmd_eval(args) -> int:
         return value
 
     value, bits_ok = certify(value_at, ctx)
+    # a proven radius spares the doubled run
+    bits_by = "proof" if len(iterations) == 1 else "doubling"
     iterations = iterations[0]
     payload = {
         "target": args.target,
@@ -88,12 +91,13 @@ def cmd_eval(args) -> int:
         "iterations": iterations,
         "status": "converged",
         "agree_bits": bits_ok,
+        "bits_by": bits_by,
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(payload["value"])
-        extra = f"status: converged  agree_bits: {bits_ok}"
+        extra = f"status: converged  agree_bits: {bits_ok}  bits_by: {bits_by}"
         if iterations is not None:
             extra += f"  iterations: {iterations}"
         print(extra)

@@ -7,11 +7,16 @@ never share one, so two precisions never interfere and a thread's contexts
 are its own.  Real and complex values are plain mpmath ``mpf``/``mpc``
 instances created through the context.
 
-Error control is by precision doubling rather than interval arithmetic:
-``certify`` recomputes under a context with twice the mantissa bits and
-compares with ``agree_bits``, which scales the difference by
-max(|x|, |y|, 1): agreement is relative for values above 1 and absolute below
-it.  A result is trusted to ``bits - guard_bits`` such bits.  Every check
+Error control is by proven radii where a kernel has one, and by precision
+doubling otherwise.  ``certify`` listens while it evaluates: the Euler-sum
+kernel (G, H, chi), theta at q >= 0 and the cf2 fraction return their value
+as the midpoint of a ball, with a radius that bounds the truncated tail, the
+fixed-point rounding and the error of the converted nome (``_prove``; ball
+arithmetic as in Arb, F. Johansson, IEEE Trans. Computers 66, 2017).  A
+radius that proves ``bits - guard_bits`` bits is the result's figure; any
+other evaluation is recomputed under a context with twice the mantissa bits
+and compared with ``agree_bits``.  Both figures scale by max(|x|, |y|, 1):
+they are relative for values above 1 and absolute below it.  Every check
 passes or fails by one rule, ``record``.
 
 The long loops of the package run on fixed-point Python integers at the
@@ -20,6 +25,7 @@ width W of ``_fixed``, and convert back to the context once at the end.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
 import threading
@@ -48,6 +54,9 @@ __all__ = [
 # Internal stopping thresholds sit this many bits below the reported
 # tolerance, so truncation error never dominates the guard-bit budget.
 SAFETY_BITS = 12
+
+# Units of 2^-W within which ``_fixed`` converts each argument
+FIXED_UNITS = 8
 
 # mpmath contexts kept per thread, one per precision, oldest dropped first
 MP_CONTEXTS_PER_THREAD = 8
@@ -219,6 +228,12 @@ class Nome:
         """q = exp(2*pi*i*j/n)."""
         return cls("unit-root", Fraction(j, n))
 
+    def __neg__(self) -> "Nome":
+        """The rational nome -q."""
+        if self.form != "rational":
+            raise ValueError(f"cannot negate a {self.form} nome")
+        return Nome.rational(-self.arg)
+
     def _mpmath_(self, prec: int, rounding: str):
         num, den = self.arg.numerator, self.arg.denominator
         if self.form == "unit-root":
@@ -269,20 +284,70 @@ def _fixed(ctx: PrecisionContext, route: str, q, *xs):
 
     W = bits + guard_bits + bit_length(max_iter), so a loop of at most max_iter
     steps that loses one unit of 2^-W per step stays guard_bits clear of the
-    context's precision.  An int mantissa m with exponent e converts back as
-    ``ctx.mp.mpf((m, e))``.  Raises ValueError unless all are real and, when q
-    is not None, |q| < 1; q = None converts only the xs.
+    context's precision.  An exact argument is converted at width W, not
+    rounded to the context's bits first, so it reaches the loop within
+    FIXED_UNITS units of 2^-W: a Fraction exactly (truncated to an int, less
+    than one unit), a Nome through its ``_mpmath_`` hook at precision W.  A
+    rational Nome rounds once; an exponential one rounds its argument
+    a = pi s (or pi sqrt(s)) at most four times and exp once, one ulp each,
+    which moves q = e^-a by at most e^-a (8a + 2) 2^-W <= (8/e + 2) 2^-W.
+    Any other argument is read through ``ctx.number``, an mpf exactly as it
+    is.  No conversion changes the precision of the context's mpmath
+    context, which threads may share.  An int mantissa m with exponent e
+    converts back as ``ctx.mp.mpf((m, e))``.  Raises ValueError unless all
+    are real and, when q is not None, |q| < 1; q = None converts only the xs.
     """
     width = ctx.bits + ctx.guard_bits + ctx.max_iter.bit_length()
     out = []
     for x in xs if q is None else (q, *xs):
-        v = ctx.number(x)
-        if isinstance(v, ctx.mp.mpc):
+        if isinstance(x, Fraction):
+            out.append(int(Fraction(x.numerator << width, x.denominator)))
+            continue
+        v = x._mpmath_(width, "n") if isinstance(x, Nome) else ctx.number(x)
+        if isinstance(v, int):
+            out.append(v << width)
+        elif hasattr(v, "_mpf_"):
+            out.append(libmp.to_int(libmp.mpf_shift(v._mpf_, width)))
+        else:
             raise ValueError(f"{route} takes real arguments, got {v}")
-        out.append(int(ctx.mp.ldexp(v, width)))
     if q is not None and abs(out[0]) >= 1 << width:
         raise ValueError(f"{route} requires |q| < 1")
     return width, out
+
+
+def _nome_units(x: int, width: int) -> Optional[int]:
+    """A bound, in units of 2^-W, on the relative change that moving q >= 0 by
+    FIXED_UNITS units of 2^-W causes in G, H, chi, (-q; q)_inf or theta.
+
+    Each f of them is a product of factors (1 -+ q^k)^-+1 whose log-derivative
+    is at most sum_k k q^(k-1)/(1 - q^k) <= 1/((1 - q)(1 - sqrt q)) (AM-GM:
+    1 - q^k >= (1 - q) k q^((k-1)/2)) or 2 sum_k k q^(k-1) = 2/(1 - q)^2, so
+    d log f/dq <= 2/(1 - q)^2 on [0, q_hi], q_hi = (x + FIXED_UNITS)/2^W.
+    With y = FIXED_UNITS 2^-W * 2/(1 - q_hi)^2, f moves by at most
+    y e^y f <= 2 y f while y <= 1/2; returns 2 y 2^W, rounded up, or None
+    when y > 1/2.
+    """
+    one = 1 << width
+    d = one - x - FIXED_UNITS
+    if d <= 0:
+        return None
+    y = -(-(2 * FIXED_UNITS * one * one) // (d * d))
+    return 2 * y if 2 * y <= one else None
+
+
+def _ball(ctx: PrecisionContext, man: int, exp: int, units: Optional[int]):
+    """(man * 2^exp as an mpf at the context's precision, its radius).
+
+    units bounds the error of man * 2^exp in units of 2^exp; the radius adds
+    the rounding to ctx.bits (at most 2^-bits |man| units) and is an mpf
+    rounded up, or None where there is no proof (units None).
+    """
+    value = ctx.mp.mpf((man, exp))
+    if units is None:
+        return value, None
+    units += (abs(man) >> ctx.bits) + 1
+    cut = max(units.bit_length() - ctx.bits, 0)
+    return value, ctx.mp.mpf((-(-units >> cut), exp + cut))
 
 
 def root(z, k: int, mode: RootMode, ctx: PrecisionContext):
@@ -338,13 +403,57 @@ def agree_bits(x, y, ctx: PrecisionContext) -> int:
     return max(0, min(ctx.bits, b))
 
 
-def certify(fn, ctx: PrecisionContext):
-    """(fn(ctx), agree_bits of it against fn(ctx.doubled())) for a number-valued fn.
+# The radii that kernels prove while certify listens (see certify and _prove)
+_PROOFS = contextvars.ContextVar("rrlab_proofs", default=None)
 
-    A ConvergenceError in the doubled run is raised again with the self-check
-    named in its route.
+
+def _prove(value, radius):
+    """value, after handing (value, radius) to a certify that is listening.
+
+    radius bounds |value - exact| (an mpf), or is None where the kernel has no
+    proof.  Kernels call this once per call, on return.
     """
-    first = fn(ctx)
+    proofs = _PROOFS.get()
+    if proofs is not None and radius is not None:
+        proofs.append((value, radius))
+    return value
+
+
+def _proven_bits(value, radius, ctx: PrecisionContext) -> int:
+    """The largest b with radius * 2^b <= max(|value|, 1), clamped to [0, ctx.bits]:
+    the bits the radius proves, scaled as ``agree_bits`` scales."""
+    if not radius:
+        return ctx.bits
+    _, sm, se, _ = max(abs(value), ctx.mp.one)._mpf_
+    _, rm, re, _ = radius._mpf_
+    shift = sm.bit_length() - rm.bit_length()
+    b = se - re + shift
+    if (rm << shift if shift >= 0 else rm) > (sm if shift >= 0 else sm << -shift):
+        b -= 1
+    return max(0, min(ctx.bits, b))
+
+
+def certify(fn, ctx: PrecisionContext):
+    """(fn(ctx), the bits that back it) for a number-valued fn.
+
+    While fn(ctx) runs, certify listens for radii (``_prove``).  When the value
+    fn returns is one a kernel proved a radius for, and that radius proves at
+    least bits - guard_bits bits (``_proven_bits``), those bits are the figure
+    and nothing is recomputed.  Otherwise the figure is the agree_bits of the
+    value against fn(ctx.doubled()); a ConvergenceError in that doubled run is
+    raised again with the self-check named in its route.
+    """
+    proofs = []
+    token = _PROOFS.set(proofs)
+    try:
+        first = fn(ctx)
+    finally:
+        _PROOFS.reset(token)
+    for value, radius in proofs:
+        if value is first:
+            bits = _proven_bits(first, radius, ctx)
+            if bits >= ctx.bits - ctx.guard_bits:
+                return first, bits
     doubled = ctx.doubled()
     try:
         second = fn(doubled)

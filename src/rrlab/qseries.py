@@ -26,7 +26,7 @@ from operator import add
 from typing import Optional
 
 from .formal import FormalSeries, product_one_minus_inv
-from .numerics import PrecisionContext, RootMode, _fixed, root
+from .numerics import PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
 from . import cf as _cf
 
 __all__ = [
@@ -99,7 +99,7 @@ def _power(x: int, k: int, w: int) -> int:
 
 def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: int):
     """The Euler sum of t_n, t_0 = 1, t_n = t_(n-1) q^(first + step(n-1)) / (1 - q^(den n)),
-    for real |q| < 1.
+    for real |q| < 1, as (value, radius); the radius is None for q < 0.
 
     (first, step, den) = (1, 2, 1) is G's sum q^(n^2)/(q;q)_n, (2, 2, 1) is H's
     q^(n^2+n)/(q;q)_n, (1, 2, 2) is q^(n^2)/(q^2;q^2)_n = (-q;q^2)_inf and
@@ -111,6 +111,20 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
     |t_n| rho_n / (1 - rho_n); the sum stops once that is within
     ctx.stop_tol * max(1, |total|).  That test needs rho_n < 1, which first
     holds at a term count predicted before the loop (``cf.refuse_early``).
+
+    The radius (q >= 0, n terms, S the exact sum at the converted q).  Every
+    integer step truncates downwards, so the computed total is below S.  The
+    power q^a in ``lead`` is within a units of 2^-W and q^(den n) in ``qn``
+    within den n, so the computed ratio of term j is within
+    a_j 2^-W / q^(a_j) + den j 2^-W / (1 - q^(den j)) of the exact one,
+    relatively; each step's floor and shifts lose at most 2^(e+1), e the
+    shared exponent, and 2^e <= 2 max(1, total) 2^-W.  Carried through the
+    later terms with the decreasing ratios, these lose at most c S with
+    c 2^W = n(n+1)(den + first + step)/(1 - q^(den(n+1))) + 2n(n+4), using
+    that m/(1 - q^m) increases in m.  The tail is bounded from the last term
+    summed, t_n rho_n/(1 - rho_n), with t_n, rho_n taken from the final
+    integers plus their error units; the converted q adds its part through
+    ``numerics._nome_units``.  All three are computed once, after the loop.
     """
     w, (x,) = _fixed(ctx, route, q)
     one = 1 << w
@@ -136,20 +150,43 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
         _cf.refuse_early(route, ctx, hi - -(-slack // (one - abs(x))))
     term = total = unit = one  # unit: 1 at the shared exponent
     exp = -w
-    for _ in _cf.bounded(route, ctx):
+    for n in _cf.bounded(route, ctx):
         term = term * lead // (one - qn)
         total += term
         qn = qn * xden >> w
         lead = lead * xstep >> w
         gap = one - abs(qn) - abs(lead)  # (1 - rho_n) * (1 - |q|^(den(n+1))) * 2^W
         if gap > 0 and abs(term) * abs(lead) << ctx.stop_bits <= max(abs(total), unit) * gap:
-            return ctx.mp.mpf((total, exp))
+            break
         shift = max(term.bit_length(), total.bit_length()) - w
         if shift > 0:
             term >>= shift
             total >>= shift
             unit = max(unit >> shift, 1)
             exp += shift
+    a = first + step * n  # q^a = q^(first + step n), within a units of lead
+    d = one - qn - den * (n + 1)  # at most (1 - q^(den(n+1))) 2^W
+    rate = _nome_units(x, w)
+    if x < 0 or d <= lead + a or rate is None:
+        return _ball(ctx, total, exp, None)
+    c = -(-(n * (n + 1) * (den + first + step) << w) // d) + 2 * n * (n + 4)
+    if 2 * c > one:
+        return _ball(ctx, total, exp, None)
+    bound = -(-total * one // (one - c))  # the exact partial sum is at most total/(1 - c)
+    rounding = -(-c * bound >> w)
+    tail = -(-(term + rounding) * (lead + a) // (d - lead - a))
+    return _ball(ctx, total, exp, rounding + tail + -(-rate * (bound + tail) >> w))
+
+
+def _reciprocal(ctx: PrecisionContext, value, radius):
+    """(1/value, its radius) for a positive value within radius of the exact one."""
+    mp = ctx.mp
+    inverse = 1 / value
+    if radius is None or radius >= value:
+        return inverse, None
+    low = mp.fmul(value, mp.fsub(value, radius, rounding="d"), rounding="d")
+    # |1/s - 1/value| <= radius/(value (value - radius)), plus the division's rounding
+    return inverse, mp.fadd(mp.fdiv(radius, low, rounding="u"), mp.ldexp(inverse, 1 - ctx.bits), rounding="u")
 
 
 # -- sparse theta sums -----------------------------------------------------------
@@ -292,27 +329,35 @@ _THETA_ROUTES = {
 
 
 def _rr_function(q, ctx: PrecisionContext, backend: str, triangular: bool):
-    """G (triangular=False) or H (triangular=True) by the series or product backend.
+    """(value, radius) of G (triangular=False) or H (triangular=True) by the
+    series or product backend.
 
-    The product backend is theta_G/E or theta_H/E (see ``_theta_quotient``).
+    The product backend is theta_G/E or theta_H/E (see ``_theta_quotient``)
+    and proves no radius.
     """
     if backend == "series":
         if triangular:
             return _rr_sum(q, ctx, "H series", 2, 2, 1)
         return _rr_sum(q, ctx, "G series", 1, 2, 1)
     if backend == "product":
-        return _theta_quotient(q, ctx, "H" if triangular else "G")
+        return _theta_quotient(q, ctx, "H" if triangular else "G"), None
     raise ValueError(f"unknown backend {backend!r}")
 
 
 def G(q, ctx: PrecisionContext, backend: str = "series"):
-    """Rogers-Ramanujan function G(q), by series or infinite-product backend."""
-    return _rr_function(q, ctx, backend, triangular=False)
+    """Rogers-Ramanujan function G(q), by series or infinite-product backend.
+
+    The series at q >= 0 proves its radius (``_rr_sum``) to ``certify``.
+    """
+    return _prove(*_rr_function(q, ctx, backend, triangular=False))
 
 
 def H(q, ctx: PrecisionContext, backend: str = "series"):
-    """Rogers-Ramanujan function H(q), by series or infinite-product backend."""
-    return _rr_function(q, ctx, backend, triangular=True)
+    """Rogers-Ramanujan function H(q), by series or infinite-product backend.
+
+    The series at q >= 0 proves its radius (``_rr_sum``) to ``certify``.
+    """
+    return _prove(*_rr_function(q, ctx, backend, triangular=True))
 
 
 def R_product(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext] = None):
@@ -348,26 +393,35 @@ def chi(q, ctx: PrecisionContext):
 
     For q >= 0 it is sum q^(n^2)/(q^2;q^2)_n.  For q < 0, with p = -q, it is
     (p; p^2)_inf = 1/(-p; p)_inf and (-p; p)_inf = sum p^(n(n+1)/2)/(p;p)_n.
-    Both sums have positive terms, so nothing cancels.  At q = 999/1000 and
-    256 bits the sum takes 651 terms, where the product takes 84,856.
+    Both sums have positive terms, so nothing cancels, and both prove their
+    radius (``_rr_sum``; for q < 0 that of the sum, carried through 1/sum)
+    to ``certify``.  At q = 999/1000 and 256 bits the sum takes 651 terms,
+    where the product takes 84,856.
     """
     route = "chi series"
     qv = ctx.number(q)
     if not isinstance(qv, ctx.mp.mpc) and qv < 0:
-        return 1 / _rr_sum(-qv, ctx, route, 1, 1, 1)
-    return _rr_sum(qv, ctx, route, 1, 2, 2)
+        return _prove(*_reciprocal(ctx, *_rr_sum(-q, ctx, route, 1, 1, 1)))
+    return _prove(*_rr_sum(q, ctx, route, 1, 2, 2))
 
 
 def theta_phi(q, ctx: PrecisionContext):
     """Theta function 1 + 2*sum_{n>=1} q^(n^2) for real |q| < 1.
 
-    For q >= 0, sums at scale 2^W (see ``_fixed``) until a term q^(n^2) is
-    below ctx.stop_tol; the integer q^(n^2) is within n^2 units of its exact
-    value, which predicts the least n before the loop (``cf.refuse_early``).
+    For q >= 0, sums at scale 2^W (see ``_fixed``) until the term q^(n^2) and
+    the tail after it, 2 sum_{m>n} q^(m^2) <= 2 q^(n^2) q^(2n+1)/(1 - q^(2n+1)),
+    are both below ctx.stop_tol; near q = 1 the tail is the larger, 24 times
+    the term at 1 - 1e-5.  The integer q^(n^2) is within n^2 - 1 units of its
+    exact value and q^(2n+1) within 2n, which predicts the least n before the
+    loop (``cf.refuse_early``) and gives the radius proved to ``certify``:
+    the summed powers' units, at most 2 sum n^2, the tail from the last
+    integers plus their units, and the converted q's part
+    (``numerics._nome_units``).
     For q < 0 it is the alternating sum 1 + 2 sum_{n>=1} (-1)^n |q|^(n^2),
     which cancels down to about exp(-pi^2/(4h)), h = -ln|q| (8.5e-106 at
     q = -0.99): ``_theta_quotient`` "phi-" sums it with guard bits for that,
-    or near q = -1 takes the product (q^2; q^2)_inf (-q; q^2)_inf^2.
+    or near q = -1 takes the product (q^2; q^2)_inf (-q; q^2)_inf^2; that
+    route proves no radius.
     """
     route = "theta series"
     w, (x,) = _fixed(ctx, route, q)
@@ -380,13 +434,23 @@ def theta_phi(q, ctx: PrecisionContext):
         _cf.refuse_early(route, ctx, math.sqrt((math.log(one) - math.log(level)) / _decay(x, one)))
     x2 = x * x >> w
     total = power = one  # power: q^(n^2)
-    odd = x  # q^(2n-1)
-    for _ in _cf.bounded(route, ctx):
+    odd = x  # q^(2n-1), then q^(2n+1)
+    for n in _cf.bounded(route, ctx):
         power = power * odd >> w
         total += 2 * power
-        if abs(power) < limit:
-            return ctx.mp.mpf((total, -w))
         odd = odd * x2 >> w
+        # 2 q^(n^2) q^(2n+1)/(1 - q^(2n+1)) bounds the tail; it needs a second
+        # look only once the term itself is below stop_tol
+        if abs(power) < limit and (power * odd >> w) << ctx.stop_bits + 1 <= one - odd:
+            break
+    d = one - odd - 2 * n  # at most (1 - q^(2n+1)) 2^W
+    rate = _nome_units(x, w)
+    units = None
+    if d > 0 and rate is not None:
+        # the summed powers' units, then the tail from the last integers plus theirs
+        units = n * (n + 1) * (2 * n + 1) // 3 + -(-2 * (power + n * n) * (odd + 2 * n) // d)
+        units += -(-rate * (total + units) >> w)
+    return _prove(*_ball(ctx, total, -w, units))
 
 
 def _finite_sum(n: int, a, q, extra: int):

@@ -56,8 +56,9 @@ def test_eval_requires_argument(capsys):
     + [
         pytest.param(("eval", "phi", "--q", "999/1000", "--max-iter", "50"), "", id="phi"),
         pytest.param(("eval", "cf2", "--max-iter", "100"), "", id="cf2"),
-        # 256 bits converge in 6,864 iterations; the 512-bit self-check runs out
-        pytest.param(("eval", "cf2", "--max-iter", "10000"), "512", id="cf2-self-check"),
+        # 256 bits converge in 56 iterations; the 512-bit self-check runs out (cf2
+        # proves its radius and runs no self-check, see test_eval_reports_how_bits_were_earned)
+        pytest.param(("eval", "R", "--q", "9/10", "--max-iter", "70"), "512", id="R-self-check"),
         pytest.param(("verify", "jims", "--max-iter", "100"), "", id="verify-jims"),
         pytest.param(("asymptotic", "1/20", "--max-iter", "100"), "", id="asymptotic"),
         pytest.param(("values", "check", "eq3", "--max-iter", "5"), "", id="values-eq3"),
@@ -187,7 +188,7 @@ def test_one_guard_bit_with_few_iterations(capsys):
     code, out, err = run(capsys, "eval", "R", "--q", "1/2", "--bits", "64", "--guard-bits", "1",
                          "--max-iter", "100")
     assert (code, err) == (0, "")
-    assert out.splitlines()[1] == "status: converged  agree_bits: 64  iterations: 14"
+    assert out.splitlines()[1] == "status: converged  agree_bits: 64  bits_by: doubling  iterations: 14"
 
 
 def test_verify_modular_relation(capsys):
@@ -265,8 +266,41 @@ def test_eval_json_format(capsys):
     code, out, _ = run(capsys, "eval", "R", "--q", "1/10", "--format", "json")
     assert code == 0
     data = json.loads(out)
-    assert set(data) == {"target", "value", "iterations", "status", "agree_bits"}
+    assert set(data) == {"target", "value", "iterations", "status", "agree_bits", "bits_by"}
     assert data["status"] == "converged"
+
+
+@pytest.mark.parametrize(
+    "argv, bits_by",
+    [
+        (("cf2",), "proof"),
+        (("G", "--q", "1/2"), "proof"),
+        (("H", "--exp-arg", "1/2"), "proof"),
+        (("chi", "--q=-1/2"), "proof"),
+        (("phi", "--exp-sqrt", "3"), "proof"),
+        # no proof on these routes: R and S on the continued fraction, phi at
+        # q < 0 on the alternating sum, G and H at q < 0
+        (("R", "--q", "1/2"), "doubling"),
+        (("S", "--q", "1/2"), "doubling"),
+        (("phi", "--q=-1/2"), "doubling"),
+        (("G", "--q=-1/2"), "doubling"),
+    ],
+)
+def test_eval_reports_how_bits_were_earned(capsys, argv, bits_by):
+    code, out, _ = run(capsys, "eval", *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["bits_by"] == bits_by and data["agree_bits"] >= 224
+    code, out, _ = run(capsys, "eval", *argv)
+    assert f"agree_bits: {data['agree_bits']}  bits_by: {bits_by}" in out
+
+
+def test_eval_near_the_boundary_earns_proven_bits(capsys):
+    # the exact nome reaches the kernel at its width, so G(1 - 1e-5) proves
+    # more than the contract's 224 bits without a 512-bit run
+    code, out, _ = run(capsys, "eval", "G", "--q", "99999/100000", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["bits_by"] == "proof" and data["agree_bits"] >= 225
 
 
 def test_eval_real_odd_mode(capsys):

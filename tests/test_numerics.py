@@ -179,6 +179,61 @@ def test_certify_keeps_a_refusal_in_the_self_check(ctx):
     )
 
 
+def _proving(radius_exp):
+    """A function whose value proves the radius 2^radius_exp, and the precisions it ran at."""
+    seen = []
+
+    def fn(c):
+        seen.append(c.bits)
+        return numerics._prove(c.mp.mpf(1) / 3, c.mp.ldexp(1, radius_exp))
+
+    return fn, seen
+
+
+def test_certify_takes_a_radius_that_reaches_the_contract(ctx):
+    fn, seen = _proving(-230)
+    value, bits = certify(fn, ctx)
+    assert seen == [256] and bits == 230 and value == ctx.mp.mpf(1) / 3
+
+
+def test_certify_falls_back_on_a_short_radius(ctx):
+    # 2^-200 proves 200 bits, short of 256 - 32: the doubled run decides
+    fn, seen = _proving(-200)
+    value, bits = certify(fn, ctx)
+    assert seen == [256, 512] and bits == 256  # 1/3 at 256 bits is within 2^-256 of 1/3 at 512
+
+
+def test_certify_fallback_still_names_the_self_check(ctx):
+    def fn(c):
+        if c.bits == 512:
+            raise ConvergenceError("probe route", CFStatus.MAX_ITERATIONS, 7)
+        return numerics._prove(c.mp.mpf(1), c.mp.ldexp(1, -100))
+
+    with pytest.raises(ConvergenceError) as exc:
+        certify(fn, ctx)
+    assert exc.value.route == "probe route (precision self-check at 512 bits)"
+
+
+def test_certify_doubles_plain_numbers_and_radii_of_other_values(ctx):
+    # a plain number proves nothing; nor does a radius proved for a value fn
+    # does not return, such as an intermediate it went on to transform
+    seen = []
+
+    def plain(c):
+        seen.append(c.bits)
+        return c.mp.mpf(1) / 3
+
+    def transformed(c):
+        seen.append(c.bits)
+        return 2 * numerics._prove(c.mp.mpf(1) / 3, c.mp.ldexp(1, -250))
+
+    assert certify(plain, ctx)[1] == 256 and seen == [256, 512]
+    seen.clear()
+    assert certify(transformed, ctx)[1] == 256 and seen == [256, 512]
+    # the doubled run, and any evaluation outside certify, has nobody listening
+    assert numerics._PROOFS.get() is None
+
+
 def test_fraction_conversion_exact(ctx):
     x = ctx.real(Fraction(1, 3))
     assert abs(x * 3 - 1) < ctx.mp.ldexp(1, -(ctx.bits - 2))
