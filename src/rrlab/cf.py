@@ -462,38 +462,37 @@ def _eval_periodic(spec: CFSpec, ctx: PrecisionContext) -> Optional[CFResult]:
     kernel plays the repelling one, so the same test applies.
 
     The partial products grow and cancel, losing about twice the binary
-    magnitude g of their largest entry.  The product is formed with the
-    context's working precision raised by the guard bits; if that does not
-    cover the measured loss (2g > guard_bits) it is formed again at
-    bits + 2g + guard_bits.  The limit is rounded back to the context's
-    precision on return.  Returns None for a parabolic
-    M, whose double fixed point is too ill-conditioned to read off; the
-    forward recurrence handles it.
+    magnitude g of their largest entry.  The product is formed on the context
+    widened by the guard bits; if they do not cover the measured loss
+    (2g > guard_bits) it is formed again on the context widened by
+    2g + guard_bits.  The limit is rounded back to the context on return.
+    Returns None for a parabolic M, whose double fixed point is too
+    ill-conditioned to read off; the forward recurrence handles it.
     """
     n = spec.period
-    mp = ctx.mp
-    with mp.workprec(ctx.bits + ctx.guard_bits):
-        m, partial, growth = _period_product(spec, ctx)
-        if 2 * growth > ctx.guard_bits:
-            mp.prec = ctx.bits + 2 * growth + ctx.guard_bits
-            m, partial, _ = _period_product(spec, ctx)
-        a, b, c, d = m
-        trace = a + d
-        s = mp.sqrt(trace * trace - 4 * (a * d - b * c))
-        big, small = (trace + s) / 2, (trace - s) / 2
-        if abs(big) < abs(small):
-            big, small = small, big
-        floor = ctx.noise_floor
-        if abs(s) <= floor * abs(big):
-            return None  # parabolic
-        if abs(small) >= abs(big) * (1 - floor):
-            return CFResult(None, n, CFStatus.DIVERGES)  # elliptic
-        attracting = _fixed_point(m, big)
-        repelling = _fixed_point(m, small)
-        tol_bits = ctx.bits - ctx.guard_bits
-        if _near([attracting], (1, 0), tol_bits, mp) or _near(partial, repelling, tol_bits, mp):
-            return CFResult(None, n, CFStatus.DIVERGES)
-        limit = attracting[0] / attracting[1]
+    wide = ctx.widened(ctx.guard_bits)
+    m, partial, growth = _period_product(spec, wide)
+    if 2 * growth > ctx.guard_bits:
+        wide = ctx.widened(2 * growth + ctx.guard_bits)
+        m, partial, _ = _period_product(spec, wide)
+    mp = wide.mp
+    a, b, c, d = m
+    trace = a + d
+    s = mp.sqrt(trace * trace - 4 * (a * d - b * c))
+    big, small = (trace + s) / 2, (trace - s) / 2
+    if abs(big) < abs(small):
+        big, small = small, big
+    floor = mp.mpf(ctx.noise_floor)  # an mpf rounds at its own context's precision
+    if abs(s) <= floor * abs(big):
+        return None  # parabolic
+    if abs(small) >= abs(big) * (1 - floor):
+        return CFResult(None, n, CFStatus.DIVERGES)  # elliptic
+    attracting = _fixed_point(m, big)
+    repelling = _fixed_point(m, small)
+    tol_bits = ctx.bits - ctx.guard_bits
+    if _near([attracting], (1, 0), tol_bits, mp) or _near(partial, repelling, tol_bits, mp):
+        return CFResult(None, n, CFStatus.DIVERGES)
+    limit = attracting[0] / attracting[1]
     return CFResult(ctx.number(limit) + ctx.number(spec.b0), n, CFStatus.CONVERGED)
 
 
@@ -611,8 +610,8 @@ def rr_root_of_unity_spec(n: int, j: int = 1) -> CFSpec:
     """CFSpec of the prefactor-free fraction at q = exp(2*pi*i*j/n), period n.
 
     Each power q^(k-1) is the exact root Nome.unit_root(r, n) with r = (k-1)*j
-    reduced mod n, converted at the working precision of the evaluating
-    context, so no precision decays with depth or is capped by the spec.
+    reduced mod n, converted at the precision of the (widened) context that
+    reads it, so no precision decays with depth or is capped by the spec.
     """
     if n <= 0:
         raise ValueError("n must be a positive integer")

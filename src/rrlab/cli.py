@@ -9,14 +9,17 @@ Subcommands:
     asymptotic  small-x approximation record for the cf2 fraction
 
 Exit codes: 0 all checks pass; 1 verification failure; 2 usage error;
-3 numeric non-convergence.
+3 numeric non-convergence.  A reader that closes stdout early changes none of
+them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -39,6 +42,18 @@ class UsageError(Exception):
 
 def _context(args) -> PrecisionContext:
     return PrecisionContext(args.bits, args.guard_bits, args.max_iter)
+
+
+def _out(*args, **kwargs) -> None:
+    """print to stdout.  Once the reader has closed it, stdout points at
+    os.devnull, so the command runs on to the exit code it decides and
+    neither later writes nor the interpreter's final flush raise."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _fmt(ctx: PrecisionContext, v) -> str:
@@ -94,13 +109,13 @@ def cmd_eval(args) -> int:
         "bits_by": bits_by,
     }
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        _out(json.dumps(payload, sort_keys=True))
     else:
-        print(payload["value"])
+        _out(payload["value"])
         extra = f"status: converged  agree_bits: {bits_ok}  bits_by: {bits_by}"
         if iterations is not None:
             extra += f"  iterations: {iterations}"
-        print(extra)
+        _out(extra)
     need = ctx.bits - ctx.guard_bits
     if bits_ok < need:
         print(f"warning: precision self-check got {bits_ok} bits (< {need})", file=sys.stderr)
@@ -122,11 +137,11 @@ def cmd_values(args) -> int:
             for e in _sv.registry()
         ]
         if args.format == "json":
-            print(json.dumps(rows, sort_keys=True, indent=2))
+            _out(json.dumps(rows, sort_keys=True, indent=2))
         else:
             for r in rows:
-                print(f"{r['name']:<20} {r['kind']:<14} {r['provenance']}")
-                print(f"{'':<20} = {r['closed_form']}")
+                _out(f"{r['name']:<20} {r['kind']:<14} {r['provenance']}")
+                _out(f"{'':<20} = {r['closed_form']}")
         return EXIT_OK
     ctx = _context(args)
     names = None if args.name in (None, "all") else [args.name]
@@ -143,11 +158,11 @@ def cmd_values(args) -> int:
             }
             for r in records
         ]
-        print(json.dumps(out, sort_keys=True, indent=2))
+        _out(json.dumps(out, sort_keys=True, indent=2))
     else:
         for r in records:
             flag = "pass" if r["passed"] else "FAIL"
-            print(
+            _out(
                 f"[{flag}] {r['name']:<20} dev={ctx.mp.nstr(r['abs_dev'], 8)} "
                 f"agree_bits={r['agree_bits']}"
             )
@@ -162,27 +177,29 @@ def cmd_verify(args) -> int:
     ok = all(rep.status == "pass" for rep in reports)
     payload = [rep.to_json(ctx) for rep in reports]
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _out(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
         import csv as _csv
 
+        text = io.StringIO()
         writer = _csv.DictWriter(
-            sys.stdout,
+            text,
             fieldnames=["id", "point", "lhs", "rhs", "abs_dev", "agree_bits", "status"],
         )
         writer.writeheader()
         for rep in payload:
             for r in rep["records"]:
                 writer.writerow({"id": rep["id"], **r, "status": rep["status"]})
+        _out(text.getvalue(), end="")
     else:
         for rep in payload:
             mark = "pass" if rep["status"] == "pass" else "FAIL"
-            print(
+            _out(
                 f"[{mark}] {rep['id']:<22} records={len(rep['records'])} "
                 f"max_dev={rep['max_deviation']}"
             )
             for note in rep["excluded"]:
-                print(f"       excluded: {note}")
+                _out(f"       excluded: {note}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -196,11 +213,11 @@ def cmd_schur(args) -> int:
             "rho": cls.rho,
             "exponent": cls.exponent,
         }
-        print(json.dumps(payload, sort_keys=True))
+        _out(json.dumps(payload, sort_keys=True))
     elif cls.diverges:
-        print(f"n={cls.n}: diverges (5 divides n)")
+        _out(f"n={cls.n}: diverges (5 divides n)")
     else:
-        print(
+        _out(
             f"n={cls.n}: lambda={cls.lam:+d} rho={cls.rho} exponent={cls.exponent} "
             f"=> R(q) = lambda * q^exponent * R(lambda)"
         )
@@ -214,11 +231,11 @@ def cmd_series(args) -> int:
     fn = {"G": _qs.series_G, "H": _qs.series_H, "R": _qs.series_R}[args.which]
     series = fn(order)
     if args.format == "json":
-        print(json.dumps(series.to_json(), sort_keys=True))
+        _out(json.dumps(series.to_json(), sort_keys=True))
     else:
         coeffs = ",".join(str(c) for c in series.coeffs)
-        print(f"lowest_exponent={series.offset} order={series.order}")
-        print(f"coefficients {coeffs}")
+        _out(f"lowest_exponent={series.offset} order={series.order}")
+        _out(f"coefficients {coeffs}")
     return EXIT_OK
 
 
@@ -229,11 +246,11 @@ def cmd_asymptotic(args) -> int:
     payload = {k: _fmt(ctx, v) for k, v in record.items()}
     payload["x"] = str(x)
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        _out(json.dumps(payload, sort_keys=True))
     else:
-        print(f"x={x}  approx={payload['approx']}")
-        print(f"reference={payload['reference']}")
-        print(f"error={payload['error']}")
+        _out(f"x={x}  approx={payload['approx']}")
+        _out(f"reference={payload['reference']}")
+        _out(f"error={payload['error']}")
     return EXIT_OK
 
 
@@ -327,7 +344,9 @@ def main(argv=None) -> int:
             raise UsageError("samples must be >= 1")
         if args.format == "csv" and args.command != "verify":
             raise UsageError("--format csv is only for verify")
-        return args.fn(args)
+        code = args.fn(args)
+        _out(end="", flush=True)  # a closed stdout raises here, not at exit
+        return code
     except (UsageError, ValueError, ZeroDivisionError, KeyError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -216,10 +216,9 @@ def factorization_sides(gamma, q, ctx: PrecisionContext):
     sqrt((q;q)_inf / (q^5;q^5)_inf) * prod_{n>=1} 1/(1 + gamma*x^n + x^(2n))
     with x = q^(1/5).  For gamma > 0 the left side cancels: its two terms
     are up to max(|1/sqrt(t)|, |gamma sqrt(t)|)/|lhs| times larger than it, so
-    the left side, its R and gamma are evaluated again at bits + the ceiling of
-    log2 of that measured ratio, and rounded back to the context.  The raise
-    is rounded up to a multiple of 32 bits, so that few precisions (each with
-    its own cached mpmath context) occur.
+    the left side, its R and gamma are evaluated again on the context widened
+    by the ceiling of log2 of that measured ratio, and rounded back to the
+    context.
     """
     mp = ctx.mp
     t = _R(q, ctx)
@@ -227,9 +226,9 @@ def factorization_sides(gamma, q, ctx: PrecisionContext):
     lhs = 1 / st - gamma * st
     extra = math.ceil(mp.log(max(abs(1 / st), abs(gamma * st)) / abs(lhs), 2))
     if extra > 0:
-        raised = PrecisionContext(ctx.bits - (-extra // 32) * 32, ctx.guard_bits, ctx.max_iter)
-        st = raised.mp.sqrt(_R(q, raised))
-        lhs = mp.mpf(1 / st - (1 + raised.mp.sign(gamma) * raised.mp.sqrt(5)) / 2 * st)
+        wide = ctx.widened(extra)
+        st = wide.mp.sqrt(_R(q, wide))
+        lhs = mp.mpf(1 / st - (1 + wide.mp.sign(gamma) * wide.mp.sqrt(5)) / 2 * st)
     x = root(q, 5, RootMode.PRINCIPAL, ctx)
     rhs = q ** (-mp.mpf(1) / 10) * mp.sqrt(_euler_prod(q, ctx) / _euler_prod(q**5, ctx))
     return lhs, rhs / _factorization_denominator(gamma, x, ctx)
@@ -422,12 +421,13 @@ def asymptotic_check(x, ctx: PrecisionContext, include_polynomial: bool = True, 
         raise ValueError("asymptotic_check requires 0 < x <= 1/2")
     route = "Gaussian tail sum"
     w, (xf,) = _fixed(ctx, route, x)
-    with mp.workprec(w):
-        # term t_n = e^(-(1+nx)^2/2) and ratio r_n = t_(n+1)/t_n = e^(-x - x^2/2 - nx^2)
-        x2 = x * x
-        _, (step, r, t) = _fixed(
-            ctx, route, mp.exp(-x2), mp.exp(-x - 3 * x2 / 2), mp.exp(-((1 + x) ** 2) / 2)
-        )
+    # term t_n = e^(-(1+nx)^2/2) and ratio r_n = t_(n+1)/t_n = e^(-x - x^2/2 - nx^2)
+    wmp = ctx.widened(w - ctx.bits).mp
+    xw = wmp.mpf(x)  # so that the arithmetic on it rounds at the wider precision
+    x2 = xw * xw
+    _, (step, r, t) = _fixed(
+        ctx, route, wmp.exp(-x2), wmp.exp(-xw - 3 * x2 / 2), wmp.exp(-((1 + xw) ** 2) / 2)
+    )
     limit = xf >> (ctx.bits - ctx.guard_bits)  # ctx.tol * x at scale 2^W
     total = 0
     for _ in _cf.bounded(route, ctx):

@@ -1,11 +1,11 @@
 """Arbitrary-precision numeric substrate shared by all modules.
 
-Every numeric operation in this package runs under a PrecisionContext, which
-holds an mpmath context at its precision.  Contexts of one precision built on
-one thread share that mpmath context, and contexts built on different threads
-never share one, so two precisions never interfere and a thread's contexts
-are its own.  Real and complex values are plain mpmath ``mpf``/``mpc``
-instances created through the context.
+Every numeric operation in this package runs under a PrecisionContext, an
+immutable value that holds an mpmath context at its precision.  Contexts of
+one precision share that mpmath context, whose precision nothing changes, so
+any thread may use any context.  Code that works wider than its context does
+so on ``ctx.widened(extra)``.  Real and complex values are plain mpmath
+``mpf``/``mpc`` instances created through the context.
 
 Error control is by proven radii where a kernel has one, and by precision
 doubling otherwise.  ``certify`` listens while it evaluates: the Euler-sum
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import functools
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -58,10 +58,6 @@ SAFETY_BITS = 12
 # Units of 2^-W within which ``_fixed`` converts each argument
 FIXED_UNITS = 8
 
-# mpmath contexts kept per thread, one per precision, oldest dropped first
-MP_CONTEXTS_PER_THREAD = 8
-_thread_mps = threading.local()
-
 
 class RootMode(enum.Enum):
     """Branch choice for k-th roots.
@@ -74,6 +70,7 @@ class RootMode(enum.Enum):
     REAL_ODD = "real-odd"
 
 
+@dataclass(frozen=True, slots=True)
 class PrecisionContext:
     """Working precision in bits, guard bits, and iteration cap.
 
@@ -81,20 +78,19 @@ class PrecisionContext:
     evaluations of the same quantity under this context and its doubled
     context agree to at least ``bits - guard_bits`` bits.
 
-    ``mp`` is the mpmath context of this thread and precision (see _mp_at);
-    code that raises its precision does so in a ``workprec`` block, which
-    restores it on exit.
+    ``mp`` is the process's mpmath context at this precision (see _mp_at).
+    A context never changes, so threads may share it; code that needs more
+    bits works on ``widened`` or ``doubled``, never by raising ``mp.prec``.
     """
 
-    __slots__ = ("bits", "guard_bits", "max_iter", "mp", "_phi")
+    bits: int = 256
+    guard_bits: int = 32
+    max_iter: int = 10**6
+    mp: MPContext = field(init=False, repr=False, compare=False)
 
-    def __init__(self, bits: int = 256, guard_bits: int = 32, max_iter: int = 10**6):
-        self.check(bits, guard_bits, max_iter)
-        self.bits = bits
-        self.guard_bits = guard_bits
-        self.max_iter = max_iter
-        self.mp = _mp_at(bits)
-        self._phi = None
+    def __post_init__(self):
+        self.check(self.bits, self.guard_bits, self.max_iter)
+        object.__setattr__(self, "mp", _mp_at(self.bits))
 
     @staticmethod
     def check(bits: int, guard_bits: int, max_iter: int) -> None:
@@ -134,7 +130,13 @@ class PrecisionContext:
         return int((self.bits - self.guard_bits) * math.log10(2))
 
     def doubled(self) -> "PrecisionContext":
+        """These settings at twice the bits: the self-check's context."""
         return PrecisionContext(2 * self.bits, self.guard_bits, self.max_iter)
+
+    def widened(self, extra: int) -> "PrecisionContext":
+        """These settings at bits + extra, rounded up to a multiple of 32 bits
+        so that few precisions, and few mpmath contexts, occur."""
+        return PrecisionContext(-(-(self.bits + extra) // 32) * 32, self.guard_bits, self.max_iter)
 
     # -- conversions ---------------------------------------------------------
 
@@ -153,33 +155,14 @@ class PrecisionContext:
             return v.real
         return v
 
-    def __repr__(self):
-        return (
-            f"PrecisionContext(bits={self.bits}, guard_bits={self.guard_bits}, "
-            f"max_iter={self.max_iter})"
-        )
 
-
+@functools.lru_cache(maxsize=8)
 def _mp_at(bits: int) -> MPContext:
-    """The calling thread's mpmath context at ``bits``, built on first use.
-
-    Each thread keeps at most MP_CONTEXTS_PER_THREAD of them and drops the
-    oldest first.  One that is in use under a raised ``workprec`` is not
-    handed out: the caller gets a fresh context instead.
-    """
-    cache = getattr(_thread_mps, "by_bits", None)
-    if cache is None:
-        cache = _thread_mps.by_bits = {}
-    mp = cache.get(bits)
-    if mp is not None and mp.prec == bits:
-        return mp
-    fresh = MPContext()
-    fresh.prec = bits
-    if mp is None:
-        if len(cache) >= MP_CONTEXTS_PER_THREAD:
-            del cache[next(iter(cache))]
-        cache[bits] = fresh
-    return fresh
+    """The process's mpmath context at ``bits``, built on first use; the eight
+    most recently used precisions are kept."""
+    mp = MPContext()
+    mp.prec = bits
+    return mp
 
 
 _NOME_FORMS = ("rational", "exp", "exp-sqrt", "unit-root")
@@ -193,8 +176,8 @@ class Nome:
     "exp-sqrt" (q = exp(-pi*sqrt(arg))) or "unit-root" (q = exp(2*pi*i*arg));
     the exponential forms need arg > 0.  The constructors accept anything
     ``Fraction`` does, such as "1/10".  ``ctx.number(nome)`` converts it
-    through mpmath's ``_mpmath_`` hook at the context's current working
-    precision, so a raised ``workprec`` gives a more precise q.
+    through mpmath's ``_mpmath_`` hook at the context's precision, so a
+    widened context reads a more precise q.
     """
 
     form: str
@@ -379,10 +362,8 @@ def root(z, k: int, mode: RootMode, ctx: PrecisionContext):
 
 
 def golden_phi(ctx: PrecisionContext):
-    """The golden ratio (sqrt(5) + 1)/2 at context precision (memoized)."""
-    if ctx._phi is None:
-        ctx._phi = (ctx.mp.sqrt(5) + 1) / 2
-    return ctx._phi
+    """The golden ratio (sqrt(5) + 1)/2 at context precision."""
+    return (ctx.mp.sqrt(5) + 1) / 2
 
 
 def agree_bits(x, y, ctx: PrecisionContext) -> int:

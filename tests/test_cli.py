@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath.ctx_mp import MPContext
 
-from rrlab import cf, cli
+import rrlab
+from rrlab import cf, cli, numerics
 from rrlab.cli import main
 from rrlab.identities import identity_ids
 from rrlab.numerics import PrecisionContext
@@ -260,6 +265,33 @@ def test_verify_all_at_minimum_bits(capsys):
     code, out, _ = run(capsys, "--bits", "64", "verify", "all")
     assert code == 0
     assert "FAIL" not in out and out.count("[pass]") == 15
+
+
+@pytest.mark.parametrize("flags", [(), ("--bits", "1024"), ("--guard-bits", "8")])
+def test_verify_all_builds_at_most_two_mpmath_contexts(capsys, flags):
+    # the context's precision and its widened one: a route that builds a
+    # context at an exact, unrounded width shows here as extra misses.  The
+    # count is asserted, not the exit code (guard bits 8 fail quintic-corollary)
+    numerics._mp_at.cache_clear()
+    run(capsys, *flags, "verify", "all")
+    assert numerics._mp_at.cache_info().misses <= 2
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [("verify", "schur-consistency"), ("eval", "R", "--q", "1/2")])
+def test_closed_stdout_keeps_the_exit_code(argv, unbuffered):
+    # a reader that is gone before the first write, as in `rrlab verify all | true`
+    env = dict(os.environ, PYTHONPATH=str(Path(rrlab.__file__).parents[1]), PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrlab", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_eval_json_format(capsys):

@@ -105,10 +105,6 @@ def test_golden_phi_value(ctx):
     assert abs(1 / phi - (ctx.mp.sqrt(5) - 1) / 2) < ctx.tol
 
 
-def test_golden_phi_memoized(ctx):
-    assert golden_phi(ctx) is golden_phi(ctx)
-
-
 def test_agree_bits_examples(ctx):
     assert agree_bits(1.0, 1.0, ctx) == ctx.bits
     assert agree_bits(1.0, 1.5, ctx) == 1
@@ -245,65 +241,61 @@ def test_context_digits(ctx):
 
 
 def test_concurrent_evaluation_is_consistent():
-    # pure functions of (input, context): concurrent evaluations under shared
-    # and distinct contexts must reproduce the serial results exactly, also on
-    # the routes that raise their working precision in a workprec block
+    # pure functions of (input, context): one context shared by four threads,
+    # on the routes that work on a widened context too, must reproduce the
+    # serial results exactly and stay as it was built
     from concurrent.futures import ThreadPoolExecutor
 
     shared = PrecisionContext(192, 32)
-    qs = [Fraction(k, 40) for k in range(1, 9)]
-    serial = [cf.rr_cf(shared.real(q), ctx=shared).value for q in qs]
-
-    def raised(j):
-        ctx = PrecisionContext(192, 32)
-        direct = cf.rr_root_of_unity_direct(7, j, ctx).value
-        tail = identities.asymptotic_check(Fraction(1, 4 + j), PrecisionContext(192, 32))
-        return direct, tail["approx"], tail["reference"], ctx.mp.prec
-
-    js = range(1, 7)
-    raised_serial = [raised(j) for j in js]
+    half = shared.real(Fraction(1, 2))
+    gammas = (golden_phi(shared), (1 - shared.mp.sqrt(5)) / 2)
+    jobs = (
+        [lambda k=k: cf.rr_cf(shared.real(Fraction(k, 40)), ctx=shared).value for k in range(1, 9)]
+        + [lambda j=j: cf.rr_root_of_unity_direct(7, j, shared).value for j in range(1, 7)]
+        + [lambda k=k: tuple(identities.asymptotic_check(Fraction(1, k), shared).values()) for k in (3, 5, 8)]
+        + [lambda g=g: identities.factorization_sides(g, half, shared) for g in gammas]
+    )
+    serial = [job() for job in jobs]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, mid-workprec included
+    sys.setswitchinterval(1e-6)  # switch threads often
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = list(pool.map(lambda q: cf.rr_cf(shared.real(q), ctx=shared).value, qs, timeout=120))
-            fresh = list(
-                pool.map(
-                    lambda q: cf.rr_cf(PrecisionContext(192, 32).real(q), ctx=PrecisionContext(192, 32)).value,
-                    qs,
-                    timeout=120,
-                )
-            )
-            raised_parallel = list(pool.map(raised, [j for j in js for _ in range(3)], timeout=120))
+            parallel = list(pool.map(lambda job: job(), jobs * 3, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert parallel == serial
-    assert fresh == serial
-    assert raised_parallel == [r for r in raised_serial for _ in range(3)]
-    assert all(r[3] == 192 for r in raised_parallel)
+    assert parallel == serial * 3
+    assert shared.mp.prec == 192
 
 
-def test_contexts_share_mpmath_context_per_thread_and_precision():
+def test_contexts_share_one_mpmath_context_per_precision():
     from concurrent.futures import ThreadPoolExecutor
 
     a, b = PrecisionContext(256), PrecisionContext(256, 16, 10)
     assert a.mp is b.mp and a.mp.prec == 256
     assert PrecisionContext(512).mp is not a.mp
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        other = pool.submit(PrecisionContext, 256).result()
-    assert other.mp is not a.mp and other.mp.prec == 256
-    # one built while this thread's 256-bit context is raised gets its own
-    with a.mp.workprec(1024):
-        inside = PrecisionContext(256)
-        assert inside.mp is not a.mp and inside.mp.prec == 256
-    assert a.mp.prec == 256 and PrecisionContext(256).mp is a.mp
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        others = list(pool.map(PrecisionContext, [256] * 4))
+    assert all(other.mp is a.mp for other in others)
+    assert a.mp.prec == 256
 
 
-def test_thread_keeps_a_bounded_number_of_mpmath_contexts():
+def test_process_keeps_a_bounded_number_of_mpmath_contexts():
     for bits in range(64, 4097, 64):
         assert PrecisionContext(bits).mp.prec == bits
-        assert len(numerics._thread_mps.by_bits) <= numerics.MP_CONTEXTS_PER_THREAD
+        assert numerics._mp_at.cache_info().currsize <= 8
     assert PrecisionContext(4096).mp is PrecisionContext(4096).mp
+
+
+def test_context_is_an_immutable_value():
+    ctx = PrecisionContext(100, 20, 50)
+    assert PrecisionContext.__slots__ == ("bits", "guard_bits", "max_iter", "mp")
+    with pytest.raises(AttributeError):
+        ctx.bits = 200
+    assert ctx == PrecisionContext(100, 20, 50) and ctx.mp.prec == 100
+    # widening rounds bits + extra up to a multiple of 32 and keeps the rest
+    assert ctx.widened(8) == PrecisionContext(128, 20, 50)
+    assert ctx.widened(28) == PrecisionContext(128, 20, 50)
+    assert ctx.widened(29).bits == 160 and PrecisionContext(256).widened(32).bits == 288
 
 
 _Q = Fraction(1, 3)
@@ -408,11 +400,10 @@ def test_nome_conversion_is_unchanged(bits):
         assert getattr(got, "_mpc_", None) == getattr(want, "_mpc_", None), nome
 
 
-def test_unit_root_nome_carries_raised_working_precision():
-    # the periodic route reads the terms of a root-of-unity fraction under workprec
+def test_widened_context_reads_unit_root_nome_at_its_own_precision():
+    # the periodic route reads the terms of a root-of-unity fraction on a widened context
     nome = Nome.unit_root(1, 7)
     ctx = PrecisionContext(64, 16)
-    with ctx.mp.workprec(256):
-        raised = ctx.number(nome)
-    assert raised._mpc_ == PrecisionContext(256, 16).number(nome)._mpc_
-    assert raised != ctx.number(nome)
+    wide = ctx.widened(192)
+    assert wide.number(nome)._mpc_ == PrecisionContext(256, 16).number(nome)._mpc_
+    assert wide.number(nome) != ctx.number(nome)
