@@ -15,7 +15,8 @@ from __future__ import annotations
 from operator import add, index, sub
 from typing import Iterable, Sequence
 
-__all__ = ["FormalSeries", "constant", "euler_product", "product_one_minus", "product_one_minus_inv"]
+__all__ = ["FormalSeries", "constant", "euler_product", "product_one_minus", "product_one_minus_inv",
+           "stretched_product", "theta_series"]
 
 
 def _product(a: Sequence, b: Sequence, n: int) -> list:
@@ -241,6 +242,25 @@ def constant(c, order: int) -> FormalSeries:
     return FormalSeries([c], 0, order)
 
 
+def stretched_product(a: FormalSeries, s: int, b: FormalSeries) -> FormalSeries:
+    """a(x^s) * b, the same series as ``a.stretch(s) * b``.
+
+    a(x^s) maps each exponent class of b mod s into itself, so the product is
+    s products of a with one class each, every one 1/s as long as the whole.
+    """
+    if s < 1:
+        raise ValueError("stretch factor must be >= 1")
+    n = min(b.nterms, s * a.nterms)  # so no class of b is longer than a
+    out = [0] * n
+    for c in range(s):
+        part = b.coeffs[c:n:s]
+        if part:
+            p = a * FormalSeries(part, 0, len(part) - 1)
+            out[c:n:s] = [0] * (p.offset - a.offset) + p.coeffs
+    lowest = s * a.offset + b.offset
+    return FormalSeries(out, lowest, lowest + n - 1)
+
+
 def product_one_minus(exponents: Iterable[int], order: int) -> FormalSeries:
     """prod (1 - x^k) over the given exponents, truncated to the order."""
     out = [0] * (order + 1)
@@ -254,18 +274,31 @@ def product_one_minus(exponents: Iterable[int], order: int) -> FormalSeries:
     return FormalSeries(out, 0, order)
 
 
-def euler_product(order: int) -> FormalSeries:
-    """(x; x)_inf = prod_{k>=1} (1 - x^k), truncated to the order, by Euler's
-    pentagonal number theorem: (-1)^n at x^(n(3n-1)/2) and x^(n(3n+1)/2), n >= 0."""
+def theta_series(a: int, b: int, order: int) -> FormalSeries:
+    """S_(a,b) = sum over all integers m of (-1)^m x^((a m^2 - b m)/2), truncated
+    to the order, for a > b >= 0 with a - b even.
+
+    By the Jacobi triple product S_(a,b) = (x^a; x^a)_inf (x^((a-b)/2); x^a)_inf
+    (x^((a+b)/2); x^a)_inf.  The exponent for m >= 0 is k = m(am - b)/2, and the
+    one for -m is k + bm; both grow with m, so the loop stops at the order.
+    """
+    if not 0 <= b < a or (a - b) % 2:
+        raise ValueError(f"theta_series needs a > b >= 0 with a - b even, not ({a}, {b})")
     out = [0] * (order + 1)
-    n = 0
-    while (k := n * (3 * n - 1) // 2) <= order:
-        sign = -1 if n % 2 else 1
-        out[k] = sign
-        if k + n <= order:  # n(3n+1)/2
-            out[k + n] = sign
-        n += 1
+    m = 0
+    while (k := m * (a * m - b) // 2) <= order:
+        sign = -1 if m % 2 else 1
+        out[k] += sign
+        if m and k + b * m <= order:
+            out[k + b * m] += sign
+        m += 1
     return FormalSeries(out, 0, order)
+
+
+def euler_product(order: int) -> FormalSeries:
+    """(x; x)_inf = prod_{k>=1} (1 - x^k), truncated to the order: S_(3,1), Euler's
+    pentagonal number theorem, with (-1)^m at x^(m(3m-1)/2) and x^(m(3m+1)/2)."""
+    return theta_series(3, 1, order)
 
 
 def product_one_minus_inv(exponents: Iterable[int], order: int) -> FormalSeries:

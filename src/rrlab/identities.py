@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
-from .formal import FormalSeries, euler_product, product_one_minus_inv
+from .formal import FormalSeries, stretched_product, theta_series
 from .numerics import Nome, PrecisionContext, RootMode, _fixed, golden_phi, record, root
 
 __all__ = [
@@ -447,47 +448,65 @@ def asymptotic_check(x, ctx: PrecisionContext, include_polynomial: bool = True, 
 
 
 # -- exact series sides: the point is the series order -----------------------------
+#
+# Each twin compares integer series with their denominators cleared: both
+# sides are the identity's two sides times one series with constant term 1.
+# Such a unit multiplier keeps a pass exact through the same order, and it
+# keeps a mismatch in the identity at the same lowest exponent with the same
+# coefficient difference.  No twin forms a reciprocal.
 
 
 def _formal_cf_vs_product(order: int, ctx: PrecisionContext):
-    """Finite truncations of the fraction, in series arithmetic, against t*H/G."""
+    """The fraction's truncation A_n/B_n at q = t^5, cleared: t A_n(t^5) against
+    B_n(t^5) R, with R from ``series_R``.
+
+    R = t/(1 + t^5/(1 + t^10/(1 + ...))), so A_k = A_(k-1) + q^(k-1) A_(k-2) from
+    A_0 = 0, A_1 = 1, and B_k likewise from B_0 = B_1 = 1, kept through
+    q^(order/5 + 1).  A_n/B_n - A_(n-1)/B_(n-1) = +-q^(n(n-1)/2), so the depth
+    makes the truncation exact through that order; B_n has constant term 1.
+    """
     q_order = order // 5 + 1
     depth = 2
     while depth * (depth - 1) // 2 <= q_order:
         depth += 1
     depth += 2
-    one = FormalSeries([1], 0, q_order)
-
-    def terms(k: int):
-        if k == 1:
-            return (one, one)
-        return (FormalSeries([1], k - 1, q_order), one)
-
-    spec = _cf.CFSpec(b0=FormalSeries([0], 0, q_order), terms=terms)
-    cf_series = _cf.eval_finite(spec, depth)
-    lhs = cf_series.stretch(5).shift(1).truncate(order)
-    yield "", lhs, _qs.series_R(order)
+    one = [1] + [0] * q_order
+    a_prev, a = [0] * (q_order + 1), one  # A_0, A_1
+    b_prev, b = one, one  # B_0, B_1
+    for s in range(1, depth):  # A_(s+1) = A_s + q^s A_(s-1), and B likewise
+        a_prev, a = a, a[:s] + list(map(add, a[s:], a_prev))
+        b_prev, b = b, b[:s] + list(map(add, b[s:], b_prev))
+    lhs = FormalSeries(a, 0, q_order).stretch(5).shift(1).truncate(order)
+    yield "", lhs, stretched_product(FormalSeries(b, 0, q_order), 5, _qs.series_R(order))
 
 
 def _formal_r_identity_1(order: int, ctx: PrecisionContext):
-    r = _qs.series_R(order + 2)
-    t = FormalSeries([1], 1, order + 2)
-    lhs = (t * r.reciprocal() - t - t * r).truncate(order)
-    euler_t = euler_product(order)
-    inv_t25 = product_one_minus_inv(range(25, order + 1, 25), order)
-    yield "", lhs, (euler_t * inv_t25).truncate(order)
+    """(G^2 - t G H - t^2 H^2)(t^5) (t^5; t^5) against (t; t).
+
+    With R = t (H/G)(t^5), t(1/R - 1 - R) = (G^2 - t G H - t^2 H^2)/(G H) at t^5,
+    and G H = (q^5; q^5)/(q; q): both sides of t(1/R - 1 - R) = (t;t)/(t^25;t^25)
+    times (t^25; t^25).  G and H are the sums at order/5 + 1.
+    """
+    m = order // 5 + 1
+    g, h = _qs.series_G(m), _qs.series_H(m)
+    euler = theta_series(3, 1, m)
+    ge, he = g * euler, h * euler
+    lhs = (g * ge).stretch(5) - (h * ge).stretch(5).shift(1) - (h * he).stretch(5).shift(2)
+    yield "", lhs.truncate(order), theta_series(3, 1, order)
 
 
 def _formal_r_identity_2(order: int, ctx: PrecisionContext):
-    m = order + 2
-    g = _qs.series_G(m)
-    h = _qs.series_H(m)
-    w = (h * g.reciprocal()) ** 5  # (H/G)^5, unit q-series
-    q1 = FormalSeries([1], 1, m)
-    lhs = (w.reciprocal() - 11 * q1 - q1 * q1 * w).truncate(order)
-    euler = euler_product(m)
-    inv5 = product_one_minus_inv(range(5, m + 1, 5), m)
-    yield "", lhs, ((euler**6) * (inv5**6)).truncate(order)
+    """(S1^10 - 11 q S1^5 S3^5 - q^2 S3^10) (q^5; q^5) against (q; q)^11, with
+    S1 = S_(5,1) and S3 = S_(5,3).
+
+    H/G = S3/S1 and S1 S3 = (q; q)(q^5; q^5), so both sides of
+    q(1/R^5 - 11 - R^5) = (q;q)^6/(q^5;q^5)^6 times S1^5 S3^5 (q^5; q^5).
+    """
+    x = theta_series(5, 1, order) ** 5
+    y = theta_series(5, 3, order) ** 5
+    quadratic = x * x - 11 * (x * y).shift(1) - (y * y).shift(2)
+    lhs = stretched_product(theta_series(3, 1, order // 5), 5, quadratic)  # times (q^5; q^5)
+    yield "", lhs.truncate(order), theta_series(3, 1, order) ** 11
 
 
 # -- registry and driver -------------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import add
 from typing import Optional
 
-from .formal import FormalSeries, product_one_minus_inv
+from .formal import FormalSeries, product_one_minus_inv, theta_series
 from .numerics import PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
 from . import cf as _cf
 
@@ -520,11 +520,26 @@ def series_H(order: int, side: str = "sum") -> FormalSeries:
 
 
 def series_R(order: int) -> FormalSeries:
-    """Exact expansion of R in t (t^5 = q): t * H(t^5)/G(t^5), lowest term t."""
+    """Exact expansion of R in t (t^5 = q): t * (S_(5,3)/S_(5,1))(t^5), lowest term t.
+
+    By the Jacobi triple product the quotient of the two sparse theta series is
+    the paper's product (q;q^5)(q^4;q^5)/((q^2;q^5)(q^3;q^5)) = H/G.  The divisor
+    S_(5,1) = 1 - q^2 - q^3 + q^9 + ... has lead 1 and about 2 sqrt(2m/5) nonzero
+    terms through q^m, all +-1, so each coefficient of the quotient is the
+    numerator's less those terms against the coefficients already found: no
+    product and no reciprocal.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     m = order // 5 + 1
-    g = series_G(m)
-    h = series_H(m)
-    ratio = h * g.reciprocal()  # q-series, unit constant term
-    return ratio.stretch(5).shift(1).truncate(order)
+    num = theta_series(5, 3, m).coeffs
+    den = theta_series(5, 1, m).coeffs
+    terms = [(k, d) for k, d in enumerate(den) if d and k]  # exponents ascending
+    ratio = []
+    for n, c in enumerate(num):
+        for k, d in terms:
+            if k > n:
+                break
+            c -= d * ratio[n - k]
+        ratio.append(c)
+    return FormalSeries(ratio, 0, m).stretch(5).shift(1).truncate(order)

@@ -11,6 +11,8 @@ from rrlab.formal import (
     euler_product,
     product_one_minus,
     product_one_minus_inv,
+    stretched_product,
+    theta_series,
 )
 from rrlab.qseries import series_G
 
@@ -163,6 +165,37 @@ def test_pentagonal_euler_product_equals_the_product(order):
     pentagonal = euler_product(order)
     assert pentagonal.coeffs == product_one_minus(range(1, order + 1), order).coeffs
     assert (pentagonal.offset, pentagonal.order) == (0, order)
+
+
+@pytest.mark.parametrize("a,b", [(3, 1), (5, 1), (5, 3), (2, 0), (4, 2), (7, 1)])
+@pytest.mark.parametrize("order", [0, 1, 2, 9, 60])
+def test_theta_series_is_its_triple_product(a, b, order):
+    # S_(a,b) = (x^a; x^a)(x^((a-b)/2); x^a)(x^((a+b)/2); x^a), factor by factor
+    exponents = [k for k in range(1, order + 1) if k % a in (0, (a - b) // 2, (a + b) // 2 % a)]
+    want = product_one_minus(exponents, order)
+    if b == 0:  # the middle two factors coincide: (x^(a/2); x^a) twice
+        want = want * product_one_minus(range(a // 2, order + 1, a), order)
+    assert theta_series(a, b, order) == want
+
+
+@pytest.mark.parametrize("a,b", [(3, 3), (5, 6), (4, 1), (3, -1)])
+def test_theta_series_rejects_bad_parameters(a, b):
+    with pytest.raises(ValueError):
+        theta_series(a, b, 10)
+
+
+@pytest.mark.parametrize("s", [1, 2, 5])
+@pytest.mark.parametrize("a_offset,b_offset", [(0, 0), (0, 1), (2, -3)])
+def test_stretched_product_matches_the_stretched_multiply(s, a_offset, b_offset):
+    a = FormalSeries([1, -2, 0, 5, 7, -1], a_offset, a_offset + 5)
+    b = FormalSeries([3, 0, -1, 4, 2, 2, 0, 9, -5, 1, 1, 0, 2], b_offset, b_offset + 12)
+    # a(x^s) is known through s * a.order + s - 1, as the stretch says
+    assert stretched_product(a, s, b) == a.stretch(s) * b
+
+
+def test_stretched_product_of_a_zero_class():
+    b = FormalSeries([1, 0, 0, 0, 0, 2], 0, 9)  # classes 1..4 mod 5 are zero
+    assert stretched_product(euler_product(3), 5, b) == euler_product(3).stretch(5) * b
 
 
 def test_euler_inverse_is_partition_count():
