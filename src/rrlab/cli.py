@@ -116,8 +116,8 @@ def cmd_eval(args) -> int:
         if iterations is not None:
             extra += f"  iterations: {iterations}"
         _out(extra)
-    need = ctx.bits - ctx.guard_bits
-    if bits_ok < need:
+    if not ctx.passes(bits_ok):
+        need = ctx.bits - ctx.guard_bits
         print(f"warning: precision self-check got {bits_ok} bits (< {need})", file=sys.stderr)
         return EXIT_NO_CONVERGE
     return EXIT_OK

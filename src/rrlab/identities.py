@@ -2,11 +2,11 @@
 
 Each registered identity is a tuple of (grid, sides) tables: the grid lists
 labelled points and the sides give the left and right value at each point.
-The package's one pass rule, ``numerics.record``, judges every record by the
-type of its values.  Numbers pass below the context tolerance
-tol = 2^-(bits - guard_bits); exact values (integers, fractions, status
-strings) pass when equal; exact series pass when they agree coefficient by
-coefficient through the lower of their orders.
+The package's one record rule, ``numerics.record``, judges every record by the
+type of its values.  Numbers pass when they agree to bits - guard_bits
+bits relative to max(|lhs|, |rhs|, 1); exact values (integers, fractions,
+status strings) pass when equal; exact series pass when they agree
+coefficient by coefficient through the lower of their orders.
 """
 
 from __future__ import annotations

@@ -12,12 +12,12 @@ doubling otherwise.  ``certify`` listens while it evaluates: the Euler-sum
 kernel (G, H, chi), theta at q >= 0 and the cf2 fraction return their value
 as the midpoint of a ball, with a radius that bounds the truncated tail, the
 fixed-point rounding and the error of the converted nome (``_prove``; ball
-arithmetic as in Arb, F. Johansson, IEEE Trans. Computers 66, 2017).  A
-radius that proves ``bits - guard_bits`` bits is the result's figure; any
-other evaluation is recomputed under a context with twice the mantissa bits
-and compared with ``agree_bits``.  Both figures scale by max(|x|, |y|, 1):
-they are relative for values above 1 and absolute below it.  Every check
-passes or fails by one rule, ``record``.
+arithmetic as in Arb, F. Johansson, IEEE Trans. Computers 66, 2017); any
+other evaluation is recomputed under a context with twice the mantissa bits.
+One exact measure, ``_bits``, reads both figures off the mantissas: the
+largest b with d * 2^b <= max(|x|, |y|, 1), d a radius or |x - y|, so both
+are relative above 1 and absolute below.  One rule, ``ctx.passes``, judges
+every figure at ``bits - guard_bits``: for ``certify``, ``eval`` and ``record``.
 
 The long loops of the package run on fixed-point Python integers at the
 width W of ``_fixed``, and convert back to the context once at the end.
@@ -74,9 +74,9 @@ class RootMode(enum.Enum):
 class PrecisionContext:
     """Working precision in bits, guard bits, and iteration cap.
 
-    ``tol = 2**-(bits - guard_bits)`` is the reported tolerance: two
-    evaluations of the same quantity under this context and its doubled
-    context agree to at least ``bits - guard_bits`` bits.
+    ``tol = 2**-(bits - guard_bits)`` is the reported tolerance: a figure
+    passes (``passes``) when it earns ``bits - guard_bits`` bits, that is,
+    when |x - y| <= tol * max(|x|, |y|, 1).
 
     ``mp`` is the process's mpmath context at this precision (see _mp_at).
     A context never changes, so threads may share it; code that needs more
@@ -103,6 +103,10 @@ class PrecisionContext:
             raise ValueError("max_iter must be positive")
 
     # -- derived quantities -------------------------------------------------
+
+    def passes(self, bits: int) -> bool:
+        """The one pass rule: a figure of at least bits - guard_bits bits."""
+        return bits >= self.bits - self.guard_bits
 
     @property
     def tol(self):
@@ -366,22 +370,29 @@ def golden_phi(ctx: PrecisionContext):
     return (ctx.mp.sqrt(5) + 1) / 2
 
 
-def agree_bits(x, y, ctx: PrecisionContext) -> int:
-    """Number of bits on which x and y agree, relative to max(|x|, |y|, 1).
+def _bits(d, scale, ctx: PrecisionContext) -> int:
+    """The largest b with d * 2^b <= scale, clamped to [0, ctx.bits], for mpf
+    d >= 0 (0 bits if not finite) and scale >= 1, read off the mantissas."""
+    if not d:
+        return ctx.bits
+    _, dm, de, _ = d._mpf_
+    _, sm, se, _ = scale._mpf_
+    if not (dm and sm):
+        return 0  # inf or nan
+    shift = sm.bit_length() - dm.bit_length()  # then compare at equal lengths
+    b = se - de + shift - (dm << max(shift, 0) > sm << max(-shift, 0))
+    return max(0, min(ctx.bits, b))
 
-    Returns floor(-log2(|x - y| / max(|x|, |y|, 1))) clamped to [0, ctx.bits],
-    so agreement is relative for values above 1 and absolute below it.
-    Identical values clamp to ctx.bits.
+
+def agree_bits(x, y, ctx: PrecisionContext) -> int:
+    """Number of bits on which x and y agree, relative to max(|x|, |y|, 1):
+    floor(-log2(|x - y| / max(|x|, |y|, 1))), |x - y| rounded to the context,
+    clamped to [0, ctx.bits] (``_bits``).  Relative for values above 1 and
+    absolute below it; identical values clamp to ctx.bits.
     """
-    mp = ctx.mp
     x = ctx.number(x)
     y = ctx.number(y)
-    d = abs(x - y)
-    if d == 0:
-        return ctx.bits
-    scale = max(abs(x), abs(y), mp.mpf(1))
-    b = int(mp.floor(-mp.log(d / scale, 2)))
-    return max(0, min(ctx.bits, b))
+    return _bits(abs(x - y), max(abs(x), abs(y), ctx.mp.one), ctx)
 
 
 # The radii that kernels prove while certify listens (see certify and _prove)
@@ -400,29 +411,15 @@ def _prove(value, radius):
     return value
 
 
-def _proven_bits(value, radius, ctx: PrecisionContext) -> int:
-    """The largest b with radius * 2^b <= max(|value|, 1), clamped to [0, ctx.bits]:
-    the bits the radius proves, scaled as ``agree_bits`` scales."""
-    if not radius:
-        return ctx.bits
-    _, sm, se, _ = max(abs(value), ctx.mp.one)._mpf_
-    _, rm, re, _ = radius._mpf_
-    shift = sm.bit_length() - rm.bit_length()
-    b = se - re + shift
-    if (rm << shift if shift >= 0 else rm) > (sm if shift >= 0 else sm << -shift):
-        b -= 1
-    return max(0, min(ctx.bits, b))
-
-
 def certify(fn, ctx: PrecisionContext):
     """(fn(ctx), the bits that back it) for a number-valued fn.
 
     While fn(ctx) runs, certify listens for radii (``_prove``).  When the value
-    fn returns is one a kernel proved a radius for, and that radius proves at
-    least bits - guard_bits bits (``_proven_bits``), those bits are the figure
-    and nothing is recomputed.  Otherwise the figure is the agree_bits of the
-    value against fn(ctx.doubled()); a ConvergenceError in that doubled run is
-    raised again with the self-check named in its route.
+    fn returns is one a kernel proved a radius for, and the bits that radius
+    proves against max(|value|, 1) pass (``_bits``, ``ctx.passes``), they are
+    the figure and nothing is recomputed.  Otherwise the figure is the
+    agree_bits of the value against fn(ctx.doubled()); a ConvergenceError in
+    that doubled run is raised again with the self-check named in its route.
     """
     proofs = []
     token = _PROOFS.set(proofs)
@@ -432,8 +429,8 @@ def certify(fn, ctx: PrecisionContext):
         _PROOFS.reset(token)
     for value, radius in proofs:
         if value is first:
-            bits = _proven_bits(first, radius, ctx)
-            if bits >= ctx.bits - ctx.guard_bits:
+            bits = _bits(radius, max(abs(first), ctx.mp.one), ctx)
+            if ctx.passes(bits):
                 return first, bits
     doubled = ctx.doubled()
     try:
@@ -447,11 +444,12 @@ def certify(fn, ctx: PrecisionContext):
 def record(ctx: PrecisionContext, point: str, lhs, rhs) -> dict:
     """The record of lhs against rhs at a point, judged by the type of the values.
 
-    This is the one pass rule of the package.  Exact series pass when they
+    This is the one record rule of the package.  Exact series pass when they
     agree through the lower of their orders; a mismatch reports its lowest
     exponent and the two coefficients.  Exact values (int, Fraction, str)
-    pass when equal, with abs_dev 0 or 1.  Numbers pass when
-    |lhs - rhs| < ctx.tol, and carry their agree_bits.
+    pass when equal, with abs_dev 0 or 1.  Numbers carry their agree_bits
+    and pass when ``ctx.passes`` them: |lhs - rhs| <= ctx.tol times
+    max(|lhs|, |rhs|, 1).
     """
     bits = None
     if isinstance(lhs, FormalSeries):
@@ -469,6 +467,6 @@ def record(ctx: PrecisionContext, point: str, lhs, rhs) -> dict:
         dev = 0 if passed else 1
     else:
         dev = abs(lhs - rhs)
-        passed = dev < ctx.tol
         bits = agree_bits(lhs, rhs, ctx)
+        passed = ctx.passes(bits)
     return dict(point=point, lhs=lhs, rhs=rhs, abs_dev=dev, agree_bits=bits, passed=passed)

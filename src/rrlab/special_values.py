@@ -182,11 +182,12 @@ def quintic_alpha_beta(p, ctx: PrecisionContext):
     v = (beta*p)^(1/5) reproduce the explicit radical display and satisfy
     u*v = p.  (With constant term p^2 the root product would force
     u*v = p^(4/5), contradicting the two quotient expressions for R.)
+    beta = p^3/alpha (Vieta), not the difference of the two terms of the
+    root formula, which cancels and loses 13 bits at q = e^-pi.
     """
     p = ctx.number(p)
-    x = (p - 1) ** 2 + 7
-    y = (4 - p) * ctx.mp.sqrt(4 + p * p)
-    return (x + y) / 2, (x - y) / 2
+    alpha = ((p - 1) ** 2 + 7 + (4 - p) * ctx.mp.sqrt(4 + p * p)) / 2
+    return alpha, p**3 / alpha
 
 
 # -- the special-value registry ---------------------------------------------------

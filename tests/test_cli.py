@@ -9,10 +9,11 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 import rrlab
-from rrlab import cf, cli, numerics
+from rrlab import cf, cli, numerics, qseries
 from rrlab.cli import main
-from rrlab.identities import identity_ids
+from rrlab.identities import identity_ids, verify
 from rrlab.numerics import PrecisionContext
+from rrlab.special_values import verify_registry
 
 
 def run(capsys, *argv):
@@ -333,6 +334,37 @@ def test_eval_near_the_boundary_earns_proven_bits(capsys):
     code, out, _ = run(capsys, "eval", "G", "--q", "99999/100000", "--format", "json")
     data = json.loads(out)
     assert code == 0 and data["bits_by"] == "proof" and data["agree_bits"] >= 225
+
+
+def test_eval_and_record_judge_one_pair_alike(capsys, ctx, ctx512):
+    # G(99/100) is about 2.3e28: its 256- and 512-bit values differ by about
+    # 3e-44, far above tol but within tol * |G|, and eval and record both
+    # judge by the bits relative to max(|x|, |y|, 1)
+    code, out, _ = run(capsys, "eval", "G", "--q", "99/100", "--format", "json")
+    assert code == 0 and json.loads(out)["agree_bits"] >= 224
+    nome = numerics.Nome.rational("99/100")
+    rec = numerics.record(ctx, "G(99/100)", qseries.G(nome, ctx), qseries.G(nome, ctx512))
+    assert rec["abs_dev"] > ctx.tol and rec["passed"]
+
+
+_R2_LOW = {f"q={q}" for q in ("1/5", "1/4", "3/10", "7/20", "2/5", "9/20", "1/2")}
+
+
+@pytest.mark.parametrize("guard", range(4, 13))
+def test_guard_bit_sweep(capsys, guard):
+    # verify all and values check all at 256 bits.  From 8 guard bits up every
+    # record passes and both exit 0.  Below 8 only two known losses may fail:
+    # eq5's closed form and R-identity-2's numeric left side at q >= 1/5
+    # (CHANGES.md, FOUND), so any other failure is new
+    ctx = PrecisionContext(256, guard)
+    failed = {(i, r["point"]) for i in identity_ids() for r in verify(i, ctx).records if not r["passed"]}
+    failed |= {("values", r["name"]) for r in verify_registry(ctx) if not r["passed"]}
+    if guard >= 8:
+        assert failed == set()
+        assert run(capsys, "verify", "all", "--guard-bits", str(guard))[0] == 0
+        assert run(capsys, "values", "check", "all", "--guard-bits", str(guard))[0] == 0
+    else:
+        assert failed <= {("values", "eq5")} | {("R-identity-2", q) for q in _R2_LOW}
 
 
 def test_eval_real_odd_mode(capsys):

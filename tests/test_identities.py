@@ -210,17 +210,36 @@ def test_report_json_schema_and_determinism(ctx):
             {"point": "p", "lhs": Fraction(1, 3), "rhs": Fraction(1, 2), "abs_dev": 1},
             id="fraction-mismatch",
         ),
+        # numbers pass at agree_bits >= 224 (256 bits, 32 guard bits): at
+        # |lhs - rhs| <= tol * max(|lhs|, |rhs|, 1), the boundary included
         pytest.param(
             lambda ctx: (ctx.mp.mpf(1), 1 + ctx.tol),
-            "fail",
-            {"point": "p", "abs_dev": 2.0**-224},  # tol at 256 bits with 32 guard bits
+            "pass",
+            {"point": "p", "abs_dev": 2.0**-224, "agree_bits": 224},
             id="number-at-tol",
         ),
         pytest.param(
             lambda ctx: (ctx.mp.mpf(1), 1 + ctx.tol / 2),
             "pass",
-            {"point": "p", "abs_dev": 2.0**-225},
+            {"point": "p", "abs_dev": 2.0**-225, "agree_bits": 225},
             id="number-below-tol",
+        ),
+        *(
+            pytest.param(
+                lambda ctx, e=e, k=k: (
+                    ctx.mp.ldexp(1, e), ctx.mp.ldexp(1, e) + k * ctx.tol * ctx.mp.ldexp(1, max(e, 0))
+                ),
+                status,
+                {"point": "p", "abs_dev": k * 2.0 ** (max(e, 0) - 224), "agree_bits": bits},
+                id=f"number-{where}-tol-at-2^{e}",
+            )
+            # relative above 1, absolute below: tol * 2^10 at 2^10, tol at 2^-10
+            for e in (10, -10)
+            for where, k, status, bits in (
+                ("at", 1, "pass", 224),
+                ("inside", 0.5, "pass", 225),
+                ("outside", 1 + 2.0**-20, "fail", 223),
+            )
         ),
     ],
 )

@@ -116,6 +116,56 @@ def test_agree_bits_examples(ctx):
 def test_agree_bits_clamps(ctx):
     assert agree_bits(0, 1e30, ctx) == 0
     assert 0 <= agree_bits(1, -1, ctx) <= ctx.bits
+    # a value that is not finite agrees on no bits, so no record passes on it
+    assert agree_bits(ctx.mp.nan, 1, ctx) == agree_bits(ctx.mp.inf, ctx.mp.inf, ctx) == 0
+
+
+def _floor_log_bits(d, scale, bits):
+    """floor(-log2(d / scale)) at 4x the bits, clamped to [0, bits]."""
+    if d == 0:
+        return bits
+    mp = PrecisionContext(4 * bits, 32).mp
+    return max(0, min(bits, int(mp.floor(-mp.log(mp.mpf(d) / mp.mpf(scale), 2)))))
+
+
+@st.composite
+def _agreeing_pairs(draw):
+    """(bits, x, y): general, close, equal, power-of-two-ratio, near-1 and complex."""
+    bits = draw(st.sampled_from([64, 128, 256]))
+    mp = PrecisionContext(bits, 32).mp
+    man = st.integers(-(2**60), 2**60)
+
+    def real(lo=-200, hi=200):
+        return mp.ldexp(draw(man), draw(st.integers(lo, hi)))
+
+    kind = draw(st.sampled_from(["any", "close", "equal", "power-of-two", "near-1", "complex"]))
+    if kind == "any":
+        return bits, real(), real()
+    if kind == "complex":
+        x = mp.mpc(real(-80, 20), real(-80, 20))
+        return bits, x, x + mp.mpc(real(-bits - 100, 20), real(-bits - 100, 20))
+    if kind == "power-of-two":
+        # |y| <= |x| = 2^a, so d / max(|x|, |y|, 1) = 2^(a - k - max(a, 0)) exactly
+        a, k = draw(st.integers(-12, 12)), draw(st.integers(0, bits + 8))
+        x = mp.ldexp(draw(st.sampled_from([1, -1])), a)
+        return bits, x, x - x * mp.ldexp(1, -k)
+    x = mp.ldexp(draw(st.integers(2**59, 2**61)), -60) if kind == "near-1" else real()
+    if kind == "equal":
+        return bits, x, +x
+    return bits, x, x + real(-bits - 100, 0) * max(abs(x), 1)
+
+
+@given(_agreeing_pairs())
+@settings(max_examples=300, deadline=None)
+def test_agree_bits_is_the_exact_measure(pair):
+    # agree_bits and a proof's bits are one measure: the largest b <= bits with
+    # d * 2^b <= max(|x|, |y|, 1), d the distance as the context computes it
+    bits, x, y = pair
+    ctx = PrecisionContext(bits, 32)
+    d, scale = abs(x - y), max(abs(x), abs(y), ctx.mp.one)
+    want = _floor_log_bits(d, scale, bits)
+    assert agree_bits(x, y, ctx) == want
+    assert numerics._bits(d, scale, ctx) == want
 
 
 def test_precision_doubling_constants(ctx):

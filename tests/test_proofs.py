@@ -14,7 +14,7 @@ import mpmath
 import pytest
 
 from rrlab import identities, numerics, qseries
-from rrlab.numerics import Nome, PrecisionContext, _proven_bits, certify
+from rrlab.numerics import Nome, PrecisionContext, _bits, certify
 
 _ROUTES = {
     "G": qseries.G,
@@ -49,6 +49,11 @@ def _ball(fn, ctx):
     radii = [r for v, r in proofs if v is value]
     assert len(radii) == 1, proofs
     return value, radii[0]
+
+
+def _proven_bits(value, radius, ctx):
+    """The bits a radius proves: the one measure against max(|value|, 1)."""
+    return _bits(radius, max(abs(value), ctx.mp.one), ctx)
 
 
 def _label(nome):

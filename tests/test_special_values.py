@@ -225,8 +225,12 @@ def test_verify_entry_uses_both_routes(ctx):
 @pytest.mark.parametrize(
     "routes, passed, worst",
     [
-        # the worst route misses the closed form 1 by exactly tol
-        pytest.param(lambda tol: {"cf": 1 + tol / 2, "product": 1 - tol}, False, "product", id="at-tol"),
+        # the worst route misses the closed form 1 by exactly tol: the boundary passes
+        pytest.param(lambda tol: {"cf": 1 + tol / 2, "product": 1 - tol}, True, "product", id="at-tol"),
+        pytest.param(
+            lambda tol: {"cf": 1 + tol / 2, "product": 1 - tol * (1 + 2**-20)}, False, "product",
+            id="beyond-tol",
+        ),
         pytest.param(lambda tol: {"cf": 1 - tol / 2, "product": 1 + tol / 4}, True, "cf", id="below-tol"),
         # on a tie the last route is the one judged
         pytest.param(lambda tol: {"cf": 1 - tol / 2, "product": 1 + tol / 2}, True, "product", id="tie"),
