@@ -136,7 +136,7 @@ def eval_finite(spec: CFSpec, n: int):
     """Value of the depth-n truncation, by backward recurrence.
 
     Works in the arithmetic of b0 and the generated terms, so it is exact
-    when they are rational (or exact series).  Raises ZeroDenominatorError
+    when they are rational.  Raises ZeroDenominatorError
     identifying the depth where the backward pass divides by zero.
     """
     if n < 0:
@@ -583,8 +583,7 @@ def schur_classify(n: int) -> SchurClassification:
         return SchurClassification(n=n, diverges=True)
     lam = legendre5(n)
     rho = n % 5
-    num = lam * rho * n - 1
-    assert num % 5 == 0
+    num = lam * rho * n - 1  # SchurClassification checks that 5 divides it
     return SchurClassification(n=n, diverges=False, lam=lam, rho=rho, exponent=num // 5)
 
 

@@ -56,16 +56,6 @@ def _out(*args, **kwargs) -> None:
         os.close(devnull)
 
 
-def _fmt(ctx: PrecisionContext, v) -> str:
-    """Decimal string with only the digits earned at this precision."""
-    digits = ctx.digits
-    if isinstance(v, ctx.mp.mpc) and v.imag != 0:
-        return f"({ctx.mp.nstr(v.real, digits)} + {ctx.mp.nstr(v.imag, digits)}j)"
-    if isinstance(v, ctx.mp.mpc):
-        v = v.real
-    return ctx.mp.nstr(ctx.mp.mpf(v), digits)
-
-
 def _eval_target(target: str, nome: Optional[Nome], mode: RootMode, ctx: PrecisionContext):
     """Returns (value, iterations), iterations None for the series and products;
     cf2 takes no nome, and every other target gets the Nome itself, which the
@@ -102,7 +92,7 @@ def cmd_eval(args) -> int:
     iterations = iterations[0]
     payload = {
         "target": args.target,
-        "value": _fmt(ctx, value),
+        "value": ctx.decimal(value),
         "iterations": iterations,
         "status": "converged",
         "agree_bits": bits_ok,
@@ -151,7 +141,7 @@ def cmd_values(args) -> int:
         out = [
             {
                 "name": r["name"],
-                "closed": _fmt(ctx, r["closed"]),
+                "closed": ctx.decimal(r["closed"]),
                 "abs_dev": ctx.mp.nstr(r["abs_dev"], 8),
                 "agree_bits": r["agree_bits"],
                 "passed": r["passed"],
@@ -243,7 +233,7 @@ def cmd_asymptotic(args) -> int:
     ctx = _context(args)
     x = Fraction(args.x)
     record = _id.asymptotic_check(x, ctx)
-    payload = {k: _fmt(ctx, v) for k, v in record.items()}
+    payload = {k: ctx.decimal(v) for k, v in record.items()}
     payload["x"] = str(x)
     if args.format == "json":
         _out(json.dumps(payload, sort_keys=True))

@@ -15,8 +15,8 @@ from __future__ import annotations
 from operator import add, index, sub
 from typing import Iterable, Sequence
 
-__all__ = ["FormalSeries", "constant", "euler_product", "product_one_minus", "product_one_minus_inv",
-           "stretched_product", "theta_series"]
+__all__ = ["FormalSeries", "constant", "product_one_minus", "product_one_minus_inv", "stretched_product",
+           "theta_series"]
 
 
 def _product(a: Sequence, b: Sequence, n: int) -> list:
@@ -157,14 +157,9 @@ class FormalSeries:
             y += [-v for v in _product(y, e, m - k)]
         return FormalSeries(y, -self.offset, -self.offset + n - 1)
 
-    def __truediv__(self, other):
-        if isinstance(other, FormalSeries):
-            return self * other.reciprocal()
-        return NotImplemented
-
     def __pow__(self, m: int):
         if m < 0:
-            return self.reciprocal() ** (-m)
+            raise ValueError(f"negative power {m}: use reciprocal()")
         if m == 0:
             return constant(1, max(self.nterms - 1, 0))
         acc = None
@@ -199,14 +194,8 @@ class FormalSeries:
 
     # -- comparison / serialization -------------------------------------------
 
-    def same_through(self, other: "FormalSeries", e: int) -> bool:
-        """Exact coefficient equality for every exponent <= e."""
-        if e > self.order or e > other.order:
-            raise IndexError("comparison beyond known order")
-        return self.first_mismatch(other, e) is None
-
     def first_mismatch(self, other: "FormalSeries", e: int):
-        """Lowest exponent <= e where coefficients differ, or None."""
+        """Lowest exponent <= e where coefficients differ, or None; IndexError past an order."""
         lo = min(self.offset, other.offset)
         for i in range(lo, e + 1):
             if self.coeff(i) != other.coeff(i):
@@ -221,9 +210,6 @@ class FormalSeries:
             and self.offset == other.offset
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.offset, self.order, tuple(self.coeffs)))
 
     def to_json(self) -> dict:
         return {
@@ -293,12 +279,6 @@ def theta_series(a: int, b: int, order: int) -> FormalSeries:
             out[k + b * m] += sign
         m += 1
     return FormalSeries(out, 0, order)
-
-
-def euler_product(order: int) -> FormalSeries:
-    """(x; x)_inf = prod_{k>=1} (1 - x^k), truncated to the order: S_(3,1), Euler's
-    pentagonal number theorem, with (-1)^m at x^(m(3m-1)/2) and x^(m(3m+1)/2)."""
-    return theta_series(3, 1, order)
 
 
 def product_one_minus_inv(exponents: Iterable[int], order: int) -> FormalSeries:

@@ -65,17 +65,7 @@ class VerificationReport:
     notes: str = ""
 
     def to_json(self, ctx: PrecisionContext) -> dict:
-        digits = ctx.digits
-
-        def fmt(v):
-            if v is None or isinstance(v, str):
-                return v
-            if isinstance(v, (int, Fraction)):
-                return str(v)
-            if isinstance(v, ctx.mp.mpc):
-                return f"({ctx.mp.nstr(v.real, digits)}, {ctx.mp.nstr(v.imag, digits)})"
-            return ctx.mp.nstr(ctx.mp.mpf(v), digits)
-
+        fmt = ctx.decimal
         return {
             "id": self.id,
             "context": {"bits": self.bits, "tol": fmt(ctx.tol)},
@@ -206,8 +196,26 @@ def _r_identity_1(nome, ctx: PrecisionContext):
 
 def _r_identity_2(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
-    r5 = _R(q, ctx) ** 5
-    yield "", 1 / r5 - 11 - r5, _euler_prod(q, ctx) ** 6 / (q * _euler_prod(q**5, ctx) ** 6)
+
+    def terms(c):
+        r5 = _R(q, c) ** 5
+        return 1 / r5, -11, -r5
+
+    yield "", _real_sum(terms, ctx), _euler_prod(q, ctx) ** 6 / (q * _euler_prod(q**5, ctx) ** 6)
+
+
+def _real_sum(terms, ctx: PrecisionContext):
+    """The sum of the real terms(ctx), added in order.  When its largest term is
+    2^k times larger than it, k > 0, the terms are formed and summed again on
+    ctx.widened(ceil(k)), and the sum is rounded back to the context."""
+    mp = ctx.mp
+    parts = terms(ctx)
+    total = sum(parts[1:], parts[0])
+    extra = math.ceil(mp.log(max(map(abs, parts)) / abs(total), 2))
+    if extra > 0:
+        parts = terms(ctx.widened(extra))
+        total = mp.mpf(sum(parts[1:], parts[0]))
+    return total
 
 
 def factorization_sides(gamma, q, ctx: PrecisionContext):
@@ -215,21 +223,17 @@ def factorization_sides(gamma, q, ctx: PrecisionContext):
 
     Left: 1/sqrt(t) - gamma*sqrt(t) with t = R(q).  Right: q^(-1/10) *
     sqrt((q;q)_inf / (q^5;q^5)_inf) * prod_{n>=1} 1/(1 + gamma*x^n + x^(2n))
-    with x = q^(1/5).  For gamma > 0 the left side cancels: its two terms
-    are up to max(|1/sqrt(t)|, |gamma sqrt(t)|)/|lhs| times larger than it, so
-    the left side, its R and gamma are evaluated again on the context widened
-    by the ceiling of log2 of that measured ratio, and rounded back to the
-    context.
+    with x = q^(1/5).  For gamma > 0 the left side cancels, so it is a
+    ``_real_sum``: R and gamma are formed again on the context widened by the
+    bits it measures.
     """
     mp = ctx.mp
-    t = _R(q, ctx)
-    st = mp.sqrt(t)
-    lhs = 1 / st - gamma * st
-    extra = math.ceil(mp.log(max(abs(1 / st), abs(gamma * st)) / abs(lhs), 2))
-    if extra > 0:
-        wide = ctx.widened(extra)
-        st = wide.mp.sqrt(_R(q, wide))
-        lhs = mp.mpf(1 / st - (1 + wide.mp.sign(gamma) * wide.mp.sqrt(5)) / 2 * st)
+
+    def terms(c):
+        st = c.mp.sqrt(_R(q, c))
+        return 1 / st, -(1 + c.mp.sign(gamma) * c.mp.sqrt(5)) / 2 * st
+
+    lhs = _real_sum(terms, ctx)
     x = root(q, 5, RootMode.PRINCIPAL, ctx)
     rhs = q ** (-mp.mpf(1) / 10) * mp.sqrt(_euler_prod(q, ctx) / _euler_prod(q**5, ctx))
     return lhs, rhs / _factorization_denominator(gamma, x, ctx)

@@ -13,7 +13,7 @@ kernel (G, H, chi), theta at q >= 0 and the cf2 fraction return their value
 as the midpoint of a ball, with a radius that bounds the truncated tail, the
 fixed-point rounding and the error of the converted nome (``_prove``; ball
 arithmetic as in Arb, F. Johansson, IEEE Trans. Computers 66, 2017); any
-other evaluation is recomputed under a context with twice the mantissa bits.
+other evaluation is recomputed on ``ctx.widened(ctx.bits)``.
 One exact measure, ``_bits``, reads both figures off the mantissas: the
 largest b with d * 2^b <= max(|x|, |y|, 1), d a radius or |x - y|, so both
 are relative above 1 and absolute below.  One rule, ``ctx.passes``, judges
@@ -80,7 +80,7 @@ class PrecisionContext:
 
     ``mp`` is the process's mpmath context at this precision (see _mp_at).
     A context never changes, so threads may share it; code that needs more
-    bits works on ``widened`` or ``doubled``, never by raising ``mp.prec``.
+    bits works on ``widened``, never by raising ``mp.prec``.
     """
 
     bits: int = 256
@@ -133,14 +133,20 @@ class PrecisionContext:
         """Decimal digits actually earned at this precision."""
         return int((self.bits - self.guard_bits) * math.log10(2))
 
-    def doubled(self) -> "PrecisionContext":
-        """These settings at twice the bits: the self-check's context."""
-        return PrecisionContext(2 * self.bits, self.guard_bits, self.max_iter)
-
     def widened(self, extra: int) -> "PrecisionContext":
         """These settings at bits + extra, rounded up to a multiple of 32 bits
         so that few precisions, and few mpmath contexts, occur."""
         return PrecisionContext(-(-(self.bits + extra) // 32) * 32, self.guard_bits, self.max_iter)
+
+    def decimal(self, v) -> str:
+        """v as printed: exact values (str, int, Fraction) as they are, numbers
+        with only the digits earned at this precision, complex ones as (re + imj)."""
+        if isinstance(v, (str, int, Fraction)):
+            return str(v)
+        mp, digits = self.mp, self.digits
+        if isinstance(v, mp.mpc) and v.imag != 0:
+            return f"({mp.nstr(v.real, digits)} + {mp.nstr(v.imag, digits)}j)"
+        return mp.nstr(mp.mpf(v.real if isinstance(v, mp.mpc) else v), digits)
 
     # -- conversions ---------------------------------------------------------
 
@@ -418,8 +424,8 @@ def certify(fn, ctx: PrecisionContext):
     fn returns is one a kernel proved a radius for, and the bits that radius
     proves against max(|value|, 1) pass (``_bits``, ``ctx.passes``), they are
     the figure and nothing is recomputed.  Otherwise the figure is the
-    agree_bits of the value against fn(ctx.doubled()); a ConvergenceError in
-    that doubled run is raised again with the self-check named in its route.
+    agree_bits of the value against fn(ctx.widened(ctx.bits)), the doubled run;
+    a ConvergenceError there is raised again with the self-check named.
     """
     proofs = []
     token = _PROOFS.set(proofs)
@@ -432,7 +438,7 @@ def certify(fn, ctx: PrecisionContext):
             bits = _bits(radius, max(abs(first), ctx.mp.one), ctx)
             if ctx.passes(bits):
                 return first, bits
-    doubled = ctx.doubled()
+    doubled = ctx.widened(ctx.bits)
     try:
         second = fn(doubled)
     except ConvergenceError as exc:

@@ -328,19 +328,14 @@ _THETA_ROUTES = {
 }
 
 
-def _rr_function(q, ctx: PrecisionContext, backend: str, triangular: bool):
-    """(value, radius) of G (triangular=False) or H (triangular=True) by the
-    series or product backend.
-
-    The product backend is theta_G/E or theta_H/E (see ``_theta_quotient``)
-    and proves no radius.
-    """
+def _rr_function(q, ctx: PrecisionContext, backend: str, name: str, first: int):
+    """G (name "G", first 1) or H ("H", 2): the series ``_rr_sum`` at
+    (first, 2, 1), or the product theta_G/E or theta_H/E (``_theta_quotient``),
+    which proves no radius."""
     if backend == "series":
-        if triangular:
-            return _rr_sum(q, ctx, "H series", 2, 2, 1)
-        return _rr_sum(q, ctx, "G series", 1, 2, 1)
+        return _prove(*_rr_sum(q, ctx, f"{name} series", first, 2, 1))
     if backend == "product":
-        return _theta_quotient(q, ctx, "H" if triangular else "G"), None
+        return _theta_quotient(q, ctx, name)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -349,7 +344,7 @@ def G(q, ctx: PrecisionContext, backend: str = "series"):
 
     The series at q >= 0 proves its radius (``_rr_sum``) to ``certify``.
     """
-    return _prove(*_rr_function(q, ctx, backend, triangular=False))
+    return _rr_function(q, ctx, backend, "G", 1)
 
 
 def H(q, ctx: PrecisionContext, backend: str = "series"):
@@ -357,7 +352,7 @@ def H(q, ctx: PrecisionContext, backend: str = "series"):
 
     The series at q >= 0 proves its radius (``_rr_sum``) to ``certify``.
     """
-    return _prove(*_rr_function(q, ctx, backend, triangular=True))
+    return _rr_function(q, ctx, backend, "H", 2)
 
 
 def R_product(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext] = None):
@@ -482,16 +477,15 @@ def finite_nu(n: int, a, q):
 # -- exact series expansions ---------------------------------------------------
 
 
-def _rr_series(order: int, side: str, triangular: bool) -> FormalSeries:
-    """Exact expansion of G (triangular=False) or H (triangular=True).
+def _rr_series(order: int, side: str, extra: int, residues: tuple) -> FormalSeries:
+    """Exact expansion of G (extra 0, residues (1, 4)) or H (1, (2, 3)).
 
-    'sum' is sum_n q^(n^2 [+n]) / (q;q)_n; 'product' is prod 1/(1 - q^k) over
-    k = 1, 4 (mod 5) for G and k = 2, 3 (mod 5) for H.
+    'sum' is sum_n q^(n^2 + extra n) / (q;q)_n; 'product' is prod 1/(1 - q^k)
+    over the k congruent to the residues mod 5.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if side == "product":
-        residues = (2, 3) if triangular else (1, 4)
         return product_one_minus_inv([k for k in range(1, order + 1) if k % 5 in residues], order)
     if side != "sum":
         raise ValueError(f"unknown side {side!r}")
@@ -500,7 +494,7 @@ def _rr_series(order: int, side: str, triangular: bool) -> FormalSeries:
     # and every later step reads less
     inv = [1] + [0] * order
     n = 1
-    while (shift := n * n + (n if triangular else 0)) <= order:
+    while (shift := n * n + extra * n) <= order:
         top = order - shift + 1
         for r in range(n):  # times 1/(1 - q^n): a prefix sum in each residue class mod n
             inv[r:top:n] = accumulate(inv[r:top:n])
@@ -511,12 +505,12 @@ def _rr_series(order: int, side: str, triangular: bool) -> FormalSeries:
 
 def series_G(order: int, side: str = "sum") -> FormalSeries:
     """Exact expansion of G; 'sum' and 'product' sides must agree."""
-    return _rr_series(order, side, triangular=False)
+    return _rr_series(order, side, 0, (1, 4))
 
 
 def series_H(order: int, side: str = "sum") -> FormalSeries:
     """Exact expansion of H; 'sum' and 'product' sides must agree."""
-    return _rr_series(order, side, triangular=True)
+    return _rr_series(order, side, 1, (2, 3))
 
 
 def series_R(order: int) -> FormalSeries:

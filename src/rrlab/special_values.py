@@ -15,6 +15,7 @@ them against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -49,7 +50,29 @@ _CONSTANTS = ("pi", "e", "phi")
 
 
 def evaluate(expr, ctx: PrecisionContext):
-    """Numeric value of a closed form at context precision (deterministic)."""
+    """Numeric value of a closed form at context precision (deterministic).
+
+    Each sum measures the bits it cancels, log2(max |term| / |sum|).  A closed
+    form whose sums lose more than guard_bits in all is evaluated once more on
+    the context widened by that loss and rounded back.
+    """
+    losses = []
+    value = _evaluate(expr, ctx, losses)
+    if sum(losses) > ctx.guard_bits:
+        wide = _evaluate(expr, ctx.widened(math.ceil(sum(losses))), [])
+        value = (ctx.mp.mpc if hasattr(wide, "_mpc_") else ctx.mp.mpf)(wide)
+    return value
+
+
+def _log2(x) -> float:
+    """log2|x| for a nonzero number, read off the mantissa of |x|."""
+    _, man, exp, _ = (x if hasattr(x, "_mpf_") else abs(x))._mpf_
+    return math.log2(man) + exp
+
+
+def _evaluate(expr, ctx: PrecisionContext, losses: list):
+    """The value of a closed form at the context; each sum appends the bits it
+    cancels to losses (all of them, ctx.bits, when it cancels to 0)."""
     mp = ctx.mp
     if isinstance(expr, int):
         return mp.mpf(expr)
@@ -57,23 +80,26 @@ def evaluate(expr, ctx: PrecisionContext):
         return golden_phi(ctx) if expr == "phi" else +getattr(mp, expr)
     op, *args = expr if isinstance(expr, tuple) and expr else (None,)
     if op == "+":
+        terms = [_evaluate(t, ctx, losses) for t in args]
         total = mp.mpf(0)
-        for t in args:
-            total += evaluate(t, ctx)
+        for t in terms:
+            total += t
+        top = max((_log2(t) for t in terms if t), default=0.0)
+        losses.append(max(top - _log2(total), 0.0) if total else ctx.bits)
         return total
     if op == "*":
         total = mp.mpf(1)
         for f in args:
-            total *= evaluate(f, ctx)
+            total *= _evaluate(f, ctx, losses)
         return total
     if op == "-":
-        return -evaluate(args[0], ctx)
+        return -_evaluate(args[0], ctx, losses)
     if op == "/":
-        return evaluate(args[0], ctx) / evaluate(args[1], ctx)
+        return _evaluate(args[0], ctx, losses) / _evaluate(args[1], ctx, losses)
     if op == "root":
-        return root(evaluate(args[1], ctx), args[0], RootMode.PRINCIPAL, ctx)
+        return root(_evaluate(args[1], ctx, losses), args[0], RootMode.PRINCIPAL, ctx)
     if op == "^":
-        base, e = evaluate(args[0], ctx), args[1]
+        base, e = _evaluate(args[0], ctx, losses), args[1]
         if e.denominator == 1:
             return base**e.numerator
         return root(base, e.denominator, RootMode.PRINCIPAL, ctx) ** e.numerator

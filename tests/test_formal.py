@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rrlab.formal import (
     FormalSeries,
     constant,
-    euler_product,
     product_one_minus,
     product_one_minus_inv,
     stretched_product,
@@ -103,20 +102,27 @@ def test_reciprocal_requires_unit_lead(lead):
         FormalSeries([lead, 1], 0, 3).reciprocal()
 
 
-def test_division_only_by_a_series():
+def test_no_division_operator():
+    # a quotient is a product with the reciprocal; `/` is not defined
     s = FormalSeries([1, 1], 0, 3)
-    assert (s / s).coeffs_through(3) == [1, 0, 0, 0]
-    for scalar in (2, Fraction(1, 2), 0.5):
+    assert (s * s.reciprocal()).coeffs_through(3) == [1, 0, 0, 0]
+    for other in (s, 2, Fraction(1, 2), 0.5):
         with pytest.raises(TypeError):
-            s / scalar
+            s / other
 
 
 def test_pow():
     s = FormalSeries([1, 1], 0, 6)
     assert (s**3).coeffs_through(3) == [1, 3, 3, 1]
     assert (s**0).coeff(0) == 1
-    inv2 = s**-2
+    inv2 = s.reciprocal() ** 2
     assert (inv2 * s * s).coeffs_through(4) == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("m", [-1, -2, -7])
+def test_negative_power_raises(m):
+    with pytest.raises(ValueError, match="negative power"):
+        FormalSeries([1, 1], 0, 6) ** m
 
 
 def test_shift_and_stretch():
@@ -135,14 +141,13 @@ def test_truncate():
     assert t.order == 1 and t.coeffs == [1, 2]
 
 
-def test_same_through_and_mismatch():
+def test_first_mismatch():
     a = FormalSeries([1, 2, 3], 0, 2)
     b = FormalSeries([1, 2, 4], 0, 2)
-    assert a.same_through(b, 1)
-    assert not a.same_through(b, 2)
+    assert a.first_mismatch(b, 1) is None
     assert a.first_mismatch(b, 2) == 2
-    with pytest.raises(IndexError):
-        a.same_through(b, 3)
+    with pytest.raises(IndexError):  # equal through the order, unknown past it
+        a.first_mismatch(FormalSeries([1, 2, 3, 0], 0, 3), 3)
 
 
 def test_json_roundtrip():
@@ -162,7 +167,7 @@ def test_euler_product_pentagonal_numbers():
 @pytest.mark.parametrize("order", [*range(1, 30), 500])
 def test_pentagonal_euler_product_equals_the_product(order):
     # the pentagonal number theorem against the factor-by-factor product
-    pentagonal = euler_product(order)
+    pentagonal = theta_series(3, 1, order)
     assert pentagonal.coeffs == product_one_minus(range(1, order + 1), order).coeffs
     assert (pentagonal.offset, pentagonal.order) == (0, order)
 
@@ -195,7 +200,7 @@ def test_stretched_product_matches_the_stretched_multiply(s, a_offset, b_offset)
 
 def test_stretched_product_of_a_zero_class():
     b = FormalSeries([1, 0, 0, 0, 0, 2], 0, 9)  # classes 1..4 mod 5 are zero
-    assert stretched_product(euler_product(3), 5, b) == euler_product(3).stretch(5) * b
+    assert stretched_product(theta_series(3, 1, 3), 5, b) == theta_series(3, 1, 3).stretch(5) * b
 
 
 def test_euler_inverse_is_partition_count():

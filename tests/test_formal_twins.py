@@ -58,17 +58,15 @@ def old_r(order):
 
 
 def old_cf_vs_product(order):
-    """The fraction truncation in series arithmetic by cf.eval_finite, against R."""
+    """The fraction truncation in series arithmetic, against R: the backward
+    recurrence v <- b_k + q^k / v from v = 1 at the depth, b_0 = 0 and b_k = 1."""
     q_order = order // 5 + 1
     depth = 2
     while depth * (depth - 1) // 2 <= q_order:
         depth += 1
-    one = FormalSeries([1], 0, q_order)
-
-    def terms(k):
-        return (one if k == 1 else FormalSeries([1], k - 1, q_order), one)
-
-    value = cf.eval_finite(cf.CFSpec(b0=FormalSeries([0], 0, q_order), terms=terms), depth)
+    value = FormalSeries([1], 0, q_order)
+    for k in range(depth - 1, -1, -1):
+        value = FormalSeries([1], k, q_order) * value.reciprocal() + (1 if k else 0)
     return value.stretch(5).shift(1).truncate(order), qseries.series_R(order)
 
 

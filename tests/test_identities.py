@@ -21,7 +21,7 @@ from rrlab.identities import (
     verify,
 )
 from rrlab.cf import ConvergenceError, eval_infinite
-from rrlab.numerics import PrecisionContext, agree_bits, golden_phi
+from rrlab.numerics import Nome, PrecisionContext, agree_bits, golden_phi
 from rrlab.qseries import R_product
 
 # sqrt(pi*e/2), computed independently at 320 bits
@@ -119,10 +119,22 @@ def test_factorization_2_left_side_earns_its_bits_relative():
     # 1/sqrt(t) - phi sqrt(t) cancels at q = 1/2; evaluated at the raised width it
     # measures, it agrees with its 512-bit recomputation in relative terms
     ctx = PrecisionContext(256, 32)
-    doubled = ctx.doubled()
+    doubled = ctx.widened(ctx.bits)
     lhs, _ = factorization_sides(golden_phi(ctx), ctx.real(Fraction(1, 2)), ctx)
     ref, _ = factorization_sides(golden_phi(doubled), doubled.real(Fraction(1, 2)), doubled)
     assert agree_bits(lhs / ref, 1, ctx) >= ctx.bits - ctx.guard_bits
+
+
+@pytest.mark.parametrize("qf", ["1/20", "1/5", "7/20", "1/2"])
+def test_r_identity_2_left_side_is_widened_by_its_cancellation(qf):
+    # 1/R^5 - 11 - R^5 cancels 4, 8 and 13 bits at q = 1/5, 7/20 and 1/2 (1 at
+    # 1/20); formed again on the widened context it agrees with a 1024-bit
+    # evaluation at the same q to at least 256 bits (249 to 253 unwidened)
+    ctx, big = PrecisionContext(256, 32), PrecisionContext(1024, 32)
+    q = ctx.real(Fraction(qf))
+    (_, lhs, _), = identities._r_identity_2(Nome.rational(Fraction(qf)), ctx)
+    r5 = R_product(q, ctx=big) ** 5
+    assert agree_bits(lhs, 1 / r5 - 11 - r5, big) >= 256
 
 
 def test_k_param_bound_and_grid(ctx):

@@ -83,8 +83,9 @@ def test_radius_contains_the_doubled_run(name, nome, bits, guard):
     ctx = PrecisionContext(bits, guard)
     fn = _fn(name, nome)
     first, r1 = _ball(fn, ctx)
-    second, r2 = _ball(fn, ctx.doubled())
-    mp = ctx.doubled().mp
+    doubled = ctx.widened(ctx.bits)
+    second, r2 = _ball(fn, doubled)
+    mp = doubled.mp
     gap = abs(mp.fsub(first, second, exact=True))
     assert gap <= mp.fadd(r1, r2, exact=True)
 

@@ -177,8 +177,8 @@ def test_finite_form_matches_cf_exactly():
 
 
 def test_series_G_sum_vs_product_order_60():
-    assert series_G(60).same_through(series_G(60, side="product"), 60)
-    assert series_H(60).same_through(series_H(60, side="product"), 60)
+    assert series_G(60).first_mismatch(series_G(60, side="product"), 60) is None
+    assert series_H(60).first_mismatch(series_H(60, side="product"), 60) is None
 
 
 def test_series_sum_vs_product_every_low_order():

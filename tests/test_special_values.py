@@ -46,6 +46,28 @@ def test_expr_evaluation_and_equality(ctx):
             expr_str(bad)
 
 
+@pytest.mark.parametrize("guard", [1, 2, 4, 8, 12, 16, 20, 24, 32])
+def test_closed_forms_earn_bits_minus_guard_bits(guard):
+    # eq8's sums lose about 20 bits, eq5's 14: a closed form whose sums lose
+    # more than the guard is evaluated again wider, so each earns its
+    # bits - guard_bits against a 1024-bit evaluation
+    ctx, big = PrecisionContext(256, guard), PrecisionContext(1024, 32)
+    for e in registry():
+        assert agree_bits(evaluate(e.closed_form, ctx), evaluate(e.closed_form, big), ctx) >= 256 - guard, e.name
+
+
+def test_closed_forms_widen_only_past_the_guard(ctx):
+    # at the default 32 guard bits no closed form loses enough to be redone;
+    # at 8, eq5, eq7, eq7-explicit and eq8 are
+    losses = {e.name: [] for e in registry()}
+    for e in registry():
+        special_values._evaluate(e.closed_form, ctx, losses[e.name])
+    assert max(sum(v) for v in losses.values()) < ctx.guard_bits
+    assert {n for n, v in losses.items() if sum(v) > 8} == {"eq5", "eq7", "eq7-explicit", "eq8"}
+    plain = {e.name: special_values._evaluate(e.closed_form, ctx, []) for e in registry()}
+    assert all(evaluate(e.closed_form, ctx) == plain[e.name] for e in registry())
+
+
 def test_expr_str_is_readable():
     assert expr_str(("/", ("+", 1, ("root", 2, 5)), 2)) == "((1 + sqrt(5))/2)"
     assert expr_str(("*", ("root", 3, "phi"), ("^", 5, Fraction(1, 4)))) == "root(3, phi)*5^(1/4)"
