@@ -515,7 +515,7 @@ def rr_cfspec(q) -> CFSpec:
     return CFSpec(b0=0, terms=terms)
 
 
-def rr_cf(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext] = None) -> CFResult:
+def rr_cf(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL) -> CFResult:
     """Evaluate R(q) for 0 < |q| < 1 or q = +-1.
 
     A converged fraction is multiplied by root(q, 5, mode); any other result
@@ -523,8 +523,6 @@ def rr_cf(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext
     (DivergenceError).  Unimodular q other than +-1 must go through the
     root-of-unity interface, which handles the primitive-root classification.
     """
-    if ctx is None:
-        ctx = PrecisionContext()
     qv = ctx.number(q)
     if qv == 0:
         raise ValueError("R(q) requires q != 0")
@@ -587,14 +585,12 @@ def schur_classify(n: int) -> SchurClassification:
     return SchurClassification(n=n, diverges=False, lam=lam, rho=rho, exponent=num // 5)
 
 
-def rr_at_root_of_unity(n: int, j: int = 1, ctx: Optional[PrecisionContext] = None):
+def rr_at_root_of_unity(n: int, j: int, ctx: PrecisionContext):
     """Value of R at q = exp(2*pi*i*j/n) by the classification formula.
 
     Returns lam * q^e * R(lam) with e the classification exponent,
     R(+1) = (sqrt(5)-1)/2 and R(-1) = -phi.  Raises DivergenceError if 5 | n.
     """
-    if ctx is None:
-        ctx = PrecisionContext()
     if math.gcd(j, n) != 1:
         raise ValueError(f"j={j} is not coprime to n={n}: q is not a primitive root")
     cls = schur_classify(n)
@@ -621,7 +617,7 @@ def rr_root_of_unity_spec(n: int, j: int = 1) -> CFSpec:
     return CFSpec(b0=0, terms=terms, period=n)
 
 
-def rr_root_of_unity_direct(n: int, j: int = 1, ctx: Optional[PrecisionContext] = None) -> CFResult:
+def rr_root_of_unity_direct(n: int, j: int, ctx: PrecisionContext) -> CFResult:
     """Evaluate R at a primitive n-th root of unity from the fraction itself.
 
     The prefactor-free fraction is periodic with period n, so eval_infinite
@@ -632,8 +628,6 @@ def rr_root_of_unity_direct(n: int, j: int = 1, ctx: Optional[PrecisionContext] 
     Where the fraction has no limit (5 | n) the result is DIVERGES after n
     iterations, with no value.
     """
-    if ctx is None:
-        ctx = PrecisionContext()
     spec = rr_root_of_unity_spec(n, j)  # first: it rejects n <= 0
     if math.gcd(j, n) != 1:
         raise ValueError(f"j={j} is not coprime to n={n}: q is not a primitive root")

@@ -21,7 +21,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import cf as _cf
@@ -64,7 +63,7 @@ def _eval_target(target: str, nome: Optional[Nome], mode: RootMode, ctx: Precisi
     if target == "cf2":
         return _id.cf2_value(ctx)
     if target == "R":
-        res = _cf.rr_cf(nome, mode, ctx)
+        res = _cf.rr_cf(nome, ctx, mode)
         return res.require("R continued fraction"), res.iterations
     fn = {"S": _qs.S, "G": _qs.G, "H": _qs.H, "phi": _qs.theta_phi, "chi": _qs.chi}[target]
     return fn(nome, ctx), None
@@ -231,7 +230,7 @@ def cmd_series(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     ctx = _context(args)
-    x = Fraction(args.x)
+    x = args.x.arg  # parsed by Nome.rational, the CLI's one rational parser
     record = _id.asymptotic_check(x, ctx)
     payload = {k: ctx.decimal(v) for k, v in record.items()}
     payload["x"] = str(x)
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(fn=cmd_series)
 
     p_asym = sub.add_parser("asymptotic", help="small-x approximation of the cf2 fraction")
-    p_asym.add_argument("x", help="rational x in (0, 1/2]")
+    p_asym.add_argument("x", type=Nome.rational, help="rational x in (0, 1/2]")
     p_asym.set_defaults(fn=cmd_asymptotic)
 
     for p in (p_eval, p_values, p_verify, p_schur, p_series, p_asym):

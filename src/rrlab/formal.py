@@ -91,10 +91,6 @@ class FormalSeries:
             return 0
         return self.coeffs[e - self.offset]
 
-    def coeffs_through(self, e: int, start: int = 0) -> list:
-        """Coefficients of x^start .. x^e as a plain list."""
-        return [self.coeff(i) for i in range(start, e + 1)]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _binary_add(self, other, sign: int):

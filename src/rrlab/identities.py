@@ -1,9 +1,9 @@
 """Identity verification registry: numeric sweeps and exact checks.
 
-Each registered identity is a tuple of (grid, sides) tables: the grid lists
-labelled points and the sides give the left and right value at each point.
-The package's one record rule, ``numerics.record``, judges every record by the
-type of its values.  Numbers pass when they agree to bits - guard_bits
+The registry ``_CASES`` maps each identity id to its (grid, sides) tables: the
+grid lists labelled points and the sides give the left and right value at each
+point.  The package's one record rule, ``numerics.record``, judges every record
+by the type of its values.  Numbers pass when they agree to bits - guard_bits
 bits relative to max(|lhs|, |rhs|, 1); exact values (integers, fractions,
 status strings) pass when equal; exact series pass when they agree
 coefficient by coefficient through the lower of their orders.
@@ -23,7 +23,6 @@ from .formal import FormalSeries, stretched_product, theta_series
 from .numerics import Nome, PrecisionContext, RootMode, _fixed, golden_phi, record, root
 
 __all__ = [
-    "IdentityCase",
     "VerificationReport",
     "UnknownIdentityError",
     "identity_ids",
@@ -39,36 +38,19 @@ class UnknownIdentityError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    """An identity checked over tables of (grid, sides) pairs.
-
-    grid(samples, series_order) lists (label, point) pairs.  At each point
-    sides(point, ctx) yields (suffix, lhs, rhs) triples, each becoming the
-    record labelled label + suffix, or a string, which becomes the exclusion
-    note label + string.
-    """
-
-    id: str
-    description: str
-    tables: tuple
-
-
 @dataclass
 class VerificationReport:
     id: str
-    bits: int
     records: list = field(default_factory=list)
     excluded: list = field(default_factory=list)
     max_deviation: object = 0
     status: str = "pass"
-    notes: str = ""
 
     def to_json(self, ctx: PrecisionContext) -> dict:
         fmt = ctx.decimal
         return {
             "id": self.id,
-            "context": {"bits": self.bits, "tol": fmt(ctx.tol)},
+            "context": {"bits": ctx.bits, "tol": fmt(ctx.tol)},
             "records": [
                 {
                     "point": r["point"],
@@ -82,7 +64,6 @@ class VerificationReport:
             "excluded": list(self.excluded),
             "max_deviation": fmt(self.max_deviation),
             "status": self.status,
-            "notes": self.notes,
         }
 
 
@@ -106,11 +87,11 @@ def _point(label: str):
 
 
 def _R(q, ctx: PrecisionContext):
-    return _qs.R_product(q, RootMode.PRINCIPAL, ctx)
+    return _qs.R_product(q, ctx)
 
 
 def _R_cf(q, ctx: PrecisionContext):
-    return _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).require("R continued fraction")
+    return _cf.rr_cf(q, ctx).require("R continued fraction")
 
 
 def _euler_prod(q, ctx):
@@ -516,97 +497,38 @@ def _formal_r_identity_2(order: int, ctx: PrecisionContext):
 # -- registry and driver -------------------------------------------------------------
 
 
+# Each id maps to its (grid, sides) tables.  grid(samples, series_order) lists
+# (label, point) pairs; at each point sides(point, ctx) yields (suffix, lhs, rhs)
+# triples, each the record labelled label + suffix, or a string, which becomes
+# the exclusion note label + string.
 _CASES = {
-    c.id: c
-    for c in (
-        IdentityCase(
-            "entry15a",
-            "two-variable fraction equals the quotient of double series",
-            ((_entry15a_grid(_ENTRY15A_VALUES), _entry15a),),
-        ),
-        IdentityCase(
-            "entry15a-corollary",
-            "a = 0 special case of the two-variable fraction",
-            ((_entry15a_grid((Fraction(0),)), _entry15a),),
-        ),
-        IdentityCase(
-            "cf-vs-product",
-            "continued fraction equals q^(1/5) H(q)/G(q)",
-            (
-                (_q_grid, _cf_vs_product),
-                (_point("fraction truncations vs t*H/G in t"), _formal_cf_vs_product),
-            ),
-        ),
-        IdentityCase(
-            "modular-relation",
-            "(phi + R(e^-2a))(phi + R(e^-2b)) = (5+sqrt5)/2 when ab = pi^2",
-            ((_modular_grid, _modular_relation),),
-        ),
-        IdentityCase(
-            "R-identity-1",
-            "1/R - 1 - R equals the eta-type quotient",
-            (
-                (_q_grid, _r_identity_1),
-                (_point("t*(1/R - 1 - R) vs (t;t)/(t^25;t^25) in t"), _formal_r_identity_1),
-            ),
-        ),
-        IdentityCase(
-            "R-identity-2",
-            "1/R^5 - 11 - R^5 equals the sixth-power quotient",
-            (
-                (_q_grid, _r_identity_2),
-                (_point("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q"), _formal_r_identity_2),
-            ),
-        ),
-        IdentityCase(
-            "factorization-1",
-            "factorization with the negative root constant",
-            ((_q_grid, _factorization(_gamma_minus)),),
-        ),
-        IdentityCase(
-            "factorization-2",
-            "factorization with the positive root constant",
-            ((_q_grid, _factorization(golden_phi)),),
-        ),
-        IdentityCase(
-            "factorization-product",
-            "product of the two factorizations recovers 1/R - 1 - R",
-            ((_q_grid, _factorization_product),),
-        ),
-        IdentityCase(
-            "cubic",
-            "(v - u^3)(1 + u v^3) = 3 u^2 v^2 with u = R(q), v = R(q^3)",
-            ((_q_grid, _cubic),),
-        ),
-        IdentityCase(
-            "k-param",
-            "k = R(q) R^2(q^2) parametrizes R^5(q), R^5(q^2), and R(q^(1/2))",
-            ((_q_grid, _k_param),),
-        ),
-        IdentityCase(
-            "quintic-corollary",
-            "1/R(q) - R(q^4) = 2/u and 1/R(q^4) - R(q) = 2/v",
-            ((_quintic_grid, _quintic_corollary),),
-        ),
-        IdentityCase(
-            "finite-form",
-            "mu_n / nu_n equals the depth-n fraction exactly",
-            ((_finite_grid, _finite_form),),
-        ),
-        IdentityCase(
-            "schur-consistency",
-            "root-of-unity classification against direct evaluation",
-            (
-                (_point("lam*rho*n = 1 (mod 5) for n <= 10^4"), _schur_witness),
-                (_schur_grid, _schur),
-            ),
-        ),
-        IdentityCase(
-            "jims",
-            "double-factorial series plus cf2 equals sqrt(pi*e/2)",
-            ((_point("series + cf2 vs sqrt(pi*e/2)"), _jims),),
-        ),
-    )
+    "entry15a": ((_entry15a_grid(_ENTRY15A_VALUES), _entry15a),),
+    "entry15a-corollary": ((_entry15a_grid((Fraction(0),)), _entry15a),),
+    "cf-vs-product": (
+        (_q_grid, _cf_vs_product),
+        (_point("fraction truncations vs t*H/G in t"), _formal_cf_vs_product),
+    ),
+    "modular-relation": ((_modular_grid, _modular_relation),),
+    "R-identity-1": (
+        (_q_grid, _r_identity_1),
+        (_point("t*(1/R - 1 - R) vs (t;t)/(t^25;t^25) in t"), _formal_r_identity_1),
+    ),
+    "R-identity-2": (
+        (_q_grid, _r_identity_2),
+        (_point("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q"), _formal_r_identity_2),
+    ),
+    "factorization-1": ((_q_grid, _factorization(_gamma_minus)),),
+    "factorization-2": ((_q_grid, _factorization(golden_phi)),),
+    "factorization-product": ((_q_grid, _factorization_product),),
+    "cubic": ((_q_grid, _cubic),),
+    "k-param": ((_q_grid, _k_param),),
+    "quintic-corollary": ((_quintic_grid, _quintic_corollary),),
+    "finite-form": ((_finite_grid, _finite_form),),
+    "schur-consistency": (
+        (_point("lam*rho*n = 1 (mod 5) for n <= 10^4"), _schur_witness),
+        (_schur_grid, _schur),
+    ),
+    "jims": ((_point("series + cf2 vs sqrt(pi*e/2)"), _jims),),
 }
 
 
@@ -624,13 +546,13 @@ def verify(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     try:
-        case = _CASES[id]
+        tables = _CASES[id]
     except KeyError:
         raise UnknownIdentityError(
             f"unknown identity {id!r}; known: {', '.join(identity_ids())}"
         ) from None
-    report = VerificationReport(id=id, bits=ctx.bits)
-    for grid, sides in case.tables:
+    report = VerificationReport(id=id)
+    for grid, sides in tables:
         for label, point in grid(samples, series_order):
             for item in sides(point, ctx):
                 if isinstance(item, str):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from operator import add
-from typing import Optional
 
 from .formal import FormalSeries, product_one_minus_inv, theta_series
 from .numerics import PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
@@ -355,31 +354,27 @@ def H(q, ctx: PrecisionContext, backend: str = "series"):
     return _rr_function(q, ctx, backend, "H", 2)
 
 
-def R_product(q, mode: RootMode = RootMode.PRINCIPAL, ctx: Optional[PrecisionContext] = None):
+def R_product(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL):
     """R(q) = q^(1/5) * H(q)/G(q) = q^(1/5) * theta_H(q)/theta_G(q), the product side."""
-    if ctx is None:
-        ctx = PrecisionContext()
     qv = ctx.number(q)
     if qv == 0 or abs(qv) >= 1:
         raise ValueError("R_product requires 0 < |q| < 1")
     return root(qv, 5, mode, ctx) * _theta_quotient(qv, ctx, "R")
 
 
-def S(q, ctx: Optional[PrecisionContext] = None, method: str = "cf"):
+def S(q, ctx: PrecisionContext, method: str = "cf"):
     """Alternating counterpart S(q) = -R(-q) for real q in (0, 1].
 
     The default route evaluates the alternating continued fraction (R at -q
     with the real fifth root); the product route is available for |q| < 1.
     """
-    if ctx is None:
-        ctx = PrecisionContext()
     qv = ctx.number(q)
     if not (0 < qv <= 1):
         raise ValueError("S(q) requires real q in (0, 1]")
     if method == "cf":
-        return -_cf.rr_cf(-qv, RootMode.REAL_ODD, ctx).require("S continued fraction")
+        return -_cf.rr_cf(-qv, ctx, RootMode.REAL_ODD).require("S continued fraction")
     if method == "product":
-        return -R_product(-qv, RootMode.REAL_ODD, ctx)
+        return -R_product(-qv, ctx, RootMode.REAL_ODD)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -348,9 +348,9 @@ def _direct_values(entry: SpecialValueEntry, ctx: PrecisionContext) -> dict:
         return out
     q = ctx.number(entry.nome)
     if entry.kind == "R-value":
-        out["cf"] = _cf.rr_cf(q, RootMode.PRINCIPAL, ctx).require("R continued fraction")
+        out["cf"] = _cf.rr_cf(q, ctx).require("R continued fraction")
         if abs(q) < 1:
-            out["product"] = _qs.R_product(q, RootMode.PRINCIPAL, ctx)
+            out["product"] = _qs.R_product(q, ctx)
     else:  # S-value
         out["cf"] = _qs.S(q, ctx, method="cf")
         if q < 1:

@@ -140,7 +140,7 @@ def test_rr_cf_at_one(ctx):
 
 
 def test_rr_cf_at_minus_one_real_odd(ctx):
-    res = rr_cf(-1, RootMode.REAL_ODD, ctx)
+    res = rr_cf(-1, ctx, RootMode.REAL_ODD)
     assert abs(res.value + golden_phi(ctx)) < ctx.tol
 
 

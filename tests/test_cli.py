@@ -247,6 +247,13 @@ def test_asymptotic_domain_error(capsys):
     assert code == 2
 
 
+def test_asymptotic_zero_denominator_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotic", "1/0"])
+    assert exc.value.code == 2
+    assert "argument x: invalid rational value: '1/0'" in capsys.readouterr().err
+
+
 def test_json_output_deterministic(capsys):
     _, out1, _ = run(capsys, "--format", "json", "verify", "jims")
     _, out2, _ = run(capsys, "--format", "json", "verify", "jims")

@@ -16,6 +16,11 @@ from rrlab.formal import (
 from rrlab.qseries import series_G
 
 
+def coeffs_through(s, e):
+    """Coefficients of x^0 .. x^e as a plain list."""
+    return [s.coeff(i) for i in range(e + 1)]
+
+
 def geometric(order):
     # 1/(1-x)
     return FormalSeries([1] * (order + 1), 0, order)
@@ -55,7 +60,7 @@ def test_add_sub_known_range():
     b = FormalSeries([1], 1, 5)
     c = a + b
     assert c.order == 2
-    assert c.coeffs_through(2) == [1, 2, 1]
+    assert coeffs_through(c, 2) == [1, 2, 1]
     d = a - a
     assert d.is_zero()
 
@@ -64,7 +69,7 @@ def test_mul_basic_and_range():
     one_minus = FormalSeries([1, -1], 0, 10)
     geo = geometric(10)
     prod = one_minus * geo
-    assert prod.coeffs_through(10) == [1] + [0] * 10
+    assert coeffs_through(prod, 10) == [1] + [0] * 10
     # known range: both known 11 terms from exponent 0
     assert prod.order == 10
 
@@ -80,7 +85,7 @@ def test_mul_laurent_offsets():
 def test_reciprocal_roundtrip():
     s = FormalSeries([1, 2, 3, 4, 5], 0, 4)
     r = s.reciprocal()
-    assert (s * r).coeffs_through(4) == [1, 0, 0, 0, 0]
+    assert coeffs_through(s * r, 4) == [1, 0, 0, 0, 0]
 
 
 def test_reciprocal_of_laurent():
@@ -105,7 +110,7 @@ def test_reciprocal_requires_unit_lead(lead):
 def test_no_division_operator():
     # a quotient is a product with the reciprocal; `/` is not defined
     s = FormalSeries([1, 1], 0, 3)
-    assert (s * s.reciprocal()).coeffs_through(3) == [1, 0, 0, 0]
+    assert coeffs_through(s * s.reciprocal(), 3) == [1, 0, 0, 0]
     for other in (s, 2, Fraction(1, 2), 0.5):
         with pytest.raises(TypeError):
             s / other
@@ -113,10 +118,10 @@ def test_no_division_operator():
 
 def test_pow():
     s = FormalSeries([1, 1], 0, 6)
-    assert (s**3).coeffs_through(3) == [1, 3, 3, 1]
+    assert coeffs_through(s**3, 3) == [1, 3, 3, 1]
     assert (s**0).coeff(0) == 1
     inv2 = s.reciprocal() ** 2
-    assert (inv2 * s * s).coeffs_through(4) == [1, 0, 0, 0, 0]
+    assert coeffs_through(inv2 * s * s, 4) == [1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("m", [-1, -2, -7])
@@ -161,7 +166,7 @@ def test_euler_product_pentagonal_numbers():
     # (x;x)_inf = 1 - x - x^2 + x^5 + x^7 - x^12 - x^15 + ...
     e = product_one_minus(range(1, 16), 15)
     expected = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1]
-    assert e.coeffs_through(15) == expected
+    assert coeffs_through(e, 15) == expected
 
 
 @pytest.mark.parametrize("order", [*range(1, 30), 500])
@@ -205,14 +210,14 @@ def test_stretched_product_of_a_zero_class():
 
 def test_euler_inverse_is_partition_count():
     p = product_one_minus_inv(range(1, 11), 10)
-    assert p.coeffs_through(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert coeffs_through(p, 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
 def test_product_inverse_roundtrip():
     ks = [1, 2, 3, 5, 8]
     a = product_one_minus(ks, 20)
     b = product_one_minus_inv(ks, 20)
-    assert (a * b).coeffs_through(20) == [1] + [0] * 20
+    assert coeffs_through(a * b, 20) == [1] + [0] * 20
 
 
 small_series = st.builds(
@@ -250,7 +255,7 @@ def test_reciprocal_property(coeffs):
     s = FormalSeries([1] + coeffs, 0, len(coeffs))
     r = s.reciprocal()
     prod = s * r
-    assert prod.coeffs_through(prod.order) == [1] + [0] * prod.order
+    assert coeffs_through(prod, prod.order) == [1] + [0] * prod.order
 
 
 def test_zero_series_behaviour():
@@ -384,4 +389,4 @@ def test_mul_at_slot_width_edges(n):
 
 def test_reciprocal_of_G_through_order_3000():
     g = series_G(3000)
-    assert (g * g.reciprocal()).coeffs_through(3000) == [1] + [0] * 3000
+    assert coeffs_through(g * g.reciprocal(), 3000) == [1] + [0] * 3000

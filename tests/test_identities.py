@@ -8,7 +8,6 @@ from rrlab import cf, identities
 from rrlab.cli import main
 from rrlab.formal import FormalSeries
 from rrlab.identities import (
-    IdentityCase,
     UnknownIdentityError,
     _entry15a_series_quotient,
     VerificationReport,
@@ -194,6 +193,7 @@ def test_report_json_schema_and_determinism(ctx):
     j2 = json.dumps(rep2.to_json(ctx), sort_keys=True)
     assert j1 == j2
     data = rep1.to_json(ctx)
+    assert set(data) == {"id", "context", "records", "excluded", "max_deviation", "status"}
     assert data["id"] == "cubic"
     assert set(data["context"]) == {"bits", "tol"}
     for rec in data["records"]:
@@ -258,7 +258,7 @@ def test_report_json_schema_and_determinism(ctx):
 def test_record_rule(monkeypatch, capsys, ctx, sides, status, expected):
     # one point of a registered identity: the record, the report and the exit code
     table = (identities._point("p"), lambda point, ctx: [("", *sides(ctx))])
-    monkeypatch.setitem(identities._CASES, "probe", IdentityCase("probe", "a probe", (table,)))
+    monkeypatch.setitem(identities._CASES, "probe", (table,))
     rep = verify("probe", ctx)
     assert rep.status == status
     (record,) = rep.records

@@ -123,7 +123,7 @@ def test_S_closed_form_at_exp_pi(ctx):
 
 def test_S_equals_minus_R_at_negated(ctx):
     q = ctx.real(Fraction(3, 10))
-    assert abs(S(q, ctx) + rr_cf(-q, RootMode.REAL_ODD, ctx).value) < ctx.tol
+    assert abs(S(q, ctx) + rr_cf(-q, ctx, RootMode.REAL_ODD).value) < ctx.tol
     assert agree_bits(S(q, ctx), S(q, ctx, method="product"), ctx) >= ctx.bits - ctx.guard_bits
 
 
@@ -195,7 +195,7 @@ def test_series_coefficients():
     h = series_H(10)
     assert g.coeff(4) == 2  # {4}, {1+1+1+1}
     assert h.coeff(4) == 1  # {2+2}
-    assert g.coeffs_through(9) == [1, 1, 1, 1, 2, 2, 3, 3, 4, 5]
+    assert [g.coeff(i) for i in range(10)] == [1, 1, 1, 1, 2, 2, 3, 3, 4, 5]
 
 
 def test_series_R_starts_at_t():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rrlab import special_values
 from rrlab.cf import rr_cf
 from rrlab.cli import main
-from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, certify, golden_phi, record
+from rrlab.numerics import Nome, PrecisionContext, agree_bits, certify, golden_phi, record
 from rrlab.special_values import (
     SpecialValueEntry,
     _c_expr,
@@ -183,8 +183,8 @@ def test_quintic_pipeline_at_exp_pi(ctx):
     mp = ctx.mp
     q = mp.exp(-mp.pi)
     p = p_value(q, ctx)
-    r_direct = rr_cf(q, RootMode.PRINCIPAL, ctx).value
-    r4_direct = rr_cf(q**4, RootMode.PRINCIPAL, ctx).value
+    r_direct = rr_cf(q, ctx).value
+    r4_direct = rr_cf(q**4, ctx).value
     tol60 = mp.mpf(10) ** -60
     # R(q) = u/(sqrt(p+1) + 1) and R(q^4) = v/(sqrt(p+1) + 1)
     u, v = quintic_uv(p, ctx)
