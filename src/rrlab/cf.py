@@ -560,14 +560,6 @@ class SchurClassification:
     rho: Optional[int] = None
     exponent: Optional[int] = None
 
-    def __post_init__(self):
-        if not self.diverges:
-            if (self.lam * self.rho * self.n) % 5 != 1:
-                raise AssertionError(
-                    f"integrality witness failed: lam*rho*n = "
-                    f"{self.lam * self.rho * self.n} != 1 (mod 5) for n={self.n}"
-                )
-
 
 def schur_classify(n: int) -> SchurClassification:
     """Classify R at a primitive n-th root of unity.
@@ -581,7 +573,7 @@ def schur_classify(n: int) -> SchurClassification:
         return SchurClassification(n=n, diverges=True)
     lam = legendre5(n)
     rho = n % 5
-    num = lam * rho * n - 1  # SchurClassification checks that 5 divides it
+    num = lam * rho * n - 1  # 5 divides it: lam*rho*n = 1 (mod 5)
     return SchurClassification(n=n, diverges=False, lam=lam, rho=rho, exponent=num // 5)
 
 

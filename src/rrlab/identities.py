@@ -20,7 +20,7 @@ from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
 from .formal import FormalSeries, stretched_product, theta_series
-from .numerics import Nome, PrecisionContext, RootMode, _fixed, golden_phi, record, root
+from .numerics import Nome, PrecisionContext, RootMode, _fixed, _log2, golden_phi, record, root
 
 __all__ = [
     "VerificationReport",
@@ -72,13 +72,8 @@ class VerificationReport:
 
 def _q_grid(samples: int, series_order: int) -> list:
     """Evenly spaced rational nomes in [1/20, 1/2]; 10 samples gives steps of 1/20."""
-    if samples == 1:
-        qs = [Fraction(1, 20)]
-    else:
-        lo, hi = Fraction(1, 20), Fraction(1, 2)
-        step = (hi - lo) / (samples - 1)
-        qs = [lo + i * step for i in range(samples)]
-    return [(f"q={qf}", Nome.rational(qf)) for qf in qs]
+    lo, step = Fraction(1, 20), Fraction(9, 20) / max(samples - 1, 1)
+    return [(f"q={lo + i * step}", Nome.rational(lo + i * step)) for i in range(samples)]
 
 
 def _point(label: str):
@@ -133,7 +128,7 @@ _ENTRY15A_Q = (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
 
 def _entry15a_grid(a_values):
     return lambda samples, series_order: [
-        (f"a={a}, b={b}, q={qf}", (a, b, qf))
+        (f"a={a}, b={b}, q={qf}", (a, b, Nome.rational(qf)))
         for a in a_values
         for b in _ENTRY15A_VALUES
         for qf in _ENTRY15A_Q
@@ -141,12 +136,12 @@ def _entry15a_grid(a_values):
 
 
 def _entry15a(point, ctx: PrecisionContext):
-    a, b, qf = point
-    q = ctx.real(qf)
+    a, b, nome = point
+    q = ctx.number(nome)
     av, bv = ctx.real(a), ctx.real(b)
     lhs = _entry15a_series_quotient(av, bv, q, ctx)
     res = _cf.eval_infinite(_cf.CFSpec(b0=1, terms=lambda k: (bv * q**k, 1 - av * q**k)), ctx)
-    yield "", lhs, res.require(f"entry15a fraction at a={a}, b={b}, q={qf}")
+    yield "", lhs, res.require(f"entry15a fraction at a={a}, b={b}, q={nome.arg}")
 
 
 def _cf_vs_product(nome, ctx: PrecisionContext):
@@ -159,13 +154,10 @@ def _modular_grid(samples, series_order):
 
 
 def _modular_relation(j, ctx: PrecisionContext):
-    mp = ctx.mp
+    """R at e^(-2 alpha) = Nome.exp(j), alpha = j pi/2, and at e^(-2 pi^2/alpha)."""
     phi = golden_phi(ctx)
-    alpha = j * mp.pi / 2
-    beta = mp.pi**2 / alpha
-    r1 = _R(mp.exp(-2 * alpha), ctx)
-    r2 = _R(mp.exp(-2 * beta), ctx)
-    yield "", (phi + r1) * (phi + r2), (5 + mp.sqrt(5)) / 2
+    r1, r2 = (_R(Nome.exp(s), ctx) for s in (j, Fraction(4, j)))
+    yield "", (phi + r1) * (phi + r2), (5 + ctx.mp.sqrt(5)) / 2
 
 
 def _r_identity_1(nome, ctx: PrecisionContext):
@@ -192,19 +184,23 @@ def _real_sum(terms, ctx: PrecisionContext):
     mp = ctx.mp
     parts = terms(ctx)
     total = sum(parts[1:], parts[0])
-    extra = math.ceil(mp.log(max(map(abs, parts)) / abs(total), 2))
+    extra = math.ceil(max(_log2(mp.mpf(p)) for p in parts) - _log2(total))
     if extra > 0:
         parts = terms(ctx.widened(extra))
         total = mp.mpf(sum(parts[1:], parts[0]))
     return total
 
 
-def factorization_sides(gamma, q, ctx: PrecisionContext):
-    """Sides of the factorization with root constant gamma in {(1-sqrt5)/2, (1+sqrt5)/2}.
+def _gamma(sign: int, ctx: PrecisionContext):  # the factorization's root constant
+    return (1 + sign * ctx.mp.sqrt(5)) / 2
+
+
+def factorization_sides(sign: int, q, ctx: PrecisionContext):
+    """Sides of the factorization with root constant gamma = (1 + sign*sqrt5)/2.
 
     Left: 1/sqrt(t) - gamma*sqrt(t) with t = R(q).  Right: q^(-1/10) *
     sqrt((q;q)_inf / (q^5;q^5)_inf) * prod_{n>=1} 1/(1 + gamma*x^n + x^(2n))
-    with x = q^(1/5).  For gamma > 0 the left side cancels, so it is a
+    with x = q^(1/5).  For sign 1 the left side cancels, so it is a
     ``_real_sum``: R and gamma are formed again on the context widened by the
     bits it measures.
     """
@@ -212,51 +208,45 @@ def factorization_sides(gamma, q, ctx: PrecisionContext):
 
     def terms(c):
         st = c.mp.sqrt(_R(q, c))
-        return 1 / st, -(1 + c.mp.sign(gamma) * c.mp.sqrt(5)) / 2 * st
+        return 1 / st, -_gamma(sign, c) * st
 
     lhs = _real_sum(terms, ctx)
     x = root(q, 5, RootMode.PRINCIPAL, ctx)
     rhs = q ** (-mp.mpf(1) / 10) * mp.sqrt(_euler_prod(q, ctx) / _euler_prod(q**5, ctx))
-    return lhs, rhs / _factorization_denominator(gamma, x, ctx)
+    return lhs, rhs / _factorization_denominator(sign, x, ctx)
 
 
-def _factorization_denominator(gamma, x, ctx: PrecisionContext):
-    """prod_{n>=1} (1 + gamma*x^n + x^(2n)) for real |x| < 1 and gamma = (1 -+ sqrt5)/2.
+def _factorization_denominator(sign: int, x, ctx: PrecisionContext):
+    """prod_{n>=1} (1 + gamma*x^n + x^(2n)) for real |x| < 1 and gamma = (1 + sign*sqrt5)/2.
 
     The Jacobi triple product at z = e^(i theta), 2 cos(theta) = -gamma, makes
     it F/(x;x)_inf with F = sum_{n>=1} (-1)^(n+1) c_n x^(n(n-1)/2), where
     c_n = sin((2n-1) theta/2)/sin(theta/2) has period 5: 1, 1 - gamma, 0,
     gamma - 1, -1 for n = 1, ..., 5 (mod 5).  Grouped by n mod 5, F is
     S_(25,5)(x) + (gamma - 1) x S_(25,15)(x), two parts of one
-    ``qseries._jacobi_sum``, which forms gamma - 1 = (-1 -+ sqrt5)/2 at its own
-    width.  With 2 cos(a) = gamma, 2 cos(b) = -gamma and h = -ln|x|, F cancels
+    ``qseries._jacobi_sum``, which forms gamma - 1 = (-1 + sign*sqrt5)/2 at its
+    own width.  With 2 cos(a) = gamma, 2 cos(b) = -gamma and h = -ln|x|, F cancels
     to about exp(-a^2/(2h)) for x > 0, and for x < 0, where the odd factors
     take -gamma, to about exp(-((a^2 + b^2)/4 - pi^2/8)/h).
     """
-    sign = 1 if gamma > 0 else -1
-
     def weight(w, xw):  # (gamma - 1) x at scale 2^w
         return ((sign * math.isqrt(5 << 2 * w) - (1 << w)) >> 1) * xw >> w
 
-    a, b = math.acos(float(gamma) / 2), math.acos(-float(gamma) / 2)
+    gamma = float(_gamma(sign, ctx))
+    a, b = math.acos(gamma / 2), math.acos(-gamma / 2)
     loss = a * a / 2 if x.real >= 0 else (a * a + b * b) / 4 - math.pi**2 / 8
     f = _qs._jacobi_sum(x, ctx, "factorization sum", ((25, 5, None), (25, 15, weight)), loss)
     return f / _euler_prod(x, ctx)
 
 
-def _gamma_minus(ctx):
-    return (1 - ctx.mp.sqrt(5)) / 2
-
-
-def _factorization(gamma):
-    """Sides of one factorization; gamma(ctx) gives its root constant."""
-    return lambda nome, ctx: [("", *factorization_sides(gamma(ctx), ctx.number(nome), ctx))]
+def _factorization(sign: int):
+    """Sides of the factorization with root constant (1 + sign*sqrt5)/2."""
+    return lambda nome, ctx: [("", *factorization_sides(sign, ctx.number(nome), ctx))]
 
 
 def _factorization_product(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
-    l1, r1 = factorization_sides(_gamma_minus(ctx), q, ctx)
-    l2, r2 = factorization_sides(golden_phi(ctx), q, ctx)
+    (l1, r1), (l2, r2) = (factorization_sides(s, q, ctx) for s in (-1, 1))
     r = _R(q, ctx)
     yield " (recovers 1/R-1-R)", l1 * l2, 1 / r - 1 - r
     yield " (rhs product)", r1 * r2, 1 / r - 1 - r
@@ -517,8 +507,8 @@ _CASES = {
         (_q_grid, _r_identity_2),
         (_point("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q"), _formal_r_identity_2),
     ),
-    "factorization-1": ((_q_grid, _factorization(_gamma_minus)),),
-    "factorization-2": ((_q_grid, _factorization(golden_phi)),),
+    "factorization-1": ((_q_grid, _factorization(-1)),),
+    "factorization-2": ((_q_grid, _factorization(1)),),
     "factorization-product": ((_q_grid, _factorization_product),),
     "cubic": ((_q_grid, _cubic),),
     "k-param": ((_q_grid, _k_param),),

@@ -390,6 +390,12 @@ def _bits(d, scale, ctx: PrecisionContext) -> int:
     return max(0, min(ctx.bits, b))
 
 
+def _log2(x) -> float:
+    """log2|x| for a nonzero mpf, mpc or float, read off the mantissa of |x|."""
+    _, man, exp, _ = (x if hasattr(x, "_mpf_") else abs(x))._mpf_
+    return math.log2(man) + exp
+
+
 def agree_bits(x, y, ctx: PrecisionContext) -> int:
     """Number of bits on which x and y agree, relative to max(|x|, |y|, 1):
     floor(-log2(|x - y| / max(|x|, |y|, 1))), |x - y| rounded to the context,

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import cf as _cf
 from . import qseries as _qs
-from .numerics import Nome, PrecisionContext, RootMode, golden_phi, record, root
+from .numerics import Nome, PrecisionContext, RootMode, _log2, golden_phi, record, root
 
 __all__ = [
     "evaluate",
@@ -62,12 +62,6 @@ def evaluate(expr, ctx: PrecisionContext):
         wide = _evaluate(expr, ctx.widened(math.ceil(sum(losses))), [])
         value = (ctx.mp.mpc if hasattr(wide, "_mpc_") else ctx.mp.mpf)(wide)
     return value
-
-
-def _log2(x) -> float:
-    """log2|x| for a nonzero number, read off the mantissa of |x|."""
-    _, man, exp, _ = (x if hasattr(x, "_mpf_") else abs(x))._mpf_
-    return math.log2(man) + exp
 
 
 def _evaluate(expr, ctx: PrecisionContext, losses: list):
@@ -157,8 +151,8 @@ _INVARIANTS = {Fraction(1): 1, Fraction(25): "phi"}
 def class_invariant(n, ctx: PrecisionContext):
     """G_n = 2^(-1/4) * q^(-1/24) * chi(q) at q = exp(-pi*sqrt(n))."""
     mp = ctx.mp
-    q = ctx.number(Nome.exp_sqrt(n))
-    return mp.root(2, 4) ** -1 * q ** (-mp.mpf(1) / 24) * _qs.chi(q, ctx)
+    nome = Nome.exp_sqrt(n)
+    return mp.root(2, 4) ** -1 * ctx.number(nome) ** (-mp.mpf(1) / 24) * _qs.chi(nome, ctx)
 
 
 def theta_quotient(n, ctx: PrecisionContext):
@@ -172,9 +166,7 @@ def theta_quotient(n, ctx: PrecisionContext):
 
 def theta_quotient_direct(n, ctx: PrecisionContext):
     """Direct theta-series ratio phi(e^(-5 pi sqrt n)) / phi(e^(-pi sqrt n))."""
-    mp = ctx.mp
-    s = mp.sqrt(ctx.real(Fraction(n)))
-    return _qs.theta_phi(mp.exp(-5 * mp.pi * s), ctx) / _qs.theta_phi(mp.exp(-mp.pi * s), ctx)
+    return _qs.theta_phi(Nome.exp_sqrt(25 * n), ctx) / _qs.theta_phi(Nome.exp_sqrt(n), ctx)
 
 
 # -- quintic (p, u, v) machinery -------------------------------------------------

@@ -101,10 +101,8 @@ def test_factorization_swap_symmetry(ctx):
     # swapping the two root constants exchanges the factorization sides;
     # q = 1/20 is the single-sample grid point used by verify below
     q = ctx.real(Fraction(1, 20))
-    alpha = (1 - ctx.mp.sqrt(5)) / 2
-    beta = (1 + ctx.mp.sqrt(5)) / 2
-    l1, r1 = factorization_sides(alpha, q, ctx)
-    l2, r2 = factorization_sides(beta, q, ctx)
+    l1, r1 = factorization_sides(-1, q, ctx)
+    l2, r2 = factorization_sides(1, q, ctx)
     rep1 = verify("factorization-1", ctx, samples=1)
     rep2 = verify("factorization-2", ctx, samples=1)
     assert rep1.records[0]["lhs"] == l1 and rep1.records[0]["rhs"] == r1
@@ -119,8 +117,8 @@ def test_factorization_2_left_side_earns_its_bits_relative():
     # measures, it agrees with its 512-bit recomputation in relative terms
     ctx = PrecisionContext(256, 32)
     doubled = ctx.widened(ctx.bits)
-    lhs, _ = factorization_sides(golden_phi(ctx), ctx.real(Fraction(1, 2)), ctx)
-    ref, _ = factorization_sides(golden_phi(doubled), doubled.real(Fraction(1, 2)), doubled)
+    lhs, _ = factorization_sides(1, ctx.real(Fraction(1, 2)), ctx)
+    ref, _ = factorization_sides(1, doubled.real(Fraction(1, 2)), doubled)
     assert agree_bits(lhs / ref, 1, ctx) >= ctx.bits - ctx.guard_bits
 
 
@@ -282,7 +280,7 @@ def test_schur_consistency_report(ctx):
     [
         (
             "factorization sum",
-            lambda c: factorization_sides(golden_phi(c), c.real(Fraction(1, 2)), c),
+            lambda c: factorization_sides(1, c.real(Fraction(1, 2)), c),
             21,
         ),
         ("Gaussian tail sum", lambda c: asymptotic_check(Fraction(1, 20), c, reference=0), 336),

@@ -298,12 +298,11 @@ def test_concurrent_evaluation_is_consistent():
 
     shared = PrecisionContext(192, 32)
     half = shared.real(Fraction(1, 2))
-    gammas = (golden_phi(shared), (1 - shared.mp.sqrt(5)) / 2)
     jobs = (
         [lambda k=k: cf.rr_cf(shared.real(Fraction(k, 40)), ctx=shared).value for k in range(1, 9)]
         + [lambda j=j: cf.rr_root_of_unity_direct(7, j, shared).value for j in range(1, 7)]
         + [lambda k=k: tuple(identities.asymptotic_check(Fraction(1, k), shared).values()) for k in (3, 5, 8)]
-        + [lambda g=g: identities.factorization_sides(g, half, shared) for g in gammas]
+        + [lambda s=s: identities.factorization_sides(s, half, shared) for s in (1, -1)]
     )
     serial = [job() for job in jobs]
     interval = sys.getswitchinterval()

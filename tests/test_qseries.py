@@ -505,9 +505,9 @@ def test_sparse_sums_match_references(q, bits):
     assert rel(_theta(qv, ctx, 5, 1), e5 * pochhammer_inf(qv**2, q5, ctx) * pochhammer_inf(qv**3, q5, ctx)) >= want
     assert rel(_theta(qv, ctx, 5, 3), e5 * pochhammer_inf(qv, q5, ctx) * pochhammer_inf(qv**4, q5, ctx)) >= want
     both = 1
-    for gamma in ((1 - ctx.mp.sqrt(5)) / 2, golden_phi(ctx)):
-        denominator = _factorization_denominator(gamma, qv, ctx)
-        assert rel(denominator, _factor_loop(gamma, qv, ctx)) >= want
+    for sign in (-1, 1):
+        denominator = _factorization_denominator(sign, qv, ctx)
+        assert rel(denominator, _factor_loop((1 + sign * ctx.mp.sqrt(5)) / 2, qv, ctx)) >= want
         both *= denominator
     # (1 + g1 x + x^2)(1 + g2 x + x^2) = (1 - x^5)/(1 - x)
     assert rel(both, e5 / pochhammer_inf(qv, qv, ctx)) >= want
