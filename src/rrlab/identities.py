@@ -2,11 +2,14 @@
 
 The registry ``_CASES`` maps each identity id to its (grid, sides) tables: the
 grid lists labelled points and the sides give the left and right value at each
-point.  The package's one record rule, ``numerics.record``, judges every record
-by the type of its values.  Numbers pass when they agree to bits - guard_bits
-bits relative to max(|lhs|, |rhs|, 1); exact values (integers, fractions,
-status strings) pass when equal; exact series pass when they agree
-coefficient by coefficient through the lower of their orders.
+point.  A nome a grid lists or a side forms from an exact argument is a ``Nome``.
+A side that cancels is a ``_real_sum``, formed again on the context widened by
+the bits it measures: 1/R - 1 - R, 1/R^5 - 11 - R^5, cubic's v - u^3 and the
+factorization's left side.  The package's one record rule, ``numerics.record``,
+judges every record by the type of its values.  Numbers pass when they agree
+to bits - guard_bits bits relative to max(|lhs|, |rhs|, 1); exact values
+(integers, fractions, status strings) pass when equal; exact series pass when
+they agree coefficient by coefficient through the lower of their orders.
 """
 
 from __future__ import annotations
@@ -160,11 +163,20 @@ def _modular_relation(j, ctx: PrecisionContext):
     yield "", (phi + r1) * (phi + r2), (5 + ctx.mp.sqrt(5)) / 2
 
 
+def _r_cancelling(q, ctx: PrecisionContext):
+    """1/R - 1 - R at q, a ``_real_sum``."""
+
+    def terms(c):
+        r = _R(q, c)
+        return 1 / r, -1, -r
+
+    return _real_sum(terms, ctx)
+
+
 def _r_identity_1(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
-    r = _R(q, ctx)
     t = root(q, 5, RootMode.PRINCIPAL, ctx)
-    yield "", 1 / r - 1 - r, _euler_prod(t, ctx) / (t * _euler_prod(q**5, ctx))
+    yield "", _r_cancelling(q, ctx), _euler_prod(t, ctx) / (t * _euler_prod(q**5, ctx))
 
 
 def _r_identity_2(nome, ctx: PrecisionContext):
@@ -177,12 +189,12 @@ def _r_identity_2(nome, ctx: PrecisionContext):
     yield "", _real_sum(terms, ctx), _euler_prod(q, ctx) ** 6 / (q * _euler_prod(q**5, ctx) ** 6)
 
 
-def _real_sum(terms, ctx: PrecisionContext):
-    """The sum of the real terms(ctx), added in order.  When its largest term is
-    2^k times larger than it, k > 0, the terms are formed and summed again on
-    ctx.widened(ceil(k)), and the sum is rounded back to the context."""
+def _real_sum(terms, ctx: PrecisionContext, parts=None):
+    """The sum of the real terms(ctx), or of parts formed as terms(ctx), in order.
+    When its largest term is 2^k times larger than it, k > 0, the terms are formed
+    and summed again on ctx.widened(ceil(k)), and rounded back to the context."""
     mp = ctx.mp
-    parts = terms(ctx)
+    parts = parts or terms(ctx)
     total = sum(parts[1:], parts[0])
     extra = math.ceil(max(_log2(mp.mpf(p)) for p in parts) - _log2(total))
     if extra > 0:
@@ -247,16 +259,16 @@ def _factorization(sign: int):
 def _factorization_product(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
     (l1, r1), (l2, r2) = (factorization_sides(s, q, ctx) for s in (-1, 1))
-    r = _R(q, ctx)
-    yield " (recovers 1/R-1-R)", l1 * l2, 1 / r - 1 - r
-    yield " (rhs product)", r1 * r2, 1 / r - 1 - r
+    cancelling = _r_cancelling(q, ctx)
+    yield " (recovers 1/R-1-R)", l1 * l2, cancelling
+    yield " (rhs product)", r1 * r2, cancelling
 
 
 def _cubic(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
-    u = _R(q, ctx)
-    v = _R(q**3, ctx)
-    yield "", (v - u**3) * (1 + u * v**3), 3 * u**2 * v**2
+    u, v = _R(q, ctx), _R(q**3, ctx)
+    cancelling = _real_sum(lambda c: (_R(c.number(q) ** 3, c), -_R(q, c) ** 3), ctx, (v, -(u**3)))
+    yield "", cancelling * (1 + u * v**3), 3 * u**2 * v**2
 
 
 def k_param_bound(ctx: PrecisionContext):

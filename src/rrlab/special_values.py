@@ -9,8 +9,8 @@ compares.
 
 The theta quotient reads the class invariants G_1 = 1 and G_25 = phi from a
 fixed table; class_invariant evaluates the defining product
-2^(-1/4) * q^(-1/24) * chi(q) at q = exp(-pi*sqrt(n)) that the tests check
-them against.
+2^(-1/4) * q^(-1/24) * chi(q) at the Nome q = exp(-pi*sqrt(n)) that the tests
+check them against; theta_quotient_direct divides theta_phi at two such Nomes.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from rrlab.special_values import (
     p_value,
     quintic_alpha_beta,
     quintic_uv,
-    registry,
     theta_quotient,
     verify_registry,
 )

@@ -1,8 +1,11 @@
-"""Every name a module exports exists, so a deletion cannot leave a stale export."""
+"""Every name a module exports exists, so a deletion cannot leave a stale export,
+and every name a module imports is used, so a deletion cannot leave a dead import."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,29 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+# The package's modules and the tests; the package's __init__ imports what it exports
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted({*(ROOT / "src" / "rrlab").glob("*.py"), *(ROOT / "tests").glob("*.py")})
+SOURCES.remove(ROOT / "src" / "rrlab" / "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    # a module-level import binds a name that some Name node or __all__ entry uses
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    assert [name for name in imported if name not in used] == []
 
 
 def test_public_ctx_parameters_are_required():

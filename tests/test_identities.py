@@ -10,7 +10,6 @@ from rrlab.formal import FormalSeries
 from rrlab.identities import (
     UnknownIdentityError,
     _entry15a_series_quotient,
-    VerificationReport,
     asymptotic_check,
     cf2_spec,
     factorization_sides,
