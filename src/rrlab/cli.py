@@ -139,8 +139,8 @@ def cmd_values(args) -> int:
     if args.format == "json":
         out = [
             {
-                "name": r["name"],
-                "closed": ctx.decimal(r["closed"]),
+                "name": r["point"],
+                "closed": ctx.decimal(r["rhs"]),
                 "abs_dev": ctx.mp.nstr(r["abs_dev"], 8),
                 "agree_bits": r["agree_bits"],
                 "passed": r["passed"],
@@ -152,7 +152,7 @@ def cmd_values(args) -> int:
         for r in records:
             flag = "pass" if r["passed"] else "FAIL"
             _out(
-                f"[{flag}] {r['name']:<20} dev={ctx.mp.nstr(r['abs_dev'], 8)} "
+                f"[{flag}] {r['point']:<20} dev={ctx.mp.nstr(r['abs_dev'], 8)} "
                 f"agree_bits={r['agree_bits']}"
             )
     return EXIT_OK if ok else EXIT_VERIFY_FAIL

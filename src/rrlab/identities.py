@@ -5,17 +5,15 @@ grid lists labelled points and the sides give the left and right value at each
 point.  A nome a grid lists or a side forms from an exact argument is a ``Nome``.
 A side that cancels is a ``_real_sum``, formed again on the context widened by
 the bits it measures: 1/R - 1 - R, 1/R^5 - 11 - R^5, cubic's v - u^3 and the
-factorization's left side.  The package's one record rule, ``numerics.record``,
-judges every record by the type of its values.  Numbers pass when they agree
-to bits - guard_bits bits relative to max(|lhs|, |rhs|, 1); exact values
-(integers, fractions, status strings) pass when equal; exact series pass when
-they agree coefficient by coefficient through the lower of their orders.
+factorization's left side.  ``verify`` runs the tables on the package's one
+check driver, ``numerics.check_tables``, whose one record rule,
+``numerics.record``, judges each record by the type of its two values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -23,7 +21,7 @@ from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
 from .formal import FormalSeries, stretched_product, theta_series
-from .numerics import Nome, PrecisionContext, RootMode, _fixed, _log2, golden_phi, record, root
+from .numerics import Nome, PrecisionContext, RootMode, _fixed, _log2, check_tables, golden_phi, root
 
 __all__ = [
     "VerificationReport",
@@ -44,10 +42,10 @@ class UnknownIdentityError(KeyError):
 @dataclass
 class VerificationReport:
     id: str
-    records: list = field(default_factory=list)
-    excluded: list = field(default_factory=list)
-    max_deviation: object = 0
-    status: str = "pass"
+    records: list
+    excluded: list
+    max_deviation: object
+    status: str
 
     def to_json(self, ctx: PrecisionContext) -> dict:
         fmt = ctx.decimal
@@ -500,9 +498,8 @@ def _formal_r_identity_2(order: int, ctx: PrecisionContext):
 
 
 # Each id maps to its (grid, sides) tables.  grid(samples, series_order) lists
-# (label, point) pairs; at each point sides(point, ctx) yields (suffix, lhs, rhs)
-# triples, each the record labelled label + suffix, or a string, which becomes
-# the exclusion note label + string.
+# (label, point) pairs; ``verify`` runs those points and their sides on the one
+# check driver, ``numerics.check_tables``, which says what sides(point, ctx) yields.
 _CASES = {
     "entry15a": ((_entry15a_grid(_ENTRY15A_VALUES), _entry15a),),
     "entry15a-corollary": ((_entry15a_grid((Fraction(0),)), _entry15a),),
@@ -553,16 +550,7 @@ def verify(
         raise UnknownIdentityError(
             f"unknown identity {id!r}; known: {', '.join(identity_ids())}"
         ) from None
-    report = VerificationReport(id=id)
-    for grid, sides in tables:
-        for label, point in grid(samples, series_order):
-            for item in sides(point, ctx):
-                if isinstance(item, str):
-                    report.excluded.append(label + item)
-                else:
-                    suffix, lhs, rhs = item
-                    report.records.append(record(ctx, label + suffix, lhs, rhs))
-    deviations = [ctx.real(r["abs_dev"]) for r in report.records]
-    report.max_deviation = max(deviations, default=ctx.real(0))
-    report.status = "pass" if all(r["passed"] for r in report.records) else "fail"
-    return report
+    records, excluded = check_tables(ctx, [(grid(samples, series_order), sides) for grid, sides in tables])
+    deviation = max((ctx.real(r["abs_dev"]) for r in records), default=ctx.real(0))
+    status = "pass" if all(r["passed"] for r in records) else "fail"
+    return VerificationReport(id, records, excluded, deviation, status)

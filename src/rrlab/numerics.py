@@ -18,6 +18,8 @@ One exact measure, ``_bits``, reads both figures off the mantissas: the
 largest b with d * 2^b <= max(|x|, |y|, 1), d a radius or |x - y|, so both
 are relative above 1 and absolute below.  One rule, ``ctx.passes``, judges
 every figure at ``bits - guard_bits``: for ``certify``, ``eval`` and ``record``.
+One driver, ``check_tables``, runs the (points, sides) tables of every check,
+identities and special values alike, through ``record``.
 
 The long loops of the package run on fixed-point Python integers at the
 width W of ``_fixed``, and convert back to the context once at the end.
@@ -49,6 +51,7 @@ __all__ = [
     "agree_bits",
     "certify",
     "record",
+    "check_tables",
 ]
 
 # Internal stopping thresholds sit this many bits below the reported
@@ -482,3 +485,20 @@ def record(ctx: PrecisionContext, point: str, lhs, rhs) -> dict:
         bits = agree_bits(lhs, rhs, ctx)
         passed = ctx.passes(bits)
     return dict(point=point, lhs=lhs, rhs=rhs, abs_dev=dev, agree_bits=bits, passed=passed)
+
+
+def check_tables(ctx: PrecisionContext, tables) -> tuple:
+    """(records, exclusion notes) of (points, sides) tables, the one check driver:
+    at each (label, point) of points, sides(point, ctx) yields (suffix, lhs, rhs)
+    triples, each judged by ``record`` as the record labelled label + suffix, or
+    a string, which becomes the exclusion note label + string."""
+    records, excluded = [], []
+    for points, sides in tables:
+        for label, point in points:
+            for item in sides(point, ctx):
+                if isinstance(item, str):
+                    excluded.append(label + item)
+                else:
+                    suffix, lhs, rhs = item
+                    records.append(record(ctx, label + suffix, lhs, rhs))
+    return records, excluded

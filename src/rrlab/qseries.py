@@ -359,7 +359,7 @@ def R_product(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL):
     qv = ctx.number(q)
     if qv == 0 or abs(qv) >= 1:
         raise ValueError("R_product requires 0 < |q| < 1")
-    return root(qv, 5, mode, ctx) * _theta_quotient(qv, ctx, "R")
+    return root(qv, 5, mode, ctx) * _theta_quotient(q, ctx, "R")
 
 
 def S(q, ctx: PrecisionContext, method: str = "cf"):
@@ -416,7 +416,7 @@ def theta_phi(q, ctx: PrecisionContext):
     route = "theta series"
     w, (x,) = _fixed(ctx, route, q)
     if x < 0:
-        return _theta_quotient(-ctx.number(q), ctx, "phi-")
+        return _theta_quotient(-q, ctx, "phi-")
     one = 1 << w
     limit = -(-one >> ctx.stop_bits)  # stop_tol at scale 2^W, rounded up
     level = limit + ctx.max_iter**2

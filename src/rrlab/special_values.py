@@ -3,9 +3,10 @@
 Closed forms are plain data in one prefix format: nested tuples over
 integers, the constants pi, e and the golden ratio, and roots and rational
 powers, so they can be evaluated at any precision.  Every registry entry
-pairs a Nome with its closed form; verification evaluates the continued
-fraction (and, where available, the infinite product) at the nome and
-compares.
+pairs a Nome with its closed form.  The check is one (points, sides) table on
+the package's one driver, ``numerics.check_tables``: its points are the
+entries, and its sides the direct route (continued fraction or, where
+defined, infinite product) farthest from the closed form against it.
 
 The theta quotient reads the class invariants G_1 = 1 and G_25 = phi from a
 fixed table; class_invariant evaluates the defining product
@@ -22,14 +23,13 @@ from typing import Optional
 
 from . import cf as _cf
 from . import qseries as _qs
-from .numerics import Nome, PrecisionContext, RootMode, _log2, golden_phi, record, root
+from .numerics import Nome, PrecisionContext, RootMode, _log2, check_tables, golden_phi, root
 
 __all__ = [
     "evaluate",
     "expr_str",
     "SpecialValueEntry",
     "registry",
-    "verify_entry",
     "verify_registry",
     "class_invariant",
     "theta_quotient",
@@ -350,28 +350,17 @@ def _direct_values(entry: SpecialValueEntry, ctx: PrecisionContext) -> dict:
     return out
 
 
-def verify_entry(entry: SpecialValueEntry, ctx: PrecisionContext) -> dict:
-    """Judge the direct route farthest from the closed form (the last on a tie)."""
+def _entry_sides(entry: SpecialValueEntry, ctx: PrecisionContext):
+    """The direct route farthest from the closed form (the last on a tie) against it."""
     closed = evaluate(entry.closed_form, ctx)
-    routes = _direct_values(entry, ctx)
-    worst = max(reversed(routes.values()), key=lambda v: abs(v - closed))
-    rec = record(ctx, entry.name, worst, closed)
-    return {
-        "name": entry.name,
-        "kind": entry.kind,
-        "provenance": entry.provenance,
-        "closed": closed,
-        "direct": worst,
-        "routes": routes,
-        "abs_dev": rec["abs_dev"],
-        "agree_bits": rec["agree_bits"],
-        "passed": rec["passed"],
-    }
+    routes = _direct_values(entry, ctx).values()
+    yield "", max(reversed(routes), key=lambda v: abs(v - closed)), closed
 
 
 def verify_registry(ctx: PrecisionContext, names: Optional[list] = None) -> list:
-    """Verify selected entries (all by default); returns one record per entry."""
+    """Verify selected entries (all by default), each a point labelled by its name."""
     missing = set(names or ()) - {e.name for e in _REGISTRY}
     if missing:
         raise KeyError(f"unknown special-value entries: {sorted(missing)}")
-    return [verify_entry(e, ctx) for e in _REGISTRY if not names or e.name in names]
+    points = [(e.name, e) for e in _REGISTRY if not names or e.name in names]
+    return check_tables(ctx, [(points, _entry_sides)])[0]

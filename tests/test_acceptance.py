@@ -55,10 +55,10 @@ class AcceptanceData:
         self.registry_records = {}
         for ctx, slot in ((self.ctx, 0), (self.ctx2, 1)):
             for rec in verify_registry(ctx):
-                self.registry_records.setdefault(rec["name"], [None, None])[slot] = rec
+                self.registry_records.setdefault(rec["point"], [None, None])[slot] = rec
         for name, (r1, r2) in self.registry_records.items():
-            self.pairs[f"special:{name}:direct"] = (r1["direct"], r2["direct"])
-            self.pairs[f"special:{name}:closed"] = (r1["closed"], r2["closed"])
+            self.pairs[f"special:{name}:direct"] = (r1["lhs"], r2["lhs"])
+            self.pairs[f"special:{name}:closed"] = (r1["rhs"], r2["rhs"])
 
         self.theta_direct = []
         self.quintic = []

@@ -375,7 +375,7 @@ def test_guard_bit_sweep(capsys, guard):
     # too; exactly the records in _SHORT_RECORDS fail at 1 and 2, and verify
     # all exits 0 from 3 up
     ctx = PrecisionContext(256, guard)
-    assert [r["name"] for r in verify_registry(ctx) if not r["passed"]] == []
+    assert [r["point"] for r in verify_registry(ctx) if not r["passed"]] == []
     failed = {(i, r["point"]) for i in identity_ids() for r in verify(i, ctx).records if not r["passed"]}
     assert failed == _SHORT_RECORDS.get(guard, set())
     assert run(capsys, "verify", "all", "--guard-bits", str(guard))[0] == (1 if failed else 0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rrlab import cf, qseries
 from rrlab.cf import eval_finite, rr_cf, CFSpec
-from rrlab.numerics import PrecisionContext, RootMode, agree_bits, certify, golden_phi, root
+from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, certify, golden_phi, root
 from rrlab.qseries import (
     G,
     H,
@@ -108,6 +108,27 @@ def test_R_product_small_q_scaling(ctx):
 def test_R_product_matches_cf(ctx):
     q = ctx.real(Fraction(1, 10))
     assert agree_bits(R_product(q, ctx=ctx), rr_cf(q, ctx=ctx).value, ctx) >= ctx.bits - ctx.guard_bits
+
+
+@pytest.mark.parametrize(
+    "fn, nome, seen",
+    [
+        (R_product, Nome.exp(1), lambda got, nome: got is nome),
+        (theta_phi, Nome.rational("-1/2"), lambda got, nome: got == -nome),
+    ],
+    ids=["R_product", "theta_phi"],
+)
+def test_a_nome_reaches_the_theta_quotient_whole(monkeypatch, ctx, fn, nome, seen):
+    # the sums convert a Nome at their own width, wider than ctx.bits
+    received = []
+
+    def spy(q, c, name):
+        received.append(q)
+        return _theta_quotient(q, c, name)
+
+    monkeypatch.setattr(qseries, "_theta_quotient", spy)
+    fn(nome, ctx)
+    assert len(received) == 1 and isinstance(received[0], Nome) and seen(received[0], nome)
 
 
 def test_S_at_one(ctx):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrlab import special_values
+from rrlab import identities, special_values
 from rrlab.cf import rr_cf
 from rrlab.cli import main
 from rrlab.numerics import Nome, PrecisionContext, agree_bits, certify, golden_phi, record
@@ -21,7 +21,6 @@ from rrlab.special_values import (
     registry,
     theta_quotient,
     theta_quotient_direct,
-    verify_entry,
     verify_registry,
 )
 
@@ -213,13 +212,13 @@ def test_registry_all_entries_verify(ctx):
     assert len(records) == len(registry())
     threshold = ctx.mp.mpf(10) ** -60
     for r in records:
-        assert r["passed"], r["name"]
-        assert r["abs_dev"] < threshold, r["name"]
+        assert r["passed"], r["point"]
+        assert r["abs_dev"] < threshold, r["point"]
 
 
 def test_registry_selection_and_unknown(ctx):
     records = verify_registry(ctx, ["eq2"])
-    assert len(records) == 1 and records[0]["name"] == "eq2"
+    assert len(records) == 1 and records[0]["point"] == "eq2"
     with pytest.raises(KeyError):
         verify_registry(ctx, ["nope"])
 
@@ -237,8 +236,7 @@ def test_eq5_display_with_exponential_factor(ctx):
 
 def test_verify_entry_uses_both_routes(ctx):
     entry = {e.name: e for e in registry()}["eq2"]
-    rec = verify_entry(entry, ctx)
-    assert set(rec["routes"]) == {"cf", "product"}
+    assert set(special_values._direct_values(entry, ctx)) == {"cf", "product"}
 
 
 # -- the record rule shared with verify ---------------------------------------------
@@ -264,8 +262,25 @@ def test_values_check_uses_the_record_rule(monkeypatch, capsys, ctx, routes, pas
     monkeypatch.setattr(special_values, "_direct_values", lambda entry, c: routes(c.tol))
     (rec,) = verify_registry(ctx)
     assert rec["passed"] is passed
-    assert rec["direct"] == rec["routes"][worst]
-    assert rec["abs_dev"] == abs(rec["direct"] - 1)
-    assert rec["agree_bits"] == agree_bits(rec["direct"], 1, ctx)
+    assert (rec["point"], rec["rhs"]) == ("probe", 1)
+    assert rec["lhs"] == routes(ctx.tol)[worst]
+    assert rec["abs_dev"] == abs(rec["lhs"] - 1)
+    assert rec["agree_bits"] == agree_bits(rec["lhs"], 1, ctx)
     assert main(["values", "check", "probe"]) == (0 if passed else 1)
     assert capsys.readouterr().out.startswith("[pass] probe" if passed else "[FAIL] probe")
+
+
+@pytest.mark.parametrize("miss", [1, 1 + 2**-20], ids=["at-tol", "beyond-tol"])
+def test_values_check_and_verify_share_one_driver(monkeypatch, ctx, miss):
+    # the same pair as a special value and as an identity: one record but for its label
+    lhs = 1 - ctx.tol * miss
+    probe = SpecialValueEntry("probe", "R-value", Nome.rational(1), 1, "a probe")
+    monkeypatch.setattr(special_values, "_REGISTRY", (probe,))
+    monkeypatch.setattr(special_values, "_direct_values", lambda entry, c: {"cf": lhs})
+    table = (lambda samples, order: [("q=probe", None)], lambda point, c: [("", lhs, c.mp.mpf(1))])
+    monkeypatch.setitem(identities._CASES, "probe", (table,))
+    (value,) = verify_registry(ctx)
+    (identity,) = identities.verify("probe", ctx).records
+    assert (value.pop("point"), identity.pop("point")) == ("probe", "q=probe")
+    assert value == identity
+    assert value["passed"] is (miss == 1)
