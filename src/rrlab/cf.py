@@ -136,21 +136,21 @@ def eval_finite(spec: CFSpec, n: int):
     """Value of the depth-n truncation, by backward recurrence.
 
     Works in the arithmetic of b0 and the generated terms, so it is exact
-    when they are rational.  Raises ZeroDenominatorError
-    identifying the depth where the backward pass divides by zero.
+    when they are rational.  Asks spec.terms(k) once for each k = n, ..., 1.
+    Raises ZeroDenominatorError identifying the depth where the backward
+    pass divides by zero.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if n == 0:
         return spec.b0
-    _, b_n = spec.terms(n)
-    v = b_n
+    a_next, v = spec.terms(n)
     for k in range(n - 1, -1, -1):
-        a_next, _ = spec.terms(k + 1)
         if v == 0:
             raise ZeroDenominatorError(k + 1)
-        b_k = spec.b0 if k == 0 else spec.terms(k)[1]
+        a_k, b_k = spec.terms(k) if k else (None, spec.b0)
         v = b_k + a_next / v
+        a_next = a_k
     return v
 
 

@@ -27,7 +27,7 @@ from . import cf as _cf
 from . import identities as _id
 from . import qseries as _qs
 from . import special_values as _sv
-from .numerics import Nome, PrecisionContext, RootMode, certify
+from .numerics import _MEMO, Nome, PrecisionContext, RootMode, certify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -333,7 +333,11 @@ def main(argv=None) -> int:
             raise UsageError("samples must be >= 1")
         if args.format == "csv" and args.command != "verify":
             raise UsageError("--format csv is only for verify")
-        code = args.fn(args)
+        token = _MEMO.set({})  # one command's memo, dropped when it returns
+        try:
+            code = args.fn(args)
+        finally:
+            _MEMO.reset(token)
         _out(end="", flush=True)  # a closed stdout raises here, not at exit
         return code
     except (UsageError, ValueError, ZeroDivisionError, KeyError) as exc:

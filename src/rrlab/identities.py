@@ -141,7 +141,12 @@ def _entry15a(point, ctx: PrecisionContext):
     q = ctx.number(nome)
     av, bv = ctx.real(a), ctx.real(b)
     lhs = _entry15a_series_quotient(av, bv, q, ctx)
-    res = _cf.eval_infinite(_cf.CFSpec(b0=1, terms=lambda k: (bv * q**k, 1 - av * q**k)), ctx)
+
+    def terms(k):
+        qk = q**k
+        return bv * qk, 1 - av * qk
+
+    res = _cf.eval_infinite(_cf.CFSpec(b0=1, terms=terms), ctx)
     yield "", lhs, res.require(f"entry15a fraction at a={a}, b={b}, q={nome.arg}")
 
 
@@ -187,12 +192,12 @@ def _r_identity_2(nome, ctx: PrecisionContext):
     yield "", _real_sum(terms, ctx), _euler_prod(q, ctx) ** 6 / (q * _euler_prod(q**5, ctx) ** 6)
 
 
-def _real_sum(terms, ctx: PrecisionContext, parts=None):
-    """The sum of the real terms(ctx), or of parts formed as terms(ctx), in order.
-    When its largest term is 2^k times larger than it, k > 0, the terms are formed
-    and summed again on ctx.widened(ceil(k)), and rounded back to the context."""
+def _real_sum(terms, ctx: PrecisionContext):
+    """The sum of the real terms(ctx), in order.  When its largest term is 2^k
+    times larger than it, k > 0, the terms are formed and summed again on
+    ctx.widened(ceil(k)), and rounded back to the context."""
     mp = ctx.mp
-    parts = parts or terms(ctx)
+    parts = terms(ctx)
     total = sum(parts[1:], parts[0])
     extra = math.ceil(max(_log2(mp.mpf(p)) for p in parts) - _log2(total))
     if extra > 0:
@@ -265,7 +270,7 @@ def _factorization_product(nome, ctx: PrecisionContext):
 def _cubic(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
     u, v = _R(q, ctx), _R(q**3, ctx)
-    cancelling = _real_sum(lambda c: (_R(c.number(q) ** 3, c), -_R(q, c) ** 3), ctx, (v, -(u**3)))
+    cancelling = _real_sum(lambda c: (_R(c.number(q) ** 3, c), -_R(q, c) ** 3), ctx)
     yield "", cancelling * (1 + u * v**3), 3 * u**2 * v**2
 
 

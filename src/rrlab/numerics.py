@@ -413,6 +413,11 @@ def agree_bits(x, y, ctx: PrecisionContext) -> int:
 # The radii that kernels prove while certify listens (see certify and _prove)
 _PROOFS = contextvars.ContextVar("rrlab_proofs", default=None)
 
+# The values one command has computed, by key, while it runs: a dict that
+# ``cli.main`` opens for each command and drops when the command returns, and
+# None outside a command (see ``qseries._theta_quotient``)
+_MEMO = contextvars.ContextVar("rrlab_memo", default=None)
+
 
 def _prove(value, radius):
     """value, after handing (value, radius) to a certify that is listening.

@@ -14,18 +14,19 @@ it predicts and then measures.  One predicted-cost rule
 (``_theta_quotient``) sends them to the product ``pochhammer_inf`` instead,
 which only happens near |q| = 1.  Every kernel predicts a lower bound on its
 term count before it starts and raises ConvergenceError at once when it
-exceeds max_iter (``cf.refuse_early``).  The mu/nu sums operate on whatever
-number type they are given and are exact on rationals.
+exceeds max_iter (``cf.refuse_early``).  The finite-form mu/nu polynomials
+take exact rationals only, and sum Gaussian polynomials in integers.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
 from .formal import FormalSeries, product_one_minus_inv, theta_series
-from .numerics import PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
+from .numerics import _MEMO, PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
 from . import cf as _cf
 
 __all__ = [
@@ -290,7 +291,17 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
     take the sums unless the products cost less.  At 256 bits that happens
     near |q| = 1 (from about 1 - 2e-4 on) and, where either route takes a
     few steps, for G and H below about q = 1/20 and for E below e^-60.
+
+    While a command runs (``numerics._MEMO``) each (name, type and value of q,
+    ctx) is computed once: a later call returns the value the first one
+    returned, and a call that raises stores nothing.  The quotient proves no
+    radius, so ``certify`` sees the same either way; a kernel that proves one
+    and is memoised must hand the proof to ``_prove`` again on a hit.
     """
+    memo = _MEMO.get()
+    key = (name, type(q), q, ctx)
+    if memo is not None and (value := memo.get(key)) is not None:
+        return value
     route, sums, products = _THETA_ROUTES[name]
     base, (x,) = _fixed(ctx, route, q)
     sparse = product = 0.0
@@ -310,7 +321,10 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
             [_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
             for side in sums
         )
-    return math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
+    value = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
+    if memo is not None:
+        memo[key] = value
+    return value
 
 
 # name: (route, (numerator, denominator) sums (A, B), (numerator, denominator) products (j, k))
@@ -443,29 +457,48 @@ def theta_phi(q, ctx: PrecisionContext):
     return _prove(*_ball(ctx, total, -w, units))
 
 
-def _finite_sum(n: int, a, q, extra: int):
-    """sum_{k <= m/2} a^k q^(k^2 + extra*k) (q;q)_(m-k) / ((q;q)_k (q;q)_(m-2k)), m = n+1-extra."""
+def _finite_sum(n: int, a, q, extra: int) -> Fraction:
+    """sum_{k <= m/2} a^k q^(k^2 + extra*k) [m-k choose k]_q, m = n+1-extra, for
+    int or Fraction a and q (TypeError otherwise), as one Fraction.
+
+    With a = c/d and q = u/v, H(j, k) = v^(k(j-k)) [j choose k]_q is an integer:
+    the q-Pascal rule gives H(j, k) = v^(j-k) H(j-1, k-1) + u^k H(j-1, k), which
+    never divides, so every rational q works, q = 1 and q = -1 included.  Term k
+    is c^k u^(k^2 + extra*k) H(m-k, k) / (d^k v^(k(n+1-k))), and k(n+1-k)
+    increases up to K = floor(m/2), so the sum is one integer over d^K v^(K(n+1-K)).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    for x in (a, q):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"finite forms take int or Fraction arguments, not {type(x).__name__}")
+    c, d, u, v = a.numerator, a.denominator, q.numerator, q.denominator
     m = n + 1 - extra
-    qq = [1]  # (q;q)_j for j = 0..m
-    qk = 1
-    for _ in range(m):
-        qk *= q
-        qq.append(qq[-1] * (1 - qk))
-    total = 0
-    for k in range(0, m // 2 + 1):
-        total += a**k * q ** (k * (k + extra)) * qq[m - k] / (qq[k] * qq[m - 2 * k])
-    return total
+    top = m // 2
+    row = [1]  # H(j, k) for k <= min(j, top), from j = 0
+    picked = [1] * (top + 1)  # H(m-k, k)
+    for j in range(1, m + 1):
+        row = [1] + [
+            v ** (j - k) * row[k - 1] + (u**k * row[k] if k < j else 0)
+            for k in range(1, min(j, top) + 1)
+        ]
+        if m - j <= top:
+            picked[m - j] = row[m - j]
+    e = top * (n + 1 - top)
+    num = sum(
+        c**k * d ** (top - k) * u ** (k * (k + extra)) * v ** (e - k * (n + 1 - k)) * h
+        for k, h in enumerate(picked)
+    )
+    return Fraction(num, d**top * v**e)
 
 
-def finite_mu(n: int, a, q):
-    """Finite-form numerator: sum over k <= floor((n+1)/2); exact on rationals."""
+def finite_mu(n: int, a, q) -> Fraction:
+    """Finite-form numerator: sum over k <= floor((n+1)/2); exact rationals only."""
     return _finite_sum(n, a, q, extra=0)
 
 
-def finite_nu(n: int, a, q):
-    """Finite-form denominator: sum over k <= floor(n/2); exact on rationals."""
+def finite_nu(n: int, a, q) -> Fraction:
+    """Finite-form denominator: sum over k <= floor(n/2); exact rationals only."""
     return _finite_sum(n, a, q, extra=1)
 
 

@@ -60,6 +60,17 @@ def test_finite_depth_zero_returns_b0():
     assert eval_finite(_example_spec(), 0) == Fraction(1)
 
 
+def test_finite_asks_each_term_once():
+    asked = []
+
+    def terms(k):
+        asked.append(k)
+        return Fraction(k), Fraction(1)
+
+    assert eval_finite(CFSpec(b0=Fraction(1), terms=terms), 3) == Fraction(5, 3)
+    assert sorted(asked) == [1, 2, 3]
+
+
 def test_finite_golden_convergent_is_fibonacci_ratio():
     golden = CFSpec(b0=Fraction(1), terms=lambda k: (Fraction(1), Fraction(1)))
     assert eval_finite(golden, 9) == Fraction(89, 55)

@@ -285,6 +285,29 @@ def test_verify_all_builds_at_most_two_mpmath_contexts(capsys, flags):
     assert numerics._mp_at.cache_info().misses <= 2
 
 
+def test_one_command_computes_each_theta_quotient_once(capsys, monkeypatch):
+    calls, evaluations = [], []
+    quotient = qseries._theta_quotient
+
+    def listening(q, ctx, name):
+        calls.append((name, type(q), q, ctx))
+        return quotient(q, ctx, name)
+
+    class Routes(dict):  # a quotient reads its route once it is computed
+        def __getitem__(self, name):
+            evaluations.append(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(qseries, "_theta_quotient", listening)
+    monkeypatch.setattr(qseries, "_THETA_ROUTES", Routes(qseries._THETA_ROUTES))
+    for _ in range(2):  # the second command shares nothing with the first
+        calls.clear()
+        evaluations.clear()
+        assert main(["verify", "all", "--samples", "3"]) == 0
+        assert len(evaluations) == len(set(calls)) < len(calls)
+    assert numerics._MEMO.get() is None
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 @pytest.mark.parametrize("argv", [("verify", "schur-consistency"), ("eval", "R", "--q", "1/2")])
 def test_closed_stdout_keeps_the_exit_code(argv, unbuffered):

@@ -8,6 +8,7 @@ files (only when an output change is intended and explained) with
 """
 
 import io
+import json
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -58,6 +59,15 @@ def test_golden_stdout(name):
     code, out = _run(CASES[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_verify_all_is_the_identity_files_joined():
+    """One command computes each theta quotient once for all its identities,
+    and that changes no byte of any identity's report."""
+    code, out = _run(["verify", "all", "--samples", "2", "--series-order", "40", "--format", "json"])
+    assert code == 0
+    reports = [r for i in identity_ids() for r in json.loads((GOLDEN / f"verify-{i}.out").read_bytes())]
+    assert out == json.dumps(reports, sort_keys=True, indent=2) + "\n"
 
 
 if __name__ == "__main__":

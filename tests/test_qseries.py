@@ -197,6 +197,49 @@ def test_finite_form_matches_cf_exactly():
         assert finite_mu(n, a, q) / finite_nu(n, a, q) == eval_finite(spec, n)
 
 
+def quotient_finite_sum(n: int, a, q, extra: int):
+    """The finite forms as quotients of finite q-Pochhammer symbols,
+    sum_k a^k q^(k^2 + extra*k) (q;q)_(m-k) / ((q;q)_k (q;q)_(m-2k)), m = n+1-extra,
+    in Fraction arithmetic; it divides by (q;q)_j, so it needs |q| != 1."""
+    m = n + 1 - extra
+    qq = [pochhammer(q, q, j) for j in range(m + 1)]
+    return sum(a**k * q ** (k * (k + extra)) * qq[m - k] / (qq[k] * qq[m - 2 * k]) for k in range(m // 2 + 1))
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 20), _RATIONALS, _RATIONALS.filter(lambda q: abs(q) != 1))
+def test_finite_forms_are_the_pochhammer_quotients(n, a, q):
+    assert finite_mu(n, a, q) == quotient_finite_sum(n, a, q, 0)
+    assert finite_nu(n, a, q) == quotient_finite_sum(n, a, q, 1)
+
+
+def test_finite_forms_at_q_one_are_fibonacci():
+    fib = [0, 1]
+    while len(fib) < 30:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(25):
+        assert (finite_mu(n, 1, 1), finite_nu(n, 1, 1)) == (fib[n + 2], fib[n + 1])
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(-1)])
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-3, 2), Fraction(2)])
+def test_finite_forms_at_unit_q_match_the_fraction(a, q):
+    spec = CFSpec(b0=Fraction(1), terms=lambda k: (a * q**k, Fraction(1)))
+    for n in range(13):
+        assert finite_mu(n, a, q) / finite_nu(n, a, q) == eval_finite(spec, n)
+
+
+def test_finite_forms_take_exact_rationals_only(ctx):
+    half = ctx.mp.mpf(0.5)
+    for a, q in ((half, Fraction(1, 2)), (Fraction(1), half), (1, 0.5)):
+        for form in (finite_mu, finite_nu):
+            with pytest.raises(TypeError):
+                form(3, a, q)
+
+
 def test_series_G_sum_vs_product_order_60():
     assert series_G(60).first_mismatch(series_G(60, side="product"), 60) is None
     assert series_H(60).first_mismatch(series_H(60, side="product"), 60) is None
