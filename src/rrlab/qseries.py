@@ -4,9 +4,11 @@ functions, finite-form mu/nu polynomials, and exact series expansions.
 Numeric routines take a PrecisionContext and truncate with tail bounds tied
 to the context tolerance; the infinite products and series take real
 arguments and run on fixed-point integers (``numerics._fixed``).  G, H and
-chi are Euler sums on one kernel, ``_rr_sum``.  The product sides (R_product,
-the product backends of G and H, Euler's E = (q;q)_inf of the identity
-checks and theta at q < 0) are quotients of sparse alternating sums
+chi are Euler sums on one kernel, ``_rr_sum``; near q = 1 it forms the terms
+before the peak, which lie far below the total, as one division-free product
+(its head) and sums only the terms that reach the total.  The product sides
+(R_product, the product backends of G and H, Euler's E = (q;q)_inf of the
+identity checks and theta at q < 0) are quotients of sparse alternating sums
 S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2), the Jacobi triple
 product and pentagonal number theorem, on a second kernel, ``_jacobi_sum``:
 O(sqrt(bits/h)) terms at h = -ln|q|, with guard bits for the cancellation
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add
 
 from .formal import FormalSeries, product_one_minus_inv, theta_series
@@ -90,14 +92,110 @@ def pochhammer_inf(a, q, ctx: PrecisionContext):
 
 
 def _power(x: int, k: int, w: int) -> int:
-    """x^k at scale 2^W by k - 1 truncating products, so within k - 1 units."""
+    """x^k at scale 2^W for k >= 1 and |x| <= 2^W, by square-and-multiply:
+    within k - 1 units, since squaring a power within e units leaves it within
+    2e + 1 and multiplying it by x within e + 1."""
     out = x
-    for _ in range(k - 1):
-        out = out * x >> w
+    for bit in bin(k)[3:]:
+        out = out * out >> w
+        if bit == "1":
+            out = out * x >> w
     return out
 
 
-def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: int):
+def _scaled_power(x: int, k: int, w: int):
+    """x^k as (mantissa, exponent) with a W-bit mantissa, for 0 < x < 2^W at
+    scale 2^W and k >= 1, by square-and-multiply on W-bit mantissas.
+
+    Each product truncates by less than 2^(1-W) relatively and squaring doubles
+    the relative error it squares, so the result is below x^k by less than
+    2(k - 1) units of 2^-W relatively; unlike ``_power`` it never underflows.
+    """
+    shift = w - x.bit_length()
+    base, bexp = x << shift, -w - shift
+    man, exp = base, bexp
+    for bit in bin(k)[3:]:
+        man, exp = man * man, 2 * exp
+        if bit == "1":
+            shift = man.bit_length() - w
+            man, exp = (man >> shift) * base, exp + shift + bexp
+        shift = man.bit_length() - w
+        man, exp = man >> shift, exp + shift
+    return man, exp
+
+
+# Bits by which the product head of ``_rr_sum`` ends below the peak term, beyond
+# the stop rule's bits and the bit length of the peak's index (``_head_length``)
+HEAD_MARGIN = 8
+
+
+def _head_length(decay: float, first: int, step: int, den: int, peak: int, stop_bits: int) -> int:
+    """n0, the length of the product head of ``_rr_sum``, for 0 < q = e^-h < 1,
+    h = decay: predicted in floating point, and proven by the kernel.
+
+    The rule: the last n before the peak term whose term is predicted below
+    2^-(stop_bits + bit_length(peak) + HEAD_MARGIN) of the peak term, or 0.
+    log(t_j/t_(j-1)) = f(j) = -h(first + step(j-1)) - log(1 - e^(-h den j))
+    falls and is convex in j, and f(peak) >= 0 (``peak`` is the predicted
+    first n with rho_n < 1), so f(j) >= s (peak - j) for j <= peak with
+    s = -f'(peak) = h step + h den/(e^(h den peak) - 1), and the peak term is
+    at least e^(s m(m-1)/2) times t_(peak - m).  n0 = peak - m for the least
+    m at which that factor reaches the bits.
+    """
+    c = decay * den * peak
+    slope = decay * step + decay * den * math.exp(-c) / -math.expm1(-c)
+    bits = (stop_bits + peak.bit_length() + HEAD_MARGIN) * math.log(2)
+    return max(peak - math.ceil((1 + math.sqrt(1 + 8 * bits / slope)) / 2), 0)
+
+
+def _product_head(x: int, w: int, n0: int, first: int, step: int, den: int, indices):
+    """t_(n0) of ``_rr_sum``'s sum for 0 < q < 1, from n0 indices of ``indices``,
+    as (mantissa, exponent, units, q^(den(n0+1)), q^(first + step n0)), the
+    powers at scale 2^W; or None unless the terms rise through t_(n0).
+
+    t_(n0) = q^E / P with E = first n0 + step n0(n0 - 1)/2 and P the product
+    of 1 - q^(den k) over k <= n0.  P runs on the mantissa-exponent loop of
+    ``pochhammer_inf``: two multiplies a factor, with no division, no running
+    total and no stop test.  q^E is a ``_scaled_power``, and one division
+    gives t_(n0).  Every power is truncated downwards, so q^(den(n0+1)) +
+    q^(first + step n0) >= 1 in the integers proves t_(n0+1) >= t_(n0); the
+    ratios fall, so t_0 <= t_1 <= ... <= t_(n0) and the terms before t_(n0)
+    sum to at most n0 t_(n0).
+
+    units bounds the relative error of t_(n0) in units of 2^-W: q^E is below
+    its exact value by at most 2(E - 1); q^(den k) is within den k units, so
+    each factor of P is above its exact value by at most den k/(1 - q^(den k))
+    <= den n0/(1 - q^(den n0)) relatively (m/(1 - q^m) increases in m); the
+    n0 truncations of P move t_(n0) up by at most 4 n0, and the division and
+    its shift down by at most 4.
+    """
+    one = 1 << w
+    xden = _power(x, den, w)
+    qn, man, exp = xden, one, -w  # q^(den k) and P
+    for _ in islice(indices, n0):
+        man *= one - qn
+        shift = man.bit_length() - w
+        man >>= shift
+        exp += shift - w
+        qn = qn * xden >> w
+    lead = _power(x, first + step * n0, w)
+    d = one - qn - den * (n0 + 1)  # at most (1 - q^(den(n0+1))) 2^W
+    if qn + lead < one or d <= 0:
+        return None
+    e = first * n0 + step * n0 * (n0 - 1) // 2
+    pman, pexp = _scaled_power(x, e, w)
+    term = (pman << w) // man
+    shift = term.bit_length() - w
+    units = 2 * e + -(-(den * n0 * n0 << w) // d) + 4 * n0 + 4
+    return term >> shift, pexp - exp - w + shift, units, qn, lead
+
+
+def _lost_bits(top: int, total: int) -> float:
+    """log2(top/|total|): the bits a sum of terms of size at most top lost to cancellation."""
+    return math.log2(top) - math.log2(abs(total))
+
+
+def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: int, widen: bool = True):
     """The Euler sum of t_n, t_0 = 1, t_n = t_(n-1) q^(first + step(n-1)) / (1 - q^(den n)),
     for real |q| < 1, as (value, radius); the radius is None for q < 0.
 
@@ -112,24 +210,46 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
     ctx.stop_tol * max(1, |total|).  That test needs rho_n < 1, which first
     holds at a term count predicted before the loop (``cf.refuse_early``).
 
+    The product head (q > 0).  Near q = 1 the terms rise from 1 to a peak
+    far above 2^W and fall again; the terms long before the peak lie below
+    2^-W of the total and only seed the next one.  So the first n0 indices
+    (``_head_length``, 0 unless q is near 1) form t_(n0) directly, in two
+    multiplies each (``_product_head``), and the loop runs from n0 + 1 with
+    term = total = t_(n0).  The head proves the terms rise through t_(n0),
+    so the n0 terms it leaves out sum to at most n0 t_(n0), and t_(n0) is
+    within its units of its integer; the radius adds that bound, and the
+    units add to c below.  If the head is not proven to rise, or the bound
+    exceeds the tail bound, the sum runs again from n0 = 0.  Each head
+    factor is one index of ``cf.bounded``, so the iteration counts are those
+    of the loop from 0.
+
     The radius (q >= 0, n terms, S the exact sum at the converted q).  Every
-    integer step truncates downwards, so the computed total is below S.  The
-    power q^a in ``lead`` is within a units of 2^-W and q^(den n) in ``qn``
-    within den n, so the computed ratio of term j is within
+    integer step of the loop truncates downwards, so the computed total is
+    below the sum it runs from t_(n0).  The power q^a in ``lead`` is within
+    a units of 2^-W and q^(den n) in ``qn`` within den n, so the computed
+    ratio of term j is within
     a_j 2^-W / q^(a_j) + den j 2^-W / (1 - q^(den j)) of the exact one,
     relatively; each step's floor and shifts lose at most 2^(e+1), e the
     shared exponent, and 2^e <= 2 max(1, total) 2^-W.  Carried through the
     later terms with the decreasing ratios, these lose at most c S with
     c 2^W = n(n+1)(den + first + step)/(1 - q^(den(n+1))) + 2n(n+4), using
-    that m/(1 - q^m) increases in m.  The tail is bounded from the last term
-    summed, t_n rho_n/(1 - rho_n), with t_n, rho_n taken from the final
-    integers plus their error units; the converted q adds its part through
-    ``numerics._nome_units``.  All three are computed once, after the loop.
+    that m/(1 - q^m) increases in m; the head's units add to c.  The tail is
+    bounded from the last term summed, t_n rho_n/(1 - rho_n), with t_n,
+    rho_n taken from the final integers plus their error units; the
+    converted q adds its part through ``numerics._nome_units``.  All of it
+    is computed once, after the loop.
+
+    For q < 0 the terms alternate in sign.  The loop keeps the largest |t_n|
+    at the shared exponent; when the total is more than 2^guard_bits times
+    smaller (``_lost_bits``), the sum runs again on ``ctx.widened`` by the
+    bits it lost, with ``widen`` False so that it does so once, and the
+    value is rounded back to the context.
     """
     w, (x,) = _fixed(ctx, route, q)
     one = 1 << w
+    stop = ctx.stop_bits
     xstep, xden = _power(x, step, w), _power(x, den, w)
-    qn, lead = xden, _power(x, first, w)  # q^(den n) and q^(first + step(n-1)), n = 1
+    head = 0
     if x:
         # The integer q^(den(n+1)) + q^(first + step n) of term n is within
         # `slack` units of its exact value f(n) 2^W, and f(n) - f(n+1) >= 1 - |q|
@@ -148,34 +268,59 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
             lo, hi = (mid, hi) if blocked(mid) else (lo, mid)
         slack = (den + step) * (ctx.max_iter + 1) + first
         _cf.refuse_early(route, ctx, hi - -(-slack // (one - abs(x))))
-    term = total = unit = one  # unit: 1 at the shared exponent
-    exp = -w
-    for n in _cf.bounded(route, ctx):
-        term = term * lead // (one - qn)
-        total += term
-        qn = qn * xden >> w
-        lead = lead * xstep >> w
-        gap = one - abs(qn) - abs(lead)  # (1 - rho_n) * (1 - |q|^(den(n+1))) * 2^W
-        if gap > 0 and abs(term) * abs(lead) << ctx.stop_bits <= max(abs(total), unit) * gap:
-            break
-        shift = max(term.bit_length(), total.bit_length()) - w
-        if shift > 0:
-            term >>= shift
-            total >>= shift
-            unit = max(unit >> shift, 1)
-            exp += shift
-    a = first + step * n  # q^a = q^(first + step n), within a units of lead
-    d = one - qn - den * (n + 1)  # at most (1 - q^(den(n+1))) 2^W
-    rate = _nome_units(x, w)
-    if x < 0 or d <= lead + a or rate is None:
-        return _ball(ctx, total, exp, None)
-    c = -(-(n * (n + 1) * (den + first + step) << w) // d) + 2 * n * (n + 4)
-    if 2 * c > one:
-        return _ball(ctx, total, exp, None)
-    bound = -(-total * one // (one - c))  # the exact partial sum is at most total/(1 - c)
-    rounding = -(-c * bound >> w)
-    tail = -(-(term + rounding) * (lead + a) // (d - lead - a))
-    return _ball(ctx, total, exp, rounding + tail + -(-rate * (bound + tail) >> w))
+        if x > 0:
+            head = _head_length(decay, first, step, den, hi, stop)
+    for n0 in (head, 0) if head else (0,):
+        indices = _cf.bounded(route, ctx)
+        qn, lead = xden, _power(x, first, w)  # q^(den n) and q^(first + step(n-1)), n = 1
+        term = top = unit = one  # top: the largest |term|; unit: 1 at the shared exponent
+        exp, units = -w, 0
+        if n0:
+            start = _product_head(x, w, n0, first, step, den, indices)
+            if start is None:
+                continue
+            term, exp, units, qn, lead = start
+            unit = 1 << max(-exp, 0)
+        total = term
+        for n in indices:
+            term = term * lead // (one - qn)
+            total += term
+            if x < 0 and abs(term) > top:
+                top = abs(term)
+            qn = qn * xden >> w
+            lead = lead * xstep >> w
+            gap = one - abs(qn) - abs(lead)  # (1 - rho_n) * (1 - |q|^(den(n+1))) * 2^W
+            if gap > 0 and abs(term) * abs(lead) << stop <= max(abs(total), unit) * gap:
+                break
+            shift = max(term.bit_length(), total.bit_length()) - w
+            if shift > 0:
+                term >>= shift
+                total >>= shift
+                top >>= shift
+                unit = max(unit >> shift, 1)
+                exp += shift
+        if x < 0:
+            lost = _lost_bits(top, total)
+            if widen and lost > ctx.guard_bits:
+                value, _ = _rr_sum(q, ctx.widened(math.ceil(lost)), route, first, step, den, widen=False)
+                return ctx.mp.mpf(value), None
+            return _ball(ctx, total, exp, None)
+        a = first + step * n  # q^a = q^(first + step n), within a units of lead
+        d = one - qn - den * (n + 1)  # at most (1 - q^(den(n+1))) 2^W
+        rate = _nome_units(x, w)
+        radius = None
+        if d > lead + a and rate is not None:
+            c = -(-(n * (n + 1) * (den + first + step) << w) // d) + 2 * n * (n + 4) + units
+            if 2 * c <= one:
+                bound = -(-total * one // (one - c))  # the exact partial sum is at most total/(1 - c)
+                rounding = -(-c * bound >> w)
+                tail = -(-(term + rounding) * (lead + a) // (d - lead - a))
+                # the n0 terms before t_(n0), each at most t_(n0) <= (1 + 2 units 2^-W) times its integer
+                skipped = -(-(n0 * start[0] * (one + 2 * units)) >> w + exp - start[1]) if n0 else 0
+                if skipped <= tail:
+                    radius = rounding + tail + skipped + -(-rate * (bound + tail + skipped) >> w)
+        if radius is not None or not n0:
+            return _ball(ctx, total, exp, radius)
 
 
 def _reciprocal(ctx: PrecisionContext, value, radius):
@@ -399,8 +544,10 @@ def chi(q, ctx: PrecisionContext):
     (p; p^2)_inf = 1/(-p; p)_inf and (-p; p)_inf = sum p^(n(n+1)/2)/(p;p)_n.
     Both sums have positive terms, so nothing cancels, and both prove their
     radius (``_rr_sum``; for q < 0 that of the sum, carried through 1/sum)
-    to ``certify``.  At q = 999/1000 and 256 bits the sum takes 651 terms,
-    where the product takes 84,856.
+    to ``certify``.  At 256 bits the sum stops after 651 indices at
+    q = 999/1000, where the product takes 84,856 factors, and after 37,510
+    at 1 - 10^-5; the product head takes 49 and 31,654 of them, and the
+    loop sums the other 602 and 5,856.
     """
     route = "chi series"
     qv = ctx.number(q)

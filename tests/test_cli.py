@@ -504,20 +504,42 @@ def test_negative_nome_sweep(capsys, target, q):
     assert _printed_relative_error(out, want, mp) <= mp.mpf(10) ** -(ctx.digits - 1)
 
 
-@pytest.mark.parametrize("q", ["9/10", "99/100"])
-@pytest.mark.parametrize("target", ["R", "S", "G", "H", "chi", "phi"])
-def test_near_boundary_nome_sweep(capsys, target, q):
+@pytest.mark.parametrize("target, q", [
+    pytest.param(target, q, id=f"{target}-{q}")
+    for target in ("R", "S", "G", "H", "chi", "phi")
+    for q in ("9/10", "99/100") + (("999/1000", "99999/100000") if target in ("G", "H", "chi") else ())
+])
+def test_near_boundary_nome_sweep(capsys, poisson, target, q):
     # every printed digit holds in relative terms near q = 1, where G(99/100) is
-    # about 2.3e28.  There are no cases at 999/1000: mpmath's qp stops there
-    # with NoConvergence after its default 50 * prec factors, and allowed more,
-    # one product of the reference takes about 2.5 s at 576 bits
+    # about 2.3e28 and G(99999/100000) about 1.7e28575.  From 999/1000 on the
+    # reference is Poisson summation: mpmath's qp stops there with
+    # NoConvergence after its default 50 * prec factors, and allowed more, one
+    # product takes about 2.5 s at 576 bits
     ctx = PrecisionContext()
     mp = MPContext()
     mp.prec = 2 * ctx.bits + 64
     code, out, _ = run(capsys, "eval", target, f"--q={q}")
     assert code == 0
-    want = _product_reference(target, Fraction(q), mp)
+    if q in ("9/10", "99/100"):
+        want = _product_reference(target, Fraction(q), mp)
+    else:
+        want = poisson(target, Fraction(q), mp)
     assert _printed_relative_error(out, want, mp) <= mp.mpf(10) ** -(ctx.digits - 1)
+
+
+@pytest.mark.parametrize("target, line", [
+    ("G", '{"agree_bits": 236, "bits_by": "proof", "iterations": null, "status": "converged", "target": "G", '
+          '"value": "1.653510378774883130955758213988752403083691530004004544865520142857e+28575"}'),
+    ("H", '{"agree_bits": 236, "bits_by": "proof", "iterations": null, "status": "converged", "target": "H", '
+          '"value": "1.021927658697083354643770308386044520076604005613293324697670773385e+28575"}'),
+    ("chi", '{"agree_bits": 236, "bits_by": "proof", "iterations": null, "status": "converged", "target": "chi", '
+            '"value": "3.59260622571301983775942179774105683720560708695103085612769360751e+17859"}'),
+])
+def test_eval_next_to_one_is_byte_identical(capsys, target, line):
+    # the Euler sums' product head changes the work, not the bytes: these are
+    # the lines the loop from n = 0 printed, with all 236 bits by proof
+    code, out, _ = run(capsys, "eval", target, "--q", "99999/100000", "--format", "json")
+    assert (code, out) == (0, line + "\n")
 
 
 def test_phi_next_to_minus_one(capsys):

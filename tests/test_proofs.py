@@ -4,8 +4,9 @@ The Euler-sum kernel (G, H, chi), theta at q >= 0 and the cf2 fraction hand
 certify a radius with their value (numerics._prove).  These tests keep the
 doubled evaluation as the oracle: a first run and its doubled run must lie
 within the sum of their radii, a value within its radius of an independent
-mpmath reference where one is cheap, and certify must take the doubled run
-exactly when the radius proves fewer than bits - guard_bits bits.
+mpmath reference where one is cheap (near q = 1, Poisson summation), and
+certify must take the doubled run exactly when the radius proves fewer than
+bits - guard_bits bits.
 """
 
 from fractions import Fraction
@@ -90,9 +91,10 @@ def test_radius_contains_the_doubled_run(name, nome, bits, guard):
     assert gap <= mp.fadd(r1, r2, exact=True)
 
 
-def _reference(name, nome, bits):
+def _reference(name, nome, bits, poisson):
     """name at the nome from mpmath's qp and jtheta (or cf2 from the jims
-    identity) at bits + 64, where that is cheap: q <= 1/2."""
+    identity) at bits + 64, where that is cheap: |q| <= 1/2; near q = 1 from
+    Poisson summation (``poisson``) at 2 bits + 64."""
     mp = mpmath.mp
     with mp.workprec(bits + 64):
         if name == "cf2":
@@ -104,7 +106,8 @@ def _reference(name, nome, bits):
             return +(mp.sqrt(mp.pi * mp.e / 2) - series)
         q = mp.convert(nome)
         if abs(q) > 0.5:
-            return None
+            with mp.workprec(2 * bits + 64):
+                return poisson(name, nome, mp)
         if name == "G":
             return 1 / (mp.qp(q, q**5) * mp.qp(q**4, q**5))
         if name == "H":
@@ -116,10 +119,10 @@ def _reference(name, nome, bits):
 
 @pytest.mark.parametrize("name, nome, bits, guard", [
     pytest.param(*case.values, id=case.id) for case in _cases()
-    if case.values[1] is None or case.values[1] in _FAR[:4] + _NEGATIVE[:1]
+    if case.values[1] is None or case.values[1] in _FAR[:4] + _NEGATIVE[:1] + _NEAR
 ])
-def test_value_lies_within_its_radius_of_mpmath(name, nome, bits, guard):
-    ref = _reference(name, nome, bits)
+def test_value_lies_within_its_radius_of_mpmath(name, nome, bits, guard, poisson):
+    ref = _reference(name, nome, bits, poisson)
     value, radius = _ball(_fn(name, nome), PrecisionContext(bits, guard))
     mp = mpmath.mp
     with mp.workprec(bits + 64):

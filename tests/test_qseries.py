@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrlab import cf, qseries
+from rrlab import cf, numerics, qseries
 from rrlab.cf import eval_finite, rr_cf, CFSpec
 from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, certify, golden_phi, root
 from rrlab.qseries import (
@@ -311,6 +311,163 @@ def test_kernel_term_counts(monkeypatch, ctx, kernel, q, terms):
     monkeypatch.setattr(cf, "bounded", counting)
     kernel(ctx.real(q), ctx)
     assert len(counted) == terms
+
+
+# -- the product head of the Euler sums -------------------------------------------
+
+
+def _loop_from_zero(q, ctx, first, step, den):
+    """The Euler-sum loop of qseries._rr_sum without its product head, as it ran
+    before the head existed: (value, radius, terms) for 0 <= q < 1."""
+    w, (x,) = numerics._fixed(ctx, "loop from 0", q)
+    one = 1 << w
+    xstep, xden = qseries._power(x, step, w), qseries._power(x, den, w)
+    qn, lead = xden, qseries._power(x, first, w)
+    term = total = unit = one
+    exp = -w
+    for n in range(1, ctx.max_iter + 1):
+        term = term * lead // (one - qn)
+        total += term
+        qn = qn * xden >> w
+        lead = lead * xstep >> w
+        gap = one - qn - lead
+        if gap > 0 and term * lead << ctx.stop_bits <= max(total, unit) * gap:
+            break
+        shift = max(term.bit_length(), total.bit_length()) - w
+        if shift > 0:
+            term >>= shift
+            total >>= shift
+            unit = max(unit >> shift, 1)
+            exp += shift
+    a = first + step * n
+    d = one - qn - den * (n + 1)
+    rate = numerics._nome_units(x, w)
+    c = -(-(n * (n + 1) * (den + first + step) << w) // d) + 2 * n * (n + 4)
+    bound = -(-total * one // (one - c))
+    rounding = -(-c * bound >> w)
+    tail = -(-(term + rounding) * (lead + a) // (d - lead - a))
+    return (*numerics._ball(ctx, total, exp, rounding + tail + -(-rate * (bound + tail) >> w)), n)
+
+
+def _count_heads(monkeypatch):
+    """Lists that collect the indices cf.bounded yields and the head lengths the rule picks."""
+    counted, heads = [], []
+    bounded, rule = cf.bounded, qseries._head_length
+
+    def counting(route, ctx):
+        for k in bounded(route, ctx):
+            counted.append(k)
+            yield k
+
+    def recording(*args):
+        heads.append(rule(*args))
+        return heads[-1]
+
+    monkeypatch.setattr(cf, "bounded", counting)
+    monkeypatch.setattr(qseries, "_head_length", recording)
+    return counted, heads
+
+
+@pytest.mark.parametrize("kernel, q, terms, least", [
+    (G, "9999/10000", 5768, 3500),
+    (H, "9999/10000", 5768, 3500),
+    (G, "99999/100000", 51110, 44000),
+    (H, "99999/100000", 51109, 44000),
+])
+def test_the_head_takes_most_indices_near_one(monkeypatch, ctx, kernel, q, terms, least):
+    # the head's factors are indices of the one count, which keeps the stop index
+    counted, heads = _count_heads(monkeypatch)
+    kernel(Nome.rational(q), ctx)
+    assert heads[0] >= least and len(counted) == terms
+
+
+@pytest.mark.parametrize("q", ["1/2", "88/100", "99/100", "-99/100"])
+def test_no_head_away_from_one(monkeypatch, ctx, q):
+    # G(0.99) is about 2^94: no term lies far enough below the peak
+    counted, heads = _count_heads(monkeypatch)
+    G(Nome.rational(q), ctx)
+    assert heads == ([0] if q[0] != "-" else [])
+
+
+@pytest.mark.parametrize("first, step, den", [(1, 2, 1), (2, 2, 1), (1, 2, 2), (1, 1, 1)])
+@pytest.mark.parametrize("q, bits, guard", [
+    ("999/1000", 256, 32), ("9999/10000", 256, 32), ("9999/10000", 1024, 32),
+    ("9999/10000", 256, 1), ("999/1000", 64, 1),  # where rounding nears the tail
+])
+def test_head_lies_within_the_radii_of_the_loop_from_zero(monkeypatch, q, bits, guard, first, step, den):
+    ctx = PrecisionContext(bits, guard)
+    nome = Nome.rational(q)
+    counted, heads = _count_heads(monkeypatch)
+    value, radius = qseries._rr_sum(nome, ctx, "head", first, step, den)
+    old, old_radius, terms = _loop_from_zero(nome, ctx, first, step, den)
+    assert heads[0] > 0 and len(counted) == terms  # the head held, and the count stays
+    mp = ctx.mp
+    assert abs(mp.fsub(value, old, exact=True)) <= mp.fadd(radius, old_radius, exact=True)
+    # the head costs the proof no bit
+    one = mp.one
+    assert numerics._bits(radius, max(value, one), ctx) == numerics._bits(old_radius, max(old, one), ctx)
+
+
+@pytest.mark.parametrize("past", [10, -2])
+def test_a_head_that_is_not_proven_runs_from_zero(monkeypatch, ctx, past):
+    # n0 forced past the peak fails the rising check at once; n0 two terms before
+    # it rises, but leaves out more than the tail bound.  Either way the sum runs
+    # again from n0 = 0 and returns what the loop from 0 returns.
+    nome = Nome.rational("9999/10000")
+    counted, _ = _count_heads(monkeypatch)
+    monkeypatch.setattr(qseries, "_head_length", lambda *args: 0)
+    plain = qseries._rr_sum(nome, ctx, "head", 1, 2, 1)
+    assert (*plain, len(counted)) == _loop_from_zero(nome, ctx, 1, 2, 1)
+    counted.clear()
+    peaks = []
+    monkeypatch.setattr(qseries, "_head_length", lambda *args: peaks.append(args[4]) or args[4] + past)
+    assert qseries._rr_sum(nome, ctx, "head", 1, 2, 1) == plain
+    assert counted[-5768:] == list(range(1, 5769))  # the run from 0, after
+    if past > 0:
+        assert len(counted) == peaks[0] + past + 5768  # n0 factors, then no term
+    else:
+        assert len(counted) >= 2 * 5768  # a full run with the head, then a check failed
+
+
+@given(st.integers(1, 2**64 - 1), st.integers(1, 2000))
+@settings(max_examples=100, deadline=None)
+def test_powers_stay_within_their_units(x, k):
+    # x^k at scale 2^64: the fixed-point power within k - 1 units, the
+    # mantissa-exponent power below it by less than 2(k - 1) units relatively
+    w = 64
+    exact = Fraction(x, 1 << w) ** k
+    assert 0 <= exact * (1 << w) - qseries._power(x, k, w) <= k - 1
+    man, exp = qseries._scaled_power(x, k, w)
+    assert man.bit_length() == w
+    got = Fraction(man) * Fraction(2) ** exp
+    assert 0 <= (exact - got) / exact * (1 << w) <= 2 * (k - 1)
+
+
+def test_negative_nomes_measure_what_they_cancel(monkeypatch, ctx):
+    # G and H alternate at q < 0, and from -9/10 on their largest term is not
+    # t_0 = 1, but down to -999/1000 it is at most half a bit above the total,
+    # so nothing is summed again
+    seen, counted = [], []
+    lost, bounded = qseries._lost_bits, cf.bounded
+    monkeypatch.setattr(qseries, "_lost_bits", lambda top, total: seen.append(lost(top, total)) or seen[-1])
+    monkeypatch.setattr(cf, "bounded", lambda route, c: counted.append(c.bits) or bounded(route, c))
+    for q in ("-1/2", "-9/10", "-99/100", "-999/1000"):
+        for kernel in (G, H):
+            kernel(Nome.rational(q), ctx)
+    assert seen == pytest.approx([0.473, -0.240, -0.460, -1.489, -2.115, -3.160, -3.768, -4.809], abs=1e-3)
+    assert set(counted) == {256}
+
+
+def test_a_sum_that_cancels_is_summed_again_wider(monkeypatch, ctx):
+    nome = Nome.rational("-99/100")
+    plain = G(nome, ctx)
+    counted = []
+    bounded = cf.bounded
+    monkeypatch.setattr(qseries, "_lost_bits", lambda top, total: 40.5)
+    monkeypatch.setattr(cf, "bounded", lambda route, c: counted.append(c.bits) or bounded(route, c))
+    value = G(nome, ctx)
+    assert counted == [256, 320]  # widened by 41 bits, rounded up to a multiple of 32
+    assert value.context is ctx.mp and agree_bits(value, plain, ctx) >= ctx.bits - ctx.guard_bits
 
 
 def _chi_cross_route_points():
