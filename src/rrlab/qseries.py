@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, islice
-from operator import add
 
 from .formal import FormalSeries, product_one_minus_inv, theta_series
 from .numerics import _MEMO, PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
@@ -656,7 +655,12 @@ def _rr_series(order: int, side: str, extra: int, residues: tuple) -> FormalSeri
     """Exact expansion of G (extra 0, residues (1, 4)) or H (1, (2, 3)).
 
     'sum' is sum_n q^(n^2 + extra n) / (q;q)_n; 'product' is prod 1/(1 - q^k)
-    over the k congruent to the residues mod 5.
+    over the k congruent to the residues mod 5.  The sum is acc_1 by Horner's
+    rule: acc_(N+1) = 1, acc_n = 1 + q^(2n-1+extra)/(1 - q^n) acc_(n+1), N the last
+    n with n^2 + extra n <= order.  acc_n is needed through order - (n-1)^2 -
+    extra (n-1), so step n divides the order - n^2 - extra n + 1 coefficients of
+    acc_(n+1) by 1 - q^n (a prefix sum in each class mod n) and prepends 1 and
+    2n - 2 + extra zeros.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -664,17 +668,13 @@ def _rr_series(order: int, side: str, extra: int, residues: tuple) -> FormalSeri
         return product_one_minus_inv([k for k in range(1, order + 1) if k % 5 in residues], order)
     if side != "sum":
         raise ValueError(f"unknown side {side!r}")
-    acc = [1] + [0] * order
-    # 1/(q;q)_n, kept only through order - shift: step n reads no further,
-    # and every later step reads less
-    inv = [1] + [0] * order
-    n = 1
-    while (shift := n * n + extra * n) <= order:
-        top = order - shift + 1
-        for r in range(n):  # times 1/(1 - q^n): a prefix sum in each residue class mod n
-            inv[r:top:n] = accumulate(inv[r:top:n])
-        acc[shift:] = map(add, acc[shift:], inv[:top])
-        n += 1
+    n = (math.isqrt(4 * order + extra) - extra) // 2  # N, as extra is 0 or 1
+    acc = [1] + [0] * (order - n * n - extra * n)
+    while n:
+        for r in range(n):
+            acc[r::n] = accumulate(acc[r::n])
+        acc = [1] + [0] * (2 * n - 2 + extra) + acc
+        n -= 1
     return FormalSeries(acc, 0, order)
 
 

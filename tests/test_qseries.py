@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from rrlab.qseries import (
     series_R,
     theta_phi,
 )
+from rrlab.formal import theta_series
 from rrlab.identities import _factorization_denominator
 from rrlab.qseries import _jacobi_sum, _theta_quotient
 
@@ -246,12 +249,61 @@ def test_series_G_sum_vs_product_order_60():
 
 
 def test_series_sum_vs_product_every_low_order():
-    # the sum side keeps 1/(q;q)_n only through order - n^2 (- n for H);
-    # orders 1..40 put that cut on each side of n^2 and n^2 + n for n <= 6
-    for order in range(1, 41):
+    # the sum side's Horner step n keeps acc_n only through order - (n-1)^2
+    # (- (n-1) for H); orders 1..60 put that cut on each side of n^2 and
+    # n^2 + n for n <= 7
+    for order in range(1, 61):
         for series in (series_G, series_H):
             assert series(order).coeffs == series(order, side="product").coeffs
             assert series(order).order == order
+
+
+def _two_pass_sum(order: int, extra: int) -> tuple:
+    """sum_n q^(n^2 + extra n) / (q;q)_n through q^order as (coeffs, offset,
+    order), the reference on two lists: 1/(q;q)_n kept through order - n^2 -
+    extra n by prefix sums mod n, then added into the total at q^(n^2 + extra n)."""
+    acc = [1] + [0] * order
+    inv = [1] + [0] * order
+    n = 1
+    while (shift := n * n + extra * n) <= order:
+        top = order - shift + 1
+        for r in range(n):
+            inv[r:top:n] = accumulate(inv[r:top:n])
+        acc[shift:] = map(add, acc[shift:], inv[:top])
+        n += 1
+    return acc, 0, order
+
+
+@pytest.mark.parametrize("extra, series", [(0, series_G), (1, series_H)], ids=["G", "H"])
+def test_horner_sum_equals_the_two_pass_loop(extra, series):
+    for order in [*range(1, 301), 997, 2003, 5000]:
+        s = series(order)
+        assert (s.coeffs, s.offset, s.order) == _two_pass_sum(order, extra), order
+
+
+def _partition_numbers(order: int) -> list:
+    """p(0..order) by Euler's pentagonal recurrence."""
+    p = [1] + [0] * order
+    for m in range(1, order + 1):
+        k = 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            p[m] += sign * p[m - g]
+            if g + k <= m:
+                p[m] += sign * p[m - g - k]
+            k += 1
+    return p
+
+
+@pytest.mark.parametrize("b, series", [(1, series_G), (3, series_H)], ids=["G", "H"])
+def test_sum_side_is_theta_over_euler(b, series):
+    # Jacobi triple product: G = S_(5,1) / (q;q)_inf and H = S_(5,3) / (q;q)_inf,
+    # with 1/(q;q)_inf = sum p(n) q^n; no loop shared with the sum side
+    order = 2000
+    p = _partition_numbers(order)
+    theta = [(k, c) for k, c in enumerate(theta_series(5, b, order).coeffs) if c]
+    want = [sum(c * p[m - k] for k, c in theta if k <= m) for m in range(order + 1)]
+    assert series(order).coeffs == want
 
 
 def test_series_coefficients():
