@@ -1,16 +1,32 @@
-"""Brute-force integer partition enumeration used as a combinatorial oracle.
+"""Brute-force partition counting, the combinatorial oracle for G and H.
 
-Counts here come from direct generation of the partitions themselves, never
-from generating functions, so they can independently confirm q-series
-coefficients.  Partitions are tuples of weakly decreasing positive parts.
+In MacMahon's and Schur's form of the Rogers-Ramanujan identities, the
+partitions of n into parts = +-1 (mod 5) are as many as the partitions into
+parts that differ by at least 2, and both numbers are the coefficients of G;
+with +-2 (mod 5) and parts >= 2 they are those of H.  count_partitions counts
+such partitions one by one, as the leaves of one pruned walk, so it shares no
+recurrence with the q-series it confirms.
+
+Each predicate is data for the walk: its allowed part sizes in decreasing
+order; a skip, 0 where a part may repeat (the residue predicates) and 2 where
+the next part must be at least 2 smaller (the gap predicates, whose sizes are
+consecutive); and a reach bound per size, the largest sum that size and the
+parts allowed after it can make (a suffix sum for the gap predicates; n, which
+no remainder exceeds, for the residue predicates).  A node of the walk is a
+remainder and the first size it may use.  A part equal to the
+remainder is a leaf, a smaller part leads to a node for what is left, and the
+scan stops once the remainder exceeds the reach.  When only one size is left,
+the remainder is one leaf if that size divides it.  So every matching
+partition is visited exactly once, as one leaf.  The walk deliberately keeps
+no memo: a table of counts keyed by (remainder, size) would turn it into the
+coefficient recurrence of prod 1/(1 - q^p), which is no longer an oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Sequence
 
-__all__ = ["PartitionPredicate", "satisfies", "iter_partitions", "iter_matching", "count_partitions"]
+__all__ = ["PartitionPredicate", "count_partitions"]
 
 
 class PartitionPredicate(enum.Enum):
@@ -20,70 +36,45 @@ class PartitionPredicate(enum.Enum):
     PARTS_2_3_MOD_5 = "parts-2-3-mod-5"
 
 
-def satisfies(parts: Sequence[int], predicate: PartitionPredicate) -> bool:
-    """Decide the predicate on an explicit partition (decreasing parts)."""
-    if predicate is PartitionPredicate.PARTS_1_4_MOD_5:
-        return all(p % 5 in (1, 4) for p in parts)
-    if predicate is PartitionPredicate.PARTS_2_3_MOD_5:
-        return all(p % 5 in (2, 3) for p in parts)
-    min_part = 1 if predicate is PartitionPredicate.DISTINCT_NONCONSECUTIVE else 2
-    if parts and parts[-1] < min_part:
-        return False
-    return all(parts[i] - parts[i + 1] >= 2 for i in range(len(parts) - 1))
+_RESIDUES = {PartitionPredicate.PARTS_1_4_MOD_5: (1, 4), PartitionPredicate.PARTS_2_3_MOD_5: (2, 3)}
+_MIN_PART = {PartitionPredicate.DISTINCT_NONCONSECUTIVE: 1, PartitionPredicate.DISTINCT_NONCONSECUTIVE_MIN2: 2}
 
 
-def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple]:
-    """All partitions of n with parts <= max_part, weakly decreasing."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if max_part is None or max_part > n:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(max_part, n), 0, -1):
-        for rest in iter_partitions(n - p, p):
-            yield (p,) + rest
-
-
-def _iter_gap2(n: int, max_part: int, min_part: int) -> Iterator[tuple]:
-    # strictly decreasing parts with gaps >= 2 and smallest part >= min_part
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(max_part, n), min_part - 1, -1):
-        for rest in _iter_gap2(n - p, p - 2, min_part):
-            yield (p,) + rest
-
-
-def _iter_residues(n: int, max_part: int, residues: tuple) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(max_part, n), 0, -1):
-        if p % 5 in residues:
-            for rest in _iter_residues(n - p, p, residues):
-                yield (p,) + rest
-
-
-def iter_matching(n: int, predicate: PartitionPredicate) -> Iterator[tuple]:
-    """Partitions of n satisfying the predicate, generated with pruning.
-
-    The pruning only encodes the predicate's own hereditary structure
-    (allowed residues / minimum gap), so the enumeration remains a direct
-    realization of the combinatorial definition.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if predicate is PartitionPredicate.PARTS_1_4_MOD_5:
-        return _iter_residues(n, n, (1, 4))
-    if predicate is PartitionPredicate.PARTS_2_3_MOD_5:
-        return _iter_residues(n, n, (2, 3))
-    if predicate is PartitionPredicate.DISTINCT_NONCONSECUTIVE:
-        return _iter_gap2(n, n, 1)
-    return _iter_gap2(n, n, 2)
+def _walk(rem, j, sizes, skip, reach, first, last):
+    # leaves below the node (rem, j): partitions of rem into sizes[j:] in which
+    # a part sizes[i] is followed by parts from sizes[i + skip:]; first[rem]
+    # is the index of the largest size <= rem
+    if j < first[rem]:
+        j = first[rem]
+    count = 0
+    if j < last and sizes[j] == rem:
+        count = 1
+        j += 1
+    while j < last and reach[j] >= rem:
+        count += _walk(rem - sizes[j], j + skip, sizes, skip, reach, first, last)
+        j += 1
+    if j == last and reach[j] >= rem and rem % sizes[j] == 0:
+        count += 1
+    return count
 
 
 def count_partitions(n: int, predicate: PartitionPredicate) -> int:
     """Number of partitions of n satisfying the predicate (n = 0 counts 1)."""
-    return sum(1 for _ in iter_matching(n, predicate))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return 1
+    if predicate in _RESIDUES:
+        sizes = [p for p in range(n, 0, -1) if p % 5 in _RESIDUES[predicate]]
+        skip, reach = 0, [n] * len(sizes)
+    else:
+        sizes = list(range(n, _MIN_PART[predicate] - 1, -1))
+        skip, reach = 2, sizes[:]
+        for j in range(len(sizes) - 3, -1, -1):
+            reach[j] += reach[j + 2]
+    first, j = [], len(sizes)
+    for r in range(n + 1):
+        while j and sizes[j - 1] <= r:
+            j -= 1
+        first.append(j)
+    return _walk(n, 0, sizes, skip, reach, first, len(sizes) - 1)

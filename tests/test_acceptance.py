@@ -192,15 +192,15 @@ def test_criterion_05_exact_formal_suites(acc):
 
 
 def test_criterion_06_partition_oracle(acc):
-    g = series_G(60)
-    h = series_H(60)
+    g = series_G(80)
+    h = series_H(80)
     ok = True
-    for n in range(0, 61):
+    for n in range(0, 81):
         ok = ok and count_partitions(n, PartitionPredicate.DISTINCT_NONCONSECUTIVE) == g.coeff(n)
         ok = ok and count_partitions(n, PartitionPredicate.PARTS_1_4_MOD_5) == g.coeff(n)
         ok = ok and count_partitions(n, PartitionPredicate.DISTINCT_NONCONSECUTIVE_MIN2) == h.coeff(n)
         ok = ok and count_partitions(n, PartitionPredicate.PARTS_2_3_MOD_5) == h.coeff(n)
-    _report(6, ok, "partition counts equal series coefficients exactly for n <= 60")
+    _report(6, ok, "partition counts equal series coefficients exactly for n <= 80")
 
 
 def test_criterion_07_finite_form(acc):

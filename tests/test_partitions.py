@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrlab.partitions import (
-    PartitionPredicate,
-    count_partitions,
-    iter_matching,
-    iter_partitions,
-    satisfies,
-)
+from rrlab import partitions
+from rrlab.partitions import PartitionPredicate, count_partitions
 from rrlab.qseries import series_G, series_H
 
 DN = PartitionPredicate.DISTINCT_NONCONSECUTIVE
@@ -17,19 +12,56 @@ P14 = PartitionPredicate.PARTS_1_4_MOD_5
 P23 = PartitionPredicate.PARTS_2_3_MOD_5
 
 
+# The definition, kept here as the test's independent brute force: every
+# partition of n, and the predicate decided on an explicit partition.
+def iter_partitions(n, max_part=None):
+    """All partitions of n with parts <= max_part, weakly decreasing."""
+    if max_part is None or max_part > n:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for p in range(max_part, 0, -1):
+        for rest in iter_partitions(n - p, p):
+            yield (p,) + rest
+
+
+def satisfies(parts, predicate):
+    """Decide the predicate on an explicit partition (decreasing parts)."""
+    if predicate is P14:
+        return all(p % 5 in (1, 4) for p in parts)
+    if predicate is P23:
+        return all(p % 5 in (2, 3) for p in parts)
+    min_part = 1 if predicate is DN else 2
+    if parts and parts[-1] < min_part:
+        return False
+    return all(parts[i] - parts[i + 1] >= 2 for i in range(len(parts) - 1))
+
+
+def matching(n, predicate):
+    return [p for p in iter_partitions(n) if satisfies(p, predicate)]
+
+
 def test_examples():
     assert count_partitions(3, DN) == 1  # {3}
     assert count_partitions(3, P14) == 1  # {1+1+1}
     assert count_partitions(4, DN) == 2  # {4}, {3+1}
+
+
+def test_edge_cases():
     for pred in PartitionPredicate:
+        with pytest.raises(ValueError):
+            count_partitions(-1, pred)
         assert count_partitions(0, pred) == 1  # empty partition
+    assert count_partitions(1, DN) == count_partitions(1, P14) == 1  # {1}
+    assert count_partitions(1, DN2) == count_partitions(1, P23) == 0
 
 
 def test_explicit_partitions():
-    assert sorted(iter_matching(4, DN)) == [(3, 1), (4,)]
-    assert sorted(iter_matching(4, P14)) == [(1, 1, 1, 1), (4,)]
-    assert sorted(iter_matching(4, P23)) == [(2, 2)]
-    assert sorted(iter_matching(5, DN2)) == [(5,)]
+    assert sorted(matching(4, DN)) == [(3, 1), (4,)]
+    assert sorted(matching(4, P14)) == [(1, 1, 1, 1), (4,)]
+    assert sorted(matching(4, P23)) == [(2, 2)]
+    assert sorted(matching(5, DN2)) == [(5,)]
 
 
 def test_satisfies():
@@ -51,10 +83,9 @@ def test_iter_partitions_total_count():
 
 
 @pytest.mark.parametrize("pred", list(PartitionPredicate))
-def test_pruned_generation_matches_filtering(pred):
-    for n in range(0, 26):
-        filtered = sum(1 for p in iter_partitions(n) if satisfies(p, pred))
-        assert count_partitions(n, pred) == filtered
+def test_walk_matches_the_definition(pred):
+    for n in range(0, 31):
+        assert count_partitions(n, pred) == len(matching(n, pred))
 
 
 def test_macmahon_small():
@@ -67,11 +98,32 @@ def test_macmahon_small():
         assert count_partitions(n, P23) == h.coeff(n)
 
 
-@given(n=st.integers(0, 40))
-@settings(max_examples=30, deadline=None)
-def test_generated_partitions_sum_to_n(n):
-    for pred in (DN, P23):
-        for parts in iter_matching(n, pred):
-            assert sum(parts) == n
-            assert satisfies(parts, pred)
-            assert list(parts) == sorted(parts, reverse=True)
+@pytest.mark.parametrize("pred", list(PartitionPredicate))
+def test_walk_visits_each_partition_once(pred, monkeypatch):
+    # every counted partition is one leaf, and the nodes (walk calls plus
+    # leaves) stay under 3 per partition at n = 62; a second count makes as
+    # many calls as the first, so nothing is remembered between counts
+    calls = []
+    walk = partitions._walk
+
+    def counted(*args):
+        calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(partitions, "_walk", counted)
+    count = count_partitions(62, pred)
+    first_calls = len(calls)
+    assert count_partitions(62, pred) == count == (3345 if pred in (DN, P14) else 2108)
+    assert len(calls) == 2 * first_calls
+    assert first_calls + count < 3 * count
+
+
+@given(n=st.integers(0, 18))
+@settings(max_examples=20, deadline=None)
+def test_brute_force_lists_each_partition_once(n):
+    listed = list(iter_partitions(n))
+    assert len(set(listed)) == len(listed)
+    for parts in listed:
+        assert sum(parts) == n
+        assert list(parts) == sorted(parts, reverse=True)
+        assert all(p > 0 for p in parts)
