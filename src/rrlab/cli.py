@@ -187,8 +187,6 @@ def cmd_verify(args) -> int:
                 f"[{mark}] {rep['id']:<22} records={len(rep['records'])} "
                 f"max_dev={rep['max_deviation']}"
             )
-            for note in rep["excluded"]:
-                _out(f"       excluded: {note}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -1,13 +1,14 @@
 """Identity verification registry: numeric sweeps and exact checks.
 
 The registry ``_CASES`` maps each identity id to its (grid, sides) tables: the
-grid lists labelled points and the sides give the left and right value at each
-point.  A nome a grid lists or a side forms from an exact argument is a ``Nome``.
-A side that cancels is a ``_real_sum``, formed again on the context widened by
-the bits it measures: 1/R - 1 - R, 1/R^5 - 11 - R^5, cubic's v - u^3 and the
-factorization's left side.  ``verify`` runs the tables on the package's one
-check driver, ``numerics.check_tables``, whose one record rule,
-``numerics.record``, judges each record by the type of its two values.
+grid lists labelled points and the sides yield only (suffix, lhs, rhs) triples,
+the left and right value at each point.  A nome a grid lists or a side forms
+from an exact argument is a ``Nome``.  A side that cancels is a ``_real_sum``,
+formed again on the context widened by the bits it measures: 1/R - 1 - R,
+1/R^5 - 11 - R^5, cubic's v - u^3 and the factorization's left side.  ``verify``
+runs the tables on the package's one check driver, ``numerics.check_tables``,
+whose one record rule, ``numerics.record``, judges each record by the type of
+its two values.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class UnknownIdentityError(KeyError):
 class VerificationReport:
     id: str
     records: list
-    excluded: list
     max_deviation: object
     status: str
 
@@ -62,7 +62,6 @@ class VerificationReport:
                 }
                 for r in self.records
             ],
-            "excluded": list(self.excluded),
             "max_deviation": fmt(self.max_deviation),
             "status": self.status,
         }
@@ -274,11 +273,8 @@ def _cubic(nome, ctx: PrecisionContext):
     yield "", cancelling * (1 + u * v**3), 3 * u**2 * v**2
 
 
-def k_param_bound(ctx: PrecisionContext):
-    return ctx.mp.sqrt(5) - 2
-
-
 def _k_param(nome, ctx: PrecisionContext):
+    # R(q^(1/2)) in k needs k <= sqrt(5) - 2 = R(1)^3, which k nears only as q -> 1
     mp = ctx.mp
     q = ctx.number(nome)
     rq = _R(q, ctx)
@@ -286,16 +282,13 @@ def _k_param(nome, ctx: PrecisionContext):
     k = rq * rq2**2
     yield ": R^5(q)", rq**5, k * ((1 - k) / (1 + k)) ** 2
     yield ": R^5(q^2)", rq2**5, k**2 * (1 + k) / (1 - k)
-    if k <= k_param_bound(ctx):
-        display = (
-            k ** (mp.mpf(1) / 10)
-            * (1 + k) ** (mp.mpf(4) / 5)
-            * (1 - k) ** (mp.mpf(1) / 5)
-            / (mp.sqrt(k) + mp.sqrt(1 + k - k * k))
-        )
-        yield ": R(q^(1/2))", _R(mp.sqrt(q), ctx), display
-    else:
-        yield f": k={mp.nstr(k, 8)} > sqrt(5)-2, R(q^(1/2)) case excluded"
+    display = (
+        k ** (mp.mpf(1) / 10)
+        * (1 + k) ** (mp.mpf(4) / 5)
+        * (1 - k) ** (mp.mpf(1) / 5)
+        / (mp.sqrt(k) + mp.sqrt(1 + k - k * k))
+    )
+    yield ": R(q^(1/2))", _R(mp.sqrt(q), ctx), display
 
 
 def _quintic_grid(samples, series_order):
@@ -398,12 +391,11 @@ def _jims(point, ctx: PrecisionContext):
 _POLY_DENOMS = (12, 360, 5040, 60480, 1710720)
 
 
-def asymptotic_check(x, ctx: PrecisionContext, include_polynomial: bool = True, reference=None) -> dict:
+def asymptotic_check(x, ctx: PrecisionContext, reference=None) -> dict:
     """Small-x approximation of the cf2 fraction.
 
     approx = x*sqrt(e) * sum_{n>=1} exp(-(1+n*x)^2/2) + x/2 - x^2/12 - x^4/360
     - x^6/5040 - x^8/60480 - x^10/1710720; reference is the fraction itself.
-    With include_polynomial=False the entire polynomial correction is omitted.
     The claim is empirical ("nearly"): callers assert error decay, never equality.
     """
     mp = ctx.mp
@@ -427,11 +419,9 @@ def asymptotic_check(x, ctx: PrecisionContext, include_polynomial: bool = True, 
             break
         t = t * r >> w
         r = r * step >> w
-    approx = x * mp.sqrt(mp.e) * mp.mpf((total, -w))
-    if include_polynomial:
-        approx += x / 2
-        for i, d in enumerate(_POLY_DENOMS):
-            approx -= x ** (2 * i + 2) / d
+    approx = x * mp.sqrt(mp.e) * mp.mpf((total, -w)) + x / 2
+    for i, d in enumerate(_POLY_DENOMS):
+        approx -= x ** (2 * i + 2) / d
     if reference is None:
         reference = cf2_value(ctx)[0]
     return {"approx": approx, "reference": reference, "error": abs(approx - reference)}
@@ -503,8 +493,8 @@ def _formal_r_identity_2(order: int, ctx: PrecisionContext):
 
 
 # Each id maps to its (grid, sides) tables.  grid(samples, series_order) lists
-# (label, point) pairs; ``verify`` runs those points and their sides on the one
-# check driver, ``numerics.check_tables``, which says what sides(point, ctx) yields.
+# (label, point) pairs and sides(point, ctx) yields (suffix, lhs, rhs) triples
+# only; ``verify`` runs them on the one check driver, ``numerics.check_tables``.
 _CASES = {
     "entry15a": ((_entry15a_grid(_ENTRY15A_VALUES), _entry15a),),
     "entry15a-corollary": ((_entry15a_grid((Fraction(0),)), _entry15a),),
@@ -555,7 +545,7 @@ def verify(
         raise UnknownIdentityError(
             f"unknown identity {id!r}; known: {', '.join(identity_ids())}"
         ) from None
-    records, excluded = check_tables(ctx, [(grid(samples, series_order), sides) for grid, sides in tables])
+    records = check_tables(ctx, [(grid(samples, series_order), sides) for grid, sides in tables])
     deviation = max((ctx.real(r["abs_dev"]) for r in records), default=ctx.real(0))
     status = "pass" if all(r["passed"] for r in records) else "fail"
-    return VerificationReport(id, records, excluded, deviation, status)
+    return VerificationReport(id, records, deviation, status)

@@ -492,18 +492,13 @@ def record(ctx: PrecisionContext, point: str, lhs, rhs) -> dict:
     return dict(point=point, lhs=lhs, rhs=rhs, abs_dev=dev, agree_bits=bits, passed=passed)
 
 
-def check_tables(ctx: PrecisionContext, tables) -> tuple:
-    """(records, exclusion notes) of (points, sides) tables, the one check driver:
-    at each (label, point) of points, sides(point, ctx) yields (suffix, lhs, rhs)
-    triples, each judged by ``record`` as the record labelled label + suffix, or
-    a string, which becomes the exclusion note label + string."""
-    records, excluded = [], []
-    for points, sides in tables:
-        for label, point in points:
-            for item in sides(point, ctx):
-                if isinstance(item, str):
-                    excluded.append(label + item)
-                else:
-                    suffix, lhs, rhs = item
-                    records.append(record(ctx, label + suffix, lhs, rhs))
-    return records, excluded
+def check_tables(ctx: PrecisionContext, tables) -> list:
+    """The records of (points, sides) tables, the one check driver: at each
+    (label, point) of points, sides(point, ctx) yields (suffix, lhs, rhs)
+    triples only, each judged by ``record`` as the record labelled label + suffix."""
+    return [
+        record(ctx, label + suffix, lhs, rhs)
+        for points, sides in tables
+        for label, point in points
+        for suffix, lhs, rhs in sides(point, ctx)
+    ]

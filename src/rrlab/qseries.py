@@ -458,8 +458,10 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
         for _, k in products[0] + products[1]:
             product += (ctx.stop_bits * math.log(2) / (k * decay) + CALL_STEPS) * _step_cost(base)
     if product < sparse:
-        qv = ctx.number(q)
-        num, den = ([pochhammer_inf(qv**j, qv**k, ctx) for j, k in side] for side in products)
+        def power(e):  # q^e from x, at width W, where ``_fixed`` reads it exactly
+            return Fraction(_power(x, e, base), 1 << base)
+
+        num, den = ([pochhammer_inf(power(j), power(k), ctx) for j, k in side] for side in products)
     else:
         num, den = (
             [_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]

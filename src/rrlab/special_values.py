@@ -363,4 +363,4 @@ def verify_registry(ctx: PrecisionContext, names: Optional[list] = None) -> list
     if missing:
         raise KeyError(f"unknown special-value entries: {sorted(missing)}")
     points = [(e.name, e) for e in _REGISTRY if not names or e.name in names]
-    return check_tables(ctx, [(points, _entry_sides)])[0]
+    return check_tables(ctx, [(points, _entry_sides)])

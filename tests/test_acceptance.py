@@ -17,7 +17,7 @@ from rrlab.cf import (
     rr_root_of_unity_direct,
     schur_classify,
 )
-from rrlab.identities import asymptotic_check, jims_identity, verify
+from rrlab.identities import _POLY_DENOMS, asymptotic_check, jims_identity, verify
 from rrlab.numerics import PrecisionContext, agree_bits, golden_phi
 from rrlab.partitions import PartitionPredicate, count_partitions
 from rrlab.qseries import series_G, series_H, theta_phi
@@ -247,9 +247,11 @@ def test_criterion_10_asymptotic_property(acc):
     ctx = acc.ctx
     errs = [acc.asymptotic[0][x] for x in ASYMPTOTIC_GRID]
     ok = errs[0] > errs[1] > errs[2] > errs[3]
-    uncorrected = asymptotic_check(
-        Fraction(1, 20), ctx, include_polynomial=False, reference=acc.jims[0]["cf"]
-    )["error"]
+    # the approximation at x = 0.05 without its polynomial correction x/2 - sum x^(2i+2)/d_i
+    ref, x = acc.jims[0]["cf"], ctx.real(Fraction(1, 20))
+    approx = asymptotic_check(x, ctx, reference=ref)["approx"]
+    polynomial = x / 2 - sum(x ** (2 * i + 2) / d for i, d in enumerate(_POLY_DENOMS))
+    uncorrected = abs(approx - polynomial - ref)
     ok = ok and errs[3] < uncorrected
     _report(
         10,

@@ -15,7 +15,6 @@ from rrlab.identities import (
     factorization_sides,
     identity_ids,
     jims_identity,
-    k_param_bound,
     verify,
 )
 from rrlab.cf import ConvergenceError, eval_infinite
@@ -133,13 +132,29 @@ def test_r_identity_2_left_side_is_widened_by_its_cancellation(qf):
     assert agree_bits(lhs, 1 / r5 - 11 - r5, big) >= 256
 
 
-def test_k_param_bound_and_grid(ctx):
-    bound = k_param_bound(ctx)
-    assert abs(bound - (ctx.mp.sqrt(5) - 2)) < ctx.tol
-    rep = verify("k-param", ctx, samples=10)
-    # on the sampled grid k stays below the bound, so nothing is excluded
-    assert rep.excluded == []
-    assert len(rep.records) == 30
+def test_k_param_k_stays_below_its_limit():
+    # k = R(q) R(q^2)^2 rises towards R(1)^3 = sqrt(5) - 2 only as q -> 1, so the
+    # radical for R(q^(1/2)), stated for k <= sqrt(5) - 2, holds at every nome
+    # in (0, 1); at q = 9/10 the gap is already below 2^-50
+    ctx = PrecisionContext(256, 32)
+    limit = ctx.mp.sqrt(5) - 2
+    gaps = []
+    for n in range(1, 91):
+        q = Fraction(n, 100)
+        k = R_product(Nome.rational(q), ctx) * R_product(Nome.rational(q * q), ctx) ** 2
+        gaps.append(limit - k)
+    assert all(g > 0 for g in gaps)
+    assert gaps == sorted(gaps, reverse=True)
+    assert gaps[-1] < ctx.mp.ldexp(1, -50)
+
+
+@pytest.mark.parametrize("samples", [1, 10, 25])
+def test_k_param_yields_three_records_per_point(ctx, samples):
+    rep = verify("k-param", ctx, samples=samples)
+    suffixes = (": R^5(q)", ": R^5(q^2)", ": R(q^(1/2))")
+    labels = [label for label, _ in identities._q_grid(samples, 0)]
+    assert [r["point"] for r in rep.records] == [label + s for label in labels for s in suffixes]
+    assert rep.status == "pass"
 
 
 def test_jims_identity_values(ctx):
@@ -170,10 +185,13 @@ def test_asymptotic_error_decays(ctx):
     ref = eval_infinite(cf2_spec(), ctx).value
     errs = []
     for x in (Fraction(2, 5), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)):
-        errs.append(asymptotic_check(x, ctx, reference=ref)["error"])
+        check = asymptotic_check(x, ctx, reference=ref)
+        errs.append(check["error"])
     assert errs[0] > errs[1] > errs[2] > errs[3]
-    uncorrected = asymptotic_check(Fraction(1, 20), ctx, include_polynomial=False, reference=ref)
-    assert errs[3] < uncorrected["error"]
+    # the approximation at x = 1/20 without its polynomial correction x/2 - sum x^(2i+2)/d_i
+    x = ctx.real(Fraction(1, 20))
+    polynomial = x / 2 - sum(x ** (2 * i + 2) / d for i, d in enumerate(identities._POLY_DENOMS))
+    assert errs[3] < abs(check["approx"] - polynomial - ref)
 
 
 def test_asymptotic_domain(ctx):
@@ -190,7 +208,7 @@ def test_report_json_schema_and_determinism(ctx):
     j2 = json.dumps(rep2.to_json(ctx), sort_keys=True)
     assert j1 == j2
     data = rep1.to_json(ctx)
-    assert set(data) == {"id", "context", "records", "excluded", "max_deviation", "status"}
+    assert set(data) == {"id", "context", "records", "max_deviation", "status"}
     assert data["id"] == "cubic"
     assert set(data["context"]) == {"bits", "tol"}
     for rec in data["records"]:

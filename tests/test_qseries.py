@@ -113,6 +113,19 @@ def test_R_product_matches_cf(ctx):
     assert agree_bits(R_product(q, ctx=ctx), rr_cf(q, ctx=ctx).value, ctx) >= ctx.bits - ctx.guard_bits
 
 
+@pytest.mark.parametrize("qf", ["9999/10000", "19999/20000"])
+def test_R_product_route_earns_its_bits(monkeypatch, qf):
+    # near q = 1 the quotient takes the four products (q^j; q^5)_inf, whose
+    # arguments must be powers of q at the kernel width, not at ctx.bits, for R
+    # to earn bits - guard_bits against the fraction at twice the bits
+    ctx, big = PrecisionContext(256, 8), PrecisionContext(512, 8)
+    calls = []
+    monkeypatch.setattr(qseries, "pochhammer_inf", lambda *args: calls.append(args) or pochhammer_inf(*args))
+    value = R_product(Nome.rational(qf), ctx)
+    assert len(calls) == 4
+    assert agree_bits(value, rr_cf(Nome.rational(qf), big).value, ctx) >= ctx.bits - ctx.guard_bits
+
+
 @pytest.mark.parametrize(
     "fn, nome, seen",
     [
