@@ -14,6 +14,14 @@ converged by max_iter ends MAX_ITERATIONS, without a value.  A spec whose
 terms are all positive ints runs the same recurrence in blocks of
 BLOCK_STEPS steps, composed exactly in small ints.
 
+R itself has two routes.  ``rr_cf`` runs the fraction at q; it is the one
+that every identity and special-value check names.  ``rr_value``, which
+``eval R`` and ``eval S`` take, runs the fraction at q where that is cheap
+and otherwise the paper's modular relation: R (or S) at q from the fraction
+at the transformed nome q^ = exp(-k pi^2/ln(1/q)), 3 steps near |q| = 1
+instead of 170 to 345.  One predicted-cost rule, from q and the width,
+chooses between them.
+
 Non-convergence has one exception type, ConvergenceError (defined with
 CFStatus in ``numerics``, whose ``certify`` raises it too): a CFResult's value
 is read through CFResult.require, and every other loop bounded by max_iter
@@ -31,7 +39,7 @@ from math import log2
 from typing import Callable, Optional
 
 from .numerics import FIXED_UNITS, CFStatus, ConvergenceError, Nome, PrecisionContext, RootMode
-from .numerics import _ball, _fixed, _prove, golden_phi, root
+from .numerics import _ball, _fixed, _log2, _prove, golden_phi, root
 
 __all__ = [
     "CFSpec",
@@ -46,6 +54,7 @@ __all__ = [
     "eval_infinite",
     "rr_cf",
     "rr_cfspec",
+    "rr_value",
     "legendre5",
     "schur_classify",
     "SchurClassification",
@@ -538,6 +547,106 @@ def rr_cf(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL) -> CFRe
     if res.converged:
         res = replace(res, value=root(qv, 5, mode, ctx) * res.value)
     return res
+
+
+# -- R and S near |q| = 1: the modular relation --------------------------------
+
+
+def _predicted_steps(decay: float, ctx: PrecisionContext) -> float:
+    """Predicted forward steps of the fraction at |q| = e^-decay: the least real
+    k >= 3 with (k - 1)(k - 2)/2 * decay/ln 2 >= stop_bits.
+
+    Step k's convergent moves by |q|^(k(k-1)/2)/(B_k B_(k-1)), and the stop
+    test wants two moves below 2^-stop_bits.  The growth of B_k is left out:
+    near |q| = 1 it caps the count near stop_bits/(2 log2 phi), 172 steps at
+    1 - 10^-5 and 256 bits, where this predicts far more.
+    """
+    return max(3.0, 1.5 + math.sqrt(0.25 + 2 * ctx.stop_bits * math.log(2) / decay))
+
+
+def _relation_pays(p, alternating: bool, ctx: PrecisionContext) -> bool:
+    """The route rule of ``rr_value`` at |q| = p in (0, 1), from p and the
+    context alone: whether the fraction's predicted steps at p exceed those at
+    the relation's transformed nome p^ by more than 10 + bits/100.
+
+    That margin is the rest of the relation's cost (a log and an exp to form
+    p^, sqrt(5), a fifth root and two divisions) in steps of the fraction.  It
+    is fitted to the crossovers measured on rationals between 64 and 4096
+    bits, where the two routes cost the same at a margin of about 9.5 (64
+    bits), 12.5 (256), 15 (512), 20 (1024), 26 (2048) and 48 (4096).  The
+    relation is then taken for R from about q = 0.27 at 256 bits, 0.20 at 512
+    and 0.17 at 1024, and for S from about 0.38, 0.31 and 0.29.
+    """
+    h = -math.log1p(-float(1 - p)) if 2 * p > 1 else -_log2(p) * math.log(2)
+    k = 1 if alternating else 4
+    return _predicted_steps(h, ctx) > _predicted_steps(k * math.pi**2 / h, ctx) + 10 + ctx.bits / 100
+
+
+def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
+    """R(p) or, when alternating, S(p) for 0 < p < 1, by the paper's modular relation.
+
+    With c = phi (R) or 1/phi (S) and k = 4 (R) or 1 (S),
+
+        f(p) = sqrt(5) c / (c + f(p^)) - c,   p^ = exp(-k pi^2 / ln(1/p)),
+
+    which is (phi + R(e^-2a))(phi + R(e^-2b)) = sqrt(5) phi for R and
+    (1/phi + S(e^-a))(1/phi + S(e^-b)) = sqrt(5)/phi for S, ab = pi^2.
+    f(p^) is the fraction at p^ times p^^(1/5) (S: the fraction at -p^).
+    An exponential Nome maps exactly: exp(s) to exp(k/s) and exp-sqrt(n) to
+    exp-sqrt(k^2/n).  For any other p, ln(1/p) is taken on the context.  Its
+    relative error d reaches f(p) only through f(p^), about p^^(1/5) = e^-y
+    with y = k pi^2/(5 ln(1/p)), which it moves by about y e^-y d; the
+    relation's slope in f(p^) is at most sqrt(5)/c, so f(p) moves by at most
+    about (sqrt(5)/c) y e^-y d <= (sqrt(5)/(c e)) d: 0.51 d for R and 1.33 d
+    for S.  The last subtraction cancels up to 2 bits (R near q = 1 is
+    sqrt(5) - phi), and each of the few roundings costs about one unit, so
+    all of it runs on ``ctx.widened(8)`` and is rounded back.  The result
+    counts the fraction's steps at p^ there: 3, the fewest the stop test
+    takes, once p^ is below 2^-stop_bits.
+    """
+    wide = ctx.widened(8)
+    mp = wide.mp
+    k, sign = (1, -1) if alternating else (4, 1)
+    if isinstance(p, Nome) and p.form == "exp":
+        hat = wide.number(Nome.exp(k / p.arg))
+    elif isinstance(p, Nome) and p.form == "exp-sqrt":
+        hat = wide.number(Nome.exp_sqrt(k * k / p.arg))
+    else:
+        hat = mp.exp(k * mp.pi**2 / mp.log(wide.number(p)))
+    res = eval_infinite(rr_cfspec(sign * hat), wide)
+    if res.converged:
+        sqrt5 = mp.sqrt(5)
+        c = (sqrt5 + sign) / 2
+        res = replace(res, value=ctx.mp.mpf(sqrt5 * c / (c + mp.root(hat, 5) * res.value) - c))
+    return res
+
+
+def rr_value(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL,
+             alternating: bool = False) -> CFResult:
+    """R(q) as rr_cf gives it, or, when alternating, S(q) = -R(-q) (real fifth
+    root) for 0 < q <= 1, by the cheaper of the fraction at q and the modular
+    relation (``_by_relation``).
+
+    R at q > 0 takes R's relation at q; S, and R at q < 0, take S's relation at
+    p = |q|, and R(q) is root(-1, 5, mode) S(p), since root(q, 5, mode) =
+    root(-1, 5, mode) p^(1/5) in both modes.  ``_relation_pays`` decides the
+    route from |q| and the context alone.  At 1 - 10^-5 and 256 bits the
+    fraction at q takes 172 steps (S: 345) and at p^ 3.  Non-real q, q = +-1
+    and every q the rule keeps take the fraction at q; the result carries the
+    steps of the fraction it ran.
+    """
+    qv = ctx.number(q)
+    if not isinstance(qv, ctx.mp.mpc) and 0 < abs(qv) < 1:
+        s_side = alternating or qv < 0
+        if _relation_pays(abs(qv), s_side, ctx):
+            res = _by_relation(q if qv > 0 else -q, ctx, s_side)
+            if res.converged and not alternating and qv < 0:
+                res = replace(res, value=root(-1, 5, mode, ctx) * res.value)
+            return res
+    if alternating:
+        res = rr_cf(-qv, ctx, RootMode.REAL_ODD)
+        return replace(res, value=-res.value) if res.converged else res
+    return rr_cf(q, ctx, mode)
 
 
 # -- Schur classification at roots of unity ----------------------------------

@@ -16,8 +16,11 @@ it predicts and then measures.  One predicted-cost rule
 (``_theta_quotient``) sends them to the product ``pochhammer_inf`` instead,
 which only happens near |q| = 1.  Every kernel predicts a lower bound on its
 term count before it starts and raises ConvergenceError at once when it
-exceeds max_iter (``cf.refuse_early``).  The finite-form mu/nu polynomials
-take exact rationals only, and sum Gaussian polynomials in integers.
+exceeds max_iter (``cf.refuse_early``).  S's default route is
+``cf.rr_value``: the alternating fraction at q, or near q = 1 the paper's
+modular relation, which runs the fraction at exp(-pi^2/ln(1/q)) instead.
+The finite-form mu/nu polynomials take exact rationals only, and sum
+Gaussian polynomials in integers.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, islice
+from typing import Optional
 
 from .formal import FormalSeries, product_one_minus_inv, theta_series
 from .numerics import _MEMO, PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
@@ -522,15 +526,20 @@ def R_product(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL):
     return root(qv, 5, mode, ctx) * _theta_quotient(q, ctx, "R")
 
 
-def S(q, ctx: PrecisionContext, method: str = "cf"):
+def S(q, ctx: PrecisionContext, method: Optional[str] = None):
     """Alternating counterpart S(q) = -R(-q) for real q in (0, 1].
 
-    The default route evaluates the alternating continued fraction (R at -q
-    with the real fifth root); the product route is available for |q| < 1.
+    "cf" evaluates the alternating continued fraction (R at -q with the real
+    fifth root), and "product" the product route, for q < 1.  The default
+    takes the cheaper of the fraction at q and S's modular relation
+    (``cf.rr_value``); checks name "cf" or "product", so that no identity
+    compares the relation with itself.
     """
     qv = ctx.number(q)
     if not (0 < qv <= 1):
         raise ValueError("S(q) requires real q in (0, 1]")
+    if method is None:
+        return _cf.rr_value(q, ctx, alternating=True).require("S continued fraction")
     if method == "cf":
         return -_cf.rr_cf(-qv, ctx, RootMode.REAL_ODD).require("S continued fraction")
     if method == "product":

@@ -24,11 +24,12 @@ from rrlab.cf import (
     rr_cfspec,
     rr_root_of_unity_direct,
     rr_root_of_unity_spec,
+    rr_value,
     schur_classify,
 )
 from rrlab.cf import BLOCK_STEPS, CFResult, _pair
 from rrlab.identities import cf2_spec
-from rrlab.numerics import PrecisionContext, RootMode, _fixed, agree_bits, certify, golden_phi
+from rrlab.numerics import Nome, PrecisionContext, RootMode, _fixed, agree_bits, certify, golden_phi
 from rrlab.qseries import R_product
 
 # sqrt(pi*e/2) - sum 1/(2n+1)!!, computed independently at 320 bits
@@ -594,3 +595,89 @@ def test_blocked_cap_inside_a_block_ends_max_iterations(max_iter):
     # end of any block, ends max-iterations after exactly max_iter steps
     res = eval_infinite(cf2_spec(), PrecisionContext(256, 32, max_iter))
     assert (res.status, res.iterations, res.value) == (CFStatus.MAX_ITERATIONS, max_iter, None)
+
+
+# -- R and S by the modular relation (rr_value) ----------------------------------
+
+# rational q in [1/2, 1 - 10^-6] and exponential nomes from about 0.45 to
+# 1 - 10^-4; every one takes the relation at 256 and 1024 bits
+_RELATION_NOMES = [Nome.rational(Fraction(q)) for q in (
+    "1/2", "3/5", "3/4", "9/10", "95/96", "999/1000", "99999/100000", "999999/1000000",
+)] + [Nome.exp(Fraction(s)) for s in ("1/4", "1/8", "1/50", "1/20000")] + [
+    Nome.exp_sqrt(Fraction(n)) for n in ("1/16", "1/64", "1/2500", "1/1000000000")
+]
+
+
+def _s_fraction(nome, c):
+    """S(q) = -R(-q) by the fraction at -q, as a CFResult."""
+    res = rr_cf(-c.number(nome), c, RootMode.REAL_ODD)
+    return replace(res, value=-res.value)
+
+
+def _relation_cases(nome):
+    """(label, rr_value on a context, the fraction at q on one, the sign s with
+    f(q) = s R(s q), or None for R at -q in the mode the label names)."""
+    yield "R", lambda c: rr_value(nome, c), lambda c: rr_cf(nome, c), 1
+    yield "S", lambda c: rr_value(nome, c, alternating=True), lambda c: _s_fraction(nome, c), -1
+    if nome.form == "rational":
+        for mode in RootMode:
+            yield (f"R-{mode.value}", lambda c, m=mode: rr_value(-nome, c, m),
+                   lambda c, m=mode: rr_cf(-nome, c, m), None)
+
+
+def _qp_R(x, mp, mode=RootMode.REAL_ODD):
+    """R(x) from mpmath's q-Pochhammer products alone, for real 0 < |x| < 1."""
+    x5 = x**5
+    ratio = mp.qp(x, x5) * mp.qp(x**4, x5) / (mp.qp(x**2, x5) * mp.qp(x**3, x5))
+    if x < 0 and mode is RootMode.PRINCIPAL:
+        return mp.root(mp.mpc(x), 5) * ratio
+    return mp.sign(x) * mp.root(abs(x), 5) * ratio
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("nome", _RELATION_NOMES, ids=lambda n: f"{n.form}-{n.arg}")
+def test_relation_route_agrees_with_fraction_and_mpmath(nome, bits):
+    # each value agrees to bits - guard_bits with the fraction at q on twice the
+    # width, and, where mpmath's products stop in a few hundred factors
+    # (|q| <= 9/10), with them at twice the width; the fraction at the
+    # transformed nome takes fewer than half the steps of the one at q
+    ctx = PrecisionContext(bits, 32)
+    wide = ctx.widened(bits)
+    mp = wide.mp
+    q = wide.number(nome)
+    for label, route, fraction, sign in _relation_cases(nome):
+        got = route(ctx)
+        assert got.converged, label
+        assert 2 * got.iterations < fraction(ctx).iterations, label
+        assert ctx.passes(agree_bits(got.value, fraction(wide).value, ctx)), label
+        if q <= mp.mpf(9) / 10:
+            if sign is None:  # R at -q, in its mode
+                mode = RootMode(label[2:])
+                want = _qp_R(-q, mp, mode)
+            else:
+                want = sign * _qp_R(sign * q, mp)
+            assert ctx.passes(agree_bits(got.value, want, ctx)), label
+
+
+def test_relation_step_count_next_to_one():
+    # at 1 - 10^-5 and 256 bits the fraction at q takes 172 steps (S: 345);
+    # the transformed nome, about 2^-5,695,786 for R, takes the 3 of the stop test
+    ctx = PrecisionContext(256, 32)
+    q = Nome.rational(Fraction(99999, 100000))
+    assert rr_cf(q, ctx).iterations == 172
+    assert rr_cf(-q, ctx, RootMode.REAL_ODD).iterations == 345
+    assert rr_value(q, ctx).iterations == 3
+    assert rr_value(q, ctx, alternating=True).iterations == 3
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+@pytest.mark.parametrize("nome", [
+    Nome.rational(Fraction(1, 10)), Nome.rational(Fraction(-1, 10)), Nome.exp(2), Nome.exp_sqrt(3),
+    Nome.rational(1), Nome.rational(-1),
+], ids=lambda n: f"{n.form}-{n.arg}")
+def test_fraction_stays_below_the_crossover(nome, bits):
+    # the golden nomes, their doubled runs and q = +-1 take the fraction at q
+    # itself: the same value and count as rr_cf
+    ctx = PrecisionContext(bits, 32)
+    for mode in RootMode:
+        assert rr_value(nome, ctx, mode) == rr_cf(nome, ctx, mode)

@@ -57,14 +57,21 @@ def test_eval_requires_argument(capsys):
     "argv, says",
     [
         pytest.param(("eval", t, "--q", "99/100", "--max-iter", "50"), "", id=t)
-        for t in ("R", "S", "G", "chi")
+        for t in ("G", "chi")
+    ]
+    + [
+        # near q = 1 R and S take the modular relation, whose fraction at the
+        # transformed nome needs 3 steps
+        pytest.param(("eval", t, "--q", "99/100", "--max-iter", "2"), "", id=t)
+        for t in ("R", "S")
     ]
     + [
         pytest.param(("eval", "phi", "--q", "999/1000", "--max-iter", "50"), "", id="phi"),
         pytest.param(("eval", "cf2", "--max-iter", "100"), "", id="cf2"),
-        # 256 bits converge in 56 iterations; the 512-bit self-check runs out (cf2
-        # proves its radius and runs no self-check, see test_eval_reports_how_bits_were_earned)
-        pytest.param(("eval", "R", "--q", "9/10", "--max-iter", "70"), "512", id="R-self-check"),
+        # the fraction at q converges in 14 iterations at 256 bits; the 512-bit
+        # self-check, which needs 19, runs out (cf2 proves its radius and runs
+        # no self-check, see test_eval_reports_how_bits_were_earned)
+        pytest.param(("eval", "R", "--q", "1/10", "--max-iter", "16"), "512", id="R-self-check"),
         pytest.param(("verify", "jims", "--max-iter", "100"), "", id="verify-jims"),
         pytest.param(("asymptotic", "1/20", "--max-iter", "100"), "", id="asymptotic"),
         pytest.param(("values", "check", "eq3", "--max-iter", "5"), "", id="values-eq3"),
@@ -190,11 +197,12 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
 
 def test_one_guard_bit_with_few_iterations(capsys):
-    # fewer fixed-point bits than stop bits once raised a negative shift count
-    code, out, err = run(capsys, "eval", "R", "--q", "1/2", "--bits", "64", "--guard-bits", "1",
+    # fewer fixed-point bits than stop bits once raised a negative shift count;
+    # q = 1/10 keeps R on the fraction at q, at 64 bits and in the self-check
+    code, out, err = run(capsys, "eval", "R", "--q", "1/10", "--bits", "64", "--guard-bits", "1",
                          "--max-iter", "100")
     assert (code, err) == (0, "")
-    assert out.splitlines()[1] == "status: converged  agree_bits: 64  bits_by: doubling  iterations: 14"
+    assert out.splitlines()[1] == "status: converged  agree_bits: 64  bits_by: doubling  iterations: 15"
 
 
 def test_verify_modular_relation(capsys):
@@ -554,3 +562,26 @@ def test_phi_next_to_minus_one(capsys):
     assert code == 0
     assert out.startswith("1.01552941415138858085077598340")
     assert _printed_relative_error(out, want, mp) <= mp.mpf(10) ** -(ctx.digits - 1)
+
+
+def test_eval_R_next_to_one_takes_the_relation(capsys):
+    # the fraction at the transformed nome: 3 steps, where the one at q took 172
+    code, out, _ = run(capsys, "eval", "R", "--q", "99999/100000", "--format", "json")
+    data = json.loads(out)
+    assert (code, data["iterations"], data["agree_bits"]) == (0, 3, 256)
+    assert data["value"].startswith("0.618033988749894848204586834365638117720309179805762862135448622705")
+
+
+def test_checks_never_take_the_relation(capsys, monkeypatch):
+    # identities and special values name rr_cf, R_product and S(method=...), so
+    # no check compares the modular relation with itself; eval R and S do take it
+    calls = []
+    for name in ("rr_value", "_by_relation"):
+        fn = getattr(cf, name)
+        monkeypatch.setattr(cf, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    for argv in (("verify", "modular-relation"), ("verify", "cf-vs-product"), ("values", "check", "all")):
+        assert run(capsys, *argv)[0] == 0
+    assert calls == []
+    for target in ("R", "S"):
+        assert run(capsys, "eval", target, "--q", "99/100")[0] == 0
+    assert calls == ["rr_value", "_by_relation"] * 4  # each at 256 bits and in the 512-bit self-check

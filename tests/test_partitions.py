@@ -101,8 +101,10 @@ def test_macmahon_small():
 @pytest.mark.parametrize("pred", list(PartitionPredicate))
 def test_walk_visits_each_partition_once(pred, monkeypatch):
     # every counted partition is one leaf, and the nodes (walk calls plus
-    # leaves) stay under 3 per partition at n = 62; a second count makes as
-    # many calls as the first, so nothing is remembered between counts
+    # leaves) stay under 2.6 per partition at n = 62 (2.31, 1.91, 2.41 and
+    # 2.59; no part leaves a remainder below the smallest size); a second
+    # count makes as many calls as the first, so nothing is remembered
+    # between counts
     calls = []
     walk = partitions._walk
 
@@ -115,7 +117,7 @@ def test_walk_visits_each_partition_once(pred, monkeypatch):
     first_calls = len(calls)
     assert count_partitions(62, pred) == count == (3345 if pred in (DN, P14) else 2108)
     assert len(calls) == 2 * first_calls
-    assert first_calls + count < 3 * count
+    assert first_calls + count < 2.6 * count
 
 
 @given(n=st.integers(0, 18))
