@@ -59,15 +59,17 @@ def _eval_target(target: str, nome: Optional[Nome], mode: RootMode, ctx: Precisi
     """Returns (value, iterations), iterations None for the series and products;
     cf2 takes no nome, and every other target gets the Nome itself, which the
     fixed-point kernels convert at their own width.  R and S take the cheaper
-    of the fraction at q and the modular relation (``cf.rr_value``); R's
-    iterations are the steps of the fraction it ran.  A route that stops
-    short raises ConvergenceError."""
+    of the fraction at q and the modular relation (``cf.rr_value``), S on its
+    domain (0, 1]; their iterations are the steps of the fraction they ran.
+    A route that stops short raises ConvergenceError."""
     if target == "cf2":
         return _id.cf2_value(ctx)
-    if target == "R":
-        res = _cf.rr_value(nome, ctx, mode)
-        return res.require("R continued fraction"), res.iterations
-    fn = {"S": _qs.S, "G": _qs.G, "H": _qs.H, "phi": _qs.theta_phi, "chi": _qs.chi}[target]
+    if target in ("R", "S"):
+        if target == "S":
+            _qs._s_nome(nome, ctx)
+        res = _cf.rr_value(nome, ctx, mode, alternating=target == "S")
+        return res.require(f"{target} continued fraction"), res.iterations
+    fn = {"G": _qs.G, "H": _qs.H, "phi": _qs.theta_phi, "chi": _qs.chi}[target]
     return fn(nome, ctx), None
 
 

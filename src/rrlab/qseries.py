@@ -5,8 +5,10 @@ Numeric routines take a PrecisionContext and truncate with tail bounds tied
 to the context tolerance; the infinite products and series take real
 arguments and run on fixed-point integers (``numerics._fixed``).  G, H and
 chi are Euler sums on one kernel, ``_rr_sum``; near q = 1 it forms the terms
-before the peak, which lie far below the total, as one division-free product
-(its head) and sums only the terms that reach the total.  The product sides
+before the peak, which lie far below the total, as one term (its head) and
+sums only the terms that reach the total.  A short head is a division-free
+product; a long one comes from (q; q)_inf in closed form by Dedekind-eta
+inversion and a short series, by one predicted-cost rule.  The product sides
 (R_product, the product backends of G and H, Euler's E = (q;q)_inf of the
 identity checks and theta at q < 0) are quotients of sparse alternating sums
 S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2), the Jacobi triple
@@ -26,9 +28,12 @@ Gaussian polynomials in integers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Optional
+
+from mpmath import libmp
 
 from .formal import FormalSeries, product_one_minus_inv, theta_series
 from .numerics import _MEMO, PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
@@ -127,13 +132,13 @@ def _scaled_power(x: int, k: int, w: int):
     return man, exp
 
 
-# Bits by which the product head of ``_rr_sum`` ends below the peak term, beyond
+# Bits by which the head of ``_rr_sum`` ends below the peak term, beyond
 # the stop rule's bits and the bit length of the peak's index (``_head_length``)
 HEAD_MARGIN = 8
 
 
 def _head_length(decay: float, first: int, step: int, den: int, peak: int, stop_bits: int) -> int:
-    """n0, the length of the product head of ``_rr_sum``, for 0 < q = e^-h < 1,
+    """n0, the length of the head of ``_rr_sum``, for 0 < q = e^-h < 1,
     h = decay: predicted in floating point, and proven by the kernel.
 
     The rule: the last n before the peak term whose term is predicted below
@@ -158,9 +163,12 @@ def _product_head(x: int, w: int, n0: int, first: int, step: int, den: int, indi
 
     t_(n0) = q^E / P with E = first n0 + step n0(n0 - 1)/2 and P the product
     of 1 - q^(den k) over k <= n0.  P runs on the mantissa-exponent loop of
-    ``pochhammer_inf``: two multiplies a factor, with no division, no running
-    total and no stop test.  q^E is a ``_scaled_power``, and one division
-    gives t_(n0).  Every power is truncated downwards, so q^(den(n0+1)) +
+    ``pochhammer_inf``: two multiplies a factor, one per index, with no
+    division, no running total and no stop test.  q^E is a
+    ``_scaled_power``, and one division gives t_(n0).  This is the head for
+    short heads; ``_eta_head`` forms the same result from a series of about
+    W'/(den h n0) terms, and ``_eta_pays`` picks between them.  Every power
+    is truncated downwards, so q^(den(n0+1)) +
     q^(first + step n0) >= 1 in the integers proves t_(n0+1) >= t_(n0); the
     ratios fall, so t_0 <= t_1 <= ... <= t_(n0) and the terms before t_(n0)
     sum to at most n0 t_(n0).
@@ -193,6 +201,129 @@ def _product_head(x: int, w: int, n0: int, first: int, step: int, den: int, indi
     return term >> shift, pexp - exp - w + shift, units, qn, lead
 
 
+# Bits by which ``_eta_head`` works wider than W plus the bit length of its
+# largest logarithm
+ETA_MARGIN = 16
+
+# The fixed cost of one ``_eta_head`` (its logs, exps and pi) and the cost of
+# one term of its series (two multiplies and a division), in product-loop
+# steps at its width W': measured 62-160 and 1.5-3.0 from 300 to 4,200 bits
+ETA_CALL_STEPS = 100
+ETA_TERM_STEPS = 2
+
+
+def _eta_width(w: int, decay: float, e: int, den: int) -> int:
+    """W', the width of ``_eta_head``: W + the bit length of max(E h, pi^2/(6 h_p))
+    + ETA_MARGIN, for q = e^-h, h = decay, and h_p = den h."""
+    return w + math.ceil(max(e * decay, math.pi**2 / (6 * den * decay))).bit_length() + ETA_MARGIN
+
+
+def _eta_pays(decay: float, w: int, n0: int, first: int, step: int, den: int) -> bool:
+    """The head rule of ``_rr_sum``: True where ``_eta_head`` is predicted to
+    cost less than the n0 factors of ``_product_head``.
+
+    The series takes about W' ln 2/(h_p (n0 + 1)) terms, since its m-th term
+    is below a^m with a = e^(-h_p (n0 + 1)), plus ETA_CALL_STEPS; both at
+    ``_step_cost`` of W', against n0 steps at W.  It is taken only where
+    e^(-4 pi^2/h_p) is below 2^-(2 W'), so that ``_eta_head``'s own check on it
+    passes.
+    """
+    hp = decay * den
+    v = _eta_width(w, decay, first * n0 + step * n0 * (n0 - 1) // 2, den)
+    if 4 * math.pi**2 < 2 * v * hp:
+        return False
+    terms = v * math.log(2) / (hp * (n0 + 1))
+    return (ETA_TERM_STEPS * terms + ETA_CALL_STEPS) * _step_cost(v) < n0 * _step_cost(w)
+
+
+def _eta_head(x: int, w: int, n0: int, first: int, step: int, den: int, indices):
+    """``_product_head`` (the same arguments and result) by Dedekind-eta
+    inversion: t_(n0) = q^E/(p; p)_(n0) with p = q^den, from
+    (p; p)_(n0) = (p; p)_inf/(a; p)_inf, a = p^(n0+1), in O(W'/(h_p n0))
+    terms instead of n0 factors.  Also None when e^(-4 pi^2/h_p) is not
+    proven below 2^-W' or the error of ln t_(n0) below 2^-7, which
+    ``_eta_pays`` and the width never let happen.
+
+    It consumes its n0 indices of ``indices`` and forms q^(den(n0+1)) and
+    q^(first + step n0) by ``_power``, so the rise proof of ``_product_head``
+    holds as it stands.  With h = -ln q, h_p = den h and q~ = e^(-4 pi^2/h_p),
+    eta(-1/tau) = sqrt(-i tau) eta(tau) gives
+    ln (p; p)_inf = ln(2 pi/h_p)/2 + h_p/24 - pi^2/(6 h_p) + ln (q~; q~)_inf,
+    and ln (a; p)_inf = -Sigma/(1 - p), Sigma = sum_(m>=1) a^m/(m D_m) with
+    D_m = (1 - p^m)/(1 - p) = 1 + p + ... + p^(m-1), so
+        ln t_(n0) = pi^2/(6 h_p) - E h - h_p/24 - ln(2 pi/h_p)/2 - Sigma/(1 - p)
+                    - ln (q~; q~)_inf.
+    Each part is an integer at scale 2^V, V = ``_eta_width``, and their sum L
+    is within delta units of 2^-V of ln t_(n0):
+    - mpmath's log, exp and pi, and every product and quotient of mpfs at
+      precision V, count one ulp, at most 2^(1-V) relatively, as in
+      ``numerics._fixed``.  h (log), h_p (a product) and pi^2/(6 h_p) (four
+      roundings past h and pi) are within 1, 2 and 8 ulps, and E h within 3;
+      2 pi/h_p is within 5, so its log is within 11 units plus its own ulp.
+      With the truncations to integers these parts add at most
+      16 pi^2/(6 h_p) + 6 E h + ln(2 pi/h_p) + 10 units, and h_p/24 adds 2.
+    - Sigma runs at scale 2^V.  a = exp(-(n0 + 1) h_p) is within 6 units
+      (its argument within 3 ulps and exp one more, at most
+      (3.2 a |ln a| + 1.1 a) 2^(1-V) <= 4.6 units, and the truncation), so
+      a^m is within 7m; p = x^den/2^(W den) exactly, floored to p', and
+      D'_m = 1 + floor(p' D'_(m-1)) >= 1 is below D_m by at most m(m+1)/2
+      units.  So a^m/(m D'_m), floored, is within 8 + a^m (m + 1)/2 units of
+      its term, and the M terms summed are within 8M + 1/(2(1 - a)^2).  The
+      terms fall by at least the ratio a, so what the loop leaves out is at
+      most a^(M+1)/((M + 1)(1 - a)); it stops once the integer a^M is at most
+      (M + 1)(1 - a) units, where that is below 1 + 7/(1 - a) units.
+      1/(1 - p) = 2^(W den)/(2^(W den) - x^den) is exact, and its product is
+      floored once more.
+    - |ln (q~; q~)_inf| <= q~/(1 - q~)^2 <= 2 q~, 2 units once 24 times the
+      integer part of pi^2/(6 h_p) is at least V (then 4 pi^2/h_p > V ln 2).
+    t_(n0) = e^L is read at precision W, within one ulp; with |L - ln t_(n0)|
+    = delta 2^-V <= 2^-7, units = 3 + 2 delta 2^(W-V) bounds its relative
+    error in units of 2^-W.
+    """
+    deque(islice(indices, n0), maxlen=0)
+    one = 1 << w
+    qn, lead = _power(x, den * (n0 + 1), w), _power(x, first + step * n0, w)
+    if qn + lead < one or one - qn - den * (n0 + 1) <= 0:
+        return None
+    e = first * n0 + step * n0 * (n0 - 1) // 2
+    v = _eta_width(w, _decay(x, one), e, den)
+    big = 1 << v
+    rnd = libmp.round_nearest
+
+    def fixed(f):
+        return libmp.to_int(libmp.mpf_shift(f, v))
+
+    h = libmp.mpf_neg(libmp.mpf_log(libmp.from_man_exp(x, -w), v, rnd))
+    hp = libmp.mpf_mul(h, libmp.from_int(den), v, rnd)
+    pi = libmp.mpf_pi(v, rnd)
+    inverse = fixed(libmp.mpf_div(libmp.mpf_mul(pi, pi, v, rnd), libmp.mpf_mul(hp, libmp.from_int(6), v, rnd), v, rnd))
+    if 24 * (inverse >> v) < v:
+        return None
+    eh = fixed(libmp.mpf_mul(h, libmp.from_int(e), v, rnd))
+    half_log = fixed(libmp.mpf_log(libmp.mpf_div(libmp.mpf_shift(pi, 1), hp, v, rnd), v, rnd)) >> 1
+    a = fixed(libmp.mpf_exp(libmp.mpf_neg(libmp.mpf_mul(hp, libmp.from_int(n0 + 1), v, rnd)), v, rnd))
+    cut, xd = 1 << w * den, x**den  # p = xd/cut
+    p = (xd << v) // cut
+    gap = big - a - 6  # at most (1 - a) 2^V, and positive: the rise check left 1 - a above 2^-W
+    total = m = 0
+    power, d = big, 0  # a^m and D_m at scale 2^V
+    while True:
+        m += 1
+        power = power * a >> v
+        d = big + (p * d >> v)
+        total += (power << v) // (m * d)
+        if power << v <= (m + 1) * gap:
+            break
+    series_units = 8 * m + -(-big * big // (2 * gap * gap)) + -(-7 * big // gap) + 1
+    sigma = total * cut // (cut - xd)
+    delta = (16 * inverse + 6 * eh + 2 * half_log >> v) + 12 + -(-series_units * cut // (cut - xd)) + 1 + 2
+    if delta >> v - 7:
+        return None
+    log = inverse - eh - fixed(hp) // 24 - half_log - sigma
+    _, man, exp, bc = libmp.mpf_exp(libmp.from_man_exp(log, -v), w, rnd)
+    return man << w - bc, exp - (w - bc), 3 + -(-delta >> v - w - 1), qn, lead
+
+
 def _lost_bits(top: int, total: int) -> float:
     """log2(top/|total|): the bits a sum of terms of size at most top lost to cancellation."""
     return math.log2(top) - math.log2(abs(total))
@@ -213,18 +344,22 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
     ctx.stop_tol * max(1, |total|).  That test needs rho_n < 1, which first
     holds at a term count predicted before the loop (``cf.refuse_early``).
 
-    The product head (q > 0).  Near q = 1 the terms rise from 1 to a peak
-    far above 2^W and fall again; the terms long before the peak lie below
-    2^-W of the total and only seed the next one.  So the first n0 indices
-    (``_head_length``, 0 unless q is near 1) form t_(n0) directly, in two
-    multiplies each (``_product_head``), and the loop runs from n0 + 1 with
-    term = total = t_(n0).  The head proves the terms rise through t_(n0),
+    The head (q > 0).  Near q = 1 the terms rise from 1 to a peak far above
+    2^W and fall again; the terms long before the peak lie below 2^-W of the
+    total and only seed the next one.  So the first n0 indices
+    (``_head_length``, 0 unless q is near 1) form t_(n0) directly, and the
+    loop runs from n0 + 1 with term = total = t_(n0).  One predicted-cost
+    rule (``_eta_pays``, from q, n0 and W) forms it by the product, two
+    multiplies an index (``_product_head``), or by Dedekind-eta inversion
+    and a series of O(W/(h n0)) terms (``_eta_head``): at 256 bits the
+    product up to about q = 1 - 2e-4, the series above, 516 terms for G's
+    44,964 indices at 1 - 1e-5.  The head proves the terms rise through t_(n0),
     so the n0 terms it leaves out sum to at most n0 t_(n0), and t_(n0) is
     within its units of its integer; the radius adds that bound, and the
     units add to c below.  If the head is not proven to rise, or the bound
-    exceeds the tail bound, the sum runs again from n0 = 0.  Each head
-    factor is one index of ``cf.bounded``, so the iteration counts are those
-    of the loop from 0.
+    exceeds the tail bound, the sum runs again from n0 = 0.  Either head
+    takes its n0 indices of ``cf.bounded``, so the iteration counts are
+    those of the loop from 0.
 
     The radius (q >= 0, n terms, S the exact sum at the converted q).  Every
     integer step of the loop truncates downwards, so the computed total is
@@ -273,13 +408,14 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
         _cf.refuse_early(route, ctx, hi - -(-slack // (one - abs(x))))
         if x > 0:
             head = _head_length(decay, first, step, den, hi, stop)
+    form_head = _eta_head if head and _eta_pays(decay, w, head, first, step, den) else _product_head
     for n0 in (head, 0) if head else (0,):
         indices = _cf.bounded(route, ctx)
         qn, lead = xden, _power(x, first, w)  # q^(den n) and q^(first + step(n-1)), n = 1
         term = top = unit = one  # top: the largest |term|; unit: 1 at the shared exponent
         exp, units = -w, 0
         if n0:
-            start = _product_head(x, w, n0, first, step, den, indices)
+            start = form_head(x, w, n0, first, step, den, indices)
             if start is None:
                 continue
             term, exp, units, qn, lead = start
@@ -526,6 +662,14 @@ def R_product(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL):
     return root(qv, 5, mode, ctx) * _theta_quotient(q, ctx, "R")
 
 
+def _s_nome(q, ctx: PrecisionContext):
+    """q as a number of the context, or ValueError unless it lies in S's domain (0, 1]."""
+    qv = ctx.number(q)
+    if not (0 < qv <= 1):
+        raise ValueError("S(q) requires real q in (0, 1]")
+    return qv
+
+
 def S(q, ctx: PrecisionContext, method: Optional[str] = None):
     """Alternating counterpart S(q) = -R(-q) for real q in (0, 1].
 
@@ -535,9 +679,7 @@ def S(q, ctx: PrecisionContext, method: Optional[str] = None):
     (``cf.rr_value``); checks name "cf" or "product", so that no identity
     compares the relation with itself.
     """
-    qv = ctx.number(q)
-    if not (0 < qv <= 1):
-        raise ValueError("S(q) requires real q in (0, 1]")
+    qv = _s_nome(q, ctx)
     if method is None:
         return _cf.rr_value(q, ctx, alternating=True).require("S continued fraction")
     if method == "cf":
@@ -556,8 +698,8 @@ def chi(q, ctx: PrecisionContext):
     radius (``_rr_sum``; for q < 0 that of the sum, carried through 1/sum)
     to ``certify``.  At 256 bits the sum stops after 651 indices at
     q = 999/1000, where the product takes 84,856 factors, and after 37,510
-    at 1 - 10^-5; the product head takes 49 and 31,654 of them, and the
-    loop sums the other 602 and 5,856.
+    at 1 - 10^-5; the head takes 49 and 31,654 of them, as 49 factors and as
+    a series of 366 terms, and the loop sums the other 602 and 5,856.
     """
     route = "chi series"
     qv = ctx.number(q)

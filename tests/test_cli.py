@@ -572,6 +572,22 @@ def test_eval_R_next_to_one_takes_the_relation(capsys):
     assert data["value"].startswith("0.618033988749894848204586834365638117720309179805762862135448622705")
 
 
+@pytest.mark.parametrize("q, steps", [("99999/100000", 3), ("1/10", 14), ("1", 345)])
+def test_eval_S_reports_the_steps_of_its_fraction(capsys, q, steps):
+    # S runs R's alternating fraction: at the transformed nome near q = 1,
+    # where the fraction at q takes 345 steps, and at q itself elsewhere
+    code, out, _ = run(capsys, "eval", "S", "--q", q, "--format", "json")
+    data = json.loads(out)
+    assert (code, data["iterations"]) == (0, steps)
+    assert run(capsys, "eval", "S", "--q", q)[1].splitlines()[1].endswith(f"  iterations: {steps}")
+
+
+@pytest.mark.parametrize("q", ["2", "0", "-1/2"])
+def test_eval_S_keeps_its_domain(capsys, q):
+    code, _, err = run(capsys, "eval", "S", f"--q={q}")
+    assert (code, err) == (2, "error: S(q) requires real q in (0, 1]\n")
+
+
 def test_checks_never_take_the_relation(capsys, monkeypatch):
     # identities and special values name rr_cf, R_product and S(method=...), so
     # no check compares the modular relation with itself; eval R and S do take it

@@ -98,26 +98,26 @@ def test_macmahon_small():
         assert count_partitions(n, P23) == h.coeff(n)
 
 
-@pytest.mark.parametrize("pred", list(PartitionPredicate))
-def test_walk_visits_each_partition_once(pred, monkeypatch):
-    # every counted partition is one leaf, and the nodes (walk calls plus
-    # leaves) stay under 2.6 per partition at n = 62 (2.31, 1.91, 2.41 and
-    # 2.59; no part leaves a remainder below the smallest size); a second
-    # count makes as many calls as the first, so nothing is remembered
-    # between counts
+@pytest.mark.parametrize("pred, nodes", [(DN, 2.32), (P14, 1.92), (DN2, 2.37), (P23, 2.59)])
+def test_walk_visits_each_partition_once(pred, nodes, monkeypatch):
+    # every counted partition is one leaf, every walk call reaches a leaf, and
+    # the nodes (walk calls plus leaves) stay under the measured count per
+    # partition at n = 62 (2.313, 1.912, 2.366 and 2.589); a second count
+    # makes as many calls as the first, so nothing is remembered between counts
     calls = []
     walk = partitions._walk
 
     def counted(*args):
-        calls.append(args[0])
-        return walk(*args)
+        calls.append(walk(*args))
+        return calls[-1]
 
     monkeypatch.setattr(partitions, "_walk", counted)
     count = count_partitions(62, pred)
     first_calls = len(calls)
     assert count_partitions(62, pred) == count == (3345 if pred in (DN, P14) else 2108)
     assert len(calls) == 2 * first_calls
-    assert first_calls + count < 2.6 * count
+    assert 0 not in calls
+    assert first_calls + count < nodes * count
 
 
 @given(n=st.integers(0, 18))

@@ -34,7 +34,9 @@ _FAR = [
     Nome.exp(Fraction(1, 100)),  # about 0.969
     Nome.exp_sqrt(Fraction(1, 10**4)),  # e^(-pi/100), the same q by the other form
 ]
-_NEAR = [Nome.rational("99999/100000"), Nome.exp(Fraction(1, 314159))]  # both about 1 - 1e-5
+# about 1 - 1e-5 in two forms, and 1 - 1e-6, where the head of G, H and chi
+# comes from Dedekind-eta inversion
+_NEAR = [Nome.rational("99999/100000"), Nome.exp(Fraction(1, 314159)), Nome.rational("999999/1000000")]
 _NEGATIVE = [Nome.rational("-1/2"), Nome.rational("-99/100"), Nome.rational("-999/1000")]
 _CONTEXTS = [(bits, guard) for bits in (64, 256, 512, 1024) for guard in (1, 2, 8, 32)]
 

@@ -454,23 +454,66 @@ def test_no_head_away_from_one(monkeypatch, ctx, q):
     assert heads == ([0] if q[0] != "-" else [])
 
 
-@pytest.mark.parametrize("first, step, den", [(1, 2, 1), (2, 2, 1), (1, 2, 2), (1, 1, 1)])
-@pytest.mark.parametrize("q, bits, guard", [
-    ("999/1000", 256, 32), ("9999/10000", 256, 32), ("9999/10000", 1024, 32),
-    ("9999/10000", 256, 1), ("999/1000", 64, 1),  # where rounding nears the tail
+def _formed_heads(monkeypatch):
+    """A list that collects the name of each head ``_rr_sum`` forms."""
+    formed = []
+    for name in ("_eta_head", "_product_head"):
+        head = getattr(qseries, name)
+        monkeypatch.setattr(qseries, name, lambda *args, _h=head, _n=name: formed.append(_n) or _h(*args))
+    return formed
+
+
+_KERNELS = [(1, 2, 1), (2, 2, 1), (1, 2, 2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("first, step, den", _KERNELS)
+@pytest.mark.parametrize("q, bits, guard, eta", [
+    ("999/1000", 256, 32, []), ("9999/10000", 256, 32, _KERNELS), ("99999/100000", 256, 32, _KERNELS),
+    ("9999/10000", 1024, 32, [(1, 1, 1)]),  # n0 = 4,265 pays for the series, 1,580 to 2,829 do not
+    ("9999/10000", 256, 1, _KERNELS), ("999/1000", 64, 1, []),  # where rounding nears the tail
 ])
-def test_head_lies_within_the_radii_of_the_loop_from_zero(monkeypatch, q, bits, guard, first, step, den):
+def test_head_lies_within_the_radii_of_the_loop_from_zero(monkeypatch, q, bits, guard, eta, first, step, den):
     ctx = PrecisionContext(bits, guard)
     nome = Nome.rational(q)
     counted, heads = _count_heads(monkeypatch)
+    formed = _formed_heads(monkeypatch)
     value, radius = qseries._rr_sum(nome, ctx, "head", first, step, den)
     old, old_radius, terms = _loop_from_zero(nome, ctx, first, step, den)
+    # the rule's side: the eta series from 1 - 1e-4 on at 256 bits, the product loop at 1 - 1e-3
+    assert formed == ["_eta_head" if (first, step, den) in eta else "_product_head"]
     assert heads[0] > 0 and len(counted) == terms  # the head held, and the count stays
     mp = ctx.mp
     assert abs(mp.fsub(value, old, exact=True)) <= mp.fadd(radius, old_radius, exact=True)
     # the head costs the proof no bit
     one = mp.one
     assert numerics._bits(radius, max(value, one), ctx) == numerics._bits(old_radius, max(old, one), ctx)
+
+
+def _exact(head):
+    return Fraction(head[0]) * Fraction(2) ** head[1]
+
+
+@pytest.mark.parametrize("first, step, den", _KERNELS)
+@pytest.mark.parametrize("q", ["9999/10000", "99999/100000"])
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_eta_head_agrees_with_the_product_head(monkeypatch, bits, q, first, step, den):
+    # the same t_(n0) two ways, at the n0 the sum picks: within the sum of their
+    # units of each other, and within its own units of the product head run
+    # 64 bits wider on the same q, with the same rise proof
+    ctx = PrecisionContext(bits, 32)
+    nome = Nome.rational(q)
+    _, heads = _count_heads(monkeypatch)
+    qseries._rr_sum(nome, ctx, "head", first, step, den)
+    w, (x,) = numerics._fixed(ctx, "head", nome)
+    n0 = heads[0]
+    eta = qseries._eta_head(x, w, n0, first, step, den, iter(range(n0)))
+    product = qseries._product_head(x, w, n0, first, step, den, iter(range(n0)))
+    wide = qseries._product_head(x << 64, w + 64, n0, first, step, den, iter(range(n0)))
+    t, p, r = map(_exact, (eta, product, wide))
+    assert eta[0].bit_length() == w and eta[2] < 16
+    assert abs(t - p) <= (eta[2] + product[2]) * max(t, p) / 2**w
+    assert abs(t - r) <= (eta[2] << 64) * r / 2 ** (w + 64) * (1 + Fraction(1, 2**32)) + wide[2] * r / 2 ** (w + 63)
+    assert eta[3:] == (qseries._power(x, den * (n0 + 1), w), qseries._power(x, first + step * n0, w))
 
 
 @pytest.mark.parametrize("past", [10, -2])
