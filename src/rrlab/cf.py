@@ -100,10 +100,10 @@ class CFSpec:
 BLOCK_STEPS = 32
 
 
-def bounded(route: str, ctx: PrecisionContext):
-    """Iteration indices 1..ctx.max_iter for a loop that returns or breaks once
-    it has converged; running past the last one raises ConvergenceError."""
-    yield from range(1, ctx.max_iter + 1)
+def bounded(route: str, ctx: PrecisionContext, start: int = 1):
+    """Iteration indices start..ctx.max_iter (1..start-1 done another way) for a loop
+    that returns or breaks once it has converged; running past the last raises ConvergenceError."""
+    yield from range(start, ctx.max_iter + 1)
     raise ConvergenceError(route, CFStatus.MAX_ITERATIONS, ctx.max_iter)
 
 

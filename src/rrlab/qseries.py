@@ -14,11 +14,11 @@ identity checks and theta at q < 0) are quotients of sparse alternating sums
 S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2), the Jacobi triple
 product and pentagonal number theorem, on a second kernel, ``_jacobi_sum``:
 O(sqrt(bits/h)) terms at h = -ln|q|, with guard bits for the cancellation
-it predicts and then measures.  One predicted-cost rule
-(``_theta_quotient``) sends them to the product ``pochhammer_inf`` instead,
-which only happens near |q| = 1.  Every kernel predicts a lower bound on its
-term count before it starts and raises ConvergenceError at once when it
-exceeds max_iter (``cf.refuse_early``).  S's default route is
+it predicts and then measures.  For q > 0 one predicted-cost rule
+(``_theta_quotient``) takes their Jacobi imaginary transformation instead,
+one term each near q = 1 (``_poisson_quotient``).  Every kernel predicts a
+lower bound on its term count before it starts and raises ConvergenceError
+at once when it exceeds max_iter (``cf.refuse_early``).  S's default route is
 ``cf.rr_value``: the alternating fraction at q, or near q = 1 the paper's
 modular relation, which runs the fraction at exp(-pi^2/ln(1/q)) instead.
 The finite-form mu/nu polynomials take exact rationals only, and sum
@@ -28,9 +28,8 @@ Gaussian polynomials in integers.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Optional
 
 from mpmath import libmp
@@ -156,8 +155,8 @@ def _head_length(decay: float, first: int, step: int, den: int, peak: int, stop_
     return max(peak - math.ceil((1 + math.sqrt(1 + 8 * bits / slope)) / 2), 0)
 
 
-def _product_head(x: int, w: int, n0: int, first: int, step: int, den: int, indices):
-    """t_(n0) of ``_rr_sum``'s sum for 0 < q < 1, from n0 indices of ``indices``,
+def _product_head(x: int, w: int, n0: int, first: int, step: int, den: int):
+    """t_(n0) of ``_rr_sum``'s sum for 0 < q < 1, in place of its first n0 indices,
     as (mantissa, exponent, units, q^(den(n0+1)), q^(first + step n0)), the
     powers at scale 2^W; or None unless the terms rise through t_(n0).
 
@@ -183,7 +182,7 @@ def _product_head(x: int, w: int, n0: int, first: int, step: int, den: int, indi
     one = 1 << w
     xden = _power(x, den, w)
     qn, man, exp = xden, one, -w  # q^(den k) and P
-    for _ in islice(indices, n0):
+    for _ in range(n0):
         man *= one - qn
         shift = man.bit_length() - w
         man >>= shift
@@ -236,7 +235,7 @@ def _eta_pays(decay: float, w: int, n0: int, first: int, step: int, den: int) ->
     return (ETA_TERM_STEPS * terms + ETA_CALL_STEPS) * _step_cost(v) < n0 * _step_cost(w)
 
 
-def _eta_head(x: int, w: int, n0: int, first: int, step: int, den: int, indices):
+def _eta_head(x: int, w: int, n0: int, first: int, step: int, den: int):
     """``_product_head`` (the same arguments and result) by Dedekind-eta
     inversion: t_(n0) = q^E/(p; p)_(n0) with p = q^den, from
     (p; p)_(n0) = (p; p)_inf/(a; p)_inf, a = p^(n0+1), in O(W'/(h_p n0))
@@ -244,10 +243,9 @@ def _eta_head(x: int, w: int, n0: int, first: int, step: int, den: int, indices)
     proven below 2^-W' or the error of ln t_(n0) below 2^-7, which
     ``_eta_pays`` and the width never let happen.
 
-    It consumes its n0 indices of ``indices`` and forms q^(den(n0+1)) and
-    q^(first + step n0) by ``_power``, so the rise proof of ``_product_head``
-    holds as it stands.  With h = -ln q, h_p = den h and q~ = e^(-4 pi^2/h_p),
-    eta(-1/tau) = sqrt(-i tau) eta(tau) gives
+    It forms q^(den(n0+1)) and q^(first + step n0) by ``_power``, so the rise
+    proof of ``_product_head`` holds as it stands.  With h = -ln q, h_p = den h
+    and q~ = e^(-4 pi^2/h_p), eta(-1/tau) = sqrt(-i tau) eta(tau) gives
     ln (p; p)_inf = ln(2 pi/h_p)/2 + h_p/24 - pi^2/(6 h_p) + ln (q~; q~)_inf,
     and ln (a; p)_inf = -Sigma/(1 - p), Sigma = sum_(m>=1) a^m/(m D_m) with
     D_m = (1 - p^m)/(1 - p) = 1 + p + ... + p^(m-1), so
@@ -280,7 +278,6 @@ def _eta_head(x: int, w: int, n0: int, first: int, step: int, den: int, indices)
     = delta 2^-V <= 2^-7, units = 3 + 2 delta 2^(W-V) bounds its relative
     error in units of 2^-W.
     """
-    deque(islice(indices, n0), maxlen=0)
     one = 1 << w
     qn, lead = _power(x, den * (n0 + 1), w), _power(x, first + step * n0, w)
     if qn + lead < one or one - qn - den * (n0 + 1) <= 0:
@@ -357,9 +354,9 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
     so the n0 terms it leaves out sum to at most n0 t_(n0), and t_(n0) is
     within its units of its integer; the radius adds that bound, and the
     units add to c below.  If the head is not proven to rise, or the bound
-    exceeds the tail bound, the sum runs again from n0 = 0.  Either head
-    takes its n0 indices of ``cf.bounded``, so the iteration counts are
-    those of the loop from 0.
+    exceeds the tail bound, the sum runs again from n0 = 0.  The loop after
+    either head counts from index n0 + 1 of ``cf.bounded``, so the iteration
+    counts and the max_iter exit are those of the loop from 0.
 
     The radius (q >= 0, n terms, S the exact sum at the converted q).  Every
     integer step of the loop truncates downwards, so the computed total is
@@ -410,18 +407,17 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
             head = _head_length(decay, first, step, den, hi, stop)
     form_head = _eta_head if head and _eta_pays(decay, w, head, first, step, den) else _product_head
     for n0 in (head, 0) if head else (0,):
-        indices = _cf.bounded(route, ctx)
         qn, lead = xden, _power(x, first, w)  # q^(den n) and q^(first + step(n-1)), n = 1
         term = top = unit = one  # top: the largest |term|; unit: 1 at the shared exponent
         exp, units = -w, 0
         if n0:
-            start = form_head(x, w, n0, first, step, den, indices)
+            start = form_head(x, w, n0, first, step, den)
             if start is None:
                 continue
             term, exp, units, qn, lead = start
             unit = 1 << max(-exp, 0)
         total = term
-        for n in indices:
+        for n in _cf.bounded(route, ctx, n0 + 1):
             term = term * lead // (one - qn)
             total += term
             if x < 0 and abs(term) > top:
@@ -487,9 +483,9 @@ def _step_cost(width: int) -> float:
     return (width + 256) ** 1.6
 
 
-# The fixed cost of one call of either kernel (conversions, the prediction and
-# the result), in steps at the context's width W: about 25 us against 1 us
-# per step at 256 bits.
+# The fixed cost of one direct sum (conversions, the prediction and the
+# result), in steps at the context's width W: about 25 us against 1 us per
+# step at 256 bits.
 CALL_STEPS = 25
 
 
@@ -563,18 +559,71 @@ def _jacobi_sum(q, ctx: PrecisionContext, route: str, parts, loss: float):
     raise ArithmeticError(f"{route} cancelled past {guard - 2} bits on both passes")
 
 
+# A transformed sum's fixed cost (logs, exps, cosines) in steps at its width V: 95-160
+# at 256-1024 bits, 180-270 at 4,096 (so V/3,072 above); V's bits above W + len(c)
+POISSON_CALL_STEPS = 120
+POISSON_MARGIN = 8
+
+
+def _poisson_plan(decay: float, w: int, ctx: PrecisionContext, sums):
+    """(V, each sum's real count k of terms down to its stop, its cost) of ``_poisson_quotient`` at q = e^-decay."""
+    cs = [math.pi**2 / (2 * a * decay) for a, _ in sums[0] + sums[1]]
+    v, bits = w + math.ceil(max(cs)).bit_length() + POISSON_MARGIN, (ctx.stop_bits + POISSON_MARGIN) * math.log(2)
+    terms = [(math.sqrt(1 + bits / c) - 1) / 2 for c in cs]
+    return v, terms, sum(POISSON_CALL_STEPS * max(1, v / 3072) + 2 * math.ceil(k) for k in terms) * _step_cost(v)
+
+
+def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
+    """The quotient of the theta sums ``sums`` (numerator, denominator) at
+    q = x 2^-W = e^-h, 0 < q < 1, by Poisson summation (Jacobi's imaginary
+    transformation) of each S_(A,B) of ``_jacobi_sum``, c = pi^2/(2 A h):
+        S = 2 sqrt(2 pi/(A h)) e^(h B^2/(8A) - c) sum_k cos((2k+1) pi B/(2A)) e^(-4c k(k+1)).
+    The first weight is at least cos(3 pi/10) > 0.58, so a sum is at least 1/2 once
+    e^(-8c) <= 1/16: nothing cancels.  h comes from x, each A's c and prefactor once
+    (e^-c cancels exactly in R), each libmp operation rounded once at the width V of
+    ``_poisson_plan``, so e^-c is within about 6c 2^-V <= 2^-W.  Weights step by
+    cos(j+2) = 2 cos(2) cos(j) - cos(j-2) in units of pi B/(2A); a sum stops once its
+    tail, below the next term over 1 - e^(-8c(k+1)), is below 2^-(stop_bits + POISSON_MARGIN).
+    """
+    v, terms, _ = _poisson_plan(_decay(x, 1 << w), w, ctx, sums)
+    _cf.refuse_early(route, ctx, max(terms))
+    big, stop, lm = 1 << v, ctx.stop_bits + POISSON_MARGIN, libmp
+
+    def op(f, *args):  # one libmp operation, rounded at V
+        return f(*args, v, lm.round_nearest)
+
+    h, pi = lm.mpf_neg(op(lm.mpf_log, lm.from_man_exp(x, -w))), op(lm.mpf_pi)
+    signed = [(1, a, b) for a, b in sums[0]] + [(-1, a, b) for a, b in sums[1]]
+    e = sum(Fraction(sign * b * b, 8 * a) for sign, a, b in signed)
+    value, forms = op(lm.mpf_exp, op(lm.mpf_mul, h, op(lm.from_rational, e.numerator, e.denominator))), {}
+    for sign, a, b in signed:
+        if a not in forms:  # 2 sqrt(2 pi/(A h)) e^-c, and u = e^(-8c) at scale 2^V
+            ah = op(lm.mpf_mul, h, lm.from_int(a))
+            ec = op(lm.mpf_exp, lm.mpf_neg(op(lm.mpf_div, op(lm.mpf_mul, pi, pi), lm.mpf_shift(ah, 1))))
+            root = op(lm.mpf_sqrt, op(lm.mpf_div, lm.mpf_shift(pi, 3), ah))
+            forms[a] = op(lm.mpf_mul, root, ec), lm.to_int(lm.mpf_shift(op(lm.mpf_pow_int, ec, 8), v))
+        prefactor, u = forms[a]
+        weight = last = lm.to_int(lm.mpf_shift(op(lm.mpf_cos_pi, op(lm.from_rational, b, 2 * a)), v))
+        double, total, power, ratio = (weight * weight >> v - 2) - 2 * big, 0, big, u  # 2 cos(pi B/A)
+        for _ in _cf.bounded(route, ctx):  # at term k: u^(k(k+1)/2) and u^(k+1)
+            total += weight * power >> v
+            power = power * ratio >> v
+            if power << stop <= big - ratio:
+                break
+            ratio = ratio * u >> v
+            weight, last = (weight * double >> v) - last, weight
+        value = op(lm.mpf_mul if sign > 0 else lm.mpf_div, value, op(lm.mpf_mul, prefactor, lm.from_man_exp(total, -v)))
+    return +ctx.mp.make_mpf(value)
+
+
 def _theta_quotient(q, ctx: PrecisionContext, name: str):
     """One of the quotients of theta sums in ``_THETA_ROUTES``, by the cheaper route.
 
-    Each is a quotient of Jacobi triple product sums S_(A,B) (``_jacobi_sum``)
-    and equally a quotient of q-Pochhammer products (q^j; q^k)_inf
-    (``pochhammer_inf``).  The sums need O(sqrt(bits/h)) terms but
-    pi^2/(2A h ln 2) extra bits, h = -ln|q|; the products need
-    O(bits/h) factors at W bits.  The rule: predict each route's step count
-    times ``_step_cost`` of its width, plus CALL_STEPS per kernel call, and
-    take the sums unless the products cost less.  At 256 bits that happens
-    near |q| = 1 (from about 1 - 2e-4 on) and, where either route takes a
-    few steps, for G and H below about q = 1/20 and for E below e^-60.
+    Each is a quotient of Jacobi triple product sums S_(A,B), summed directly
+    (``_jacobi_sum``, O(sqrt(bits/h)) terms at W + pi^2/(2A h ln 2) bits,
+    h = -ln|q|) or for q > 0 transformed (``_poisson_quotient``, O(sqrt(bits h))
+    terms at about W bits), whichever costs less as predicted: the transformation
+    from q = 0.91-0.96 on at 256 bits (R from 0.964), from 0.64-0.83 at 2,048.
 
     While a command runs (``numerics._MEMO``) each (name, type and value of q,
     ctx) is computed once: a later call returns the value the first one
@@ -586,44 +635,35 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
     key = (name, type(q), q, ctx)
     if memo is not None and (value := memo.get(key)) is not None:
         return value
-    route, sums, products = _THETA_ROUTES[name]
+    route, sums = _THETA_ROUTES[name]
     base, (x,) = _fixed(ctx, route, q)
-    sparse = product = 0.0
-    if x:
-        decay = _decay(x, 1 << base)
+    if x > 0:  # each direct sum's terms at its guarded width, plus CALL_STEPS at W
+        decay, direct = _decay(x, 1 << base), len(sums[0] + sums[1]) * CALL_STEPS * _step_cost(base)
         for a, b in sums[0] + sums[1]:
             g = _guard(decay, math.pi**2 / (2 * a))
-            sparse += 2 * _sparse_terms(decay, a, b, ctx.stop_bits + g) * _step_cost(base + g)
-            sparse += CALL_STEPS * _step_cost(base)
-        for _, k in products[0] + products[1]:
-            product += (ctx.stop_bits * math.log(2) / (k * decay) + CALL_STEPS) * _step_cost(base)
-    if product < sparse:
-        def power(e):  # q^e from x, at width W, where ``_fixed`` reads it exactly
-            return Fraction(_power(x, e, base), 1 << base)
-
-        num, den = ([pochhammer_inf(power(j), power(k), ctx) for j, k in side] for side in products)
+            direct += 2 * _sparse_terms(decay, a, b, ctx.stop_bits + g) * _step_cost(base + g)
+    if x > 0 and POISSON_CALL_STEPS * _step_cost(base) < direct and _poisson_plan(decay, base, ctx, sums)[2] < direct:
+        value = _poisson_quotient(x, base, ctx, route, sums)
     else:
-        num, den = (
-            [_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
-            for side in sums
-        )
-    value = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
+        num, den = ([_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
+                    for side in sums)
+        value = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
     if memo is not None:
         memo[key] = value
     return value
 
 
-# name: (route, (numerator, denominator) sums (A, B), (numerator, denominator) products (j, k))
+# name: (route, (numerator, denominator) sums (A, B))
 _THETA_ROUTES = {
     # R(q)/q^(1/5) = theta_H/theta_G = (q; q^5)(q^4; q^5) / ((q^2; q^5)(q^3; q^5))
-    "R": ("R theta sum", (((5, 3),), ((5, 1),)), (((1, 5), (4, 5)), ((2, 5), (3, 5)))),
+    "R": ("R theta sum", (((5, 3),), ((5, 1),))),
     # G = theta_G/E = 1/((q; q^5)(q^4; q^5)) and H = theta_H/E = 1/((q^2; q^5)(q^3; q^5))
-    "G": ("G theta sum", (((5, 1),), ((3, 1),)), ((), ((1, 5), (4, 5)))),
-    "H": ("H theta sum", (((5, 3),), ((3, 1),)), ((), ((2, 5), (3, 5)))),
+    "G": ("G theta sum", (((5, 1),), ((3, 1),))),
+    "H": ("H theta sum", (((5, 3),), ((3, 1),))),
     # Euler's E = (q; q)_inf, the pentagonal number theorem
-    "E": ("Euler pentagonal sum", (((3, 1),), ()), (((1, 1),), ())),
+    "E": ("Euler pentagonal sum", (((3, 1),), ())),
     # phi(-q) = sum (-1)^m q^(m^2) = (q^2; q^2)(q; q^2)^2
-    "phi-": ("theta sum", (((2, 0),), ()), (((2, 2), (1, 2), (1, 2)), ())),
+    "phi-": ("theta sum", (((2, 0),), ())),
 }
 
 
@@ -723,8 +763,8 @@ def theta_phi(q, ctx: PrecisionContext):
     For q < 0 it is the alternating sum 1 + 2 sum_{n>=1} (-1)^n |q|^(n^2),
     which cancels down to about exp(-pi^2/(4h)), h = -ln|q| (8.5e-106 at
     q = -0.99): ``_theta_quotient`` "phi-" sums it with guard bits for that,
-    or near q = -1 takes the product (q^2; q^2)_inf (-q; q^2)_inf^2; that
-    route proves no radius.
+    or near q = -1 sums its theta_2 transformation, whose terms do not
+    cancel; neither route proves a radius.
     """
     route = "theta series"
     w, (x,) = _fixed(ctx, route, q)

@@ -201,6 +201,19 @@ def test_bounded_loop_raises_at_the_cap():
     assert str(err.value) == "demo loop did not converge: max-iterations after 5 iterations"
 
 
+def test_bounded_loop_starts_past_work_done_another_way():
+    # a loop that did indices 1..3 another way takes 4 and 5, then exits at the
+    # cap with the same count; a start past the cap exits at once
+    small = PrecisionContext(256, 32, max_iter=5)
+    seen = []
+    with pytest.raises(ConvergenceError) as err:
+        for k in bounded("demo loop", small, 4):
+            seen.append(k)
+    assert seen == [4, 5] and err.value.iterations == 5
+    with pytest.raises(ConvergenceError, match="after 5 iterations"):
+        next(bounded("demo loop", small, 7))
+
+
 def test_src_raises_no_bare_runtime_error():
     # non-convergence has one exception type, ConvergenceError
     src = Path(rrlab.__file__).parent

@@ -97,8 +97,8 @@ def test_capped_series_job_refuses_before_its_first_term(capsys, monkeypatch):
     counted = []
     bounded = cf.bounded
 
-    def counting(route, ctx):
-        for k in bounded(route, ctx):
+    def counting(route, ctx, start=1):
+        for k in bounded(route, ctx, start):
             counted.append(k)
             yield k
 

@@ -315,8 +315,8 @@ def test_identity_loop_term_counts(monkeypatch, ctx, route, call, terms):
     counted = Counter()
     bounded = cf.bounded
 
-    def counting(name, ctx):
-        for k in bounded(name, ctx):
+    def counting(name, ctx, start=1):
+        for k in bounded(name, ctx, start):
             counted[name] += 1
             yield k
 

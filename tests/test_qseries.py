@@ -115,14 +115,14 @@ def test_R_product_matches_cf(ctx):
 
 @pytest.mark.parametrize("qf", ["9999/10000", "19999/20000"])
 def test_R_product_route_earns_its_bits(monkeypatch, qf):
-    # near q = 1 the quotient takes the four products (q^j; q^5)_inf, whose
-    # arguments must be powers of q at the kernel width, not at ctx.bits, for R
-    # to earn bits - guard_bits against the fraction at twice the bits
+    # near q = 1 the quotient takes the transformed sums, one term each, and
+    # R earns bits - guard_bits against the fraction at twice the bits
     ctx, big = PrecisionContext(256, 8), PrecisionContext(512, 8)
+    counted, _ = _count_and_predict(monkeypatch)
     calls = []
-    monkeypatch.setattr(qseries, "pochhammer_inf", lambda *args: calls.append(args) or pochhammer_inf(*args))
+    monkeypatch.setattr(qseries, "_jacobi_sum", lambda *args: calls.append(args))
     value = R_product(Nome.rational(qf), ctx)
-    assert len(calls) == 4
+    assert (calls, counted) == ([], [1, 1])
     assert agree_bits(value, rr_cf(Nome.rational(qf), big).value, ctx) >= ctx.bits - ctx.guard_bits
 
 
@@ -364,18 +364,19 @@ def test_series_R_matches_numeric(ctx):
     ],
 )
 def test_kernel_term_counts(monkeypatch, ctx, kernel, q, terms):
-    # the number of indices cf.bounded yields pins each stop rule exactly
+    # the last index cf.bounded yields pins each stop rule exactly (a head's
+    # indices are skipped, not yielded)
     counted = []
     bounded = cf.bounded
 
-    def counting(route, ctx):
-        for k in bounded(route, ctx):
+    def counting(route, ctx, start=1):
+        for k in bounded(route, ctx, start):
             counted.append(k)
             yield k
 
     monkeypatch.setattr(cf, "bounded", counting)
     kernel(ctx.real(q), ctx)
-    assert len(counted) == terms
+    assert counted[-1] == terms
 
 
 # -- the product head of the Euler sums -------------------------------------------
@@ -419,8 +420,8 @@ def _count_heads(monkeypatch):
     counted, heads = [], []
     bounded, rule = cf.bounded, qseries._head_length
 
-    def counting(route, ctx):
-        for k in bounded(route, ctx):
+    def counting(route, ctx, start=1):
+        for k in bounded(route, ctx, start):
             counted.append(k)
             yield k
 
@@ -440,10 +441,11 @@ def _count_heads(monkeypatch):
     (H, "99999/100000", 51109, 44000),
 ])
 def test_the_head_takes_most_indices_near_one(monkeypatch, ctx, kernel, q, terms, least):
-    # the head's factors are indices of the one count, which keeps the stop index
+    # the head's factors are indices of the one count, which keeps the stop
+    # index; the loop takes them at once and yields only the indices after them
     counted, heads = _count_heads(monkeypatch)
     kernel(Nome.rational(q), ctx)
-    assert heads[0] >= least and len(counted) == terms
+    assert heads[0] >= least and counted == list(range(heads[0] + 1, terms + 1))
 
 
 @pytest.mark.parametrize("q", ["1/2", "88/100", "99/100", "-99/100"])
@@ -481,7 +483,7 @@ def test_head_lies_within_the_radii_of_the_loop_from_zero(monkeypatch, q, bits, 
     old, old_radius, terms = _loop_from_zero(nome, ctx, first, step, den)
     # the rule's side: the eta series from 1 - 1e-4 on at 256 bits, the product loop at 1 - 1e-3
     assert formed == ["_eta_head" if (first, step, den) in eta else "_product_head"]
-    assert heads[0] > 0 and len(counted) == terms  # the head held, and the count stays
+    assert heads[0] > 0 and counted == list(range(heads[0] + 1, terms + 1))  # the head held, and the count stays
     mp = ctx.mp
     assert abs(mp.fsub(value, old, exact=True)) <= mp.fadd(radius, old_radius, exact=True)
     # the head costs the proof no bit
@@ -506,9 +508,9 @@ def test_eta_head_agrees_with_the_product_head(monkeypatch, bits, q, first, step
     qseries._rr_sum(nome, ctx, "head", first, step, den)
     w, (x,) = numerics._fixed(ctx, "head", nome)
     n0 = heads[0]
-    eta = qseries._eta_head(x, w, n0, first, step, den, iter(range(n0)))
-    product = qseries._product_head(x, w, n0, first, step, den, iter(range(n0)))
-    wide = qseries._product_head(x << 64, w + 64, n0, first, step, den, iter(range(n0)))
+    eta = qseries._eta_head(x, w, n0, first, step, den)
+    product = qseries._product_head(x, w, n0, first, step, den)
+    wide = qseries._product_head(x << 64, w + 64, n0, first, step, den)
     t, p, r = map(_exact, (eta, product, wide))
     assert eta[0].bit_length() == w and eta[2] < 16
     assert abs(t - p) <= (eta[2] + product[2]) * max(t, p) / 2**w
@@ -532,9 +534,9 @@ def test_a_head_that_is_not_proven_runs_from_zero(monkeypatch, ctx, past):
     assert qseries._rr_sum(nome, ctx, "head", 1, 2, 1) == plain
     assert counted[-5768:] == list(range(1, 5769))  # the run from 0, after
     if past > 0:
-        assert len(counted) == peaks[0] + past + 5768  # n0 factors, then no term
+        assert len(counted) == 5768  # the head failed before its loop took an index
     else:
-        assert len(counted) >= 2 * 5768  # a full run with the head, then a check failed
+        assert counted[0] == peaks[0] + past + 1 and len(counted) > 5768  # a run after the head, then a check failed
 
 
 @given(st.integers(1, 2**64 - 1), st.integers(1, 2000))
@@ -558,7 +560,7 @@ def test_negative_nomes_measure_what_they_cancel(monkeypatch, ctx):
     seen, counted = [], []
     lost, bounded = qseries._lost_bits, cf.bounded
     monkeypatch.setattr(qseries, "_lost_bits", lambda top, total: seen.append(lost(top, total)) or seen[-1])
-    monkeypatch.setattr(cf, "bounded", lambda route, c: counted.append(c.bits) or bounded(route, c))
+    monkeypatch.setattr(cf, "bounded", lambda route, c, *start: counted.append(c.bits) or bounded(route, c, *start))
     for q in ("-1/2", "-9/10", "-99/100", "-999/1000"):
         for kernel in (G, H):
             kernel(Nome.rational(q), ctx)
@@ -572,7 +574,7 @@ def test_a_sum_that_cancels_is_summed_again_wider(monkeypatch, ctx):
     counted = []
     bounded = cf.bounded
     monkeypatch.setattr(qseries, "_lost_bits", lambda top, total: 40.5)
-    monkeypatch.setattr(cf, "bounded", lambda route, c: counted.append(c.bits) or bounded(route, c))
+    monkeypatch.setattr(cf, "bounded", lambda route, c, *start: counted.append(c.bits) or bounded(route, c, *start))
     value = G(nome, ctx)
     assert counted == [256, 320]  # widened by 41 bits, rounded up to a multiple of 32
     assert value.context is ctx.mp and agree_bits(value, plain, ctx) >= ctx.bits - ctx.guard_bits
@@ -599,8 +601,8 @@ def _count_and_predict(monkeypatch):
     counted, predicted = [], []
     bounded, refuse_early = cf.bounded, cf.refuse_early
 
-    def counting(route, ctx):
-        for k in bounded(route, ctx):
+    def counting(route, ctx, start=1):
+        for k in bounded(route, ctx, start):
             counted.append(k)
             yield k
 
@@ -648,11 +650,11 @@ def test_predicted_minimum_never_exceeds_the_count(monkeypatch, name, bits, guar
             kernel(ctx.real(Fraction(q)), ctx)
         except cf.ConvergenceError as exc:
             if exc.needed is None:  # ran into the cap
-                assert predicted[0] <= max_iter == exc.iterations == len(counted), q
+                assert predicted[0] <= max_iter == exc.iterations and counted[-1:] in ([max_iter], []), q
             else:
                 assert (exc.iterations, counted) == (0, []) and exc.needed == predicted[0] > max_iter
             continue
-        assert len(predicted) == 1 and 1 <= predicted[0] <= len(counted), q
+        assert len(predicted) == 1 and 1 <= predicted[0] <= counted[-1], q
 
 
 def test_capped_series_refuses_before_its_first_term(monkeypatch):
@@ -783,13 +785,6 @@ def _jacobi_cube(q):
         power *= qn
 
 
-def _theta_4(mp, p):
-    """phi(-p) = sqrt(pi/h) sum over all n of exp(-pi^2 (n + 1/2)^2/h), h = -ln p:
-    the theta_2 transformation, a fast sum with positive terms."""
-    h = -mp.log(p)
-    return 2 * mp.sqrt(mp.pi / h) * mp.nsum(lambda n: mp.exp(-mp.pi**2 * (n + 0.5) ** 2 / h), [0, mp.inf])
-
-
 def _theta(q, ctx, a, b):
     return _jacobi_sum(q, ctx, "theta sum", ((a, b, None),), math.pi**2 / (2 * a))
 
@@ -810,9 +805,11 @@ def _product_references_run(q, bits):
 def test_sparse_sums_match_references(q, bits):
     # relative agreement >= bits - guard_bits on the same rounded q: E against
     # mpmath.qp (Jacobi's E^3 series at |q| = 999/1000, where qp takes seconds),
-    # phi against jtheta (the theta_2 transformation at -999/1000, where jtheta
-    # returns a negative number), theta_G, theta_H and E against pochhammer_inf,
-    # and the factorization denominator against the old factor loop
+    # phi against jtheta (at -999/1000, where jtheta returns a negative number,
+    # against E(p) chi(-p), p = -q: Jacobi's E^3 series and an Euler sum, since
+    # the theta_2 transformation is phi's route there), the direct sums of
+    # theta_G, theta_H and E against pochhammer_inf, and the factorization
+    # denominator against the old factor loop
     ctx = PrecisionContext(bits, 32)
     mp = PrecisionContext(bits + 64, 32).mp
     want = ctx.bits - ctx.guard_bits
@@ -825,12 +822,16 @@ def test_sparse_sums_match_references(q, bits):
     exact = mp.mpf(qv)
     near = abs(q) == Fraction(999, 1000)
     assert rel(euler, mp.cbrt(_cancelling(mp, exact, _jacobi_cube)) if near else mp.qp(exact)) >= want
-    assert rel(theta_phi(qv, ctx), _theta_4(mp, -exact) if near and q < 0 else mp.jtheta(3, 0, exact)) >= want
+    if near and q < 0:
+        phi = mp.cbrt(_cancelling(mp, -exact, _jacobi_cube)) * chi(qv, ctx)
+    else:
+        phi = mp.jtheta(3, 0, exact)
+    assert rel(theta_phi(qv, ctx), phi) >= want
     if not _product_references_run(q, bits):
         return
     q5 = qv**5
     e5 = pochhammer_inf(q5, q5, ctx)
-    assert rel(euler, pochhammer_inf(qv, qv, ctx)) >= want
+    assert rel(_theta(qv, ctx, 3, 1), pochhammer_inf(qv, qv, ctx)) >= want
     assert rel(_theta(qv, ctx, 5, 1), e5 * pochhammer_inf(qv**2, q5, ctx) * pochhammer_inf(qv**3, q5, ctx)) >= want
     assert rel(_theta(qv, ctx, 5, 3), e5 * pochhammer_inf(qv, q5, ctx) * pochhammer_inf(qv**4, q5, ctx)) >= want
     both = 1
@@ -846,36 +847,44 @@ def test_sparse_sums_match_references(q, bits):
     "name, q, terms",
     [
         ("R", "1/2", 21),
-        ("R", "999/1000", 1358),
+        ("R", "24/25", 88),
+        ("R", "999/1000", 2),
         ("R", "-999/1000", 1358),
-        ("G", "99/100", 251),
+        ("G", "9/10", 61),
+        ("G", "99/100", 2),
         ("E", "1/2", 13),
-        ("E", "999/1000", 1099),
-        ("E", "9995/10000", 2147),
-        ("phi-", "999/1000", 1622),
+        ("E", "999/1000", 1),
+        ("E", "9995/10000", 1),
+        ("phi-", "9/10", 43),
+        ("phi-", "999/1000", 1),
     ],
 )
 def test_sparse_term_counts(monkeypatch, ctx, name, q, terms):
-    # every term of both sums of a quotient, at 256 bits, pins the stop rule and the guard
+    # every term of both sums of a quotient, at 256 bits, pins the stop rules and
+    # the guard: the direct sums up to about q = 0.95, the transformed ones above
     counted, _ = _count_and_predict(monkeypatch)
     _theta_quotient(ctx.real(Fraction(q)), ctx, name)
     assert len(counted) == terms
 
 
-@pytest.mark.parametrize("q, route", [("9995/10000", ["sum", "sum"]), ("9999/10000", ["product"] * 4)])
+@pytest.mark.parametrize("q, route", [
+    ("24/25", ["sum", "sum"]), ("39/40", ["transformed"]), ("9999/10000", ["transformed"]),
+    ("-9999/10000", ["sum", "sum"]),
+])
 def test_cost_rule_picks_the_route(monkeypatch, ctx, q, route):
-    # at 256 bits R's sums cost less at 1 - 5e-4 and its four products at 1 - 1e-4
+    # at 256 bits R's direct sums cost less at 0.96 and its transformed sums at
+    # 0.975 and above; at q < 0 the sums are direct
     calls = []
 
-    def product(a, q, c):
-        calls.append("product")
+    def transformed(x, w, c, route, sums):
+        calls.append("transformed")
         return c.mp.one
 
     def sums(q, c, route, parts, loss):
         calls.append("sum")
         return c.mp.one
 
-    monkeypatch.setattr(qseries, "pochhammer_inf", product)
+    monkeypatch.setattr(qseries, "_poisson_quotient", transformed)
     monkeypatch.setattr(qseries, "_jacobi_sum", sums)
     R_product(ctx.real(Fraction(q)), ctx=ctx)
     assert calls == route
@@ -901,11 +910,11 @@ def test_sum_that_cancels_on_both_passes_raises(ctx):
 
 
 def test_sparse_sum_refuses_a_count_above_max_iter(monkeypatch):
-    # R(99/100) needs about 250 terms of each sum; with max_iter 50 none runs
+    # R(-99/100) needs about 250 terms of each direct sum; with max_iter 50 none runs
     counted, predicted = _count_and_predict(monkeypatch)
     ctx = PrecisionContext(256, 32, 50)
     with pytest.raises(cf.ConvergenceError) as err:
-        R_product(ctx.real(Fraction(99, 100)), ctx=ctx)
+        R_product(ctx.real(Fraction(-99, 100)), ctx=ctx)
     exc = err.value
     assert (exc.route, exc.iterations, counted) == ("R theta sum", 0, [])
     assert exc.needed == predicted[0] > 50
@@ -928,16 +937,95 @@ def test_sparse_prediction_never_exceeds_the_count(monkeypatch, name, bits, guar
     # refusal runs none
     parts, loss = _SPARSE_PARTS[name]
     counted, predicted = _count_and_predict(monkeypatch)
-    for q in ("1/10", "1/2", "-1/2", "9/10", "-97/98", "999/1000"):
+    # the transformed sums (q > 0) too, alone and as R's quotient, whose two
+    # sums share c and so each run at least the one count predicted
+    transformed = (({"theta_G": (5, 1), "E": (3, 1), "phi": (2, 0)}[name],), ())
+    for q in ("1/10", "1/2", "-1/2", "9/10", "-97/98", "999/1000", "99999/100000"):
         ctx = PrecisionContext(bits, guard_bits, max_iter)
+        w, (x,) = numerics._fixed(ctx, name, ctx.real(Fraction(q)))
+        calls = [] if q == "99999/100000" else [lambda c: _jacobi_sum(c.real(Fraction(q)), c, name, parts, loss)]
+        if x > 0:
+            calls += [lambda c, sums=sums: qseries._poisson_quotient(x, w, c, name, sums)
+                      for sums in (transformed, (((5, 3),), ((5, 1),)))]
+        for call in calls:
+            counted.clear()
+            predicted.clear()
+            try:
+                call(ctx)
+            except cf.ConvergenceError as exc:
+                if exc.needed is None:  # ran into the cap
+                    assert predicted[-1] <= max_iter == exc.iterations, q
+                else:
+                    assert (exc.iterations, counted) == (0, []) and exc.needed == predicted[0] > max_iter
+                continue
+            ends = [k for k, after in zip(counted, counted[1:] + [1]) if after == 1]  # each sum's count
+            assert len(predicted) == 1 and 1 <= predicted[0] <= min(ends), q
+
+
+# -- the transformed theta sums near q = 1 ------------------------------------------
+
+
+def _euler_by_rr_functions(q, ctx):
+    """(q; q)_inf and the G and H series at q, for a rational 0 < q < 1, from the
+    Euler sums alone: G(q) H(q) = (q^5; q^5)_inf/(q; q)_inf, applied until
+    q^(5^k) < 1/2, where mpmath's qp takes over; the powers of q are formed
+    64 bits wider than the context, and each sum runs 32 bits wider."""
+    wide = PrecisionContext(ctx.bits + 32, ctx.guard_bits)
+    mp = PrecisionContext(2 * ctx.bits, 32).mp
+    power, out, first = mp.mpf(q.numerator) / q.denominator, 1, None
+    while power > 0.5:
+        g, h = G(power, wide), H(power, wide)
+        first = first or (g, h)
+        out *= g * h
+        power = power**5
+    return mp.qp(power) / out, *first
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q", ["9/10", "99/100", "999/1000", "9999/10000", "999999/1000000"])
+def test_transformed_sums_match_independent_routes(bits, q):
+    # each quotient by the rule's route and by the transformation itself, to
+    # bits - guard_bits: R against the fraction at q, the G and H product
+    # backends against their Euler sums, E against the Euler sums' chain and
+    # phi(-q) against E(q) chi(-q), chi also an Euler sum
+    ctx = PrecisionContext(bits, 32)
+    nome = Nome.rational(q)
+    w, (x,) = numerics._fixed(ctx, "test", nome)
+    euler, g, h = _euler_by_rr_functions(Fraction(q), ctx)
+    references = {"R": rr_cf(nome, ctx).value / root(ctx.number(nome), 5, RootMode.PRINCIPAL, ctx),
+                  "G": g, "H": h, "E": euler, "phi-": euler * chi(-nome, ctx)}
+    for name, reference in references.items():
+        transformed = qseries._poisson_quotient(x, w, ctx, name, qseries._THETA_ROUTES[name][1])
+        for value in (_theta_quotient(nome, ctx, name), transformed):
+            assert agree_bits(value / reference, 1, ctx) >= ctx.bits - ctx.guard_bits, name
+    assert agree_bits(R_product(nome, ctx), rr_cf(nome, ctx).value, ctx) >= ctx.bits - ctx.guard_bits
+    assert agree_bits(theta_phi(-nome, ctx) / references["phi-"], 1, ctx) >= ctx.bits - ctx.guard_bits
+
+
+def test_transformed_sums_with_several_terms(monkeypatch):
+    # at 2,048 bits the transformation already wins at q = 0.9, where its sums
+    # take 4 to 6 terms each: each quotient agrees with the direct sums
+    ctx = PrecisionContext(2048, 32)
+    counted, _ = _count_and_predict(monkeypatch)
+    nome = Nome.rational("9/10")
+    w, (x,) = numerics._fixed(ctx, "test", nome)
+    for name, (route, sums) in qseries._THETA_ROUTES.items():
         counted.clear()
-        predicted.clear()
-        try:
-            _jacobi_sum(ctx.real(Fraction(q)), ctx, name, parts, loss)
-        except cf.ConvergenceError as exc:
-            if exc.needed is None:  # ran into the cap
-                assert predicted[-1] <= max_iter == exc.iterations, q
-            else:
-                assert (exc.iterations, counted) == (0, []) and exc.needed == predicted[0] > max_iter
-            continue
-        assert len(predicted) == 1 and 1 <= predicted[0] <= len(counted), q
+        transformed = qseries._poisson_quotient(x, w, ctx, route, sums)
+        runs = len(counted)
+        num, den = ([_theta(nome, ctx, a, b) for a, b in side] for side in sums)
+        direct = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
+        assert agree_bits(transformed / direct, 1, ctx) >= ctx.bits - ctx.guard_bits, name
+        assert runs == {"R": 12, "G": 11, "H": 11, "E": 5, "phi-": 4}[name]
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 2048])
+def test_modular_relation_grid_takes_the_direct_sums(monkeypatch, bits):
+    # the transformation of R at e^(-2 alpha) is the other side of the modular
+    # relation, so the identity's default grid must take the direct sums
+    from rrlab.identities import verify
+
+    calls = []
+    monkeypatch.setattr(qseries, "_poisson_quotient", lambda *args: calls.append(args))
+    report = verify("modular-relation", PrecisionContext(bits, 32), samples=10)
+    assert calls == [] and all(record["passed"] for record in report.records)
