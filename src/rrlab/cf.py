@@ -19,8 +19,8 @@ that every identity and special-value check names.  ``rr_value``, which
 ``eval R`` and ``eval S`` take, runs the fraction at q where that is cheap
 and otherwise the paper's modular relation: R (or S) at q from the fraction
 at the transformed nome q^ = exp(-k pi^2/ln(1/q)), 3 steps near |q| = 1
-instead of 170 to 345.  One predicted-cost rule, from q and the width,
-chooses between them.
+instead of 170 to 345, with a proven radius.  One predicted-cost rule,
+from q and the width, chooses between them.
 
 Non-convergence has one exception type, ConvergenceError (defined with
 CFStatus in ``numerics``, whose ``certify`` raises it too): a CFResult's value
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import log2
 from typing import Callable, Optional
 
@@ -142,25 +143,29 @@ class CFResult:
 
 
 def eval_finite(spec: CFSpec, n: int):
-    """Value of the depth-n truncation, by backward recurrence.
+    """Value of the depth-n truncation, by backward recurrence, exactly, for int
+    and Fraction terms and b0.
 
-    Works in the arithmetic of b0 and the generated terms, so it is exact
-    when they are rational.  Asks spec.terms(k) once for each k = n, ..., 1.
-    Raises ZeroDenominatorError identifying the depth where the backward
-    pass divides by zero.
+    The tail value v = num/den runs as an integer pair, v <- b_k + a_(k+1)/v,
+    unreduced, and forms one Fraction at the end.  Asks spec.terms(k) once for
+    each k = n, ..., 1.  Raises ZeroDenominatorError identifying the depth where
+    the backward pass divides by zero (num = 0; den is never 0).
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if n == 0:
         return spec.b0
-    a_next, v = spec.terms(n)
+    a_next, b_n = spec.terms(n)
+    num, den = b_n.numerator, b_n.denominator
     for k in range(n - 1, -1, -1):
-        if v == 0:
+        if num == 0:
             raise ZeroDenominatorError(k + 1)
         a_k, b_k = spec.terms(k) if k else (None, spec.b0)
-        v = b_k + a_next / v
+        # b + a/(num/den) = (b.num a.den num + a.num b.den den) / (b.den a.den num)
+        num, den = (b_k.numerator * a_next.denominator * num + a_next.numerator * b_k.denominator * den,
+                    b_k.denominator * a_next.denominator * num)
         a_next = a_k
-    return v
+    return Fraction(num, den)
 
 
 def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
@@ -587,37 +592,63 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
 
     With c = phi (R) or 1/phi (S) and k = 4 (R) or 1 (S),
 
-        f(p) = sqrt(5) c / (c + f(p^)) - c,   p^ = exp(-k pi^2 / ln(1/p)),
+        f(p) = sqrt(5) c / (c + f(p^)) - c,   p^ = exp(-k pi^2 / L),  L = ln(1/p),
 
     which is (phi + R(e^-2a))(phi + R(e^-2b)) = sqrt(5) phi for R and
     (1/phi + S(e^-a))(1/phi + S(e^-b)) = sqrt(5)/phi for S, ab = pi^2.
-    f(p^) is the fraction at p^ times p^^(1/5) (S: the fraction at -p^).
-    An exponential Nome maps exactly: exp(s) to exp(k/s) and exp-sqrt(n) to
-    exp-sqrt(k^2/n).  For any other p, ln(1/p) is taken on the context.  Its
-    relative error d reaches f(p) only through f(p^), about p^^(1/5) = e^-y
-    with y = k pi^2/(5 ln(1/p)), which it moves by about y e^-y d; the
-    relation's slope in f(p^) is at most sqrt(5)/c, so f(p) moves by at most
-    about (sqrt(5)/c) y e^-y d <= (sqrt(5)/(c e)) d: 0.51 d for R and 1.33 d
-    for S.  The last subtraction cancels up to 2 bits (R near q = 1 is
-    sqrt(5) - phi), and each of the few roundings costs about one unit, so
-    all of it runs on ``ctx.widened(8)`` and is rounded back.  The result
-    counts the fraction's steps at p^ there: 3, the fewest the stop test
-    takes, once p^ is below 2^-stop_bits.
+    f(p^) = z = p^^(1/5) F, F the fraction at p^ (S: at -p^).  An exponential
+    Nome maps exactly: exp(s) to exp(k/s) and exp-sqrt(n) to exp-sqrt(k^2/n).
+    For any other p, L is taken on the context.  All of it runs on
+    ``ctx.widened(8)``, of P bits, and is rounded back; the result counts the
+    fraction's steps at p^ there: 3, the fewest the stop test takes, once p^ is
+    below 2^-stop_bits.
+
+    The value proves its radius to ``certify``, in units of 2^-P, wherever
+    t = p^ <= 1/16; ``_relation_pays`` takes the relation only where L < pi sqrt(k),
+    so p^ < e^(-pi sqrt(k)) <= e^-pi there.
+    - The fraction.  With |a_j| = t^(j-1) <= 1/16 the ratios B_j/B_(j-1) lie within
+      2 t^(j-1) of 1, so B_j is within 2t/(1 - t) of 1, and after n steps the tail
+      is at most 2 t^(n(n+1)/2).  Each step of the integer loop at width W' moves
+      A, A', B, B' by less than 2 units, and since max(|A|, |B|) >= 2^(W'-1) and
+      |A/B| < 1.08 that moves the convergent by less than 11 units of 2^-W'; with
+      the last floor, 16 n + 2.  The powers of t, formed by j - 2 multiplies, and
+      the value's rounding to P bits add 4.
+    - p^.  Each operation counts one ulp, 2 units, relatively: p within 2 (4 for
+      a Fraction), so L within 2 + 5/L, a = k pi^2/L within 10 + 5/L and p^ = e^-a
+      within rho = a (10 + 5/L) + 3 (an exponential Nome: 8a + 2, ``numerics._fixed``).
+      dz/dt = z (1/(5t) + F'/F), so z moves by at most 0.3 p^^(1/5) rho.
+    - The relation.  f's slope in z is sqrt(5) c/(c + z)^2 <= 3.62, and every
+      rounding of sqrt(5), c, z, the sum, product and quotient and the final
+      subtraction, which cancels up to 2 bits (R near q = 1 is sqrt(5) - phi),
+      adds at most 128 units, with z's own two roundings at most 6 p^^(1/5).
+    So f is within 128 + 4 p^^(1/5) (dF + 6 + 0.3 rho) units, dF the fraction's
+    units above.
     """
     wide = ctx.widened(8)
     mp = wide.mp
     k, sign = (1, -1) if alternating else (4, 1)
     if isinstance(p, Nome) and p.form == "exp":
+        log = mp.pi * wide.real(p.arg)
         hat = wide.number(Nome.exp(k / p.arg))
     elif isinstance(p, Nome) and p.form == "exp-sqrt":
+        log = mp.pi * mp.sqrt(wide.real(p.arg))
         hat = wide.number(Nome.exp_sqrt(k * k / p.arg))
     else:
-        hat = mp.exp(k * mp.pi**2 / mp.log(wide.number(p)))
+        log = -mp.log(wide.number(p))
+        hat = mp.exp(k * mp.pi**2 / -log)
     res = eval_infinite(rr_cfspec(sign * hat), wide)
     if res.converged:
         sqrt5 = mp.sqrt(5)
         c = (sqrt5 + sign) / 2
-        res = replace(res, value=ctx.mp.mpf(sqrt5 * c / (c + mp.root(hat, 5) * res.value) - c))
+        fifth = mp.root(hat, 5)
+        value = sqrt5 * c / (c + fifth * res.value) - c
+        n, width = res.iterations, wide.bits + wide.guard_bits + wide.max_iter.bit_length()
+        fraction = mp.ldexp(hat ** (n * (n + 1) // 2), wide.bits + 1) + mp.ldexp(16 * n + 2, wide.bits - width) + 4
+        rho = k * mp.pi**2 / log * (10 + 5 / log) + 3
+        units = 128 + 4 * fifth * (fraction + 6 + 3 * rho / 10)
+        neg, man, exp, _ = value._mpf_  # the ball in units of 2^(exp-32), below the value's last bit
+        bound = int(mp.ceil(mp.ldexp(units, 32 - wide.bits - exp))) if 16 * hat <= 1 else None
+        res = replace(res, value=_prove(*_ball(ctx, (-man if neg else man) << 32, exp - 32, bound)))
     return res
 
 
@@ -633,7 +664,9 @@ def rr_value(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL,
     route from |q| and the context alone.  At 1 - 10^-5 and 256 bits the
     fraction at q takes 172 steps (S: 345) and at p^ 3.  Non-real q, q = +-1
     and every q the rule keeps take the fraction at q; the result carries the
-    steps of the fraction it ran.
+    steps of the fraction it ran.  The relation's value at q > 0 (R) and for S
+    proves its radius to ``certify``; R at q < 0 is a new value, a product with
+    a root of -1, and proves none.
     """
     qv = ctx.number(q)
     if not isinstance(qv, ctx.mp.mpc) and 0 < abs(qv) < 1:

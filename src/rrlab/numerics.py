@@ -9,7 +9,8 @@ so on ``ctx.widened(extra)``.  Real and complex values are plain mpmath
 
 Error control is by proven radii where a kernel has one, and by precision
 doubling otherwise.  ``certify`` listens while it evaluates: the Euler-sum
-kernel (G, H, chi), theta at q >= 0 and the cf2 fraction return their value
+kernel (G, H, chi), theta at q >= 0, the cf2 fraction, the transformed theta
+quotients and the modular relation of R and S return their value
 as the midpoint of a ball, with a radius that bounds the truncated tail, the
 fixed-point rounding and the error of the converted nome (``_prove``; ball
 arithmetic as in Arb, F. Johansson, IEEE Trans. Computers 66, 2017); any

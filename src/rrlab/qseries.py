@@ -15,8 +15,9 @@ S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2), the Jacobi triple
 product and pentagonal number theorem, on a second kernel, ``_jacobi_sum``:
 O(sqrt(bits/h)) terms at h = -ln|q|, with guard bits for the cancellation
 it predicts and then measures.  For q > 0 one predicted-cost rule
-(``_theta_quotient``) takes their Jacobi imaginary transformation instead,
-one term each near q = 1 (``_poisson_quotient``).  Every kernel predicts a
+(``_poisson_pays``) takes their Jacobi imaginary transformation instead,
+one term each near q = 1 (``_poisson_quotient``), which proves its radius;
+theta at q > 0 takes it near q = 1 too, as phi(-q^2)^2/phi(-q).  Every kernel predicts a
 lower bound on its term count before it starts and raises ConvergenceError
 at once when it exceeds max_iter (``cf.refuse_early``).  S's default route is
 ``cf.rr_value``: the alternating fraction at q, or near q = 1 the paper's
@@ -35,7 +36,7 @@ from typing import Optional
 from mpmath import libmp
 
 from .formal import FormalSeries, product_one_minus_inv, theta_series
-from .numerics import _MEMO, PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
+from .numerics import _MEMO, FIXED_UNITS, PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
 from . import cf as _cf
 
 __all__ = [
@@ -566,26 +567,60 @@ POISSON_MARGIN = 8
 
 
 def _poisson_plan(decay: float, w: int, ctx: PrecisionContext, sums):
-    """(V, each sum's real count k of terms down to its stop, its cost) of ``_poisson_quotient`` at q = e^-decay."""
-    cs = [math.pi**2 / (2 * a * decay) for a, _ in sums[0] + sums[1]]
+    """(V, each distinct sum's real count k of terms down to its stop, their cost) of
+    ``_poisson_quotient`` at q = e^-decay."""
+    cs = [math.pi**2 / (2 * a * decay) for a, _ in dict.fromkeys(sums[0] + sums[1])]
     v, bits = w + math.ceil(max(cs)).bit_length() + POISSON_MARGIN, (ctx.stop_bits + POISSON_MARGIN) * math.log(2)
     terms = [(math.sqrt(1 + bits / c) - 1) / 2 for c in cs]
     return v, terms, sum(POISSON_CALL_STEPS * max(1, v / 3072) + 2 * math.ceil(k) for k in terms) * _step_cost(v)
+
+
+def _poisson_pays(decay: float, w: int, ctx: PrecisionContext, sums, direct: float) -> bool:
+    """The one cost rule of the transformed sums: whether ``_poisson_plan`` at q = e^-decay
+    costs less than ``direct``, a direct route's predicted cost at ``_step_cost``."""
+    return POISSON_CALL_STEPS * _step_cost(w) < direct and _poisson_plan(decay, w, ctx, sums)[2] < direct
 
 
 def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
     """The quotient of the theta sums ``sums`` (numerator, denominator) at
     q = x 2^-W = e^-h, 0 < q < 1, by Poisson summation (Jacobi's imaginary
     transformation) of each S_(A,B) of ``_jacobi_sum``, c = pi^2/(2 A h):
-        S = 2 sqrt(2 pi/(A h)) e^(h B^2/(8A) - c) sum_k cos((2k+1) pi B/(2A)) e^(-4c k(k+1)).
-    The first weight is at least cos(3 pi/10) > 0.58, so a sum is at least 1/2 once
-    e^(-8c) <= 1/16: nothing cancels.  h comes from x, each A's c and prefactor once
-    (e^-c cancels exactly in R), each libmp operation rounded once at the width V of
-    ``_poisson_plan``, so e^-c is within about 6c 2^-V <= 2^-W.  Weights step by
-    cos(j+2) = 2 cos(2) cos(j) - cos(j-2) in units of pi B/(2A); a sum stops once its
-    tail, below the next term over 1 - e^(-8c(k+1)), is below 2^-(stop_bits + POISSON_MARGIN).
+        S = 2 sqrt(2 pi/(A h)) e^(h B^2/(8A) - c) T,  T = sum_k cos((2k+1) pi B/(2A)) u^(k(k+1)/2),
+    u = e^(-8c), as (value, radius) (``numerics._ball``); the radius is None where u > 1/16.
+    The first weight is at least cos(3 pi/10) > 0.58, so T > 1/2 once u <= 1/16:
+    nothing cancels.  h comes from x, each A's c and prefactor once, each distinct
+    sum's T once, each libmp operation rounded once at the width V of
+    ``_poisson_plan``.  Weights step by cos(j+2) = 2 cos(2) cos(j) - cos(j-2) in units
+    of pi B/(2A); a sum stops once its tail, below the next term over 1 - u^(k+1), is
+    below 2^-(stop_bits + POISSON_MARGIN).
+
+    The radius, in units of 2^-V relative to the value:
+    - every libmp operation counts one ulp, 2 units.  h is within 2; c, through
+      pi^2 and A h, within 13 c, so e^-c is within 14 c + 3 and a prefactor within
+      14 c + 11.  A prefactor that the numerator and denominator share cancels
+      exactly (R), so only the net count n_A of each A's prefactors counts;
+      e^(h e), e = sum +-B^2/(8A), counts 8 |e| h + 3, and each sum its two
+      products, 4;
+    - the integer loop, in units of 2^-V of T: the first weight is within 8 units
+      and 2 cos(pi B/A) within 66, so by the Chebyshev form of the recurrence
+      weight k is within 134 (k+1)^2; u is within 9 (c u <= 1/(8e)), u^(k+1)
+      within 10 (k+1) and u^(k(k+1)/2) within 11 k^2, so term k is within
+      147 (k+1)^2 and K terms within 100 (K+1)^3; the tail after them is at most
+      the next power over 1 - u^K, from the final integers plus their units;
+      T > 1/2 doubles these relatively;
+    - the converted nome: x is within FIXED_UNITS units of 2^-W of q
+      (``numerics._fixed``), so h moves by at most 8 2^-W/(q - 8 2^-W).  Per
+      sum, d ln S/dh is -1/(2h) + B^2/(8A) + c/h - (c/h) T'/T with |T'/T| <= 18 u,
+      and (c/h) 18 u <= 0.83/h; the c/h terms add to (pi^2/2) sum_A n_A/(A h^2),
+      which cancels in R and phi.  With 1/h <= 1/(1 - q_hi), q_hi = (x + 8) 2^-W,
+      as in ``numerics._nome_units``, |d ln Q/dh| <= D = sum over the sums of
+      (1 + 2/h) + 5 |sum_A n_A/A|/h^2, and Q moves by at most 2 D 8 2^-W/q_lo
+      while that is at most 1.
+    Together these bound the relative error by s <= 1/4; |value - Q| is then
+    within 4 s |value|.
     """
-    v, terms, _ = _poisson_plan(_decay(x, 1 << w), w, ctx, sums)
+    decay = _decay(x, 1 << w)
+    v, terms, _ = _poisson_plan(decay, w, ctx, sums)
     _cf.refuse_early(route, ctx, max(terms))
     big, stop, lm = 1 << v, ctx.stop_bits + POISSON_MARGIN, libmp
 
@@ -595,25 +630,41 @@ def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
     h, pi = lm.mpf_neg(op(lm.mpf_log, lm.from_man_exp(x, -w))), op(lm.mpf_pi)
     signed = [(1, a, b) for a, b in sums[0]] + [(-1, a, b) for a, b in sums[1]]
     e = sum(Fraction(sign * b * b, 8 * a) for sign, a, b in signed)
-    value, forms = op(lm.mpf_exp, op(lm.mpf_mul, h, op(lm.from_rational, e.numerator, e.denominator))), {}
+    value, forms, factors = op(lm.mpf_exp, op(lm.mpf_mul, h, op(lm.from_rational, e.numerator, e.denominator))), {}, {}
+    net = {a: sum(sign for sign, a2, _ in signed if a2 == a) for _, a, _ in signed}
+    units, proven = math.ceil(8 * abs(e) * decay) + 3 + 4 * len(signed), True
     for sign, a, b in signed:
         if a not in forms:  # 2 sqrt(2 pi/(A h)) e^-c, and u = e^(-8c) at scale 2^V
             ah = op(lm.mpf_mul, h, lm.from_int(a))
             ec = op(lm.mpf_exp, lm.mpf_neg(op(lm.mpf_div, op(lm.mpf_mul, pi, pi), lm.mpf_shift(ah, 1))))
             root = op(lm.mpf_sqrt, op(lm.mpf_div, lm.mpf_shift(pi, 3), ah))
             forms[a] = op(lm.mpf_mul, root, ec), lm.to_int(lm.mpf_shift(op(lm.mpf_pow_int, ec, 8), v))
+            units += abs(net[a]) * (math.ceil(14 * math.pi**2 / (2 * a * decay)) + 11)
+            proven = proven and forms[a][1] + 9 <= big >> 4
         prefactor, u = forms[a]
-        weight = last = lm.to_int(lm.mpf_shift(op(lm.mpf_cos_pi, op(lm.from_rational, b, 2 * a)), v))
-        double, total, power, ratio = (weight * weight >> v - 2) - 2 * big, 0, big, u  # 2 cos(pi B/A)
-        for _ in _cf.bounded(route, ctx):  # at term k: u^(k(k+1)/2) and u^(k+1)
-            total += weight * power >> v
-            power = power * ratio >> v
-            if power << stop <= big - ratio:
-                break
-            ratio = ratio * u >> v
-            weight, last = (weight * double >> v) - last, weight
-        value = op(lm.mpf_mul if sign > 0 else lm.mpf_div, value, op(lm.mpf_mul, prefactor, lm.from_man_exp(total, -v)))
-    return +ctx.mp.make_mpf(value)
+        if (a, b) not in factors:
+            weight = last = lm.to_int(lm.mpf_shift(op(lm.mpf_cos_pi, op(lm.from_rational, b, 2 * a)), v))
+            double, total, power, ratio = (weight * weight >> v - 2) - 2 * big, 0, big, u  # 2 cos(pi B/A)
+            for k in _cf.bounded(route, ctx):  # at term k: u^(k(k+1)/2) and u^(k+1)
+                total += weight * power >> v
+                power = power * ratio >> v
+                if power << stop <= big - ratio:
+                    break
+                ratio = ratio * u >> v
+                weight, last = (weight * double >> v) - last, weight
+            tail = -(-(power + 11 * k * k) * big // max(big - ratio - 10 * k, 1))
+            factors[a, b] = op(lm.mpf_mul, prefactor, lm.from_man_exp(total, -v)), 2 * (100 * (k + 1) ** 3 + tail)
+        factor, loop = factors[a, b]
+        units += loop
+        value = op(lm.mpf_mul if sign > 0 else lm.mpf_div, value, factor)
+    one, gap = 1 << w, (1 << w) - x - FIXED_UNITS
+    tilt = sum(Fraction(n, a) for a, n in net.items())
+    span = len(signed) * (gap * gap + 2 * one * gap) + -(-5 * abs(tilt.numerator) * one * one // tilt.denominator)
+    nome = -(-16 * one * span // max((x - FIXED_UNITS) * gap * gap, 1))
+    units += nome << v - w
+    neg, man, exp, _ = value
+    proven = proven and gap > 0 and x > FIXED_UNITS and nome <= one and units << 2 <= big
+    return _ball(ctx, -man if neg else man, exp, (4 * man * units >> v) + 1 if proven else None)
 
 
 def _theta_quotient(q, ctx: PrecisionContext, name: str):
@@ -622,19 +673,20 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
     Each is a quotient of Jacobi triple product sums S_(A,B), summed directly
     (``_jacobi_sum``, O(sqrt(bits/h)) terms at W + pi^2/(2A h ln 2) bits,
     h = -ln|q|) or for q > 0 transformed (``_poisson_quotient``, O(sqrt(bits h))
-    terms at about W bits), whichever costs less as predicted: the transformation
-    from q = 0.91-0.96 on at 256 bits (R from 0.964), from 0.64-0.83 at 2,048.
+    terms at about W bits), whichever costs less as predicted (``_poisson_pays``):
+    the transformation from q = 0.91-0.96 on at 256 bits (R from 0.964), from
+    0.64-0.83 at 2,048.  The transformed quotient proves its radius to
+    ``certify``; the direct sums prove none.
 
     While a command runs (``numerics._MEMO``) each (name, type and value of q,
     ctx) is computed once: a later call returns the value the first one
-    returned, and a call that raises stores nothing.  The quotient proves no
-    radius, so ``certify`` sees the same either way; a kernel that proves one
-    and is memoised must hand the proof to ``_prove`` again on a hit.
+    returned, and hands its radius to ``_prove`` again, so ``certify`` sees the
+    same either way; a call that raises stores nothing.
     """
     memo = _MEMO.get()
     key = (name, type(q), q, ctx)
-    if memo is not None and (value := memo.get(key)) is not None:
-        return value
+    if memo is not None and (ball := memo.get(key)) is not None:
+        return _prove(*ball)
     route, sums = _THETA_ROUTES[name]
     base, (x,) = _fixed(ctx, route, q)
     if x > 0:  # each direct sum's terms at its guarded width, plus CALL_STEPS at W
@@ -642,15 +694,15 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
         for a, b in sums[0] + sums[1]:
             g = _guard(decay, math.pi**2 / (2 * a))
             direct += 2 * _sparse_terms(decay, a, b, ctx.stop_bits + g) * _step_cost(base + g)
-    if x > 0 and POISSON_CALL_STEPS * _step_cost(base) < direct and _poisson_plan(decay, base, ctx, sums)[2] < direct:
-        value = _poisson_quotient(x, base, ctx, route, sums)
+    if x > 0 and _poisson_pays(decay, base, ctx, sums, direct):
+        ball = _poisson_quotient(x, base, ctx, route, sums)
     else:
         num, den = ([_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
                     for side in sums)
-        value = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
+        ball = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one), None
     if memo is not None:
-        memo[key] = value
-    return value
+        memo[key] = ball
+    return _prove(*ball)
 
 
 # name: (route, (numerator, denominator) sums (A, B))
@@ -664,6 +716,8 @@ _THETA_ROUTES = {
     "E": ("Euler pentagonal sum", (((3, 1),), ())),
     # phi(-q) = sum (-1)^m q^(m^2) = (q^2; q^2)(q; q^2)^2
     "phi-": ("theta sum", (((2, 0),), ())),
+    # phi(q) = phi(-q^2)^2/phi(-q), theta_phi near q = 1
+    "phi+": ("theta series", (((4, 0), (4, 0)), ((2, 0),))),
 }
 
 
@@ -759,12 +813,17 @@ def theta_phi(q, ctx: PrecisionContext):
     loop (``cf.refuse_early``) and gives the radius proved to ``certify``:
     the summed powers' units, at most 2 sum n^2, the tail from the last
     integers plus their units, and the converted q's part
-    (``numerics._nome_units``).
+    (``numerics._nome_units``).  Where that sum's predicted n steps plus
+    CALL_STEPS cost more than the transformed sums (``_poisson_pays``), it
+    takes phi(q) = phi(-q^2)^2/phi(-q) instead, the "phi+" row of
+    ``_THETA_ROUTES`` on ``_poisson_quotient``, whose Jacobi imaginary
+    transformation takes one term a sum near q = 1 and proves its own radius: at 256 bits from about q = 0.997 (1 - 10^-5: 4,084
+    terms of the sum), at 1024 bits from about 0.986.
     For q < 0 it is the alternating sum 1 + 2 sum_{n>=1} (-1)^n |q|^(n^2),
     which cancels down to about exp(-pi^2/(4h)), h = -ln|q| (8.5e-106 at
     q = -0.99): ``_theta_quotient`` "phi-" sums it with guard bits for that,
-    or near q = -1 sums its theta_2 transformation, whose terms do not
-    cancel; neither route proves a radius.
+    which proves no radius, or near q = -1 sums its theta_2 transformation,
+    whose terms do not cancel and which proves one.
     """
     route = "theta series"
     w, (x,) = _fixed(ctx, route, q)
@@ -774,7 +833,12 @@ def theta_phi(q, ctx: PrecisionContext):
     limit = -(-one >> ctx.stop_bits)  # stop_tol at scale 2^W, rounded up
     level = limit + ctx.max_iter**2
     if x and level <= one:
-        _cf.refuse_early(route, ctx, math.sqrt((math.log(one) - math.log(level)) / _decay(x, one)))
+        decay = _decay(x, one)
+        needed = math.sqrt((math.log(one) - math.log(level)) / decay)
+        route, sums = _THETA_ROUTES["phi+"]
+        if _poisson_pays(decay, w, ctx, sums, (CALL_STEPS + needed) * _step_cost(w)):
+            return _prove(*_poisson_quotient(x, w, ctx, route, sums))
+        _cf.refuse_early(route, ctx, needed)
     x2 = x * x >> w
     total = power = one  # power: q^(n^2)
     odd = x  # q^(2n-1), then q^(2n+1)

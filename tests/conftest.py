@@ -1,8 +1,10 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
 from rrlab.numerics import PrecisionContext
+from rrlab.qseries import G, H
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +75,26 @@ def _poisson(name, nome, mp):
 def poisson():
     """The Poisson-summation reference near q = 1 (``_poisson``)."""
     return _poisson
+
+
+@functools.lru_cache(maxsize=16)
+def _euler_chain(nome, ctx):
+    """(q; q)_inf and the G and H series at q, for a Nome 0 < q < 1, from the
+    Euler sums alone: G(q) H(q) = (q^5; q^5)_inf/(q; q)_inf, applied until
+    q^(5^k) < 1/2, where mpmath's qp takes over; the powers of q are formed at
+    twice the context's bits, and each sum runs 32 bits wider."""
+    wide = PrecisionContext(ctx.bits + 32, ctx.guard_bits)
+    mp = PrecisionContext(2 * ctx.bits, 32).mp
+    power, out, first = mp.convert(nome), 1, None
+    while power > 0.5:
+        g, h = G(power, wide), H(power, wide)
+        first = first or (g, h)
+        out *= g * h
+        power = power**5
+    return mp.qp(power) / out, *first
+
+
+@pytest.fixture(scope="session")
+def euler_chain():
+    """(q; q)_inf, G and H near q = 1 from the Euler sums alone (``_euler_chain``)."""
+    return _euler_chain

@@ -66,7 +66,9 @@ def test_eval_requires_argument(capsys):
         for t in ("R", "S")
     ]
     + [
-        pytest.param(("eval", "phi", "--q", "999/1000", "--max-iter", "50"), "", id="phi"),
+        # phi's direct sum at 99/100 needs about 127 terms; from about 0.997 on at
+        # 256 bits it takes the transformed sums, one term each
+        pytest.param(("eval", "phi", "--q", "99/100", "--max-iter", "50"), "", id="phi"),
         pytest.param(("eval", "cf2", "--max-iter", "100"), "", id="cf2"),
         # the fraction at q converges in 14 iterations at 256 bits; the 512-bit
         # self-check, which needs 19, runs out (cf2 proves its radius and runs
@@ -349,10 +351,19 @@ def test_eval_json_format(capsys):
         (("H", "--exp-arg", "1/2"), "proof"),
         (("chi", "--q=-1/2"), "proof"),
         (("phi", "--exp-sqrt", "3"), "proof"),
-        # no proof on these routes: R and S on the continued fraction, phi at
-        # q < 0 on the alternating sum, G and H at q < 0
-        (("R", "--q", "1/2"), "doubling"),
-        (("S", "--q", "1/2"), "doubling"),
+        # R and S by the modular relation, phi near q = 1 by the transformed sums
+        (("R", "--q", "1/2"), "proof"),
+        (("S", "--q", "1/2"), "proof"),
+        (("R", "--q", "99999/100000"), "proof"),
+        (("S", "--q", "99999/100000"), "proof"),
+        (("phi", "--q", "99999/100000"), "proof"),
+        (("phi", "--q=-99999/100000"), "proof"),
+        # no proof on these routes: R and S on the continued fraction at q, R at
+        # q < 0 (a root of -1 times S's relation), phi at q < 0 on the
+        # alternating sum, G and H at q < 0
+        (("R", "--q", "1/10"), "doubling"),
+        (("S", "--q", "1/10"), "doubling"),
+        (("R", "--q=-1/2"), "doubling"),
         (("phi", "--q=-1/2"), "doubling"),
         (("G", "--q=-1/2"), "doubling"),
     ],
@@ -588,16 +599,28 @@ def test_eval_S_keeps_its_domain(capsys, q):
     assert (code, err) == (2, "error: S(q) requires real q in (0, 1]\n")
 
 
-def test_checks_never_take_the_relation(capsys, monkeypatch):
-    # identities and special values name rr_cf, R_product and S(method=...), so
-    # no check compares the modular relation with itself; eval R and S do take it
+@pytest.mark.parametrize("bits", ["64", "256", "1024"])
+def test_checks_never_take_the_relation(capsys, monkeypatch, bits):
+    # identities and special values name rr_cf, R_product, S(method=...) and
+    # theta_phi at q < 0 or below the crossover, so no check compares the modular
+    # relation or phi's transformation with itself; eval R, S and phi near 1 do
     calls = []
     for name in ("rr_value", "_by_relation"):
         fn = getattr(cf, name)
         monkeypatch.setattr(cf, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
-    for argv in (("verify", "modular-relation"), ("verify", "cf-vs-product"), ("values", "check", "all")):
-        assert run(capsys, *argv)[0] == 0
-    assert calls == []
-    for target in ("R", "S"):
-        assert run(capsys, "eval", target, "--q", "99/100")[0] == 0
-    assert calls == ["rr_value", "_by_relation"] * 4  # each at 256 bits and in the 512-bit self-check
+    transformed, phi = qseries._poisson_quotient, qseries._THETA_ROUTES["phi+"][1]
+
+    def listening(x, w, c, route, sums):
+        if sums == phi:
+            calls.append("phi+")
+        return transformed(x, w, c, route, sums)
+
+    monkeypatch.setattr(qseries, "_poisson_quotient", listening)
+    for argv in (("verify", "all"), ("values", "check", "all")):
+        assert run(capsys, *argv, "--bits", bits)[0] == 0
+    assert "_by_relation" not in calls and "phi+" not in calls
+    calls.clear()
+    for target in ("R", "S", "phi"):
+        assert run(capsys, "eval", target, "--q", "99999/100000", "--bits", bits)[0] == 0
+    # one evaluation each: the relation and the transformed sums prove their radii
+    assert calls == ["rr_value", "_by_relation"] * 2 + ["phi+"]

@@ -1,6 +1,7 @@
 """Proven radii against the doubled run they replace, and against mpmath.
 
-The Euler-sum kernel (G, H, chi), theta at q >= 0 and the cf2 fraction hand
+The Euler-sum kernel (G, H, chi), theta at q >= 0, the cf2 fraction, the
+transformed theta quotients and the modular relation of R and S hand
 certify a radius with their value (numerics._prove).  These tests keep the
 doubled evaluation as the oracle: a first run and its doubled run must lie
 within the sum of their radii, a value within its radius of an independent
@@ -14,8 +15,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rrlab import identities, numerics, qseries
-from rrlab.numerics import Nome, PrecisionContext, _bits, certify
+from rrlab import cf, identities, numerics, qseries
+from rrlab.numerics import Nome, PrecisionContext, RootMode, _bits, certify
 
 _ROUTES = {
     "G": qseries.G,
@@ -174,7 +175,7 @@ def test_routes_without_a_proof_report_none():
         lambda c: qseries.G(Nome.rational("-1/2"), c),
         lambda c: qseries.G(Nome.rational("1/2"), c, "product"),
         lambda c: qseries.theta_phi(Nome.rational("-1/2"), c),
-        lambda c: qseries.S(Nome.rational("1/2"), c),
+        lambda c: qseries.S(Nome.rational("1/10"), c),
     ):
         proofs = []
         token = numerics._PROOFS.set(proofs)
@@ -183,3 +184,215 @@ def test_routes_without_a_proof_report_none():
         finally:
             numerics._PROOFS.reset(token)
         assert proofs == []
+
+
+# -- the transformed routes: the theta quotients near q = 1 and the modular relation
+
+_QUOTIENTS = ("R", "G", "H", "E", "phi-", "phi+")
+_WIDTHS = (64, 256, 1024)
+
+
+class _Stop(Exception):
+    """Raised by a stub in place of a route, to read which route the rule took."""
+
+
+def _stop(route):
+    def raising(*args, **kwargs):
+        raise _Stop(route)
+    return raising
+
+
+def _takes_transform(name, nome, ctx):
+    """Whether the cost rule sends quotient `name` (phi+: theta_phi) at the nome
+    through the transformed sums; stubs stop either route before it runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "_poisson_quotient", _stop("transformed"))
+        patch.setattr(qseries, "_jacobi_sum", _stop("direct"))
+        patch.setattr(cf, "bounded", _stop("direct"))
+        try:
+            if name == "phi+":
+                qseries.theta_phi(nome, ctx)
+            else:
+                qseries._theta_quotient(nome, ctx, name)
+        except _Stop as route:
+            return route.args[0] == "transformed"
+    raise AssertionError(f"{name}: neither route ran")
+
+
+def _crossover(takes, ctx):
+    """The least nome m/10^6 from which takes(nome, ctx) holds: the first such
+    nome past a route's crossover."""
+    lo, hi = 1, 10**6 - 1
+    assert not takes(Nome.rational(Fraction(lo, 10**6)), ctx) and takes(Nome.rational(Fraction(hi, 10**6)), ctx)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if takes(Nome.rational(Fraction(mid, 10**6)), ctx) else (mid, hi)
+    return Nome.rational(Fraction(hi, 10**6))
+
+
+def _nome_at(where, takes, ctx):
+    """The nome a radius test runs at: the crossover of takes, an index into
+    _NEAR, or e^(-pi/100) in exp-sqrt form."""
+    if where == "crossover":
+        return _crossover(takes, ctx)
+    return _FAR[6] if where == "exp-sqrt" else _NEAR[where]
+
+
+def _raw_balls(monkeypatch, module):
+    """The (mantissa, exponent, units) each call of module._ball receives: the
+    kernel's ball before its value is rounded to the context."""
+    raw, ball = [], module._ball
+
+    def recording(ctx, man, exp, units):
+        raw.append((man, exp, units))
+        return ball(ctx, man, exp, units)
+
+    monkeypatch.setattr(module, "_ball", recording)
+    return raw
+
+
+def _exact(x):
+    """An mpf as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _contains(first, second):
+    """Whether two raw balls (mantissa, exponent, units) overlap."""
+    (m1, e1, u1), (m2, e2, u2) = first, second
+    two = Fraction(2)
+    return abs(m1 * two**e1 - m2 * two**e2) <= u1 * two**e1 + u2 * two**e2
+
+
+def _near_reference(name, nome, ctx, chain, monkeypatch):
+    """The quotient `name` at the nome from routes that share nothing with the
+    transformation, as (value, radius): mpmath's qp and jtheta where q <= 9/10;
+    otherwise R by the fraction at q, G and H by their Euler sums, E by the Euler
+    sums' chain, phi(-q) as E(q) chi(-q) and phi(q) by its own direct sum, forced."""
+    mp = mpmath.mp
+    wide = PrecisionContext(ctx.bits + 64, 32)
+    q = wide.number(nome)
+    with mp.workprec(ctx.bits + 64):
+        if q <= 0.9:
+            qp = mp.qp
+            value = {
+                "R": qp(q, q**5) * qp(q**4, q**5) / (qp(q**2, q**5) * qp(q**3, q**5)),
+                "G": 1 / (qp(q, q**5) * qp(q**4, q**5)),
+                "H": 1 / (qp(q**2, q**5) * qp(q**3, q**5)),
+                "E": qp(q),
+                "phi-": mp.jtheta(4, 0, q),
+                "phi+": mp.jtheta(3, 0, q),
+            }[name]
+            return value, mp.ldexp(abs(value), -(ctx.bits + 48))
+        if name == "R":
+            value = cf.rr_cf(nome, wide).value / mp.root(q, 5)
+            return value, mp.ldexp(abs(value), -(ctx.bits + 24))
+        if name in ("G", "H"):
+            return _ball(lambda c: getattr(qseries, name)(nome, c), wide)
+        if name == "phi+":
+            with monkeypatch.context() as patch:
+                patch.setattr(qseries, "_poisson_pays", lambda *args: False)
+                return _ball(lambda c: qseries.theta_phi(nome, c), wide)
+        euler = chain(nome, ctx)[0]
+        if name == "phi-":
+            euler *= qseries.chi(-q, wide)
+        return euler, mp.ldexp(abs(euler), -(ctx.bits + 16))
+
+
+@pytest.mark.parametrize("bits", _WIDTHS)
+@pytest.mark.parametrize("where", ["crossover", 0, 1, 2], ids=["crossover", "near0", "near1", "near2"])
+@pytest.mark.parametrize("name", _QUOTIENTS)
+def test_transformed_quotient_radius(monkeypatch, euler_chain, name, where, bits):
+    # the transformed sums' ball contains the doubled run, before and after its
+    # rounding to the context, and an independent reference; at 1 - 1e-5,
+    # 1 - 1e-6 and the first nome m/10^6 at which the cost rule takes them
+    ctx = PrecisionContext(bits, 32)
+    nome = _nome_at(where, lambda n, c: _takes_transform(name, n, c), ctx)
+    route, sums = qseries._THETA_ROUTES[name]
+    raw = _raw_balls(monkeypatch, qseries)
+
+    def run(c):
+        w, (x,) = numerics._fixed(c, route, nome)
+        raw.clear()
+        value, radius = qseries._poisson_quotient(x, w, c, route, sums)
+        assert radius is not None and len(raw) == 1
+        return value, radius, raw[0]
+
+    v1, r1, b1 = run(ctx)
+    v2, r2, b2 = run(ctx.widened(bits))
+    assert abs(_exact(v1) - _exact(v2)) <= _exact(r1) + _exact(r2)
+    assert _contains(b1, b2)
+    ref, ref_radius = _near_reference(name, nome, ctx, euler_chain, monkeypatch)
+    mp = mpmath.mp
+    with mp.workprec(2 * bits + 64):
+        assert abs(mp.mpf(v1) - ref) <= r1 + ref_radius
+    assert _proven_bits(v1, r1, ctx) >= bits - 16
+
+
+def test_memo_hit_hands_the_radius_again():
+    # while a command runs, a second request for a transformed quotient returns
+    # the first one's value and hands certify its radius again
+    token = numerics._MEMO.set({})
+    try:
+        first = _ball(lambda c: qseries._theta_quotient(_NEAR[0], c, "R"), PrecisionContext(256, 32))
+        again = _ball(lambda c: qseries._theta_quotient(_NEAR[0], c, "R"), PrecisionContext(256, 32))
+    finally:
+        numerics._MEMO.reset(token)
+    assert again[0] is first[0] and again[1] is first[1]
+
+
+@pytest.mark.parametrize("bits", _WIDTHS)
+@pytest.mark.parametrize(
+    "where", ["crossover", 0, 1, 2, "exp-sqrt"], ids=["crossover", "near0", "near1", "near2", "exp-sqrt"]
+)
+@pytest.mark.parametrize("alternating", [False, True], ids=["R", "S"])
+def test_relation_radius(monkeypatch, alternating, where, bits):
+    # the modular relation's ball contains the doubled run, before and after its
+    # rounding to the context, and the fraction at q (and mpmath's qp where
+    # q <= 9/10); at _NEAR, at e^(-pi/100) in exp-sqrt form and at the first
+    # nome m/10^6 the route rule takes it
+    ctx = PrecisionContext(bits, 32)
+    nome = _nome_at(where, lambda n, c: cf._relation_pays(c.number(n), alternating, c), ctx)
+    raw = _raw_balls(monkeypatch, cf)
+
+    def run(c):
+        raw.clear()
+        value, radius = _ball(lambda c: cf._by_relation(nome, c, alternating).value, c)
+        return value, radius, raw[-1]
+
+    v1, r1, b1 = run(ctx)
+    v2, r2, b2 = run(ctx.widened(bits))
+    assert abs(_exact(v1) - _exact(v2)) <= _exact(r1) + _exact(r2)
+    assert _contains(b1, b2)
+    wide = PrecisionContext(2 * bits + 64, 32)
+    q = wide.number(nome)
+    refs = [-cf.rr_cf(-q, wide, RootMode.REAL_ODD).value if alternating else cf.rr_cf(q, wide).value]
+    mp = mpmath.mp
+    with mp.workprec(2 * bits + 64):
+        if q <= 0.9:
+            x = -q if alternating else q
+            refs.append(mp.root(q, 5) * mp.qp(x, x**5) * mp.qp(x**4, x**5) / (mp.qp(x**2, x**5) * mp.qp(x**3, x**5)))
+        for ref in refs:
+            assert abs(mp.mpf(v1) - ref) <= r1 + mp.ldexp(abs(ref), -(bits + 32))
+    assert _proven_bits(v1, r1, ctx) >= bits - 16
+
+
+@pytest.mark.parametrize("decade", [2, 3, 4, 5])
+def test_near_boundary_values_match_the_routes_at_q(monkeypatch, decade):
+    # the eval jobs near q = 1 at 256 bits: R and S by the proven relation against
+    # the fraction at q at twice the width, and phi by its transformed sums against
+    # its direct sum, forced; each within its radius
+    ctx = PrecisionContext(256, 32)
+    nome = Nome.rational(Fraction(10**decade - 1, 10**decade))
+    doubled = ctx.widened(ctx.bits)
+    mp = doubled.mp
+    q = doubled.number(nome)
+    for alternating in (False, True):
+        value, radius = _ball(lambda c: cf.rr_value(nome, c, alternating=alternating).value, ctx)
+        ref = -cf.rr_cf(-q, doubled, RootMode.REAL_ODD).value if alternating else cf.rr_cf(q, doubled).value
+        assert abs(mp.mpf(value) - ref) <= radius + mp.ldexp(1, -(ctx.bits + 24))
+    assert _takes_transform("phi+", nome, ctx) == (decade > 2)  # the direct sum at 1 - 10^-2
+    value, radius = _ball(lambda c: qseries.theta_phi(nome, c), ctx)
+    monkeypatch.setattr(qseries, "_poisson_pays", lambda *args: False)
+    direct, direct_radius = _ball(lambda c: qseries.theta_phi(nome, c), ctx)
+    assert abs(mp.mpf(value) - direct) <= radius + direct_radius

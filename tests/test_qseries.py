@@ -359,7 +359,7 @@ def test_series_R_matches_numeric(ctx):
             (H, "99999/100000", 51109),
             (chi, "99/100", 140),
             (chi, "-99/100", 213),
-            (theta_phi, "999/1000", 405),
+            (theta_phi, "99/100", 128),  # the direct sum, below the crossover near 0.997
         )
     ],
 )
@@ -857,6 +857,8 @@ def test_sparse_sums_match_references(q, bits):
         ("E", "9995/10000", 1),
         ("phi-", "9/10", 43),
         ("phi-", "999/1000", 1),
+        ("phi+", "999/1000", 2),
+        ("phi+", "99999/100000", 2),
     ],
 )
 def test_sparse_term_counts(monkeypatch, ctx, name, q, terms):
@@ -865,6 +867,14 @@ def test_sparse_term_counts(monkeypatch, ctx, name, q, terms):
     counted, _ = _count_and_predict(monkeypatch)
     _theta_quotient(ctx.real(Fraction(q)), ctx, name)
     assert len(counted) == terms
+
+
+def test_theta_phi_near_one_takes_one_term_a_sum(monkeypatch, ctx):
+    # at 1 - 1e-5 and 256 bits phi takes the transformed sums: S_(4,0), squared,
+    # and S_(2,0), one term each, where its direct sum takes 4,084
+    counted, _ = _count_and_predict(monkeypatch)
+    theta_phi(ctx.real(Fraction(99999, 100000)), ctx)
+    assert counted == [1, 1]
 
 
 @pytest.mark.parametrize("q, route", [
@@ -878,7 +888,7 @@ def test_cost_rule_picks_the_route(monkeypatch, ctx, q, route):
 
     def transformed(x, w, c, route, sums):
         calls.append("transformed")
-        return c.mp.one
+        return c.mp.one, None
 
     def sums(q, c, route, parts, loss):
         calls.append("sum")
@@ -965,37 +975,25 @@ def test_sparse_prediction_never_exceeds_the_count(monkeypatch, name, bits, guar
 # -- the transformed theta sums near q = 1 ------------------------------------------
 
 
-def _euler_by_rr_functions(q, ctx):
-    """(q; q)_inf and the G and H series at q, for a rational 0 < q < 1, from the
-    Euler sums alone: G(q) H(q) = (q^5; q^5)_inf/(q; q)_inf, applied until
-    q^(5^k) < 1/2, where mpmath's qp takes over; the powers of q are formed
-    64 bits wider than the context, and each sum runs 32 bits wider."""
-    wide = PrecisionContext(ctx.bits + 32, ctx.guard_bits)
-    mp = PrecisionContext(2 * ctx.bits, 32).mp
-    power, out, first = mp.mpf(q.numerator) / q.denominator, 1, None
-    while power > 0.5:
-        g, h = G(power, wide), H(power, wide)
-        first = first or (g, h)
-        out *= g * h
-        power = power**5
-    return mp.qp(power) / out, *first
-
-
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q", ["9/10", "99/100", "999/1000", "9999/10000", "999999/1000000"])
-def test_transformed_sums_match_independent_routes(bits, q):
+def test_transformed_sums_match_independent_routes(monkeypatch, euler_chain, bits, q):
     # each quotient by the rule's route and by the transformation itself, to
     # bits - guard_bits: R against the fraction at q, the G and H product
     # backends against their Euler sums, E against the Euler sums' chain and
-    # phi(-q) against E(q) chi(-q), chi also an Euler sum
+    # phi(-q) against E(q) chi(-q), chi also an Euler sum, and phi(q) against
+    # its own direct sum, forced
     ctx = PrecisionContext(bits, 32)
     nome = Nome.rational(q)
     w, (x,) = numerics._fixed(ctx, "test", nome)
-    euler, g, h = _euler_by_rr_functions(Fraction(q), ctx)
+    euler, g, h = euler_chain(nome, ctx)
     references = {"R": rr_cf(nome, ctx).value / root(ctx.number(nome), 5, RootMode.PRINCIPAL, ctx),
                   "G": g, "H": h, "E": euler, "phi-": euler * chi(-nome, ctx)}
+    with monkeypatch.context() as patch:
+        patch.setattr(qseries, "_poisson_pays", lambda *args: False)
+        references["phi+"] = theta_phi(nome, ctx)
     for name, reference in references.items():
-        transformed = qseries._poisson_quotient(x, w, ctx, name, qseries._THETA_ROUTES[name][1])
+        transformed, _ = qseries._poisson_quotient(x, w, ctx, name, qseries._THETA_ROUTES[name][1])
         for value in (_theta_quotient(nome, ctx, name), transformed):
             assert agree_bits(value / reference, 1, ctx) >= ctx.bits - ctx.guard_bits, name
     assert agree_bits(R_product(nome, ctx), rr_cf(nome, ctx).value, ctx) >= ctx.bits - ctx.guard_bits
@@ -1011,12 +1009,12 @@ def test_transformed_sums_with_several_terms(monkeypatch):
     w, (x,) = numerics._fixed(ctx, "test", nome)
     for name, (route, sums) in qseries._THETA_ROUTES.items():
         counted.clear()
-        transformed = qseries._poisson_quotient(x, w, ctx, route, sums)
+        transformed, _ = qseries._poisson_quotient(x, w, ctx, route, sums)
         runs = len(counted)
         num, den = ([_theta(nome, ctx, a, b) for a, b in side] for side in sums)
         direct = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
         assert agree_bits(transformed / direct, 1, ctx) >= ctx.bits - ctx.guard_bits, name
-        assert runs == {"R": 12, "G": 11, "H": 11, "E": 5, "phi-": 4}[name]
+        assert runs == {"R": 12, "G": 11, "H": 11, "E": 5, "phi-": 4, "phi+": 10}[name]
 
 
 @pytest.mark.parametrize("bits", [256, 1024, 2048])
