@@ -12,15 +12,17 @@ a_k*A_{k-2} (B_k likewise), run on W-bit Python integers with joint
 renormalisation and a two-difference stopping rule; one that has not
 converged by max_iter ends MAX_ITERATIONS, without a value.  A spec whose
 terms are all positive ints runs the same recurrence in blocks of
-BLOCK_STEPS steps, composed exactly in small ints.
+BLOCK_STEPS steps, composed exactly in small ints.  R's terms and the
+entry-15 terms enter it as exact W-bit pairs, with no mpf arithmetic.
 
 R itself has two routes.  ``rr_cf`` runs the fraction at q; it is the one
-that every identity and special-value check names.  ``rr_value``, which
-``eval R`` and ``eval S`` take, runs the fraction at q where that is cheap
-and otherwise the paper's modular relation: R (or S) at q from the fraction
-at the transformed nome q^ = exp(-k pi^2/ln(1/q)), 3 steps near |q| = 1
-instead of 170 to 345, with a proven radius.  One predicted-cost rule,
-from q and the width, chooses between them.
+that every identity and special-value check names; at q = +-1 it takes 1 or
+2 terms, one period.  ``rr_value``, which ``eval R`` and ``eval S`` take,
+runs the fraction at q where that is cheap and otherwise the paper's modular
+relation: R (or S) at q from the fraction at the transformed nome
+q^ = exp(-k pi^2/ln(1/q)), 3 steps near |q| = 1 instead of 170 to 345, with a
+proven radius.  One predicted-cost rule, from q and the width, chooses
+between them.
 
 Non-convergence has one exception type, ConvergenceError (defined with
 CFStatus in ``numerics``, whose ``certify`` raises it too): a CFResult's value
@@ -182,7 +184,8 @@ def eval_infinite(spec: CFSpec, ctx: PrecisionContext) -> CFResult:
     The recurrence runs on integers: A_k and B_k are ints at the width W of
     ``numerics._fixed``, renormalised together by bit_length after every
     term, and each term enters as an exact (mantissa, shift) pair (see
-    ``_pair``), so an integer term costs a small-int multiply.  The
+    ``_pair``), so an integer term costs a small-int multiply and a W-bit
+    pair, such as R's powers q^(k-1) (``rr_cfspec``), enters unconverted.  The
     convergent f_k = A_k/B_k is taken at scale 2^W.  The loop stops as
     CONVERGED when two consecutive convergent differences fall below
     ctx.stop_tol and the candidate limit lies above ctx.noise_floor, or the
@@ -397,9 +400,12 @@ def _eval_blocked(spec: CFSpec, ctx: PrecisionContext, w: int, a_cur: int, stop_
 def _pair(x, ctx: PrecisionContext) -> tuple:
     """A real term x as an exact pair (m, s), x = m * 2^-s with s >= 0.
 
-    An int passes as (x, 0); any other value is rounded to the context by
-    ctx.number, and its binary mantissa and exponent are read off exactly.
+    A pair, such as the W-bit powers of ``rr_cfspec``, passes unchanged and an
+    int as (x, 0); any other value is rounded to the context by ctx.number,
+    and its binary mantissa and exponent are read off exactly.
     """
+    if type(x) is tuple:
+        return x
     if type(x) is int:
         return x, 0
     v = ctx.number(x)
@@ -513,18 +519,24 @@ def _eval_periodic(spec: CFSpec, ctx: PrecisionContext) -> Optional[CFResult]:
 # -- the Rogers-Ramanujan continued fraction ---------------------------------
 
 
-def rr_cfspec(q) -> CFSpec:
+def rr_cfspec(q, ctx: PrecisionContext) -> CFSpec:
     """CFSpec for R(q) without its q^(1/5) factor: partial numerators 1, q, q^2, ...
 
-    Each power is formed by one multiply from the one before and cached,
-    since eval_finite reads the terms in reverse order.
+    At q = 1 and q = -1, the roots of unity of orders 1 and 2, the terms are
+    ints and the spec declares period 1 or 2.  At |q| < 1, q^(k-1) is the exact
+    pair (P_k, W), P_1 = 2^W and P_k = floor(P_(k-1) x 2^-W), x = q read at the
+    width W of ``numerics._fixed``: one multiply a step, each P_k within k - 1
+    units of (x 2^-W)^(k-1) 2^W, and within 2 once |q| <= 1/2.
     """
-    powers = [q**0]
+    if q == 1 or q == -1:
+        return CFSpec(b0=0, terms=lambda k: (int(q) ** (k - 1), 1), period=1 if q == 1 else 2)
+    w, (x,) = _fixed(ctx, "R continued fraction", q)
+    powers = [1 << w]
 
     def terms(k: int):
         while len(powers) < k:
-            powers.append(powers[-1] * q)
-        return (powers[k - 1], 1)
+            powers.append(powers[-1] * x >> w)
+        return (powers[k - 1], w), 1
 
     return CFSpec(b0=0, terms=terms)
 
@@ -532,9 +544,11 @@ def rr_cfspec(q) -> CFSpec:
 def rr_cf(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL) -> CFResult:
     """Evaluate R(q) for 0 < |q| < 1 or q = +-1.
 
-    A converged fraction is multiplied by root(q, 5, mode); any other result
-    is returned as eval_infinite gave it.  For |q| > 1 the fraction diverges
-    (DivergenceError).  Unimodular q other than +-1 must go through the
+    At q = +-1 the fraction is decided from one period (``rr_cfspec``);
+    elsewhere q, a Nome too, reaches the loop at width W, not rounded to
+    ctx.bits first.  A converged fraction is multiplied by root(q, 5, mode);
+    any other result is returned as eval_infinite gave it.  For |q| > 1 the
+    fraction diverges (DivergenceError).  Unimodular q other than +-1 must go through the
     root-of-unity interface, which handles the primitive-root classification.
     """
     qv = ctx.number(q)
@@ -548,7 +562,7 @@ def rr_cf(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL) -> CFRe
             "unimodular q other than +-1: use rr_at_root_of_unity / "
             "rr_root_of_unity_direct for primitive roots of unity"
         )
-    res = eval_infinite(rr_cfspec(qv), ctx)
+    res = eval_infinite(rr_cfspec(q if aq < 1 else int(qv), ctx), ctx)
     if res.converged:
         res = replace(res, value=root(qv, 5, mode, ctx) * res.value)
     return res
@@ -604,15 +618,19 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
     below 2^-stop_bits.
 
     The value proves its radius to ``certify``, in units of 2^-P, wherever
-    t = p^ <= 1/16; ``_relation_pays`` takes the relation only where L < pi sqrt(k),
+    t = p^ < 1/16; ``_relation_pays`` takes the relation only where L < pi sqrt(k),
     so p^ < e^(-pi sqrt(k)) <= e^-pi there.
     - The fraction.  With |a_j| = t^(j-1) <= 1/16 the ratios B_j/B_(j-1) lie within
       2 t^(j-1) of 1, so B_j is within 2t/(1 - t) of 1, and after n steps the tail
       is at most 2 t^(n(n+1)/2).  Each step of the integer loop at width W' moves
       A, A', B, B' by less than 2 units, and since max(|A|, |B|) >= 2^(W'-1) and
       |A/B| < 1.08 that moves the convergent by less than 11 units of 2^-W'; with
-      the last floor, 16 n + 2.  The powers of t, formed by j - 2 multiplies, and
-      the value's rounding to P bits add 4.
+      the last floor, 16 n + 2.  The terms are W'-bit floors (``rr_cfspec``): t is
+      read within 1 unit and each power floored within 2 of the power of that, so
+      a_j lies within 3 units of t^(j-1); F's slope in a_j is at most
+      1.25 (1/13)^(j-2), so they add 5.  These 16 n + 7 units of 2^-W' are below
+      one unit of 2^-P, since 2^(W'-P) >= 2^32 max_iter, and the value's rounding
+      to P bits adds 2: dF = 2^(P+1) t^(n(n+1)/2) + 3.
     - p^.  Each operation counts one ulp, 2 units, relatively: p within 2 (4 for
       a Fraction), so L within 2 + 5/L, a = k pi^2/L within 10 + 5/L and p^ = e^-a
       within rho = a (10 + 5/L) + 3 (an exponential Nome: 8a + 2, ``numerics._fixed``).
@@ -621,8 +639,11 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
       rounding of sqrt(5), c, z, the sum, product and quotient and the final
       subtraction, which cancels up to 2 bits (R near q = 1 is sqrt(5) - phi),
       adds at most 128 units, with z's own two roundings at most 6 p^^(1/5).
-    So f is within 128 + 4 p^^(1/5) (dF + 6 + 0.3 rho) units, dF the fraction's
-    units above.
+    So f is within 128 + 4 p^^(1/5) (dF + 6 + 0.3 rho) units, formed in integers
+    and floats.  Where t < 2^-(P+2) (a > 23) all but the 128 lie below 8 units:
+    with 1/L = a/(k pi^2) they are at most 4 e^(-a/5) (10 + 0.3 (10a + 5a^2/(k pi^2)
+    + 3)), falling in a.  Elsewhere the tail's share 4 t^(1/5) 2^(P+1) t^(n(n+1)/2)
+    is a power of two at least twice it, and the rest a float times 1.001.
     """
     wide = ctx.widened(8)
     mp = wide.mp
@@ -636,18 +657,21 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
     else:
         log = -mp.log(wide.number(p))
         hat = mp.exp(k * mp.pi**2 / -log)
-    res = eval_infinite(rr_cfspec(sign * hat), wide)
+    res = eval_infinite(rr_cfspec(sign * hat, wide), wide)
     if res.converged:
         sqrt5 = mp.sqrt(5)
         c = (sqrt5 + sign) / 2
         fifth = mp.root(hat, 5)
         value = sqrt5 * c / (c + fifth * res.value) - c
-        n, width = res.iterations, wide.bits + wide.guard_bits + wide.max_iter.bit_length()
-        fraction = mp.ldexp(hat ** (n * (n + 1) // 2), wide.bits + 1) + mp.ldexp(16 * n + 2, wide.bits - width) + 4
-        rho = k * mp.pi**2 / log * (10 + 5 / log) + 3
-        units = 128 + 4 * fifth * (fraction + 6 + 3 * rho / 10)
+        units, mag = 136, mp.mag(hat)  # t < 2^mag
+        if mag >= -wide.bits - 2:
+            lt, big_l = _log2(hat), float(log)
+            rho = k * math.pi**2 / big_l * (10 + 5 / big_l) + 3
+            tail = wide.bits + 4 + (res.iterations * (res.iterations + 1) // 2 + 0.2) * lt
+            units += math.ceil(4.001 * 2 ** (lt / 5) * (9 + 0.3 * rho)) + (1 << max(math.ceil(tail), 0))
         neg, man, exp, _ = value._mpf_  # the ball in units of 2^(exp-32), below the value's last bit
-        bound = int(mp.ceil(mp.ldexp(units, 32 - wide.bits - exp))) if 16 * hat <= 1 else None
+        shift = 32 - wide.bits - exp
+        bound = -(-units << max(shift, 0) >> max(-shift, 0)) if mag <= -4 else None
         res = replace(res, value=_prove(*_ball(ctx, (-man if neg else man) << 32, exp - 32, bound)))
     return res
 

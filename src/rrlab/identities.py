@@ -136,14 +136,17 @@ def _entry15a_grid(a_values):
 
 
 def _entry15a(point, ctx: PrecisionContext):
+    """The double series' quotient against 1 + b q/(1 - a q + b q^2/(1 - a q^2 + ...)),
+    whose terms enter the loop as exact pairs at the width W of ``_fixed``."""
     a, b, nome = point
-    q = ctx.number(nome)
-    av, bv = ctx.real(a), ctx.real(b)
-    lhs = _entry15a_series_quotient(av, bv, q, ctx)
+    lhs = _entry15a_series_quotient(ctx.real(a), ctx.real(b), ctx.number(nome), ctx)
+    w, (x, av, bv) = _fixed(ctx, "entry15a fraction", nome, a, b)
+    powers = [1 << w]
 
     def terms(k):
-        qk = q**k
-        return bv * qk, 1 - av * qk
+        while len(powers) <= k:
+            powers.append(powers[-1] * x >> w)
+        return (bv * powers[k] >> w, w), ((1 << w) - (av * powers[k] >> w), w)
 
     res = _cf.eval_infinite(_cf.CFSpec(b0=1, terms=terms), ctx)
     yield "", lhs, res.require(f"entry15a fraction at a={a}, b={b}, q={nome.arg}")

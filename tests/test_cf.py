@@ -29,7 +29,7 @@ from rrlab.cf import (
 )
 from rrlab.cf import BLOCK_STEPS, CFResult, _pair
 from rrlab.identities import cf2_spec
-from rrlab.numerics import Nome, PrecisionContext, RootMode, _fixed, agree_bits, certify, golden_phi
+from rrlab.numerics import Nome, PrecisionContext, RootMode, _fixed, agree_bits, certify, golden_phi, root
 from rrlab.qseries import R_product
 
 # sqrt(pi*e/2) - sum 1/(2n+1)!!, computed independently at 320 bits
@@ -297,7 +297,7 @@ def test_cfstatus_members():
 def test_eval_infinite_iteration_counts(make_spec, q, bits, iterations):
     # the forward loop's stop rule, pinned exactly
     ctx = PrecisionContext(bits, 32)
-    spec = make_spec() if q is None else make_spec(ctx.real(q))
+    spec = make_spec() if q is None else make_spec(q, ctx)
     res = eval_infinite(spec, ctx)
     assert (res.status, res.iterations) == (CFStatus.CONVERGED, iterations)
 
@@ -307,19 +307,25 @@ def _exact(x) -> Fraction:
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
+def _exact_term(x) -> Fraction:
+    """A term as a Fraction: an exact pair (m, s) as m * 2^-s."""
+    return Fraction(x[0], 1 << x[1]) if type(x) is tuple else Fraction(x)
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "make_spec",
     [
-        pytest.param(cf2_spec(), id="cf2"),
-        pytest.param(rr_cfspec(Fraction(88, 100)), id="R-88/100"),
+        pytest.param(lambda c: cf2_spec(), id="cf2"),
+        pytest.param(lambda c: rr_cfspec(Fraction(88, 100), c), id="R-88/100"),
     ],
 )
-def test_eval_infinite_matches_exact_truncation(spec, ctx):
+def test_eval_infinite_matches_exact_truncation(make_spec, ctx):
     # the integer recurrence against the backward recurrence in Fractions at the
     # depth it reports: only the rounding of the forward loop separates them
+    spec = make_spec(ctx)
     res = eval_infinite(spec, ctx)
     assert res.converged
-    exact = CFSpec(b0=Fraction(spec.b0), terms=lambda k: tuple(map(Fraction, spec.terms(k))))
+    exact = CFSpec(b0=Fraction(spec.b0), terms=lambda k: tuple(map(_exact_term, spec.terms(k))))
     tol = Fraction(1, 2 ** (ctx.bits - ctx.guard_bits))
     assert abs(_exact(res.value) - eval_finite(exact, res.iterations)) < tol
 
@@ -694,3 +700,82 @@ def test_fraction_stays_below_the_crossover(nome, bits):
     ctx = PrecisionContext(bits, 32)
     for mode in RootMode:
         assert rr_value(nome, ctx, mode) == rr_cf(nome, ctx, mode)
+
+
+# -- R's fraction on its exact routes: one period at q = +-1, W-bit terms ---------
+
+
+# The forward loop's steps on the terms at q = 1 and q = -1, by width
+_FORWARD_STEPS = {(1, 64): 34, (-1, 64): 69, (1, 256): 172, (-1, 256): 345, (1, 1024): 725, (-1, 1024): 1451}
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("case, q, mode, terms", [
+    pytest.param("R(1)", 1, RootMode.PRINCIPAL, 1, id="R(1)"),
+    pytest.param("R(-1)", -1, RootMode.PRINCIPAL, 2, id="R(-1)-principal"),
+    pytest.param("R(-1)", -1, RootMode.REAL_ODD, 2, id="R(-1)-real-odd"),
+    pytest.param("S(1)", -1, RootMode.REAL_ODD, 2, id="S(1)"),
+])
+def test_plus_minus_one_are_decided_from_one_period(case, q, mode, terms, bits):
+    # q = 1 and q = -1 are the roots of unity of orders 1 and 2: one period's
+    # product of 1 or 2 terms decides the fraction.  The oracle is the forward
+    # loop on the same terms, and the reference the closed forms R(1) = 1/phi,
+    # R(-1) = root(-1, 5) phi and S(1) = phi
+    ctx = PrecisionContext(bits, 32)
+    mp, phi = ctx.mp, golden_phi(ctx)
+    sign = -1 if case == "S(1)" else 1
+    res = rr_value(1, ctx, alternating=True) if case == "S(1)" else rr_cf(q, ctx, mode)
+    assert (res.status, res.iterations) == (CFStatus.CONVERGED, terms)
+    assert rr_cfspec(q, ctx).period == terms
+    forward = eval_infinite(replace(rr_cfspec(q, ctx), period=None), ctx)
+    assert (forward.status, forward.iterations) == (CFStatus.CONVERGED, _FORWARD_STEPS[q, bits])
+    oracle = sign * root(q, 5, mode, ctx) * forward.value
+    closed = phi * (mp.expjpi(mp.mpf(1) / 5) if mode is RootMode.PRINCIPAL else -1) if q == -1 else 1 / phi
+    for want in (oracle, sign * closed):
+        assert ctx.passes(agree_bits(res.value, want, ctx)), want
+
+
+# The forward loop's steps for R at 32 guard bits on 15 nomes and four widths,
+# as they were when the terms entered the loop as mpf values rounded to bits
+_STEP_NOMES = [Nome.rational(Fraction(x)) for x in (
+    "1/10", "1/2", "88/100", "99/100", "999/1000", "99999/100000", "-1/10", "-1/2", "-99/100", "-999/1000",
+)] + [Nome.exp(Fraction(s)) for s in ("1", "1/10", "1/100")] + [Nome.exp_sqrt(Fraction(n)) for n in ("3", "1/100")]
+_STEPS = {
+    64: [7, 11, 21, 32, 34, 34, 7, 11, 53, 67, 6, 15, 28, 5, 15],
+    256: [14, 24, 51, 128, 166, 172, 14, 24, 165, 301, 12, 34, 91, 10, 34],
+    512: [19, 33, 74, 217, 330, 356, 19, 33, 250, 551, 17, 48, 140, 13, 48],
+    1024: [27, 47, 106, 339, 627, 724, 27, 47, 366, 937, 23, 68, 206, 18, 68],
+}
+
+
+@pytest.mark.parametrize("bits", sorted(_STEPS))
+def test_wide_terms_keep_the_step_counts(bits):
+    ctx = PrecisionContext(bits, 32)
+    assert [rr_cf(nome, ctx).iterations for nome in _STEP_NOMES] == _STEPS[bits]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("nome", [
+    Nome.rational(Fraction(1, 10)), Nome.rational(Fraction(1, 2)), Nome.rational(Fraction(-1, 2)),
+    Nome.rational(Fraction(-3, 4)), Nome.exp(1), Nome.exp(Fraction(1, 4)), Nome.exp_sqrt(3),
+    Nome.exp_sqrt(Fraction(1, 4)),
+], ids=lambda n: f"{n.form}-{n.arg}")
+def test_wide_terms_match_mpmath(nome, bits):
+    # the nome reaches the loop at width W, and its powers are W-bit floors:
+    # R against mpmath's q-Pochhammer products at twice the bits, in both modes
+    ctx = PrecisionContext(bits, 32)
+    mp = mpmath.mp
+    with mp.workprec(2 * bits):
+        q = mp.mpf(nome._mpmath_(2 * bits, "n"))
+        for mode in RootMode:
+            want = _qp_R(q, mp, mode)
+            assert ctx.passes(agree_bits(rr_cf(nome, ctx, mode).value, want, ctx)), mode
+
+
+def test_pair_passes_an_exact_pair_through(ctx):
+    term = (3 << 70, 72)
+    assert _pair(term, ctx) is term
+    # q^1 at width W: Fraction(1, 3) read exactly and floored
+    (ma, sa), b = rr_cfspec(Fraction(1, 3), ctx).terms(2)
+    w, _ = _fixed(ctx, "width", None)
+    assert (sa, b) == (w, 1) and ma == (1 << w) // 3
