@@ -99,9 +99,9 @@ def _euler_prod(q, ctx):
 def _entry15a_series_quotient(a, b, q, ctx: PrecisionContext):
     """Quotient of the two double series sum b^n q^(n^2 [+n]) / ((aq;q)_n (q;q)_n).
 
-    Runs on integers at scale 2^W (see ``numerics._fixed``): the n-th terms
+    Runs on q, a and b read at scale 2^W (``numerics._fixed``): the n-th terms
     are the (n-1)-th times b q^(2n-1) resp. b q^(2n), over (1 - a q^n)(1 - q^n).
-    Stops once both terms are below ctx.stop_tol, after at least three.
+    Stops once both terms are below ctx.stop_tol, after at least three; one division.
     """
     route = "entry15a double series"
     w, (x, av, bv) = _fixed(ctx, route, q, a, b)
@@ -119,7 +119,7 @@ def _entry15a_series_quotient(a, b, q, ctx: PrecisionContext):
         den += td
         if abs(tn) < limit and abs(td) < limit and n >= 3:
             break
-    return ctx.mp.mpf((num, -w)) / ctx.mp.mpf((den, -w))
+    return ctx.mp.mpf(((num << w) // den, -w))
 
 
 _ENTRY15A_VALUES = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1))
@@ -139,7 +139,7 @@ def _entry15a(point, ctx: PrecisionContext):
     """The double series' quotient against 1 + b q/(1 - a q + b q^2/(1 - a q^2 + ...)),
     whose terms enter the loop as exact pairs at the width W of ``_fixed``."""
     a, b, nome = point
-    lhs = _entry15a_series_quotient(ctx.real(a), ctx.real(b), ctx.number(nome), ctx)
+    lhs = _entry15a_series_quotient(a, b, nome, ctx)
     w, (x, av, bv) = _fixed(ctx, "entry15a fraction", nome, a, b)
     powers = [1 << w]
 

@@ -8,22 +8,23 @@ chi are Euler sums on one kernel, ``_rr_sum``; near q = 1 it forms the terms
 before the peak, which lie far below the total, as one term (its head) and
 sums only the terms that reach the total.  A short head is a division-free
 product; a long one comes from (q; q)_inf in closed form by Dedekind-eta
-inversion and a short series, by one predicted-cost rule.  The product sides
-(R_product, the product backends of G and H, Euler's E = (q;q)_inf of the
-identity checks and theta at q < 0) are quotients of sparse alternating sums
-S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2), the Jacobi triple
-product and pentagonal number theorem, on a second kernel, ``_jacobi_sum``:
-O(sqrt(bits/h)) terms at h = -ln|q|, with guard bits for the cancellation
-it predicts and then measures.  For q > 0 one predicted-cost rule
+inversion and a short series, by one predicted-cost rule.  Its loop tests
+for a stop neither before the peak nor where a gate (``quiet``) proves none.
+The product sides (R_product, the product backends of G and H, Euler's E =
+(q;q)_inf of the identity checks and theta at q < 0) are quotients of sparse
+alternating sums S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2),
+the Jacobi triple product and pentagonal number theorem, on a second kernel,
+``_jacobi_sum``: O(sqrt(bits/h)) terms at h = -ln|q|, with guard bits for the
+cancellation it predicts and then measures.  For q > 0 one predicted-cost rule
 (``_poisson_pays``) takes their Jacobi imaginary transformation instead,
 one term each near q = 1 (``_poisson_quotient``), which proves its radius;
-theta at q > 0 takes it near q = 1 too, as phi(-q^2)^2/phi(-q).  Every kernel predicts a
-lower bound on its term count before it starts and raises ConvergenceError
-at once when it exceeds max_iter (``cf.refuse_early``).  S's default route is
-``cf.rr_value``: the alternating fraction at q, or near q = 1 the paper's
-modular relation, which runs the fraction at exp(-pi^2/ln(1/q)) instead.
-The finite-form mu/nu polynomials take exact rationals only, and sum
-Gaussian polynomials in integers.
+theta at q > 0 takes it near q = 1 too, as phi(-q^2)^2/phi(-q).  Every
+kernel predicts a lower bound on its term count before it starts and raises
+ConvergenceError at once when it exceeds max_iter (``cf.refuse_early``).
+S's default route is ``cf.rr_value``: the alternating fraction at q, or near
+q = 1 the paper's modular relation, which runs the fraction at
+exp(-pi^2/ln(1/q)) instead.  The finite-form mu/nu polynomials take exact
+rationals only, and sum Gaussian polynomials in integers.
 """
 
 from __future__ import annotations
@@ -347,39 +348,57 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
     total and only seed the next one.  So the first n0 indices
     (``_head_length``, 0 unless q is near 1) form t_(n0) directly, and the
     loop runs from n0 + 1 with term = total = t_(n0).  One predicted-cost
-    rule (``_eta_pays``, from q, n0 and W) forms it by the product, two
-    multiplies an index (``_product_head``), or by Dedekind-eta inversion
-    and a series of O(W/(h n0)) terms (``_eta_head``): at 256 bits the
-    product up to about q = 1 - 2e-4, the series above, 516 terms for G's
-    44,964 indices at 1 - 1e-5.  The head proves the terms rise through t_(n0),
-    so the n0 terms it leaves out sum to at most n0 t_(n0), and t_(n0) is
-    within its units of its integer; the radius adds that bound, and the
-    units add to c below.  If the head is not proven to rise, or the bound
-    exceeds the tail bound, the sum runs again from n0 = 0.  The loop after
-    either head counts from index n0 + 1 of ``cf.bounded``, so the iteration
-    counts and the max_iter exit are those of the loop from 0.
+    rule (``_eta_pays``) forms it by the product, two multiplies an index
+    (``_product_head``), or by Dedekind-eta inversion and a series of
+    O(W/(h n0)) terms (``_eta_head``).  The head proves the terms rise through
+    t_(n0), so the n0 terms it leaves out sum to at most n0 t_(n0), and
+    t_(n0) is within its units of its integer; the radius adds that bound,
+    and the units add to c below.  If the head is not proven to rise, or the
+    bound exceeds the tail bound, the sum runs again from n0 = 0.  The loop
+    after either head counts from index n0 + 1 of ``cf.bounded``, so the
+    iteration counts and the max_iter exit are those of the loop from 0.
+
+    The gate.  The stop test runs only where it may pass: before the peak
+    the gap is <= 0, and after it the terms must first fall stop_bits below
+    the total.  From n0 + BLOCK_STEPS on, after a tested step ``quiet`` tries
+    to prove that the next k steps cannot stop (k = ``cf.BLOCK_STEPS``,
+    doubled after a proof, halved after a failure, which at BLOCK_STEPS
+    waits as many steps); those steps run only the division, the sum, the
+    powers and the shift (at 256 bits about 1.2 us, 1.7-1.9 tested), and
+    values, radii and ``cf.bounded`` indices are those of the loop that
+    tests every step.  The proof, from the integers after step n: a power
+    is at least r = |q|^step (y = |q|^den) times the last, less a unit, so
+    through step n + k |lead| >= l = |lead| r^k - k, |qn| >= c = |qn| y^k - k
+    and every gap is at most g = 2^W - l - c; if g <= 0 no step stops.  Else,
+    while |lead| + |qn| + 2k < 2^W (a power grows at most a unit a step, so
+    no ratio exceeds 1; term != 0, as the test at n failed) and |total| +
+    k(|term| + k) < 2^W (no shift), each ratio is at least lam = min(l/d, 1),
+    d = 2^W - c for q > 0 and 2^W + |qn| + k for q < 0, and no step stops if
+    (|term| lam^k - k) l 2^stop_bits > (max(|total|, unit) + k(|term| + k)) g.
+    The floats take the powers low by eps = (k + 1024)(W + 1) 2^-51
+    relatively (their rounding and that of log2 of a W-bit int), differences
+    gain 2^-48, bounds below 2^-1000 enter only g, and the comparison keeps
+    a bit for |term| lam^k - k >= 2^(lt-1), lt = log2(|term| lam^k) >
+    log2(2k), and a bit for rounding while eps <= 2^-12.
 
     The radius (q >= 0, n terms, S the exact sum at the converted q).  Every
-    integer step of the loop truncates downwards, so the computed total is
-    below the sum it runs from t_(n0).  The power q^a in ``lead`` is within
-    a units of 2^-W and q^(den n) in ``qn`` within den n, so the computed
-    ratio of term j is within
-    a_j 2^-W / q^(a_j) + den j 2^-W / (1 - q^(den j)) of the exact one,
+    integer step truncates downwards, so the computed total is below the sum
+    it runs from t_(n0).  q^a in ``lead`` is within a units of 2^-W and
+    q^(den n) in ``qn`` within den n, so the computed ratio of term j is
+    within a_j 2^-W / q^(a_j) + den j 2^-W / (1 - q^(den j)) of the exact one,
     relatively; each step's floor and shifts lose at most 2^(e+1), e the
     shared exponent, and 2^e <= 2 max(1, total) 2^-W.  Carried through the
     later terms with the decreasing ratios, these lose at most c S with
     c 2^W = n(n+1)(den + first + step)/(1 - q^(den(n+1))) + 2n(n+4), using
     that m/(1 - q^m) increases in m; the head's units add to c.  The tail is
-    bounded from the last term summed, t_n rho_n/(1 - rho_n), with t_n,
-    rho_n taken from the final integers plus their error units; the
-    converted q adds its part through ``numerics._nome_units``.  All of it
-    is computed once, after the loop.
+    bounded from the last term summed, t_n rho_n/(1 - rho_n), with t_n and
+    rho_n from the final integers plus their error units; the converted q
+    adds its part through ``numerics._nome_units``; all after the loop.
 
     For q < 0 the terms alternate in sign.  The loop keeps the largest |t_n|
     at the shared exponent; when the total is more than 2^guard_bits times
-    smaller (``_lost_bits``), the sum runs again on ``ctx.widened`` by the
-    bits it lost, with ``widen`` False so that it does so once, and the
-    value is rounded back to the context.
+    smaller (``_lost_bits``), the sum runs once more (``widen``) on
+    ``ctx.widened`` by the bits it lost, and the value is rounded back.
     """
     w, (x,) = _fixed(ctx, route, q)
     one = 1 << w
@@ -407,6 +426,21 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
         if x > 0:
             head = _head_length(decay, first, step, den, hi, stop)
     form_head = _eta_head if head and _eta_pays(decay, w, head, first, step, den) else _product_head
+
+    def quiet(k, term, total, unit, lead, qn):  # the gate: True if none of the next k steps can stop
+        eps = (k + 1024) * (w + 1) * 2.0**-51
+        ll, lq = (abs(v) / one * 2.0 ** (k * (math.log2(max(abs(r), 1)) - w)) * (1 - eps) - k / one
+                  for v, r in ((lead, xstep), (qn, xden)))
+        gap = 1 - ll - lq + 2.0**-48
+        if gap <= 0:
+            return True
+        up, d = abs(term) + k, (1 - lq if x > 0 else 1 + (abs(qn) + k) / one) + 2.0**-48
+        if eps > 2.0**-12 or ll <= 2.0**-1000 or abs(lead) + abs(qn) + 2 * k >= one or abs(total) + k * up >= one:
+            return False
+        lt = math.log2(abs(term)) + k * math.log2(min(ll / d, 1))
+        rhs = math.log2(max(abs(total), unit) + k * up) + math.log2(gap) + 2
+        return lt > math.log2(2 * k) and lt + math.log2(ll) + stop > rhs
+
     for n0 in (head, 0) if head else (0,):
         qn, lead = xden, _power(x, first, w)  # q^(den n) and q^(first + step(n-1)), n = 1
         term = top = unit = one  # top: the largest |term|; unit: 1 at the shared exponent
@@ -418,6 +452,7 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
             term, exp, units, qn, lead = start
             unit = 1 << max(-exp, 0)
         total = term
+        shut, retry, span = n0, n0 + _cf.BLOCK_STEPS, _cf.BLOCK_STEPS  # no stop through `shut`; gate tried at `retry`
         for n in _cf.bounded(route, ctx, n0 + 1):
             term = term * lead // (one - qn)
             total += term
@@ -425,11 +460,16 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
                 top = abs(term)
             qn = qn * xden >> w
             lead = lead * xstep >> w
-            gap = one - abs(qn) - abs(lead)  # (1 - rho_n) * (1 - |q|^(den(n+1))) * 2^W
-            if gap > 0 and abs(term) * abs(lead) << stop <= max(abs(total), unit) * gap:
-                break
-            shift = max(term.bit_length(), total.bit_length()) - w
-            if shift > 0:
+            if n > shut:
+                gap = one - abs(qn) - abs(lead)  # (1 - rho_n) * (1 - |q|^(den(n+1))) * 2^W
+                if gap > 0 and abs(term) * abs(lead) << stop <= max(abs(total), unit) * gap:
+                    break
+                if n >= retry and quiet(span, term, total, unit, lead, qn):
+                    shut, span = n + span, 2 * span
+                elif n >= retry:
+                    retry, span = n + (1 if span > _cf.BLOCK_STEPS else span), max(span // 2, _cf.BLOCK_STEPS)
+            if total >= one or x < 0 and max(abs(term), -total) >= one:
+                shift = max(term.bit_length(), total.bit_length()) - w
                 term >>= shift
                 total >>= shift
                 top >>= shift

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -537,6 +538,114 @@ def test_a_head_that_is_not_proven_runs_from_zero(monkeypatch, ctx, past):
         assert len(counted) == 5768  # the head failed before its loop took an index
     else:
         assert counted[0] == peaks[0] + past + 1 and len(counted) > 5768  # a run after the head, then a check failed
+
+
+# -- the gate of the Euler sums' loop -------------------------------------------
+
+
+def _per_step_sum(q, ctx, first, step, den, widen=True):
+    """qseries._rr_sum as it ran before its loop had a gate, testing the stop
+    rule at every step: (stop index, total, exponent, radius), the last three
+    as ``_rr_sum`` hands them to ``numerics._ball``."""
+    w, (x,) = numerics._fixed(ctx, "per step", q)
+    one = 1 << w
+    stop = ctx.stop_bits
+    xstep, xden = qseries._power(x, step, w), qseries._power(x, den, w)
+    head = 0
+    if x:
+        decay = qseries._decay(x, one)
+
+        def blocked(n):
+            return math.exp(-decay * den * (n + 1)) + math.exp(-decay * (first + step * n)) >= 1
+
+        lo, hi = 0, 1
+        while blocked(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if blocked(mid) else (lo, mid)
+        if x > 0:
+            head = qseries._head_length(decay, first, step, den, hi, stop)
+    form_head = qseries._eta_head if head and qseries._eta_pays(decay, w, head, first, step, den) else qseries._product_head
+    for n0 in (head, 0) if head else (0,):
+        qn, lead = xden, qseries._power(x, first, w)
+        term = top = unit = one
+        exp, units = -w, 0
+        if n0:
+            start = form_head(x, w, n0, first, step, den)
+            if start is None:
+                continue
+            term, exp, units, qn, lead = start
+            unit = 1 << max(-exp, 0)
+        total = term
+        for n in range(n0 + 1, ctx.max_iter + 1):
+            term = term * lead // (one - qn)
+            total += term
+            if x < 0 and abs(term) > top:
+                top = abs(term)
+            qn = qn * xden >> w
+            lead = lead * xstep >> w
+            gap = one - abs(qn) - abs(lead)
+            if gap > 0 and abs(term) * abs(lead) << stop <= max(abs(total), unit) * gap:
+                break
+            shift = max(term.bit_length(), total.bit_length()) - w
+            if shift > 0:
+                term >>= shift
+                total >>= shift
+                top >>= shift
+                unit = max(unit >> shift, 1)
+                exp += shift
+        if x < 0:
+            lost = qseries._lost_bits(top, total)
+            if widen and lost > ctx.guard_bits:
+                return _per_step_sum(q, ctx.widened(math.ceil(lost)), first, step, den, widen=False)
+            return n, total, exp, None
+        a = first + step * n
+        d = one - qn - den * (n + 1)
+        rate = numerics._nome_units(x, w)
+        radius = None
+        if d > lead + a and rate is not None:
+            c = -(-(n * (n + 1) * (den + first + step) << w) // d) + 2 * n * (n + 4) + units
+            if 2 * c <= one:
+                bound = -(-total * one // (one - c))
+                rounding = -(-c * bound >> w)
+                tail = -(-(term + rounding) * (lead + a) // (d - lead - a))
+                skipped = -(-(n0 * start[0] * (one + 2 * units)) >> w + exp - start[1]) if n0 else 0
+                if skipped <= tail:
+                    radius = rounding + tail + skipped + -(-rate * (bound + tail + skipped) >> w)
+        if radius is not None or not n0:
+            return n, total, exp, radius
+
+
+@functools.lru_cache(maxsize=None)
+def _per_step_row(q, bits, guard, kernel):
+    return _per_step_sum(Nome.rational(q), PrecisionContext(bits, guard), *kernel)
+
+
+def _gate_points():
+    signed = ["1/10", "-1/10", "1/2", "-1/2", "9/10", "-9/10"]
+    for bits in (64, 256, 1024, 4096):
+        for q in signed + ([] if bits == 4096 else ["-999/1000", "999/1000", "9999/10000", "99999/100000"]):
+            for guard in (1, 2, 32):
+                for kernel in _KERNELS:
+                    yield pytest.param(q, bits, guard, kernel, id=f"{q}-{bits}-{guard}-{''.join(map(str, kernel))}")
+
+
+@pytest.mark.parametrize("q, bits, guard, kernel", _gate_points())
+def test_the_gate_keeps_the_per_step_loop(monkeypatch, q, bits, guard, kernel):
+    # the gated loop against the loop that tests every step: the same stop
+    # index, total, exponent and radius, with the gate as it runs and with it
+    # tried after every step, where its windows end as close to the stop as
+    # its proof allows
+    seen, counted = [], []
+    ball, bounded = numerics._ball, cf.bounded
+    monkeypatch.setattr(qseries, "_ball", lambda ctx, *args: seen.append(args) or ball(ctx, *args))
+    monkeypatch.setattr(cf, "bounded", lambda *args: (counted.append(k) or k for k in bounded(*args)))
+    for block in (cf.BLOCK_STEPS, 1):
+        monkeypatch.setattr(cf, "BLOCK_STEPS", block)
+        seen.clear()
+        qseries._rr_sum(Nome.rational(q), PrecisionContext(bits, guard), "gate", *kernel)
+        assert (counted[-1], *seen[-1]) == _per_step_row(q, bits, guard, kernel)
 
 
 @given(st.integers(1, 2**64 - 1), st.integers(1, 2000))
