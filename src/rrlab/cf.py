@@ -42,7 +42,7 @@ from math import log2
 from typing import Callable, Optional
 
 from .numerics import FIXED_UNITS, CFStatus, ConvergenceError, Nome, PrecisionContext, RootMode
-from .numerics import _ball, _fixed, _log2, _prove, golden_phi, root
+from .numerics import Ball, _ball, _fixed, _log2, golden_phi, root
 
 __all__ = [
     "CFSpec",
@@ -132,6 +132,7 @@ class CFResult:
     value: object
     iterations: int
     status: CFStatus
+    radius: object = None  # bounds the value's error where the route proves one (``numerics.Ball``)
 
     @property
     def converged(self) -> bool:
@@ -332,7 +333,7 @@ def _eval_blocked(spec: CFSpec, ctx: PrecisionContext, w: int, a_cur: int, stop_
     are bit for bit the same, and the count and value are those of the loop
     that tests every step and shifts only at the multiples of K.
 
-    The value proves its radius to ``certify`` (``numerics._prove``).  With
+    The result carries a proven radius.  With
     positive terms the convergents of a fraction alternate about its limit,
     so the limit f' of the fraction the state describes lies between f_k and
     f_(k-1): within |F_k - F_(k-1)| + 2 units of F_k 2^-W, the floors of the
@@ -384,7 +385,8 @@ def _eval_blocked(spec: CFSpec, ctx: PrecisionContext, w: int, a_cur: int, stop_
                         t1 = spec.terms(1)
                         big = (abs(b0) >> w) + t1[0] // t1[1] + 3
                         units = abs(f - f1) + 2 + FIXED_UNITS + k // BLOCK_STEPS * 4 * big * (big + 1)
-                        return CFResult(_prove(*_ball(ctx, f, -w, units)), k, CFStatus.CONVERGED)
+                        ball = _ball(ctx, f, -w, units)
+                        return CFResult(ball.mid, k, CFStatus.CONVERGED, ball.rad)
                 a2, b2, f2 = a1, b1, f1
                 a1, b1, f1 = a_cur, b_cur, f
         shift = max(a_cur.bit_length(), b_cur.bit_length()) - w
@@ -617,7 +619,7 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
     fraction's steps at p^ there: 3, the fewest the stop test takes, once p^ is
     below 2^-stop_bits.
 
-    The value proves its radius to ``certify``, in units of 2^-P, wherever
+    The result carries a proven radius, in units of 2^-P, wherever
     t = p^ < 1/16; ``_relation_pays`` takes the relation only where L < pi sqrt(k),
     so p^ < e^(-pi sqrt(k)) <= e^-pi there.
     - The fraction.  With |a_j| = t^(j-1) <= 1/16 the ratios B_j/B_(j-1) lie within
@@ -672,7 +674,8 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
         neg, man, exp, _ = value._mpf_  # the ball in units of 2^(exp-32), below the value's last bit
         shift = 32 - wide.bits - exp
         bound = -(-units << max(shift, 0) >> max(-shift, 0)) if mag <= -4 else None
-        res = replace(res, value=_prove(*_ball(ctx, (-man if neg else man) << 32, exp - 32, bound)))
+        ball = _ball(ctx, (-man if neg else man) << 32, exp - 32, bound)
+        res = replace(res, value=ball.mid, radius=ball.rad)
     return res
 
 
@@ -688,9 +691,8 @@ def rr_value(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL,
     route from |q| and the context alone.  At 1 - 10^-5 and 256 bits the
     fraction at q takes 172 steps (S: 345) and at p^ 3.  Non-real q, q = +-1
     and every q the rule keeps take the fraction at q; the result carries the
-    steps of the fraction it ran.  The relation's value at q > 0 (R) and for S
-    proves its radius to ``certify``; R at q < 0 is a new value, a product with
-    a root of -1, and proves none.
+    steps of the fraction it ran, and the relation's radius, for R at q < 0
+    through the product with root(-1, 5) (``numerics.Ball.times``).
     """
     qv = ctx.number(q)
     if not isinstance(qv, ctx.mp.mpc) and 0 < abs(qv) < 1:
@@ -698,7 +700,8 @@ def rr_value(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL,
         if _relation_pays(abs(qv), s_side, ctx):
             res = _by_relation(q if qv > 0 else -q, ctx, s_side)
             if res.converged and not alternating and qv < 0:
-                res = replace(res, value=root(-1, 5, mode, ctx) * res.value)
+                ball = Ball(res.value, res.radius).times(root(-1, 5, mode, ctx), ctx)
+                res = replace(res, value=ball.mid, radius=ball.rad)
             return res
     if alternating:
         res = rr_cf(-qv, ctx, RootMode.REAL_ODD)

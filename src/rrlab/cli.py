@@ -27,7 +27,7 @@ from . import cf as _cf
 from . import identities as _id
 from . import qseries as _qs
 from . import special_values as _sv
-from .numerics import _MEMO, Nome, PrecisionContext, RootMode, certify
+from .numerics import _MEMO, Ball, Nome, PrecisionContext, RootMode, certify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -56,21 +56,21 @@ def _out(*args, **kwargs) -> None:
 
 
 def _eval_target(target: str, nome: Optional[Nome], mode: RootMode, ctx: PrecisionContext):
-    """Returns (value, iterations), iterations None for the series and products;
+    """Returns (Ball, iterations), iterations None for the series and products;
     cf2 takes no nome, and every other target gets the Nome itself, which the
     fixed-point kernels convert at their own width.  R and S take the cheaper
     of the fraction at q and the modular relation (``cf.rr_value``), S on its
     domain (0, 1]; their iterations are the steps of the fraction they ran.
     A route that stops short raises ConvergenceError."""
-    if target == "cf2":
-        return _id.cf2_value(ctx)
-    if target in ("R", "S"):
-        if target == "S":
-            _qs._s_nome(nome, ctx)
-        res = _cf.rr_value(nome, ctx, mode, alternating=target == "S")
-        return res.require(f"{target} continued fraction"), res.iterations
-    fn = {"G": _qs.G, "H": _qs.H, "phi": _qs.theta_phi, "chi": _qs.chi}[target]
-    return fn(nome, ctx), None
+    if target in ("G", "H"):
+        return _qs._rr_function(nome, ctx, target), None
+    if target in ("phi", "chi"):
+        return (_qs._theta_phi if target == "phi" else _qs._chi)(nome, ctx), None
+    if target == "S":
+        _qs._s_nome(nome, ctx)
+    res = (_cf.eval_infinite(_id.cf2_spec(), ctx) if target == "cf2"
+           else _cf.rr_value(nome, ctx, mode, alternating=target == "S"))
+    return Ball(res.require(f"{target} continued fraction"), res.radius), res.iterations
 
 
 def cmd_eval(args) -> int:

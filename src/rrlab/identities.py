@@ -90,7 +90,7 @@ def _R_cf(q, ctx: PrecisionContext):
 
 
 def _euler_prod(q, ctx):
-    return _qs._theta_quotient(q, ctx, "E")
+    return _qs._theta_quotient(q, ctx, "E").mid
 
 
 # -- numeric sides ----------------------------------------------------------------

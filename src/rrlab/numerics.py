@@ -8,13 +8,12 @@ so on ``ctx.widened(extra)``.  Real and complex values are plain mpmath
 ``mpf``/``mpc`` instances created through the context.
 
 Error control is by proven radii where a kernel has one, and by precision
-doubling otherwise.  ``certify`` listens while it evaluates: the Euler-sum
-kernel (G, H, chi), theta at q >= 0, the cf2 fraction, the transformed theta
-quotients and the modular relation of R and S return their value
-as the midpoint of a ball, with a radius that bounds the truncated tail, the
-fixed-point rounding and the error of the converted nome (``_prove``; ball
-arithmetic as in Arb, F. Johansson, IEEE Trans. Computers 66, 2017); any
-other evaluation is recomputed on ``ctx.widened(ctx.bits)``.
+doubling otherwise.  The Euler-sum kernel (G, H, chi), theta at q >= 0, the cf2
+fraction, the transformed theta quotients and the modular relation of R and S
+return a ``Ball`` (as in Arb, F. Johansson, IEEE Trans. Computers 66, 2017):
+their value and a radius that bounds the truncated tail, the fixed-point
+rounding and the error of the converted nome.  ``certify`` reads the radius;
+a plain number, or a Ball without one, is recomputed on ``ctx.widened(ctx.bits)``.
 One exact measure, ``_bits``, reads both figures off the mantissas: the
 largest b with d * 2^b <= max(|x|, |y|, 1), d a radius or |x - y|, so both
 are relative above 1 and absolute below.  One rule, ``ctx.passes``, judges
@@ -45,6 +44,7 @@ __all__ = [
     "RootMode",
     "PrecisionContext",
     "Nome",
+    "Ball",
     "CFStatus",
     "ConvergenceError",
     "root",
@@ -332,19 +332,44 @@ def _nome_units(x: int, width: int) -> Optional[int]:
     return 2 * y if 2 * y <= one else None
 
 
-def _ball(ctx: PrecisionContext, man: int, exp: int, units: Optional[int]):
-    """(man * 2^exp as an mpf at the context's precision, its radius).
+@dataclass(frozen=True, slots=True)
+class Ball:
+    """A number ``mid`` and ``rad``, an mpf rounded up that bounds its error, or None where nothing proves one."""
 
-    units bounds the error of man * 2^exp in units of 2^exp; the radius adds
-    the rounding to ctx.bits (at most 2^-bits |man| units) and is an mpf
-    rounded up, or None where there is no proof (units None).
-    """
+    mid: object
+    rad: object = None
+
+    def times(self, x, ctx: PrecisionContext) -> "Ball":
+        """The ball times x, a number of the context within 2^(1-bits) |x| of an exact
+        factor: with |x| as rounded, |x| (rad + 2^(3-bits) (|mid| + rad)) holds the
+        factor's rounding, the product's, each at most 2^(1-bits) |mid x|, and |x|'s."""
+        if self.rad is None:
+            return Ball(self.mid * x)
+        mp = ctx.mp
+        grown = mp.fadd(self.rad, mp.ldexp(mp.fadd(abs(self.mid), self.rad, rounding="u"), 3 - ctx.bits), rounding="u")
+        return Ball(self.mid * x, mp.fmul(abs(x), grown, rounding="u"))
+
+    def reciprocal(self, ctx: PrecisionContext) -> "Ball":
+        """1/mid for a positive mid; proven where rad < mid, since the exact value
+        v then has |1/v - 1/mid| <= rad/(mid (mid - rad)), plus the division's rounding."""
+        mp, inverse = ctx.mp, 1 / self.mid
+        if self.rad is None or self.rad >= self.mid:
+            return Ball(inverse)
+        low = mp.fmul(self.mid, mp.fsub(self.mid, self.rad, rounding="d"), rounding="d")
+        rad = mp.fadd(mp.fdiv(self.rad, low, rounding="u"), mp.ldexp(inverse, 1 - ctx.bits), rounding="u")
+        return Ball(inverse, rad)
+
+
+def _ball(ctx: PrecisionContext, man: int, exp: int, units: Optional[int]) -> Ball:
+    """The Ball of man * 2^exp at the context's precision: units bounds its error
+    in units of 2^exp, and the radius adds the rounding to ctx.bits (at most
+    2^-bits |man| units), or is None where units is."""
     value = ctx.mp.mpf((man, exp))
     if units is None:
-        return value, None
+        return Ball(value)
     units += (abs(man) >> ctx.bits) + 1
     cut = max(units.bit_length() - ctx.bits, 0)
-    return value, ctx.mp.mpf((-(-units >> cut), exp + cut))
+    return Ball(value, ctx.mp.mpf((-(-units >> cut), exp + cut)))
 
 
 def root(z, k: int, mode: RootMode, ctx: PrecisionContext):
@@ -411,55 +436,33 @@ def agree_bits(x, y, ctx: PrecisionContext) -> int:
     return _bits(abs(x - y), max(abs(x), abs(y), ctx.mp.one), ctx)
 
 
-# The radii that kernels prove while certify listens (see certify and _prove)
-_PROOFS = contextvars.ContextVar("rrlab_proofs", default=None)
-
 # The values one command has computed, by key, while it runs: a dict that
 # ``cli.main`` opens for each command and drops when the command returns, and
 # None outside a command (see ``qseries._theta_quotient``)
 _MEMO = contextvars.ContextVar("rrlab_memo", default=None)
 
 
-def _prove(value, radius):
-    """value, after handing (value, radius) to a certify that is listening.
-
-    radius bounds |value - exact| (an mpf), or is None where the kernel has no
-    proof.  Kernels call this once per call, on return.
-    """
-    proofs = _PROOFS.get()
-    if proofs is not None and radius is not None:
-        proofs.append((value, radius))
-    return value
-
-
 def certify(fn, ctx: PrecisionContext):
-    """(fn(ctx), the bits that back it) for a number-valued fn.
+    """(the number fn(ctx) gives, the bits that back it), for fn returning a
+    Ball or a plain number, which proves nothing.
 
-    While fn(ctx) runs, certify listens for radii (``_prove``).  When the value
-    fn returns is one a kernel proved a radius for, and the bits that radius
-    proves against max(|value|, 1) pass (``_bits``, ``ctx.passes``), they are
-    the figure and nothing is recomputed.  Otherwise the figure is the
-    agree_bits of the value against fn(ctx.widened(ctx.bits)), the doubled run;
-    a ConvergenceError there is raised again with the self-check named.
+    When the ball's radius proves bits that pass against max(|mid|, 1)
+    (``_bits``, ``ctx.passes``), they are the figure and nothing is recomputed.
+    Otherwise the figure is the agree_bits of the number against that of
+    fn(ctx.widened(ctx.bits)), the doubled run; a ConvergenceError there is
+    raised again with the self-check named.
     """
-    proofs = []
-    token = _PROOFS.set(proofs)
-    try:
-        first = fn(ctx)
-    finally:
-        _PROOFS.reset(token)
-    for value, radius in proofs:
-        if value is first:
-            bits = _bits(radius, max(abs(first), ctx.mp.one), ctx)
-            if ctx.passes(bits):
-                return first, bits
+    first = fn(ctx)
+    first = first if isinstance(first, Ball) else Ball(first)
+    if first.rad is not None and ctx.passes(bits := _bits(first.rad, max(abs(first.mid), ctx.mp.one), ctx)):
+        return first.mid, bits
     doubled = ctx.widened(ctx.bits)
     try:
         second = fn(doubled)
     except ConvergenceError as exc:
         route = f"{exc.route} (precision self-check at {doubled.bits} bits)"
         raise ConvergenceError(route, exc.status, exc.iterations, exc.needed, exc.max_iter) from exc
-    return first, agree_bits(first, second, ctx)
+    return first.mid, agree_bits(first.mid, second.mid if isinstance(second, Ball) else second, ctx)
 
 
 def record(ctx: PrecisionContext, point: str, lhs, rhs) -> dict:

@@ -37,7 +37,7 @@ from typing import Optional
 from mpmath import libmp
 
 from .formal import FormalSeries, product_one_minus_inv, theta_series
-from .numerics import _MEMO, FIXED_UNITS, PrecisionContext, RootMode, _ball, _fixed, _nome_units, _prove, root
+from .numerics import _MEMO, FIXED_UNITS, Ball, PrecisionContext, RootMode, _ball, _fixed, _nome_units, root
 from . import cf as _cf
 
 __all__ = [
@@ -328,9 +328,9 @@ def _lost_bits(top: int, total: int) -> float:
     return math.log2(top) - math.log2(abs(total))
 
 
-def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: int, widen: bool = True):
+def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: int, widen: bool = True) -> Ball:
     """The Euler sum of t_n, t_0 = 1, t_n = t_(n-1) q^(first + step(n-1)) / (1 - q^(den n)),
-    for real |q| < 1, as (value, radius); the radius is None for q < 0.
+    for real |q| < 1, as a Ball whose radius is None for q < 0.
 
     (first, step, den) = (1, 2, 1) is G's sum q^(n^2)/(q;q)_n, (2, 2, 1) is H's
     q^(n^2+n)/(q;q)_n, (1, 2, 2) is q^(n^2)/(q^2;q^2)_n = (-q;q^2)_inf and
@@ -478,8 +478,8 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
         if x < 0:
             lost = _lost_bits(top, total)
             if widen and lost > ctx.guard_bits:
-                value, _ = _rr_sum(q, ctx.widened(math.ceil(lost)), route, first, step, den, widen=False)
-                return ctx.mp.mpf(value), None
+                wide = _rr_sum(q, ctx.widened(math.ceil(lost)), route, first, step, den, widen=False)
+                return Ball(ctx.mp.mpf(wide.mid))
             return _ball(ctx, total, exp, None)
         a = first + step * n  # q^a = q^(first + step n), within a units of lead
         d = one - qn - den * (n + 1)  # at most (1 - q^(den(n+1))) 2^W
@@ -497,17 +497,6 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
                     radius = rounding + tail + skipped + -(-rate * (bound + tail + skipped) >> w)
         if radius is not None or not n0:
             return _ball(ctx, total, exp, radius)
-
-
-def _reciprocal(ctx: PrecisionContext, value, radius):
-    """(1/value, its radius) for a positive value within radius of the exact one."""
-    mp = ctx.mp
-    inverse = 1 / value
-    if radius is None or radius >= value:
-        return inverse, None
-    low = mp.fmul(value, mp.fsub(value, radius, rounding="d"), rounding="d")
-    # |1/s - 1/value| <= radius/(value (value - radius)), plus the division's rounding
-    return inverse, mp.fadd(mp.fdiv(radius, low, rounding="u"), mp.ldexp(inverse, 1 - ctx.bits), rounding="u")
 
 
 # -- sparse theta sums -----------------------------------------------------------
@@ -626,7 +615,7 @@ def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
     q = x 2^-W = e^-h, 0 < q < 1, by Poisson summation (Jacobi's imaginary
     transformation) of each S_(A,B) of ``_jacobi_sum``, c = pi^2/(2 A h):
         S = 2 sqrt(2 pi/(A h)) e^(h B^2/(8A) - c) T,  T = sum_k cos((2k+1) pi B/(2A)) u^(k(k+1)/2),
-    u = e^(-8c), as (value, radius) (``numerics._ball``); the radius is None where u > 1/16.
+    u = e^(-8c), as a Ball (``numerics._ball``) whose radius is None where u > 1/16.
     The first weight is at least cos(3 pi/10) > 0.58, so T > 1/2 once u <= 1/16:
     nothing cancels.  h comes from x, each A's c and prefactor once, each distinct
     sum's T once, each libmp operation rounded once at the width V of
@@ -715,18 +704,17 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
     h = -ln|q|) or for q > 0 transformed (``_poisson_quotient``, O(sqrt(bits h))
     terms at about W bits), whichever costs less as predicted (``_poisson_pays``):
     the transformation from q = 0.91-0.96 on at 256 bits (R from 0.964), from
-    0.64-0.83 at 2,048.  The transformed quotient proves its radius to
-    ``certify``; the direct sums prove none.
+    0.64-0.83 at 2,048.  It returns a Ball: the transformed quotient proves its
+    radius, the direct sums none.
 
     While a command runs (``numerics._MEMO``) each (name, type and value of q,
-    ctx) is computed once: a later call returns the value the first one
-    returned, and hands its radius to ``_prove`` again, so ``certify`` sees the
-    same either way; a call that raises stores nothing.
+    ctx) is computed once: a later call returns the Ball the first one
+    returned; a call that raises stores nothing.
     """
     memo = _MEMO.get()
     key = (name, type(q), q, ctx)
     if memo is not None and (ball := memo.get(key)) is not None:
-        return _prove(*ball)
+        return ball
     route, sums = _THETA_ROUTES[name]
     base, (x,) = _fixed(ctx, route, q)
     if x > 0:  # each direct sum's terms at its guarded width, plus CALL_STEPS at W
@@ -739,10 +727,10 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
     else:
         num, den = ([_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
                     for side in sums)
-        ball = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one), None
+        ball = Ball(math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one))
     if memo is not None:
         memo[key] = ball
-    return _prove(*ball)
+    return ball
 
 
 # name: (route, (numerator, denominator) sums (A, B))
@@ -761,31 +749,27 @@ _THETA_ROUTES = {
 }
 
 
-def _rr_function(q, ctx: PrecisionContext, backend: str, name: str, first: int):
-    """G (name "G", first 1) or H ("H", 2): the series ``_rr_sum`` at
-    (first, 2, 1), or the product theta_G/E or theta_H/E (``_theta_quotient``),
-    which proves no radius."""
+def _rr_function(q, ctx: PrecisionContext, name: str, backend: str = "series") -> Ball:
+    """The Ball of G (name "G") or H ("H"): the series ``_rr_sum`` at
+    (1 or 2, 2, 1), which proves its radius at q >= 0, or the product
+    theta_G/E or theta_H/E (``_theta_quotient``)."""
     if backend == "series":
-        return _prove(*_rr_sum(q, ctx, f"{name} series", first, 2, 1))
+        return _rr_sum(q, ctx, f"{name} series", 1 if name == "G" else 2, 2, 1)
     if backend == "product":
         return _theta_quotient(q, ctx, name)
     raise ValueError(f"unknown backend {backend!r}")
 
 
 def G(q, ctx: PrecisionContext, backend: str = "series"):
-    """Rogers-Ramanujan function G(q), by series or infinite-product backend.
-
-    The series at q >= 0 proves its radius (``_rr_sum``) to ``certify``.
-    """
-    return _rr_function(q, ctx, backend, "G", 1)
+    """Rogers-Ramanujan function G(q), by series or infinite-product backend
+    (the midpoint of ``_rr_function``)."""
+    return _rr_function(q, ctx, "G", backend).mid
 
 
 def H(q, ctx: PrecisionContext, backend: str = "series"):
-    """Rogers-Ramanujan function H(q), by series or infinite-product backend.
-
-    The series at q >= 0 proves its radius (``_rr_sum``) to ``certify``.
-    """
-    return _rr_function(q, ctx, backend, "H", 2)
+    """Rogers-Ramanujan function H(q), by series or infinite-product backend
+    (the midpoint of ``_rr_function``)."""
+    return _rr_function(q, ctx, "H", backend).mid
 
 
 def R_product(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL):
@@ -793,7 +777,7 @@ def R_product(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL):
     qv = ctx.number(q)
     if qv == 0 or abs(qv) >= 1:
         raise ValueError("R_product requires 0 < |q| < 1")
-    return root(qv, 5, mode, ctx) * _theta_quotient(q, ctx, "R")
+    return root(qv, 5, mode, ctx) * _theta_quotient(q, ctx, "R").mid
 
 
 def _s_nome(q, ctx: PrecisionContext):
@@ -824,33 +808,43 @@ def S(q, ctx: PrecisionContext, method: Optional[str] = None):
 
 
 def chi(q, ctx: PrecisionContext):
-    """chi(q) = (-q; q^2)_inf for real |q| < 1, by one of Euler's sums.
+    """chi(q) = (-q; q^2)_inf for real |q| < 1, the midpoint of ``_chi``."""
+    return _chi(q, ctx).mid
+
+
+def _chi(q, ctx: PrecisionContext) -> Ball:
+    """The Ball of chi(q) = (-q; q^2)_inf for real |q| < 1, by one of Euler's sums.
 
     For q >= 0 it is sum q^(n^2)/(q^2;q^2)_n.  For q < 0, with p = -q, it is
     (p; p^2)_inf = 1/(-p; p)_inf and (-p; p)_inf = sum p^(n(n+1)/2)/(p;p)_n.
     Both sums have positive terms, so nothing cancels, and both prove their
-    radius (``_rr_sum``; for q < 0 that of the sum, carried through 1/sum)
-    to ``certify``.  At 256 bits the sum stops after 651 indices at
-    q = 999/1000, where the product takes 84,856 factors, and after 37,510
-    at 1 - 10^-5; the head takes 49 and 31,654 of them, as 49 factors and as
-    a series of 366 terms, and the loop sums the other 602 and 5,856.
+    radius (``_rr_sum``; for q < 0 that of the sum, through ``Ball.reciprocal``).
+    At 256 bits the sum stops after 651 indices at q = 999/1000, where the
+    product takes 84,856 factors, and after 37,510 at 1 - 10^-5; the head takes
+    49 and 31,654 of them, as 49 factors and as a series of 366 terms, and the
+    loop sums the other 602 and 5,856.
     """
     route = "chi series"
     qv = ctx.number(q)
     if not isinstance(qv, ctx.mp.mpc) and qv < 0:
-        return _prove(*_reciprocal(ctx, *_rr_sum(-q, ctx, route, 1, 1, 1)))
-    return _prove(*_rr_sum(q, ctx, route, 1, 2, 2))
+        return _rr_sum(-q, ctx, route, 1, 1, 1).reciprocal(ctx)
+    return _rr_sum(q, ctx, route, 1, 2, 2)
 
 
 def theta_phi(q, ctx: PrecisionContext):
-    """Theta function 1 + 2*sum_{n>=1} q^(n^2) for real |q| < 1.
+    """Theta function 1 + 2*sum_{n>=1} q^(n^2) for real |q| < 1, the midpoint of ``_theta_phi``."""
+    return _theta_phi(q, ctx).mid
+
+
+def _theta_phi(q, ctx: PrecisionContext) -> Ball:
+    """The Ball of theta_phi(q) = 1 + 2*sum_{n>=1} q^(n^2) for real |q| < 1.
 
     For q >= 0, sums at scale 2^W (see ``_fixed``) until the term q^(n^2) and
     the tail after it, 2 sum_{m>n} q^(m^2) <= 2 q^(n^2) q^(2n+1)/(1 - q^(2n+1)),
     are both below ctx.stop_tol; near q = 1 the tail is the larger, 24 times
     the term at 1 - 1e-5.  The integer q^(n^2) is within n^2 - 1 units of its
     exact value and q^(2n+1) within 2n, which predicts the least n before the
-    loop (``cf.refuse_early``) and gives the radius proved to ``certify``:
+    loop (``cf.refuse_early``) and gives the radius it proves:
     the summed powers' units, at most 2 sum n^2, the tail from the last
     integers plus their units, and the converted q's part
     (``numerics._nome_units``).  Where that sum's predicted n steps plus
@@ -877,7 +871,7 @@ def theta_phi(q, ctx: PrecisionContext):
         needed = math.sqrt((math.log(one) - math.log(level)) / decay)
         route, sums = _THETA_ROUTES["phi+"]
         if _poisson_pays(decay, w, ctx, sums, (CALL_STEPS + needed) * _step_cost(w)):
-            return _prove(*_poisson_quotient(x, w, ctx, route, sums))
+            return _poisson_quotient(x, w, ctx, route, sums)
         _cf.refuse_early(route, ctx, needed)
     x2 = x * x >> w
     total = power = one  # power: q^(n^2)
@@ -897,7 +891,7 @@ def theta_phi(q, ctx: PrecisionContext):
         # the summed powers' units, then the tail from the last integers plus theirs
         units = n * (n + 1) * (2 * n + 1) // 3 + -(-2 * (power + n * n) * (odd + 2 * n) // d)
         units += -(-rate * (total + units) >> w)
-    return _prove(*_ball(ctx, total, -w, units))
+    return _ball(ctx, total, -w, units)
 
 
 def _finite_sum(n: int, a, q, extra: int) -> Fraction:

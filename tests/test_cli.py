@@ -360,12 +360,15 @@ def test_eval_json_format(capsys):
         (("S", "--q", "99999/100000"), "proof"),
         (("phi", "--q", "99999/100000"), "proof"),
         (("phi", "--q=-99999/100000"), "proof"),
-        # no proof on these routes: R and S on the continued fraction at q, R at
-        # q < 0 (a root of -1 times S's relation), phi at q < 0 on the
-        # alternating sum, G and H at q < 0
+        # R at q < 0: root(-1, 5) times S's relation, the radius carried through
+        (("R", "--q=-1/2"), "proof"),
+        (("R", "--q=-1/2", "--mode", "real-odd"), "proof"),
+        (("R", "--q=-999/1000"), "proof"),
+        # no proof on these routes: R and S on the continued fraction at q (R at
+        # q < 0 too), phi at q < 0 on the alternating sum, G and H at q < 0
         (("R", "--q", "1/10"), "doubling"),
         (("S", "--q", "1/10"), "doubling"),
-        (("R", "--q=-1/2"), "doubling"),
+        (("R", "--q=-1/10"), "doubling"),
         (("phi", "--q=-1/2"), "doubling"),
         (("G", "--q=-1/2"), "doubling"),
     ],

@@ -226,12 +226,12 @@ def test_certify_keeps_a_refusal_in_the_self_check(ctx):
 
 
 def _proving(radius_exp):
-    """A function whose value proves the radius 2^radius_exp, and the precisions it ran at."""
+    """A function that returns 1/3 in a Ball of radius 2^radius_exp, and the precisions it ran at."""
     seen = []
 
     def fn(c):
         seen.append(c.bits)
-        return numerics._prove(c.mp.mpf(1) / 3, c.mp.ldexp(1, radius_exp))
+        return numerics.Ball(c.mp.mpf(1) / 3, c.mp.ldexp(1, radius_exp))
 
     return fn, seen
 
@@ -253,7 +253,7 @@ def test_certify_fallback_still_names_the_self_check(ctx):
     def fn(c):
         if c.bits == 512:
             raise ConvergenceError("probe route", CFStatus.MAX_ITERATIONS, 7)
-        return numerics._prove(c.mp.mpf(1), c.mp.ldexp(1, -100))
+        return numerics.Ball(c.mp.mpf(1), c.mp.ldexp(1, -100))
 
     with pytest.raises(ConvergenceError) as exc:
         certify(fn, ctx)
@@ -261,23 +261,25 @@ def test_certify_fallback_still_names_the_self_check(ctx):
 
 
 def test_certify_doubles_plain_numbers_and_radii_of_other_values(ctx):
-    # a plain number proves nothing; nor does a radius proved for a value fn
-    # does not return, such as an intermediate it went on to transform
+    # a plain number proves nothing, nor does a Ball without a radius; a number
+    # formed from a Ball's midpoint leaves the Ball's radius behind
     seen = []
 
     def plain(c):
         seen.append(c.bits)
         return c.mp.mpf(1) / 3
 
+    def unproven(c):
+        seen.append(c.bits)
+        return numerics.Ball(c.mp.mpf(1) / 3)
+
     def transformed(c):
         seen.append(c.bits)
-        return 2 * numerics._prove(c.mp.mpf(1) / 3, c.mp.ldexp(1, -250))
+        return 2 * numerics.Ball(c.mp.mpf(1) / 3, c.mp.ldexp(1, -250)).mid
 
-    assert certify(plain, ctx)[1] == 256 and seen == [256, 512]
-    seen.clear()
-    assert certify(transformed, ctx)[1] == 256 and seen == [256, 512]
-    # the doubled run, and any evaluation outside certify, has nobody listening
-    assert numerics._PROOFS.get() is None
+    for fn in (plain, unproven, transformed):
+        seen.clear()
+        assert certify(fn, ctx)[1] == 256 and seen == [256, 512]
 
 
 def test_fraction_conversion_exact(ctx):

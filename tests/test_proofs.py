@@ -1,13 +1,15 @@
 """Proven radii against the doubled run they replace, and against mpmath.
 
 The Euler-sum kernel (G, H, chi), theta at q >= 0, the cf2 fraction, the
-transformed theta quotients and the modular relation of R and S hand
-certify a radius with their value (numerics._prove).  These tests keep the
-doubled evaluation as the oracle: a first run and its doubled run must lie
-within the sum of their radii, a value within its radius of an independent
-mpmath reference where one is cheap (near q = 1, Poisson summation), and
-certify must take the doubled run exactly when the radius proves fewer than
-bits - guard_bits bits.
+transformed theta quotients and the modular relation of R and S return a
+numerics.Ball, their value with its radius; R at q < 0 carries S's radius
+through the product with root(-1, 5) (Ball.times), and chi at q < 0 its
+sum's through 1/sum (Ball.reciprocal).  These tests keep the doubled
+evaluation as the oracle: a first run and its doubled run must lie within
+the sum of their radii, a value within its radius of an independent mpmath
+reference where one is cheap (near q = 1, Poisson summation), and certify
+must take the doubled run exactly when the radius proves fewer than
+bits - guard_bits bits, or when it is handed a bare number.
 """
 
 from fractions import Fraction
@@ -18,12 +20,15 @@ import pytest
 from rrlab import cf, identities, numerics, qseries
 from rrlab.numerics import Nome, PrecisionContext, RootMode, _bits, certify
 
+# the kernels that return a Ball, by the name of the public kernel that reads its midpoint
 _ROUTES = {
-    "G": qseries.G,
-    "H": qseries.H,
-    "chi": qseries.chi,
-    "theta_phi": qseries.theta_phi,
+    "G": lambda nome, c: qseries._rr_function(nome, c, "G"),
+    "H": lambda nome, c: qseries._rr_function(nome, c, "H"),
+    "chi": qseries._chi,
+    "theta_phi": qseries._theta_phi,
 }
+# eval R's route at q < 0 in each root mode: S's modular relation times root(-1, 5)
+_R_MODES = {"R": RootMode.PRINCIPAL, "R-real-odd": RootMode.REAL_ODD}
 
 # nomes from 1/20 up to 1 - 1e-5, in all three forms
 _FAR = [
@@ -43,16 +48,15 @@ _CONTEXTS = [(bits, guard) for bits in (64, 256, 512, 1024) for guard in (1, 2, 
 
 
 def _ball(fn, ctx):
-    """fn(ctx) and the one radius proved for that value."""
-    proofs = []
-    token = numerics._PROOFS.set(proofs)
-    try:
-        value = fn(ctx)
-    finally:
-        numerics._PROOFS.reset(token)
-    radii = [r for v, r in proofs if v is value]
-    assert len(radii) == 1, proofs
-    return value, radii[0]
+    """The midpoint and radius of the Ball fn(ctx), which must prove one."""
+    ball = fn(ctx)
+    assert ball.rad is not None, ball
+    return ball.mid, ball.rad
+
+
+def _result_ball(res):
+    """A CFResult's value and radius as a Ball."""
+    return numerics.Ball(res.value, res.radius)
 
 
 def _proven_bits(value, radius, ctx):
@@ -71,6 +75,11 @@ def _cases():
                 yield pytest.param(name, nome, bits, guard, id=f"{name}-{_label(nome)}-{bits}-{guard}")
         for nome in _NEAR:  # 0.2 s a run at 256 bits, 0.4 s doubled
             yield pytest.param(name, nome, 256, 32, id=f"{name}-{_label(nome)}-256-32")
+    for name in _R_MODES:
+        for nome in _NEGATIVE:
+            for bits, guard in _CONTEXTS:
+                if bits >= 256:  # at 64 bits R at -1/2 runs the fraction at q
+                    yield pytest.param(name, nome, bits, guard, id=f"{name}-{_label(nome)}-{bits}-{guard}")
     for bits, guard in _CONTEXTS:
         if bits < 1024 or guard == 32:  # the 2048-bit run alone takes seconds
             yield pytest.param("cf2", None, bits, guard, id=f"cf2-{bits}-{guard}")
@@ -78,7 +87,9 @@ def _cases():
 
 def _fn(name, nome):
     if name == "cf2":
-        return lambda c: identities.cf2_value(c)[0]
+        return lambda c: _result_ball(cf.eval_infinite(identities.cf2_spec(), c))
+    if name in _R_MODES:
+        return lambda c: _result_ball(cf.rr_value(nome, c, _R_MODES[name]))
     return lambda c: _ROUTES[name](nome, c)
 
 
@@ -108,6 +119,9 @@ def _reference(name, nome, bits, poisson):
                 term /= 2 * n + 1
             return +(mp.sqrt(mp.pi * mp.e / 2) - series)
         q = mp.convert(nome)
+        if name in _R_MODES:
+            fifth = mp.root(q, 5) if name == "R" else -mp.root(-q, 5)
+            return fifth * mp.qp(q, q**5) * mp.qp(q**4, q**5) / (mp.qp(q**2, q**5) * mp.qp(q**3, q**5))
         if abs(q) > 0.5:
             with mp.workprec(2 * bits + 64):
                 return poisson(name, nome, mp)
@@ -129,7 +143,7 @@ def test_value_lies_within_its_radius_of_mpmath(name, nome, bits, guard, poisson
     value, radius = _ball(_fn(name, nome), PrecisionContext(bits, guard))
     mp = mpmath.mp
     with mp.workprec(bits + 64):
-        assert abs(mp.mpf(value) - ref) <= radius + mp.ldexp(abs(ref), -(bits + 56))
+        assert abs(mp.mpmathify(value) - ref) <= radius + mp.ldexp(abs(ref), -(bits + 56))
 
 
 @pytest.mark.parametrize("name, nome, bits, guard", [
@@ -165,25 +179,37 @@ def test_near_boundary_G_earns_its_bits_by_proof():
     # G(1 - 1e-5) at 256 bits: 51,110 terms; the bits come from the radius,
     # and they clear the contract's 224 by more than the doubled run did
     ctx = PrecisionContext(256, 32)
-    value, radius = _ball(lambda c: qseries.G(Nome.rational("99999/100000"), c), ctx)
+    value, radius = _ball(lambda c: _ROUTES["G"](Nome.rational("99999/100000"), c), ctx)
     assert _proven_bits(value, radius, ctx) >= 225
 
 
 def test_routes_without_a_proof_report_none():
     ctx = PrecisionContext(256, 32)
     for fn in (
-        lambda c: qseries.G(Nome.rational("-1/2"), c),
-        lambda c: qseries.G(Nome.rational("1/2"), c, "product"),
-        lambda c: qseries.theta_phi(Nome.rational("-1/2"), c),
-        lambda c: qseries.S(Nome.rational("1/10"), c),
+        lambda c: qseries._rr_function(Nome.rational("-1/2"), c, "G"),
+        lambda c: qseries._rr_function(Nome.rational("1/2"), c, "G", "product"),
+        lambda c: qseries._theta_phi(Nome.rational("-1/2"), c),
+        lambda c: _result_ball(cf.rr_value(Nome.rational("1/10"), c, alternating=True)),  # S
     ):
-        proofs = []
-        token = numerics._PROOFS.set(proofs)
-        try:
-            fn(ctx)
-        finally:
-            numerics._PROOFS.reset(token)
-        assert proofs == []
+        assert fn(ctx).rad is None
+
+
+def test_certify_doubles_a_public_kernels_number():
+    # qseries.G returns the midpoint of its kernel's Ball: a bare number, which
+    # proves nothing, so certify runs the doubled run even where the Ball proves
+    ctx = PrecisionContext(256, 32)
+    nome = Nome.rational("1/2")
+    runs = []
+
+    def public(c):
+        runs.append(c.bits)
+        return qseries.G(nome, c)
+
+    value, bits = certify(public, ctx)
+    assert runs == [256, 512] and ctx.passes(bits)
+    ball = _ROUTES["G"](nome, ctx)  # the kernel's own Ball is certified by its proof
+    assert value == ball.mid and certify(lambda c: _ROUTES["G"](nome, c), ctx) == (
+        ball.mid, _proven_bits(ball.mid, ball.rad, ctx))
 
 
 # -- the transformed routes: the theta quotients near q = 1 and the modular relation
@@ -288,11 +314,11 @@ def _near_reference(name, nome, ctx, chain, monkeypatch):
             value = cf.rr_cf(nome, wide).value / mp.root(q, 5)
             return value, mp.ldexp(abs(value), -(ctx.bits + 24))
         if name in ("G", "H"):
-            return _ball(lambda c: getattr(qseries, name)(nome, c), wide)
+            return _ball(lambda c: _ROUTES[name](nome, c), wide)
         if name == "phi+":
             with monkeypatch.context() as patch:
                 patch.setattr(qseries, "_poisson_pays", lambda *args: False)
-                return _ball(lambda c: qseries.theta_phi(nome, c), wide)
+                return _ball(lambda c: qseries._theta_phi(nome, c), wide)
         euler = chain(nome, ctx)[0]
         if name == "phi-":
             euler *= qseries.chi(-q, wide)
@@ -314,9 +340,9 @@ def test_transformed_quotient_radius(monkeypatch, euler_chain, name, where, bits
     def run(c):
         w, (x,) = numerics._fixed(c, route, nome)
         raw.clear()
-        value, radius = qseries._poisson_quotient(x, w, c, route, sums)
-        assert radius is not None and len(raw) == 1
-        return value, radius, raw[0]
+        ball = qseries._poisson_quotient(x, w, c, route, sums)
+        assert ball.rad is not None and len(raw) == 1
+        return ball.mid, ball.rad, raw[0]
 
     v1, r1, b1 = run(ctx)
     v2, r2, b2 = run(ctx.widened(bits))
@@ -331,14 +357,14 @@ def test_transformed_quotient_radius(monkeypatch, euler_chain, name, where, bits
 
 def test_memo_hit_hands_the_radius_again():
     # while a command runs, a second request for a transformed quotient returns
-    # the first one's value and hands certify its radius again
+    # the first one's Ball, radius and all
     token = numerics._MEMO.set({})
     try:
-        first = _ball(lambda c: qseries._theta_quotient(_NEAR[0], c, "R"), PrecisionContext(256, 32))
-        again = _ball(lambda c: qseries._theta_quotient(_NEAR[0], c, "R"), PrecisionContext(256, 32))
+        first = qseries._theta_quotient(_NEAR[0], PrecisionContext(256, 32), "R")
+        again = qseries._theta_quotient(_NEAR[0], PrecisionContext(256, 32), "R")
     finally:
         numerics._MEMO.reset(token)
-    assert again[0] is first[0] and again[1] is first[1]
+    assert first.rad is not None and again is first
 
 
 @pytest.mark.parametrize("bits", _WIDTHS)
@@ -357,7 +383,7 @@ def test_relation_radius(monkeypatch, alternating, where, bits):
 
     def run(c):
         raw.clear()
-        value, radius = _ball(lambda c: cf._by_relation(nome, c, alternating).value, c)
+        value, radius = _ball(lambda c: _result_ball(cf._by_relation(nome, c, alternating)), c)
         return value, radius, raw[-1]
 
     v1, r1, b1 = run(ctx)
@@ -388,11 +414,11 @@ def test_near_boundary_values_match_the_routes_at_q(monkeypatch, decade):
     mp = doubled.mp
     q = doubled.number(nome)
     for alternating in (False, True):
-        value, radius = _ball(lambda c: cf.rr_value(nome, c, alternating=alternating).value, ctx)
+        value, radius = _ball(lambda c: _result_ball(cf.rr_value(nome, c, alternating=alternating)), ctx)
         ref = -cf.rr_cf(-q, doubled, RootMode.REAL_ODD).value if alternating else cf.rr_cf(q, doubled).value
         assert abs(mp.mpf(value) - ref) <= radius + mp.ldexp(1, -(ctx.bits + 24))
     assert _takes_transform("phi+", nome, ctx) == (decade > 2)  # the direct sum at 1 - 10^-2
-    value, radius = _ball(lambda c: qseries.theta_phi(nome, c), ctx)
+    value, radius = _ball(lambda c: qseries._theta_phi(nome, c), ctx)
     monkeypatch.setattr(qseries, "_poisson_pays", lambda *args: False)
-    direct, direct_radius = _ball(lambda c: qseries.theta_phi(nome, c), ctx)
+    direct, direct_radius = _ball(lambda c: qseries._theta_phi(nome, c), ctx)
     assert abs(mp.mpf(value) - direct) <= radius + direct_radius
