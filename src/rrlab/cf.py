@@ -15,14 +15,13 @@ terms are all positive ints runs the same recurrence in blocks of
 BLOCK_STEPS steps, composed exactly in small ints.  R's terms and the
 entry-15 terms enter it as exact W-bit pairs, with no mpf arithmetic.
 
-R itself has two routes.  ``rr_cf`` runs the fraction at q; it is the one
-that every identity and special-value check names; at q = +-1 it takes 1 or
-2 terms, one period.  ``rr_value``, which ``eval R`` and ``eval S`` take,
-runs the fraction at q where that is cheap and otherwise the paper's modular
-relation: R (or S) at q from the fraction at the transformed nome
-q^ = exp(-k pi^2/ln(1/q)), 3 steps near |q| = 1 instead of 170 to 345, with a
-proven radius.  One predicted-cost rule, from q and the width, chooses
-between them.
+R itself has two routes: ``rr_cf``, the fraction at q (at q = +-1 one period
+of 1 or 2 terms), which every identity and special-value check names, and
+the paper's modular relation (``_by_relation``): R (or S) at q from the
+fraction at q^ = exp(-k pi^2/ln(1/q)), 3 steps near |q| = 1 instead of 170 to
+345, with a proven radius.  ``rr_value``, which ``eval R`` and ``eval S``
+take, runs the route ``_rr_route`` names by ``_cheapest``, the package's one
+route rule, which the theta routes of ``qseries`` share.
 
 Non-convergence has one exception type, ConvergenceError (defined with
 CFStatus in ``numerics``, whose ``certify`` raises it too): a CFResult's value
@@ -125,6 +124,22 @@ def refuse_early(route: str, ctx: PrecisionContext, needed: float) -> int:
     if least > ctx.max_iter:
         raise ConvergenceError(route, CFStatus.MAX_ITERATIONS, 0, least, ctx.max_iter)
     return least
+
+
+def _step_cost(width: int) -> float:
+    """Predicted time of one product-loop step at `width` bits, in arbitrary units:
+    (width + 256)^1.6 fits CPython's int multiply plus the loop's overhead to
+    within 25 % between 300 and 20,000 bits; a sparse-sum term costs two steps."""
+    return (width + 256) ** 1.6
+
+
+def _cheapest(plans: dict) -> str:
+    """The one route rule: the name of the plan with the least predicted cost.  A plan
+    is a list of (steps, width) pairs costing sum steps * ``_step_cost(width)``, or
+    None where its route cannot run; a tie goes to the route listed first."""
+    costs = {name: sum(steps * _step_cost(width) for steps, width in plan)
+             for name, plan in plans.items() if plan is not None}
+    return min(costs, key=costs.get)
 
 
 @dataclass(frozen=True)
@@ -575,32 +590,29 @@ def rr_cf(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL) -> CFRe
 
 def _predicted_steps(decay: float, ctx: PrecisionContext) -> float:
     """Predicted forward steps of the fraction at |q| = e^-decay: the least real
-    k >= 3 with (k - 1)(k - 2)/2 * decay/ln 2 >= stop_bits.
-
-    Step k's convergent moves by |q|^(k(k-1)/2)/(B_k B_(k-1)), and the stop
-    test wants two moves below 2^-stop_bits.  The growth of B_k is left out:
-    near |q| = 1 it caps the count near stop_bits/(2 log2 phi), 172 steps at
-    1 - 10^-5 and 256 bits, where this predicts far more.
-    """
+    k >= 3 with (k - 1)(k - 2)/2 * decay/ln 2 >= stop_bits, since step k's
+    convergent moves by |q|^(k(k-1)/2)/(B_k B_(k-1)) and the stop test wants two
+    moves below 2^-stop_bits.  The growth of B_k is left out: near |q| = 1 it
+    caps the count near stop_bits/(2 log2 phi), 172 at 1 - 10^-5 and 256 bits."""
     return max(3.0, 1.5 + math.sqrt(0.25 + 2 * ctx.stop_bits * math.log(2) / decay))
 
 
-def _relation_pays(p, alternating: bool, ctx: PrecisionContext) -> bool:
-    """The route rule of ``rr_value`` at |q| = p in (0, 1), from p and the
-    context alone: whether the fraction's predicted steps at p exceed those at
-    the relation's transformed nome p^ by more than 10 + bits/100.
-
-    That margin is the rest of the relation's cost (a log and an exp to form
-    p^, sqrt(5), a fifth root and two divisions) in steps of the fraction.  It
-    is fitted to the crossovers measured on rationals between 64 and 4096
-    bits, where the two routes cost the same at a margin of about 9.5 (64
-    bits), 12.5 (256), 15 (512), 20 (1024), 26 (2048) and 48 (4096).  The
-    relation is then taken for R from about q = 0.27 at 256 bits, 0.20 at 512
-    and 0.17 at 1024, and for S from about 0.38, 0.31 and 0.29.
-    """
-    h = -math.log1p(-float(1 - p)) if 2 * p > 1 else -_log2(p) * math.log(2)
-    k = 1 if alternating else 4
-    return _predicted_steps(h, ctx) > _predicted_steps(k * math.pi**2 / h, ctx) + 10 + ctx.bits / 100
+def _rr_route(q, ctx: PrecisionContext, alternating: bool = False) -> str:
+    """The route of ``rr_value`` at q: "fraction" (``rr_cf``) or, for real 0 < |q| < 1,
+    "relation" (``_by_relation``), priced as the fraction's predicted steps at |q| and at
+    q^ (``_predicted_steps``) at ctx.bits.  The relation's call overhead, 10 + bits/100
+    steps (a log, an exp, sqrt(5), a fifth root, two divisions), is fitted to crossovers
+    measured on rationals at 64-4096 bits: R takes it from about q = 0.27 at 256 bits,
+    0.20 at 512 and 0.17 at 1024, S (and R at q < 0) from 0.38, 0.31 and 0.29."""
+    qv = ctx.number(q)
+    fraction, relation = [], None
+    if not isinstance(qv, ctx.mp.mpc) and 0 < abs(qv) < 1:
+        p = abs(qv)
+        h = -math.log1p(-float(1 - p)) if 2 * p > 1 else -_log2(p) * math.log(2)
+        k = 1 if alternating or qv < 0 else 4
+        fraction = [(_predicted_steps(h, ctx), ctx.bits)]
+        relation = [(_predicted_steps(k * math.pi**2 / h, ctx) + 10 + ctx.bits / 100, ctx.bits)]
+    return _cheapest({"fraction": fraction, "relation": relation})
 
 
 def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
@@ -620,7 +632,7 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
     below 2^-stop_bits.
 
     The result carries a proven radius, in units of 2^-P, wherever
-    t = p^ < 1/16; ``_relation_pays`` takes the relation only where L < pi sqrt(k),
+    t = p^ < 1/16; ``_rr_route`` takes the relation only where L < pi sqrt(k),
     so p^ < e^(-pi sqrt(k)) <= e^-pi there.
     - The fraction.  With |a_j| = t^(j-1) <= 1/16 the ratios B_j/B_(j-1) lie within
       2 t^(j-1) of 1, so B_j is within 2t/(1 - t) of 1, and after n steps the tail
@@ -682,27 +694,20 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
 def rr_value(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL,
              alternating: bool = False) -> CFResult:
     """R(q) as rr_cf gives it, or, when alternating, S(q) = -R(-q) (real fifth
-    root) for 0 < q <= 1, by the cheaper of the fraction at q and the modular
-    relation (``_by_relation``).
-
-    R at q > 0 takes R's relation at q; S, and R at q < 0, take S's relation at
-    p = |q|, and R(q) is root(-1, 5, mode) S(p), since root(q, 5, mode) =
-    root(-1, 5, mode) p^(1/5) in both modes.  ``_relation_pays`` decides the
-    route from |q| and the context alone.  At 1 - 10^-5 and 256 bits the
-    fraction at q takes 172 steps (S: 345) and at p^ 3.  Non-real q, q = +-1
-    and every q the rule keeps take the fraction at q; the result carries the
-    steps of the fraction it ran, and the relation's radius, for R at q < 0
-    through the product with root(-1, 5) (``numerics.Ball.times``).
+    root) for 0 < q <= 1, by the route ``_rr_route`` names: the fraction at q
+    or the modular relation (``_by_relation``), 3 steps at 1 - 10^-5 and 256
+    bits where the fraction takes 172 (S: 345).  R at q > 0 takes R's relation;
+    S, and R at q < 0, take S's at p = |q|, R(q) being root(-1, 5, mode) S(p)
+    in both modes.  The result carries the steps of the fraction it ran, and
+    the relation's radius, through that product too (``numerics.Ball.times``).
     """
     qv = ctx.number(q)
-    if not isinstance(qv, ctx.mp.mpc) and 0 < abs(qv) < 1:
-        s_side = alternating or qv < 0
-        if _relation_pays(abs(qv), s_side, ctx):
-            res = _by_relation(q if qv > 0 else -q, ctx, s_side)
-            if res.converged and not alternating and qv < 0:
-                ball = Ball(res.value, res.radius).times(root(-1, 5, mode, ctx), ctx)
-                res = replace(res, value=ball.mid, radius=ball.rad)
-            return res
+    if _rr_route(qv, ctx, alternating) == "relation":
+        res = _by_relation(q if qv > 0 else -q, ctx, alternating or qv < 0)
+        if res.converged and not alternating and qv < 0:
+            ball = Ball(res.value, res.radius).times(root(-1, 5, mode, ctx), ctx)
+            res = replace(res, value=ball.mid, radius=ball.rad)
+        return res
     if alternating:
         res = rr_cf(-qv, ctx, RootMode.REAL_ODD)
         return replace(res, value=-res.value) if res.converged else res

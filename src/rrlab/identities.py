@@ -162,9 +162,11 @@ def _modular_grid(samples, series_order):
 
 
 def _modular_relation(j, ctx: PrecisionContext):
-    """R at e^(-2 alpha) = Nome.exp(j), alpha = j pi/2, and at e^(-2 pi^2/alpha)."""
+    """R at e^(-2 alpha) = Nome.exp(j), alpha = j pi/2, and at e^(-2 pi^2/alpha), by the
+    direct theta sums: their transformation is the relation's other side."""
     phi = golden_phi(ctx)
-    r1, r2 = (_R(Nome.exp(s), ctx) for s in (j, Fraction(4, j)))
+    r1, r2 = (root(ctx.number(q), 5, RootMode.PRINCIPAL, ctx) * _qs._direct_quotient(q, ctx, "R").mid
+              for q in (Nome.exp(j), Nome.exp(Fraction(4, j))))
     yield "", (phi + r1) * (phi + r2), (5 + ctx.mp.sqrt(5)) / 2
 
 

@@ -342,9 +342,10 @@ class Ball:
     def times(self, x, ctx: PrecisionContext) -> "Ball":
         """The ball times x, a number of the context within 2^(1-bits) |x| of an exact
         factor: with |x| as rounded, |x| (rad + 2^(3-bits) (|mid| + rad)) holds the
-        factor's rounding, the product's, each at most 2^(1-bits) |mid x|, and |x|'s."""
-        if self.rad is None:
-            return Ball(self.mid * x)
+        factor's rounding, the product's, each at most 2^(1-bits) |mid x|, and |x|'s.
+        A factor of exactly +-1 (root(-1, 5) in real-odd mode) rounds nothing."""
+        if self.rad is None or x in (1, -1):
+            return Ball(self.mid * x, self.rad)
         mp = ctx.mp
         grown = mp.fadd(self.rad, mp.ldexp(mp.fadd(abs(self.mid), self.rad, rounding="u"), 3 - ctx.bits), rounding="u")
         return Ball(self.mid * x, mp.fmul(abs(x), grown, rounding="u"))

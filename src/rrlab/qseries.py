@@ -1,30 +1,24 @@
 """q-Pochhammer symbols, the Rogers-Ramanujan functions, theta and chi
 functions, finite-form mu/nu polynomials, and exact series expansions.
 
-Numeric routines take a PrecisionContext and truncate with tail bounds tied
-to the context tolerance; the infinite products and series take real
-arguments and run on fixed-point integers (``numerics._fixed``).  G, H and
-chi are Euler sums on one kernel, ``_rr_sum``; near q = 1 it forms the terms
-before the peak, which lie far below the total, as one term (its head) and
-sums only the terms that reach the total.  A short head is a division-free
-product; a long one comes from (q; q)_inf in closed form by Dedekind-eta
-inversion and a short series, by one predicted-cost rule.  Its loop tests
-for a stop neither before the peak nor where a gate (``quiet``) proves none.
-The product sides (R_product, the product backends of G and H, Euler's E =
-(q;q)_inf of the identity checks and theta at q < 0) are quotients of sparse
+Numeric routines take a PrecisionContext and real arguments, truncate with
+tail bounds tied to the context tolerance and run on fixed-point integers
+(``numerics._fixed``).  G, H and chi are Euler sums on one kernel, ``_rr_sum``;
+near q = 1 it forms the terms before the peak, far below the total, as one
+head: a division-free product, or (q; q)_inf by Dedekind-eta inversion and a
+short series.  Its loop tests for a stop neither before the peak nor where a
+gate (``quiet``) proves none.  The product sides (R_product, the product
+backends of G and H, Euler's E and theta at q < 0) are quotients of sparse
 alternating sums S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2),
-the Jacobi triple product and pentagonal number theorem, on a second kernel,
-``_jacobi_sum``: O(sqrt(bits/h)) terms at h = -ln|q|, with guard bits for the
-cancellation it predicts and then measures.  For q > 0 one predicted-cost rule
-(``_poisson_pays``) takes their Jacobi imaginary transformation instead,
-one term each near q = 1 (``_poisson_quotient``), which proves its radius;
-theta at q > 0 takes it near q = 1 too, as phi(-q^2)^2/phi(-q).  Every
-kernel predicts a lower bound on its term count before it starts and raises
-ConvergenceError at once when it exceeds max_iter (``cf.refuse_early``).
-S's default route is ``cf.rr_value``: the alternating fraction at q, or near
-q = 1 the paper's modular relation, which runs the fraction at
-exp(-pi^2/ln(1/q)) instead.  The finite-form mu/nu polynomials take exact
-rationals only, and sum Gaussian polynomials in integers.
+the Jacobi triple product, summed by ``_jacobi_sum`` in O(sqrt(bits/h)) terms,
+h = -ln|q|, with guard bits for the cancellation (``_direct_quotient``).  For
+q > 0 their Jacobi imaginary transformation (``_poisson_quotient``) takes one
+term each near q = 1 and proves its radius, as theta does, phi(-q^2)^2/phi(-q),
+in place of its sum (``_phi_sum``); ``cf._cheapest`` chooses the route.  Every
+kernel predicts a lower bound on its term count and raises ConvergenceError
+before it starts when that exceeds max_iter (``cf.refuse_early``).  S's
+default route is ``cf.rr_value``.  The finite-form mu/nu polynomials take
+exact rationals and sum Gaussian polynomials in integers.
 """
 
 from __future__ import annotations
@@ -234,7 +228,7 @@ def _eta_pays(decay: float, w: int, n0: int, first: int, step: int, den: int) ->
     if 4 * math.pi**2 < 2 * v * hp:
         return False
     terms = v * math.log(2) / (hp * (n0 + 1))
-    return (ETA_TERM_STEPS * terms + ETA_CALL_STEPS) * _step_cost(v) < n0 * _step_cost(w)
+    return (ETA_TERM_STEPS * terms + ETA_CALL_STEPS) * _cf._step_cost(v) < n0 * _cf._step_cost(w)
 
 
 def _eta_head(x: int, w: int, n0: int, first: int, step: int, den: int):
@@ -502,17 +496,6 @@ def _rr_sum(q, ctx: PrecisionContext, route: str, first: int, step: int, den: in
 # -- sparse theta sums -----------------------------------------------------------
 
 
-def _step_cost(width: int) -> float:
-    """Predicted time of one product-loop step at `width` bits, in arbitrary units.
-
-    (width + 256)^1.6 fits CPython's int multiply (schoolbook below about
-    2,100 bits, Karatsuba above) plus the loop's own overhead to within 25 %
-    between 300 and 20,000 bits; a term of the sparse sums costs two such
-    steps (four multiplies against two).
-    """
-    return (width + 256) ** 1.6
-
-
 # The fixed cost of one direct sum (conversions, the prediction and the
 # result), in steps at the context's width W: about 25 us against 1 us per
 # step at 256 bits.
@@ -596,18 +579,12 @@ POISSON_MARGIN = 8
 
 
 def _poisson_plan(decay: float, w: int, ctx: PrecisionContext, sums):
-    """(V, each distinct sum's real count k of terms down to its stop, their cost) of
-    ``_poisson_quotient`` at q = e^-decay."""
+    """(V, each distinct sum's real count k of terms down to its stop, their plan for
+    ``cf._cheapest``) of ``_poisson_quotient`` at q = e^-decay."""
     cs = [math.pi**2 / (2 * a * decay) for a, _ in dict.fromkeys(sums[0] + sums[1])]
     v, bits = w + math.ceil(max(cs)).bit_length() + POISSON_MARGIN, (ctx.stop_bits + POISSON_MARGIN) * math.log(2)
     terms = [(math.sqrt(1 + bits / c) - 1) / 2 for c in cs]
-    return v, terms, sum(POISSON_CALL_STEPS * max(1, v / 3072) + 2 * math.ceil(k) for k in terms) * _step_cost(v)
-
-
-def _poisson_pays(decay: float, w: int, ctx: PrecisionContext, sums, direct: float) -> bool:
-    """The one cost rule of the transformed sums: whether ``_poisson_plan`` at q = e^-decay
-    costs less than ``direct``, a direct route's predicted cost at ``_step_cost``."""
-    return POISSON_CALL_STEPS * _step_cost(w) < direct and _poisson_plan(decay, w, ctx, sums)[2] < direct
+    return v, terms, [(sum(POISSON_CALL_STEPS * max(1, v / 3072) + 2 * math.ceil(k) for k in terms), v)]
 
 
 def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
@@ -696,38 +673,47 @@ def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
     return _ball(ctx, -man if neg else man, exp, (4 * man * units >> v) + 1 if proven else None)
 
 
+def _quotient_route(q, ctx: PrecisionContext, name: str) -> str:
+    """The route of ``_theta_quotient`` `name` at q: "direct" (``_direct_quotient``), each
+    sum's terms at its guarded width plus CALL_STEPS at W, or for q > 0 "transformed"
+    (``_poisson_plan``), from q = 0.91-0.96 on at 256 bits (R: 0.964), 0.64-0.83 at 2,048."""
+    route, sums = _THETA_ROUTES[name]
+    base, (x,) = _fixed(ctx, route, q)
+    direct, transformed = [], None
+    if x > 0:
+        decay = _decay(x, 1 << base)
+        direct.append((len(sums[0] + sums[1]) * CALL_STEPS, base))
+        for a, b in sums[0] + sums[1]:
+            g = _guard(decay, math.pi**2 / (2 * a))
+            direct.append((2 * _sparse_terms(decay, a, b, ctx.stop_bits + g), base + g))
+        transformed = _poisson_plan(decay, base, ctx, sums)[2]
+    return _cf._cheapest({"direct": direct, "transformed": transformed})
+
+
+def _direct_quotient(q, ctx: PrecisionContext, name: str) -> Ball:
+    """The quotient `name` of ``_THETA_ROUTES`` by its direct sums (``_jacobi_sum``), no radius."""
+    route, sums = _THETA_ROUTES[name]
+    num, den = ([_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
+                for side in sums)
+    return Ball(math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one))
+
+
 def _theta_quotient(q, ctx: PrecisionContext, name: str):
-    """One of the quotients of theta sums in ``_THETA_ROUTES``, by the cheaper route.
-
-    Each is a quotient of Jacobi triple product sums S_(A,B), summed directly
-    (``_jacobi_sum``, O(sqrt(bits/h)) terms at W + pi^2/(2A h ln 2) bits,
-    h = -ln|q|) or for q > 0 transformed (``_poisson_quotient``, O(sqrt(bits h))
-    terms at about W bits), whichever costs less as predicted (``_poisson_pays``):
-    the transformation from q = 0.91-0.96 on at 256 bits (R from 0.964), from
-    0.64-0.83 at 2,048.  It returns a Ball: the transformed quotient proves its
-    radius, the direct sums none.
-
-    While a command runs (``numerics._MEMO``) each (name, type and value of q,
-    ctx) is computed once: a later call returns the Ball the first one
-    returned; a call that raises stores nothing.
-    """
+    """One of the quotients of theta sums in ``_THETA_ROUTES``, by the route
+    ``_quotient_route`` names: ``_direct_quotient`` or ``_poisson_quotient``
+    (O(sqrt(bits h)) terms at about W bits, radius proven).  While a command
+    runs (``numerics._MEMO``) each (name, type and value of q, ctx) is computed
+    once, unless it raises; a check that needs one route calls its function."""
     memo = _MEMO.get()
     key = (name, type(q), q, ctx)
     if memo is not None and (ball := memo.get(key)) is not None:
         return ball
-    route, sums = _THETA_ROUTES[name]
-    base, (x,) = _fixed(ctx, route, q)
-    if x > 0:  # each direct sum's terms at its guarded width, plus CALL_STEPS at W
-        decay, direct = _decay(x, 1 << base), len(sums[0] + sums[1]) * CALL_STEPS * _step_cost(base)
-        for a, b in sums[0] + sums[1]:
-            g = _guard(decay, math.pi**2 / (2 * a))
-            direct += 2 * _sparse_terms(decay, a, b, ctx.stop_bits + g) * _step_cost(base + g)
-    if x > 0 and _poisson_pays(decay, base, ctx, sums, direct):
+    if _quotient_route(q, ctx, name) == "transformed":
+        route, sums = _THETA_ROUTES[name]
+        base, (x,) = _fixed(ctx, route, q)
         ball = _poisson_quotient(x, base, ctx, route, sums)
     else:
-        num, den = ([_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
-                    for side in sums)
-        ball = Ball(math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one))
+        ball = _direct_quotient(q, ctx, name)
     if memo is not None:
         memo[key] = ball
     return ball
@@ -791,11 +777,9 @@ def _s_nome(q, ctx: PrecisionContext):
 def S(q, ctx: PrecisionContext, method: Optional[str] = None):
     """Alternating counterpart S(q) = -R(-q) for real q in (0, 1].
 
-    "cf" evaluates the alternating continued fraction (R at -q with the real
-    fifth root), and "product" the product route, for q < 1.  The default
-    takes the cheaper of the fraction at q and S's modular relation
-    (``cf.rr_value``); checks name "cf" or "product", so that no identity
-    compares the relation with itself.
+    "cf" evaluates the alternating continued fraction (R at -q, real fifth
+    root), and "product" the product route, for q < 1.  The default takes the
+    cheaper of the fraction at q and S's modular relation (``cf.rr_value``).
     """
     qv = _s_nome(q, ctx)
     if method is None:
@@ -837,41 +821,48 @@ def theta_phi(q, ctx: PrecisionContext):
 
 
 def _theta_phi(q, ctx: PrecisionContext) -> Ball:
-    """The Ball of theta_phi(q) = 1 + 2*sum_{n>=1} q^(n^2) for real |q| < 1.
-
-    For q >= 0, sums at scale 2^W (see ``_fixed``) until the term q^(n^2) and
-    the tail after it, 2 sum_{m>n} q^(m^2) <= 2 q^(n^2) q^(2n+1)/(1 - q^(2n+1)),
-    are both below ctx.stop_tol; near q = 1 the tail is the larger, 24 times
-    the term at 1 - 1e-5.  The integer q^(n^2) is within n^2 - 1 units of its
-    exact value and q^(2n+1) within 2n, which predicts the least n before the
-    loop (``cf.refuse_early``) and gives the radius it proves:
-    the summed powers' units, at most 2 sum n^2, the tail from the last
-    integers plus their units, and the converted q's part
-    (``numerics._nome_units``).  Where that sum's predicted n steps plus
-    CALL_STEPS cost more than the transformed sums (``_poisson_pays``), it
-    takes phi(q) = phi(-q^2)^2/phi(-q) instead, the "phi+" row of
-    ``_THETA_ROUTES`` on ``_poisson_quotient``, whose Jacobi imaginary
-    transformation takes one term a sum near q = 1 and proves its own radius: at 256 bits from about q = 0.997 (1 - 10^-5: 4,084
-    terms of the sum), at 1024 bits from about 0.986.
-    For q < 0 it is the alternating sum 1 + 2 sum_{n>=1} (-1)^n |q|^(n^2),
-    which cancels down to about exp(-pi^2/(4h)), h = -ln|q| (8.5e-106 at
-    q = -0.99): ``_theta_quotient`` "phi-" sums it with guard bits for that,
-    which proves no radius, or near q = -1 sums its theta_2 transformation,
-    whose terms do not cancel and which proves one.
-    """
+    """The Ball of theta_phi(q) = 1 + 2*sum_{n>=1} q^(n^2) for real |q| < 1: for q >= 0
+    by the route ``_phi_route`` names, ``_phi_sum`` or phi(-q^2)^2/phi(-q) on
+    ``_poisson_quotient`` ("phi+"), both with a proven radius; for q < 0 the
+    alternating sum phi(-|q|), which cancels to about exp(-pi^2/(4h)), h = -ln|q|,
+    as the quotient "phi-" (``_theta_quotient``)."""
     route = "theta series"
     w, (x,) = _fixed(ctx, route, q)
     if x < 0:
         return _theta_quotient(-q, ctx, "phi-")
+    if _phi_route(Fraction(x, 1 << w), ctx) == "transformed":  # q as converted, exactly
+        return _poisson_quotient(x, w, ctx, *_THETA_ROUTES["phi+"])
+    return _phi_sum(x, w, ctx)
+
+
+def _phi_terms(x: int, w: int, ctx: PrecisionContext) -> Optional[float]:
+    """The least n after which ``_phi_sum`` at q = x 2^-W can stop, or None at q <= 0 or
+    where the n^2 units of the term q^(n^2) alone reach stop_tol."""
     one = 1 << w
+    level = -(-one >> ctx.stop_bits) + ctx.max_iter**2
+    return math.sqrt((math.log(one) - math.log(level)) / _decay(x, one)) if x > 0 and level <= one else None
+
+
+def _phi_route(q, ctx: PrecisionContext) -> str:
+    """The route of ``_theta_phi`` at 0 <= q < 1: "sum", ``_phi_terms`` plus CALL_STEPS
+    at W, or "transformed" ("phi+", ``_poisson_plan``), from about q = 0.997 on at
+    256 bits (1 - 10^-5: 4,084 terms of the sum), 0.986 at 1024."""
+    w, (x,) = _fixed(ctx, "theta series", q)
+    needed = _phi_terms(x, w, ctx)
+    transformed = None if needed is None else _poisson_plan(_decay(x, 1 << w), w, ctx, _THETA_ROUTES["phi+"][1])[2]
+    return _cf._cheapest({"sum": [(CALL_STEPS + (needed or 0), w)], "transformed": transformed})
+
+
+def _phi_sum(x: int, w: int, ctx: PrecisionContext) -> Ball:
+    """The Ball of theta_phi(q) at q = x 2^-W >= 0 (``numerics._fixed``), summed until the
+    term q^(n^2) and the tail 2 sum_{m>n} q^(m^2) <= 2 q^(n^2) q^(2n+1)/(1 - q^(2n+1))
+    are both below ctx.stop_tol.  The integer q^(n^2) is within n^2 - 1 units and
+    q^(2n+1) within 2n, which predicts the least n (``_phi_terms``, ``cf.refuse_early``)
+    and proves the radius: the powers' units, at most 2 sum n^2, the tail from the last
+    integers plus their units, and the converted q's part (``numerics._nome_units``)."""
+    route, one = "theta series", 1 << w
     limit = -(-one >> ctx.stop_bits)  # stop_tol at scale 2^W, rounded up
-    level = limit + ctx.max_iter**2
-    if x and level <= one:
-        decay = _decay(x, one)
-        needed = math.sqrt((math.log(one) - math.log(level)) / decay)
-        route, sums = _THETA_ROUTES["phi+"]
-        if _poisson_pays(decay, w, ctx, sums, (CALL_STEPS + needed) * _step_cost(w)):
-            return _poisson_quotient(x, w, ctx, route, sums)
+    if (needed := _phi_terms(x, w, ctx)) is not None:
         _cf.refuse_early(route, ctx, needed)
     x2 = x * x >> w
     total = power = one  # power: q^(n^2)

@@ -299,19 +299,18 @@ def test_verify_all_builds_at_most_two_mpmath_contexts(capsys, flags):
 
 def test_one_command_computes_each_theta_quotient_once(capsys, monkeypatch):
     calls, evaluations = [], []
-    quotient = qseries._theta_quotient
+    quotient, route = qseries._theta_quotient, qseries._quotient_route
 
     def listening(q, ctx, name):
         calls.append((name, type(q), q, ctx))
         return quotient(q, ctx, name)
 
-    class Routes(dict):  # a quotient reads its route once it is computed
-        def __getitem__(self, name):
-            evaluations.append(name)
-            return super().__getitem__(name)
+    def choosing(q, ctx, name):  # a quotient chooses its route once it is computed
+        evaluations.append(name)
+        return route(q, ctx, name)
 
     monkeypatch.setattr(qseries, "_theta_quotient", listening)
-    monkeypatch.setattr(qseries, "_THETA_ROUTES", Routes(qseries._THETA_ROUTES))
+    monkeypatch.setattr(qseries, "_quotient_route", choosing)
     for _ in range(2):  # the second command shares nothing with the first
         calls.clear()
         evaluations.clear()
@@ -364,6 +363,8 @@ def test_eval_json_format(capsys):
         (("R", "--q=-1/2"), "proof"),
         (("R", "--q=-1/2", "--mode", "real-odd"), "proof"),
         (("R", "--q=-999/1000"), "proof"),
+        (("R", "--q=-999/1000", "--mode", "real-odd"), "proof"),
+        (("R", "--q=-9999999/10000000", "--mode", "real-odd", "--bits", "1024"), "proof"),
         # no proof on these routes: R and S on the continued fraction at q (R at
         # q < 0 too), phi at q < 0 on the alternating sum, G and H at q < 0
         (("R", "--q", "1/10"), "doubling"),
@@ -380,6 +381,9 @@ def test_eval_reports_how_bits_were_earned(capsys, argv, bits_by):
     assert data["bits_by"] == bits_by and data["agree_bits"] >= 224
     code, out, _ = run(capsys, "eval", *argv)
     assert f"agree_bits: {data['agree_bits']}  bits_by: {bits_by}" in out
+    if "real-odd" in argv:  # R(q) = -S(|q|): the negation rounds nothing, so R earns S's bits
+        code, out, _ = run(capsys, "eval", "S", "--q", argv[1].split("=-")[1], *argv[4:], "--format", "json")
+        assert code == 0 and json.loads(out)["agree_bits"] == data["agree_bits"]
 
 
 def test_eval_near_the_boundary_earns_proven_bits(capsys):

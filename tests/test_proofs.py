@@ -218,31 +218,17 @@ _QUOTIENTS = ("R", "G", "H", "E", "phi-", "phi+")
 _WIDTHS = (64, 256, 1024)
 
 
-class _Stop(Exception):
-    """Raised by a stub in place of a route, to read which route the rule took."""
-
-
-def _stop(route):
-    def raising(*args, **kwargs):
-        raise _Stop(route)
-    return raising
-
-
 def _takes_transform(name, nome, ctx):
-    """Whether the cost rule sends quotient `name` (phi+: theta_phi) at the nome
-    through the transformed sums; stubs stop either route before it runs."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qseries, "_poisson_quotient", _stop("transformed"))
-        patch.setattr(qseries, "_jacobi_sum", _stop("direct"))
-        patch.setattr(cf, "bounded", _stop("direct"))
-        try:
-            if name == "phi+":
-                qseries.theta_phi(nome, ctx)
-            else:
-                qseries._theta_quotient(nome, ctx, name)
-        except _Stop as route:
-            return route.args[0] == "transformed"
-    raise AssertionError(f"{name}: neither route ran")
+    """Whether the route rule sends quotient `name` (phi+: theta_phi) at the nome
+    through the transformed sums."""
+    route = qseries._phi_route(nome, ctx) if name == "phi+" else qseries._quotient_route(nome, ctx, name)
+    return route == "transformed"
+
+
+def _phi_sum(nome, ctx):
+    """theta_phi at the nome by its direct sum, whatever the route rule takes."""
+    w, (x,) = numerics._fixed(ctx, "theta series", nome)
+    return qseries._phi_sum(x, w, ctx)
 
 
 def _crossover(takes, ctx):
@@ -290,11 +276,11 @@ def _contains(first, second):
     return abs(m1 * two**e1 - m2 * two**e2) <= u1 * two**e1 + u2 * two**e2
 
 
-def _near_reference(name, nome, ctx, chain, monkeypatch):
+def _near_reference(name, nome, ctx, chain):
     """The quotient `name` at the nome from routes that share nothing with the
     transformation, as (value, radius): mpmath's qp and jtheta where q <= 9/10;
     otherwise R by the fraction at q, G and H by their Euler sums, E by the Euler
-    sums' chain, phi(-q) as E(q) chi(-q) and phi(q) by its own direct sum, forced."""
+    sums' chain, phi(-q) as E(q) chi(-q) and phi(q) by its own direct sum."""
     mp = mpmath.mp
     wide = PrecisionContext(ctx.bits + 64, 32)
     q = wide.number(nome)
@@ -316,9 +302,7 @@ def _near_reference(name, nome, ctx, chain, monkeypatch):
         if name in ("G", "H"):
             return _ball(lambda c: _ROUTES[name](nome, c), wide)
         if name == "phi+":
-            with monkeypatch.context() as patch:
-                patch.setattr(qseries, "_poisson_pays", lambda *args: False)
-                return _ball(lambda c: qseries._theta_phi(nome, c), wide)
+            return _ball(lambda c: _phi_sum(nome, c), wide)
         euler = chain(nome, ctx)[0]
         if name == "phi-":
             euler *= qseries.chi(-q, wide)
@@ -348,7 +332,7 @@ def test_transformed_quotient_radius(monkeypatch, euler_chain, name, where, bits
     v2, r2, b2 = run(ctx.widened(bits))
     assert abs(_exact(v1) - _exact(v2)) <= _exact(r1) + _exact(r2)
     assert _contains(b1, b2)
-    ref, ref_radius = _near_reference(name, nome, ctx, euler_chain, monkeypatch)
+    ref, ref_radius = _near_reference(name, nome, ctx, euler_chain)
     mp = mpmath.mp
     with mp.workprec(2 * bits + 64):
         assert abs(mp.mpf(v1) - ref) <= r1 + ref_radius
@@ -367,6 +351,19 @@ def test_memo_hit_hands_the_radius_again():
     assert first.rad is not None and again is first
 
 
+def test_memo_hands_a_named_route_its_own_ball():
+    # past the crossover the memo holds the transformed quotient; a check that
+    # names the direct sums runs them, and is never handed that Ball
+    ctx, nome = PrecisionContext(256, 32), Nome.rational("99/100")
+    token = numerics._MEMO.set({})
+    try:
+        transformed = qseries._theta_quotient(nome, ctx, "R")
+        direct = qseries._direct_quotient(nome, ctx, "R")
+    finally:
+        numerics._MEMO.reset(token)
+    assert transformed.rad is not None and direct.rad is None and direct == qseries._direct_quotient(nome, ctx, "R")
+
+
 @pytest.mark.parametrize("bits", _WIDTHS)
 @pytest.mark.parametrize(
     "where", ["crossover", 0, 1, 2, "exp-sqrt"], ids=["crossover", "near0", "near1", "near2", "exp-sqrt"]
@@ -378,7 +375,7 @@ def test_relation_radius(monkeypatch, alternating, where, bits):
     # q <= 9/10); at _NEAR, at e^(-pi/100) in exp-sqrt form and at the first
     # nome m/10^6 the route rule takes it
     ctx = PrecisionContext(bits, 32)
-    nome = _nome_at(where, lambda n, c: cf._relation_pays(c.number(n), alternating, c), ctx)
+    nome = _nome_at(where, lambda n, c: cf._rr_route(n, c, alternating) == "relation", ctx)
     raw = _raw_balls(monkeypatch, cf)
 
     def run(c):
@@ -404,10 +401,10 @@ def test_relation_radius(monkeypatch, alternating, where, bits):
 
 
 @pytest.mark.parametrize("decade", [2, 3, 4, 5])
-def test_near_boundary_values_match_the_routes_at_q(monkeypatch, decade):
+def test_near_boundary_values_match_the_routes_at_q(decade):
     # the eval jobs near q = 1 at 256 bits: R and S by the proven relation against
     # the fraction at q at twice the width, and phi by its transformed sums against
-    # its direct sum, forced; each within its radius
+    # its direct sum; each within its radius
     ctx = PrecisionContext(256, 32)
     nome = Nome.rational(Fraction(10**decade - 1, 10**decade))
     doubled = ctx.widened(ctx.bits)
@@ -419,6 +416,5 @@ def test_near_boundary_values_match_the_routes_at_q(monkeypatch, decade):
         assert abs(mp.mpf(value) - ref) <= radius + mp.ldexp(1, -(ctx.bits + 24))
     assert _takes_transform("phi+", nome, ctx) == (decade > 2)  # the direct sum at 1 - 10^-2
     value, radius = _ball(lambda c: qseries._theta_phi(nome, c), ctx)
-    monkeypatch.setattr(qseries, "_poisson_pays", lambda *args: False)
-    direct, direct_radius = _ball(lambda c: qseries._theta_phi(nome, c), ctx)
+    direct, direct_radius = _ball(lambda c: _phi_sum(nome, c), ctx)
     assert abs(mp.mpf(value) - direct) <= radius + direct_radius

@@ -989,26 +989,17 @@ def test_theta_phi_near_one_takes_one_term_a_sum(monkeypatch, ctx):
 
 
 @pytest.mark.parametrize("q, route", [
-    ("24/25", ["sum", "sum"]), ("39/40", ["transformed"]), ("9999/10000", ["transformed"]),
-    ("-9999/10000", ["sum", "sum"]),
+    ("24/25", "direct"), ("39/40", "transformed"), ("9999/10000", "transformed"), ("-9999/10000", "direct"),
 ])
-def test_cost_rule_picks_the_route(monkeypatch, ctx, q, route):
+def test_cost_rule_picks_the_route(ctx, q, route):
     # at 256 bits R's direct sums cost less at 0.96 and its transformed sums at
-    # 0.975 and above; at q < 0 the sums are direct
-    calls = []
-
-    def transformed(x, w, c, route, sums):
-        calls.append("transformed")
-        return numerics.Ball(c.mp.one)
-
-    def sums(q, c, route, parts, loss):
-        calls.append("sum")
-        return c.mp.one
-
-    monkeypatch.setattr(qseries, "_poisson_quotient", transformed)
-    monkeypatch.setattr(qseries, "_jacobi_sum", sums)
-    R_product(ctx.real(Fraction(q)), ctx=ctx)
-    assert calls == route
+    # 0.975 and above; at q < 0 the sums are direct.  The quotient is the named route's
+    nome = ctx.real(Fraction(q))
+    assert qseries._quotient_route(nome, ctx, "R") == route
+    w, (x,) = numerics._fixed(ctx, "R theta sum", nome)
+    named = (qseries._direct_quotient(nome, ctx, "R") if route == "direct"
+             else qseries._poisson_quotient(x, w, ctx, *qseries._THETA_ROUTES["R"]))
+    assert _theta_quotient(nome, ctx, "R") == named
 
 
 def test_short_guard_is_redone_once_at_the_measured_width(monkeypatch, ctx):
@@ -1088,21 +1079,19 @@ def test_sparse_prediction_never_exceeds_the_count(monkeypatch, name, bits, guar
 
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q", ["9/10", "99/100", "999/1000", "9999/10000", "999999/1000000"])
-def test_transformed_sums_match_independent_routes(monkeypatch, euler_chain, bits, q):
+def test_transformed_sums_match_independent_routes(euler_chain, bits, q):
     # each quotient by the rule's route and by the transformation itself, to
     # bits - guard_bits: R against the fraction at q, the G and H product
     # backends against their Euler sums, E against the Euler sums' chain and
     # phi(-q) against E(q) chi(-q), chi also an Euler sum, and phi(q) against
-    # its own direct sum, forced
+    # its own direct sum
     ctx = PrecisionContext(bits, 32)
     nome = Nome.rational(q)
     w, (x,) = numerics._fixed(ctx, "test", nome)
     euler, g, h = euler_chain(nome, ctx)
     references = {"R": rr_cf(nome, ctx).value / root(ctx.number(nome), 5, RootMode.PRINCIPAL, ctx),
                   "G": g, "H": h, "E": euler, "phi-": euler * chi(-nome, ctx)}
-    with monkeypatch.context() as patch:
-        patch.setattr(qseries, "_poisson_pays", lambda *args: False)
-        references["phi+"] = theta_phi(nome, ctx)
+    references["phi+"] = qseries._phi_sum(x, w, ctx).mid
     for name, reference in references.items():
         transformed = qseries._poisson_quotient(x, w, ctx, name, qseries._THETA_ROUTES[name][1]).mid
         for value in (_theta_quotient(nome, ctx, name).mid, transformed):
@@ -1128,13 +1117,14 @@ def test_transformed_sums_with_several_terms(monkeypatch):
         assert runs == {"R": 12, "G": 11, "H": 11, "E": 5, "phi-": 4, "phi+": 10}[name]
 
 
-@pytest.mark.parametrize("bits", [256, 1024, 2048])
-def test_modular_relation_grid_takes_the_direct_sums(monkeypatch, bits):
+@pytest.mark.parametrize("bits, samples", [(256, 400), (256, 1000), (1024, 200), (2048, 60)])
+def test_modular_relation_grid_takes_the_direct_sums(monkeypatch, bits, samples):
     # the transformation of R at e^(-2 alpha) is the other side of the modular
-    # relation, so the identity's default grid must take the direct sums
+    # relation, so the identity takes the direct sums on every grid, also past
+    # the crossover (R at e^(-4 pi/j) from j = 340 on at 256 bits)
     from rrlab.identities import verify
 
-    calls = []
-    monkeypatch.setattr(qseries, "_poisson_quotient", lambda *args: calls.append(args))
-    report = verify("modular-relation", PrecisionContext(bits, 32), samples=10)
-    assert calls == [] and all(record["passed"] for record in report.records)
+    calls, transformed = [], qseries._poisson_quotient
+    monkeypatch.setattr(qseries, "_poisson_quotient", lambda *args: calls.append(args) or transformed(*args))
+    report = verify("modular-relation", PrecisionContext(bits, 32), samples=samples)
+    assert calls == [] and len(report.records) == samples and all(record["passed"] for record in report.records)
