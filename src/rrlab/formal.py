@@ -7,15 +7,17 @@ through n1 and n2 terms is known through min(n1, n2) terms past its lowest
 exponent.  Coefficients are Python ints, read through ``operator.index``.
 
 By convention elsewhere in this package the variable is t with t^5 = q, so
-fractional powers of q live at integer exponents of t (see ``stretch``).
+fractional powers of q live at integer exponents of t (see ``stretch``).  The
+package's one product type is a row {(A, B): e}, prod S_(A,B)^e (``eta_sum``).
 """
 
 from __future__ import annotations
 
+import math
 from operator import add, index, sub
 from typing import Iterable, Sequence
 
-__all__ = ["FormalSeries", "constant", "product_one_minus", "product_one_minus_inv", "stretched_product",
+__all__ = ["FormalSeries", "eta_sum", "product_one_minus", "product_one_minus_inv", "stretched_product",
            "theta_series"]
 
 
@@ -95,7 +97,7 @@ class FormalSeries:
 
     def _binary_add(self, other, sign: int):
         if not isinstance(other, FormalSeries):
-            other = constant(other, self.order)
+            other = FormalSeries([other], 0, self.order)
         order = min(self.order, other.order)
         offset = min(self.offset, other.offset)
         out = [0] * (order - offset + 1)
@@ -153,21 +155,6 @@ class FormalSeries:
             y += [-v for v in _product(y, e, m - k)]
         return FormalSeries(y, -self.offset, -self.offset + n - 1)
 
-    def __pow__(self, m: int):
-        if m < 0:
-            raise ValueError(f"negative power {m}: use reciprocal()")
-        if m == 0:
-            return constant(1, max(self.nterms - 1, 0))
-        acc = None
-        base = self
-        while m:
-            if m & 1:
-                acc = base if acc is None else acc * base
-            m >>= 1
-            if m:
-                base = base * base
-        return acc
-
     # -- reshaping -----------------------------------------------------------
 
     def shift(self, d: int) -> "FormalSeries":
@@ -218,10 +205,6 @@ class FormalSeries:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return f"FormalSeries(x^{self.offset}*[{head}{tail}], order={self.order})"
-
-
-def constant(c, order: int) -> FormalSeries:
-    return FormalSeries([c], 0, order)
 
 
 def stretched_product(a: FormalSeries, s: int, b: FormalSeries) -> FormalSeries:
@@ -275,6 +258,39 @@ def theta_series(a: int, b: int, order: int) -> FormalSeries:
             out[k + b * m] += sign
         m += 1
     return FormalSeries(out, 0, order)
+
+
+def eta_sum(terms, order: int) -> FormalSeries:
+    """sum of c x^o prod S_(A,B)^e over the terms (c, o, row {(A, B): e}), c an int and
+    every e >= 0, through x^order.  S_(sA,sB)(x) = S_(A,B)(x^s): a factor is
+    ``theta_series`` in y = x^s (s as large as may be) through y^(order // s), each
+    power of it formed once, by squaring; factors in different y meet through
+    ``stretched_product``, and those that every term shares multiply the sum once."""
+    powers = {}
+
+    def power(key, e):  # S_(A,B)(y)^e for key (A, B, s)
+        if (key, e) not in powers:
+            p = theta_series(key[0], key[1], order // key[2]) if e == 1 else power(key, e // 2) * power(key, e // 2)
+            powers[key, e] = p * power(key, 1) if e > 1 and e % 2 else p
+        return powers[key, e]
+
+    def product(row, acc=None):  # the row times acc, finest y first
+        groups = {}
+        for (a, b), e in filter(lambda factor: factor[1], row.items()):
+            s = max(d for d in range(1, a + 1) if a % d == b % d == 0 and (a - b) // d % 2 == 0)
+            groups.setdefault(s, []).append(power((a // s, b // s, s), e))
+        for s, (first, *rest) in sorted(groups.items()):
+            p = math.prod(rest, start=first)
+            acc = stretched_product(p, s, acc) if acc else p.stretch(s) if s > 1 else p
+        return acc
+
+    shared = {k: min(row.get(k, 0) for _, _, row in terms) for k in terms[0][2]} if len(terms) > 1 else {}
+    total = None
+    for c, o, row in terms:
+        p = product({k: e - shared.get(k, 0) for k, e in row.items()})
+        p = (FormalSeries([c], 0, order) if p is None else p if c == 1 else c * p).shift(o)
+        total = p if total is None else total + p
+    return product(shared, total).truncate(order)
 
 
 def product_one_minus_inv(exponents: Iterable[int], order: int) -> FormalSeries:

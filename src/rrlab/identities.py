@@ -21,7 +21,7 @@ from operator import add
 from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
-from .formal import FormalSeries, stretched_product, theta_series
+from .formal import FormalSeries, eta_sum
 from .numerics import Nome, PrecisionContext, RootMode, _fixed, _log2, check_tables, golden_phi, root
 
 __all__ = [
@@ -164,9 +164,9 @@ def _modular_grid(samples, series_order):
 def _modular_relation(j, ctx: PrecisionContext):
     """R at e^(-2 alpha) = Nome.exp(j), alpha = j pi/2, and at e^(-2 pi^2/alpha), by the
     direct theta sums: their transformation is the relation's other side."""
-    phi = golden_phi(ctx)
-    r1, r2 = (root(ctx.number(q), 5, RootMode.PRINCIPAL, ctx) * _qs._direct_quotient(q, ctx, "R").mid
-              for q in (Nome.exp(j), Nome.exp(Fraction(4, j))))
+    phi, (route, row) = golden_phi(ctx), _qs._THETA_ROUTES["R"]
+    r1, r2 = (root(ctx.number(q), 5, RootMode.PRINCIPAL, ctx) * _qs._direct_quotient(x, w, ctx, route, row).mid
+              for q in (Nome.exp(j), Nome.exp(Fraction(4, j))) for w, (x,) in [_fixed(ctx, route, q)])
     yield "", (phi + r1) * (phi + r2), (5 + ctx.mp.sqrt(5)) / 2
 
 
@@ -242,7 +242,7 @@ def _factorization_denominator(sign: int, x, ctx: PrecisionContext):
     it F/(x;x)_inf with F = sum_{n>=1} (-1)^(n+1) c_n x^(n(n-1)/2), where
     c_n = sin((2n-1) theta/2)/sin(theta/2) has period 5: 1, 1 - gamma, 0,
     gamma - 1, -1 for n = 1, ..., 5 (mod 5).  Grouped by n mod 5, F is
-    S_(25,5)(x) + (gamma - 1) x S_(25,15)(x), two parts of one
+    S_(25,5)(x) + (gamma - 1) x S_(25,15)(x), R's S_D and S_N at x^5, two parts of one
     ``qseries._jacobi_sum``, which forms gamma - 1 = (-1 + sign*sqrt5)/2 at its
     own width.  With 2 cos(a) = gamma, 2 cos(b) = -gamma and h = -ln|x|, F cancels
     to about exp(-a^2/(2h)) for x > 0, and for x < 0, where the odd factors
@@ -254,7 +254,8 @@ def _factorization_denominator(sign: int, x, ctx: PrecisionContext):
     gamma = float(_gamma(sign, ctx))
     a, b = math.acos(gamma / 2), math.acos(-gamma / 2)
     loss = a * a / 2 if x.real >= 0 else (a * a + b * b) / 4 - math.pi**2 / 8
-    f = _qs._jacobi_sum(x, ctx, "factorization sum", ((25, 5, None), (25, 15, weight)), loss)
+    base, (xs,) = _fixed(ctx, "factorization sum", x)
+    f = _qs._jacobi_sum(xs, base, ctx, "factorization sum", ((*_D5, None), (*_N5, weight)), loss)
     return f / _euler_prod(x, ctx)
 
 
@@ -434,64 +435,47 @@ def asymptotic_check(x, ctx: PrecisionContext, reference=None) -> dict:
 
 # -- exact series sides: the point is the series order -----------------------------
 #
-# Each twin compares integer series with their denominators cleared: both
-# sides are the identity's two sides times one series with constant term 1.
-# Such a unit multiplier keeps a pass exact through the same order, and it
-# keeps a mismatch in the identity at the same lowest exponent with the same
-# coefficient difference.  No twin forms a reciprocal.
+# Each twin is data: two sides of (coefficient, offset, row) terms for
+# ``formal.eta_sum``, each the identity's side times one unit multiplier (constant
+# term 1) that clears every denominator, so no exponent is negative and no twin
+# divides.  The multiplier keeps a pass exact through the same order, and a
+# mismatch in the identity at the same lowest exponent with the same coefficient
+# difference.  R = q^(1/5) S_N/S_D and E = S_E are rows of ``qseries._THETA_ROUTES``.
+
+(_N, _), (_D, _) = _qs._THETA_ROUTES["R"][1].items()
+((_E, _),) = _qs._THETA_ROUTES["E"][1].items()
+_N5, _D5, _E5 = ((5 * a, 5 * b) for a, b in (_N, _D, _E))  # S_(5A,5B)(x) = S_(A,B)(x^5)
+
+_TWINS = {
+    # t A_n(t^5) against B_n(t^5) R, times S_D(t^5); in q, with the coefficients A_n, B_n
+    "cf-vs-product": ([(1, 0, {_D: 1})], [(1, 0, {_N: 1})]),
+    # t(1/R - 1 - R) = (t;t)/(t^25;t^25) in t, times (t^25;t^25)(t^5;t^5) = S_N(t^5) S_D(t^5)
+    "R-identity-1": ([(1, 0, {_D5: 2}), (-1, 1, {_D5: 1, _N5: 1}), (-1, 2, {_N5: 2})], [(1, 0, {_E: 1, _E5: 1})]),
+    # q(1/R^5 - 11 - R^5) = (q;q)^6/(q^5;q^5)^6 in q, times S_N^5 S_D^5 (q^5; q^5)
+    "R-identity-2": ([(1, 0, {_D: 10, _E5: 1}), (-11, 1, {_D: 5, _N: 5, _E5: 1}), (-1, 2, {_N: 10, _E5: 1})],
+                     [(1, 0, {_E: 11})]),
+}
+
+
+def _formal_twin(ident: str):
+    """The sides of the twin `ident` of ``_TWINS`` at the series order."""
+    return lambda order, ctx: [("", *(eta_sum(side, order) for side in _TWINS[ident]))]
 
 
 def _formal_cf_vs_product(order: int, ctx: PrecisionContext):
-    """The fraction's truncation A_n/B_n at q = t^5, cleared: t A_n(t^5) against
-    B_n(t^5) R, with R from ``series_R``.
-
-    R = t/(1 + t^5/(1 + t^10/(1 + ...))), so A_k = A_(k-1) + q^(k-1) A_(k-2) from
-    A_0 = 0, A_1 = 1, and B_k likewise from B_0 = B_1 = 1, kept through
-    q^(order/5 + 1).  A_n/B_n - A_(n-1)/B_(n-1) = +-q^(n(n-1)/2), so the depth
-    makes the truncation exact through that order; B_n has constant term 1.
-    """
+    """The fraction's truncation A_n/B_n at q = t^5 against R, cleared: t A_n(t^5)
+    S_D(t^5) against t B_n(t^5) S_N(t^5), formed in q.  R = t/(1 + t^5/(1 + ...)),
+    so A_k = A_(k-1) + q^(k-1) A_(k-2) from A_0 = 0, A_1 = 1, and B_k likewise from
+    B_0 = B_1 = 1, kept through q^(order/5 + 1); A_n/B_n - A_(n-1)/B_(n-1) =
+    +-q^(n(n-1)/2), so the depth makes the truncation exact there."""
     q_order = order // 5 + 1
-    depth = 2
-    while depth * (depth - 1) // 2 <= q_order:
-        depth += 1
-    depth += 2
+    depth = math.isqrt(2 * q_order) + 4  # depth(depth - 1)/2 > q_order, and two more
     one = [1] + [0] * q_order
-    a_prev, a = [0] * (q_order + 1), one  # A_0, A_1
-    b_prev, b = one, one  # B_0, B_1
+    polys = [([0] * (q_order + 1), one), (one, one)]  # (A_0, A_1) and (B_0, B_1)
     for s in range(1, depth):  # A_(s+1) = A_s + q^s A_(s-1), and B likewise
-        a_prev, a = a, a[:s] + list(map(add, a[s:], a_prev))
-        b_prev, b = b, b[:s] + list(map(add, b[s:], b_prev))
-    lhs = FormalSeries(a, 0, q_order).stretch(5).shift(1).truncate(order)
-    yield "", lhs, stretched_product(FormalSeries(b, 0, q_order), 5, _qs.series_R(order))
-
-
-def _formal_r_identity_1(order: int, ctx: PrecisionContext):
-    """(G^2 - t G H - t^2 H^2)(t^5) (t^5; t^5) against (t; t).
-
-    With R = t (H/G)(t^5), t(1/R - 1 - R) = (G^2 - t G H - t^2 H^2)/(G H) at t^5,
-    and G H = (q^5; q^5)/(q; q): both sides of t(1/R - 1 - R) = (t;t)/(t^25;t^25)
-    times (t^25; t^25).  G and H are the sums at order/5 + 1.
-    """
-    m = order // 5 + 1
-    g, h = _qs.series_G(m), _qs.series_H(m)
-    euler = theta_series(3, 1, m)
-    ge, he = g * euler, h * euler
-    lhs = (g * ge).stretch(5) - (h * ge).stretch(5).shift(1) - (h * he).stretch(5).shift(2)
-    yield "", lhs.truncate(order), theta_series(3, 1, order)
-
-
-def _formal_r_identity_2(order: int, ctx: PrecisionContext):
-    """(S1^10 - 11 q S1^5 S3^5 - q^2 S3^10) (q^5; q^5) against (q; q)^11, with
-    S1 = S_(5,1) and S3 = S_(5,3).
-
-    H/G = S3/S1 and S1 S3 = (q; q)(q^5; q^5), so both sides of
-    q(1/R^5 - 11 - R^5) = (q;q)^6/(q^5;q^5)^6 times S1^5 S3^5 (q^5; q^5).
-    """
-    x = theta_series(5, 1, order) ** 5
-    y = theta_series(5, 3, order) ** 5
-    quadratic = x * x - 11 * (x * y).shift(1) - (y * y).shift(2)
-    lhs = stretched_product(theta_series(3, 1, order // 5), 5, quadratic)  # times (q^5; q^5)
-    yield "", lhs.truncate(order), theta_series(3, 1, order) ** 11
+        polys = [(p, p[:s] + list(map(add, p[s:], prev))) for prev, p in polys]
+    yield "", *((FormalSeries(p, 0, q_order) * eta_sum(side, q_order)).stretch(5).shift(1).truncate(order)
+                for (_, p), side in zip(polys, _TWINS["cf-vs-product"]))
 
 
 # -- registry and driver -------------------------------------------------------------
@@ -510,11 +494,11 @@ _CASES = {
     "modular-relation": ((_modular_grid, _modular_relation),),
     "R-identity-1": (
         (_q_grid, _r_identity_1),
-        (_point("t*(1/R - 1 - R) vs (t;t)/(t^25;t^25) in t"), _formal_r_identity_1),
+        (_point("t*(1/R - 1 - R) vs (t;t)/(t^25;t^25) in t"), _formal_twin("R-identity-1")),
     ),
     "R-identity-2": (
         (_q_grid, _r_identity_2),
-        (_point("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q"), _formal_r_identity_2),
+        (_point("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q"), _formal_twin("R-identity-2")),
     ),
     "factorization-1": ((_q_grid, _factorization(-1)),),
     "factorization-2": ((_q_grid, _factorization(1)),),

@@ -1,24 +1,26 @@
 """q-Pochhammer symbols, the Rogers-Ramanujan functions, theta and chi
 functions, finite-form mu/nu polynomials, and exact series expansions.
 
-Numeric routines take a PrecisionContext and real arguments, truncate with
-tail bounds tied to the context tolerance and run on fixed-point integers
+Numeric routines take a PrecisionContext and real arguments, truncate with tail
+bounds tied to the context tolerance and run on fixed-point integers
 (``numerics._fixed``).  G, H and chi are Euler sums on one kernel, ``_rr_sum``;
 near q = 1 it forms the terms before the peak, far below the total, as one
 head: a division-free product, or (q; q)_inf by Dedekind-eta inversion and a
 short series.  Its loop tests for a stop neither before the peak nor where a
 gate (``quiet``) proves none.  The product sides (R_product, the product
-backends of G and H, Euler's E and theta at q < 0) are quotients of sparse
-alternating sums S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2),
-the Jacobi triple product, summed by ``_jacobi_sum`` in O(sqrt(bits/h)) terms,
-h = -ln|q|, with guard bits for the cancellation (``_direct_quotient``).  For
-q > 0 their Jacobi imaginary transformation (``_poisson_quotient``) takes one
-term each near q = 1 and proves its radius, as theta does, phi(-q^2)^2/phi(-q),
-in place of its sum (``_phi_sum``); ``cf._cheapest`` chooses the route.  Every
-kernel predicts a lower bound on its term count and raises ConvergenceError
-before it starts when that exceeds max_iter (``cf.refuse_early``).  S's
-default route is ``cf.rr_value``.  The finite-form mu/nu polynomials take
-exact rationals and sum Gaussian polynomials in integers.
+backends of G and H, Euler's E and theta at q < 0) are rows {(A, B): e} of
+``_THETA_ROUTES``, prod S_(A,B)^e, which ``series_R`` and ``formal.eta_sum``
+form exactly: S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2) is a
+sparse alternating sum, the Jacobi triple product, summed by ``_jacobi_sum`` in
+O(sqrt(bits/h)) terms, h = -ln|q|, with guard bits for the cancellation
+(``_direct_quotient``).  For q > 0 their Jacobi imaginary transformation
+(``_poisson_quotient``) takes one term each near q = 1 and proves its radius,
+as theta does, phi(-q^2)^2/phi(-q), in place of its sum (``_phi_sum``);
+``cf._cheapest`` chooses the route.  Every kernel predicts a lower bound on its
+term count and raises ConvergenceError before it starts when that exceeds
+max_iter (``cf.refuse_early``).  S's default route is ``cf.rr_value``.  The
+finite-form mu/nu polynomials take exact rationals and sum Gaussian polynomials
+in integers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 
 from mpmath import libmp
 
-from .formal import FormalSeries, product_one_minus_inv, theta_series
+from .formal import FormalSeries, eta_sum, product_one_minus_inv
 from .numerics import _MEMO, FIXED_UNITS, Ball, PrecisionContext, RootMode, _ball, _fixed, _nome_units, root
 from . import cf as _cf
 
@@ -512,8 +514,9 @@ def _sparse_terms(decay: float, a: int, b: int, bits: float) -> float:
     return (b + math.sqrt(b * b + 8 * a * max(bits, 0) * math.log(2) / decay)) / (2 * a)
 
 
-def _jacobi_sum(q, ctx: PrecisionContext, route: str, parts, loss: float):
-    """sum over the parts (A, B, weight) of c S_(A,B)(q), for real |q| < 1, where
+def _jacobi_sum(x: int, base: int, ctx: PrecisionContext, route: str, parts, loss: float):
+    """sum over the parts (A, B, weight) of c S_(A,B)(q) at real q = x 2^-W, |q| < 1,
+    W = base (``numerics._fixed``), where
 
         S_(A,B)(q) = 1 + sum_{m>=1} (-1)^m q^(m(Am-B)/2) (1 + q^(Bm))
                    = sum over all integers m of (-1)^m q^((A m^2 - B m)/2),
@@ -524,11 +527,11 @@ def _jacobi_sum(q, ctx: PrecisionContext, route: str, parts, loss: float):
 
     The terms are at most 1 in size, but near q = 1 the total cancels to
     about exp(-loss/h), h = -ln|q| (loss = pi^2/(2A) for one part).  So each
-    pass runs at width w = W + g (W from ``_fixed``), with g guard bits for
-    that cancellation, and stops a part once its tail is below
-    2^-(stop_bits + g): the ratio of consecutive terms, |q|^(Am + (A-B)/2)
-    = |slo|, falls with m, so the tail after term m is at most
-    2 |q^(m(Am-B)/2)| / (1 - |slo|).  The first pass predicts g from `loss`.
+    pass runs at width w = W + g, with g guard bits for that cancellation, and
+    stops a part once its tail is below 2^-(stop_bits + g): the ratio of
+    consecutive terms, |q|^(Am + (A-B)/2) = |slo|, falls with m, so the tail
+    after term m is at most 2 |q^(m(Am-B)/2)| / (1 - |slo|).  The first pass
+    predicts g from `loss`.
     After the loop the total's bit length measures the cancellation: when
     the total is below 2^-g the sum is redone once with g set to what was
     measured (plus two bits), and a sum that comes out short again raises
@@ -536,7 +539,6 @@ def _jacobi_sum(q, ctx: PrecisionContext, route: str, parts, loss: float):
     (``cf.refuse_early``): the integer q^(m(Am-B)/2) is within (A + 2) m^2
     units of its exact value.
     """
-    base, (x,) = _fixed(ctx, route, q)
     decay = _decay(x, 1 << base) if x else math.inf
     guard = _guard(decay, loss) if x else 0
     for _ in range(2):
@@ -578,17 +580,17 @@ POISSON_CALL_STEPS = 120
 POISSON_MARGIN = 8
 
 
-def _poisson_plan(decay: float, w: int, ctx: PrecisionContext, sums):
+def _poisson_plan(decay: float, w: int, ctx: PrecisionContext, row):
     """(V, each distinct sum's real count k of terms down to its stop, their plan for
     ``cf._cheapest``) of ``_poisson_quotient`` at q = e^-decay."""
-    cs = [math.pi**2 / (2 * a * decay) for a, _ in dict.fromkeys(sums[0] + sums[1])]
+    cs = [math.pi**2 / (2 * a * decay) for a, _ in row]
     v, bits = w + math.ceil(max(cs)).bit_length() + POISSON_MARGIN, (ctx.stop_bits + POISSON_MARGIN) * math.log(2)
     terms = [(math.sqrt(1 + bits / c) - 1) / 2 for c in cs]
     return v, terms, [(sum(POISSON_CALL_STEPS * max(1, v / 3072) + 2 * math.ceil(k) for k in terms), v)]
 
 
-def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
-    """The quotient of the theta sums ``sums`` (numerator, denominator) at
+def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, row) -> Ball:
+    """A row of ``_THETA_ROUTES``, a quotient of theta sums, at
     q = x 2^-W = e^-h, 0 < q < 1, by Poisson summation (Jacobi's imaginary
     transformation) of each S_(A,B) of ``_jacobi_sum``, c = pi^2/(2 A h):
         S = 2 sqrt(2 pi/(A h)) e^(h B^2/(8A) - c) T,  T = sum_k cos((2k+1) pi B/(2A)) u^(k(k+1)/2),
@@ -626,7 +628,7 @@ def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
     within 4 s |value|.
     """
     decay = _decay(x, 1 << w)
-    v, terms, _ = _poisson_plan(decay, w, ctx, sums)
+    v, terms, _ = _poisson_plan(decay, w, ctx, row)
     _cf.refuse_early(route, ctx, max(terms))
     big, stop, lm = 1 << v, ctx.stop_bits + POISSON_MARGIN, libmp
 
@@ -634,7 +636,7 @@ def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
         return f(*args, v, lm.round_nearest)
 
     h, pi = lm.mpf_neg(op(lm.mpf_log, lm.from_man_exp(x, -w))), op(lm.mpf_pi)
-    signed = [(1, a, b) for a, b in sums[0]] + [(-1, a, b) for a, b in sums[1]]
+    signed = [(sign, a, b) for sign, side in zip((1, -1), _sides(row)) for a, b in side]
     e = sum(Fraction(sign * b * b, 8 * a) for sign, a, b in signed)
     value, forms, factors = op(lm.mpf_exp, op(lm.mpf_mul, h, op(lm.from_rational, e.numerator, e.denominator))), {}, {}
     net = {a: sum(sign for sign, a2, _ in signed if a2 == a) for _, a, _ in signed}
@@ -673,65 +675,67 @@ def _poisson_quotient(x: int, w: int, ctx: PrecisionContext, route: str, sums):
     return _ball(ctx, -man if neg else man, exp, (4 * man * units >> v) + 1 if proven else None)
 
 
-def _quotient_route(q, ctx: PrecisionContext, name: str) -> str:
-    """The route of ``_theta_quotient`` `name` at q: "direct" (``_direct_quotient``), each
-    sum's terms at its guarded width plus CALL_STEPS at W, or for q > 0 "transformed"
-    (``_poisson_plan``), from q = 0.91-0.96 on at 256 bits (R: 0.964), 0.64-0.83 at 2,048."""
-    route, sums = _THETA_ROUTES[name]
-    base, (x,) = _fixed(ctx, route, q)
-    direct, transformed = [], None
+def _sides(row) -> tuple:
+    """A row's factor lists (numerator, denominator): each (A, B) once per unit of |e|."""
+    return tuple([k for k, e in row.items() for _ in range(sign * e)] for sign in (1, -1))
+
+
+def _quotient_route(x: int, base: int, ctx: PrecisionContext, name: str) -> str:
+    """The route of ``_theta_quotient`` `name` at q = x 2^-W, W = base: "direct"
+    (``_direct_quotient``), each sum's terms at its guarded width plus CALL_STEPS at W,
+    or for q > 0 "transformed" (``_poisson_plan``), from q = 0.91-0.96 on at 256 bits
+    (R: 0.964), 0.64-0.83 at 2,048."""
+    row = _THETA_ROUTES[name][1]
+    direct, transformed, factors = [], None, sum(_sides(row), [])
     if x > 0:
         decay = _decay(x, 1 << base)
-        direct.append((len(sums[0] + sums[1]) * CALL_STEPS, base))
-        for a, b in sums[0] + sums[1]:
+        direct.append((len(factors) * CALL_STEPS, base))
+        for a, b in factors:
             g = _guard(decay, math.pi**2 / (2 * a))
             direct.append((2 * _sparse_terms(decay, a, b, ctx.stop_bits + g), base + g))
-        transformed = _poisson_plan(decay, base, ctx, sums)[2]
+        transformed = _poisson_plan(decay, base, ctx, row)[2]
     return _cf._cheapest({"direct": direct, "transformed": transformed})
 
 
-def _direct_quotient(q, ctx: PrecisionContext, name: str) -> Ball:
-    """The quotient `name` of ``_THETA_ROUTES`` by its direct sums (``_jacobi_sum``), no radius."""
-    route, sums = _THETA_ROUTES[name]
-    num, den = ([_jacobi_sum(q, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
-                for side in sums)
+def _direct_quotient(x: int, w: int, ctx: PrecisionContext, route: str, row) -> Ball:
+    """A row of ``_THETA_ROUTES`` at q = x 2^-W by its direct sums (``_jacobi_sum``), no radius."""
+    num, den = ([_jacobi_sum(x, w, ctx, route, ((a, b, None),), math.pi**2 / (2 * a)) for a, b in side]
+                for side in _sides(row))
     return Ball(math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one))
 
 
 def _theta_quotient(q, ctx: PrecisionContext, name: str):
-    """One of the quotients of theta sums in ``_THETA_ROUTES``, by the route
-    ``_quotient_route`` names: ``_direct_quotient`` or ``_poisson_quotient``
-    (O(sqrt(bits h)) terms at about W bits, radius proven).  While a command
-    runs (``numerics._MEMO``) each (name, type and value of q, ctx) is computed
-    once, unless it raises; a check that needs one route calls its function."""
+    """A row of ``_THETA_ROUTES`` at q as converted once, by the route ``_quotient_route``
+    names: ``_direct_quotient`` or ``_poisson_quotient`` (O(sqrt(bits h)) terms at about
+    W bits, radius proven).  While a command runs (``numerics._MEMO``) each (name, type
+    and value of q, ctx) is computed once, unless it raises; a check that needs one
+    route calls its function."""
     memo = _MEMO.get()
     key = (name, type(q), q, ctx)
     if memo is not None and (ball := memo.get(key)) is not None:
         return ball
-    if _quotient_route(q, ctx, name) == "transformed":
-        route, sums = _THETA_ROUTES[name]
-        base, (x,) = _fixed(ctx, route, q)
-        ball = _poisson_quotient(x, base, ctx, route, sums)
-    else:
-        ball = _direct_quotient(q, ctx, name)
+    route, row = _THETA_ROUTES[name]
+    w, (x,) = _fixed(ctx, route, q)
+    kernel = _poisson_quotient if _quotient_route(x, w, ctx, name) == "transformed" else _direct_quotient
+    ball = kernel(x, w, ctx, route, row)
     if memo is not None:
         memo[key] = ball
     return ball
 
 
-# name: (route, (numerator, denominator) sums (A, B))
+# name: (route, row {(A, B): e}, the product of the S_(A,B)^e, numerator first)
 _THETA_ROUTES = {
     # R(q)/q^(1/5) = theta_H/theta_G = (q; q^5)(q^4; q^5) / ((q^2; q^5)(q^3; q^5))
-    "R": ("R theta sum", (((5, 3),), ((5, 1),))),
+    "R": ("R theta sum", {(5, 3): 1, (5, 1): -1}),
     # G = theta_G/E = 1/((q; q^5)(q^4; q^5)) and H = theta_H/E = 1/((q^2; q^5)(q^3; q^5))
-    "G": ("G theta sum", (((5, 1),), ((3, 1),))),
-    "H": ("H theta sum", (((5, 3),), ((3, 1),))),
+    "G": ("G theta sum", {(5, 1): 1, (3, 1): -1}),
+    "H": ("H theta sum", {(5, 3): 1, (3, 1): -1}),
     # Euler's E = (q; q)_inf, the pentagonal number theorem
-    "E": ("Euler pentagonal sum", (((3, 1),), ())),
+    "E": ("Euler pentagonal sum", {(3, 1): 1}),
     # phi(-q) = sum (-1)^m q^(m^2) = (q^2; q^2)(q; q^2)^2
-    "phi-": ("theta sum", (((2, 0),), ())),
+    "phi-": ("theta sum", {(2, 0): 1}),
     # phi(q) = phi(-q^2)^2/phi(-q), theta_phi near q = 1
-    "phi+": ("theta series", (((4, 0), (4, 0)), ((2, 0),))),
+    "phi+": ("theta series", {(4, 0): 2, (2, 0): -1}),
 }
 
 
@@ -830,7 +834,7 @@ def _theta_phi(q, ctx: PrecisionContext) -> Ball:
     w, (x,) = _fixed(ctx, route, q)
     if x < 0:
         return _theta_quotient(-q, ctx, "phi-")
-    if _phi_route(Fraction(x, 1 << w), ctx) == "transformed":  # q as converted, exactly
+    if _phi_route(x, w, ctx) == "transformed":
         return _poisson_quotient(x, w, ctx, *_THETA_ROUTES["phi+"])
     return _phi_sum(x, w, ctx)
 
@@ -843,11 +847,10 @@ def _phi_terms(x: int, w: int, ctx: PrecisionContext) -> Optional[float]:
     return math.sqrt((math.log(one) - math.log(level)) / _decay(x, one)) if x > 0 and level <= one else None
 
 
-def _phi_route(q, ctx: PrecisionContext) -> str:
-    """The route of ``_theta_phi`` at 0 <= q < 1: "sum", ``_phi_terms`` plus CALL_STEPS
-    at W, or "transformed" ("phi+", ``_poisson_plan``), from about q = 0.997 on at
-    256 bits (1 - 10^-5: 4,084 terms of the sum), 0.986 at 1024."""
-    w, (x,) = _fixed(ctx, "theta series", q)
+def _phi_route(x: int, w: int, ctx: PrecisionContext) -> str:
+    """The route of ``_theta_phi`` at 0 <= q = x 2^-W < 1: "sum", ``_phi_terms`` plus
+    CALL_STEPS at W, or "transformed" ("phi+", ``_poisson_plan``), from about q = 0.997
+    on at 256 bits (1 - 10^-5: 4,084 terms of the sum), 0.986 at 1024."""
     needed = _phi_terms(x, w, ctx)
     transformed = None if needed is None else _poisson_plan(_decay(x, 1 << w), w, ctx, _THETA_ROUTES["phi+"][1])[2]
     return _cf._cheapest({"sum": [(CALL_STEPS + (needed or 0), w)], "transformed": transformed})
@@ -971,20 +974,16 @@ def series_H(order: int, side: str = "sum") -> FormalSeries:
 
 
 def series_R(order: int) -> FormalSeries:
-    """Exact expansion of R in t (t^5 = q): t * (S_(5,3)/S_(5,1))(t^5), lowest term t.
-
-    By the Jacobi triple product the quotient of the two sparse theta series is
-    the paper's product (q;q^5)(q^4;q^5)/((q^2;q^5)(q^3;q^5)) = H/G.  The divisor
-    S_(5,1) = 1 - q^2 - q^3 + q^9 + ... has lead 1 and about 2 sqrt(2m/5) nonzero
-    terms through q^m, all +-1, so each coefficient of the quotient is the
-    numerator's less those terms against the coefficients already found: no
-    product and no reciprocal.
-    """
+    """Exact expansion of R in t (t^5 = q): t times R's row of ``_THETA_ROUTES``,
+    S_(5,3)/S_(5,1) = H/G, at t^5.  The divisor S_(5,1) = 1 - q^2 - q^3 + q^9 + ...
+    has lead 1 and about 2 sqrt(2m/5) nonzero terms through q^m, all +-1, so each
+    coefficient of the quotient is the numerator's less those terms against the
+    coefficients already found: no product and no reciprocal."""
     if order < 1:
         raise ValueError("order must be >= 1")
     m = order // 5 + 1
-    num = theta_series(5, 3, m).coeffs
-    den = theta_series(5, 1, m).coeffs
+    num, den = (eta_sum([(1, 0, {k: side.count(k) for k in side})], m).coeffs
+                for side in _sides(_THETA_ROUTES["R"][1]))
     terms = [(k, d) for k, d in enumerate(den) if d and k]  # exponents ascending
     ratio = []
     for n, c in enumerate(num):

@@ -305,9 +305,9 @@ def test_one_command_computes_each_theta_quotient_once(capsys, monkeypatch):
         calls.append((name, type(q), q, ctx))
         return quotient(q, ctx, name)
 
-    def choosing(q, ctx, name):  # a quotient chooses its route once it is computed
+    def choosing(x, w, ctx, name):  # a quotient chooses its route once it is computed
         evaluations.append(name)
-        return route(q, ctx, name)
+        return route(x, w, ctx, name)
 
     monkeypatch.setattr(qseries, "_theta_quotient", listening)
     monkeypatch.setattr(qseries, "_quotient_route", choosing)

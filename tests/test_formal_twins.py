@@ -1,18 +1,21 @@
 """The exact twins of cf-vs-product, R-identity-1 and R-identity-2, and series_R.
 
-The twins compare integer series with their denominators cleared, and
-series_R divides by a sparse theta series with a short recurrence.  The
-oracles here are the uncleared forms through the Newton reciprocal, which no
-twin uses any more.
+The twins are rows {(A, B): e} of sparse theta series S_(A,B), their
+denominators cleared (``identities._TWINS``, formed by ``formal.eta_sum``), and
+series_R divides R's row's numerator by its denominator with a short
+recurrence.  The oracles here are the uncleared forms through the Newton
+reciprocal, which no twin uses, and the rows' triple products through
+``product_one_minus``.
 """
 
+import math
 import re
 
 import pytest
 
-from rrlab import cf, identities, qseries
+from rrlab import cf, formal, identities, qseries
 from rrlab.cli import main
-from rrlab.formal import FormalSeries, product_one_minus_inv, theta_series
+from rrlab.formal import FormalSeries, eta_sum, product_one_minus, product_one_minus_inv, theta_series
 from rrlab.identities import verify
 from rrlab.qseries import series_G, series_H, series_R
 
@@ -76,17 +79,17 @@ def old_r_identity_1(order):
     t = FormalSeries([1], 1, r.order)
     lhs = (t * r.reciprocal() - t - t * r).truncate(order)
     inv25 = product_one_minus_inv(range(25, order + 1, 25), order)
-    return lhs, identities.theta_series(3, 1, order) * inv25
+    return lhs, formal.theta_series(3, 1, order) * inv25
 
 
 def old_r_identity_2(order):
     """q(1/R^5 - 11 - R^5) against (q;q)^6/(q^5;q^5)^6, with R^5 = q (S3/S1)^5."""
-    th = identities.theta_series
-    w = (th(5, 3, order) * th(5, 1, order).reciprocal()) ** 5
+    th = formal.theta_series
+    w = math.prod([th(5, 3, order) * th(5, 1, order).reciprocal()] * 5)
     q = FormalSeries([1], 1, order)
     lhs = w.reciprocal() - 11 * q - q * q * w
     euler5 = th(3, 1, order // 5).stretch(5).truncate(order)
-    return lhs, th(3, 1, order) ** 6 * (euler5**6).reciprocal()
+    return lhs, math.prod([th(3, 1, order)] * 6) * math.prod([euler5] * 6).reciprocal()
 
 
 # -- series_R --------------------------------------------------------------------
@@ -131,17 +134,30 @@ def test_twins_and_series_R_form_no_reciprocal(monkeypatch, ctx, ident):
 ORDER = 150
 
 
-@pytest.mark.parametrize("e", [1, 3, 26, 57, 150])
-def test_cf_twin_reports_a_perturbed_R_like_the_uncleared_form(monkeypatch, ctx, e):
-    monkeypatch.setattr(qseries, "series_R", bumped(qseries.series_R, e, 3))
+def perturbed(e, deltas):
+    """theta_series with deltas[(a, b)] added to the coefficient of x^e of S_(a,b)."""
+
+    def theta(a, b, order):
+        s = theta_series(a, b, order)
+        delta = deltas.get((a, b), 0)
+        return s + FormalSeries([delta], e, order) if delta and e <= order else s
+
+    return theta
+
+
+@pytest.mark.parametrize("e", [0, 1, 5, 11, 29])
+def test_cf_twin_reports_a_perturbed_numerator_like_the_uncleared_form(monkeypatch, ctx, e):
+    # S_(5,3) up by 3 at q^e moves R = t (S_(5,3)/S_(5,1))(t^5) by 3 at t^(5e + 1);
+    # series_R, the uncleared form's R, reads the same row
+    monkeypatch.setattr(formal, "theta_series", perturbed(e, {(5, 3): 3}))
     got = mismatch(formal_record("cf-vs-product", ctx, ORDER))
-    assert got == first_mismatch(*old_cf_vs_product(ORDER), ORDER) == (e, 3)
+    assert got == first_mismatch(*old_cf_vs_product(ORDER), ORDER) == (5 * e + 1, 3)
 
 
 @pytest.mark.parametrize("e", [1, 7, 40, 149])
 def test_r_identity_1_twin_reports_a_perturbed_theta_like_the_uncleared_form(monkeypatch, ctx, e):
-    # (t; t) is a theta series in t; the (q; q) of the multiplier moves at t^(5e) only
-    monkeypatch.setattr(identities, "theta_series", bumped(theta_series, e, -2))
+    # (t; t) is a theta series in t; the factors in t^5 of both sides move at t^(5e) only
+    monkeypatch.setattr(formal, "theta_series", bumped(theta_series, e, -2))
     got = mismatch(formal_record("R-identity-1", ctx, ORDER))
     assert got == first_mismatch(*old_r_identity_1(ORDER), ORDER) == (e, 2)
 
@@ -150,24 +166,63 @@ def test_r_identity_1_twin_reports_a_perturbed_theta_like_the_uncleared_form(mon
 def test_r_identity_2_twin_reports_a_perturbed_theta_like_the_uncleared_form(monkeypatch, ctx, e):
     # S1 up and S3 down by one at q^e keep S1 S3 = (q;q)(q^5;q^5) through q^e,
     # so the multiplier S1^5 S3^5 (q^5;q^5) is the uncleared form's there
-    def theta(a, b, order):
-        s = theta_series(a, b, order)
-        delta = {(5, 1): 1, (5, 3): -1}.get((a, b), 0)
-        return s + FormalSeries([delta], e, order) if delta and e <= order else s
-
-    monkeypatch.setattr(identities, "theta_series", theta)
+    monkeypatch.setattr(formal, "theta_series", perturbed(e, {(5, 1): 1, (5, 3): -1}))
     got = mismatch(formal_record("R-identity-2", ctx, ORDER))
     assert got == first_mismatch(*old_r_identity_2(ORDER), ORDER)
     assert got[0] == e
 
 
-@pytest.mark.parametrize("name", ["series_G", "series_H"])
-@pytest.mark.parametrize("e", [1, 7, 29])
-def test_r_identity_1_twin_catches_a_perturbed_sum_at_its_image_in_t(monkeypatch, ctx, name, e):
-    # G and H sit in the multiplier G H (t^5; t^5) too, so the cleared form
-    # reports q^e at t^(5e) (G, with twice the deviation) or t^(5e + 1) (H);
-    # the uncleared form reports t^(5e) with deviation 1
-    monkeypatch.setattr(qseries, name, bumped(getattr(qseries, name), e, 1))
-    assert first_mismatch(*old_r_identity_1(ORDER), ORDER) == (5 * e, 1)
-    got = mismatch(formal_record("R-identity-1", ctx, ORDER))
-    assert got == ((5 * e, 2) if name == "series_G" else (5 * e + 1, 1))
+@pytest.mark.parametrize("name", ["series_G", "series_H", "series_R"])
+def test_twins_run_no_series_function(monkeypatch, ctx, name):
+    monkeypatch.setattr(qseries, name, lambda *a, **k: pytest.fail(f"{name} called"))
+    for ident in TWINS:
+        assert formal_record(ident, ctx, 300)["passed"]
+
+
+# -- the twins as rows -------------------------------------------------------------
+
+
+def triple_product(row, order):
+    """prod S_(A,B)^e through x^order from the exponents of the Jacobi triple product
+    S_(A,B) = (x^A; x^A)(x^((A-B)/2); x^A)(x^((A+B)/2); x^A), each e times."""
+    return product_one_minus([k for (a, b), e in row.items() for first in (a, (a - b) // 2, (a + b) // 2)
+                              for k in range(first, order + 1, a) for _ in range(e)], order)
+
+
+@pytest.mark.parametrize("ident", TWINS)
+def test_twin_sides_match_their_triple_products(ident):
+    # each row, and each side as the sum of its terms c x^o prod S_(A,B)^e, through order 500
+    order = 500
+    for side in identities._TWINS[ident]:
+        total = FormalSeries([0], 0, order)
+        for c, o, row in side:
+            assert eta_sum([(1, 0, row)], order) == triple_product(row, order), row
+            total += (c * triple_product(row, order)).shift(o)
+        assert eta_sum(side, order) == total.truncate(order)
+
+
+@pytest.mark.parametrize("ident, count", [("cf-vs-product", 2), ("R-identity-1", 8), ("R-identity-2", 19)])
+def test_twins_form_each_power_once(monkeypatch, ctx, ident, count):
+    # every power by squaring once per side and the shared (q^5; q^5) once: R-identity-2
+    # forms the 19 products it formed by hand; R-identity-1 runs 3 products in q and
+    # E(t) E(t^5) as 5, where it ran 5 on the G and H sums, and cf-vs-product 2
+    calls, product = [], formal._product
+    monkeypatch.setattr(formal, "_product", lambda *args: calls.append(args[2]) or product(*args))
+    assert formal_record(ident, ctx, 960)["passed"]
+    assert len(calls) == count
+
+
+def mutations(ident):
+    """(side, term, factor, delta) for every exponent of a row of the twin, +-1, kept >= 0."""
+    return [(i, j, k, d) for i, side in enumerate(identities._TWINS[ident]) for j, (_, _, row) in enumerate(side)
+            for k, e in row.items() for d in (1, -1) if e + d >= 0]
+
+
+@pytest.mark.parametrize("ident, mutation", [(i, m) for i in TWINS for m in mutations(i)])
+def test_a_changed_exponent_fails_the_twin(monkeypatch, ctx, ident, mutation):
+    i, j, k, d = mutation
+    sides = [list(side) for side in identities._TWINS[ident]]
+    c, o, row = sides[i][j]
+    sides[i][j] = (c, o, {**row, k: row[k] + d})
+    monkeypatch.setitem(identities._TWINS, ident, tuple(sides))
+    assert not formal_record(ident, ctx, ORDER)["passed"]

@@ -221,7 +221,8 @@ _WIDTHS = (64, 256, 1024)
 def _takes_transform(name, nome, ctx):
     """Whether the route rule sends quotient `name` (phi+: theta_phi) at the nome
     through the transformed sums."""
-    route = qseries._phi_route(nome, ctx) if name == "phi+" else qseries._quotient_route(nome, ctx, name)
+    w, (x,) = numerics._fixed(ctx, "route", nome)
+    route = qseries._phi_route(x, w, ctx) if name == "phi+" else qseries._quotient_route(x, w, ctx, name)
     return route == "transformed"
 
 
@@ -318,13 +319,13 @@ def test_transformed_quotient_radius(monkeypatch, euler_chain, name, where, bits
     # 1 - 1e-6 and the first nome m/10^6 at which the cost rule takes them
     ctx = PrecisionContext(bits, 32)
     nome = _nome_at(where, lambda n, c: _takes_transform(name, n, c), ctx)
-    route, sums = qseries._THETA_ROUTES[name]
+    route, row = qseries._THETA_ROUTES[name]
     raw = _raw_balls(monkeypatch, qseries)
 
     def run(c):
         w, (x,) = numerics._fixed(c, route, nome)
         raw.clear()
-        ball = qseries._poisson_quotient(x, w, c, route, sums)
+        ball = qseries._poisson_quotient(x, w, c, route, row)
         assert ball.rad is not None and len(raw) == 1
         return ball.mid, ball.rad, raw[0]
 
@@ -355,13 +356,15 @@ def test_memo_hands_a_named_route_its_own_ball():
     # past the crossover the memo holds the transformed quotient; a check that
     # names the direct sums runs them, and is never handed that Ball
     ctx, nome = PrecisionContext(256, 32), Nome.rational("99/100")
+    route, row = qseries._THETA_ROUTES["R"]
+    w, (x,) = numerics._fixed(ctx, route, nome)
     token = numerics._MEMO.set({})
     try:
         transformed = qseries._theta_quotient(nome, ctx, "R")
-        direct = qseries._direct_quotient(nome, ctx, "R")
+        direct = qseries._direct_quotient(x, w, ctx, route, row)
     finally:
         numerics._MEMO.reset(token)
-    assert transformed.rad is not None and direct.rad is None and direct == qseries._direct_quotient(nome, ctx, "R")
+    assert transformed.rad is not None and direct.rad is None and direct == qseries._direct_quotient(x, w, ctx, route, row)
 
 
 @pytest.mark.parametrize("bits", _WIDTHS)

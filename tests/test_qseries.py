@@ -896,8 +896,14 @@ def _jacobi_cube(q):
         power *= qn
 
 
+def _sparse(q, ctx, route, parts, loss):
+    """``_jacobi_sum`` at q, converted as the kernels convert it."""
+    w, (x,) = numerics._fixed(ctx, route, q)
+    return _jacobi_sum(x, w, ctx, route, parts, loss)
+
+
 def _theta(q, ctx, a, b):
-    return _jacobi_sum(q, ctx, "theta sum", ((a, b, None),), math.pi**2 / (2 * a))
+    return _sparse(q, ctx, "theta sum", ((a, b, None),), math.pi**2 / (2 * a))
 
 
 _SPARSE_NOMES = [Fraction(n, d) for n, d in (
@@ -995,10 +1001,10 @@ def test_cost_rule_picks_the_route(ctx, q, route):
     # at 256 bits R's direct sums cost less at 0.96 and its transformed sums at
     # 0.975 and above; at q < 0 the sums are direct.  The quotient is the named route's
     nome = ctx.real(Fraction(q))
-    assert qseries._quotient_route(nome, ctx, "R") == route
     w, (x,) = numerics._fixed(ctx, "R theta sum", nome)
-    named = (qseries._direct_quotient(nome, ctx, "R") if route == "direct"
-             else qseries._poisson_quotient(x, w, ctx, *qseries._THETA_ROUTES["R"]))
+    assert qseries._quotient_route(x, w, ctx, "R") == route
+    named = (qseries._direct_quotient if route == "direct" else qseries._poisson_quotient)(
+        x, w, ctx, *qseries._THETA_ROUTES["R"])
     assert _theta_quotient(nome, ctx, "R") == named
 
 
@@ -1007,10 +1013,10 @@ def test_short_guard_is_redone_once_at_the_measured_width(monkeypatch, ctx):
     # short, the second runs at the width it measured and agrees with the predicted run
     counted, predicted = _count_and_predict(monkeypatch)
     q = ctx.real(Fraction(99, 100))
-    right = _jacobi_sum(q, ctx, "E", ((3, 1, None),), math.pi**2 / 6)
+    right = _sparse(q, ctx, "E", ((3, 1, None),), math.pi**2 / 6)
     assert len(predicted) == 1
     predicted.clear()
-    redone = _jacobi_sum(q, ctx, "E", ((3, 1, None),), 0.0)
+    redone = _sparse(q, ctx, "E", ((3, 1, None),), 0.0)
     assert len(predicted) == 2 and predicted[0] < predicted[1]
     assert agree_bits(redone / right, 1, ctx) >= ctx.bits - ctx.guard_bits
 
@@ -1018,7 +1024,7 @@ def test_short_guard_is_redone_once_at_the_measured_width(monkeypatch, ctx):
 def test_sum_that_cancels_on_both_passes_raises(ctx):
     parts = ((3, 1, None), (3, 1, lambda w, x: -(1 << w)))  # E - E = 0
     with pytest.raises(ArithmeticError, match="cancelled"):
-        _jacobi_sum(ctx.real(Fraction(1, 2)), ctx, "E - E", parts, math.pi**2 / 6)
+        _sparse(ctx.real(Fraction(1, 2)), ctx, "E - E", parts, math.pi**2 / 6)
 
 
 def test_sparse_sum_refuses_a_count_above_max_iter(monkeypatch):
@@ -1051,14 +1057,14 @@ def test_sparse_prediction_never_exceeds_the_count(monkeypatch, name, bits, guar
     counted, predicted = _count_and_predict(monkeypatch)
     # the transformed sums (q > 0) too, alone and as R's quotient, whose two
     # sums share c and so each run at least the one count predicted
-    transformed = (({"theta_G": (5, 1), "E": (3, 1), "phi": (2, 0)}[name],), ())
+    transformed = {{"theta_G": (5, 1), "E": (3, 1), "phi": (2, 0)}[name]: 1}
     for q in ("1/10", "1/2", "-1/2", "9/10", "-97/98", "999/1000", "99999/100000"):
         ctx = PrecisionContext(bits, guard_bits, max_iter)
         w, (x,) = numerics._fixed(ctx, name, ctx.real(Fraction(q)))
-        calls = [] if q == "99999/100000" else [lambda c: _jacobi_sum(c.real(Fraction(q)), c, name, parts, loss)]
+        calls = [] if q == "99999/100000" else [lambda c: _sparse(c.real(Fraction(q)), c, name, parts, loss)]
         if x > 0:
-            calls += [lambda c, sums=sums: qseries._poisson_quotient(x, w, c, name, sums)
-                      for sums in (transformed, (((5, 3),), ((5, 1),)))]
+            calls += [lambda c, row=row: qseries._poisson_quotient(x, w, c, name, row)
+                      for row in (transformed, qseries._THETA_ROUTES["R"][1])]
         for call in calls:
             counted.clear()
             predicted.clear()
@@ -1107,11 +1113,11 @@ def test_transformed_sums_with_several_terms(monkeypatch):
     counted, _ = _count_and_predict(monkeypatch)
     nome = Nome.rational("9/10")
     w, (x,) = numerics._fixed(ctx, "test", nome)
-    for name, (route, sums) in qseries._THETA_ROUTES.items():
+    for name, (route, row) in qseries._THETA_ROUTES.items():
         counted.clear()
-        transformed = qseries._poisson_quotient(x, w, ctx, route, sums).mid
+        transformed = qseries._poisson_quotient(x, w, ctx, route, row).mid
         runs = len(counted)
-        num, den = ([_theta(nome, ctx, a, b) for a, b in side] for side in sums)
+        num, den = ([_theta(nome, ctx, a, b) for a, b in side] for side in qseries._sides(row))
         direct = math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one)
         assert agree_bits(transformed / direct, 1, ctx) >= ctx.bits - ctx.guard_bits, name
         assert runs == {"R": 12, "G": 11, "H": 11, "E": 5, "phi-": 4, "phi+": 10}[name]

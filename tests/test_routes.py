@@ -3,7 +3,8 @@
 ``cf._rr_route`` (R and S: the fraction at q or the modular relation),
 ``qseries._quotient_route`` (a theta quotient: its direct sums or their
 Jacobi imaginary transformation) and ``qseries._phi_route`` (theta_phi at
-q >= 0: its sum or the transformed quotient) price their plans and choose by
+q >= 0: its sum or the transformed quotient; both at the nome as converted
+once) price their plans and choose by
 ``cf._cheapest``.  The table pins their choices at rational, exp and exp-sqrt
 nomes, at -q where the route exists, at 64 to 4,096 bits, and on each side of
 every crossover: the last nome m/10^6 before it and the first after it
@@ -14,15 +15,25 @@ from fractions import Fraction
 
 import pytest
 
-from rrlab import cf, qseries
+from rrlab import cf, numerics, qseries
 from rrlab.numerics import Nome, PrecisionContext
+
+
+def _converted(route, *name):
+    """A route function of the converted nome (x, W) as a function of the nome."""
+
+    def choose(q, c):
+        w, (x,) = numerics._fixed(c, "route table", q)
+        return route(x, w, c, *name)
+
+    return choose
+
 
 _ROUTE_FUNCTIONS = {
     "rr R": lambda q, c: cf._rr_route(q, c),
     "rr S": lambda q, c: cf._rr_route(q, c, alternating=True),
-    **{f"quotient {name}": lambda q, c, name=name: qseries._quotient_route(q, c, name)
-       for name in ("R", "G", "H", "E", "phi-")},
-    "phi": qseries._phi_route,
+    **{f"quotient {name}": _converted(qseries._quotient_route, name) for name in ("R", "G", "H", "E", "phi-")},
+    "phi": _converted(qseries._phi_route),
 }
 _DEFAULT = {"rr": "fraction", "quotient": "direct", "phi": "sum"}  # the route below each crossover
 _OTHER = {"rr": "relation", "quotient": "transformed", "phi": "transformed"}
