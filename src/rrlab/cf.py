@@ -15,13 +15,13 @@ terms are all positive ints runs the same recurrence in blocks of
 BLOCK_STEPS steps, composed exactly in small ints.  R's terms and the
 entry-15 terms enter it as exact W-bit pairs, with no mpf arithmetic.
 
-R itself has two routes: ``rr_cf``, the fraction at q (at q = +-1 one period
-of 1 or 2 terms), which every identity and special-value check names, and
-the paper's modular relation (``_by_relation``): R (or S) at q from the
-fraction at q^ = exp(-k pi^2/ln(1/q)), 3 steps near |q| = 1 instead of 170 to
-345, with a proven radius.  ``rr_value``, which ``eval R`` and ``eval S``
-take, runs the route ``_rr_route`` names by ``_cheapest``, the package's one
-route rule, which the theta routes of ``qseries`` share.
+R, written once as ``R_ROW``, has two routes: ``rr_cf``, the fraction at q (at
+q = +-1 one period of 1 or 2 terms), which every identity and special-value
+check names, and the paper's modular relation (``_by_relation``): R (or S) at
+q from the fraction at q^ = exp(-k pi^2/ln(1/q)), 3 steps near |q| = 1 instead
+of 170 to 345, with a proven radius.  ``rr_value``, which ``eval R`` and
+``eval S`` take, runs the route ``_rr_route`` names by ``_cheapest``, the
+package's one route rule, which the theta routes of ``qseries`` share.
 
 Non-convergence has one exception type, ConvergenceError (defined with
 CFStatus in ``numerics``, whose ``certify`` raises it too): a CFResult's value
@@ -35,6 +35,7 @@ exceeds the cap.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import log2
@@ -61,7 +62,6 @@ __all__ = [
     "schur_classify",
     "SchurClassification",
     "rr_at_root_of_unity",
-    "rr_root_of_unity_spec",
     "rr_root_of_unity_direct",
 ]
 
@@ -536,24 +536,43 @@ def _eval_periodic(spec: CFSpec, ctx: PrecisionContext) -> Optional[CFResult]:
 # -- the Rogers-Ramanujan continued fraction ---------------------------------
 
 
-def rr_cfspec(q, ctx: PrecisionContext) -> CFSpec:
-    """CFSpec for R(q) without its q^(1/5) factor: partial numerators 1, q, q^2, ...
+# A q-continued fraction as data: q^prefactor K(a_k/1), a_k = q^(s k + t) for numerators
+# (s, t), equal to q^prefactor times product, a row {(A, B): e} of ``qseries._THETA_ROUTES``.
+QFraction = namedtuple("QFraction", "numerators product prefactor")
+# R(q) = q^(1/5)/(1 + q/(1 + q^2/(1 + ...))) = q^(1/5) (q; q^5)(q^4; q^5)/((q^2; q^5)(q^3; q^5))
+R_ROW = QFraction(numerators=(1, -1), product={(5, 3): 1, (5, 1): -1}, prefactor=Fraction(1, 5))
 
-    At q = 1 and q = -1, the roots of unity of orders 1 and 2, the terms are
-    ints and the spec declares period 1 or 2.  At |q| < 1, q^(k-1) is the exact
-    pair (P_k, W), P_1 = 2^W and P_k = floor(P_(k-1) x 2^-W), x = q read at the
-    width W of ``numerics._fixed``: one multiply a step, each P_k within k - 1
-    units of (x 2^-W)^(k-1) 2^W, and within 2 once |q| <= 1/2.
+
+def _prefactor(q, mode: RootMode, ctx: PrecisionContext):
+    """``R_ROW``'s prefactor q^(c/d), the d-th root of q^c in the mode."""
+    return root(q ** R_ROW.prefactor.numerator, R_ROW.prefactor.denominator, mode, ctx)
+
+
+def rr_cfspec(q, ctx: PrecisionContext) -> CFSpec:
+    """CFSpec of R's fraction without its prefactor: ``R_ROW``'s a_k = q^(s k + t) over b_k = 1.
+
+    At a unit-root Nome q = exp(2 pi i j/n) each a_k is the exact root
+    Nome.unit_root((s k + t) j mod n, n), converted at the precision of the
+    context that reads it, and the spec declares period n; at n = 1 and 2, as
+    at q = 1 and q = -1, the terms are ints.  At |q| < 1, q^e is the exact pair
+    (P_e, W), P_0 = 2^W and P_e = floor(P_(e-1) x 2^-W), x = q read at the width
+    W of ``numerics._fixed``: one multiply a power, each P_e within e units of
+    (x 2^-W)^e 2^W, and within 2 once |q| <= 1/2.
     """
+    s, t = R_ROW.numerators
     if q == 1 or q == -1:
-        return CFSpec(b0=0, terms=lambda k: (int(q) ** (k - 1), 1), period=1 if q == 1 else 2)
+        q = Nome.unit_root(int(q == -1), 2)
+    if isinstance(q, Nome) and q.form == "unit-root":
+        j, n = q.arg.numerator, q.arg.denominator
+        unit = (lambda r: (-1) ** r) if n <= 2 else (lambda r: Nome.unit_root(r, n))
+        return CFSpec(b0=0, terms=lambda k: (unit((s * k + t) * j % n), 1), period=n)
     w, (x,) = _fixed(ctx, "R continued fraction", q)
     powers = [1 << w]
 
     def terms(k: int):
-        while len(powers) < k:
+        while len(powers) <= s * k + t:
             powers.append(powers[-1] * x >> w)
-        return (powers[k - 1], w), 1
+        return (powers[s * k + t], w), 1
 
     return CFSpec(b0=0, terms=terms)
 
@@ -563,7 +582,7 @@ def rr_cf(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL) -> CFRe
 
     At q = +-1 the fraction is decided from one period (``rr_cfspec``);
     elsewhere q, a Nome too, reaches the loop at width W, not rounded to
-    ctx.bits first.  A converged fraction is multiplied by root(q, 5, mode);
+    ctx.bits first.  A converged fraction is multiplied by ``_prefactor``;
     any other result is returned as eval_infinite gave it.  For |q| > 1 the
     fraction diverges (DivergenceError).  Unimodular q other than +-1 must go through the
     root-of-unity interface, which handles the primitive-root classification.
@@ -580,9 +599,7 @@ def rr_cf(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL) -> CFRe
             "rr_root_of_unity_direct for primitive roots of unity"
         )
     res = eval_infinite(rr_cfspec(q if aq < 1 else int(qv), ctx), ctx)
-    if res.converged:
-        res = replace(res, value=root(qv, 5, mode, ctx) * res.value)
-    return res
+    return replace(res, value=_prefactor(qv, mode, ctx) * res.value) if res.converged else res
 
 
 # -- R and S near |q| = 1: the modular relation --------------------------------
@@ -675,8 +692,7 @@ def _by_relation(p, ctx: PrecisionContext, alternating: bool) -> CFResult:
     if res.converged:
         sqrt5 = mp.sqrt(5)
         c = (sqrt5 + sign) / 2
-        fifth = mp.root(hat, 5)
-        value = sqrt5 * c / (c + fifth * res.value) - c
+        value = sqrt5 * c / (c + _prefactor(hat, RootMode.PRINCIPAL, wide) * res.value) - c
         units, mag = 136, mp.mag(hat)  # t < 2^mag
         if mag >= -wide.bits - 2:
             lt, big_l = _log2(hat), float(log)
@@ -767,22 +783,6 @@ def rr_at_root_of_unity(n: int, j: int, ctx: PrecisionContext):
     return cls.lam * ctx.number(Nome.unit_root(j * cls.exponent, n)) * r_lam
 
 
-def rr_root_of_unity_spec(n: int, j: int = 1) -> CFSpec:
-    """CFSpec of the prefactor-free fraction at q = exp(2*pi*i*j/n), period n.
-
-    Each power q^(k-1) is the exact root Nome.unit_root(r, n) with r = (k-1)*j
-    reduced mod n, converted at the precision of the (widened) context that
-    reads it, so no precision decays with depth or is capped by the spec.
-    """
-    if n <= 0:
-        raise ValueError("n must be a positive integer")
-
-    def terms(k: int):
-        return (Nome.unit_root((k - 1) * j % n, n), 1)
-
-    return CFSpec(b0=0, terms=terms, period=n)
-
-
 def rr_root_of_unity_direct(n: int, j: int, ctx: PrecisionContext) -> CFResult:
     """Evaluate R at a primitive n-th root of unity from the fraction itself.
 
@@ -794,10 +794,8 @@ def rr_root_of_unity_direct(n: int, j: int, ctx: PrecisionContext) -> CFResult:
     Where the fraction has no limit (5 | n) the result is DIVERGES after n
     iterations, with no value.
     """
-    spec = rr_root_of_unity_spec(n, j)  # first: it rejects n <= 0
+    lam = legendre5(n)  # first: it rejects n <= 0
     if math.gcd(j, n) != 1:
         raise ValueError(f"j={j} is not coprime to n={n}: q is not a primitive root")
-    res = eval_infinite(spec, ctx)
-    if not res.converged:
-        return res
-    return replace(res, value=legendre5(n) * res.value)
+    res = eval_infinite(rr_cfspec(Nome.unit_root(j, n), ctx), ctx)
+    return replace(res, value=lam * res.value) if res.converged else res

@@ -211,7 +211,7 @@ def stretched_product(a: FormalSeries, s: int, b: FormalSeries) -> FormalSeries:
     """a(x^s) * b, the same series as ``a.stretch(s) * b``.
 
     a(x^s) maps each exponent class of b mod s into itself, so the product is
-    s products of a with one class each, every one 1/s as long as the whole.
+    s products of a with one nonzero class each, every one 1/s as long as the whole.
     """
     if s < 1:
         raise ValueError("stretch factor must be >= 1")
@@ -219,7 +219,7 @@ def stretched_product(a: FormalSeries, s: int, b: FormalSeries) -> FormalSeries:
     out = [0] * n
     for c in range(s):
         part = b.coeffs[c:n:s]
-        if part:
+        if any(part):
             p = a * FormalSeries(part, 0, len(part) - 1)
             out[c:n:s] = [0] * (p.offset - a.offset) + p.coeffs
     lowest = s * a.offset + b.offset

@@ -440,15 +440,13 @@ def asymptotic_check(x, ctx: PrecisionContext, reference=None) -> dict:
 # term 1) that clears every denominator, so no exponent is negative and no twin
 # divides.  The multiplier keeps a pass exact through the same order, and a
 # mismatch in the identity at the same lowest exponent with the same coefficient
-# difference.  R = q^(1/5) S_N/S_D and E = S_E are rows of ``qseries._THETA_ROUTES``.
+# difference.  R = q^(1/5) S_N/S_D is ``cf.R_ROW`` and E = S_E a row of ``qseries._THETA_ROUTES``.
 
-(_N, _), (_D, _) = _qs._THETA_ROUTES["R"][1].items()
+(_N, _), (_D, _) = _cf.R_ROW.product.items()
 ((_E, _),) = _qs._THETA_ROUTES["E"][1].items()
 _N5, _D5, _E5 = ((5 * a, 5 * b) for a, b in (_N, _D, _E))  # S_(5A,5B)(x) = S_(A,B)(x^5)
 
 _TWINS = {
-    # t A_n(t^5) against B_n(t^5) R, times S_D(t^5); in q, with the coefficients A_n, B_n
-    "cf-vs-product": ([(1, 0, {_D: 1})], [(1, 0, {_N: 1})]),
     # t(1/R - 1 - R) = (t;t)/(t^25;t^25) in t, times (t^25;t^25)(t^5;t^5) = S_N(t^5) S_D(t^5)
     "R-identity-1": ([(1, 0, {_D5: 2}), (-1, 1, {_D5: 1, _N5: 1}), (-1, 2, {_N5: 2})], [(1, 0, {_E: 1, _E5: 1})]),
     # q(1/R^5 - 11 - R^5) = (q;q)^6/(q^5;q^5)^6 in q, times S_N^5 S_D^5 (q^5; q^5)
@@ -463,19 +461,21 @@ def _formal_twin(ident: str):
 
 
 def _formal_cf_vs_product(order: int, ctx: PrecisionContext):
-    """The fraction's truncation A_n/B_n at q = t^5 against R, cleared: t A_n(t^5)
-    S_D(t^5) against t B_n(t^5) S_N(t^5), formed in q.  R = t/(1 + t^5/(1 + ...)),
-    so A_k = A_(k-1) + q^(k-1) A_(k-2) from A_0 = 0, A_1 = 1, and B_k likewise from
-    B_0 = B_1 = 1, kept through q^(order/5 + 1); A_n/B_n - A_(n-1)/B_(n-1) =
-    +-q^(n(n-1)/2), so the depth makes the truncation exact there."""
-    q_order = order // 5 + 1
-    depth = math.isqrt(2 * q_order) + 4  # depth(depth - 1)/2 > q_order, and two more
-    one = [1] + [0] * q_order
-    polys = [([0] * (q_order + 1), one), (one, one)]  # (A_0, A_1) and (B_0, B_1)
-    for s in range(1, depth):  # A_(s+1) = A_s + q^s A_(s-1), and B likewise
-        polys = [(p, p[:s] + list(map(add, p[s:], prev))) for prev, p in polys]
-    yield "", *((FormalSeries(p, 0, q_order) * eta_sum(side, q_order)).stretch(5).shift(1).truncate(order)
-                for (_, p), side in zip(polys, _TWINS["cf-vs-product"]))
+    """R's fraction truncated, A_n/B_n, against its product S_N/S_D, both from ``cf.R_ROW``,
+    cleared: t A_n(t^5) S_D(t^5) against t B_n(t^5) S_N(t^5), t = q^(1/5), formed in q
+    through q^(order/5 + 1).  A_k = A_(k-1) + q^(e_k) A_(k-2) from A_(-1) = 1, A_0 = 0, one
+    slice-add a step, and B_k likewise from B_(-1) = 0, B_0 = 1; A_n/B_n - A_(n-1)/B_(n-1) =
+    +-q^(e_1 + ... + e_n), so the depth where that sum passes the order makes it exact there."""
+    (s, t), front = _cf.R_ROW.numerators, _cf.R_ROW.prefactor
+    q_order = order // front.denominator + 1
+    depth = next(n for n in range(1, q_order + 3) if s * n * (n + 1) // 2 + t * n > q_order)
+    one, zero = [1] + [0] * q_order, [0] * (q_order + 1)
+    polys = [(one, zero), (zero, one)]  # (A_(-1), A_0) and (B_(-1), B_0)
+    for e in (s * k + t for k in range(1, depth + 1)):
+        polys = [(p, p[:e] + list(map(add, p[e:], prev))) for prev, p in polys]
+    num, den = ({k: side.count(k) for k in side} for side in _qs._sides(_cf.R_ROW.product))
+    yield "", *((FormalSeries(p, 0, q_order) * eta_sum([(1, 0, row)], q_order)).stretch(front.denominator)
+                .shift(front.numerator).truncate(order) for (_, p), row in zip(polys, (den, num)))
 
 
 # -- registry and driver -------------------------------------------------------------

@@ -9,18 +9,18 @@ head: a division-free product, or (q; q)_inf by Dedekind-eta inversion and a
 short series.  Its loop tests for a stop neither before the peak nor where a
 gate (``quiet``) proves none.  The product sides (R_product, the product
 backends of G and H, Euler's E and theta at q < 0) are rows {(A, B): e} of
-``_THETA_ROUTES``, prod S_(A,B)^e, which ``series_R`` and ``formal.eta_sum``
-form exactly: S_(A,B)(q) = sum over all m of (-1)^m q^((A m^2 - B m)/2) is a
-sparse alternating sum, the Jacobi triple product, summed by ``_jacobi_sum`` in
-O(sqrt(bits/h)) terms, h = -ln|q|, with guard bits for the cancellation
-(``_direct_quotient``).  For q > 0 their Jacobi imaginary transformation
-(``_poisson_quotient``) takes one term each near q = 1 and proves its radius,
-as theta does, phi(-q^2)^2/phi(-q), in place of its sum (``_phi_sum``);
-``cf._cheapest`` chooses the route.  Every kernel predicts a lower bound on its
-term count and raises ConvergenceError before it starts when that exceeds
-max_iter (``cf.refuse_early``).  S's default route is ``cf.rr_value``.  The
-finite-form mu/nu polynomials take exact rationals and sum Gaussian polynomials
-in integers.
+``_THETA_ROUTES`` (R's is ``cf.R_ROW``'s), prod S_(A,B)^e, which ``series_R``
+and ``formal.eta_sum`` form exactly: S_(A,B)(q) = sum over all m of (-1)^m
+q^((A m^2 - B m)/2) is a sparse alternating sum, the Jacobi triple product,
+summed by ``_jacobi_sum`` in O(sqrt(bits/h)) terms, h = -ln|q|, with guard bits
+for the cancellation (``_direct_quotient``).  For q > 0 their Jacobi imaginary
+transformation (``_poisson_quotient``) takes one term each near q = 1 and
+proves its radius, as theta does, phi(-q^2)^2/phi(-q), in place of its sum
+(``_phi_sum``); ``cf._cheapest`` chooses the route.  Every kernel predicts a
+lower bound on its term count and raises ConvergenceError before it starts when
+that exceeds max_iter (``cf.refuse_early``).  S's default route is
+``cf.rr_value``.  The finite-form mu/nu polynomials take exact rationals and
+sum Gaussian polynomials in integers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional
 from mpmath import libmp
 
 from .formal import FormalSeries, eta_sum, product_one_minus_inv
-from .numerics import _MEMO, FIXED_UNITS, Ball, PrecisionContext, RootMode, _ball, _fixed, _nome_units, root
+from .numerics import _MEMO, FIXED_UNITS, Ball, PrecisionContext, RootMode, _ball, _fixed, _nome_units
 from . import cf as _cf
 
 __all__ = [
@@ -725,8 +725,8 @@ def _theta_quotient(q, ctx: PrecisionContext, name: str):
 
 # name: (route, row {(A, B): e}, the product of the S_(A,B)^e, numerator first)
 _THETA_ROUTES = {
-    # R(q)/q^(1/5) = theta_H/theta_G = (q; q^5)(q^4; q^5) / ((q^2; q^5)(q^3; q^5))
-    "R": ("R theta sum", {(5, 3): 1, (5, 1): -1}),
+    # R(q)/q^(1/5) = theta_H/theta_G, the product of ``cf.R_ROW``: this very dict
+    "R": ("R theta sum", _cf.R_ROW.product),
     # G = theta_G/E = 1/((q; q^5)(q^4; q^5)) and H = theta_H/E = 1/((q^2; q^5)(q^3; q^5))
     "G": ("G theta sum", {(5, 1): 1, (3, 1): -1}),
     "H": ("H theta sum", {(5, 3): 1, (3, 1): -1}),
@@ -763,11 +763,11 @@ def H(q, ctx: PrecisionContext, backend: str = "series"):
 
 
 def R_product(q, ctx: PrecisionContext, mode: RootMode = RootMode.PRINCIPAL):
-    """R(q) = q^(1/5) * H(q)/G(q) = q^(1/5) * theta_H(q)/theta_G(q), the product side."""
+    """R(q) = q^(1/5) * theta_H(q)/theta_G(q), ``cf.R_ROW``'s prefactor times its product row."""
     qv = ctx.number(q)
     if qv == 0 or abs(qv) >= 1:
         raise ValueError("R_product requires 0 < |q| < 1")
-    return root(qv, 5, mode, ctx) * _theta_quotient(q, ctx, "R").mid
+    return _cf._prefactor(qv, mode, ctx) * _theta_quotient(q, ctx, "R").mid
 
 
 def _s_nome(q, ctx: PrecisionContext):
@@ -974,16 +974,17 @@ def series_H(order: int, side: str = "sum") -> FormalSeries:
 
 
 def series_R(order: int) -> FormalSeries:
-    """Exact expansion of R in t (t^5 = q): t times R's row of ``_THETA_ROUTES``,
-    S_(5,3)/S_(5,1) = H/G, at t^5.  The divisor S_(5,1) = 1 - q^2 - q^3 + q^9 + ...
+    """Exact expansion of R in t (t^5 = q): ``cf.R_ROW``, its prefactor t times its
+    product row S_(5,3)/S_(5,1) = H/G at t^5.  The divisor S_(5,1) = 1 - q^2 - q^3 + q^9 + ...
     has lead 1 and about 2 sqrt(2m/5) nonzero terms through q^m, all +-1, so each
     coefficient of the quotient is the numerator's less those terms against the
     coefficients already found: no product and no reciprocal."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    m = order // 5 + 1
+    front = _cf.R_ROW.prefactor
+    m = order // front.denominator + 1
     num, den = (eta_sum([(1, 0, {k: side.count(k) for k in side})], m).coeffs
-                for side in _sides(_THETA_ROUTES["R"][1]))
+                for side in _sides(_cf.R_ROW.product))
     terms = [(k, d) for k, d in enumerate(den) if d and k]  # exponents ascending
     ratio = []
     for n, c in enumerate(num):
@@ -992,4 +993,4 @@ def series_R(order: int) -> FormalSeries:
                 break
             c -= d * ratio[n - k]
         ratio.append(c)
-    return FormalSeries(ratio, 0, m).stretch(5).shift(1).truncate(order)
+    return FormalSeries(ratio, 0, m).stretch(front.denominator).shift(front.numerator).truncate(order)

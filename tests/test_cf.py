@@ -23,7 +23,6 @@ from rrlab.cf import (
     rr_cf,
     rr_cfspec,
     rr_root_of_unity_direct,
-    rr_root_of_unity_spec,
     rr_value,
     schur_classify,
 )
@@ -331,7 +330,7 @@ def test_eval_infinite_matches_exact_truncation(make_spec, ctx):
 
 
 def test_quintic_root_never_converges_quickly(ctx):
-    res = eval_infinite(rr_root_of_unity_spec(5, 1), ctx)
+    res = eval_infinite(rr_cfspec(Nome.unit_root(1, 5), ctx), ctx)
     assert res.status is CFStatus.DIVERGES
     assert (res.iterations, res.value) == (5, None)
 
@@ -362,9 +361,8 @@ def test_root_of_unity_long_period_keeps_contract(n, ctx):
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_root_of_unity_rejects_nonpositive_n(n, ctx):
-    for call in (lambda: rr_root_of_unity_direct(n, 1, ctx), lambda: rr_root_of_unity_spec(n)):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
-            call()
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        rr_root_of_unity_direct(n, 1, ctx)
 
 
 @pytest.mark.parametrize(
@@ -726,8 +724,12 @@ def test_plus_minus_one_are_decided_from_one_period(case, q, mode, terms, bits):
     sign = -1 if case == "S(1)" else 1
     res = rr_value(1, ctx, alternating=True) if case == "S(1)" else rr_cf(q, ctx, mode)
     assert (res.status, res.iterations) == (CFStatus.CONVERGED, terms)
-    assert rr_cfspec(q, ctx).period == terms
-    forward = eval_infinite(replace(rr_cfspec(q, ctx), period=None), ctx)
+    # the unit-root Nome of order 1 or 2 hands the same int terms and period as q itself
+    plain, unit = rr_cfspec(q, ctx), rr_cfspec(Nome.unit_root(1, terms), ctx)
+    heads = [[spec.terms(k) for k in range(1, 7)] for spec in (plain, unit)]
+    assert plain.period == unit.period == terms and heads[0] == heads[1]
+    assert all(type(a) is int and type(b) is int for a, b in heads[1])
+    forward = eval_infinite(replace(unit, period=None), ctx)
     assert (forward.status, forward.iterations) == (CFStatus.CONVERGED, _FORWARD_STEPS[q, bits])
     oracle = sign * root(q, 5, mode, ctx) * forward.value
     closed = phi * (mp.expjpi(mp.mpf(1) / 5) if mode is RootMode.PRINCIPAL else -1) if q == -1 else 1 / phi

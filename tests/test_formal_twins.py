@@ -1,10 +1,11 @@
 """The exact twins of cf-vs-product, R-identity-1 and R-identity-2, and series_R.
 
 The twins are rows {(A, B): e} of sparse theta series S_(A,B), their
-denominators cleared (``identities._TWINS``, formed by ``formal.eta_sum``), and
-series_R divides R's row's numerator by its denominator with a short
-recurrence.  The oracles here are the uncleared forms through the Newton
-reciprocal, which no twin uses, and the rows' triple products through
+denominators cleared (``identities._TWINS``, and for cf-vs-product the halves of
+R's row ``cf.R_ROW``, formed by ``formal.eta_sum``), and series_R divides R's
+row's numerator by its denominator with a short recurrence.  The oracles here
+are the uncleared forms through the Newton reciprocal, which no twin uses and
+which read none of R's row, and the rows' triple products through
 ``product_one_minus``.
 """
 
@@ -61,8 +62,9 @@ def old_r(order):
 
 
 def old_cf_vs_product(order):
-    """The fraction truncation in series arithmetic, against R: the backward
-    recurrence v <- b_k + q^k / v from v = 1 at the depth, b_0 = 0 and b_k = 1."""
+    """The fraction truncation in series arithmetic, against R = t (S_(5,3)/S_(5,1))(t^5)
+    through Newton: the backward recurrence v <- b_k + q^k / v from v = 1 at the
+    depth, b_0 = 0 and b_k = 1."""
     q_order = order // 5 + 1
     depth = 2
     while depth * (depth - 1) // 2 <= q_order:
@@ -70,7 +72,8 @@ def old_cf_vs_product(order):
     value = FormalSeries([1], 0, q_order)
     for k in range(depth - 1, -1, -1):
         value = FormalSeries([1], k, q_order) * value.reciprocal() + (1 if k else 0)
-    return value.stretch(5).shift(1).truncate(order), qseries.series_R(order)
+    r = formal.theta_series(5, 3, q_order) * formal.theta_series(5, 1, q_order).reciprocal()
+    return value.stretch(5).shift(1).truncate(order), r.stretch(5).shift(1).truncate(order)
 
 
 def old_r_identity_1(order):
@@ -147,8 +150,8 @@ def perturbed(e, deltas):
 
 @pytest.mark.parametrize("e", [0, 1, 5, 11, 29])
 def test_cf_twin_reports_a_perturbed_numerator_like_the_uncleared_form(monkeypatch, ctx, e):
-    # S_(5,3) up by 3 at q^e moves R = t (S_(5,3)/S_(5,1))(t^5) by 3 at t^(5e + 1);
-    # series_R, the uncleared form's R, reads the same row
+    # S_(5,3) up by 3 at q^e moves R = t (S_(5,3)/S_(5,1))(t^5) by 3 at t^(5e + 1),
+    # in the twin and in the uncleared form's R alike
     monkeypatch.setattr(formal, "theta_series", perturbed(e, {(5, 3): 3}))
     got = mismatch(formal_record("cf-vs-product", ctx, ORDER))
     assert got == first_mismatch(*old_cf_vs_product(ORDER), ORDER) == (5 * e + 1, 3)
@@ -189,11 +192,20 @@ def triple_product(row, order):
                               for k in range(first, order + 1, a) for _ in range(e)], order)
 
 
+def twin_sides(ident):
+    """The twin's two sides of (c, o, row) terms: cf-vs-product's multipliers are the
+    halves of R's row, S_D against the fraction's A_n and S_N against its B_n."""
+    if ident == "cf-vs-product":
+        num, den = ({k: side.count(k) for k in side} for side in qseries._sides(cf.R_ROW.product))
+        return [(1, 0, den)], [(1, 0, num)]
+    return identities._TWINS[ident]
+
+
 @pytest.mark.parametrize("ident", TWINS)
 def test_twin_sides_match_their_triple_products(ident):
     # each row, and each side as the sum of its terms c x^o prod S_(A,B)^e, through order 500
     order = 500
-    for side in identities._TWINS[ident]:
+    for side in twin_sides(ident):
         total = FormalSeries([0], 0, order)
         for c, o, row in side:
             assert eta_sum([(1, 0, row)], order) == triple_product(row, order), row
@@ -201,11 +213,12 @@ def test_twin_sides_match_their_triple_products(ident):
         assert eta_sum(side, order) == total.truncate(order)
 
 
-@pytest.mark.parametrize("ident, count", [("cf-vs-product", 2), ("R-identity-1", 8), ("R-identity-2", 19)])
+@pytest.mark.parametrize("ident, count", [("cf-vs-product", 2), ("R-identity-1", 6), ("R-identity-2", 19)])
 def test_twins_form_each_power_once(monkeypatch, ctx, ident, count):
     # every power by squaring once per side and the shared (q^5; q^5) once: R-identity-2
     # forms the 19 products it formed by hand; R-identity-1 runs 3 products in q and
-    # E(t) E(t^5) as 5, where it ran 5 on the G and H sums, and cf-vs-product 2
+    # E(t) E(t^5) as 3, one per class of E(t) mod 5 that pentagonal numbers reach
+    # (0, 1 and 2), where it ran 5 on the G and H sums, and cf-vs-product 2
     calls, product = [], formal._product
     monkeypatch.setattr(formal, "_product", lambda *args: calls.append(args[2]) or product(*args))
     assert formal_record(ident, ctx, 960)["passed"]
@@ -214,15 +227,18 @@ def test_twins_form_each_power_once(monkeypatch, ctx, ident, count):
 
 def mutations(ident):
     """(side, term, factor, delta) for every exponent of a row of the twin, +-1, kept >= 0."""
-    return [(i, j, k, d) for i, side in enumerate(identities._TWINS[ident]) for j, (_, _, row) in enumerate(side)
+    return [(i, j, k, d) for i, side in enumerate(twin_sides(ident)) for j, (_, _, row) in enumerate(side)
             for k, e in row.items() for d in (1, -1) if e + d >= 0]
 
 
 @pytest.mark.parametrize("ident, mutation", [(i, m) for i in TWINS for m in mutations(i)])
 def test_a_changed_exponent_fails_the_twin(monkeypatch, ctx, ident, mutation):
     i, j, k, d = mutation
-    sides = [list(side) for side in identities._TWINS[ident]]
-    c, o, row = sides[i][j]
-    sides[i][j] = (c, o, {**row, k: row[k] + d})
-    monkeypatch.setitem(identities._TWINS, ident, tuple(sides))
+    if ident == "cf-vs-product":  # its rows are R's row's halves, the denominator's (side 0) negated
+        monkeypatch.setitem(cf.R_ROW.product, k, cf.R_ROW.product[k] + (d if i else -d))
+    else:
+        sides = [list(side) for side in identities._TWINS[ident]]
+        c, o, row = sides[i][j]
+        sides[i][j] = (c, o, {**row, k: row[k] + d})
+        monkeypatch.setitem(identities._TWINS, ident, tuple(sides))
     assert not formal_record(ident, ctx, ORDER)["passed"]
