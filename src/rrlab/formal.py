@@ -260,12 +260,16 @@ def theta_series(a: int, b: int, order: int) -> FormalSeries:
     return FormalSeries(out, 0, order)
 
 
+def _coarsest(a: int, b: int) -> int:  # the largest s with S_(A,B)(x) = S_(A/s,B/s)(x^s)
+    return max(d for d in range(1, a + 1) if a % d == b % d == 0 and (a - b) // d % 2 == 0)
+
+
 def eta_sum(terms, order: int) -> FormalSeries:
     """sum of c x^o prod S_(A,B)^e over the terms (c, o, row {(A, B): e}), c an int and
-    every e >= 0, through x^order.  S_(sA,sB)(x) = S_(A,B)(x^s): a factor is
-    ``theta_series`` in y = x^s (s as large as may be) through y^(order // s), each
-    power of it formed once, by squaring; factors in different y meet through
-    ``stretched_product``, and those that every term shares multiply the sum once."""
+    every e >= 0, through x^order.  A factor is ``theta_series`` in y = x^s,
+    s = ``_coarsest``(A, B), through y^(order // s), each power of it formed once, by
+    squaring; factors in different y meet through ``stretched_product``, and those
+    that every term shares multiply the sum once."""
     powers = {}
 
     def power(key, e):  # S_(A,B)(y)^e for key (A, B, s)
@@ -277,7 +281,7 @@ def eta_sum(terms, order: int) -> FormalSeries:
     def product(row, acc=None):  # the row times acc, finest y first
         groups = {}
         for (a, b), e in filter(lambda factor: factor[1], row.items()):
-            s = max(d for d in range(1, a + 1) if a % d == b % d == 0 and (a - b) // d % 2 == 0)
+            s = _coarsest(a, b)
             groups.setdefault(s, []).append(power((a // s, b // s, s), e))
         for s, (first, *rest) in sorted(groups.items()):
             p = math.prod(rest, start=first)

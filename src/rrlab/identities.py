@@ -3,17 +3,21 @@
 The registry ``_CASES`` maps each identity id to its (grid, sides) tables: the
 grid lists labelled points and the sides yield only (suffix, lhs, rhs) triples,
 the left and right value at each point.  A nome a grid lists or a side forms
-from an exact argument is a ``Nome``.  A side that cancels is a ``_real_sum``,
-formed again on the context widened by the bits it measures: 1/R - 1 - R,
-1/R^5 - 11 - R^5, cubic's v - u^3 and the factorization's left side.  ``verify``
-runs the tables on the package's one check driver, ``numerics.check_tables``,
-whose one record rule, ``numerics.record``, judges each record by the type of
-its two values.
+from an exact argument is a ``Nome``.  R-identity-1 and R-identity-2 are each
+one entry of ``_TABLE``, from which both their tables come: the exact one
+forms the entry's cleared sides, the numeric one the same terms over the unit
+multiplier.  A side that cancels is a ``_real_sum``, formed again on the
+context widened by the bits it measures: the table's sides, cubic's v - u^3
+and the factorization's left side.  ``verify`` runs the tables on the
+package's one check driver, ``numerics.check_tables``, whose one record rule,
+``numerics.record``, judges each record by the type of its two values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -21,7 +25,7 @@ from operator import add
 from . import cf as _cf
 from . import qseries as _qs
 from . import special_values as _sv
-from .formal import FormalSeries, eta_sum
+from .formal import FormalSeries, _coarsest, eta_sum
 from .numerics import Nome, PrecisionContext, RootMode, _fixed, _log2, check_tables, golden_phi, root
 
 __all__ = [
@@ -67,7 +71,7 @@ class VerificationReport:
         }
 
 
-# -- the identity table ------------------------------------------------------------
+# -- grids and shared routes -------------------------------------------------------
 
 
 def _q_grid(samples: int, series_order: int) -> list:
@@ -79,10 +83,6 @@ def _q_grid(samples: int, series_order: int) -> list:
 def _point(label: str):
     """A one-point grid; the point is the series order."""
     return lambda samples, series_order: [(label, series_order)]
-
-
-def _R(q, ctx: PrecisionContext):
-    return _qs.R_product(q, ctx)
 
 
 def _R_cf(q, ctx: PrecisionContext):
@@ -154,7 +154,7 @@ def _entry15a(point, ctx: PrecisionContext):
 
 def _cf_vs_product(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
-    yield "", _R_cf(q, ctx), _R(q, ctx)
+    yield "", _R_cf(q, ctx), _qs.R_product(q, ctx)
 
 
 def _modular_grid(samples, series_order):
@@ -170,44 +170,19 @@ def _modular_relation(j, ctx: PrecisionContext):
     yield "", (phi + r1) * (phi + r2), (5 + ctx.mp.sqrt(5)) / 2
 
 
-def _r_cancelling(q, ctx: PrecisionContext):
-    """1/R - 1 - R at q, a ``_real_sum``."""
-
-    def terms(c):
-        r = _R(q, c)
-        return 1 / r, -1, -r
-
-    return _real_sum(terms, ctx)
-
-
-def _r_identity_1(nome, ctx: PrecisionContext):
-    q = ctx.number(nome)
-    t = root(q, 5, RootMode.PRINCIPAL, ctx)
-    yield "", _r_cancelling(q, ctx), _euler_prod(t, ctx) / (t * _euler_prod(q**5, ctx))
-
-
-def _r_identity_2(nome, ctx: PrecisionContext):
-    q = ctx.number(nome)
-
-    def terms(c):
-        r5 = _R(q, c) ** 5
-        return 1 / r5, -11, -r5
-
-    yield "", _real_sum(terms, ctx), _euler_prod(q, ctx) ** 6 / (q * _euler_prod(q**5, ctx) ** 6)
-
-
-def _real_sum(terms, ctx: PrecisionContext):
-    """The sum of the real terms(ctx), in order.  When its largest term is 2^k
-    times larger than it, k > 0, the terms are formed and summed again on
-    ctx.widened(ceil(k)), and rounded back to the context."""
-    mp = ctx.mp
-    parts = terms(ctx)
+def _real_sum(terms, ctx: PrecisionContext, extra: int = 0):
+    """The sum of the real terms(c), in order, c = ctx.widened(extra) (ctx at 0),
+    rounded to the context.  When its largest term is 2^k times larger than it,
+    k > 0, the terms are formed and summed again on ctx.widened(extra + ceil(k)),
+    unless that is c."""
+    mp, first = ctx.mp, ctx.widened(extra) if extra else ctx
+    parts = terms(first)
     total = sum(parts[1:], parts[0])
-    extra = math.ceil(max(_log2(mp.mpf(p)) for p in parts) - _log2(total))
-    if extra > 0:
-        parts = terms(ctx.widened(extra))
-        total = mp.mpf(sum(parts[1:], parts[0]))
-    return total
+    k = math.ceil(max(_log2(mp.mpf(p)) for p in parts) - _log2(total))
+    if k > 0 and (wide := ctx.widened(extra + k)) != first:
+        parts = terms(wide)
+        total = sum(parts[1:], parts[0])
+    return mp.mpf(total)
 
 
 def _gamma(sign: int, ctx: PrecisionContext):  # the factorization's root constant
@@ -226,7 +201,7 @@ def factorization_sides(sign: int, q, ctx: PrecisionContext):
     mp = ctx.mp
 
     def terms(c):
-        st = c.mp.sqrt(_R(q, c))
+        st = c.mp.sqrt(_qs.R_product(q, c))
         return 1 / st, -_gamma(sign, c) * st
 
     lhs = _real_sum(terms, ctx)
@@ -267,15 +242,15 @@ def _factorization(sign: int):
 def _factorization_product(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
     (l1, r1), (l2, r2) = (factorization_sides(s, q, ctx) for s in (-1, 1))
-    cancelling = _r_cancelling(q, ctx)
+    cancelling = _side("R-identity-1", 0, q, ctx)
     yield " (recovers 1/R-1-R)", l1 * l2, cancelling
     yield " (rhs product)", r1 * r2, cancelling
 
 
 def _cubic(nome, ctx: PrecisionContext):
     q = ctx.number(nome)
-    u, v = _R(q, ctx), _R(q**3, ctx)
-    cancelling = _real_sum(lambda c: (_R(c.number(q) ** 3, c), -_R(q, c) ** 3), ctx)
+    u, v = _qs.R_product(q, ctx), _qs.R_product(q**3, ctx)
+    cancelling = _real_sum(lambda c: (_qs.R_product(c.number(q) ** 3, c), -_qs.R_product(q, c) ** 3), ctx)
     yield "", cancelling * (1 + u * v**3), 3 * u**2 * v**2
 
 
@@ -283,8 +258,8 @@ def _k_param(nome, ctx: PrecisionContext):
     # R(q^(1/2)) in k needs k <= sqrt(5) - 2 = R(1)^3, which k nears only as q -> 1
     mp = ctx.mp
     q = ctx.number(nome)
-    rq = _R(q, ctx)
-    rq2 = _R(q**2, ctx)
+    rq = _qs.R_product(q, ctx)
+    rq2 = _qs.R_product(q**2, ctx)
     k = rq * rq2**2
     yield ": R^5(q)", rq**5, k * ((1 - k) / (1 + k)) ** 2
     yield ": R^5(q^2)", rq2**5, k**2 * (1 + k) / (1 - k)
@@ -294,7 +269,7 @@ def _k_param(nome, ctx: PrecisionContext):
         * (1 - k) ** (mp.mpf(1) / 5)
         / (mp.sqrt(k) + mp.sqrt(1 + k - k * k))
     )
-    yield ": R(q^(1/2))", _R(mp.sqrt(q), ctx), display
+    yield ": R(q^(1/2))", _qs.R_product(mp.sqrt(q), ctx), display
 
 
 def _quintic_grid(samples, series_order):
@@ -433,31 +408,58 @@ def asymptotic_check(x, ctx: PrecisionContext, reference=None) -> dict:
     return {"approx": approx, "reference": reference, "error": abs(approx - reference)}
 
 
-# -- exact series sides: the point is the series order -----------------------------
-#
-# Each twin is data: two sides of (coefficient, offset, row) terms for
-# ``formal.eta_sum``, each the identity's side times one unit multiplier (constant
-# term 1) that clears every denominator, so no exponent is negative and no twin
-# divides.  The multiplier keeps a pass exact through the same order, and a
-# mismatch in the identity at the same lowest exponent with the same coefficient
-# difference.  R = q^(1/5) S_N/S_D is ``cf.R_ROW`` and E = S_E a row of ``qseries._THETA_ROUTES``.
+# -- the R-identities' table, both their checks from it, and cf-vs-product's exact side
+# An entry states an identity in x = q^(1/d): two sides of (coefficient, offset, row)
+# terms c x^o prod S_(A,B)^e, each times one unit multiplier x^o U, U a row with
+# constant term 1 that clears every denominator, so ``formal.eta_sum`` runs them as
+# they are; U keeps a pass exact through the same order, and a mismatch at the same
+# lowest exponent with the same coefficient difference.  The numeric sides are the
+# terms over x^o U (``_side``).  R = q^(1/5) S_N/S_D is ``cf.R_ROW``, E = S_E a row.
 
 (_N, _), (_D, _) = _cf.R_ROW.product.items()
 ((_E, _),) = _qs._THETA_ROUTES["E"][1].items()
 _N5, _D5, _E5 = ((5 * a, 5 * b) for a, b in (_N, _D, _E))  # S_(5A,5B)(x) = S_(A,B)(x^5)
 
-_TWINS = {
-    # t(1/R - 1 - R) = (t;t)/(t^25;t^25) in t, times (t^25;t^25)(t^5;t^5) = S_N(t^5) S_D(t^5)
-    "R-identity-1": ([(1, 0, {_D5: 2}), (-1, 1, {_D5: 1, _N5: 1}), (-1, 2, {_N5: 2})], [(1, 0, {_E: 1, _E5: 1})]),
-    # q(1/R^5 - 11 - R^5) = (q;q)^6/(q^5;q^5)^6 in q, times S_N^5 S_D^5 (q^5; q^5)
-    "R-identity-2": ([(1, 0, {_D: 10, _E5: 1}), (-11, 1, {_D: 5, _N: 5, _E5: 1}), (-1, 2, {_N: 10, _E5: 1})],
-                     [(1, 0, {_E: 11})]),
+# label: the exact record's; degree: d; sides: (left, right); unit: (o, U), as t S_D(t^5) S_N(t^5)
+Identity = namedtuple("Identity", "label degree sides unit")
+_TABLE = {
+    "R-identity-1": Identity("t*(1/R - 1 - R) vs (t;t)/(t^25;t^25) in t", 5, (
+        [(1, 0, {_D5: 2}), (-1, 1, {_D5: 1, _N5: 1}), (-1, 2, {_N5: 2})], [(1, 0, {_E: 1, _E5: 1})]),
+        (1, {_D5: 1, _N5: 1})),
+    "R-identity-2": Identity("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q", 1, (
+        [(1, 0, {_D: 10, _E5: 1}), (-11, 1, {_D: 5, _N: 5, _E5: 1}), (-1, 2, {_N: 10, _E5: 1})], [(1, 0, {_E: 11})]),
+        (1, {_D: 5, _N: 5, _E5: 1})),
 }
 
 
-def _formal_twin(ident: str):
-    """The sides of the twin `ident` of ``_TWINS`` at the series order."""
-    return lambda order, ctx: [("", *(eta_sum(side, order) for side in _TWINS[ident]))]
+def _side(ident: str, i: int, q, ctx: PrecisionContext):
+    """Side i of ``_TABLE[ident]`` at the number q, in x = q^(1/d): each term over x^o U,
+    exponents and offsets subtracted and zeros dropped, and each factor S_(A,B)(x) read as
+    S_(A/s,B/s)(x^s), s = ``formal._coarsest``(A, B), from ``qseries._theta_quotient``: a
+    ``_real_sum`` widened by ceil(log2 n) bits for its n factors, with their powers, that round."""
+    _, degree, sides, (offset, unit) = _TABLE[ident]
+    terms = [(c, o - offset, {k: e for k in dict.fromkeys([*row, *unit]) if (e := row.get(k, 0) - unit.get(k, 0))})
+             for c, o, row in sides[i]]
+
+    @functools.cache
+    def power(c, k):  # x^k on the context c: q^(k/d) where d | k, else a power of x = q^(1/d)
+        if k % degree == 0:
+            return c.number(q) ** (k // degree)
+        return root(c.number(q), degree, RootMode.PRINCIPAL, c) if k == 1 else power(c, 1) ** k
+
+    def term(c, coeff, o, row):
+        return math.prod((_qs._theta_quotient(power(c, s), c, (a // s, b // s)).mid ** e
+                          for (a, b), e in row.items() for s in [_coarsest(a, b)]), start=coeff * power(c, o))
+
+    rounding = math.ceil(math.log2(sum(abs(e) for *_, row in terms for e in row.values())))
+    return _real_sum(lambda c: [term(c, *t) for t in terms], ctx, rounding)
+
+
+def _table_cases(ident: str) -> tuple:
+    """The (grid, sides) tables of ``_TABLE[ident]``: its numeric sides (``_side``) on the
+    default grid, and its cleared sides through ``formal.eta_sum`` at the series order."""
+    return ((_q_grid, lambda nome, ctx: [("", *(_side(ident, i, ctx.number(nome), ctx) for i in (0, 1)))]),
+            (_point(_TABLE[ident].label), lambda n, ctx: [("", *(eta_sum(s, n) for s in _TABLE[ident].sides))]))
 
 
 def _formal_cf_vs_product(order: int, ctx: PrecisionContext):
@@ -492,14 +494,7 @@ _CASES = {
         (_point("fraction truncations vs t*H/G in t"), _formal_cf_vs_product),
     ),
     "modular-relation": ((_modular_grid, _modular_relation),),
-    "R-identity-1": (
-        (_q_grid, _r_identity_1),
-        (_point("t*(1/R - 1 - R) vs (t;t)/(t^25;t^25) in t"), _formal_twin("R-identity-1")),
-    ),
-    "R-identity-2": (
-        (_q_grid, _r_identity_2),
-        (_point("q*(1/R^5 - 11 - R^5) vs (q;q)^6/(q^5;q^5)^6 in q"), _formal_twin("R-identity-2")),
-    ),
+    **{ident: _table_cases(ident) for ident in _TABLE},
     "factorization-1": ((_q_grid, _factorization(-1)),),
     "factorization-2": ((_q_grid, _factorization(1)),),
     "factorization-product": ((_q_grid, _factorization_product),),

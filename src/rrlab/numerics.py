@@ -222,8 +222,8 @@ class Nome:
 
     @classmethod
     def unit_root(cls, j: int, n: int) -> "Nome":
-        """q = exp(2*pi*i*j/n)."""
-        return cls("unit-root", Fraction(j, n))
+        """q = exp(2*pi*i*j/n); n = 0 is refused as the string "j/0" is, with ValueError."""
+        return cls("unit-root", Fraction(j, n) if n else f"{j}/0")
 
     def __neg__(self) -> "Nome":
         """The rational nome -q."""
@@ -392,10 +392,10 @@ def root(z, k: int, mode: RootMode, ctx: PrecisionContext):
         if z < 0:
             return -mp.root(-z, k)
         return mp.root(z, k)
-    # principal branch
+    # principal branch; mpmath's complex root is not rounded to the context, so + rounds it
     if not isinstance(z, mp.mpc) and z >= 0:
         return mp.root(z, k)
-    w = mp.root(mp.mpc(z), k)
+    w = +mp.root(mp.mpc(z), k)
     if w.imag == 0:
         return w.real
     return w

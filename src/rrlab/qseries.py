@@ -680,12 +680,11 @@ def _sides(row) -> tuple:
     return tuple([k for k, e in row.items() for _ in range(sign * e)] for sign in (1, -1))
 
 
-def _quotient_route(x: int, base: int, ctx: PrecisionContext, name: str) -> str:
-    """The route of ``_theta_quotient`` `name` at q = x 2^-W, W = base: "direct"
+def _quotient_route(x: int, base: int, ctx: PrecisionContext, row) -> str:
+    """The route of ``_theta_quotient`` for a row at q = x 2^-W, W = base: "direct"
     (``_direct_quotient``), each sum's terms at its guarded width plus CALL_STEPS at W,
     or for q > 0 "transformed" (``_poisson_plan``), from q = 0.91-0.96 on at 256 bits
     (R: 0.964), 0.64-0.83 at 2,048."""
-    row = _THETA_ROUTES[name][1]
     direct, transformed, factors = [], None, sum(_sides(row), [])
     if x > 0:
         decay = _decay(x, 1 << base)
@@ -704,19 +703,19 @@ def _direct_quotient(x: int, w: int, ctx: PrecisionContext, route: str, row) -> 
     return Ball(math.prod(num, start=ctx.mp.one) / math.prod(den, start=ctx.mp.one))
 
 
-def _theta_quotient(q, ctx: PrecisionContext, name: str):
-    """A row of ``_THETA_ROUTES`` at q as converted once, by the route ``_quotient_route``
-    names: ``_direct_quotient`` or ``_poisson_quotient`` (O(sqrt(bits h)) terms at about
-    W bits, radius proven).  While a command runs (``numerics._MEMO``) each (name, type
-    and value of q, ctx) is computed once, unless it raises; a check that needs one
-    route calls its function."""
+def _theta_quotient(q, ctx: PrecisionContext, name):
+    """The row `name` of ``_THETA_ROUTES``, or the one factor `name` = (A, B), at q as
+    converted once, by the route ``_quotient_route`` names: ``_direct_quotient`` or
+    ``_poisson_quotient`` (O(sqrt(bits h)) terms at about W bits, radius proven).  While a
+    command runs (``numerics._MEMO``) each (name, type and value of q, ctx) is computed
+    once, unless it raises; a check that needs one route calls its function."""
     memo = _MEMO.get()
     key = (name, type(q), q, ctx)
     if memo is not None and (ball := memo.get(key)) is not None:
         return ball
-    route, row = _THETA_ROUTES[name]
+    route, row = _THETA_ROUTES[name] if isinstance(name, str) else ("theta sum", {name: 1})
     w, (x,) = _fixed(ctx, route, q)
-    kernel = _poisson_quotient if _quotient_route(x, w, ctx, name) == "transformed" else _direct_quotient
+    kernel = _poisson_quotient if _quotient_route(x, w, ctx, row) == "transformed" else _direct_quotient
     ball = kernel(x, w, ctx, route, row)
     if memo is not None:
         memo[key] = ball

@@ -305,9 +305,9 @@ def test_one_command_computes_each_theta_quotient_once(capsys, monkeypatch):
         calls.append((name, type(q), q, ctx))
         return quotient(q, ctx, name)
 
-    def choosing(x, w, ctx, name):  # a quotient chooses its route once it is computed
-        evaluations.append(name)
-        return route(x, w, ctx, name)
+    def choosing(x, w, ctx, row):  # a quotient chooses its route once it is computed
+        evaluations.append(row)
+        return route(x, w, ctx, row)
 
     monkeypatch.setattr(qseries, "_theta_quotient", listening)
     monkeypatch.setattr(qseries, "_quotient_route", choosing)
@@ -405,32 +405,37 @@ def test_eval_and_record_judge_one_pair_alike(capsys, ctx, ctx512):
     assert rec["abs_dev"] > ctx.tol and rec["passed"]
 
 
-# The identity records that fail at 256 bits and 1 or 2 guard bits: rounding
-# in sides that do not cancel loses more than the guard leaves (CHANGES.md)
+# The identity records that fail at 1 guard bit, by bits: rounding in sides
+# that do not cancel loses more than the guard leaves (CHANGES.md)
 _SHORT_RECORDS = {
-    1: {
-        ("R-identity-2", "q=1/20"),
-        ("R-identity-2", "q=1/5"),
-        ("factorization-1", "q=2/5"),
+    256: {("factorization-1", "q=2/5"), ("factorization-1", "q=9/20")},
+    1024: {
+        ("factorization-1", "q=1/20"),
+        ("factorization-1", "q=1/5"),
         ("factorization-1", "q=9/20"),
+        ("factorization-1", "q=1/2"),
+        ("factorization-product", "q=1/20 (rhs product)"),
+        ("jims", "series + cf2 vs sqrt(pi*e/2)"),
+        ("quintic-corollary", "q=exp(-pi): 1/R(q) - R(q^4)"),
+        ("quintic-corollary", "q=exp(-pi): 1/R(q^4) - R(q)"),
     },
-    2: {("R-identity-2", "q=1/5")},
 }
 
 
-@pytest.mark.parametrize("guard", range(1, 13))
-def test_guard_bit_sweep(capsys, guard):
-    # at 256 bits every special value passes and values check all exits 0 from
-    # 1 guard bit up.  Every cancelling identity side is widened by the bits it
-    # measures, so R-identity-1, cubic and factorization-product pass from 1 up
-    # too; exactly the records in _SHORT_RECORDS fail at 1 and 2, and verify
-    # all exits 0 from 3 up
-    ctx = PrecisionContext(256, guard)
+@pytest.mark.parametrize("bits, guard", [(256, g) for g in range(1, 13)] + [(1024, 1), (1024, 2)])
+def test_guard_bit_sweep(capsys, bits, guard):
+    # every special value passes and values check all exits 0 from 1 guard bit
+    # up.  Every cancelling identity side is widened by the bits it measures, and
+    # the table's sides by their factors' rounding too, so R-identity-1 and -2,
+    # cubic and factorization-product pass from 1 up; exactly the records in
+    # _SHORT_RECORDS fail at 1, and verify all exits 0 from 2 up
+    ctx = PrecisionContext(bits, guard)
     assert [r["point"] for r in verify_registry(ctx) if not r["passed"]] == []
     failed = {(i, r["point"]) for i in identity_ids() for r in verify(i, ctx).records if not r["passed"]}
-    assert failed == _SHORT_RECORDS.get(guard, set())
-    assert run(capsys, "verify", "all", "--guard-bits", str(guard))[0] == (1 if failed else 0)
-    assert run(capsys, "values", "check", "all", "--guard-bits", str(guard))[0] == 0
+    assert failed == (_SHORT_RECORDS[bits] if guard == 1 else set())
+    flags = ("--bits", str(bits), "--guard-bits", str(guard))
+    assert run(capsys, "verify", "all", *flags)[0] == (1 if failed else 0)
+    assert run(capsys, "values", "check", "all", *flags)[0] == 0
 
 
 def test_eval_real_odd_mode(capsys):

@@ -1,8 +1,8 @@
 """The exact twins of cf-vs-product, R-identity-1 and R-identity-2, and series_R.
 
 The twins are rows {(A, B): e} of sparse theta series S_(A,B), their
-denominators cleared (``identities._TWINS``, and for cf-vs-product the halves of
-R's row ``cf.R_ROW``, formed by ``formal.eta_sum``), and series_R divides R's
+denominators cleared (the sides of ``identities._TABLE``, and for cf-vs-product the
+halves of R's row ``cf.R_ROW``, formed by ``formal.eta_sum``), and series_R divides R's
 row's numerator by its denominator with a short recurrence.  The oracles here
 are the uncleared forms through the Newton reciprocal, which no twin uses and
 which read none of R's row, and the rows' triple products through
@@ -198,7 +198,7 @@ def twin_sides(ident):
     if ident == "cf-vs-product":
         num, den = ({k: side.count(k) for k in side} for side in qseries._sides(cf.R_ROW.product))
         return [(1, 0, den)], [(1, 0, num)]
-    return identities._TWINS[ident]
+    return identities._TABLE[ident].sides
 
 
 @pytest.mark.parametrize("ident", TWINS)
@@ -232,13 +232,18 @@ def mutations(ident):
 
 
 @pytest.mark.parametrize("ident, mutation", [(i, m) for i in TWINS for m in mutations(i)])
-def test_a_changed_exponent_fails_the_twin(monkeypatch, ctx, ident, mutation):
+def test_a_changed_exponent_fails_the_numeric_and_the_exact_record(monkeypatch, ctx, ident, mutation):
+    # the table's entry is the one statement of its identity: the numeric side at
+    # q = 1/20 is its cleared side over the unit multiplier, so both records fail
     i, j, k, d = mutation
     if ident == "cf-vs-product":  # its rows are R's row's halves, the denominator's (side 0) negated
         monkeypatch.setitem(cf.R_ROW.product, k, cf.R_ROW.product[k] + (d if i else -d))
     else:
-        sides = [list(side) for side in identities._TWINS[ident]]
+        entry = identities._TABLE[ident]
+        sides = [list(side) for side in entry.sides]
         c, o, row = sides[i][j]
         sides[i][j] = (c, o, {**row, k: row[k] + d})
-        monkeypatch.setitem(identities._TWINS, ident, tuple(sides))
-    assert not formal_record(ident, ctx, ORDER)["passed"]
+        monkeypatch.setitem(identities._TABLE, ident, entry._replace(sides=tuple(sides)))
+    numeric, exact = verify(ident, ctx, samples=1, series_order=ORDER).records
+    assert numeric["agree_bits"] is not None and exact["agree_bits"] is None
+    assert not numeric["passed"] and not exact["passed"]

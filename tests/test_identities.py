@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rrlab import cf, identities
+from rrlab import cf, identities, qseries
 from rrlab.cli import main
 from rrlab.formal import FormalSeries
 from rrlab.identities import (
@@ -18,7 +18,7 @@ from rrlab.identities import (
     verify,
 )
 from rrlab.cf import ConvergenceError, eval_infinite
-from rrlab.numerics import Nome, PrecisionContext, agree_bits, golden_phi
+from rrlab.numerics import Nome, PrecisionContext, RootMode, agree_bits, golden_phi, root
 from rrlab.qseries import R_product
 
 # sqrt(pi*e/2), computed independently at 320 bits
@@ -123,13 +123,78 @@ def test_factorization_2_left_side_earns_its_bits_relative():
 @pytest.mark.parametrize("qf", ["1/20", "1/5", "7/20", "1/2"])
 def test_r_identity_2_left_side_is_widened_by_its_cancellation(qf):
     # 1/R^5 - 11 - R^5 cancels 4, 8 and 13 bits at q = 1/5, 7/20 and 1/2 (1 at
-    # 1/20); formed again on the widened context it agrees with a 1024-bit
-    # evaluation at the same q to at least 256 bits (249 to 253 unwidened)
+    # 1/20); the table's side, formed again on the context widened by that and
+    # by its factors' rounding, agrees with a 1024-bit evaluation at the same q
+    # to at least 256 bits (249 to 253 unwidened)
     ctx, big = PrecisionContext(256, 32), PrecisionContext(1024, 32)
     q = ctx.real(Fraction(qf))
-    (_, lhs, _), = identities._r_identity_2(Nome.rational(Fraction(qf)), ctx)
+    lhs = identities._side("R-identity-2", 0, q, ctx)
     r5 = R_product(q, ctx=big) ** 5
     assert agree_bits(lhs, 1 / r5 - 11 - r5, big) >= 256
+
+
+# -- the table's numeric sides against the hand-written ones they replace ----------
+
+
+def _euler(q, ctx):
+    return qseries._theta_quotient(q, ctx, "E").mid
+
+
+def hand_r_identity_1(q, ctx):
+    """1/R - 1 - R, widened by its cancellation, and E(t)/(t E(q^5)), t = q^(1/5),
+    as written by hand before the table: R from R_product, E the Euler row."""
+
+    def terms(c):
+        r = R_product(q, c)
+        return 1 / r, -1, -r
+
+    t = root(q, 5, RootMode.PRINCIPAL, ctx)
+    return identities._real_sum(terms, ctx), _euler(t, ctx) / (t * _euler(q**5, ctx))
+
+
+def hand_r_identity_2(q, ctx):
+    """1/R^5 - 11 - R^5, widened by its cancellation, and E(q)^6/(q E(q^5)^6)."""
+
+    def terms(c):
+        r5 = R_product(q, c) ** 5
+        return 1 / r5, -11, -r5
+
+    return identities._real_sum(terms, ctx), _euler(q, ctx) ** 6 / (q * _euler(q**5, ctx) ** 6)
+
+
+HAND = {"R-identity-1": hand_r_identity_1, "R-identity-2": hand_r_identity_2}
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 2048])
+@pytest.mark.parametrize("ident", HAND)
+def test_table_sides_agree_with_the_hand_written_sides(ident, bits):
+    ctx = PrecisionContext(bits, 32)
+    for _, nome in identities._q_grid(10, 0):
+        q = ctx.number(nome)
+        for i, hand in enumerate(HAND[ident](q, ctx)):
+            assert agree_bits(identities._side(ident, i, q, ctx), hand, ctx) >= bits - ctx.guard_bits, (nome, i)
+
+
+def test_table_sides_read_each_factor_at_its_coarsest_nome(monkeypatch, ctx):
+    # the cleared sides over the unit multiplier: 1/R = t^-1 S_(25,5)(t)/S_(25,15)(t)
+    # reads S_(5,1) and S_(5,3) at q, and R-identity-2's right side is
+    # E^11/(q S_(5,1)^5 S_(5,3)^5 E(q^5)); only E(t) is read at t
+    seen, quotient = [], qseries._theta_quotient
+    monkeypatch.setattr(qseries, "_theta_quotient", lambda q, c, name: seen.append((name, q)) or quotient(q, c, name))
+    q = ctx.real(Fraction(1, 10))
+    wide = ctx.widened(1)
+    nomes = {"q": q, "t": root(q, 5, RootMode.PRINCIPAL, wide), "q^5": wide.number(q) ** 5}
+    s1, s3, e = (5, 1), (5, 3), (3, 1)
+    want = {
+        ("R-identity-1", 0): {(s1, "q"), (s3, "q")},
+        ("R-identity-1", 1): {(e, "t"), (e, "q"), (s1, "q"), (s3, "q")},
+        ("R-identity-2", 0): {(s1, "q"), (s3, "q")},
+        ("R-identity-2", 1): {(e, "q"), (s1, "q"), (s3, "q"), (e, "q^5")},
+    }
+    for (ident, i), factors in want.items():
+        seen.clear()
+        identities._side(ident, i, q, ctx)
+        assert {(name, next(k for k, v in nomes.items() if y == v)) for name, y in seen} == factors
 
 
 def test_k_param_k_stays_below_its_limit():

@@ -53,6 +53,16 @@ def test_root_examples(ctx):
     assert abs(principal - expected) < ctx.tol
 
 
+@pytest.mark.parametrize("z", [Fraction(-1, 2), Fraction(-3, 7), 1j, 0.3 + 0.4j])
+def test_principal_root_is_rounded_to_the_context(ctx, z):
+    # mpmath's complex root carries wider mantissas; the branch returns them
+    # rounded once at the context's width, so raising to the first power rounds nothing
+    w = root(z, 5, RootMode.PRINCIPAL, ctx)
+    parts = (w.real, w.imag) if isinstance(w, ctx.mp.mpc) else (w,)
+    assert max(p._mpf_[1].bit_length() for p in parts) <= ctx.bits
+    assert (w**1) == w and (+w) == w
+
+
 def test_root_domain_errors(ctx):
     with pytest.raises(ValueError):
         root(ctx.mp.mpc(1, 1), 5, RootMode.REAL_ODD, ctx)
@@ -404,10 +414,14 @@ def test_nome(ctx):
     # rational nomes on or outside the unit circle are left to the kernels to refuse
     assert ctx.number(Nome.rational(-1)) == -1
     assert ctx.number(Nome.unit_root(3, 6)) == -1 and ctx.number(Nome.unit_root(-4, 4)) == 1
-    bad = (("exp", 0), ("exp-sqrt", -1), ("rational", "1/0"), ("rational", "x"), ("bogus", 1))
+    bad = (("exp", 0), ("exp-sqrt", -1), ("rational", "1/0"), ("unit-root", "1/0"), ("rational", "x"), ("bogus", 1))
     for form, arg in bad:
         with pytest.raises(ValueError):
             Nome(form, arg)
+    # a zero denominator is refused alike by the constructor that takes j and n
+    for j in (0, 1, -3):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Nome.unit_root(j, 0)
     # the exponential forms regenerate at any precision
     for nome in (Nome.exp(Fraction(1, 3)), Nome.exp_sqrt(3), Nome.unit_root(2, 7)):
         assert certify(lambda c: c.number(nome), ctx)[1] >= ctx.bits - ctx.guard_bits

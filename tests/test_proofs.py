@@ -222,7 +222,8 @@ def _takes_transform(name, nome, ctx):
     """Whether the route rule sends quotient `name` (phi+: theta_phi) at the nome
     through the transformed sums."""
     w, (x,) = numerics._fixed(ctx, "route", nome)
-    route = qseries._phi_route(x, w, ctx) if name == "phi+" else qseries._quotient_route(x, w, ctx, name)
+    route = (qseries._phi_route(x, w, ctx) if name == "phi+"
+             else qseries._quotient_route(x, w, ctx, qseries._THETA_ROUTES[name][1]))
     return route == "transformed"
 
 

@@ -1002,7 +1002,7 @@ def test_cost_rule_picks_the_route(ctx, q, route):
     # 0.975 and above; at q < 0 the sums are direct.  The quotient is the named route's
     nome = ctx.real(Fraction(q))
     w, (x,) = numerics._fixed(ctx, "R theta sum", nome)
-    assert qseries._quotient_route(x, w, ctx, "R") == route
+    assert qseries._quotient_route(x, w, ctx, qseries._THETA_ROUTES["R"][1]) == route
     named = (qseries._direct_quotient if route == "direct" else qseries._poisson_quotient)(
         x, w, ctx, *qseries._THETA_ROUTES["R"])
     assert _theta_quotient(nome, ctx, "R") == named

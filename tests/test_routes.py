@@ -32,7 +32,8 @@ def _converted(route, *name):
 _ROUTE_FUNCTIONS = {
     "rr R": lambda q, c: cf._rr_route(q, c),
     "rr S": lambda q, c: cf._rr_route(q, c, alternating=True),
-    **{f"quotient {name}": _converted(qseries._quotient_route, name) for name in ("R", "G", "H", "E", "phi-")},
+    **{f"quotient {name}": _converted(qseries._quotient_route, qseries._THETA_ROUTES[name][1])
+       for name in ("R", "G", "H", "E", "phi-")},
     "phi": _converted(qseries._phi_route),
 }
 _DEFAULT = {"rr": "fraction", "quotient": "direct", "phi": "sum"}  # the route below each crossover
